@@ -341,6 +341,14 @@ fn migrate_string_block(
                 "string migration found no empty target cell"
             );
             let existing = dst.cells[pos].load_key();
+            if is_marked(existing) {
+                // The target is itself being migrated, so this migration
+                // was finalized long ago: a rescuer completed this block
+                // while its owner (this thread) was stalled.  Nothing is
+                // left to do — and a frozen target has no empty cell to
+                // find.
+                return migrated;
+            }
             if existing == k {
                 // An earlier copy of this block already placed the
                 // reference; nothing to do (and nothing to count).
@@ -422,10 +430,11 @@ impl GrowingStringTable {
 
     /// Create a table with the default growth policy.
     pub fn new(initial_capacity: usize) -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
-        Self::with_config(initial_capacity, GrowConfig::default(), threads)
+        Self::with_config(
+            initial_capacity,
+            GrowConfig::default(),
+            crate::cpu::available_parallelism(),
+        )
     }
 
     /// Obtain a per-thread handle.

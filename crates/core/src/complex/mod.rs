@@ -43,7 +43,9 @@
 //! Storing the hash is what lets a migration *re-derive the target cell*
 //! of a reference without re-hashing (or even reading) the string bytes,
 //! and lets probes skip the byte comparison whenever the signature
-//! already disagrees.
+//! already disagrees.  `GrowMap<String, _>` ([`crate::generic`]) stores
+//! its keys in the same format through the same functions, so all three
+//! string-keyed tables share one hash and one allocation per key.
 
 mod bounded;
 mod growing;
@@ -51,24 +53,21 @@ mod growing;
 pub use bounded::StringKeyTable;
 pub use growing::{GrowingStringTable, StringHandle, StringMigrationStats};
 
+use crate::config::hash_bytes;
+
 /// Number of low bits of a packed key word that hold the pointer.
 pub(crate) const POINTER_BITS: u32 = 48;
 const POINTER_MASK: u64 = (1 << POINTER_BITS) - 1;
 /// 15-bit signature (bit 63 stays clear for the migration mark bit).
 const SIGNATURE_MASK: u64 = 0x7FFF;
 
-/// FNV-1a over the key bytes: cheap, stable, and good enough to spread
-/// string keys.  This is the **master hash** of §5.7: the scaled top bits
-/// choose the cell, the low bits provide the signature, and the full
-/// value is stored in the key allocation so migrations can re-derive the
-/// cell without touching the string bytes.
+/// The **master hash** of §5.7 for string keys: [`hash_bytes`] over the
+/// UTF-8 bytes.  The scaled top bits choose the cell, the low bits provide
+/// the signature, and the full value is stored in the key allocation so
+/// migrations can re-derive the cell without touching the string bytes.
+#[inline]
 pub(crate) fn hash_str(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    hash_bytes(s.as_bytes())
 }
 
 /// Signature of a master hash: low bits (the cell position comes from the
@@ -99,7 +98,7 @@ pub(crate) fn decode_keyref(keyref: u64) -> (u64, *const u8) {
 
 /// Allocate a key as a `⟨hash, len, bytes⟩` buffer and leak it; the raw
 /// pointer is what gets packed into the table.  Freed with [`free_key`].
-fn allocate_key(key: &str, hash: u64) -> *const u8 {
+pub(crate) fn allocate_key(key: &str, hash: u64) -> *const u8 {
     let mut buf = Vec::with_capacity(16 + key.len());
     buf.extend_from_slice(&hash.to_le_bytes());
     buf.extend_from_slice(&(key.len() as u64).to_le_bytes());
@@ -114,7 +113,7 @@ fn allocate_key(key: &str, hash: u64) -> *const u8 {
 ///
 /// `ptr` must come from [`allocate_key`] and not have been freed.
 #[inline]
-unsafe fn stored_hash(ptr: *const u8) -> u64 {
+pub(crate) unsafe fn stored_hash(ptr: *const u8) -> u64 {
     unsafe { u64::from_le_bytes(std::ptr::read(ptr as *const [u8; 8])) }
 }
 
@@ -125,7 +124,7 @@ unsafe fn stored_hash(ptr: *const u8) -> u64 {
 /// `ptr` must come from [`allocate_key`] and not have been freed; the
 /// returned slice must not outlive the allocation.
 #[inline]
-unsafe fn stored_bytes<'a>(ptr: *const u8) -> &'a [u8] {
+pub(crate) unsafe fn stored_bytes<'a>(ptr: *const u8) -> &'a [u8] {
     unsafe {
         let len = u64::from_le_bytes(std::ptr::read(ptr.add(8) as *const [u8; 8])) as usize;
         std::slice::from_raw_parts(ptr.add(16), len)
@@ -155,7 +154,7 @@ unsafe fn key_matches(keyref: u64, signature: u64, key: &str) -> bool {
 /// `ptr` must come from [`allocate_key`], must not have been freed, and no
 /// other thread may still dereference it (which is exactly what the
 /// growing table's QSBR domain guarantees before calling this).
-unsafe fn free_key(ptr: *const u8) {
+pub(crate) unsafe fn free_key(ptr: *const u8) {
     unsafe {
         let len = u64::from_le_bytes(std::ptr::read(ptr.add(8) as *const [u8; 8])) as usize;
         let slice = std::ptr::slice_from_raw_parts_mut(ptr as *mut u8, len + 16);

@@ -61,6 +61,83 @@ pub fn hash_key(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// Odd 64-bit constants of the byte-string kernel (the wyhash secrets: bit
+/// counts near 32, no byte repeated).
+const FOLD_START: u64 = 0xA076_1D64_78BD_642F;
+const FOLD_LEN: u64 = 0xE703_7ED1_A0B4_28DB;
+const FOLD_STEP: u64 = 0x8EBC_6AF0_9C88_C6E3;
+const FOLD_FINAL: u64 = 0x5899_65CC_7537_4CC3;
+
+/// Both halves of the 128-bit product, xor-ed: every input bit reaches the
+/// low *and* the high end of the result, which one `wrapping_mul` (low
+/// half only) cannot do.
+#[inline]
+fn fold(a: u64, b: u64) -> u64 {
+    let product = u128::from(a) * u128::from(b);
+    (product as u64) ^ ((product >> 64) as u64)
+}
+
+/// The master hash (§5.7) of every byte-string key in this crate — the
+/// bounded and the growing string table and `GrowMap<String, _>` share it,
+/// so a key has one home cell and one signature whichever table holds it.
+///
+/// Word at a time: the length goes into the start value, a long key costs
+/// one [`fold`] per eight bytes, the last (up to) sixteen bytes are read as
+/// two possibly overlapping windows instead of a byte loop, and one last
+/// `fold` finishes.  Both ends of the result must avalanche, because both
+/// are used: [`scale_to_capacity`] takes the home cell from the top bits
+/// and the packed key reference takes its 15-bit signature from the
+/// bottom.  Seed-free and little-endian by definition, so every thread —
+/// and every platform — agrees on a key's cell.
+///
+/// Keys of 4 to 16 bytes — nearly every word of a text — take one path
+/// without a branch on their length: which bytes the two windows cover is
+/// arithmetic on `len`.  The lengths of consecutive words are as good as
+/// random, so a branch per length class (4..=7 / 8 / 9..=16) is
+/// mispredicted on every other word, which costs more than the hash.
+#[inline]
+pub(crate) fn hash_bytes(bytes: &[u8]) -> u64 {
+    #[inline]
+    fn word(bytes: &[u8], at: usize) -> u64 {
+        u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8-byte window"))
+    }
+    #[inline]
+    fn half(bytes: &[u8], at: usize) -> u64 {
+        u64::from(u32::from_le_bytes(
+            bytes[at..at + 4].try_into().expect("4-byte window"),
+        ))
+    }
+
+    let len = bytes.len();
+    let mut h = FOLD_START ^ (len as u64).wrapping_mul(FOLD_LEN);
+    let (first, last) = if len > 16 {
+        // Whole words that end before the last sixteen bytes, then those.
+        let mut at = 0;
+        while at + 16 < len {
+            h = fold(h ^ word(bytes, at), FOLD_STEP);
+            at += 8;
+        }
+        (word(bytes, len - 16), word(bytes, len - 8))
+    } else if len >= 4 {
+        // Two four-byte reads from each end, `apart` bytes apart: the
+        // first and the last four bytes (each read twice) below 8, the
+        // first and the last eight bytes from 8 on, all sixteen at 16.
+        let apart = (len >> 3) << 2;
+        (
+            half(bytes, 0) << 32 | half(bytes, apart),
+            half(bytes, len - 4) << 32 | half(bytes, len - 4 - apart),
+        )
+    } else if len > 0 {
+        let picks =
+            u64::from(bytes[0]) << 16 | u64::from(bytes[len >> 1]) << 8 | u64::from(bytes[len - 1]);
+        (picks, 0)
+    } else {
+        (0, 0)
+    };
+    h = fold(h ^ first, FOLD_STEP);
+    fold(fold(h ^ last, FOLD_STEP), FOLD_FINAL)
+}
+
 /// Which hash function a table instance uses for its cell mapping.
 ///
 /// The selection is **per table** (a field of the table, not a process
@@ -232,6 +309,95 @@ mod tests {
             hs.sort_unstable();
             let cells: Vec<usize> = hs.iter().map(|&h| scale_to_capacity(h, 1 << 16)).collect();
             assert!(cells.windows(2).all(|w| w[0] <= w[1]));
+        }
+    }
+
+    #[test]
+    fn hash_bytes_matches_pinned_vectors() {
+        // One length per branch and boundary of the kernel: empty, byte
+        // picks, four-byte windows (coinciding, overlapping), eight-byte
+        // windows (coinciding, overlapping by 7, by 1), all sixteen bytes,
+        // one loop step, several.  Computed by an independent
+        // implementation; a slip in a window's offset or in the byte order
+        // moves them.
+        let letters = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ";
+        for (len, want) in [
+            (0, 0x2DDE_ADAE_A19A_1A5Bu64),
+            (1, 0x7ACE_D635_7897_E543),
+            (3, 0x82A0_D3DD_A790_0AD2),
+            (4, 0x90F1_B6DD_AADB_7FAB),
+            (7, 0xCA3A_9E2D_E391_FBD8),
+            (8, 0xCCFC_6B6C_0314_50E2),
+            (9, 0x55A3_1C56_DEF2_E337),
+            (15, 0x54FD_F256_88B2_6F39),
+            (16, 0x7DE9_4FAA_8138_EC10),
+            (17, 0xD67A_12DD_063B_7A05),
+            (40, 0x77DA_2933_D211_2D02),
+        ] {
+            assert_eq!(hash_bytes(&letters[..len]), want, "length {len}");
+        }
+    }
+
+    #[test]
+    fn hash_bytes_sees_the_length_and_the_last_byte() {
+        assert_ne!(hash_bytes(b"a"), hash_bytes(b"a\0"));
+        assert_ne!(hash_bytes(b""), hash_bytes(b"\0"));
+        assert_ne!(hash_bytes(&[0; 8]), hash_bytes(&[0; 16]));
+        for len in 1..=40 {
+            let mut key = vec![b'x'; len];
+            let before = hash_bytes(&key);
+            key[len - 1] ^= 1;
+            assert_ne!(hash_bytes(&key), before, "length {len}");
+        }
+    }
+
+    /// The home cell comes from the top bits of the hash and the signature
+    /// from the bottom 15, so both ends must spread keys that differ only
+    /// at their end.  Returns (χ² of the 4096 top-12-bit buckets, largest
+    /// bucket, distinct signatures) over the keys `key_of(0..2^14)`.
+    fn spread(key_of: impl Fn(u32) -> Vec<u8>) -> (f64, usize, usize) {
+        const KEYS: u32 = 1 << 14;
+        const BUCKETS: usize = 1 << 12;
+        let mut buckets = [0usize; BUCKETS];
+        let mut signatures = std::collections::HashSet::new();
+        for i in 0..KEYS {
+            let hash = hash_bytes(&key_of(i));
+            buckets[scale_to_capacity(hash, BUCKETS)] += 1;
+            signatures.insert(crate::complex::signature_of(hash));
+        }
+        let mean = f64::from(KEYS) / BUCKETS as f64;
+        let chi2 = buckets
+            .iter()
+            .map(|&count| (count as f64 - mean).powi(2) / mean)
+            .sum();
+        let largest = *buckets.iter().max().expect("non-empty");
+        (chi2, largest, signatures.len())
+    }
+
+    #[test]
+    fn hash_bytes_spreads_both_ends() {
+        let counter = |i: u32| format!("k-{i}").into_bytes();
+        // A long common prefix and two differing bytes at the very end:
+        // where a byte-at-a-time multiplicative hash is weakest, because its
+        // last bytes hardly reach its top bits (FNV-1a: χ² 2.4 million, one
+        // bucket of 640).
+        let suffix = |i: u32| {
+            let mut key = b"the/quick/brown/fox/jumps/over/the/lazy/dog/".to_vec();
+            key.extend([(i >> 7) as u8, (i & 127) as u8]);
+            key
+        };
+        for (family, (chi2, largest, signatures)) in
+            [("counter", spread(counter)), ("suffix", spread(suffix))]
+        {
+            // 4095 degrees of freedom: mean 4095, standard deviation 90.5.
+            assert!(chi2 < 4095.0 + 6.0 * 90.5, "{family}: χ² {chi2}");
+            // Poisson(4) over 4096 buckets tops out at 13–15.
+            assert!(largest <= 20, "{family}: a bucket of {largest}");
+            // 32767·(1 − e^(−16384/32767)) = 12 893 distinct values expected.
+            assert!(
+                (12_500..=13_300).contains(&signatures),
+                "{family}: {signatures} distinct signatures"
+            );
         }
     }
 

@@ -1,6 +1,7 @@
 //! Runtime CPU-feature detection shared by every hardware-accelerated
 //! kernel in this crate (the CRC32-C hash of [`crate::crc`] and the SIMD
-//! group probe of [`crate::simd`]).
+//! group probe of [`crate::simd`]), and the cached CPU count behind the
+//! tables' default thread hint.
 //!
 //! Detection runs once per process (cached in a `OnceLock`); afterwards a
 //! query is a relaxed load of a plain bool.  Setting the environment
@@ -42,6 +43,25 @@ fn flags() -> CpuFlags {
                 sse42: false,
             }
         }
+    })
+}
+
+/// `std::thread::available_parallelism()` (4 where it cannot tell), asked
+/// once per process: std re-reads the cgroup files on every call (13 µs),
+/// which is most of the cost of creating a small table.  Sizes the
+/// randomized counter-flush threshold of tables created without an
+/// explicit thread hint.  std answers for the *calling thread* (its
+/// affinity mask, capped by the cgroup quota) and the first caller's
+/// answer is kept: a process whose first table is created on a thread
+/// pinned to one CPU keeps the hint 1, and a later change of the quota is
+/// not followed.  The hint was never more than a guess at the handle
+/// count; `with_config` takes the real one.
+pub(crate) fn available_parallelism() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
     })
 }
 

@@ -12,8 +12,11 @@
 //!   compares one integer, exactly the cell ops of `GrowingTable`);
 //!   everything else is stored out of line behind the §5.7 packed
 //!   reference `signature << 48 | pointer` that the string table
-//!   introduced, generalized from `⟨hash, len, bytes⟩` buffers to a
-//!   [`KeyBox`]`<K>` holding the master hash and the typed key.
+//!   introduced.  What the pointer leads to is the key type's business
+//!   (the storage hooks of [`KeyRepr`]): by default a `KeyBox<K>` holding
+//!   the master hash and the typed key; for `String` the string tables'
+//!   own `⟨hash, len, bytes⟩` buffer — one allocation, and hash, length
+//!   and bytes behind one dependent load.
 //! * [`ValueRepr`] — how a value maps onto the cell's **value word**.
 //!   Word-sized values encode inline (atomic updates are one full-cell
 //!   CAS); larger values live in a plain heap box whose raw pointer is
@@ -37,7 +40,7 @@
 //! Growth is not reimplemented here: [`GenericInner`]'s [`GrowProtocol`]
 //! impl instantiates the shared coordinator with a block copy that
 //! re-derives each element's home cell from the master hash (stored in
-//! the key box, or recomputed from the inline word), the same rehash
+//! the key allocation, or recomputed from the inline word), the same rehash
 //! migration the string table uses — correct for growth, cleanup and
 //! shrink steps alike.
 
@@ -49,7 +52,7 @@ use growt_iface::{GenericMap, GenericMapHandle, InsertOrUpdate, TryGrowError};
 use growt_reclaim::{CachedArc, QsbrDomain, QsbrParticipant, VersionedArc};
 
 use crate::cell::{is_marked, unmark, Cell, DEL_KEY, EMPTY_KEY, MAX_MARKABLE_KEY};
-use crate::complex::{decode_keyref, pack_keyref, signature_of, POINTER_BITS};
+use crate::complex::{self, decode_keyref, pack_keyref, signature_of, POINTER_BITS};
 use crate::config::{capacity_for, hash_key, scale_to_capacity, GrowConfig, PROBE_LIMIT};
 use crate::coord::{Coordinator, GrowProtocol, MigrationJob};
 use crate::count::{GlobalCount, LocalCount};
@@ -57,6 +60,13 @@ use crate::count::{GlobalCount, LocalCount};
 // ---------------------------------------------------------------------------
 // Representation axes
 // ---------------------------------------------------------------------------
+
+mod sealed {
+    /// Argument of [`super::KeyRepr`]'s storage hooks; the module is
+    /// private, so the type can be named only inside this crate.
+    pub struct Sealed;
+}
+use sealed::Sealed;
 
 /// How a key type maps onto the cell's key word.
 ///
@@ -69,9 +79,9 @@ use crate::count::{GlobalCount, LocalCount};
 ///   `u64` (identity, reserved encodings rejected) and `u32` (shifted by
 ///   the two sentinels, so the full `u32` range is usable).
 /// * **boxed** (`INLINE = false`, the default): the key is cloned into a
-///   heap [`KeyBox`] and the word is the §5.7 packed reference
-///   `signature << 48 | pointer`.  Only [`KeyRepr::hash64`] can be
-///   customized; the packing is shared.
+///   heap allocation that also stores its master hash, and the word is
+///   the §5.7 packed reference `signature << 48 | pointer`.  Only
+///   [`KeyRepr::hash64`] can be customized; the packing is shared.
 ///
 /// The master hash must be **deterministic and process-wide consistent**
 /// (every thread must agree on a key's home cell); the default goes
@@ -83,7 +93,7 @@ pub trait KeyRepr: Clone + Eq + std::hash::Hash + Send + Sync + 'static {
 
     /// The master hash (§5.7): the scaled top bits choose the home cell;
     /// for boxed keys the low bits provide the signature and the full
-    /// value is stored in the key box so migrations re-derive home cells
+    /// value is stored with the key so migrations re-derive home cells
     /// without touching the key itself.
     fn hash64(&self) -> u64 {
         use std::hash::Hasher;
@@ -100,6 +110,64 @@ pub trait KeyRepr: Clone + Eq + std::hash::Hash + Send + Sync + 'static {
     /// Decode an inline cell word back into the key.
     fn decode(_word: u64) -> Self {
         unreachable!("KeyRepr::decode is only called when INLINE is true")
+    }
+
+    // The out-of-line storage seam: four hooks that describe one
+    // allocation format, and the only way the map creates, reads or frees
+    // a boxed key.  Not part of the public API — the `Sealed` argument
+    // cannot be named outside this crate, so no implementation out there
+    // can override one of them and the unsafe code may rely on the four
+    // agreeing with each other (the defaults, or the `String` overrides).
+
+    /// Clone the key into a fresh allocation that also stores `hash`;
+    /// the pointer must fit the 48 pointer bits of a packed reference.
+    #[doc(hidden)]
+    fn store(&self, hash: u64, _: Sealed) -> *const u8 {
+        Box::into_raw(Box::new(KeyBox {
+            hash,
+            key: self.clone(),
+        })) as *const u8
+    }
+
+    /// The master hash stored in the allocation.
+    ///
+    /// # Safety
+    ///
+    /// `ptr` must come from [`KeyRepr::store`] of this type and not have
+    /// been freed.
+    #[doc(hidden)]
+    #[inline]
+    unsafe fn stored_hash(ptr: *const u8, _: Sealed) -> u64 {
+        // SAFETY: per the contract `ptr` is a live `KeyBox<Self>`.
+        unsafe { (*(ptr as *const KeyBox<Self>)).hash }
+    }
+
+    /// `true` when the allocation stores `key`, whose master hash is
+    /// `hash`: stored-hash equality is the pre-filter before the typed
+    /// comparison.
+    ///
+    /// # Safety
+    ///
+    /// As for [`KeyRepr::stored_hash`].
+    #[doc(hidden)]
+    #[inline]
+    unsafe fn stored_matches(ptr: *const u8, hash: u64, key: &Self, _: Sealed) -> bool {
+        // SAFETY: per the contract `ptr` is a live `KeyBox<Self>`.
+        let stored = unsafe { &*(ptr as *const KeyBox<Self>) };
+        stored.hash == hash && stored.key == *key
+    }
+
+    /// Free the allocation.
+    ///
+    /// # Safety
+    ///
+    /// As for [`KeyRepr::stored_hash`], and no other thread may still
+    /// dereference `ptr`.
+    #[doc(hidden)]
+    unsafe fn free_stored(ptr: *const u8, _: Sealed) {
+        // SAFETY: per the contract this is the only free of the box that
+        // `store` leaked.
+        unsafe { drop(Box::from_raw(ptr as *mut KeyBox<Self>)) };
     }
 }
 
@@ -150,12 +218,35 @@ impl KeyRepr for u32 {
     }
 }
 
+/// Strings hash and are stored exactly as in
+/// [`crate::complex::GrowingStringTable`]: the word-at-a-time byte hash,
+/// and one `⟨hash, len, bytes⟩` allocation per key in place of a `KeyBox`
+/// around a `String` (two allocations, two dependent loads per candidate).
 impl KeyRepr for String {
-    /// The string table's FNV-1a master hash, so a `GrowMap<String, u64>`
-    /// hashes exactly like [`crate::complex::GrowingStringTable`].
     #[inline]
     fn hash64(&self) -> u64 {
-        crate::complex::hash_str(self)
+        complex::hash_str(self)
+    }
+
+    fn store(&self, hash: u64, _: Sealed) -> *const u8 {
+        complex::allocate_key(self, hash)
+    }
+
+    #[inline]
+    unsafe fn stored_hash(ptr: *const u8, _: Sealed) -> u64 {
+        // SAFETY: the caller's contract is `complex::stored_hash`'s.
+        unsafe { complex::stored_hash(ptr) }
+    }
+
+    #[inline]
+    unsafe fn stored_matches(ptr: *const u8, hash: u64, key: &Self, _: Sealed) -> bool {
+        // SAFETY: the caller's contract is that of the two accessors.
+        unsafe { complex::stored_hash(ptr) == hash && complex::stored_bytes(ptr) == key.as_bytes() }
+    }
+
+    unsafe fn free_stored(ptr: *const u8, _: Sealed) {
+        // SAFETY: the caller's contract is `complex::free_key`'s.
+        unsafe { complex::free_key(ptr) }
     }
 }
 
@@ -244,20 +335,18 @@ impl<const N: usize> ValueRepr for [u64; N] {}
 // Out-of-line allocations
 // ---------------------------------------------------------------------------
 
-/// The heap allocation behind a boxed key: the full master hash (so
-/// migrations re-derive home cells and probes pre-filter on hash equality
-/// without touching `K`) plus the typed key.  The generalization of the
-/// string table's `⟨hash, len, bytes⟩` buffer.
+/// The default heap allocation behind a boxed key ([`KeyRepr::store`]):
+/// the full master hash (so migrations re-derive home cells and probes
+/// pre-filter on hash equality without touching `K`) plus the typed key.
 struct KeyBox<K> {
     hash: u64,
     key: K,
 }
 
-/// Pointer of a packed boxed-key word.
+/// Key allocation behind a packed boxed-key word.
 #[inline]
-fn key_box_ptr<K>(word: u64) -> *mut KeyBox<K> {
-    let (_, ptr) = decode_keyref(word);
-    ptr as *mut KeyBox<K>
+fn stored_ptr(word: u64) -> *const u8 {
+    decode_keyref(word).1
 }
 
 /// `true` when an (unmarked) boxed-key word is a published packed
@@ -283,19 +372,19 @@ unsafe fn read_value<V: ValueRepr>(word: u64) -> V {
     }
 }
 
-/// An erased key box retired into the QSBR domain: dropping it (after
-/// every handle quiesced, or at domain teardown) frees the allocation
-/// exactly once.
-struct RetiredKey<K>(*mut KeyBox<K>);
+/// An erased key allocation retired into the QSBR domain: dropping it
+/// (after every handle quiesced, or at domain teardown) frees the
+/// allocation exactly once.
+struct RetiredKey<K: KeyRepr>(*const u8, PhantomData<K>);
 
-// SAFETY: the box is plain heap memory; the wrapper is only dropped when
-// no thread can still dereference the pointer.
-unsafe impl<K: Send> Send for RetiredKey<K> {}
+// SAFETY: the allocation is plain heap memory holding a `K: Send`; the
+// wrapper is only dropped when no thread can still dereference the pointer.
+unsafe impl<K: KeyRepr> Send for RetiredKey<K> {}
 
-impl<K> Drop for RetiredKey<K> {
+impl<K: KeyRepr> Drop for RetiredKey<K> {
     fn drop(&mut self) {
         // SAFETY: by construction the wrapper holds the only free right.
-        unsafe { drop(Box::from_raw(self.0)) };
+        unsafe { K::free_stored(self.0, Sealed) };
     }
 }
 
@@ -363,10 +452,8 @@ impl<'k, K: KeyRepr> Probe<'k, K> {
             if sig != self.word_or_sig {
                 return false;
             }
-            // SAFETY: QSBR-protected per the contract above.  The stored
-            // hash is a second pre-filter before the typed comparison.
-            let stored = unsafe { &*(ptr as *const KeyBox<K>) };
-            stored.hash == self.hash && stored.key == *self.key
+            // SAFETY: QSBR-protected per the contract above.
+            unsafe { K::stored_matches(ptr, self.hash, self.key, Sealed) }
         }
     }
 }
@@ -391,18 +478,14 @@ impl<K: KeyRepr, V: ValueRepr> PendingCell<K, V> {
         }
     }
 
-    /// The key word to publish, allocating the key box at most once.
+    /// The key word to publish, allocating the key at most once.
     #[inline]
     fn key_word(&mut self, probe: &Probe<'_, K>) -> u64 {
         if K::INLINE {
             probe.word_or_sig
         } else {
             *self.key_word.get_or_insert_with(|| {
-                let ptr = Box::into_raw(Box::new(KeyBox {
-                    hash: probe.hash,
-                    key: probe.key.clone(),
-                }));
-                pack_keyref(probe.word_or_sig, ptr as *const u8)
+                pack_keyref(probe.word_or_sig, probe.key.store(probe.hash, Sealed))
             })
         }
     }
@@ -431,7 +514,7 @@ impl<K: KeyRepr, V: ValueRepr> Drop for PendingCell<K, V> {
     fn drop(&mut self) {
         if let Some(word) = self.key_word.take() {
             // SAFETY: allocated by this operation and never published.
-            unsafe { drop(Box::from_raw(key_box_ptr::<K>(word))) };
+            unsafe { K::free_stored(stored_ptr(word), Sealed) };
         }
         if let Some(word) = self.value_word.take() {
             // SAFETY: allocated by this operation and never published.
@@ -704,7 +787,7 @@ impl<K: KeyRepr, V: ValueRepr> GenericArray<K, V> {
 
 /// Freeze the cells `[block_start, block_end)` of `src` and re-insert the
 /// live elements into `dst`, re-deriving each home cell from the master
-/// hash (stored in the key box for boxed keys, recomputed from the
+/// hash (stored in the key allocation for boxed keys, recomputed from the
 /// decoded word for inline ones).  The rehash migration path — correct
 /// for any capacity ratio, including cleanup and shrink steps.  Returns
 /// the number of live elements moved.
@@ -733,10 +816,10 @@ fn migrate_generic_block<K: KeyRepr, V: ValueRepr>(
         let hash = if K::INLINE {
             K::decode(k).hash64()
         } else {
-            // SAFETY: the reference was live when frozen; erased boxes
+            // SAFETY: the reference was live when frozen; erased keys
             // are only freed after all handles quiesce, and migrating
             // threads quiesce only between operations.
-            unsafe { (*key_box_ptr::<K>(k)).hash }
+            unsafe { K::stored_hash(stored_ptr(k), Sealed) }
         };
         let mut pos = dst.home_cell(hash);
         let mut walked = 0usize;
@@ -746,6 +829,14 @@ fn migrate_generic_block<K: KeyRepr, V: ValueRepr>(
                 "generic migration found no empty target cell"
             );
             let existing = dst.cells[pos].load_key();
+            if is_marked(existing) {
+                // The target is itself being migrated, so this migration
+                // was finalized long ago: a rescuer completed this block
+                // while its owner (this thread) was stalled.  Nothing is
+                // left to do — and a frozen target has no empty cell to
+                // find.
+                return migrated;
+            }
             if existing == k {
                 // An earlier copy of this block already placed the
                 // element; nothing to do (and nothing to count).
@@ -883,10 +974,11 @@ impl<K: KeyRepr, V: ValueRepr> GrowMap<K, V> {
 
     /// Create a map with the default growth policy.
     pub fn new(initial_capacity: usize) -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
-        Self::with_config(initial_capacity, GrowConfig::default(), threads)
+        Self::with_config(
+            initial_capacity,
+            GrowConfig::default(),
+            crate::cpu::available_parallelism(),
+        )
     }
 
     /// Obtain a per-thread handle (§5.1).
@@ -942,9 +1034,9 @@ impl<K: KeyRepr, V: ValueRepr> Drop for GrowMap<K, V> {
                 let plain = unmark(k);
                 if plain > DEL_KEY {
                     if !K::INLINE {
-                        // SAFETY: exclusive access; live boxes are owned
+                        // SAFETY: exclusive access; live keys are owned
                         // by the subsystem and freed exactly here.
-                        unsafe { drop(Box::from_raw(key_box_ptr::<K>(plain))) };
+                        unsafe { K::free_stored(stored_ptr(plain), Sealed) };
                     }
                     if !V::INLINE {
                         // SAFETY: as above — tombstoned cells' value
@@ -1063,7 +1155,7 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
     fn retire_erased(&mut self, key_word: u64, value_word: u64) {
         if !K::INLINE {
             self.qsbr
-                .retire(RetiredKey::<K>(key_box_ptr::<K>(key_word)));
+                .retire(RetiredKey::<K>(stored_ptr(key_word), PhantomData));
         }
         if !V::INLINE {
             self.qsbr.retire(RetiredValue::<V>(value_word as *mut V));

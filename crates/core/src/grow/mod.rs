@@ -101,9 +101,7 @@ impl Default for GrowingOptions {
             strategy: GrowStrategy::Enslave,
             consistency: Consistency::AsyncMarking,
             grow: GrowConfig::default(),
-            threads_hint: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
+            threads_hint: crate::cpu::available_parallelism(),
             use_htm: false,
             hash: HashSelect::default(),
             probe: ProbeSelect::default(),

@@ -19,12 +19,6 @@ use crate::config::{capacity_for, HashSelect, ProbeSelect};
 use crate::grow::{Consistency, GrowHandle, GrowStrategy, GrowingOptions, GrowingTable};
 use crate::table::{BoundedTable, EraseOutcome, InsertOutcome, UpdateOutcome, UpsertOutcome};
 
-fn threads_hint() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-}
-
 /// Per-call scratch size of the allocation-free batch overrides (a
 /// multiple of the table pipeline width, see `config::BATCH_PIPELINE`).
 const BATCH_CHUNK: usize = 64;
@@ -337,7 +331,7 @@ macro_rules! growing_variant {
                 let options = GrowingOptions {
                     strategy: $strategy,
                     consistency: $consistency,
-                    threads_hint: threads_hint(),
+                    threads_hint: crate::cpu::available_parallelism(),
                     use_htm: $htm,
                     hash: $hash,
                     probe: $probe,

@@ -716,3 +716,68 @@ fn generic_migration_thread_exit_leaks_nothing() {
         );
     });
 }
+
+/// A block owner that is stalled — alive, but asleep for longer than the
+/// waiters' patience — is rescued like a dead one: another thread re-copies
+/// its block, finalizes, carries on, and soon migrates the *target* away.
+/// When the owner wakes up it resumes a copy into a generation that is
+/// itself frozen; it must notice and stop (every element of its block was
+/// placed by the rescuer), not walk the frozen target looking for an empty
+/// cell.  Seen in the wild on a box whose host takes a vCPU away for tens
+/// of milliseconds: `generic migration found no empty target cell`.
+#[test]
+fn stalled_block_owner_outlived_by_its_target_stops_quietly() {
+    /// Longer than the rescue patience (10 ms) plus the time the other
+    /// writer needs for all its inserts and their migrations.
+    const STALL_MS: u64 = 500;
+    const PER_THREAD: u64 = 20_000;
+
+    /// Two threads run `writer(0)` and `writer(1)`; the first to claim a
+    /// migration block sleeps on it.
+    fn with_one_stalled_owner(failpoint: &str, writer: impl Fn(u64) + Sync) {
+        configure(failpoint, Action::DelayMs(STALL_MS), Trigger::Once);
+        std::thread::scope(|scope| {
+            for t in 0..2 {
+                let writer = &writer;
+                scope.spawn(move || writer(t));
+            }
+        });
+        assert_eq!(hits(failpoint), 1);
+    }
+
+    serialized("generic-stalled-owner", || {
+        let map: GrowMap<u64, u64> = GrowMap::new(64);
+        with_one_stalled_owner("generic.block.claimed", |t| {
+            let mut handle = map.handle();
+            for i in 0..PER_THREAD {
+                assert!(handle.insert(&(2 + t * PER_THREAD + i), &i));
+            }
+        });
+        assert!(map.migrations_completed() >= 3, "the target never moved on");
+        assert_eq!(map.size_exact_quiescent(), 2 * PER_THREAD as usize);
+        let mut handle = map.handle();
+        for key in 2..2 + 2 * PER_THREAD {
+            assert_eq!(handle.find(&key), Some((key - 2) % PER_THREAD));
+        }
+    });
+
+    serialized("string-stalled-owner", || {
+        let table = GrowingStringTable::new(64);
+        with_one_stalled_owner("string.block.claimed", |t| {
+            let mut handle = table.handle();
+            for i in 0..PER_THREAD {
+                assert!(handle.insert(&format!("s{t}-{i}"), i));
+            }
+        });
+        assert!(
+            table.migrations_completed() >= 3,
+            "the target never moved on"
+        );
+        let mut handle = table.handle();
+        for t in 0..2u64 {
+            for i in 0..PER_THREAD {
+                assert_eq!(handle.find(&format!("s{t}-{i}")), Some(i));
+            }
+        }
+    });
+}
