@@ -189,19 +189,44 @@ impl Cell {
         old
     }
 
-    /// Set the migration mark on this cell, retrying over concurrent
-    /// modifications, and return the cell contents at the moment the mark
-    /// took effect (with the mark stripped from the key).
+    /// Set the migration mark on this cell and return the cell contents at
+    /// the moment the mark took effect (with the mark stripped from the
+    /// key).  Idempotent: a re-copy of the block reads the same frozen pair.
     ///
-    /// After this call no writer can modify the cell any more: every write
-    /// path performs a full-cell CAS whose expected key is unmarked.
+    /// One locked instruction: `fetch_or` of [`MARK_BIT`] on the key word,
+    /// then a plain load of the value word.  The value read is final
+    /// because every writer that may run while a migration can mark is a
+    /// full-cell [`Cell::cas_pair`] whose expected key is *unmarked* — it
+    /// fails from the `fetch_or` on — and a CAS that succeeded before it
+    /// wrote both words at once, ahead of the `fetch_or` in the cell's
+    /// modification order.  The value-word-only operations
+    /// ([`Cell::cas_value`], [`Cell::store_value`],
+    /// [`Cell::fetch_add_value`]) do not look at the mark and are therefore
+    /// illegal while a marking migration can run, as they were before
+    /// (DESIGN.md §15 lists every writer).
+    ///
+    /// Orderings: the `AcqRel` RMW pairs with the `Release` half of the
+    /// writers' CAS (the frozen pair and what a boxed word points to are
+    /// visible to the copier) and publishes the mark to their `Acquire`
+    /// key loads; the `Acquire` value load cannot move ahead of the RMW.
+    #[cfg(all(target_arch = "x86_64", target_feature = "cmpxchg16b"))]
+    #[inline]
+    pub fn mark_for_migration(&self) -> (u64, u64) {
+        let key = self.key.fetch_or(MARK_BIT, Ordering::AcqRel);
+        let value = self.value.load(Ordering::Acquire);
+        (unmark(key), value)
+    }
+
+    /// Set the migration mark (see the `cmpxchg16b` variant for the
+    /// contract).  The fallback's `cas_pair` rewrites both words under the
+    /// stripe lock without an atomic RMW, so the mark has to go through
+    /// the same lock: read, then pair-CAS, retrying over concurrent
+    /// modifications.
+    #[cfg(not(all(target_arch = "x86_64", target_feature = "cmpxchg16b")))]
     pub fn mark_for_migration(&self) -> (u64, u64) {
         loop {
             let (key, value) = self.read();
             if is_marked(key) {
-                // Already marked (only possible if the same block were
-                // migrated twice, which the block dealer prevents, or on
-                // helper retry) — the stored contents are already frozen.
                 return (unmark(key), value);
             }
             if self.cas_pair((key, value), (key | MARK_BIT, value)).is_ok() {
@@ -353,6 +378,58 @@ mod tests {
         assert_eq!((k, v), (EMPTY_KEY, 0));
         // An insert (CAS from the unmarked empty pair) must now fail.
         assert!(c.cas_pair((EMPTY_KEY, 0), (7, 70)).is_err());
+    }
+
+    /// The freeze against a live writer: a thread increments the value
+    /// through `cas_pair` (every marking-protocol writer's shape) while
+    /// another freezes the cell.  The pair the freeze returns is the
+    /// cell's final content, and no CAS succeeds once it has returned.
+    #[test]
+    fn mark_races_a_cas_pair_writer_and_returns_the_final_value() {
+        for round in 0..200u64 {
+            let cell = Cell::new();
+            cell.cas_pair((EMPTY_KEY, 0), (7, 0)).unwrap();
+            let frozen = std::sync::OnceLock::new();
+            // Successes the writer saw *after* the freeze had returned.
+            let late_successes = AtomicU64::new(0);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let mut value = 0u64;
+                    loop {
+                        let frozen_before = frozen.get().is_some();
+                        match cell.cas_pair((7, value), (7, value + 1)) {
+                            Ok(()) => {
+                                value += 1;
+                                if frozen_before {
+                                    late_successes.fetch_add(1, Ordering::SeqCst);
+                                }
+                            }
+                            Err((key, observed)) => {
+                                assert_eq!(key, 7 | MARK_BIT, "only the mark defeats the writer");
+                                assert_eq!(observed, value, "the writer's own last value");
+                                break;
+                            }
+                        }
+                    }
+                });
+                s.spawn(|| {
+                    // Let the writer get going; vary how far.
+                    while cell.load_value() < round * 8 {
+                        std::thread::yield_now();
+                    }
+                    frozen.set(cell.mark_for_migration()).unwrap();
+                });
+            });
+            let (key, value) = *frozen.get().unwrap();
+            assert_eq!(key, 7);
+            assert_eq!(
+                cell.read(),
+                (7 | MARK_BIT, value),
+                "freeze missed an update"
+            );
+            assert_eq!(late_successes.load(Ordering::SeqCst), 0);
+            assert!(cell.cas_pair((7, value), (7, value + 1)).is_err());
+        }
     }
 
     #[test]

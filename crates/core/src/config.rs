@@ -204,7 +204,9 @@ pub struct GrowConfig {
     pub grow_threshold: f64,
     /// Growth factor γ used when the live count justifies growing.
     pub growth_factor: usize,
-    /// Migration block size in cells.
+    /// Upper bound of the migration block size in cells: a source of
+    /// fewer than 16 such blocks is split into blocks of a sixteenth of
+    /// its capacity, but not below 256 cells (DESIGN.md §6).
     pub migration_block: usize,
     /// Fraction of the capacity below which a cleanup migration shrinks the
     /// table instead of keeping its size.

@@ -28,8 +28,11 @@
 //! `CLAIMED → DONE` winner, unwind-safe guards) are documented once, on
 //! the default methods below; DESIGN.md §12/§14 give the full argument.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::ThreadId;
+use std::time::{Duration, Instant};
 
 use growt_reclaim::VersionedArc;
 use parking_lot::Mutex;
@@ -62,6 +65,60 @@ const FINALIZE_IDLE: u8 = 0;
 const FINALIZE_RUNNING: u8 = 1;
 const FINALIZE_DONE: u8 = 2;
 
+/// Smallest block the capacity rule of [`block_size_for`] deals out.
+const MIN_SCALED_BLOCK: usize = 256;
+/// Leases a migration is split into while the configured block size allows.
+const BLOCKS_PER_MIGRATION: usize = 16;
+/// Migrations the per-table phase log remembers.
+const MIGRATION_LOG_LEN: usize = 16;
+
+/// Cells per block lease for a source of `old_capacity` cells:
+/// `old_capacity / 16`, at least 256 cells, at most the configured
+/// `migration_block`.  A fixed 4096-cell block made the 2^11- and
+/// 2^12-cell migrations a single lease, so a second thread had nothing to
+/// copy and slept through them; with the rule every table from 2^11 cells
+/// up is 8–16 leases (DESIGN.md §6).
+pub(crate) fn block_size_for(old_capacity: usize, migration_block: usize) -> usize {
+    migration_block.min(MIN_SCALED_BLOCK.max(old_capacity / BLOCKS_PER_MIGRATION))
+}
+
+/// What one completed migration did and how long each phase took; the
+/// entries of [`crate::generic::GrowMap::migration_log`].
+///
+/// Times are wall-clock nanoseconds.  `copy_ns` sums the block copies of
+/// every participant, so at two threads it can exceed the migration's
+/// duration; `longest_wait_ns` is the longest time a thread that had run
+/// out of blocks (or was never drafted) waited for the publication.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MigrationRecord {
+    /// Version of the generation that was migrated away.
+    pub generation: u64,
+    /// Cells of the source generation.
+    pub from_capacity: usize,
+    /// Cells of the target generation (equal for a cleanup migration).
+    pub to_capacity: usize,
+    /// Live elements moved.
+    pub live: u64,
+    /// Block leases the source was split into.
+    pub blocks: usize,
+    /// Source cells per lease.
+    pub block_size: usize,
+    /// Leader: quiescing writers, allocating and zeroing the target,
+    /// installing the job.
+    pub prepare_ns: u64,
+    /// Freeze and copy, summed over all block copies (re-copies included).
+    pub copy_ns: u64,
+    /// Finalizer: counter reset, publication, job teardown.
+    pub finalize_ns: u64,
+    /// Longest wait of a thread with nothing left to copy.
+    pub longest_wait_ns: u64,
+    /// Blocks copied by the thread that prepared the migration.
+    pub blocks_by_leader: usize,
+    /// Block copies made by a waiter's rescue pass (0 unless a participant
+    /// crashed or stalled past the rescue patience).
+    pub rescued: usize,
+}
+
 /// All shared, per-migration state.  Participants clone the `Arc`, so a
 /// straggler holding the job of an already finished migration simply finds
 /// its block counter exhausted and leaves without touching a newer
@@ -85,6 +142,23 @@ pub(crate) struct MigrationJob<G> {
     pub(crate) rehash: bool,
     /// `true` when source cells must be frozen (asynchronous protocol).
     pub(crate) marking: bool,
+    // Phase accounting for the coordinator's `MigrationRecord`.
+    leader: ThreadId,
+    prepare_ns: u64,
+    copy_ns: AtomicU64,
+    blocks_by_leader: AtomicUsize,
+    rescued: AtomicUsize,
+}
+
+impl<G> MigrationJob<G> {
+    /// `true` while the lease on the block starting at source cell `start`
+    /// is still `CLAIMED`.  A copier whose lease has been completed by
+    /// someone else (a rescuer, after the owner stalled past the patience)
+    /// must stop placing: the target may already be published, and an
+    /// element erased there since would be re-inserted (DESIGN.md §12).
+    pub(crate) fn lease_live(&self, start: usize) -> bool {
+        self.block_states[start / self.block_size].load(Ordering::Acquire) == BLOCK_CLAIMED
+    }
 }
 
 /// The per-table coordinator cell: migration state machine, installed job,
@@ -97,6 +171,10 @@ pub(crate) struct Coordinator<G> {
     pub(crate) growing_flag: AtomicBool,
     /// Completed migrations (diagnostics / tests).
     pub(crate) migrations_completed: AtomicU64,
+    /// Phase records of the last [`MIGRATION_LOG_LEN`] migrations, oldest
+    /// first.  Locked once by the finalizer and once per waiter of a
+    /// migration, never on an operation's path.
+    log: Mutex<VecDeque<MigrationRecord>>,
 }
 
 impl<G> Coordinator<G> {
@@ -106,6 +184,36 @@ impl<G> Coordinator<G> {
             job: Mutex::new(None),
             growing_flag: AtomicBool::new(false),
             migrations_completed: AtomicU64::new(0),
+            log: Mutex::new(VecDeque::new()),
+        }
+    }
+
+    /// The phase records of the most recent migrations, oldest first.
+    pub(crate) fn migration_log(&self) -> Vec<MigrationRecord> {
+        self.log.lock().iter().cloned().collect()
+    }
+
+    /// Append `record`, dropping the oldest beyond [`MIGRATION_LOG_LEN`].
+    /// A finalization retried after an unwind replaces its own entry.
+    fn log_migration(&self, record: MigrationRecord) {
+        let mut log = self.log.lock();
+        if log
+            .back()
+            .is_some_and(|r| r.generation == record.generation)
+        {
+            log.pop_back();
+        } else if log.len() == MIGRATION_LOG_LEN {
+            log.pop_front();
+        }
+        log.push_back(record);
+    }
+
+    /// Apply `update` to the record of the migration that replaced
+    /// generation `generation`, if the log still holds it.
+    fn update_record(&self, generation: u64, update: impl FnOnce(&mut MigrationRecord)) {
+        let mut log = self.log.lock();
+        if let Some(record) = log.iter_mut().rev().find(|r| r.generation == generation) {
+            update(record);
         }
     }
 }
@@ -312,6 +420,7 @@ pub(crate) trait GrowProtocol {
         expected_version: u64,
         leader: &Self::Leader,
     ) -> Result<(), crate::mem::AllocError> {
+        let started = Instant::now();
         self.quiesce_writers(leader);
 
         let (source, version) = self.generations().acquire();
@@ -333,7 +442,7 @@ pub(crate) trait GrowProtocol {
             old_capacity // cleanup migration (γ = 1): drop tombstones only
         };
 
-        let block_size = self.grow_config().migration_block;
+        let block_size = block_size_for(old_capacity, self.grow_config().migration_block);
         let total_blocks = old_capacity.div_ceil(block_size);
         if growt_failpoints::fire(Self::FP_PREPARE_ALLOC) {
             return Err(crate::mem::AllocError {
@@ -356,6 +465,11 @@ pub(crate) trait GrowProtocol {
             finalize_state: AtomicU8::new(FINALIZE_IDLE),
             rehash: new_capacity < old_capacity,
             marking: self.uses_marking(),
+            leader: std::thread::current().id(),
+            prepare_ns: started.elapsed().as_nanos() as u64,
+            copy_ns: AtomicU64::new(0),
+            blocks_by_leader: AtomicUsize::new(0),
+            rescued: AtomicUsize::new(0),
         });
         *self.coord().job.lock() = Some(job);
         self.coord().state.store(STATE_MIGRATING, Ordering::Release);
@@ -445,7 +559,14 @@ pub(crate) trait GrowProtocol {
         let capacity = Self::capacity_of(&job.source);
         let start = block * job.block_size;
         let end = ((block + 1) * job.block_size).min(capacity);
+        let copy_started = Instant::now();
         let migrated = self.copy_range(job, start, end);
+        // Relaxed: statistics of the phase record, publishing nothing.
+        job.copy_ns
+            .fetch_add(copy_started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        if std::thread::current().id() == job.leader {
+            job.blocks_by_leader.fetch_add(1, Ordering::Relaxed);
+        }
         job.migrated.fetch_add(migrated as u64, Ordering::AcqRel);
         lease.completed = true;
         if job.block_states[block]
@@ -473,30 +594,27 @@ pub(crate) trait GrowProtocol {
             if self.generations().version() != job.expected_version {
                 return; // someone finalized a replacement meanwhile
             }
-            match job.block_states[block].load(Ordering::Acquire) {
-                BLOCK_DONE => continue,
-                BLOCK_FREE => {
-                    // Released by a crashed owner's lease guard (or never
-                    // dealt out because the owner died between the cursor
-                    // fetch-add and the claim).
-                    if job.block_states[block]
-                        .compare_exchange(
-                            BLOCK_FREE,
-                            BLOCK_CLAIMED,
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        )
-                        .is_ok()
-                    {
-                        self.copy_block(job, block);
-                    }
-                }
-                _ => {
-                    // CLAIMED: the owner may be alive but descheduled — a
-                    // re-copy is idempotent either way, so make progress
-                    // instead of trying to distinguish.
-                    self.copy_block(job, block);
-                }
+            let rescue = match job.block_states[block].load(Ordering::Acquire) {
+                BLOCK_DONE => false,
+                // Released by a crashed owner's lease guard (or never
+                // dealt out because the owner died between the cursor
+                // fetch-add and the claim).
+                BLOCK_FREE => job.block_states[block]
+                    .compare_exchange(
+                        BLOCK_FREE,
+                        BLOCK_CLAIMED,
+                        Ordering::AcqRel,
+                        Ordering::Acquire,
+                    )
+                    .is_ok(),
+                // CLAIMED: the owner may be alive but descheduled — a
+                // re-copy is idempotent either way, so make progress
+                // instead of trying to distinguish.
+                _ => true,
+            };
+            if rescue {
+                self.copy_block(job, block);
+                job.rescued.fetch_add(1, Ordering::Relaxed);
             }
         }
         self.maybe_finalize(job);
@@ -553,14 +671,31 @@ pub(crate) trait GrowProtocol {
             completed: false,
         };
         growt_failpoints::fire(Self::FP_FINALIZE);
+        let started = Instant::now();
         self.recover_degenerate(job);
         // All blocks are migrated: no writer can still succeed on the old
         // generation (every cell is frozen under the marking protocol;
         // under the synchronized protocol the growing flag excludes
         // writers), so the counters can be reset before the new generation
         // becomes visible.
-        self.counts()
-            .reset_after_migration(job.migrated.load(Ordering::Acquire));
+        let live = job.migrated.load(Ordering::Acquire);
+        self.counts().reset_after_migration(live);
+        // Logged before the publication so that a waiter, released by it,
+        // finds the record its wait belongs to.
+        self.coord().log_migration(MigrationRecord {
+            generation: job.expected_version,
+            from_capacity: Self::capacity_of(&job.source),
+            to_capacity: Self::capacity_of(&job.target),
+            live,
+            blocks: job.total_blocks,
+            block_size: job.block_size,
+            prepare_ns: job.prepare_ns,
+            copy_ns: job.copy_ns.load(Ordering::Relaxed),
+            finalize_ns: 0,
+            longest_wait_ns: 0,
+            blocks_by_leader: job.blocks_by_leader.load(Ordering::Relaxed),
+            rescued: job.rescued.load(Ordering::Relaxed),
+        });
         if self
             .generations()
             .publish_if(job.expected_version, Arc::clone(&job.target))
@@ -579,6 +714,9 @@ pub(crate) trait GrowProtocol {
         self.coord().growing_flag.store(false, Ordering::SeqCst);
         latch.completed = true;
         self.coord().state.store(STATE_IDLE, Ordering::Release);
+        let finalize_ns = started.elapsed().as_nanos() as u64;
+        self.coord()
+            .update_record(job.expected_version, |r| r.finalize_ns = finalize_ns);
     }
 
     /// Help with (enslavement) or wait for (pool) an in-flight migration of
@@ -611,56 +749,129 @@ pub(crate) trait GrowProtocol {
         }
     }
 
-    /// Wait for the observed generation to be replaced, with bounded
-    /// spinning, capped-exponential sleeping, and the §12 rescue pass once
-    /// the patience window runs out.
+    /// Wait for the observed generation to be replaced: spin while the
+    /// copy makes progress, then yield, then sleep with capped exponential
+    /// backoff; mount the §12 rescue pass whenever another patience window
+    /// of wall-clock time has gone by.
+    ///
+    /// A waiter is a thread with nothing left to copy, so what it waits
+    /// for is the tail of the migration — at most one block per other
+    /// participant, plus the finalization.  Sleeping through that (the
+    /// shortest sleep the kernel grants is 50–100 µs, the 2^11-cell copy
+    /// takes 27) added more to the trapped operation than the copy itself;
+    /// spinning without bound starves the block owner when both share a
+    /// CPU.  Hence: spin only while `blocks_done` moved within the last two
+    /// block-copy times, a span derived from the job's block size.
     fn wait_until_replaced(&self, observed_version: u64) {
-        /// Cumulative sleep before a waiter suspects the migration of
-        /// being wedged and mounts a rescue (then again every this-many
-        /// microseconds).  Large enough that a healthy migration always
-        /// finishes first, small enough that an abandoned one recovers in
-        /// milliseconds.
-        const RESCUE_PATIENCE_US: u64 = 10_000;
+        /// Wall-clock time without a publication after which a waiter
+        /// suspects the migration of being wedged and mounts a rescue
+        /// (then again every this-long).  Large enough that a healthy
+        /// migration always finishes first, small enough that an abandoned
+        /// one recovers in milliseconds.
+        const RESCUE_PATIENCE: Duration = Duration::from_millis(10);
         /// Backoff cap.  Same shape as the grow-retry backoff (50 µs
         /// doubling) but a much tighter cap: a waiter that oversleeps the
         /// publication adds its remaining sleep directly to the trapped
         /// op's latency, whereas the grow-retry path only delays a
         /// *re-attempt* after an allocation failure.
         const BACKOFF_CAP_US: u64 = 500;
-        let mut spins = 0u32;
+        /// Yields between the end of the spinning and the first sleep.
+        const YIELDS: u32 = 64;
+        /// The spinning's span per source cell of a block: two block-copy
+        /// times at the 10–20 ns a cell costs to freeze and copy
+        /// (EXPERIMENTS.md "The grow pause, decomposed").
+        const SPIN_NS_PER_CELL: u64 = 32;
+
+        let replaced = || {
+            self.generations().version() != observed_version
+                || self.coord().state.load(Ordering::Acquire) == STATE_IDLE
+        };
+        if replaced() {
+            return;
+        }
+        let started = Instant::now();
+        let mut job = None;
+        let mut blocks_seen = 0usize;
+        let mut last_progress = started;
+        let mut spin_window = Duration::ZERO;
+        let mut yields = 0u32;
         let mut backoff_us = 50u64;
-        let mut slept_us = 0u64;
-        while self.generations().version() == observed_version
-            && self.coord().state.load(Ordering::Acquire) != STATE_IDLE
-        {
-            spins = spins.wrapping_add(1);
-            if spins < 64 {
+        let mut next_rescue = RESCUE_PATIENCE;
+        while !replaced() {
+            if job.is_none() {
+                // Not installed yet when a pool-strategy waiter arrives
+                // during the leader's preparation: it yields until it is.
+                job = self
+                    .current_job()
+                    .filter(|j| j.expected_version == observed_version);
+                if let Some(job) = &job {
+                    spin_window = Duration::from_nanos(job.block_size as u64 * SPIN_NS_PER_CELL);
+                }
+            }
+            let now = Instant::now();
+            if let Some(job) = &job {
+                let done = job.blocks_done.load(Ordering::Acquire);
+                if done != blocks_seen {
+                    blocks_seen = done;
+                    last_progress = now;
+                    yields = 0;
+                    backoff_us = 50;
+                }
+            }
+            if now - last_progress < spin_window {
                 std::hint::spin_loop();
-            } else if spins < 128 {
+            } else if yields < YIELDS {
+                yields += 1;
                 std::thread::yield_now();
             } else {
-                // Long migration: stop burning the memory bus with
-                // spin/yield polling and sleep with capped exponential
-                // backoff, leaving the cores to the active participants.
-                std::thread::sleep(std::time::Duration::from_micros(backoff_us));
-                slept_us += backoff_us;
+                // Nothing moves: the owners are descheduled or gone.  Stop
+                // burning the CPU they may be waiting for.
+                std::thread::sleep(Duration::from_micros(backoff_us));
                 backoff_us = (backoff_us * 2).min(BACKOFF_CAP_US);
-                if slept_us >= RESCUE_PATIENCE_US {
-                    slept_us = 0;
-                    // The migration has not completed for a long time: its
-                    // participants may have crashed holding block leases or
-                    // an unfinished finalization.  Rescue instead of
-                    // waiting forever (this also recruits waiting
-                    // application threads under the Pool strategy — a
-                    // documented deviation that only matters when the pool
-                    // itself died; DESIGN.md §12).
-                    if let Some(job) = self.current_job() {
-                        if job.expected_version == observed_version {
-                            self.rescue_stalled_blocks(&job);
-                        }
-                    }
+            }
+            if now - started >= next_rescue {
+                next_rescue += RESCUE_PATIENCE;
+                // The migration has not completed for a long time: its
+                // participants may have crashed holding block leases or
+                // an unfinished finalization.  Rescue instead of waiting
+                // forever (this also recruits waiting application threads
+                // under the Pool strategy — a documented deviation that
+                // only matters when the pool itself died; DESIGN.md §12).
+                if let Some(job) = &job {
+                    self.rescue_stalled_blocks(job);
                 }
             }
         }
+        let waited_ns = started.elapsed().as_nanos() as u64;
+        self.coord().update_record(observed_version, |r| {
+            r.longest_wait_ns = r.longest_wait_ns.max(waited_ns)
+        });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::MIGRATION_BLOCK;
+
+    #[test]
+    fn blocks_scale_with_capacity_under_the_configured_bound() {
+        // The tables a second thread used to sleep through: 8–16 leases.
+        for log2 in 11..=16 {
+            let capacity = 1usize << log2;
+            let block = block_size_for(capacity, MIGRATION_BLOCK);
+            let blocks = capacity.div_ceil(block);
+            assert!((8..=16).contains(&blocks), "2^{log2}: {blocks} blocks");
+        }
+        // `migration_block` stays the upper bound, whatever it is set to.
+        for configured in [1, 64, 256, 1000, MIGRATION_BLOCK, 1 << 20] {
+            for log2 in 1..=24 {
+                let block = block_size_for(1usize << log2, configured);
+                assert!((1..=configured).contains(&block));
+            }
+        }
+        // Small tables are one lease; large ones keep the configured block.
+        assert_eq!(block_size_for(64, MIGRATION_BLOCK), 256);
+        assert_eq!(block_size_for(1 << 20, MIGRATION_BLOCK), MIGRATION_BLOCK);
     }
 }

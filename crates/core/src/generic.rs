@@ -54,8 +54,10 @@ use growt_reclaim::{CachedArc, QsbrDomain, QsbrParticipant, VersionedArc};
 use crate::cell::{is_marked, unmark, Cell, DEL_KEY, EMPTY_KEY, MAX_MARKABLE_KEY};
 use crate::complex::{self, decode_keyref, pack_keyref, signature_of, POINTER_BITS};
 use crate::config::{capacity_for, hash_key, scale_to_capacity, GrowConfig, PROBE_LIMIT};
+pub use crate::coord::MigrationRecord;
 use crate::coord::{Coordinator, GrowProtocol, MigrationJob};
 use crate::count::{GlobalCount, LocalCount};
+use crate::prefetch::prefetch_write;
 
 // ---------------------------------------------------------------------------
 // Representation axes
@@ -785,6 +787,14 @@ impl<K: KeyRepr, V: ValueRepr> GenericArray<K, V> {
     }
 }
 
+/// Source cells frozen, compacted and placed per round of
+/// [`migrate_generic_block`]: a round's hash reads (one dependent load per
+/// boxed key) and target lines are in flight together, its two stack
+/// arrays (1.5 KiB) stay in L1, and a late owner is found out within 64
+/// placements.  16 to 256 measured alike on word keys (EXPERIMENTS.md
+/// "The grow pause, decomposed").
+const COPY_CHUNK: usize = 64;
+
 /// Freeze the cells `[block_start, block_end)` of `src` and re-insert the
 /// live elements into `dst`, re-deriving each home cell from the master
 /// hash (stored in the key allocation for boxed keys, recomputed from the
@@ -792,67 +802,107 @@ impl<K: KeyRepr, V: ValueRepr> GenericArray<K, V> {
 /// for any capacity ratio, including cleanup and shrink steps.  Returns
 /// the number of live elements moved.
 ///
+/// The block is worked off in chunks of [`COPY_CHUNK`] source cells, three
+/// passes per chunk, so that the protocol's locked operations — one
+/// `fetch_or` per source cell, one `cmpxchg16b` per live element — are
+/// all the copy pays for (DESIGN.md §15):
+///
+/// 1. freeze the cells and compact the live pairs into a stack array
+///    without branching on the cell's content (at load 0.6 a live/empty
+///    branch is a coin flip);
+/// 2. hash every live key and prefetch its target line — independent
+///    work, which the locked operations of pass 3 would serialize;
+/// 3. place the elements in source order.
+///
 /// **Idempotent**: marking is a one-way freeze, so every re-copy observes
-/// the same frozen pairs, and the placement loop skips a target cell that
-/// already holds the same key word — inline words identify the key
-/// directly, packed words by allocation identity.  Only the copy that
-/// claims the empty target cell counts the element, so `migrated` stays
-/// exact.
+/// the same frozen pairs in the same order, and the placement loop skips a
+/// target cell that already holds the same key word — inline words
+/// identify the key directly, packed words by allocation identity.  Only
+/// the copy that claims the empty target cell counts the element, so
+/// `migrated` stays exact.  Placement is a CAS from `(EMPTY, 0)` and not a
+/// plain store, although this thread is the block's only copier in the
+/// fault-free case: a copier that stalled and was rescued wakes up into a
+/// *live* table (next paragraph), where a store would overwrite elements.
+///
+/// **Late owners.**  `lease_live` is asked once per chunk, before its
+/// placement; it answers `false` once the block was completed by someone
+/// else or the target was published, and the copy stops there.  Without
+/// it a copier that slept through its own rescue would re-insert elements
+/// that were erased from the published target in the meantime (it finds
+/// their tombstone, walks on, and claims the next empty cell).  A marked
+/// target cell stops it as well: that target has itself been migrated
+/// away, so this migration was finalized long ago.
 fn migrate_generic_block<K: KeyRepr, V: ValueRepr>(
     src: &GenericArray<K, V>,
     dst: &GenericArray<K, V>,
     block_start: usize,
     block_end: usize,
+    lease_live: impl Fn() -> bool,
 ) -> usize {
     let mut migrated = 0usize;
-    for index in block_start..block_end {
+    let mut live = [(0u64, 0u64); COPY_CHUNK];
+    let mut homes = [0usize; COPY_CHUNK];
+    for chunk in src.cells[block_start..block_end].chunks(COPY_CHUNK) {
         // Freeze: after the mark no writer can touch the cell, so the
-        // returned pair is final.  Tombstones are dropped here (their
-        // allocations were already retired at erase time).
-        let (k, v) = src.cells[index].mark_for_migration();
-        if k <= DEL_KEY {
-            continue;
+        // returned pair is final.  Every pair is written to the next free
+        // slot and the slot is kept only if the pair is live; tombstones
+        // are dropped here (their allocations were already retired at
+        // erase time).
+        let mut n = 0usize;
+        for cell in chunk {
+            let (k, v) = cell.mark_for_migration();
+            live[n] = (k, v);
+            n += usize::from(k > DEL_KEY);
         }
-        let hash = if K::INLINE {
-            K::decode(k).hash64()
-        } else {
-            // SAFETY: the reference was live when frozen; erased keys
-            // are only freed after all handles quiesce, and migrating
-            // threads quiesce only between operations.
-            unsafe { K::stored_hash(stored_ptr(k), Sealed) }
-        };
-        let mut pos = dst.home_cell(hash);
-        let mut walked = 0usize;
-        loop {
-            assert!(
-                walked <= dst.capacity,
-                "generic migration found no empty target cell"
-            );
-            let existing = dst.cells[pos].load_key();
-            if is_marked(existing) {
-                // The target is itself being migrated, so this migration
-                // was finalized long ago: a rescuer completed this block
-                // while its owner (this thread) was stalled.  Nothing is
-                // left to do — and a frozen target has no empty cell to
-                // find.
-                return migrated;
-            }
-            if existing == k {
-                // An earlier copy of this block already placed the
-                // element; nothing to do (and nothing to count).
-                break;
-            }
-            if existing == EMPTY_KEY {
-                match dst.cells[pos].cas_pair((EMPTY_KEY, 0), (k, v)) {
-                    Ok(()) => {
-                        migrated += 1;
-                        break;
-                    }
-                    Err(_) => continue, // re-read the claimed cell
+        for (&(k, _), home) in live[..n].iter().zip(&mut homes) {
+            let hash = if K::INLINE {
+                K::decode(k).hash64()
+            } else {
+                // SAFETY: the reference was live when frozen; erased keys
+                // are only freed after all handles quiesce, and migrating
+                // threads quiesce only between operations.
+                unsafe { K::stored_hash(stored_ptr(k), Sealed) }
+            };
+            *home = dst.home_cell(hash);
+            prefetch_write(&dst.cells[*home]);
+        }
+        if !lease_live() {
+            return migrated;
+        }
+        for (&(k, v), &home) in live[..n].iter().zip(&homes) {
+            let mut pos = home;
+            let mut walked = 0usize;
+            loop {
+                assert!(
+                    walked <= dst.capacity,
+                    "generic migration found no empty target cell"
+                );
+                let existing = dst.cells[pos].load_key();
+                if is_marked(existing) {
+                    // The target is itself being migrated, so this
+                    // migration was finalized long ago: a rescuer completed
+                    // this block while its owner (this thread) was stalled.
+                    // Nothing is left to do — and a frozen target has no
+                    // empty cell to find.
+                    return migrated;
                 }
+                if existing == k {
+                    // An earlier copy of this block already placed the
+                    // element; nothing to do (and nothing to count).
+                    break;
+                }
+                if existing == EMPTY_KEY {
+                    match dst.cells[pos].cas_pair((EMPTY_KEY, 0), (k, v)) {
+                        Ok(()) => {
+                            migrated += 1;
+                            break;
+                        }
+                        Err(_) => continue, // re-read the claimed cell
+                    }
+                }
+                pos = (pos + 1) & (dst.capacity - 1);
+                walked += 1;
             }
-            pos = (pos + 1) & (dst.capacity - 1);
-            walked += 1;
         }
     }
     migrated
@@ -920,7 +970,9 @@ impl<K: KeyRepr, V: ValueRepr> GrowProtocol for GenericInner<K, V> {
         start: usize,
         end: usize,
     ) -> usize {
-        migrate_generic_block(&job.source, &job.target, start, end)
+        migrate_generic_block(&job.source, &job.target, start, end, || {
+            job.lease_live(start) && self.current.version() == job.expected_version
+        })
     }
 }
 
@@ -992,6 +1044,13 @@ impl<K: KeyRepr, V: ValueRepr> GrowMap<K, V> {
             .coordinator
             .migrations_completed
             .load(Ordering::Acquire)
+    }
+
+    /// What the most recent migrations (at most 16) did and how long their
+    /// phases took, oldest first: capacities, block leases, time in
+    /// prepare / copy / finalize, the longest wait, who copied.
+    pub fn migration_log(&self) -> Vec<MigrationRecord> {
+        self.inner.coordinator.migration_log()
     }
 
     /// Capacity of the current table generation.
@@ -1581,6 +1640,149 @@ mod tests {
         assert_eq!(successes.load(Ordering::Relaxed), 3_000);
         assert_eq!(map.size_exact_quiescent(), 3_000);
         assert!(map.migrations_completed() > 0);
+    }
+
+    // -- the block copier ---------------------------------------------------
+
+    /// A source generation for the copier tests: `keys(i)` for `i` in
+    /// `0..inserted` inserted with value `i`, then every `erase_every`-th
+    /// of them erased (0: none).  Returns the array and its live pairs.
+    fn copier_source<K: KeyRepr>(
+        capacity: usize,
+        inserted: u64,
+        erase_every: u64,
+        keys: fn(u64) -> K,
+    ) -> (GenericArray<K, u64>, Vec<(K, u64)>) {
+        let array = GenericArray::new(capacity, 1);
+        let mut live = Vec::new();
+        for i in 0..inserted {
+            let key = keys(i);
+            let mut pending = PendingCell::new();
+            let outcome = array.upsert(
+                &Probe::new(&key),
+                &i,
+                None::<&fn(&u64) -> u64>,
+                &mut pending,
+            );
+            assert!(matches!(outcome, MapOutcome::Inserted));
+            if erase_every != 0 && i % erase_every == 0 {
+                let MapErase::Erased { key_word, .. } = array.erase(&Probe::new(&key)) else {
+                    panic!("a key just inserted must be erasable");
+                };
+                free_key_word::<K>(key_word);
+            } else {
+                live.push((key, i));
+            }
+        }
+        (array, live)
+    }
+
+    fn free_key_word<K: KeyRepr>(word: u64) {
+        if !K::INLINE {
+            // SAFETY: single-threaded test code; the word was published by
+            // `copier_source` and is freed exactly once.
+            unsafe { K::free_stored(stored_ptr(word), Sealed) };
+        }
+    }
+
+    /// Copy every block of a fresh source `copies` times from each of
+    /// `threads` threads at once; check the `migrated` sum and the target's
+    /// contents against `live`.
+    fn copy_and_check<K: KeyRepr>(
+        source: (GenericArray<K, u64>, Vec<(K, u64)>),
+        target_capacity: usize,
+        block: usize,
+        copies: usize,
+        threads: usize,
+    ) {
+        let (src, live) = source;
+        let dst = GenericArray::<K, u64>::new(target_capacity, 2);
+        let migrated = AtomicU64::new(0);
+        let start = std::sync::Barrier::new(threads);
+        std::thread::scope(|s| {
+            for _ in 0..threads {
+                s.spawn(|| {
+                    start.wait();
+                    for begin in (0..src.capacity).step_by(block) {
+                        let end = (begin + block).min(src.capacity);
+                        for _ in 0..copies {
+                            let n = migrate_generic_block(&src, &dst, begin, end, || true);
+                            migrated.fetch_add(n as u64, Ordering::Relaxed);
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(migrated.load(Ordering::Relaxed), live.len() as u64);
+        assert_eq!(dst.scan_live(), live.len(), "duplicates or losses");
+        assert!(src.cells.iter().all(|c| is_marked(c.load_key())));
+        assert!(dst.cells.iter().all(|c| c.load_key() != DEL_KEY));
+        for (key, value) in &live {
+            assert_eq!(dst.find(&Probe::new(key)), Some(*value));
+        }
+        for cell in dst.cells.iter() {
+            let word = cell.load_key();
+            if word > DEL_KEY {
+                free_key_word::<K>(word);
+            }
+        }
+    }
+
+    /// Once, three times over, and from two threads at once: the same
+    /// target contents and an exact `migrated` sum, whatever the block
+    /// size and whatever the block holds.
+    fn copier_is_idempotent_for<K: KeyRepr>(keys: fn(u64) -> K) {
+        // (source cells, inserted, erase every, target cells, block size)
+        let shapes = [
+            (1024, 600, 0, 2048, 100), // blocks that are no multiple of the chunk
+            (1024, 600, 0, 2048, 64),
+            (1024, 600, 0, 2048, 1),
+            (64, 40, 0, 128, 256),     // a table smaller than one block
+            (64, 64, 0, 128, 37),      // every cell full
+            (256, 0, 0, 256, 100),     // every cell empty
+            (1024, 600, 2, 1024, 100), // cleanup: half the cells are tombstones
+            (1024, 600, 1, 64, 300),   // shrink: nothing but tombstones
+        ];
+        for (cells, inserted, erase_every, target, block) in shapes {
+            for (copies, threads) in [(1, 1), (3, 1), (1, 2), (2, 2)] {
+                copy_and_check(
+                    copier_source(cells, inserted, erase_every, keys),
+                    target,
+                    block,
+                    copies,
+                    threads,
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn block_copies_are_idempotent_with_inline_keys() {
+        copier_is_idempotent_for::<u64>(|i| hash_key(i) >> 2 | 2);
+    }
+
+    #[test]
+    fn block_copies_are_idempotent_with_string_keys() {
+        copier_is_idempotent_for::<String>(|i| format!("key-{i}"));
+    }
+
+    /// A copier whose lease is gone places nothing more, and a second
+    /// copy completes the block with the count still exact.
+    #[test]
+    fn a_copier_without_its_lease_stops_and_a_re_copy_completes() {
+        let (src, live) = copier_source::<u64>(1024, 600, 0, |i| hash_key(i) >> 2 | 2);
+        let dst = GenericArray::<u64, u64>::new(2048, 2);
+        let asked = std::cell::Cell::new(0);
+        let first = migrate_generic_block(&src, &dst, 0, 1024, || {
+            asked.set(asked.get() + 1);
+            asked.get() <= 3 // lost after three chunks
+        });
+        assert_eq!(asked.get(), 4);
+        assert_eq!(dst.scan_live(), first);
+        assert!(first < live.len());
+        let second = migrate_generic_block(&src, &dst, 0, 1024, || true);
+        assert_eq!(first + second, live.len());
+        assert_eq!(dst.scan_live(), live.len());
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub mod variants;
 
 pub use complex::{GrowingStringTable, StringHandle, StringKeyTable};
 pub use config::{capacity_for, GrowConfig, HashSelect, ProbeSelect};
-pub use generic::{GrowMap, GrowMapHandle, KeyRepr, ValueRepr};
+pub use generic::{GrowMap, GrowMapHandle, KeyRepr, MigrationRecord, ValueRepr};
 pub use grow::{Consistency, GrowHandle, GrowStrategy, GrowingOptions, GrowingTable};
 pub use table::BoundedTable;
 pub use variants::{

@@ -15,16 +15,20 @@
 //! block whose owner crashed or stalled mid-migration (DESIGN.md §12).
 //! The CAS is uncontended in the fault-free case — Lemma 1 still
 //! guarantees a single owner per target range unless a block is being
-//! re-copied — so the cost over a plain store is a few percent of
-//! migration bandwidth, invisible at the operation level.
+//! re-copied — but it is a locked instruction per live element all the
+//! same: placing with plain stores measured 24 % quicker per source cell
+//! on cache-resident tables (EXPERIMENTS.md "The grow pause, decomposed"),
+//! which is the price of surviving a stalled block owner (DESIGN.md §12).
 //!
-//! Work is dealt out in blocks of [`crate::config::MIGRATION_BLOCK`] cells;
+//! Work is dealt out in blocks of at most
+//! [`crate::config::MIGRATION_BLOCK`] cells (`crate::coord` scales them
+//! with the capacity, DESIGN.md §6);
 //! a thread that grabs block `d..e` migrates exactly those clusters that
 //! *start* inside `d..e` (which may reach beyond `e`), and skips the prefix
 //! of its block that belongs to a cluster started in an earlier block —
 //! "implicitly moving the block borders to free cells" (Fig. 1b).
 //!
-//! Two per-block routines are provided:
+//! Three per-block routines are provided:
 //!
 //! * [`migrate_block_marking`] — used by the **asynchronous** growing
 //!   variants: every source cell is first frozen by setting its mark bit,

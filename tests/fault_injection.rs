@@ -781,3 +781,86 @@ fn stalled_block_owner_outlived_by_its_target_stops_quietly() {
         }
     });
 }
+
+/// The same stalled owner, one step earlier: it wakes after its block was
+/// re-copied and the target **published, but not yet frozen** — a live
+/// table.  Re-probing every element of the block there, it would find the
+/// tombstone of a key erased in the meantime, walk past it and re-insert
+/// the key into the next empty cell.  The copier asks before each chunk's
+/// placement whether its lease is still live and the target unpublished,
+/// and stops.
+#[test]
+fn stalled_block_owner_does_not_resurrect_a_key_erased_from_the_published_target() {
+    /// Longer than the rescue patience (10 ms) plus the rescuer's copy,
+    /// publication and erase.
+    const STALL_MS: u64 = 400;
+
+    serialized("generic-stalled-owner-erase", || {
+        // 128 cells: one block, so the stalled owner holds every key.
+        let map: GrowMap<u64, u64> = GrowMap::new(32);
+        configure(
+            "generic.block.claimed",
+            Action::DelayMs(STALL_MS),
+            Trigger::Once,
+        );
+        let victim = 2u64;
+        let (owner_inserted, rescuer_inserted) = std::thread::scope(|scope| {
+            // The owner: inserts until its own growth trigger makes it the
+            // leader of the first migration; it claims block 0 and sleeps.
+            let owner = scope.spawn(|| {
+                let mut handle = map.handle();
+                let mut inserted = 0usize;
+                for key in victim.. {
+                    assert!(handle.insert(&key, &key));
+                    inserted += 1;
+                    if map.migrations_completed() >= 1 {
+                        break;
+                    }
+                }
+                inserted
+            });
+            // The rescuer: arrives once the owner sleeps, is drafted into
+            // the migration, finds no block left, runs out of patience and
+            // re-copies the owner's block; then erases one of its keys
+            // from the published target.
+            let rescuer = scope.spawn(|| {
+                while hits("generic.block.claimed") == 0 {
+                    std::thread::yield_now();
+                }
+                let mut handle = map.handle();
+                let mut inserted = 0usize;
+                for key in 1_000_000u64.. {
+                    if map.migrations_completed() >= 1 {
+                        break;
+                    }
+                    assert!(handle.insert(&key, &key));
+                    inserted += 1;
+                }
+                assert!(handle.erase(&victim), "the rescue lost the key");
+                assert_eq!(handle.find(&victim), None);
+                inserted
+            });
+            (owner.join().unwrap(), rescuer.join().unwrap())
+        });
+        assert_eq!(hits("generic.block.claimed"), 1);
+        assert_eq!(
+            map.migrations_completed(),
+            1,
+            "a second migration hides the window"
+        );
+        let log = map.migration_log();
+        assert_eq!(log.len(), 1);
+        assert!(
+            log[0].rescued >= 1,
+            "the block was not rescued: {:?}",
+            log[0]
+        );
+
+        let mut handle = map.handle();
+        assert_eq!(handle.find(&victim), None, "the late owner resurrected it");
+        assert_eq!(
+            map.size_exact_quiescent(),
+            owner_inserted + rescuer_inserted - 1
+        );
+    });
+}

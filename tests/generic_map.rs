@@ -359,3 +359,103 @@ generic_conformance! {
     grow_map_string_u64 => BoxedKey,
     grow_map_u64_array => BoxedValue,
 }
+
+// ---------------------------------------------------------------------
+// The per-migration phase record
+// ---------------------------------------------------------------------
+
+/// `insert_grow`'s table at one thread: 2^11 → 2^17 cells in six
+/// migrations.  The log holds one record per migration, the records chain,
+/// every migration is 8–16 leases of at most `migration_block` cells, and
+/// the lone thread copied every block itself.
+#[test]
+fn migration_log_records_every_phase_of_the_last_migrations() {
+    let map: GrowMap<u64, u64> = GrowMap::new(1024);
+    assert!(map.migration_log().is_empty());
+    let mut handle = map.handle();
+    for key in 0..1u64 << 16 {
+        handle.insert(&(BASE + key), &key);
+    }
+    drop(handle);
+
+    let log = map.migration_log();
+    assert_eq!(log.len() as u64, map.migrations_completed());
+    assert_eq!(log.first().unwrap().from_capacity, 2048);
+    assert_eq!(log.last().unwrap().to_capacity, map.current_capacity());
+    for pair in log.windows(2) {
+        assert_eq!(pair[0].to_capacity, pair[1].from_capacity);
+        assert_eq!(pair[0].generation + 1, pair[1].generation);
+        assert!(pair[0].live < pair[1].live);
+    }
+    let migration_block = growt_repro::growt_core::GrowConfig::default().migration_block;
+    for record in &log {
+        assert!((8..=16).contains(&record.blocks), "{record:?}");
+        assert!(record.block_size <= migration_block, "{record:?}");
+        assert_eq!(
+            record.blocks,
+            record.from_capacity.div_ceil(record.block_size)
+        );
+        assert_eq!(record.blocks_by_leader, record.blocks, "{record:?}");
+        assert_eq!(record.rescued, 0, "{record:?}");
+        assert_eq!(record.longest_wait_ns, 0, "nobody waited: {record:?}");
+        assert!(record.live > 0 && record.live as usize <= record.from_capacity);
+        assert!(
+            record.prepare_ns > 0 && record.copy_ns > 0 && record.finalize_ns > 0,
+            "{record:?}"
+        );
+    }
+}
+
+/// The log is a ring: it keeps the most recent 16 migrations.
+#[test]
+fn migration_log_keeps_the_last_sixteen() {
+    let map: GrowMap<u64, u64> = GrowMap::new(2);
+    let mut handle = map.handle();
+    // Erasing what was inserted keeps the table small, so cleanup
+    // migrations come quickly.
+    let mut key = BASE;
+    while map.migrations_completed() < 20 {
+        handle.insert(&key, &key);
+        handle.erase(&key);
+        key += 1;
+    }
+    drop(handle);
+    let completed = map.migrations_completed();
+    let log = map.migration_log();
+    assert_eq!(log.len(), 16);
+    for pair in log.windows(2) {
+        assert_eq!(pair[0].generation + 1, pair[1].generation);
+    }
+    // Generations are numbered from 1, so the n-th migration replaced
+    // generation n.
+    assert_eq!(log.last().unwrap().generation, completed);
+}
+
+/// Two writers finalize and log concurrently with each other's waits: still
+/// one record per migration, in order.
+#[test]
+fn migration_log_stays_ordered_with_two_writers() {
+    let map: GrowMap<u64, u64> = GrowMap::new(1024);
+    std::thread::scope(|scope| {
+        for t in 0..2u64 {
+            let map = &map;
+            scope.spawn(move || {
+                let mut handle = map.handle();
+                for i in 0..1u64 << 15 {
+                    handle.insert(&(BASE + 2 * i + t), &i);
+                }
+            });
+        }
+    });
+    let log = map.migration_log();
+    assert_eq!(log.len() as u64, map.migrations_completed());
+    assert_eq!(log.last().unwrap().to_capacity, map.current_capacity());
+    for pair in log.windows(2) {
+        assert_eq!(pair[0].to_capacity, pair[1].from_capacity);
+    }
+    for record in &log {
+        assert!(record.blocks_by_leader <= record.blocks, "{record:?}");
+        assert!(record.copy_ns > 0, "{record:?}");
+    }
+    assert_eq!(map.size_exact_quiescent(), 1 << 16);
+}
