@@ -117,6 +117,15 @@ pub struct MigrationRecord {
     /// Block copies made by a waiter's rescue pass (0 unless a participant
     /// crashed or stalled past the rescue patience).
     pub rescued: usize,
+    /// Chunks of 64 source cells frozen and placed inside hardware
+    /// transactions, over all block copies (`GrowMap` on a CPU with RTM;
+    /// 0 elsewhere).
+    pub chunks_transactional: usize,
+    /// Chunks of which a pass ran on the locked instructions: an aborted
+    /// transaction's fallback, or no RTM.  With `chunks_transactional`, the
+    /// chunks copied — `⌈block cells / 64⌉` per block copy (`GrowMap`; the
+    /// word and string tables' copiers do not count).
+    pub chunks_locked: usize,
 }
 
 /// All shared, per-migration state.  Participants clone the `Arc`, so a
@@ -148,6 +157,8 @@ pub(crate) struct MigrationJob<G> {
     copy_ns: AtomicU64,
     blocks_by_leader: AtomicUsize,
     rescued: AtomicUsize,
+    pub(crate) chunks_transactional: AtomicUsize,
+    pub(crate) chunks_locked: AtomicUsize,
 }
 
 impl<G> MigrationJob<G> {
@@ -470,6 +481,8 @@ pub(crate) trait GrowProtocol {
             copy_ns: AtomicU64::new(0),
             blocks_by_leader: AtomicUsize::new(0),
             rescued: AtomicUsize::new(0),
+            chunks_transactional: AtomicUsize::new(0),
+            chunks_locked: AtomicUsize::new(0),
         });
         *self.coord().job.lock() = Some(job);
         self.coord().state.store(STATE_MIGRATING, Ordering::Release);
@@ -695,6 +708,8 @@ pub(crate) trait GrowProtocol {
             longest_wait_ns: 0,
             blocks_by_leader: job.blocks_by_leader.load(Ordering::Relaxed),
             rescued: job.rescued.load(Ordering::Relaxed),
+            chunks_transactional: job.chunks_transactional.load(Ordering::Relaxed),
+            chunks_locked: job.chunks_locked.load(Ordering::Relaxed),
         });
         if self
             .generations()

@@ -13,9 +13,15 @@
 //! does *not* use the write-intent hint (`prefetchw`): the instruction
 //! needs the separate `prfchw` target feature and `prefetcht0` already
 //! pulls the line into L1, which is where all of the win is — the
-//! read-for-ownership upgrade is cheap once the line is local.  On other
-//! architectures both helpers compile to nothing; the batch pipeline then
-//! degenerates to the plain per-op loop with a little extra arithmetic.
+//! read-for-ownership upgrade is cheap once the line is local.  That
+//! sentence was a guess until it was measured (EXPERIMENTS.md "Open
+//! findings", PR 22): `prefetchw` on the home cell ahead of `upsert`'s
+//! first read made `aggregate_zipf` *slower*, `mops_1t` 107.8 / 106.8 /
+//! 106.8 → 101.9 / 102.6 / 100.7 with `lat_p50_ns` unchanged — the
+//! exclusive request costs more than the upgrade it saves when the line
+//! is already local, as a Zipf head's is.  On other architectures both
+//! helpers compile to nothing; the batch pipeline then degenerates to the
+//! plain per-op loop with a little extra arithmetic.
 
 /// Number of 16-byte table cells per 64-byte cache line.  Probe loops use
 /// this to prefetch one line ahead when a probe run crosses a line

@@ -1,5 +1,5 @@
-//! Simulated restricted hardware transactional memory (Intel TSX
-//! substitute).
+//! Restricted transactional memory for the tables: the real primitive
+//! ([`rtm`], Intel TSX) and a software simulation of it ([`HtmDomain`]).
 //!
 //! Section 6 of the paper speeds up single-cell operations of the folklore
 //! table by wrapping the *sequential* code of an operation in an Intel TSX
@@ -8,9 +8,18 @@
 //! implementation.  The evaluation (§8.4, Fig. 9) instantiates
 //! `tsxfolklore` and TSX variants of the growing tables from this.
 //!
-//! This container has no TSX hardware (and stable Rust exposes no RTM
-//! intrinsics), so this crate provides a **software simulation** with the
-//! same structural properties, documented as a substitution in DESIGN.md:
+//! **[`rtm`] is that primitive**: `xbegin` / `xend` / `xabort` through
+//! stable `asm!`, and [`rtm::available`], which reads CPUID once.  Its one
+//! user is `GrowMap`'s block copier (`growt-core`, `generic.rs::
+//! migrate_generic_block`, DESIGN.md §15): it freezes and places 64 source
+//! cells per pair of transactions and keeps the locked instructions as the
+//! fallback of every aborted one.
+//!
+//! **[`HtmDomain`] is a software simulation** from before the tree had the
+//! instructions, kept for the word tables' `tsxfolklore` / `with_htm`
+//! variants of Fig. 9 until ROADMAP item 8 decides on them.  It has the
+//! same structural properties, documented as a substitution in DESIGN.md
+//! §5:
 //!
 //! * a transaction *declares* the cell it operates on; conflicts are
 //!   detected per cache-line-sized stripe, mirroring RTM's cache-line
@@ -31,6 +40,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crossbeam_utils::CachePadded;
+
+pub mod rtm;
 
 /// Result of attempting a transactional execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -29,7 +29,8 @@
 //! * [`growt_seq`] — sequential reference tables (absolute speedups);
 //! * [`growt_workloads`] — MT19937-64, Zipf keys, drivers, figures;
 //! * [`growt_reclaim`] — QSBR / epochs / counted pointers;
-//! * [`growt_htm`] — simulated restricted transactional memory;
+//! * [`growt_htm`] — restricted transactional memory: Intel RTM, and the
+//!   simulation the TSX table variants run on;
 //! * [`growt_alloc_track`] — allocation tracking and the page pool.
 
 #![warn(missing_docs)]

@@ -56,6 +56,22 @@ fn serialized<T>(label: &str, body: impl FnOnce() -> T) -> T {
     result
 }
 
+/// [`serialized`], once per way `GrowMap`'s block copier can run: as the
+/// CPU allows — inside hardware transactions where it has RTM — and with
+/// the `generic.copy.txn` failpoint refusing every transaction, which is
+/// the locked path whatever the CPU.  `body` is told whether the locked
+/// path is forced; it configures its own failpoints after that one.
+fn on_both_copy_paths(label: &str, body: impl Fn(bool)) {
+    for locked in [false, true] {
+        serialized(label, || {
+            if locked {
+                configure("generic.copy.txn", Action::FailAlloc, Trigger::Always);
+            }
+            body(locked);
+        });
+    }
+}
+
 /// Insert `keys` (value = `3·key`), recording each *confirmed* insertion
 /// (the call returned).  Returns `true` when the thread was killed by an
 /// injected [`ThreadExit`]; any other panic propagates as a test failure.
@@ -631,83 +647,86 @@ fn string_migration_thread_exit_leaks_nothing() {
 /// the allocator returns to baseline after the map drops.
 #[test]
 fn generic_migration_thread_exit_leaks_nothing() {
-    serialized("generic-thread-exit-leak", || {
-        // Warm up one-time lazy allocations so they don't pollute the
-        // accounting below.
-        {
-            let warm: GrowMap<String, [u64; 4]> = GrowMap::new(64);
-            let mut handle = warm.handle();
-            handle.insert(&"warmup".to_string(), &[1, 0, 0, 0]);
-            configure("warmup.noop", Action::Yield(0), Trigger::Once);
-            clear_all();
+    /// Two writers fill a map from 64 cells; the first to claim a
+    /// migration block dies there.  Checks exactness and the limbo, drops
+    /// the map.
+    fn kill_a_writer_mid_migration() {
+        const PER_THREAD: u64 = 6_000;
+        let map: GrowMap<String, [u64; 4]> = GrowMap::new(64);
+        configure("generic.block.claimed", Action::ExitThread, Trigger::Once);
+
+        let mut results = Vec::new();
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..2u64)
+                .map(|t| {
+                    let map = &map;
+                    scope.spawn(move || {
+                        let mut confirmed = Vec::new();
+                        let outcome = catch_unwind(AssertUnwindSafe(|| {
+                            let mut handle = map.handle();
+                            for i in 0..PER_THREAD {
+                                let key = format!("g{t}-{i}");
+                                handle.insert(&key, &[i, t, 0, 0]);
+                                confirmed.push((key, [i, t, 0, 0]));
+                            }
+                        }));
+                        let died = match outcome {
+                            Ok(()) => false,
+                            Err(payload) => {
+                                assert!(payload.is::<ThreadExit>(), "unexpected panic payload");
+                                true
+                            }
+                        };
+                        (confirmed, died)
+                    })
+                })
+                .collect();
+            for worker in workers {
+                results.push(worker.join().unwrap());
+            }
+        });
+        assert_eq!(hits("generic.block.claimed"), 1);
+        assert_eq!(
+            results.iter().filter(|(_, died)| *died).count(),
+            1,
+            "the injected exit must kill exactly one writer"
+        );
+
+        // Exactness for everything confirmed, then erase half of it
+        // and drain the limbo without the dead participant.
+        let mut handle = map.handle();
+        for (confirmed, _) in &results {
+            for (key, value) in confirmed {
+                assert_eq!(handle.find(key), Some(*value), "key {key}");
+            }
         }
+        for (confirmed, _) in &results {
+            for (key, _) in confirmed.iter().step_by(2) {
+                assert!(handle.erase(key), "key {key}");
+            }
+        }
+        for _ in 0..256 {
+            handle.quiesce();
+            if map.pending_reclamation() == 0 {
+                break;
+            }
+        }
+        assert_eq!(map.pending_reclamation(), 0);
+        drop(handle);
+        assert!(map.migrations_completed() >= 1);
+    }
+
+    on_both_copy_paths("generic-thread-exit-leak", |_| {
+        // Warm-up: the schedule itself, once.  Besides the one-time lazy
+        // allocations of maps, threads and the registry, that is its
+        // unwind: with `RUST_BACKTRACE` set the panic hook symbolises the
+        // dying writer's stack, and the symboliser keeps what it loaded —
+        // 7.5 MB of debug info on the first panic of the process, then a
+        // little per frame it has not seen.
+        kill_a_writer_mid_migration();
 
         let baseline = growt_alloc_track::current_bytes();
-        {
-            const PER_THREAD: u64 = 6_000;
-            let map: GrowMap<String, [u64; 4]> = GrowMap::new(64);
-            configure("generic.block.claimed", Action::ExitThread, Trigger::Once);
-
-            let mut results = Vec::new();
-            std::thread::scope(|scope| {
-                let workers: Vec<_> = (0..2u64)
-                    .map(|t| {
-                        let map = &map;
-                        scope.spawn(move || {
-                            let mut confirmed = Vec::new();
-                            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                                let mut handle = map.handle();
-                                for i in 0..PER_THREAD {
-                                    let key = format!("g{t}-{i}");
-                                    handle.insert(&key, &[i, t, 0, 0]);
-                                    confirmed.push((key, [i, t, 0, 0]));
-                                }
-                            }));
-                            let died = match outcome {
-                                Ok(()) => false,
-                                Err(payload) => {
-                                    assert!(payload.is::<ThreadExit>(), "unexpected panic payload");
-                                    true
-                                }
-                            };
-                            (confirmed, died)
-                        })
-                    })
-                    .collect();
-                for worker in workers {
-                    results.push(worker.join().unwrap());
-                }
-            });
-            assert_eq!(hits("generic.block.claimed"), 1);
-            assert_eq!(
-                results.iter().filter(|(_, died)| *died).count(),
-                1,
-                "the injected exit must kill exactly one writer"
-            );
-
-            // Exactness for everything confirmed, then erase half of it
-            // and drain the limbo without the dead participant.
-            let mut handle = map.handle();
-            for (confirmed, _) in &results {
-                for (key, value) in confirmed {
-                    assert_eq!(handle.find(key), Some(*value), "key {key}");
-                }
-            }
-            for (confirmed, _) in &results {
-                for (key, _) in confirmed.iter().step_by(2) {
-                    assert!(handle.erase(key), "key {key}");
-                }
-            }
-            for _ in 0..256 {
-                handle.quiesce();
-                if map.pending_reclamation() == 0 {
-                    break;
-                }
-            }
-            assert_eq!(map.pending_reclamation(), 0);
-            drop(handle);
-            assert!(map.migrations_completed() >= 1);
-        }
+        kill_a_writer_mid_migration();
         let after = growt_alloc_track::current_bytes();
         assert!(
             after <= baseline + 128 * 1024,
@@ -745,7 +764,7 @@ fn stalled_block_owner_outlived_by_its_target_stops_quietly() {
         assert_eq!(hits(failpoint), 1);
     }
 
-    serialized("generic-stalled-owner", || {
+    on_both_copy_paths("generic-stalled-owner", |_| {
         let map: GrowMap<u64, u64> = GrowMap::new(64);
         with_one_stalled_owner("generic.block.claimed", |t| {
             let mut handle = map.handle();
@@ -795,7 +814,7 @@ fn stalled_block_owner_does_not_resurrect_a_key_erased_from_the_published_target
     /// publication and erase.
     const STALL_MS: u64 = 400;
 
-    serialized("generic-stalled-owner-erase", || {
+    on_both_copy_paths("generic-stalled-owner-erase", |locked| {
         // 128 cells: one block, so the stalled owner holds every key.
         let map: GrowMap<u64, u64> = GrowMap::new(32);
         configure(
@@ -855,6 +874,9 @@ fn stalled_block_owner_does_not_resurrect_a_key_erased_from_the_published_target
             "the block was not rescued: {:?}",
             log[0]
         );
+        if locked {
+            assert_eq!(log[0].chunks_transactional, 0, "{:?}", log[0]);
+        }
 
         let mut handle = map.handle();
         assert_eq!(handle.find(&victim), None, "the late owner resurrected it");

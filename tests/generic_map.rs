@@ -364,10 +364,20 @@ generic_conformance! {
 // The per-migration phase record
 // ---------------------------------------------------------------------
 
+/// Chunks of 64 source cells in a migration whose every block was copied
+/// once: blocks are multiples of the chunk from 2^8 cells up, so it is the
+/// source's cells over 64.
+fn chunks_copied_once(record: &growt_repro::growt_core::MigrationRecord) -> usize {
+    assert_eq!(record.block_size % 64, 0, "{record:?}");
+    record.from_capacity.div_ceil(64)
+}
+
 /// `insert_grow`'s table at one thread: 2^11 → 2^17 cells in six
 /// migrations.  The log holds one record per migration, the records chain,
-/// every migration is 8–16 leases of at most `migration_block` cells, and
-/// the lone thread copied every block itself.
+/// every migration is 8–16 leases of at most `migration_block` cells, the
+/// lone thread copied every block itself, and every chunk of every block
+/// went through one of the copier's two paths — the transactional one only
+/// where the CPU has it.
 #[test]
 fn migration_log_records_every_phase_of_the_last_migrations() {
     let map: GrowMap<u64, u64> = GrowMap::new(1024);
@@ -397,6 +407,14 @@ fn migration_log_records_every_phase_of_the_last_migrations() {
         );
         assert_eq!(record.blocks_by_leader, record.blocks, "{record:?}");
         assert_eq!(record.rescued, 0, "{record:?}");
+        assert_eq!(
+            record.chunks_transactional + record.chunks_locked,
+            chunks_copied_once(record),
+            "{record:?}"
+        );
+        if !growt_repro::growt_htm::rtm::available() {
+            assert_eq!(record.chunks_transactional, 0, "{record:?}");
+        }
         assert_eq!(record.longest_wait_ns, 0, "nobody waited: {record:?}");
         assert!(record.live > 0 && record.live as usize <= record.from_capacity);
         assert!(
@@ -456,6 +474,60 @@ fn migration_log_stays_ordered_with_two_writers() {
     for record in &log {
         assert!(record.blocks_by_leader <= record.blocks, "{record:?}");
         assert!(record.copy_ns > 0, "{record:?}");
+        // A rescue copies a block a second time, and stops its first
+        // copier short.
+        if record.rescued == 0 {
+            assert_eq!(
+                record.chunks_transactional + record.chunks_locked,
+                chunks_copied_once(record),
+                "{record:?}"
+            );
+        }
     }
     assert_eq!(map.size_exact_quiescent(), 1 << 16);
+}
+
+// ---------------------------------------------------------------------
+// The block copier's locked path, on any CPU
+// ---------------------------------------------------------------------
+
+/// Where the CPU has RTM the suite above migrates inside transactions and
+/// reaches the locked instructions only through an abort.  With the
+/// `generic.copy.txn` failpoint refusing every transaction, the checks
+/// that migrate run once more on the locked path alone, and the log says
+/// that is what ran.  (The registry is process-global: tests running
+/// beside this one take the locked path too, which none of them minds.)
+#[cfg(feature = "failpoints")]
+#[test]
+fn conformance_holds_on_the_locked_copy_path() {
+    use growt_failpoints::{configure, remove, Action, Trigger};
+
+    fn migrating_checks<F: Fixture>() {
+        concurrent_inserts_across_migrations::<F>();
+        upsert_atomicity::<F>();
+        batches_race_migration::<F>();
+    }
+
+    configure("generic.copy.txn", Action::FailAlloc, Trigger::Always);
+    migrating_checks::<InlineInline>();
+    migrating_checks::<BoxedKey>();
+    migrating_checks::<BoxedValue>();
+
+    let map: GrowMap<u64, u64> = GrowMap::new(1024);
+    let mut handle = map.handle();
+    for key in 0..1u64 << 16 {
+        handle.insert(&(BASE + key), &key);
+    }
+    drop(handle);
+    let log = map.migration_log();
+    assert_eq!(log.len(), 6);
+    for record in &log {
+        assert_eq!(record.chunks_transactional, 0, "{record:?}");
+        assert_eq!(
+            record.chunks_locked,
+            chunks_copied_once(record),
+            "{record:?}"
+        );
+    }
+    remove("generic.copy.txn");
 }
