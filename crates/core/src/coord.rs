@@ -16,8 +16,8 @@
 //!   ([`GrowProtocol::copy_range`]) one;
 //! * **strategy axes** — enslavement vs. pool
 //!   ([`GrowProtocol::enslaves`], [`GrowProtocol::signal_pool`]),
-//!   marking vs. synchronized ([`GrowProtocol::uses_marking`],
-//!   [`GrowProtocol::quiesce_writers`]), the per-op help budget of
+//!   marking vs. exclusive ([`GrowProtocol::quiesce_writers`], whose answer
+//!   is the job's [`MigrationMode`]), the per-op help budget of
 //!   DESIGN.md §13 ([`GrowProtocol::help_budget`]);
 //! * **failpoint names**, so the fault-injection schedules keep targeting
 //!   each table's migration independently;
@@ -25,11 +25,12 @@
 //!   which only the word table's cluster migration needs.
 //!
 //! The protocol invariants (lease lifecycle, idempotent copies, unique
-//! `CLAIMED → DONE` winner, unwind-safe guards) are documented once, on
-//! the default methods below; DESIGN.md §12/§14 give the full argument.
+//! `CLAIMED → DONE` winner, the placement gate, unwind-safe guards) are
+//! documented once, on the default methods below; DESIGN.md §12/§14 give
+//! the full argument.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
@@ -49,10 +50,10 @@ const STATE_MIGRATING: u64 = 2;
 /// block is **leased**, not owned: a participant that unwinds mid-copy
 /// releases its lease (CLAIMED → FREE) through a drop guard, and a
 /// rescuer may re-copy a block whose owner stalled — block copies are
-/// idempotent (see `crate::migrate::place_sequential` and the rehash
-/// placement loops), so a block may be copied any number of times as long
-/// as it is *completed* exactly once (the CLAIMED → DONE transition has a
-/// unique winner).
+/// idempotent (see `crate::migrate::place_sequential` and
+/// `crate::generic`'s block copier), so a block may be copied any number
+/// of times as long as it is *completed* exactly once (the CLAIMED → DONE
+/// transition has a unique winner).
 const BLOCK_FREE: u8 = 0;
 const BLOCK_CLAIMED: u8 = 1;
 const BLOCK_DONE: u8 = 2;
@@ -72,6 +73,19 @@ const BLOCKS_PER_MIGRATION: usize = 16;
 /// Migrations the per-table phase log remembers.
 const MIGRATION_LOG_LEN: usize = 16;
 
+/// How a migration keeps writers from changing a source cell after the copy
+/// has read it (DESIGN.md §12, §15).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MigrationMode {
+    /// No writer runs while the migration does: the leader excluded them
+    /// before dealing out blocks, so the copy reads source cells with
+    /// plain loads and marks nothing.
+    Exclusive,
+    /// Writers run on; the copy freezes every source cell with the
+    /// migration mark before it reads it (the asynchronous protocol).
+    Marking,
+}
+
 /// Cells per block lease for a source of `old_capacity` cells:
 /// `old_capacity / 16`, at least 256 cells, at most the configured
 /// `migration_block`.  A fixed 4096-cell block made the 2^11- and
@@ -88,7 +102,8 @@ pub(crate) fn block_size_for(old_capacity: usize, migration_block: usize) -> usi
 /// Times are wall-clock nanoseconds.  `copy_ns` sums the block copies of
 /// every participant, so at two threads it can exceed the migration's
 /// duration; `longest_wait_ns` is the longest time a thread that had run
-/// out of blocks (or was never drafted) waited for the publication.
+/// out of blocks (or was never drafted) waited for the publication.  The
+/// leader's part before the copy is `prepare_ns + quiesce_ns`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MigrationRecord {
     /// Version of the generation that was migrated away.
@@ -103,9 +118,15 @@ pub struct MigrationRecord {
     pub blocks: usize,
     /// Source cells per lease.
     pub block_size: usize,
-    /// Leader: quiescing writers, allocating and zeroing the target,
-    /// installing the job.
+    /// Leader: sizing, allocating and zeroing the target, installing the
+    /// job.
     pub prepare_ns: u64,
+    /// Leader, after the allocation: excluding the writers (raising the
+    /// growing flag, the heavy barrier, waiting for busy handles) — or
+    /// giving up on that, which makes the migration mark.
+    pub quiesce_ns: u64,
+    /// How the copy kept writers off the source.
+    pub mode: MigrationMode,
     /// Freeze and copy, summed over all block copies (re-copies included).
     pub copy_ns: u64,
     /// Finalizer: counter reset, publication, job teardown.
@@ -117,14 +138,17 @@ pub struct MigrationRecord {
     /// Block copies made by a waiter's rescue pass (0 unless a participant
     /// crashed or stalled past the rescue patience).
     pub rescued: usize,
-    /// Chunks of 64 source cells frozen and placed inside hardware
-    /// transactions, over all block copies (`GrowMap` on a CPU with RTM;
-    /// 0 elsewhere).
+    /// Chunks of at most 64 source cells whose freeze committed as a
+    /// hardware transaction, over all block copies (`GrowMap` marking on a
+    /// CPU with RTM; 0 elsewhere, and always 0 in exclusive mode, which
+    /// freezes nothing).
     pub chunks_transactional: usize,
-    /// Chunks of which a pass ran on the locked instructions: an aborted
+    /// Chunks whose freeze ran on the locked instructions: an aborted
     /// transaction's fallback, or no RTM.  With `chunks_transactional`, the
-    /// chunks copied — `⌈block cells / 64⌉` per block copy (`GrowMap`; the
-    /// word and string tables' copiers do not count).
+    /// chunks a marking migration copied — `⌈range cells / 64⌉` per
+    /// (wrapped) piece of a block's range per copy (`GrowMap`; the word
+    /// table's copiers do not count).  Placement is plain stores in every
+    /// mode and counts nowhere.
     pub chunks_locked: usize,
 }
 
@@ -149,11 +173,15 @@ pub(crate) struct MigrationJob<G> {
     /// with rehash insertion instead of cluster migration; tables whose
     /// migration always rehashes ignore this).
     pub(crate) rehash: bool,
-    /// `true` when source cells must be frozen (asynchronous protocol).
-    pub(crate) marking: bool,
+    /// Whether writers were excluded or source cells must be frozen.
+    pub(crate) mode: MigrationMode,
+    /// Copiers inside the placement gate ([`MigrationJob::enter_placement`]);
+    /// finalization publishes only once it has drained.
+    placing: AtomicUsize,
     // Phase accounting for the coordinator's `MigrationRecord`.
     leader: ThreadId,
     prepare_ns: u64,
+    quiesce_ns: u64,
     copy_ns: AtomicU64,
     blocks_by_leader: AtomicUsize,
     rescued: AtomicUsize,
@@ -162,24 +190,59 @@ pub(crate) struct MigrationJob<G> {
 }
 
 impl<G> MigrationJob<G> {
-    /// `true` while the lease on the block starting at source cell `start`
-    /// is still `CLAIMED`.  A copier whose lease has been completed by
-    /// someone else (a rescuer, after the owner stalled past the patience)
-    /// must stop placing: the target may already be published, and an
-    /// element erased there since would be re-inserted (DESIGN.md §12).
-    pub(crate) fn lease_live(&self, start: usize) -> bool {
-        self.block_states[start / self.block_size].load(Ordering::Acquire) == BLOCK_CLAIMED
+    /// Enter the placement gate for one pass of placements of the block
+    /// starting at source cell `start`: `Some` while the block's lease is
+    /// still `CLAIMED`, and then the target stays unpublished until the
+    /// returned pass is dropped.  `None` once someone else completed the
+    /// block (a rescuer, after the owner stalled past the patience): the
+    /// target may be published already, and a store into it would
+    /// overwrite what writers put there since (DESIGN.md §12).
+    ///
+    /// The counter is raised *before* the lease is read, both `SeqCst`, and
+    /// [`GrowProtocol::finalize`] reads the counter after all leases are
+    /// `DONE` (behind a `SeqCst` fence): either this read sees `DONE`, or
+    /// the finalizer sees the raised counter and waits for the pass.
+    pub(crate) fn enter_placement(&self, start: usize) -> Option<PlacementPass<'_>> {
+        self.placing.fetch_add(1, Ordering::SeqCst);
+        let pass = PlacementPass(&self.placing);
+        let block = start / self.block_size;
+        (self.block_states[block].load(Ordering::SeqCst) == BLOCK_CLAIMED).then_some(pass)
+    }
+
+    /// Wait until no copier is inside the placement gate.  Called with
+    /// every lease `DONE`, so no new pass gets in; the one in flight is at
+    /// most 64 placements long, unless its thread was descheduled in it.
+    fn drain_placements(&self) {
+        fence(Ordering::SeqCst);
+        let mut spins = 0u32;
+        while self.placing.load(Ordering::SeqCst) != 0 {
+            if spins < 1024 {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
     }
 }
 
-/// The per-table coordinator cell: migration state machine, installed job,
-/// synchronized-protocol growing flag and completion diagnostics.
+/// A copier's stay in the placement gate; leaving it — also by unwinding —
+/// lowers the job's in-flight count.
+pub(crate) struct PlacementPass<'j>(&'j AtomicUsize);
+
+impl Drop for PlacementPass<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Release);
+    }
+}
+
+/// The per-table coordinator cell: migration state machine, installed job
+/// and completion diagnostics.  (The growing flag of a migration that
+/// excludes writers lives in the generation slot's version word,
+/// [`VersionedArc::raise_flag`].)
 pub(crate) struct Coordinator<G> {
     state: AtomicU64,
     job: Mutex<Option<Arc<MigrationJob<G>>>>,
-    /// Set while a synchronized migration excludes table operations
-    /// (stays `false` for marking-only tables).
-    pub(crate) growing_flag: AtomicBool,
     /// Completed migrations (diagnostics / tests).
     pub(crate) migrations_completed: AtomicU64,
     /// Phase records of the last [`MIGRATION_LOG_LEN`] migrations, oldest
@@ -193,7 +256,6 @@ impl<G> Coordinator<G> {
         Coordinator {
             state: AtomicU64::new(STATE_IDLE),
             job: Mutex::new(None),
-            growing_flag: AtomicBool::new(false),
             migrations_completed: AtomicU64::new(0),
             log: Mutex::new(VecDeque::new()),
         }
@@ -262,6 +324,11 @@ pub(crate) trait GrowProtocol {
     const FP_BLOCK_CLAIMED: &'static str;
     /// Failpoint fired at the start of finalization.
     const FP_FINALIZE: &'static str;
+    /// `true` when a shrinking migration must be one block: the table's
+    /// copier places with plain stores, relying on Lemma 1's disjoint
+    /// target ranges, and those need `γ ≥ 1`.  A copier that places by CAS
+    /// keeps its blocks.
+    const SHRINK_IN_ONE_BLOCK: bool = false;
 
     fn coord(&self) -> &Coordinator<Self::Gen>;
     fn generations(&self) -> &VersionedArc<Self::Gen>;
@@ -279,18 +346,13 @@ pub(crate) trait GrowProtocol {
         version: u64,
     ) -> Result<Self::Gen, crate::mem::AllocError>;
 
-    /// Copy the source cells `[start, end)` of `job` into its target;
-    /// returns the number of live elements moved.  Must be **idempotent**
-    /// (a rescuer may re-copy the range) and must count an element only in
-    /// the copy that actually claims its target cell, so `job.migrated`
-    /// stays exact.
-    fn copy_range(&self, job: &MigrationJob<Self::Gen>, start: usize, end: usize) -> usize;
-
-    /// `true` under the asynchronous (mark-frozen) protocol.  Tables that
-    /// only support marking keep the default.
-    fn uses_marking(&self) -> bool {
-        true
-    }
+    /// Copy the block `[start, end)` of `job`'s source into its target.
+    /// Must be **idempotent**: a rescuer may re-copy the block, also while
+    /// its owner still copies.  Returns `None` when the copy stopped short
+    /// because someone else completed the block, else the live elements to
+    /// credit to `job.migrated` — which the copy that completes the block
+    /// does, once, so every complete copy must answer the same.
+    fn copy_range(&self, job: &MigrationJob<Self::Gen>, start: usize, end: usize) -> Option<usize>;
 
     /// `true` when user threads are recruited into migrations (§5.3.2
     /// enslavement); `false` for the pool strategy, where they wait.
@@ -304,10 +366,15 @@ pub(crate) trait GrowProtocol {
         None
     }
 
-    /// Synchronized-protocol exclusion: raise the growing flag and wait
-    /// until no registered handle is inside a table operation.  No-op for
-    /// marking tables.
-    fn quiesce_writers(&self, _leader: &Self::Leader) {}
+    /// Decide the migration's mode, once its target is allocated: a table
+    /// that can exclude its writers raises the growing flag
+    /// ([`VersionedArc::raise_flag`]) and waits until no handle is inside
+    /// a write, then answers [`MigrationMode::Exclusive`]; one that cannot
+    /// (or gives up waiting) answers [`MigrationMode::Marking`], the
+    /// default.
+    fn quiesce_writers(&self, _leader: &Self::Leader) -> MigrationMode {
+        MigrationMode::Marking
+    }
 
     /// Wake a dedicated migration pool, if the table has one.
     fn signal_pool(&self) {}
@@ -404,18 +471,20 @@ pub(crate) trait GrowProtocol {
                 // cannot wedge every later growth attempt.
                 struct PrepareGuard<'c, G> {
                     coordinator: &'c Coordinator<G>,
+                    generations: &'c VersionedArc<G>,
                     armed: bool,
                 }
                 impl<G> Drop for PrepareGuard<'_, G> {
                     fn drop(&mut self) {
                         if self.armed {
-                            self.coordinator.growing_flag.store(false, Ordering::SeqCst);
+                            self.generations.lower_flag();
                             self.coordinator.state.store(STATE_IDLE, Ordering::Release);
                         }
                     }
                 }
                 let mut guard = PrepareGuard {
                     coordinator: self.coord(),
+                    generations: self.generations(),
                     armed: true,
                 };
                 // Re-check staleness now that we own the lock.
@@ -439,20 +508,21 @@ pub(crate) trait GrowProtocol {
         }
     }
 
-    /// Leader-only: allocate the target generation and publish the
-    /// migration job.  The capacity policy is §5.2's: grow by at least the
-    /// configured factor when the live estimate justifies it, shrink far
-    /// below the shrink threshold, otherwise run a cleanup migration that
-    /// only drops tombstones.  Fallible: an allocation failure leaves the
-    /// table untouched (the caller's guard restores the coordinator).
+    /// Leader-only: allocate the target generation, decide the mode
+    /// ([`GrowProtocol::quiesce_writers`]) and publish the migration job.
+    /// The capacity policy is §5.2's: grow by at least the configured
+    /// factor when the live estimate justifies it, shrink far below the
+    /// shrink threshold, otherwise run a cleanup migration that only drops
+    /// tombstones.  Writers are excluded only after the allocation, so
+    /// that they keep inserting into the source while it runs (DESIGN.md
+    /// §13).  Fallible: an allocation failure leaves the table untouched
+    /// (the caller's guard restores the coordinator).
     fn prepare_migration(
         &self,
         expected_version: u64,
         leader: &Self::Leader,
     ) -> Result<(), crate::mem::AllocError> {
         let started = Instant::now();
-        self.quiesce_writers(leader);
-
         let (source, version) = self.generations().acquire();
         debug_assert_eq!(version, expected_version);
         let live = self.counts().live_estimate() as usize;
@@ -472,7 +542,12 @@ pub(crate) trait GrowProtocol {
             old_capacity // cleanup migration (γ = 1): drop tombstones only
         };
 
-        let block_size = block_size_for(old_capacity, self.grow_config().migration_block);
+        let rehash = new_capacity < old_capacity;
+        let block_size = if rehash && Self::SHRINK_IN_ONE_BLOCK {
+            old_capacity
+        } else {
+            block_size_for(old_capacity, self.grow_config().migration_block)
+        };
         let total_blocks = old_capacity.div_ceil(block_size);
         if growt_failpoints::fire(Self::FP_PREPARE_ALLOC) {
             return Err(crate::mem::AllocError {
@@ -480,6 +555,9 @@ pub(crate) trait GrowProtocol {
             });
         }
         let target = Arc::new(self.alloc_generation(&source, new_capacity, version + 1)?);
+        let prepare_ns = started.elapsed().as_nanos() as u64;
+        let quiesce_started = Instant::now();
+        let mode = self.quiesce_writers(leader);
         let job = Arc::new(MigrationJob {
             source,
             target,
@@ -493,10 +571,12 @@ pub(crate) trait GrowProtocol {
                 .map(|_| AtomicU8::new(BLOCK_FREE))
                 .collect(),
             finalize_state: AtomicU8::new(FINALIZE_IDLE),
-            rehash: new_capacity < old_capacity,
-            marking: self.uses_marking(),
+            rehash,
+            mode,
+            placing: AtomicUsize::new(0),
             leader: std::thread::current().id(),
-            prepare_ns: started.elapsed().as_nanos() as u64,
+            prepare_ns,
+            quiesce_ns: quiesce_started.elapsed().as_nanos() as u64,
             copy_ns: AtomicU64::new(0),
             blocks_by_leader: AtomicUsize::new(0),
             rescued: AtomicUsize::new(0),
@@ -563,7 +643,9 @@ pub(crate) trait GrowProtocol {
     /// must not strand the block forever; a rescuer will re-claim and
     /// re-copy it (idempotently).  Completion (CLAIMED → DONE) has exactly
     /// one winner even when a stalled owner races its own rescuer, so
-    /// `blocks_done` counts every block exactly once.
+    /// `blocks_done` counts every block exactly once, and the winner alone
+    /// credits the block's elements to `migrated`.  A copy that stopped
+    /// short does not try: the lease it saw gone may be a rescuer's again.
     fn copy_block(&self, job: &Arc<MigrationJob<Self::Gen>>, block: usize) {
         struct Lease<'j, G> {
             job: &'j MigrationJob<G>,
@@ -592,15 +674,17 @@ pub(crate) trait GrowProtocol {
         let start = block * job.block_size;
         let end = ((block + 1) * job.block_size).min(capacity);
         let copy_started = Instant::now();
-        let migrated = self.copy_range(job, start, end);
+        let copied = self.copy_range(job, start, end);
         // Relaxed: statistics of the phase record, publishing nothing.
         job.copy_ns
             .fetch_add(copy_started.elapsed().as_nanos() as u64, Ordering::Relaxed);
         if std::thread::current().id() == job.leader {
             job.blocks_by_leader.fetch_add(1, Ordering::Relaxed);
         }
-        job.migrated.fetch_add(migrated as u64, Ordering::AcqRel);
         lease.completed = true;
+        let Some(migrated) = copied else {
+            return;
+        };
         if job.block_states[block]
             .compare_exchange(
                 BLOCK_CLAIMED,
@@ -610,6 +694,7 @@ pub(crate) trait GrowProtocol {
             )
             .is_ok()
         {
+            job.migrated.fetch_add(migrated as u64, Ordering::AcqRel);
             job.blocks_done.fetch_add(1, Ordering::AcqRel);
         }
     }
@@ -682,7 +767,9 @@ pub(crate) trait GrowProtocol {
     /// that a first attempt that unwinds (injected fault) can be completed
     /// by a retry: the counter reset is a plain store, the publish is
     /// guarded by the expected version, and the coordinator teardown
-    /// checks that the installed job is still this one.
+    /// checks that the installed job is still this one.  It publishes only
+    /// once the placement gate has drained, so no copier's store lands in
+    /// a published target (DESIGN.md §12).
     fn finalize(&self, job: &Arc<MigrationJob<Self::Gen>>) {
         struct Latch<'j, G> {
             job: &'j MigrationJob<G>,
@@ -704,12 +791,12 @@ pub(crate) trait GrowProtocol {
         };
         growt_failpoints::fire(Self::FP_FINALIZE);
         let started = Instant::now();
+        job.drain_placements();
         self.recover_degenerate(job);
         // All blocks are migrated: no writer can still succeed on the old
-        // generation (every cell is frozen under the marking protocol;
-        // under the synchronized protocol the growing flag excludes
-        // writers), so the counters can be reset before the new generation
-        // becomes visible.
+        // generation (every cell is frozen under the marking protocol; in
+        // exclusive mode the growing flag keeps writers off), so the
+        // counters can be reset before the new generation becomes visible.
         let live = job.migrated.load(Ordering::Acquire);
         self.counts().reset_after_migration(live);
         // Logged before the publication so that a waiter, released by it,
@@ -722,6 +809,8 @@ pub(crate) trait GrowProtocol {
             blocks: job.total_blocks,
             block_size: job.block_size,
             prepare_ns: job.prepare_ns,
+            quiesce_ns: job.quiesce_ns,
+            mode: job.mode,
             copy_ns: job.copy_ns.load(Ordering::Relaxed),
             finalize_ns: 0,
             longest_wait_ns: 0,
@@ -745,7 +834,7 @@ pub(crate) trait GrowProtocol {
                 *slot = None;
             }
         }
-        self.coord().growing_flag.store(false, Ordering::SeqCst);
+        self.generations().lower_flag();
         latch.completed = true;
         self.coord().state.store(STATE_IDLE, Ordering::Release);
         let finalize_ns = started.elapsed().as_nanos() as u64;
@@ -762,8 +851,11 @@ pub(crate) trait GrowProtocol {
     /// participant.
     fn help_or_wait(&self, observed_version: u64) {
         if self.enslaves() {
-            // The job may not be published yet (leader still preparing);
-            // spin until there is something to do or the table changed.
+            // The job may not be published yet (leader still preparing, or
+            // waiting for busy writers); spin, then yield the CPU the
+            // leader or a busy writer may need, until there is something
+            // to do or the table changed.
+            let mut spins = 0u32;
             loop {
                 if self.generations().version() != observed_version {
                     return;
@@ -775,7 +867,11 @@ pub(crate) trait GrowProtocol {
                         return;
                     }
                     STATE_IDLE => return,
-                    _ => std::hint::spin_loop(),
+                    _ if spins < 1024 => {
+                        spins += 1;
+                        std::hint::spin_loop();
+                    }
+                    _ => std::thread::yield_now(),
                 }
             }
         } else {
@@ -812,8 +908,9 @@ pub(crate) trait GrowProtocol {
         /// Yields between the end of the spinning and the first sleep.
         const YIELDS: u32 = 64;
         /// The spinning's span per source cell of a block: two block-copy
-        /// times at the 10–20 ns a cell costs to freeze and copy
-        /// (EXPERIMENTS.md "The grow pause, decomposed").
+        /// times at the 10–20 ns a cell costs to freeze and copy on the
+        /// marking copy's locked path (EXPERIMENTS.md "The grow pause,
+        /// decomposed"), generous for the others.
         const SPIN_NS_PER_CELL: u64 = 32;
 
         let replaced = || {

@@ -40,22 +40,29 @@
 //! impl instantiates the shared coordinator with a block copy that
 //! re-derives each element's home cell from the master hash (stored in
 //! the key allocation, or recomputed from the inline word) — correct for
-//! growth, cleanup and shrink steps alike.
+//! growth, cleanup and shrink steps alike.  A migration keeps writers off
+//! its source by excluding them (a busy flag per handle, the growing flag
+//! in the version word, and `membarrier` on the leader's side) and then
+//! copies with plain loads; where that does not work in time it marks.
+//! Either way the copy places with plain stores (DESIGN.md §12, §15).
 
 use std::marker::PhantomData;
-use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::sync::atomic::{compiler_fence, fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use growt_htm::rtm;
 use growt_iface::{GenericMap, GenericMapHandle, InsertOrUpdate, TryGrowError};
 use growt_reclaim::{CachedArc, QsbrDomain, QsbrParticipant, VersionedArc};
+use parking_lot::Mutex;
 
 use crate::cell::{is_marked, unmark, Cell, DEL_KEY, EMPTY_KEY, MAX_MARKABLE_KEY};
 use crate::complex::{self, decode_keyref, pack_keyref, signature_of, POINTER_BITS};
 use crate::config::{capacity_for, hash_key, scale_to_capacity, GrowConfig, PROBE_LIMIT};
-pub use crate::coord::MigrationRecord;
 use crate::coord::{Coordinator, GrowProtocol, MigrationJob};
+pub use crate::coord::{MigrationMode, MigrationRecord};
 use crate::count::{GlobalCount, LocalCount};
+use crate::membarrier;
 use crate::prefetch::prefetch_write;
 
 // ---------------------------------------------------------------------------
@@ -790,57 +797,67 @@ impl<K: KeyRepr, V: ValueRepr> GenericArray<K, V> {
 /// [`migrate_generic_block`]: a round's hash reads (one dependent load per
 /// boxed key) and target lines are in flight together, its two stack
 /// arrays (1.5 KiB) stay in L1, a late owner is found out within 64
-/// placements, and a freeze transaction writes 32 cache lines (the cells
+/// placements (the placement gate holds a publication back for at most
+/// one round), and a freeze transaction writes 32 cache lines (the cells
 /// and the pairs it compacts).  16 to 256 measured alike on word keys
 /// (EXPERIMENTS.md "The grow pause, decomposed").
 const COPY_CHUNK: usize = 64;
 
-/// Transactions a block copy may lose in a row before it runs the rest of
-/// the block on the locked path.  One abort is a writer's conflict, a page
-/// of the target touched for the first time, an interrupt; four in a row
-/// is a block under writers, or a CPU that aborts everything.
+/// Transactions a block copy may lose in a row before it freezes the rest
+/// of the block on the locked path.  One abort is a writer's conflict, an
+/// interrupt; four in a row is a block under writers, or a CPU that aborts
+/// everything.
 const TXN_ABORTS_IN_A_ROW: u32 = 4;
 
 /// What one call of [`migrate_generic_block`] did.
 #[derive(Debug, Default)]
 struct BlockCopy {
-    /// Live elements whose target cell this copy claimed.
-    migrated: usize,
-    /// Chunks whose freeze and placement both committed as transactions.
+    /// Live elements in the block's range: the same for every complete
+    /// copy of the block, whoever else copies it.
+    live: usize,
+    /// `false` when the copy stopped short: the placement gate turned it
+    /// away because someone else completed the block.
+    complete: bool,
+    /// Chunks whose freeze committed as a hardware transaction.
     chunks_transactional: usize,
-    /// Chunks with a pass on the locked path.
+    /// Chunks whose freeze ran on the locked instructions.
     chunks_locked: usize,
 }
 
-/// How a pass of the block copy touches cells.  The passes
-/// ([`freeze_chunk`], [`place_chunk`]) exist once and take this as a value:
-/// besides one body to keep right, it means the locked pass that follows an
-/// abort executes the code and the stack of the pass that aborted — a page
-/// of either that is missing faults *inside* a transaction, where the
-/// fault is dropped and the page stays missing for the next one.
+/// How the freeze pass reads a chunk's cells.  The pass ([`freeze_chunk`])
+/// exists once and takes this as a value: besides one body to keep right,
+/// it means the locked pass that follows an abort executes the code and the
+/// stack of the pass that aborted — a page of either that is missing faults
+/// *inside* a transaction, where the fault is dropped and the page stays
+/// missing for the next one.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Access {
-    /// The protocol's locked instructions: `fetch_or` to freeze a cell,
-    /// `cmpxchg16b` to claim one.
-    Locked,
-    /// Plain loads and stores, which the hardware transaction around the
-    /// pass makes one atomic step.
+    /// Exclusive mode: no writer runs, so a plain load of each word is the
+    /// cell's final content and nothing is marked.
+    Exclusive,
+    /// Marking, inside a hardware transaction: a plain load and store of
+    /// the key word and a load of the value word per cell, which the commit
+    /// makes one atomic step.
     Transactional,
+    /// Marking on the locked instructions: one `fetch_or` per cell.
+    Locked,
 }
 
-/// Pass 1 of a chunk: freeze its cells and compact the live pairs into
-/// `live`, without branching on a cell's content (at load 0.6 a live/empty
-/// branch is a coin flip).  After the mark no writer can touch the cell,
-/// so each pair is final.  Every pair is written to the next free slot and
-/// the slot is kept only if the pair is live; tombstones are dropped here
-/// (their allocations were already retired at erase time).
+/// Pass 1 of a chunk: read (and, marking, freeze) its cells and compact the
+/// live pairs into `live`, without branching on a cell's content (at load
+/// 0.6 a live/empty branch is a coin flip).  Once read here a pair is
+/// final: no writer runs (exclusive) or the mark stops every writer
+/// (marking).  Every pair is written to the next free slot and the slot is
+/// kept only if the pair is live; tombstones are dropped here (their
+/// allocations were already retired at erase time).
 #[inline(always)]
 fn freeze_chunk(access: Access, chunk: &[Cell], live: &mut [(u64, u64); COPY_CHUNK]) -> usize {
     let mut n = 0usize;
     for cell in chunk {
         let (k, v) = match access {
-            Access::Locked => cell.mark_for_migration(),
+            Access::Exclusive => cell.read(),
             Access::Transactional => cell.mark_in_transaction(),
+            Access::Locked => cell.mark_for_migration(),
         };
         live[n] = (k, v);
         n += usize::from(k > DEL_KEY);
@@ -849,75 +866,42 @@ fn freeze_chunk(access: Access, chunk: &[Cell], live: &mut [(u64, u64); COPY_CHU
 }
 
 /// Pass 3 of a chunk: place `live` into `dst` in source order, probing
-/// from `homes`.  Returns the elements whose cell this call claimed, and
-/// `false` when the copy has to stop: the lease is gone, or the target is
-/// frozen.
+/// from `homes`, with plain stores.  Called only inside the placement gate
+/// ([`MigrationJob::enter_placement`]), so `dst` is unpublished and only
+/// copies of this block write the cells it reaches (module docs of
+/// [`migrate_generic_block`]).
 #[inline(always)]
 fn place_chunk<K: KeyRepr, V: ValueRepr>(
-    access: Access,
     dst: &GenericArray<K, V>,
     live: &[(u64, u64)],
     homes: &[usize],
-    lease_live: &impl Fn() -> bool,
-) -> (usize, bool) {
-    if !lease_live() {
-        return (0, false);
-    }
-    let mut placed = 0usize;
+) {
+    growt_failpoints::fire("generic.place.chunk");
     for (&(k, v), &home) in live.iter().zip(homes) {
         let mut pos = home;
         let mut walked = 0usize;
         loop {
-            if walked > dst.capacity {
-                if access == Access::Transactional {
-                    // The locked pass that follows the abort finds the
-                    // same and says so; a panic in here would be rolled
-                    // back with everything else.
-                    // SAFETY: `Transactions::run` passes `Transactional`
-                    // only inside a transaction, behind `rtm::available()`.
-                    unsafe { rtm::abort() };
-                }
-                panic!("generic migration found no empty target cell");
-            }
+            assert!(
+                walked <= dst.capacity,
+                "generic migration found no empty target cell"
+            );
             let cell = &dst.cells[pos];
             let existing = cell.load_key();
-            if is_marked(existing) {
-                // The target is itself being migrated, so this migration
-                // was finalized long ago: a rescuer completed this block
-                // while its owner (this thread) was stalled.  Nothing is
-                // left to do — and a frozen target has no empty cell to
-                // find.
-                return (placed, false);
-            }
             if existing == k {
-                // An earlier copy of this block already placed the
-                // element; nothing to do (and nothing to count).
+                // Another copy of this block placed the element already.
                 break;
             }
             if existing == EMPTY_KEY {
-                let claimed = match access {
-                    Access::Locked => cell.cas_pair((EMPTY_KEY, 0), (k, v)).is_ok(),
-                    // The read of `EMPTY_KEY` and the store commit
-                    // together or not at all.
-                    Access::Transactional => {
-                        cell.store_unsynchronized(k, v);
-                        true
-                    }
-                };
-                if claimed {
-                    placed += 1;
-                    break;
-                }
-                continue; // re-read the claimed cell
+                cell.store_unsynchronized(k, v);
+                break;
             }
             pos = (pos + 1) & (dst.capacity - 1);
             walked += 1;
         }
     }
-    (placed, true)
 }
 
-/// Runs the passes of one block copy, as hardware transactions for as
+/// Runs the freeze pass of a marking copy as a hardware transaction for as
 /// long as the hardware has them and they commit.
 struct Transactions {
     /// Aborts in a row from here that switch transactions off; 0: off.
@@ -968,75 +952,142 @@ impl Transactions {
     }
 }
 
-/// Freeze the cells `[block_start, block_end)` of `src` and re-insert the
-/// live elements into `dst`, re-deriving each home cell from the master
-/// hash (stored in the key allocation for boxed keys, recomputed from the
-/// decoded word for inline ones).  The rehash migration path — correct
-/// for any capacity ratio, including cleanup and shrink steps.
+/// The source cells the block `[start, end)` copies, moved to cluster
+/// boundaries: from one past the first empty cell at or after `start − 1`
+/// to one past the first empty cell at or after `end − 1`.  So a block
+/// skips the tail of a cluster that began in the block before and runs
+/// past its end to finish its own last one — "implicitly moving the block
+/// borders to free cells" (paper Fig. 1b, `crate::migrate`).  Positions
+/// count on past the capacity, so the range of the block that holds the
+/// wrap-around cluster ends beyond it.  The ranges of all blocks tile the
+/// table and each is a union of whole clusters.
 ///
-/// The block is worked off in chunks of [`COPY_CHUNK`] source cells, three
-/// passes per chunk:
+/// Only `EMPTY` tests on key words, no dereference.  Marking, every cell
+/// tested is frozen first, so that every block that tests it sees the same
+/// answer.  A source with no empty cell at all is one cluster, which the
+/// first block copies whole.
+fn cluster_range<K: KeyRepr, V: ValueRepr>(
+    src: &GenericArray<K, V>,
+    start: usize,
+    end: usize,
+    mode: MigrationMode,
+) -> (usize, usize) {
+    let capacity = src.capacity;
+    let empty = |i: usize| {
+        let cell = &src.cells[i & (capacity - 1)];
+        let key = match mode {
+            MigrationMode::Exclusive => cell.load_key(),
+            MigrationMode::Marking => cell.mark_for_migration().0,
+        };
+        key == EMPTY_KEY
+    };
+    // One past the first empty cell at or after `at − capacity`.
+    let boundary = |at: usize| {
+        (at..at + capacity)
+            .find(|&i| empty(i))
+            .map(|i| i + 1 - capacity)
+    };
+    match boundary(start + capacity - 1) {
+        Some(from) => (
+            from,
+            boundary(end + capacity - 1).expect("the empty cell found above stays empty"),
+        ),
+        None if start == 0 => (0, capacity),
+        None => (0, 0),
+    }
+}
+
+/// Copy the block `[block_start, block_end)` of `src` into `dst`,
+/// re-deriving each element's home cell from the master hash (stored in
+/// the key allocation for boxed keys, recomputed from the decoded word for
+/// inline ones): the rehash migration path, the one copier `GrowMap` has.
 ///
-/// 1. [`freeze_chunk`];
+/// **Ranges** ([`cluster_range`]): the block copies whole clusters.  With
+/// the scaled home cells of `GenericArray` and a target at least as large
+/// as the source (growth and cleanup), Lemma 1 (paper §5.3.1) makes the
+/// target cells that the placement of one cluster reads or writes disjoint
+/// from those of every other cluster.  So nobody but another copy of the
+/// same block writes where this copy places, and placement is a plain
+/// store.  A shrink has no such lemma; its migration is one block
+/// (`GrowProtocol::SHRINK_IN_ONE_BLOCK`).
+///
+/// The range is worked off in chunks of at most [`COPY_CHUNK`] source
+/// cells, three passes per chunk:
+///
+/// 1. [`freeze_chunk`], as `mode` says: plain loads when writers are
+///    excluded; marking, inside a hardware transaction where the CPU has
+///    RTM and it commits, else on the locked `fetch_or`
+///    ([`TXN_ABORTS_IN_A_ROW`] aborts hand the rest of the block to that
+///    path);
 /// 2. hash every live key and prefetch its target line — independent
-///    work, which the locked operations of pass 3 would serialize and
-///    which has no business in a transaction's read set;
-/// 3. [`place_chunk`].
+///    work, which has no business in a transaction's read set;
+/// 3. [`place_chunk`], inside the placement gate (`enter_placement`).
 ///
-/// **Two ways through a pass** (DESIGN.md §15).  Where the CPU has RTM,
-/// passes 1 and 3 each run as one hardware transaction over plain loads
-/// and stores ([`Access::Transactional`]): no locked instruction per cell
-/// or per element, and the commit is the pass's one atomic step — a
-/// writer's `cas_pair` on a cell of the chunk, or on a target cell the
-/// placement read, aborts it.  An aborted pass has not happened and runs
-/// again as [`Access::Locked`] — one `fetch_or` per source cell, one
-/// `cmpxchg16b` per live element, the protocol's floor without
-/// transactions; [`TXN_ABORTS_IN_A_ROW`] aborts hand the rest of the block
-/// to that path.  Either way every check below is made.
+/// **Idempotent, also against a concurrent copy of the same block.**  The
+/// source the copies read is final (excluded or frozen), so every copy
+/// places the same elements in the same order, and each element goes to
+/// the one cell that order determines for it: by the time a copy places
+/// element *i*, it has placed or found elements 0 … *i*−1 at their cells,
+/// and no later element lies between *i*'s home and its cell.  So a copy
+/// stores only an element into that element's cell — the same words
+/// whichever copy stores them — and skips a cell that already holds the
+/// key word.  The block's `live` count is what the freeze saw, the same
+/// for every complete copy; the coordinator credits it once, for the copy
+/// that completes the lease.
 ///
-/// **Idempotent**: marking is a one-way freeze, so every re-copy observes
-/// the same frozen pairs in the same order, and the placement loop skips a
-/// target cell that already holds the same key word — inline words
-/// identify the key directly, packed words by allocation identity.  Only
-/// the copy that claims the empty target cell counts the element, so
-/// `migrated` stays exact.  The locked placement is a CAS from `(EMPTY, 0)`
-/// and not a plain store, although this thread is the block's only copier
-/// in the fault-free case: a copier that stalled and was rescued wakes up
-/// into a *live* table (next paragraph), where a store would overwrite
-/// elements.  The transactional placement's store is that CAS: the read
-/// of `EMPTY` and the store commit together or not at all.
-///
-/// **Late owners.**  `lease_live` is asked once per chunk, before its
-/// placement; it answers `false` once the block was completed by someone
-/// else or the target was published, and the copy stops there.  Without
-/// it a copier that slept through its own rescue would re-insert elements
-/// that were erased from the published target in the meantime (it finds
-/// their tombstone, walks on, and claims the next empty cell).  Inside the
-/// transaction the words `lease_live` reads are part of the read set, so
-/// a rescue or a publication after the check aborts the chunk's placement
-/// instead of racing it; on the locked path the check is up to 64 CASes
-/// old (DESIGN.md §12).  A marked target cell stops the copy as well: that
-/// target has itself been migrated away, so this migration was finalized
-/// long ago.
-fn migrate_generic_block<K: KeyRepr, V: ValueRepr>(
+/// **Late owners.**  `enter_placement` is asked once per chunk, before its
+/// placement; it answers `None` once the block was completed by someone
+/// else, and the copy stops there, incomplete.  A `Some` holds the
+/// publication of the target back until it is dropped after the chunk's
+/// placement, so no store of a copy that slept through its own rescue
+/// lands in a published table, where it would overwrite what writers put
+/// there since (DESIGN.md §12).
+fn migrate_generic_block<K: KeyRepr, V: ValueRepr, P>(
     src: &GenericArray<K, V>,
     dst: &GenericArray<K, V>,
     block_start: usize,
     block_end: usize,
-    lease_live: impl Fn() -> bool,
+    mode: MigrationMode,
+    mut enter_placement: impl FnMut() -> Option<P>,
 ) -> BlockCopy {
-    let mut copy = BlockCopy::default();
+    let mut copy = BlockCopy {
+        complete: true,
+        ..BlockCopy::default()
+    };
     let mut transactions = Transactions::new();
     let mut live = [(0u64, 0u64); COPY_CHUNK];
     let mut homes = [0usize; COPY_CHUNK];
-    for chunk in src.cells[block_start..block_end].chunks(COPY_CHUNK) {
-        let (n, froze_in_txn) = transactions.run(|access| freeze_chunk(access, chunk, &mut live));
+    let (from, to) = cluster_range(src, block_start, block_end, mode);
+    let capacity = src.capacity;
+    let pieces = [
+        (from, to.min(capacity)),
+        (from.max(capacity) - capacity, to.saturating_sub(capacity)),
+    ];
+    let chunks = pieces
+        .into_iter()
+        .filter(|(lo, hi)| lo < hi)
+        .flat_map(|(lo, hi)| src.cells[lo..hi].chunks(COPY_CHUNK));
+    for chunk in chunks {
+        let n = match mode {
+            MigrationMode::Exclusive => freeze_chunk(Access::Exclusive, chunk, &mut live),
+            MigrationMode::Marking => {
+                let (n, committed) =
+                    transactions.run(|access| freeze_chunk(access, chunk, &mut live));
+                if committed {
+                    copy.chunks_transactional += 1;
+                } else {
+                    copy.chunks_locked += 1;
+                }
+                n
+            }
+        };
         let live = &live[..n];
+        copy.live += n;
         for (&(k, _), home) in live.iter().zip(&mut homes) {
             let hash = if K::INLINE {
                 K::decode(k).hash64()
             } else {
-                // SAFETY: the reference was live when frozen; erased keys
+                // SAFETY: the reference was live when read; erased keys
                 // are only freed after all handles quiesce, and migrating
                 // threads quiesce only between operations.
                 unsafe { K::stored_hash(stored_ptr(k), Sealed) }
@@ -1044,17 +1095,11 @@ fn migrate_generic_block<K: KeyRepr, V: ValueRepr>(
             *home = dst.home_cell(hash);
             prefetch_write(&dst.cells[*home]);
         }
-        let ((migrated, go_on), placed_in_txn) =
-            transactions.run(|access| place_chunk(access, dst, live, &homes, &lease_live));
-        copy.migrated += migrated;
-        if froze_in_txn && placed_in_txn {
-            copy.chunks_transactional += 1;
-        } else {
-            copy.chunks_locked += 1;
-        }
-        if !go_on {
+        let Some(_pass) = enter_placement() else {
+            copy.complete = false;
             break;
-        }
+        };
+        place_chunk(dst, live, &homes);
     }
     copy
 }
@@ -1063,10 +1108,37 @@ fn migrate_generic_block<K: KeyRepr, V: ValueRepr>(
 // The shared inner + coordinator instantiation
 // ---------------------------------------------------------------------------
 
+/// How long a growth leader waits for busy handles before the migration
+/// marks instead of excluding them.  An operation is well under a
+/// microsecond; a handle busy for this long was descheduled inside one, or
+/// its `insert_or_update` closure blocks — or the closure runs an operation
+/// on the same map that is now leading this growth.
+const QUIESCE_PATIENCE: Duration = Duration::from_millis(2);
+
+/// A handle's busy flag, alone on its cache line: `true` for the duration
+/// of each write operation (insert, update, erase and their `try_*` forms),
+/// read by a growth leader that excludes writers (DESIGN.md §12).
+#[repr(align(64))]
+struct BusyFlag(AtomicBool);
+
+/// Lowers a busy flag when the write ends — also when it unwinds, so a
+/// panicking closure or an injected fault cannot leave a leader waiting.
+struct BusyGuard<'b>(&'b BusyFlag);
+
+impl Drop for BusyGuard<'_> {
+    #[inline]
+    fn drop(&mut self) {
+        // Release: the write's cell operations happen before a leader's
+        // `Acquire` read of `false`, and so before its copy reads the cells.
+        self.0 .0.store(false, Ordering::Release);
+    }
+}
+
 /// Everything shared between handles and the owner.  The migration
 /// machinery is the shared §12 coordinator ([`crate::coord`]),
-/// instantiated as enslavement with asynchronous marking, no pool, no
-/// synchronized quiescence, no degenerate-cluster recovery.
+/// instantiated as enslavement, no pool, no degenerate-cluster recovery
+/// (the copier's ranges cover that case), and with writers excluded behind
+/// `membarrier` where that works in time, marking otherwise.
 struct GenericInner<K: KeyRepr, V: ValueRepr> {
     current: VersionedArc<GenericArray<K, V>>,
     counts: GlobalCount,
@@ -1075,6 +1147,8 @@ struct GenericInner<K: KeyRepr, V: ValueRepr> {
     threads_hint: usize,
     domain: Arc<QsbrDomain>,
     handle_seed: AtomicU64,
+    /// The busy flags of the live handles.
+    writers: Mutex<Vec<Arc<BusyFlag>>>,
 }
 
 impl<K: KeyRepr, V: ValueRepr> GrowProtocol for GenericInner<K, V> {
@@ -1084,6 +1158,7 @@ impl<K: KeyRepr, V: ValueRepr> GrowProtocol for GenericInner<K, V> {
     const FP_PREPARE_ALLOC: &'static str = "generic.prepare.alloc";
     const FP_BLOCK_CLAIMED: &'static str = "generic.block.claimed";
     const FP_FINALIZE: &'static str = "generic.finalize";
+    const SHRINK_IN_ONE_BLOCK: bool = true;
 
     fn coord(&self) -> &Coordinator<GenericArray<K, V>> {
         &self.coordinator
@@ -1119,16 +1194,57 @@ impl<K: KeyRepr, V: ValueRepr> GrowProtocol for GenericInner<K, V> {
         job: &MigrationJob<GenericArray<K, V>>,
         start: usize,
         end: usize,
-    ) -> usize {
-        let copy = migrate_generic_block(&job.source, &job.target, start, end, || {
-            job.lease_live(start) && self.current.version() == job.expected_version
+    ) -> Option<usize> {
+        let copy = migrate_generic_block(&job.source, &job.target, start, end, job.mode, || {
+            job.enter_placement(start)
         });
         // Relaxed: statistics of the phase record, publishing nothing.
         job.chunks_transactional
             .fetch_add(copy.chunks_transactional, Ordering::Relaxed);
         job.chunks_locked
             .fetch_add(copy.chunks_locked, Ordering::Relaxed);
-        copy.migrated
+        copy.complete.then_some(copy.live)
+    }
+
+    /// Exclude the writers: raise the growing flag in the version word,
+    /// make every running thread execute a full barrier (`membarrier`),
+    /// then wait until every handle's busy flag reads `false`.  The other
+    /// half of the handshake is [`GrowMapHandle::enter_write`]: a write
+    /// that raised its flag before the barrier is seen busy here, one that
+    /// raises it after sees the growing flag and waits for the migration.
+    /// Without the barrier (the kernel lacks it, or the `generic.membarrier`
+    /// failpoint says so), or with a handle still busy after
+    /// [`QUIESCE_PATIENCE`], the migration marks.
+    fn quiesce_writers(&self, _leader: &()) -> MigrationMode {
+        /// Polls of a busy flag before the leader starts yielding its CPU,
+        /// which a busy handle's thread may be waiting for.
+        const SPINS: u32 = 256;
+        if growt_failpoints::fire("generic.membarrier") || !membarrier::available() {
+            return MigrationMode::Marking;
+        }
+        self.current.raise_flag();
+        if !membarrier::heavy_barrier() {
+            return MigrationMode::Marking;
+        }
+        // A snapshot, so that creating or dropping a handle does not wait
+        // for this wait: a handle registered after the raise sees the flag
+        // on its first write.
+        let writers = self.writers.lock().clone();
+        let started = Instant::now();
+        for writer in writers.iter() {
+            let mut spins = 0u32;
+            while writer.0.load(Ordering::Acquire) {
+                if spins < SPINS {
+                    spins += 1;
+                    std::hint::spin_loop();
+                } else if started.elapsed() < QUIESCE_PATIENCE {
+                    std::thread::yield_now();
+                } else {
+                    return MigrationMode::Marking;
+                }
+            }
+        }
+        MigrationMode::Exclusive
     }
 }
 
@@ -1144,8 +1260,10 @@ impl<K: KeyRepr, V: ValueRepr> GrowProtocol for GenericInner<K, V> {
 /// performs the same cell operations as [`crate::grow::GrowingTable`];
 /// larger types go behind packed references with QSBR-deferred
 /// reclamation, in the §5.7 format of [`crate::complex`].  The growing
-/// strategy is enslavement with asynchronous marking (the
-/// paper's default, uaGrow), run by the shared §12 coordinator.
+/// strategy is enslavement, run by the shared §12 coordinator; a migration
+/// excludes writers — the paper's synchronized protocol, behind an
+/// asymmetric fence so that the operations pay no fence — and marks, the
+/// paper's asynchronous protocol, where it cannot.
 ///
 /// ```
 /// use growt_core::generic::GrowMap;
@@ -1176,6 +1294,7 @@ impl<K: KeyRepr, V: ValueRepr> GrowMap<K, V> {
                 threads_hint: threads_hint.max(1),
                 domain: Arc::new(QsbrDomain::new()),
                 handle_seed: AtomicU64::new(0x9E3779B97F4A7C15),
+                writers: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -1286,6 +1405,7 @@ pub struct GrowMapHandle<'a, K: KeyRepr, V: ValueRepr> {
     local: LocalCount,
     qsbr: QsbrParticipant,
     since_quiesce: u32,
+    busy: Arc<BusyFlag>,
 }
 
 impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
@@ -1293,18 +1413,23 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
     fn new(inner: &'a GenericInner<K, V>) -> Self {
         let seed = inner.handle_seed.fetch_add(0x9E37_79B9, Ordering::Relaxed);
         let cached = CachedArc::new(&inner.current);
+        let busy = Arc::new(BusyFlag(AtomicBool::new(false)));
+        inner.writers.lock().push(Arc::clone(&busy));
         GrowMapHandle {
             local: LocalCount::for_generation(inner.threads_hint, cached.cached().capacity, seed),
             cached,
             qsbr: inner.domain.register(),
             since_quiesce: 0,
+            busy,
             inner,
         }
     }
 
-    /// The zero-shared-traffic operation prologue (§5.3.2): borrow the
-    /// current generation from the handle-local cache — one version load,
-    /// no `Arc::clone`, no shared refcount RMW.
+    /// The read prologue (§5.3.2): borrow the current generation from the
+    /// handle-local cache — one version load, no `Arc::clone`, no shared
+    /// refcount RMW.  A read needs nothing more: a migration never changes
+    /// its source, and a read of the source that began before the
+    /// publication is linearized before it.
     #[inline]
     fn array_ref<'t>(
         cached: &'t mut CachedArc<GenericArray<K, V>>,
@@ -1316,6 +1441,43 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
             Self::reset_local_counts(local, inner);
         }
         array
+    }
+
+    /// The write prologue: raise the handle's busy flag, then borrow the
+    /// current generation as [`GrowMapHandle::array_ref`] does — unless a
+    /// migration excludes writers, in which case the flag is lowered again
+    /// and `None` says to wait for it ([`GrowMapHandle::wait_for_growth`]).
+    /// The growing flag is a bit of the version word the borrow loads
+    /// anyway, so the fast path adds two stores to the handle's own cache
+    /// line and no shared load.  No CPU fence either: between the flag
+    /// store and the version load the compiler must not reorder, and the
+    /// CPU is made to by the leader's `membarrier`
+    /// ([`GrowProtocol::quiesce_writers`]).  The returned guard lowers the
+    /// flag when the write ends, before the write leads, helps or waits
+    /// for a migration.
+    #[inline]
+    fn enter_write<'t>(
+        cached: &'t mut CachedArc<GenericArray<K, V>>,
+        local: &mut LocalCount,
+        inner: &GenericInner<K, V>,
+        busy: &'t BusyFlag,
+    ) -> Option<(&'t GenericArray<K, V>, BusyGuard<'t>)> {
+        busy.0.store(true, Ordering::Relaxed);
+        compiler_fence(Ordering::SeqCst);
+        let guard = BusyGuard(busy);
+        let (array, refreshed) = cached.get_ref_unless_flagged(&inner.current)?;
+        if refreshed {
+            Self::reset_local_counts(local, inner);
+        }
+        Some((array, guard))
+    }
+
+    /// A write found the growing flag raised: help with, or wait for, the
+    /// migration of the current generation.
+    #[cold]
+    #[inline(never)]
+    fn wait_for_growth(inner: &GenericInner<K, V>) {
+        inner.help_or_wait(inner.current.version());
     }
 
     /// Refresh epilogue, once per handle per migration: pending local
@@ -1400,9 +1562,16 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
         let probe = Probe::new(key);
         let mut pending = PendingCell::new();
         let inserted = loop {
-            let array = Self::array_ref(&mut self.cached, &mut self.local, self.inner);
+            let Some((array, busy)) =
+                Self::enter_write(&mut self.cached, &mut self.local, self.inner, &self.busy)
+            else {
+                Self::wait_for_growth(self.inner);
+                continue;
+            };
             let (capacity, version) = (array.capacity, array.version);
-            match array.upsert(&probe, value, None::<&fn(&V) -> V>, &mut pending) {
+            let outcome = array.upsert(&probe, value, None::<&fn(&V) -> V>, &mut pending);
+            drop(busy);
+            match outcome {
                 MapOutcome::Inserted => {
                     self.after_insert(capacity, version);
                     break true;
@@ -1429,9 +1598,16 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
         let probe = Probe::new(key);
         let mut pending = PendingCell::new();
         let result = loop {
-            let array = Self::array_ref(&mut self.cached, &mut self.local, self.inner);
+            let Some((array, busy)) =
+                Self::enter_write(&mut self.cached, &mut self.local, self.inner, &self.busy)
+            else {
+                Self::wait_for_growth(self.inner);
+                continue;
+            };
             let (capacity, version) = (array.capacity, array.version);
-            match array.upsert(&probe, value, None::<&fn(&V) -> V>, &mut pending) {
+            let outcome = array.upsert(&probe, value, None::<&fn(&V) -> V>, &mut pending);
+            drop(busy);
+            match outcome {
                 MapOutcome::Inserted => {
                     self.after_insert(capacity, version);
                     break Ok(true);
@@ -1468,9 +1644,16 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
     pub fn update<F: Fn(&V) -> V>(&mut self, key: &K, up: F) -> bool {
         let probe = Probe::new(key);
         let updated = loop {
-            let array = Self::array_ref(&mut self.cached, &mut self.local, self.inner);
+            let Some((array, busy)) =
+                Self::enter_write(&mut self.cached, &mut self.local, self.inner, &self.busy)
+            else {
+                Self::wait_for_growth(self.inner);
+                continue;
+            };
             let version = array.version;
-            match array.update(&probe, &up) {
+            let outcome = array.update(&probe, &up);
+            drop(busy);
+            match outcome {
                 MapOutcome::Updated(displaced) => {
                     self.retire_updated(displaced);
                     break true;
@@ -1499,9 +1682,16 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
         let probe = Probe::new(key);
         let mut pending = PendingCell::new();
         let outcome = loop {
-            let array = Self::array_ref(&mut self.cached, &mut self.local, self.inner);
+            let Some((array, busy)) =
+                Self::enter_write(&mut self.cached, &mut self.local, self.inner, &self.busy)
+            else {
+                Self::wait_for_growth(self.inner);
+                continue;
+            };
             let (capacity, version) = (array.capacity, array.version);
-            match array.upsert(&probe, value, Some(&up), &mut pending) {
+            let outcome = array.upsert(&probe, value, Some(&up), &mut pending);
+            drop(busy);
+            match outcome {
                 MapOutcome::Inserted => {
                     self.after_insert(capacity, version);
                     break InsertOrUpdate::Inserted;
@@ -1533,9 +1723,16 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
         let probe = Probe::new(key);
         let mut pending = PendingCell::new();
         let result = loop {
-            let array = Self::array_ref(&mut self.cached, &mut self.local, self.inner);
+            let Some((array, busy)) =
+                Self::enter_write(&mut self.cached, &mut self.local, self.inner, &self.busy)
+            else {
+                Self::wait_for_growth(self.inner);
+                continue;
+            };
             let (capacity, version) = (array.capacity, array.version);
-            match array.upsert(&probe, value, Some(&up), &mut pending) {
+            let outcome = array.upsert(&probe, value, Some(&up), &mut pending);
+            drop(busy);
+            match outcome {
                 MapOutcome::Inserted => {
                     self.after_insert(capacity, version);
                     break Ok(InsertOrUpdate::Inserted);
@@ -1563,9 +1760,16 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
     pub fn erase(&mut self, key: &K) -> bool {
         let probe = Probe::new(key);
         let erased = loop {
-            let array = Self::array_ref(&mut self.cached, &mut self.local, self.inner);
+            let Some((array, busy)) =
+                Self::enter_write(&mut self.cached, &mut self.local, self.inner, &self.busy)
+            else {
+                Self::wait_for_growth(self.inner);
+                continue;
+            };
             let version = array.version;
-            match array.erase(&probe) {
+            let outcome = array.erase(&probe);
+            drop(busy);
+            match outcome {
                 MapErase::Erased {
                     key_word,
                     value_word,
@@ -1603,6 +1807,10 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
 impl<K: KeyRepr, V: ValueRepr> Drop for GrowMapHandle<'_, K, V> {
     fn drop(&mut self) {
         self.local.flush(&self.inner.counts);
+        self.inner
+            .writers
+            .lock()
+            .retain(|writer| !Arc::ptr_eq(writer, &self.busy));
         // The participant's own Drop unregisters it from the domain and
         // runs a final reclamation attempt.
     }
@@ -1851,68 +2059,87 @@ mod tests {
         }
     }
 
+    fn word_key(i: u64) -> u64 {
+        hash_key(i) >> 2 | 2
+    }
+
     /// Serializes the tests that configure `generic.copy.txn` or count
     /// transactional chunks: the failpoint registry is process-global.
     static COPY_PATH: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-    /// Run `body` on each path through the copier this build can choose:
-    /// as it comes — transactions where `rtm::available()` — and, with the
-    /// failpoints compiled in, with `generic.copy.txn` failing every
-    /// transaction before it begins.  `body` is told whether the locked
-    /// path is certain.
-    fn on_each_copy_path(body: impl Fn(bool)) {
+    /// Run `body` in each way this build can copy: exclusive, marking as it
+    /// comes — freezes inside transactions where `rtm::available()` — and,
+    /// with the failpoints compiled in, marking with `generic.copy.txn`
+    /// failing every transaction before it begins.  `body` is told the mode
+    /// and whether the locked freeze is certain.
+    fn on_each_copy_mode(body: impl Fn(MigrationMode, bool)) {
         let _serial = COPY_PATH.lock().unwrap_or_else(|e| e.into_inner());
-        body(!rtm::available());
+        body(MigrationMode::Exclusive, false);
+        body(MigrationMode::Marking, !rtm::available());
         if cfg!(feature = "failpoints") {
             growt_failpoints::configure(
                 "generic.copy.txn",
                 growt_failpoints::Action::FailAlloc,
                 growt_failpoints::Trigger::Always,
             );
-            body(true);
+            body(MigrationMode::Marking, true);
             growt_failpoints::remove("generic.copy.txn");
         }
     }
 
     /// Copy every block of a fresh source `copies` times from each of
-    /// `threads` threads at once; check the `migrated` sum, the chunk
-    /// counts and the target's contents against `live`.
+    /// `threads` threads at once.  Every complete copy of a block must
+    /// report the same `live` count, and the blocks' counts sum to the live
+    /// elements; the target must hold exactly them.
     fn copy_and_check<K: KeyRepr>(
         source: (GenericArray<K, u64>, Vec<(K, u64)>),
         target_capacity: usize,
         block: usize,
         copies: usize,
         threads: usize,
+        mode: MigrationMode,
         locked: bool,
     ) {
         let (src, live) = source;
         let dst = GenericArray::<K, u64>::new(target_capacity, 2);
-        let migrated = AtomicU64::new(0);
+        let blocks = src.capacity.div_ceil(block);
+        let counted: Vec<std::sync::Mutex<Option<usize>>> =
+            (0..blocks).map(|_| std::sync::Mutex::new(None)).collect();
         let start = std::sync::Barrier::new(threads);
         std::thread::scope(|s| {
             for _ in 0..threads {
                 s.spawn(|| {
                     start.wait();
-                    for begin in (0..src.capacity).step_by(block) {
+                    for (b, begin) in (0..src.capacity).step_by(block).enumerate() {
                         let end = (begin + block).min(src.capacity);
                         for _ in 0..copies {
-                            let copy = migrate_generic_block(&src, &dst, begin, end, || true);
-                            migrated.fetch_add(copy.migrated as u64, Ordering::Relaxed);
-                            assert_eq!(
-                                copy.chunks_transactional + copy.chunks_locked,
-                                (end - begin).div_ceil(COPY_CHUNK)
-                            );
-                            if locked {
-                                assert_eq!(copy.chunks_transactional, 0);
+                            let copy =
+                                migrate_generic_block(&src, &dst, begin, end, mode, || Some(()));
+                            assert!(copy.complete);
+                            let mut seen = counted[b].lock().unwrap();
+                            assert_eq!(*seen.get_or_insert(copy.live), copy.live, "block {b}");
+                            match mode {
+                                MigrationMode::Exclusive => {
+                                    assert_eq!(copy.chunks_transactional + copy.chunks_locked, 0)
+                                }
+                                MigrationMode::Marking if locked => {
+                                    assert_eq!(copy.chunks_transactional, 0)
+                                }
+                                MigrationMode::Marking => {}
                             }
                         }
                     }
                 });
             }
         });
-        assert_eq!(migrated.load(Ordering::Relaxed), live.len() as u64);
+        let total: usize = counted.iter().map(|c| c.lock().unwrap().unwrap()).sum();
+        assert_eq!(total, live.len());
         assert_eq!(dst.scan_live(), live.len(), "duplicates or losses");
-        assert!(src.cells.iter().all(|c| is_marked(c.load_key())));
+        let marked = src.cells.iter().filter(|c| is_marked(c.load_key())).count();
+        match mode {
+            MigrationMode::Exclusive => assert_eq!(marked, 0),
+            MigrationMode::Marking => assert_eq!(marked, src.capacity),
+        }
         assert!(dst.cells.iter().all(|c| c.load_key() != DEL_KEY));
         for (key, value) in &live {
             assert_eq!(dst.find(&Probe::new(key)), Some(*value));
@@ -1926,21 +2153,22 @@ mod tests {
     }
 
     /// Once, three times over, and from two threads at once: the same
-    /// target contents and an exact `migrated` sum, whatever the block
-    /// size, whatever the block holds and whichever way the passes ran.
+    /// target contents and an exact count, whatever the block size, whatever
+    /// the block holds and whichever way the source was read.
     fn copier_is_idempotent_for<K: KeyRepr>(keys: fn(u64) -> K) {
         // (source cells, inserted, erase every, target cells, block size)
         let shapes = [
             (1024, 600, 0, 2048, 100), // blocks that are no multiple of the chunk
             (1024, 600, 0, 2048, 64),
             (1024, 600, 0, 2048, 1),
+            (1024, 600, 0, 4096, 128), // growth by four
             (64, 40, 0, 128, 256),     // a table smaller than one block
-            (64, 64, 0, 128, 37),      // every cell full
+            (64, 64, 0, 128, 37),      // every cell full: one cluster, no empty cell
             (256, 0, 0, 256, 100),     // every cell empty
             (1024, 600, 2, 1024, 100), // cleanup: half the cells are tombstones
             (1024, 600, 1, 64, 300),   // shrink: nothing but tombstones
         ];
-        on_each_copy_path(|locked| {
+        on_each_copy_mode(|mode, locked| {
             for (cells, inserted, erase_every, target, block) in shapes {
                 for (copies, threads) in [(1, 1), (3, 1), (1, 2), (2, 2)] {
                     copy_and_check(
@@ -1949,6 +2177,7 @@ mod tests {
                         block,
                         copies,
                         threads,
+                        mode,
                         locked,
                     );
                 }
@@ -1958,7 +2187,7 @@ mod tests {
 
     #[test]
     fn block_copies_are_idempotent_with_inline_keys() {
-        copier_is_idempotent_for::<u64>(|i| hash_key(i) >> 2 | 2);
+        copier_is_idempotent_for::<u64>(word_key);
     }
 
     #[test]
@@ -1966,44 +2195,110 @@ mod tests {
         copier_is_idempotent_for::<String>(|i| format!("key-{i}"));
     }
 
-    /// A copier whose lease is gone places nothing more, and a second
-    /// copy completes the block with the count still exact.
+    /// The blocks' ranges tile the table — every source cell lies in exactly
+    /// one block's range — and each begins one past an empty cell: at any
+    /// load, for any block size, with the wrap-around cluster, and with no
+    /// empty cell at all (the first block takes everything).
+    #[test]
+    fn cluster_ranges_tile_the_source() {
+        for (cells, inserted, block) in [
+            (1024, 600, 100),
+            (1024, 900, 64),
+            (1024, 1000, 7),
+            (64, 64, 16),
+            (64, 63, 16),
+            (256, 0, 32),
+        ] {
+            let (src, _) = copier_source::<u64>(cells, inserted, 0, word_key);
+            let mut covered = vec![0u32; cells];
+            for begin in (0..cells).step_by(block) {
+                let end = (begin + block).min(cells);
+                let (from, to) = cluster_range(&src, begin, end, MigrationMode::Exclusive);
+                assert!(from <= to && to - from <= cells, "{from}..{to}");
+                if from < to && to - from < cells {
+                    let before = (from + cells - 1) % cells;
+                    assert_eq!(src.cells[before].load_key(), EMPTY_KEY);
+                    assert_eq!(src.cells[(to - 1) % cells].load_key(), EMPTY_KEY);
+                }
+                for i in from..to {
+                    covered[i % cells] += 1;
+                }
+            }
+            assert!(
+                covered.iter().all(|&c| c == 1),
+                "{cells}/{inserted}/{block}"
+            );
+        }
+    }
+
+    /// A copier turned away by the placement gate places nothing more and
+    /// reports an incomplete copy; a second copy completes the block.
     #[test]
     fn a_copier_without_its_lease_stops_and_a_re_copy_completes() {
-        on_each_copy_path(|locked| {
-            let (src, live) = copier_source::<u64>(1024, 600, 0, |i| hash_key(i) >> 2 | 2);
+        on_each_copy_mode(|mode, locked| {
+            let (src, live) = copier_source::<u64>(1024, 600, 0, word_key);
             let dst = GenericArray::<u64, u64>::new(2048, 2);
-            // Counted in memory: the question a placement asked inside an
-            // aborted transaction is rolled back with it, and the locked
-            // pass asks again.
-            let asked = std::cell::Cell::new(0);
-            let first = migrate_generic_block(&src, &dst, 0, 1024, || {
-                asked.set(asked.get() + 1);
-                asked.get() <= 3 // lost after three chunks
+            let mut asked = 0;
+            let first = migrate_generic_block(&src, &dst, 0, 1024, mode, || {
+                asked += 1;
+                (asked <= 3).then_some(()) // lost after three chunks
             });
-            assert_eq!(asked.get(), 4);
-            assert_eq!(first.chunks_transactional + first.chunks_locked, 4);
-            assert_eq!(dst.scan_live(), first.migrated);
-            assert!(first.migrated < live.len());
-            let second = migrate_generic_block(&src, &dst, 0, 1024, || true);
-            assert_eq!(first.migrated + second.migrated, live.len());
+            assert_eq!(asked, 4);
+            assert!(!first.complete);
+            assert!(dst.scan_live() <= first.live && first.live < live.len());
+            let second = migrate_generic_block(&src, &dst, 0, 1024, mode, || Some(()));
+            assert!(second.complete);
+            assert_eq!(second.live, live.len());
             assert_eq!(dst.scan_live(), live.len());
-            if locked {
-                assert_eq!(first.chunks_transactional + second.chunks_transactional, 0);
-            } else {
-                // Over memory that has been touched a chunk gets through
-                // both transactions unless something outside aborts them
-                // (tests running beside this one do, four times in a row
-                // once in 25 runs); a further re-copy changes nothing, so
-                // it may be asked until one does.
-                let committed = (0..64).any(|_| {
-                    let again = migrate_generic_block(&src, &dst, 0, 1024, || true);
-                    assert_eq!(again.migrated, 0);
-                    again.chunks_transactional > 0
-                });
-                assert!(committed, "64 re-copies of 16 chunks, none transactional");
+            let frozen = |c: &BlockCopy| c.chunks_transactional + c.chunks_locked;
+            match mode {
+                MigrationMode::Exclusive => assert_eq!(frozen(&first) + frozen(&second), 0),
+                MigrationMode::Marking if locked => {
+                    assert_eq!(first.chunks_transactional + second.chunks_transactional, 0)
+                }
+                MigrationMode::Marking => {
+                    // Over memory that has been touched a freeze gets
+                    // through its transaction unless something outside
+                    // aborts it (tests running beside this one do, four
+                    // times in a row now and then); a further re-copy
+                    // changes nothing, so it may be asked until one does.
+                    let committed = (0..64).any(|_| {
+                        let again = migrate_generic_block(&src, &dst, 0, 1024, mode, || Some(()));
+                        assert!(again.complete && again.live == live.len());
+                        again.chunks_transactional > 0
+                    });
+                    assert!(committed, "64 re-copies of 16 chunks, none transactional");
+                }
             }
         });
+    }
+
+    /// An exclusive copy reads what a marking copy freezes and places it
+    /// into the same cells, block by block and in any order of the blocks;
+    /// it leaves the source unmarked.
+    #[test]
+    fn exclusive_and_marking_copies_place_alike() {
+        let words = |array: &GenericArray<u64, u64>| -> Vec<(u64, u64)> {
+            array.cells.iter().map(Cell::read).collect()
+        };
+        let run = |mode: MigrationMode, reverse: bool| {
+            let (src, _) = copier_source::<u64>(1024, 700, 5, word_key);
+            let dst = GenericArray::<u64, u64>::new(2048, 2);
+            let mut starts: Vec<usize> = (0..1024).step_by(96).collect();
+            if reverse {
+                starts.reverse();
+            }
+            for begin in starts {
+                let end = (begin + 96).min(1024);
+                assert!(migrate_generic_block(&src, &dst, begin, end, mode, || Some(())).complete);
+            }
+            let src_words = words(&src).into_iter().map(|(k, v)| (unmark(k), v));
+            (src_words.collect::<Vec<_>>(), words(&dst))
+        };
+        let marking = run(MigrationMode::Marking, false);
+        for reverse in [false, true] {
+            assert_eq!(run(MigrationMode::Exclusive, reverse), marking);
+        }
     }
 
     /// The freeze against live writers, through the whole copier: two
@@ -2015,9 +2310,8 @@ mod tests {
     #[test]
     fn freeze_races_cas_pair_writers_and_copies_the_final_values() {
         let _serial = COPY_PATH.lock().unwrap_or_else(|e| e.into_inner());
-        let key_of = |i: u64| hash_key(i) >> 2 | 2;
         for round in 0..200u64 {
-            let (src, live) = copier_source::<u64>(COPY_CHUNK, 40, 0, key_of);
+            let (src, live) = copier_source::<u64>(COPY_CHUNK, 40, 0, word_key);
             let dst = GenericArray::<u64, u64>::new(2 * COPY_CHUNK, 2);
             let copied = std::sync::atomic::AtomicBool::new(false);
             let late_successes = AtomicU64::new(0);
@@ -2063,9 +2357,16 @@ mod tests {
                     while bumps.load(Ordering::Relaxed) < round * 4 {
                         std::thread::yield_now();
                     }
-                    let copy = migrate_generic_block(&src, &dst, 0, COPY_CHUNK, || true);
+                    let copy = migrate_generic_block(
+                        &src,
+                        &dst,
+                        0,
+                        COPY_CHUNK,
+                        MigrationMode::Marking,
+                        || Some(()),
+                    );
                     copied.store(true, Ordering::SeqCst);
-                    assert_eq!(copy.migrated, live.len());
+                    assert_eq!(copy.live, live.len());
                 });
             });
             assert_eq!(late_successes.load(Ordering::SeqCst), 0);
@@ -2121,19 +2422,26 @@ mod tests {
             array.cells.iter().map(Cell::read).collect()
         };
         let run = |trigger: Option<Trigger>| {
-            let (src, _) = copier_source::<u64>(1024, 600, 3, |i| hash_key(i) >> 2 | 2);
+            let (src, _) = copier_source::<u64>(1024, 600, 3, word_key);
             let dst = GenericArray::<u64, u64>::new(2048, 2);
             if let Some(trigger) = trigger {
                 configure("generic.copy.txn", Action::FailAlloc, trigger);
             }
-            let copy = migrate_generic_block(&src, &dst, 0, 1024, || true);
+            let copy =
+                migrate_generic_block(&src, &dst, 0, 1024, MigrationMode::Marking, || Some(()));
             remove("generic.copy.txn");
-            assert_eq!(copy.chunks_transactional + copy.chunks_locked, 16);
-            (copy, words(&src), words(&dst))
+            assert!((16..=17).contains(&(copy.chunks_transactional + copy.chunks_locked)));
+            if !rtm::available() {
+                assert_eq!(copy.chunks_transactional, 0);
+            }
+            (
+                (copy.live, words(&src), words(&dst)),
+                copy.chunks_transactional,
+            )
         };
 
-        let (locked, locked_src, locked_dst) = run(Some(Trigger::Always));
-        assert_eq!(locked.chunks_transactional, 0);
+        let (locked, transactional) = run(Some(Trigger::Always));
+        assert_eq!(transactional, 0);
         let seeded = Trigger::Prob {
             num: 1,
             den: 2,
@@ -2145,13 +2453,7 @@ mod tests {
             Some(Trigger::Each(3)),
             Some(seeded),
         ] {
-            let (mixed, src, dst) = run(trigger);
-            assert_eq!(mixed.migrated, locked.migrated, "{trigger:?}");
-            assert_eq!(src, locked_src, "{trigger:?}");
-            assert_eq!(dst, locked_dst, "{trigger:?}");
-            if !rtm::available() {
-                assert_eq!(mixed.chunks_transactional, 0);
-            }
+            assert_eq!(run(trigger).0, locked, "{trigger:?}");
         }
     }
 

@@ -31,7 +31,7 @@ use parking_lot::Mutex;
 
 use crate::cell::MAX_MARKABLE_KEY;
 use crate::config::{capacity_for, GrowConfig, HashSelect, ProbeSelect};
-use crate::coord::{Coordinator, GrowProtocol, MigrationJob};
+use crate::coord::{Coordinator, GrowProtocol, MigrationJob, MigrationMode};
 use crate::count::{GlobalCount, LocalCount};
 use crate::migrate::{migrate_block_exclusive, migrate_block_marking, migrate_block_rehash};
 use crate::table::{BoundedTable, EraseOutcome, InsertOutcome, UpdateOutcome, UpsertOutcome};
@@ -274,10 +274,6 @@ impl GrowingTable {
 }
 
 impl Inner {
-    fn marking(&self) -> bool {
-        self.options.consistency == Consistency::AsyncMarking
-    }
-
     fn synchronized(&self) -> bool {
         self.options.consistency == Consistency::Synchronized
     }
@@ -365,18 +361,25 @@ impl GrowProtocol for Inner {
         )
     }
 
-    fn copy_range(&self, job: &MigrationJob<BoundedTable>, start: usize, end: usize) -> usize {
-        if job.rehash {
-            migrate_block_rehash(&job.source, &job.target, start, end, job.marking)
-        } else if job.marking {
+    /// The word table's copiers count each element in the copy that
+    /// claimed its target cell by CAS, so they credit `migrated` directly
+    /// and leave nothing to the block's completion.
+    fn copy_range(
+        &self,
+        job: &MigrationJob<BoundedTable>,
+        start: usize,
+        end: usize,
+    ) -> Option<usize> {
+        let marking = job.mode == MigrationMode::Marking;
+        let placed = if job.rehash {
+            migrate_block_rehash(&job.source, &job.target, start, end, marking)
+        } else if marking {
             migrate_block_marking(&job.source, &job.target, start, end)
         } else {
             migrate_block_exclusive(&job.source, &job.target, start, end)
-        }
-    }
-
-    fn uses_marking(&self) -> bool {
-        self.marking()
+        };
+        job.migrated.fetch_add(placed as u64, Ordering::AcqRel);
+        Some(0)
     }
 
     fn enslaves(&self) -> bool {
@@ -391,11 +394,11 @@ impl GrowProtocol for Inner {
     /// until every registered handle has been observed outside a table
     /// operation at least once.  The leader's own handle is exempt (it
     /// cleared its busy flag before calling `grow()`).
-    fn quiesce_writers(&self, leader: &HandleShared) {
+    fn quiesce_writers(&self, leader: &HandleShared) -> MigrationMode {
         if !self.synchronized() {
-            return;
+            return MigrationMode::Marking;
         }
-        self.coordinator.growing_flag.store(true, Ordering::SeqCst);
+        self.current.raise_flag();
         let handles = self.handles.lock().clone();
         for shared in handles.iter() {
             if std::ptr::eq(shared.as_ref(), leader) {
@@ -405,6 +408,7 @@ impl GrowProtocol for Inner {
                 std::thread::yield_now();
             }
         }
+        MigrationMode::Exclusive
     }
 
     fn signal_pool(&self) {
@@ -435,7 +439,7 @@ impl GrowProtocol for Inner {
             &job.target,
             0,
             job.source.capacity(),
-            job.marking,
+            job.mode == MigrationMode::Marking,
         );
         job.migrated.fetch_add(recovered as u64, Ordering::AcqRel);
     }
@@ -545,7 +549,7 @@ impl<'a> GrowHandle<'a> {
         }
         loop {
             shared.busy.store(1, Ordering::SeqCst);
-            if inner.coordinator.growing_flag.load(Ordering::SeqCst) {
+            if inner.current.flagged() {
                 shared.busy.store(0, Ordering::SeqCst);
                 inner.help_or_wait(cached.cached_version());
                 continue;

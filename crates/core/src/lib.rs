@@ -28,7 +28,9 @@
 //!   keys and values over the same cells and the same shared migration
 //!   coordinator, inline when word-sized and packed behind QSBR-reclaimed
 //!   references otherwise (§14 of DESIGN.md).  `GrowMap<String, u64>` is
-//!   the growing, deleting string table.
+//!   the growing, deleting string table;
+//! * [`membarrier`] — the heavy side of the asymmetric fence behind
+//!   `GrowMap`'s writer exclusion during a migration.
 
 #![warn(missing_docs)]
 
@@ -44,6 +46,7 @@ pub mod generic;
 pub mod grow;
 pub mod keyspace;
 pub mod mem;
+pub mod membarrier;
 pub mod migrate;
 pub mod prefetch;
 pub mod simd;
@@ -52,7 +55,7 @@ pub mod variants;
 
 pub use complex::StringKeyTable;
 pub use config::{capacity_for, GrowConfig, HashSelect, ProbeSelect};
-pub use generic::{GrowMap, GrowMapHandle, KeyRepr, MigrationRecord, ValueRepr};
+pub use generic::{GrowMap, GrowMapHandle, KeyRepr, MigrationMode, MigrationRecord, ValueRepr};
 pub use grow::{Consistency, GrowHandle, GrowStrategy, GrowingOptions, GrowingTable};
 pub use table::BoundedTable;
 pub use variants::{

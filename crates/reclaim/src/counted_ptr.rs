@@ -8,16 +8,27 @@
 //! version number and only re-acquires when the version changed.  The old
 //! table is freed automatically once every handle has refreshed its cached
 //! pointer (and any in-flight readers dropped their temporary clones).
+//!
+//! The version word also carries one **flag** bit (bit 63), which a
+//! growing table raises while a migration excludes its writers: a writer
+//! learns of it from the version load it makes anyway
+//! ([`CachedArc::get_ref_unless_flagged`]), so the check costs no load of
+//! its own.  Everything else reads the version with the flag masked off.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+/// The flag bit of the version word; versions count up from 1 and never
+/// reach it.
+const FLAG: u64 = 1 << 63;
+
 /// A versioned, reference-counted slot holding the current value of type
 /// `T` (in the hash table: the current table array).
 pub struct VersionedArc<T> {
     current: Mutex<Arc<T>>,
+    /// The version, with [`FLAG`] or-ed in while the flag is raised.
     version: AtomicU64,
     /// Number of [`VersionedArc::acquire`] calls ever made (diagnostics:
     /// the zero-shared-traffic conformance tests assert that a burst of
@@ -38,7 +49,24 @@ impl<T> VersionedArc<T> {
     /// The current version number (monotonically increasing).
     #[inline]
     pub fn version(&self) -> u64 {
-        self.version.load(Ordering::Acquire)
+        self.version.load(Ordering::Acquire) & !FLAG
+    }
+
+    /// Raise the flag.  `SeqCst`: the store side of the exclusion
+    /// handshake a growing table builds on it.
+    pub fn raise_flag(&self) {
+        self.version.fetch_or(FLAG, Ordering::SeqCst);
+    }
+
+    /// Lower the flag (a no-op when it is not raised).
+    pub fn lower_flag(&self) {
+        self.version.fetch_and(!FLAG, Ordering::SeqCst);
+    }
+
+    /// `true` while the flag is raised.
+    #[inline]
+    pub fn flagged(&self) -> bool {
+        self.version.load(Ordering::SeqCst) & FLAG != 0
     }
 
     /// Acquire a counted reference to the current value together with its
@@ -58,7 +86,7 @@ impl<T> VersionedArc<T> {
     pub fn acquire(&self) -> (Arc<T>, u64) {
         let guard = self.current.lock();
         let arc = Arc::clone(&guard);
-        let version = self.version.load(Ordering::Acquire);
+        let version = self.version();
         self.acquires.fetch_add(1, Ordering::Relaxed);
         (arc, version)
     }
@@ -71,7 +99,7 @@ impl<T> VersionedArc<T> {
     }
 
     /// Publish `new` as the next version unconditionally.  Returns the
-    /// previous value.
+    /// previous value.  The flag is left as it is.
     pub fn publish(&self, new: Arc<T>) -> Arc<T> {
         let mut guard = self.current.lock();
         let old = std::mem::replace(&mut *guard, new);
@@ -84,7 +112,7 @@ impl<T> VersionedArc<T> {
     /// current version is returned in the error.
     pub fn publish_if(&self, expected_version: u64, new: Arc<T>) -> Result<Arc<T>, u64> {
         let mut guard = self.current.lock();
-        let version = self.version.load(Ordering::Acquire);
+        let version = self.version();
         if version != expected_version {
             return Err(version);
         }
@@ -127,6 +155,8 @@ impl<T> CachedArc<T> {
     /// [`VersionedArc::acquire`] for the frequency analysis) and is marked
     /// `#[cold]` so the common cached branch compiles to a version load, a
     /// compare and a return — no spilled registers for the slow path.
+    ///
+    /// The flag is ignored: a reader is not excluded by it.
     #[inline]
     pub fn get<'a>(&'a mut self, source: &VersionedArc<T>) -> (&'a Arc<T>, bool) {
         let version = source.version();
@@ -135,6 +165,35 @@ impl<T> CachedArc<T> {
         } else {
             (&self.cached, false)
         }
+    }
+
+    /// [`CachedArc::get_ref`] for a writer that the flag excludes: `None`
+    /// while the flag is raised.  The fast path is the same one load and
+    /// one compare — the cached version never has the flag bit, so a raised
+    /// flag fails the compare and is told apart on the cold path.
+    #[inline]
+    pub fn get_ref_unless_flagged<'a>(
+        &'a mut self,
+        source: &VersionedArc<T>,
+    ) -> Option<(&'a T, bool)> {
+        let word = source.version.load(Ordering::Acquire);
+        if word == self.version {
+            Some((self.cached.as_ref(), false))
+        } else {
+            self.refresh_unless_flagged(source, word)
+        }
+    }
+
+    #[cold]
+    fn refresh_unless_flagged<'a>(
+        &'a mut self,
+        source: &VersionedArc<T>,
+        word: u64,
+    ) -> Option<(&'a T, bool)> {
+        if word & FLAG != 0 {
+            return None;
+        }
+        Some((self.refresh(source).as_ref(), true))
     }
 
     /// Borrow-based variant of [`CachedArc::get`]: the same
@@ -248,6 +307,28 @@ mod tests {
         assert_eq!(*val, 6);
         assert!(refreshed);
         assert_eq!(slot.acquire_count(), acquires_after_init + 1);
+    }
+
+    #[test]
+    fn the_flag_excludes_writers_and_is_invisible_to_readers() {
+        let slot = VersionedArc::new(5u64);
+        let mut cache = CachedArc::new(&slot);
+        assert!(!slot.flagged());
+        slot.raise_flag();
+        assert!(slot.flagged());
+        assert_eq!(slot.version(), 1);
+        assert!(cache.get_ref_unless_flagged(&slot).is_none());
+        assert_eq!(cache.get_ref(&slot), (&5, false));
+        // A publication under the flag keeps it; lowering it lets the
+        // writer through to the new value.
+        slot.publish(Arc::new(6));
+        assert_eq!(slot.version(), 2);
+        assert!(cache.get_ref_unless_flagged(&slot).is_none());
+        slot.lower_flag();
+        assert!(!slot.flagged());
+        assert_eq!(cache.get_ref_unless_flagged(&slot), Some((&6, true)));
+        assert_eq!(cache.get_ref_unless_flagged(&slot), Some((&6, false)));
+        assert!(slot.publish_if(2, Arc::new(7)).is_ok());
     }
 
     #[test]

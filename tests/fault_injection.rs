@@ -32,7 +32,9 @@ use std::time::Duration;
 
 use growt_baselines::FollyStyle;
 use growt_core::complex::StringKeyTable;
-use growt_core::{GrowConfig, GrowMap, GrowStrategy, GrowingOptions, GrowingTable};
+use growt_core::{
+    membarrier, GrowConfig, GrowMap, GrowStrategy, GrowingOptions, GrowingTable, MigrationMode,
+};
 use growt_failpoints::{clear_all, configure, hits, remove, Action, ThreadExit, Trigger};
 use growt_iface::{ConcurrentMap, MapHandle};
 use growt_workloads::with_watchdog;
@@ -57,18 +59,48 @@ fn serialized<T>(label: &str, body: impl FnOnce() -> T) -> T {
     result
 }
 
-/// [`serialized`], once per way `GrowMap`'s block copier can run: as the
-/// CPU allows — inside hardware transactions where it has RTM — and with
-/// the `generic.copy.txn` failpoint refusing every transaction, which is
-/// the locked path whatever the CPU.  `body` is told whether the locked
-/// path is forced; it configures its own failpoints after that one.
-fn on_both_copy_paths(label: &str, body: impl Fn(bool)) {
-    for locked in [false, true] {
+/// The three ways `GrowMap` can copy a migration's source (DESIGN.md §15).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CopyMode {
+    /// Writers excluded behind `membarrier`, where the kernel has it: plain
+    /// loads, nothing marked, plain-store placement.
+    Exclusive,
+    /// The `generic.membarrier` failpoint reports the barrier missing, so
+    /// every migration marks — freezing inside hardware transactions where
+    /// the CPU has RTM.
+    MarkingTransactional,
+    /// Marking, with `generic.copy.txn` refusing every transaction as well:
+    /// the locked freeze whatever the CPU.
+    MarkingLocked,
+}
+
+impl CopyMode {
+    /// The mode a migration that nobody holds up records in this one.
+    fn expected(self) -> MigrationMode {
+        if self == CopyMode::Exclusive && membarrier::available() {
+            MigrationMode::Exclusive
+        } else {
+            MigrationMode::Marking
+        }
+    }
+}
+
+/// [`serialized`], once per [`CopyMode`].  `body` is told the mode; it
+/// configures its own failpoints after the mode's.
+fn on_each_copy_mode(label: &str, body: impl Fn(CopyMode)) {
+    for mode in [
+        CopyMode::Exclusive,
+        CopyMode::MarkingTransactional,
+        CopyMode::MarkingLocked,
+    ] {
         serialized(label, || {
-            if locked {
+            if mode != CopyMode::Exclusive {
+                configure("generic.membarrier", Action::FailAlloc, Trigger::Always);
+            }
+            if mode == CopyMode::MarkingLocked {
                 configure("generic.copy.txn", Action::FailAlloc, Trigger::Always);
             }
-            body(locked);
+            body(mode);
         });
     }
 }
@@ -339,14 +371,14 @@ fn transient_hugebox_failure_is_retried_transparently() {
     });
 }
 
-/// The degradation test on `GrowMap<String, u64>`, on both copy paths:
+/// The degradation test on `GrowMap<String, u64>`, in each copy mode:
 /// with every target allocation failing, `try_insert` errors once the
 /// first generation is full, while finds and in-place updates keep being
 /// served from it; lifting the failure lets the map grow again.
 #[test]
 fn string_table_degrades_and_recovers_on_allocation_failure() {
     const PREPARE: &str = "generic.prepare.alloc";
-    on_both_copy_paths("string-alloc-failure", |_| {
+    on_each_copy_mode("string-alloc-failure", |_| {
         let table: GrowMap<String, u64> = GrowMap::new(64);
         let mut handle = table.handle();
         configure(PREPARE, Action::FailAlloc, Trigger::Always);
@@ -501,17 +533,21 @@ fn abandoned_baseline_inflight_claim_is_repaired() {
 /// A thread dies immediately after retiring an erased key's allocation
 /// (the `qsbr.retire` point fires after the limbo push).  Its handle
 /// unregisters from the QSBR domain during unwinding, so the surviving
-/// participant alone must be able to drain the limbo list.
+/// participant alone must be able to drain the limbo list.  The keys were
+/// inserted across migrations, whose copies dereferenced them.
 #[test]
 fn qsbr_limbo_drains_after_eraser_thread_exit() {
-    serialized("qsbr-drain-after-exit", || {
-        let table: GrowMap<String, u64> = GrowMap::new(256);
+    on_each_copy_mode("qsbr-drain-after-exit", |mode| {
+        let table: GrowMap<String, u64> = GrowMap::new(32);
         {
             let mut handle = table.handle();
             for i in 0..100u64 {
                 assert!(handle.insert(&format!("k-{i}"), &i));
             }
         }
+        let log = table.migration_log();
+        assert!(!log.is_empty());
+        assert!(log.iter().all(|r| r.mode == mode.expected()), "{log:?}");
         configure("qsbr.retire", Action::ExitThread, Trigger::Once);
 
         std::thread::scope(|scope| {
@@ -624,7 +660,7 @@ fn generic_migration_thread_exit_leaks_nothing() {
         assert!(map.migrations_completed() >= 1);
     }
 
-    on_both_copy_paths("generic-thread-exit-leak", |_| {
+    on_each_copy_mode("generic-thread-exit-leak", |_| {
         // Warm-up: the schedule itself, once.  Besides the one-time lazy
         // allocations of maps, threads and the registry, that is its
         // unwind: with `RUST_BACKTRACE` set the panic hook symbolises the
@@ -672,7 +708,7 @@ fn stalled_block_owner_outlived_by_its_target_stops_quietly() {
         assert_eq!(hits(failpoint), 1);
     }
 
-    on_both_copy_paths("generic-stalled-owner", |_| {
+    on_each_copy_mode("generic-stalled-owner", |_| {
         let map: GrowMap<u64, u64> = GrowMap::new(64);
         with_one_stalled_owner("generic.block.claimed", |t| {
             let mut handle = map.handle();
@@ -688,7 +724,7 @@ fn stalled_block_owner_outlived_by_its_target_stops_quietly() {
         }
     });
 
-    on_both_copy_paths("string-stalled-owner", |_| {
+    on_each_copy_mode("string-stalled-owner", |_| {
         let map: GrowMap<String, u64> = GrowMap::new(64);
         with_one_stalled_owner("generic.block.claimed", |t| {
             let mut handle = map.handle();
@@ -710,85 +746,138 @@ fn stalled_block_owner_outlived_by_its_target_stops_quietly() {
 /// re-copied and the target **published, but not yet frozen** — a live
 /// table.  Re-probing every element of the block there, it would find the
 /// tombstone of a key erased in the meantime, walk past it and re-insert
-/// the key into the next empty cell.  The copier asks before each chunk's
-/// placement whether its lease is still live and the target unpublished,
-/// and stops.
+/// the key into the next empty cell.  The copier enters the placement gate
+/// before each chunk's placement, finds its lease completed by the
+/// rescuer, and stops.
 #[test]
 fn stalled_block_owner_does_not_resurrect_a_key_erased_from_the_published_target() {
+    on_each_copy_mode("generic-stalled-owner-erase", |mode| {
+        stalled_owner_then_erase(mode, "generic.block.claimed");
+    });
+}
+
+/// The late owner one step later still: it has entered the placement gate
+/// — its lease was live — and stalls between that check and its stores
+/// (`generic.place.chunk`).  The rescuer completes the block meanwhile and
+/// finalizes; without the gate the target is published, a key of the block
+/// erased from it, and the owner's stores, when it wakes, put the key back.
+/// The gate holds the publication until the owner has left it: its stores
+/// land in the unpublished target, where they repeat the rescuer's, and the
+/// erase comes after them.
+#[test]
+fn late_owner_stalled_inside_its_placement_cannot_resurrect_an_erased_key() {
+    on_each_copy_mode("generic-late-owner-placement", |mode| {
+        stalled_owner_then_erase(mode, "generic.place.chunk");
+    });
+}
+
+/// The schedule of the two tests above: a map of 128 cells, so that its
+/// first migration is one block and the stalled owner holds every key.  The
+/// owner leads that migration and sleeps at `failpoint`; the rescuer, once
+/// the owner sleeps, is drafted, finds no block left, runs out of patience
+/// and re-copies the owner's block, then erases one of its keys from the
+/// published target.  The key must stay erased, and the count exact.
+fn stalled_owner_then_erase(mode: CopyMode, failpoint: &str) {
     /// Longer than the rescue patience (10 ms) plus the rescuer's copy,
     /// publication and erase.
     const STALL_MS: u64 = 400;
 
-    on_both_copy_paths("generic-stalled-owner-erase", |locked| {
-        // 128 cells: one block, so the stalled owner holds every key.
-        let map: GrowMap<u64, u64> = GrowMap::new(32);
-        configure(
-            "generic.block.claimed",
-            Action::DelayMs(STALL_MS),
-            Trigger::Once,
-        );
-        let victim = 2u64;
-        let (owner_inserted, rescuer_inserted) = std::thread::scope(|scope| {
-            // The owner: inserts until its own growth trigger makes it the
-            // leader of the first migration; it claims block 0 and sleeps.
-            let owner = scope.spawn(|| {
-                let mut handle = map.handle();
-                let mut inserted = 0usize;
-                for key in victim.. {
-                    assert!(handle.insert(&key, &key));
-                    inserted += 1;
-                    if map.migrations_completed() >= 1 {
-                        break;
-                    }
+    let map: GrowMap<u64, u64> = GrowMap::new(32);
+    configure(failpoint, Action::DelayMs(STALL_MS), Trigger::Once);
+    let victim = 2u64;
+    let (owner_inserted, rescuer_inserted) = std::thread::scope(|scope| {
+        let owner = scope.spawn(|| {
+            let mut handle = map.handle();
+            let mut inserted = 0usize;
+            for key in victim.. {
+                assert!(handle.insert(&key, &key));
+                inserted += 1;
+                if map.migrations_completed() >= 1 {
+                    break;
                 }
-                inserted
-            });
-            // The rescuer: arrives once the owner sleeps, is drafted into
-            // the migration, finds no block left, runs out of patience and
-            // re-copies the owner's block; then erases one of its keys
-            // from the published target.
-            let rescuer = scope.spawn(|| {
-                while hits("generic.block.claimed") == 0 {
-                    std::thread::yield_now();
-                }
-                let mut handle = map.handle();
-                let mut inserted = 0usize;
-                for key in 1_000_000u64.. {
-                    if map.migrations_completed() >= 1 {
-                        break;
-                    }
-                    assert!(handle.insert(&key, &key));
-                    inserted += 1;
-                }
-                assert!(handle.erase(&victim), "the rescue lost the key");
-                assert_eq!(handle.find(&victim), None);
-                inserted
-            });
-            (owner.join().unwrap(), rescuer.join().unwrap())
+            }
+            inserted
         });
-        assert_eq!(hits("generic.block.claimed"), 1);
-        assert_eq!(
-            map.migrations_completed(),
-            1,
-            "a second migration hides the window"
-        );
-        let log = map.migration_log();
-        assert_eq!(log.len(), 1);
-        assert!(
-            log[0].rescued >= 1,
-            "the block was not rescued: {:?}",
-            log[0]
-        );
-        if locked {
-            assert_eq!(log[0].chunks_transactional, 0, "{:?}", log[0]);
-        }
+        let rescuer = scope.spawn(|| {
+            while hits(failpoint) == 0 {
+                std::thread::yield_now();
+            }
+            let mut handle = map.handle();
+            let mut inserted = 0usize;
+            for key in 1_000_000u64.. {
+                if map.migrations_completed() >= 1 {
+                    break;
+                }
+                assert!(handle.insert(&key, &key));
+                inserted += 1;
+            }
+            assert!(handle.erase(&victim), "the rescue lost the key");
+            assert_eq!(handle.find(&victim), None);
+            inserted
+        });
+        (owner.join().unwrap(), rescuer.join().unwrap())
+    });
+    assert_eq!(hits(failpoint), 1);
+    assert_eq!(
+        map.migrations_completed(),
+        1,
+        "a second migration hides the window"
+    );
+    let log = map.migration_log();
+    assert_eq!(log.len(), 1);
+    let record = &log[0];
+    assert!(record.rescued >= 1, "the block was not rescued: {record:?}");
+    assert_eq!(record.mode, mode.expected(), "{record:?}");
+    if mode == CopyMode::MarkingLocked {
+        assert_eq!(record.chunks_transactional, 0, "{record:?}");
+    }
 
+    let mut handle = map.handle();
+    assert_eq!(handle.find(&victim), None, "the late owner resurrected it");
+    assert_eq!(
+        map.size_exact_quiescent(),
+        owner_inserted + rescuer_inserted - 1
+    );
+}
+
+/// `GrowMap<String, u64>` and `GrowMap<String, [u64; 4]>` — boxed keys, and
+/// boxed values too — grow through several migrations that exclude their
+/// one writer, with erases in between, and the allocator is back to its
+/// baseline byte for byte once the map drops: no key or value box is
+/// leaked or freed twice by a copy that reads with plain loads.
+#[test]
+fn exclusive_string_migrations_are_allocator_exact() {
+    fn grow_and_drop<V>(value: impl Fn(u64) -> V)
+    where
+        V: growt_core::ValueRepr + PartialEq + std::fmt::Debug,
+    {
+        let map: GrowMap<String, V> = GrowMap::new(64);
         let mut handle = map.handle();
-        assert_eq!(handle.find(&victim), None, "the late owner resurrected it");
-        assert_eq!(
-            map.size_exact_quiescent(),
-            owner_inserted + rescuer_inserted - 1
-        );
+        for i in 0..5_000u64 {
+            assert!(handle.insert(&format!("ex-{i}"), &value(i)));
+            if i % 3 == 0 {
+                assert!(handle.erase(&format!("ex-{}", i / 2)));
+            }
+        }
+        let log = map.migration_log();
+        assert!(log.len() >= 2, "{log:?}");
+        for record in &log {
+            assert_eq!(record.mode, CopyMode::Exclusive.expected(), "{record:?}");
+            assert_eq!(record.chunks_transactional + record.chunks_locked, 0);
+        }
+        for i in (4_000..5_000u64).filter(|i| i % 7 == 1) {
+            assert_eq!(handle.find(&format!("ex-{i}")), Some(value(i)));
+        }
+        drop(handle);
+    }
+
+    serialized("exclusive-string-migrations", || {
+        // Warm-up: the one-time lazy allocations of the process.
+        grow_and_drop(|i| i);
+        let baseline = growt_alloc_track::current_bytes();
+        grow_and_drop(|i| i);
+        grow_and_drop(|i| [i, i + 1, i + 2, i + 3]);
+        assert_eq!(growt_alloc_track::current_bytes(), baseline);
     });
 }
 

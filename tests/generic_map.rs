@@ -17,6 +17,7 @@
 //! exactly (including duplicates inside one batch), and batches racing a
 //! live migration.
 
+use growt_repro::growt_core::{membarrier, GrowConfig, MigrationMode, MigrationRecord};
 use growt_repro::prelude::*;
 
 /// Smallest key index used by the suite (inline `u64` keys reserve the
@@ -364,22 +365,44 @@ generic_conformance! {
 // The per-migration phase record
 // ---------------------------------------------------------------------
 
-/// Chunks of 64 source cells in a migration whose every block was copied
-/// once: blocks are multiples of the chunk from 2^8 cells up, so it is the
-/// source's cells over 64.
-fn chunks_copied_once(record: &growt_repro::growt_core::MigrationRecord) -> usize {
-    assert_eq!(record.block_size % 64, 0, "{record:?}");
-    record.from_capacity.div_ceil(64)
+/// The mode a migration takes when no handle holds a write open for long:
+/// writers excluded wherever the kernel has the heavy barrier.
+fn unhindered_mode() -> MigrationMode {
+    if membarrier::available() {
+        MigrationMode::Exclusive
+    } else {
+        MigrationMode::Marking
+    }
+}
+
+/// The freeze passes of a migration whose every block was copied once:
+/// none in exclusive mode; marking, one per chunk of at most 64 cells of
+/// each block's range, where a range is moved to cluster boundaries and
+/// may wrap — so the source's cells over 64, plus at most two per block.
+fn check_chunks_of_one_copy(record: &MigrationRecord) {
+    let chunks = record.chunks_transactional + record.chunks_locked;
+    match record.mode {
+        MigrationMode::Exclusive => assert_eq!(chunks, 0, "{record:?}"),
+        MigrationMode::Marking => {
+            let least = record.from_capacity.div_ceil(64);
+            assert!(
+                (least..=least + 2 * record.blocks).contains(&chunks),
+                "{record:?}"
+            );
+        }
+    }
 }
 
 /// `insert_grow`'s table at one thread: 2^11 → 2^17 cells in six
 /// migrations.  The log holds one record per migration, the records chain,
 /// every migration is 8–16 leases of at most `migration_block` cells, the
-/// lone thread copied every block itself, and every chunk of every block
-/// went through one of the copier's two paths — the transactional one only
-/// where the CPU has it.
+/// lone thread copied every block itself, with nobody to exclude but
+/// itself every migration excluded writers (where the kernel has the heavy
+/// barrier) and so froze nothing.
 #[test]
 fn migration_log_records_every_phase_of_the_last_migrations() {
+    // The failpoint tests below would make these migrations mark.
+    let _serial = FAILPOINTS.lock().unwrap_or_else(|e| e.into_inner());
     let map: GrowMap<u64, u64> = GrowMap::new(1024);
     assert!(map.migration_log().is_empty());
     let mut handle = map.handle();
@@ -397,7 +420,7 @@ fn migration_log_records_every_phase_of_the_last_migrations() {
         assert_eq!(pair[0].generation + 1, pair[1].generation);
         assert!(pair[0].live < pair[1].live);
     }
-    let migration_block = growt_repro::growt_core::GrowConfig::default().migration_block;
+    let migration_block = GrowConfig::default().migration_block;
     for record in &log {
         assert!((8..=16).contains(&record.blocks), "{record:?}");
         assert!(record.block_size <= migration_block, "{record:?}");
@@ -407,14 +430,8 @@ fn migration_log_records_every_phase_of_the_last_migrations() {
         );
         assert_eq!(record.blocks_by_leader, record.blocks, "{record:?}");
         assert_eq!(record.rescued, 0, "{record:?}");
-        assert_eq!(
-            record.chunks_transactional + record.chunks_locked,
-            chunks_copied_once(record),
-            "{record:?}"
-        );
-        if !growt_repro::growt_htm::rtm::available() {
-            assert_eq!(record.chunks_transactional, 0, "{record:?}");
-        }
+        assert_eq!(record.mode, unhindered_mode(), "{record:?}");
+        check_chunks_of_one_copy(record);
         assert_eq!(record.longest_wait_ns, 0, "nobody waited: {record:?}");
         assert!(record.live > 0 && record.live as usize <= record.from_capacity);
         assert!(
@@ -477,11 +494,7 @@ fn migration_log_stays_ordered_with_two_writers() {
         // A rescue copies a block a second time, and stops its first
         // copier short.
         if record.rescued == 0 {
-            assert_eq!(
-                record.chunks_transactional + record.chunks_locked,
-                chunks_copied_once(record),
-                "{record:?}"
-            );
+            check_chunks_of_one_copy(record);
         }
     }
     assert_eq!(map.size_exact_quiescent(), 1 << 16);
@@ -497,7 +510,6 @@ fn migration_log_stays_ordered_with_two_writers() {
 #[test]
 fn growth_trigger_overshoots_by_at_most_a_sixteenth_with_two_writers() {
     use growt_repro::growt_core::count::flush_bound;
-    use growt_repro::growt_core::GrowConfig;
     const WRITERS: usize = 2;
 
     let map: GrowMap<u64, u64> = GrowMap::with_config(64, GrowConfig::default(), WRITERS);
@@ -524,32 +536,74 @@ fn growth_trigger_overshoots_by_at_most_a_sixteenth_with_two_writers() {
     assert_eq!(map.size_exact_quiescent(), 1 << 15);
 }
 
-// ---------------------------------------------------------------------
-// The block copier's locked path, on any CPU
-// ---------------------------------------------------------------------
-
-/// Where the CPU has RTM the suite above migrates inside transactions and
-/// reaches the locked instructions only through an abort.  With the
-/// `generic.copy.txn` failpoint refusing every transaction, the checks
-/// that migrate run once more on the locked path alone, and the log says
-/// that is what ran.  (The registry is process-global: tests running
-/// beside this one take the locked path too, which none of them minds.)
-#[cfg(feature = "failpoints")]
+/// A writer that holds its write open past the leader's patience — its
+/// `insert_or_update` closure sleeps — keeps that migration from excluding
+/// writers: it marks instead, and says so.  The sleeper's update lands
+/// once, on whichever generation it retries on, and nothing is lost.
 #[test]
-fn conformance_holds_on_the_locked_copy_path() {
-    use growt_failpoints::{configure, remove, Action, Trigger};
+fn a_writer_busy_past_the_patience_makes_the_migration_mark() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
 
-    fn migrating_checks<F: Fixture>() {
-        concurrent_inserts_across_migrations::<F>();
-        upsert_atomicity::<F>();
-        batches_race_migration::<F>();
+    // The failpoint tests below would make this migration mark anyway.
+    let _serial = FAILPOINTS.lock().unwrap_or_else(|e| e.into_inner());
+    let map: GrowMap<u64, u64> = GrowMap::with_config(64, GrowConfig::default(), 2);
+    map.handle().insert(&BASE, &0);
+    let sleeping = AtomicBool::new(false);
+    let slept = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut handle = map.handle();
+            handle.insert_or_update(&BASE, &0, |v| {
+                if !slept.swap(true, Ordering::SeqCst) {
+                    sleeping.store(true, Ordering::SeqCst);
+                    std::thread::sleep(Duration::from_millis(50));
+                }
+                v + 1
+            });
+        });
+        scope.spawn(|| {
+            while !sleeping.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            let mut handle = map.handle();
+            let mut key = BASE + 1;
+            while map.migrations_completed() == 0 {
+                assert!(handle.insert(&key, &key));
+                key += 1;
+            }
+        });
+    });
+    let first = &map.migration_log()[0];
+    assert_eq!(first.mode, MigrationMode::Marking, "{first:?}");
+    if membarrier::available() {
+        // It waited out its patience before giving up.
+        assert!(first.quiesce_ns >= 2_000_000, "{first:?}");
     }
+    let mut handle = map.handle();
+    assert_eq!(handle.find(&BASE), Some(1));
+    let inserted = map.size_exact_quiescent() as u64 - 1;
+    for key in BASE + 1..=BASE + inserted {
+        assert_eq!(handle.find(&key), Some(key));
+    }
+}
 
-    configure("generic.copy.txn", Action::FailAlloc, Trigger::Always);
-    migrating_checks::<InlineInline>();
-    migrating_checks::<BoxedKey>();
-    migrating_checks::<BoxedValue>();
+// ---------------------------------------------------------------------
+// The marking copy, and its locked path, on any CPU and kernel
+// ---------------------------------------------------------------------
 
+/// The checks of the suite above that migrate.
+#[cfg(feature = "failpoints")]
+fn migrating_checks<F: Fixture>() {
+    concurrent_inserts_across_migrations::<F>();
+    upsert_atomicity::<F>();
+    batches_race_migration::<F>();
+}
+
+/// `insert_grow`'s table at one thread, each of whose six records must
+/// satisfy `check`.
+#[cfg(feature = "failpoints")]
+fn six_migrations(check: impl Fn(&MigrationRecord)) {
     let map: GrowMap<u64, u64> = GrowMap::new(1024);
     let mut handle = map.handle();
     for key in 0..1u64 << 16 {
@@ -558,13 +612,60 @@ fn conformance_holds_on_the_locked_copy_path() {
     drop(handle);
     let log = map.migration_log();
     assert_eq!(log.len(), 6);
-    for record in &log {
-        assert_eq!(record.chunks_transactional, 0, "{record:?}");
-        assert_eq!(
-            record.chunks_locked,
-            chunks_copied_once(record),
-            "{record:?}"
-        );
-    }
-    remove("generic.copy.txn");
+    log.iter().for_each(check);
 }
+
+/// With the `generic.membarrier` failpoint saying the heavy barrier is not
+/// there, every migration marks — freezing inside transactions where the
+/// CPU has RTM — and the checks that migrate hold.  (The registry is
+/// process-global: tests running beside this one mark too, which none of
+/// them minds.)  Serialized with the locked-path run below, which sets the
+/// same failpoint.
+#[cfg(feature = "failpoints")]
+#[test]
+fn conformance_holds_when_migrations_mark() {
+    use growt_failpoints::{configure, remove, Action, Trigger};
+
+    let _serial = FAILPOINTS.lock().unwrap_or_else(|e| e.into_inner());
+    configure("generic.membarrier", Action::FailAlloc, Trigger::Always);
+    migrating_checks::<InlineInline>();
+    migrating_checks::<BoxedKey>();
+    migrating_checks::<BoxedValue>();
+    six_migrations(|record| {
+        assert_eq!(record.mode, MigrationMode::Marking, "{record:?}");
+        check_chunks_of_one_copy(record);
+        if !growt_repro::growt_htm::rtm::available() {
+            assert_eq!(record.chunks_transactional, 0, "{record:?}");
+        }
+    });
+    remove("generic.membarrier");
+}
+
+/// Where the CPU has RTM a marking migration freezes inside transactions
+/// and reaches the locked instructions only through an abort.  With the
+/// `generic.copy.txn` failpoint refusing every transaction as well, the
+/// checks that migrate run once more on the locked path alone, and the log
+/// says that is what ran.
+#[cfg(feature = "failpoints")]
+#[test]
+fn conformance_holds_on_the_locked_copy_path() {
+    use growt_failpoints::{configure, remove, Action, Trigger};
+
+    let _serial = FAILPOINTS.lock().unwrap_or_else(|e| e.into_inner());
+    configure("generic.membarrier", Action::FailAlloc, Trigger::Always);
+    configure("generic.copy.txn", Action::FailAlloc, Trigger::Always);
+    migrating_checks::<InlineInline>();
+    migrating_checks::<BoxedKey>();
+    migrating_checks::<BoxedValue>();
+    six_migrations(|record| {
+        assert_eq!(record.mode, MigrationMode::Marking, "{record:?}");
+        assert_eq!(record.chunks_transactional, 0, "{record:?}");
+        check_chunks_of_one_copy(record);
+    });
+    remove("generic.copy.txn");
+    remove("generic.membarrier");
+}
+
+/// Serializes the tests that configure the `generic.membarrier` failpoint
+/// with the one that needs a migration to try excluding writers.
+static FAILPOINTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
