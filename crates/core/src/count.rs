@@ -9,16 +9,16 @@
 //! live size.
 //!
 //! The threshold is drawn from `1..=`[`flush_bound`]`(p, capacity)` =
-//! `min(2·p, capacity / (16·p))`, at least 1.  `2·p`: Θ(p), as the paper
-//! asks — at `p = 2` a handle flushes every 2.5 inserts on average; larger
-//! multiples make the typical insert a little quicker still, but the
-//! growth pause does not shrink with them, and on a CPU without RTM its
-//! share of an insert workload's time then grows past the benchmark's
-//! bound (EXPERIMENTS.md "Open findings", PR 25).  `capacity / (16·p)`: each of
-//! `p` handles buffers fewer than that many operations, so `I` trails the
-//! true count by less than `capacity / 16` and a 0.6 growth trigger fires
-//! by a load of 0.66 at the latest — which also keeps a 64-cell table from
-//! buffering its way into `Full` (DESIGN.md §8).
+//! `min(64·p, capacity / (16·p))`, at least 1.  `64·p`: Θ(p), as the
+//! paper asks, with a constant that makes the flush's locked `fetch_add`
+//! — a transfer of the counter's line between cores — a small share of an
+//! insert (at `p = 2`, one flush per 64.5 operations on average).
+//! `capacity / (16·p)`: each of `p` handles buffers fewer than that many
+//! operations, so `I` trails the true count by less than `capacity / 16`
+//! and a 0.6 growth trigger fires by a load of 0.66 at the latest — which
+//! also keeps a 64-cell table from buffering its way into `Full`.  On the
+//! small generations of a growing table the second term is the smaller
+//! one; the first takes over from `capacity = 1024·p²` on (DESIGN.md §8).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -78,14 +78,14 @@ impl GlobalCount {
     }
 }
 
-/// Flush threshold ceiling per thread: the `2·p` of the module docs.
-const FLUSHES_PER_THREAD: usize = 2;
+/// Flush threshold ceiling per thread: the `64·p` of the module docs.
+const FLUSHES_PER_THREAD: usize = 64;
 /// The growth trigger overshoots by at most `capacity / OVERSHOOT_DIVISOR`.
 const OVERSHOOT_DIVISOR: usize = 16;
 
 /// Ceiling of the randomized flush threshold of a handle on a generation of
 /// `capacity` cells in a table used by about `threads` threads:
-/// `min(2·p, capacity / (16·p))`, at least 1 (module docs).
+/// `min(64·p, capacity / (16·p))`, at least 1 (module docs).
 pub fn flush_bound(threads: usize, capacity: usize) -> u32 {
     let p = threads.clamp(1, u16::MAX as usize);
     (FLUSHES_PER_THREAD * p)
@@ -122,7 +122,7 @@ impl LocalCount {
         counter
     }
 
-    /// A counter tied to no generation's size: the `2·p` bound alone.
+    /// A counter tied to no generation's size: the `64·p` bound alone.
     pub fn new(threads: usize, seed: u64) -> Self {
         Self::for_generation(threads, usize::MAX, seed)
     }
@@ -176,9 +176,13 @@ impl LocalCount {
         (i, global.deletions())
     }
 
-    /// Number of operations currently buffered locally.
-    pub fn pending(&self) -> u32 {
-        self.pending_insertions + self.pending_deletions
+    /// The live-size estimate `I − D` as the owner of this counter sees it:
+    /// the global figures with its own buffered insertions and deletions
+    /// added.  What it still misses are the other handles' buffers, fewer
+    /// than `flush_bound` operations each.
+    pub fn live_estimate(&self, global: &GlobalCount) -> u64 {
+        (global.insertions() + u64::from(self.pending_insertions))
+            .saturating_sub(global.deletions() + u64::from(self.pending_deletions))
     }
 }
 
@@ -207,7 +211,10 @@ mod tests {
                 }
             }
         }
-        assert_eq!(LocalCount::new(2, 7).threshold_bound, 4);
+        assert_eq!(
+            LocalCount::new(2, 7).threshold_bound,
+            flush_bound(2, usize::MAX)
+        );
         assert_eq!(flush_bound(2, 64), 2);
     }
 

@@ -34,7 +34,9 @@
 //!   concurrent probe can dereference freed memory.  Within one
 //!   operation a handle never quiesces, which also makes the
 //!   read–derive–CAS update loop ABA-safe: the old value pointer cannot
-//!   be freed and reallocated while the updater still holds it.
+//!   be freed and reallocated while the updater still holds it.  A map
+//!   whose keys and values are both inline retires nothing, and its
+//!   handles take no part in the domain at all.
 //!
 //! Growth is not reimplemented here: [`GenericInner`]'s [`GrowProtocol`]
 //! impl instantiates the shared coordinator with a block copy that
@@ -471,17 +473,23 @@ impl<'k, K: KeyRepr> Probe<'k, K> {
 /// freed on drop — including an unwind out of a migration help call or an
 /// injected fault — so a crashed operation never leaks them.  Publishing
 /// the cell transfers ownership to the table ([`PendingCell::published`]).
+///
+/// A word is 0 while nothing is allocated for it (a packed reference is
+/// at least 2⁴⁸, a box pointer is never null).  An inline key or value
+/// never allocates, so every access to its word sits behind its `INLINE`
+/// constant and the inline instantiation tests no flag, on publication or
+/// on drop.
 struct PendingCell<K: KeyRepr, V: ValueRepr> {
-    key_word: Option<u64>,
-    value_word: Option<u64>,
+    key_word: u64,
+    value_word: u64,
     _marker: PhantomData<(K, V)>,
 }
 
 impl<K: KeyRepr, V: ValueRepr> PendingCell<K, V> {
     fn new() -> Self {
         PendingCell {
-            key_word: None,
-            value_word: None,
+            key_word: 0,
+            value_word: 0,
             _marker: PhantomData,
         }
     }
@@ -490,43 +498,47 @@ impl<K: KeyRepr, V: ValueRepr> PendingCell<K, V> {
     #[inline]
     fn key_word(&mut self, probe: &Probe<'_, K>) -> u64 {
         if K::INLINE {
-            probe.word_or_sig
-        } else {
-            *self.key_word.get_or_insert_with(|| {
-                pack_keyref(probe.word_or_sig, probe.key.store(probe.hash, Sealed))
-            })
+            return probe.word_or_sig;
         }
+        if self.key_word == 0 {
+            self.key_word = pack_keyref(probe.word_or_sig, probe.key.store(probe.hash, Sealed));
+        }
+        self.key_word
     }
 
     /// The value word to publish, allocating the value box at most once.
     #[inline]
     fn value_word(&mut self, value: &V) -> u64 {
         if V::INLINE {
-            value.encode_inline()
-        } else {
-            *self
-                .value_word
-                .get_or_insert_with(|| Box::into_raw(Box::new(value.clone())) as u64)
+            return value.encode_inline();
         }
+        if self.value_word == 0 {
+            self.value_word = Box::into_raw(Box::new(value.clone())) as u64;
+        }
+        self.value_word
     }
 
     /// The claim CAS won: the table owns both allocations now.
     #[inline]
     fn published(&mut self) {
-        self.key_word = None;
-        self.value_word = None;
+        if !K::INLINE {
+            self.key_word = 0;
+        }
+        if !V::INLINE {
+            self.value_word = 0;
+        }
     }
 }
 
 impl<K: KeyRepr, V: ValueRepr> Drop for PendingCell<K, V> {
     fn drop(&mut self) {
-        if let Some(word) = self.key_word.take() {
+        if !K::INLINE && self.key_word != 0 {
             // SAFETY: allocated by this operation and never published.
-            unsafe { K::free_stored(stored_ptr(word), Sealed) };
+            unsafe { K::free_stored(stored_ptr(self.key_word), Sealed) };
         }
-        if let Some(word) = self.value_word.take() {
+        if !V::INLINE && self.value_word != 0 {
             // SAFETY: allocated by this operation and never published.
-            unsafe { drop(Box::from_raw(word as *mut V)) };
+            unsafe { drop(Box::from_raw(self.value_word as *mut V)) };
         }
     }
 }
@@ -1403,12 +1415,19 @@ pub struct GrowMapHandle<'a, K: KeyRepr, V: ValueRepr> {
     inner: &'a GenericInner<K, V>,
     cached: CachedArc<GenericArray<K, V>>,
     local: LocalCount,
-    qsbr: QsbrParticipant,
+    /// The handle's place in the QSBR domain: only where the map can
+    /// retire something ([`GrowMapHandle::RECLAIMS`]).
+    qsbr: Option<QsbrParticipant>,
     since_quiesce: u32,
     busy: Arc<BusyFlag>,
 }
 
 impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
+    /// `false` when keys and values are both inline: no operation allocates
+    /// out of line, so nothing is ever retired, no handle registers with
+    /// the QSBR domain and [`GrowMapHandle::op_done`] compiles to nothing.
+    const RECLAIMS: bool = !(K::INLINE && V::INLINE);
+
     #[inline]
     fn new(inner: &'a GenericInner<K, V>) -> Self {
         let seed = inner.handle_seed.fetch_add(0x9E37_79B9, Ordering::Relaxed);
@@ -1418,7 +1437,7 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
         GrowMapHandle {
             local: LocalCount::for_generation(inner.threads_hint, cached.cached().capacity, seed),
             cached,
-            qsbr: inner.domain.register(),
+            qsbr: Self::RECLAIMS.then(|| inner.domain.register()),
             since_quiesce: 0,
             busy,
             inner,
@@ -1498,11 +1517,21 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
     /// allocations.
     #[inline]
     fn op_done(&mut self) {
+        if !Self::RECLAIMS {
+            return;
+        }
         self.since_quiesce += 1;
         if self.since_quiesce >= QUIESCE_INTERVAL {
-            self.since_quiesce = 0;
-            self.qsbr.quiescent();
+            self.quiesce();
         }
+    }
+
+    /// The handle's participant, which a map that retires always has.
+    #[inline]
+    fn qsbr(&self) -> &QsbrParticipant {
+        self.qsbr
+            .as_ref()
+            .expect("a handle of a map that retires is registered")
     }
 
     /// Handle a successful insertion: update the approximate count and
@@ -1541,11 +1570,11 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
     #[inline]
     fn retire_erased(&mut self, key_word: u64, value_word: u64) {
         if !K::INLINE {
-            self.qsbr
+            self.qsbr()
                 .retire(RetiredKey::<K>(stored_ptr(key_word), PhantomData));
         }
         if !V::INLINE {
-            self.qsbr.retire(RetiredValue::<V>(value_word as *mut V));
+            self.qsbr().retire(RetiredValue::<V>(value_word as *mut V));
         }
     }
 
@@ -1553,7 +1582,7 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
     #[inline]
     fn retire_updated(&mut self, displaced: Option<u64>) {
         if let Some(word) = displaced {
-            self.qsbr.retire(RetiredValue::<V>(word as *mut V));
+            self.qsbr().retire(RetiredValue::<V>(word as *mut V));
         }
     }
 
@@ -1787,15 +1816,25 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
     }
 
     /// Announce a quiescent state immediately (also runs automatically
-    /// every [`QUIESCE_INTERVAL`] operations).
+    /// every [`QUIESCE_INTERVAL`] operations).  Nothing to announce where
+    /// keys and values are inline.
     pub fn quiesce(&mut self) {
-        self.since_quiesce = 0;
-        self.qsbr.quiescent();
+        if let Some(qsbr) = &self.qsbr {
+            self.since_quiesce = 0;
+            qsbr.quiescent();
+        }
     }
 
-    /// Approximate number of live elements.
+    /// Approximate number of live elements: the shared count (§5.2) plus
+    /// this handle's own buffered insertions, minus its buffered
+    /// deletions.  Exact for a lone handle; with `p` handles it misses
+    /// the others' buffers, fewer than `(p − 1) ·`
+    /// [`flush_bound`](crate::count::flush_bound) operations.
     pub fn size_estimate(&mut self) -> usize {
-        self.inner.counts.live_estimate() as usize
+        // Buffered counts of an already migrated generation are void: the
+        // migration counted its elements exactly.  The refresh drops them.
+        Self::array_ref(&mut self.cached, &mut self.local, self.inner);
+        self.local.live_estimate(&self.inner.counts) as usize
     }
 
     /// Flush the handle's buffered counter contributions.
@@ -1991,6 +2030,62 @@ mod tests {
         // Quiescing the only handle reclaims every retired allocation.
         h.quiesce();
         assert_eq!(map.pending_reclamation(), 0);
+    }
+
+    /// A lone handle's estimate counts what it has buffered: exact after
+    /// every insert and erase, across growth, with no flush.
+    #[test]
+    fn a_lone_handle_estimates_exactly_without_a_flush() {
+        let map: GrowMap<u64, u64> = GrowMap::with_config(1 << 12, GrowConfig::default(), 2);
+        let mut h = map.handle();
+        let mut live = 0;
+        for i in 0..20_000u64 {
+            assert!(h.insert(&(i + 2), &i));
+            live += 1;
+            if i % 3 == 0 {
+                assert!(h.erase(&(i / 3 + 2)));
+                live -= 1;
+            }
+            assert_eq!(h.size_estimate(), live, "after key {i}");
+        }
+        assert!(map.migrations_completed() > 0, "never migrated");
+    }
+
+    /// Inline keys and values retire nothing, so their handles neither
+    /// register with the QSBR domain nor count operations towards an
+    /// announcement; boxed keys still do, and their erases drain.
+    #[test]
+    fn only_maps_that_retire_take_part_in_reclamation() {
+        let words: GrowMap<u64, u64> = tiny();
+        let mut h = words.handle();
+        for i in 0..1000u64 {
+            h.insert(&(i + 2), &i);
+            h.insert_or_update(&(i + 2), &0, |v| v + 1);
+            assert_eq!(h.find(&(i + 2)), Some(i + 1));
+        }
+        for i in 0..500u64 {
+            assert!(h.erase(&(i + 2)));
+        }
+        h.quiesce();
+        assert!(h.qsbr.is_none(), "an inline map's handle registered");
+        assert_eq!(h.since_quiesce, 0, "an inline map's handle ticked");
+
+        let strings: GrowMap<String, u64> = tiny();
+        let mut h = strings.handle();
+        assert!(h.qsbr.is_some());
+        for i in 0..1000u64 {
+            h.insert(&format!("k-{i}"), &i);
+        }
+        for i in 0..500u64 {
+            assert!(h.erase(&format!("k-{i}")));
+        }
+        // The erases since the last announcement wait in limbo until the
+        // next one, which ordinary operations bring.
+        assert!(strings.pending_reclamation() > 0);
+        for i in 0..QUIESCE_INTERVAL {
+            h.find(&format!("k-{i}"));
+        }
+        assert_eq!(strings.pending_reclamation(), 0, "limbo did not drain");
     }
 
     #[test]

@@ -1021,9 +1021,16 @@ impl<'a> GrowHandle<'a> {
         succeeded
     }
 
-    /// Approximate number of live elements.
+    /// Approximate number of live elements: the shared count (§5.2) plus
+    /// this handle's own buffered insertions, minus its buffered
+    /// deletions.  Exact for a lone handle; with `p` handles it misses
+    /// the others' buffers, fewer than `(p − 1) ·`
+    /// [`flush_bound`](crate::count::flush_bound) operations.
     pub fn size_estimate(&mut self) -> usize {
-        self.inner.counts.live_estimate() as usize
+        // Buffered counts of an already migrated generation are void: the
+        // migration counted its elements exactly.  The refresh drops them.
+        Self::table_ref(&mut self.cached, &mut self.local, self.inner);
+        self.local.live_estimate(&self.inner.counts) as usize
     }
 
     /// Flush the handle's buffered counter contributions.
@@ -1095,6 +1102,27 @@ mod tests {
                 (estimate as i64 - n as i64).abs() <= 64,
                 "{name}: estimate {estimate} vs {n}"
             );
+        }
+    }
+
+    /// A lone handle's estimate counts what it has buffered: exact after
+    /// every insert and erase, across growth, with no flush.
+    #[test]
+    fn a_lone_handle_estimates_exactly_without_a_flush() {
+        for (name, opts) in all_variants() {
+            let table = GrowingTable::with_options(1 << 12, opts);
+            let mut handle = table.handle();
+            let mut live = 0;
+            for i in 0..20_000u64 {
+                assert!(handle.insert(i + 2, i), "{name}");
+                live += 1;
+                if i % 3 == 0 {
+                    assert!(handle.erase(i / 3 + 2), "{name}");
+                    live -= 1;
+                }
+                assert_eq!(handle.size_estimate(), live, "{name}: after key {i}");
+            }
+            assert!(table.migrations_completed() > 0, "{name}: never migrated");
         }
     }
 

@@ -77,13 +77,15 @@ fn settled_bytes() -> u64 {
 }
 
 /// Allocator calls made while one handle inserts `keys` into a map that
-/// starts at 16 cells, and the migrations that took.
+/// starts at 16 cells, and the migrations that took.  The values are boxed
+/// but zero-sized: a box of nothing allocates nothing, and a map with boxed
+/// values keeps the QSBR bookkeeping whatever its key type.
 fn allocations_to_insert<K: KeyRepr>(keys: &[K]) -> (u64, u64) {
     let before = growt_alloc_track::allocation_count();
-    let map: GrowMap<K, u64> = GrowMap::new(16);
+    let map: GrowMap<K, [u64; 0]> = GrowMap::new(16);
     let mut h = map.handle();
     for key in keys {
-        assert!(h.insert(key, &7));
+        assert!(h.insert(key, &[]));
     }
     drop(h);
     let calls = growt_alloc_track::allocation_count() - before;

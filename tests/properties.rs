@@ -280,15 +280,16 @@ proptest! {
 
     /// With `p` handles on a generation of `capacity` cells the approximate
     /// counter never under-estimates by more than `capacity / 16` (nor by
-    /// more than `p · 2p`), and is exact after all handles flush.
+    /// more than `p` flush bounds), and is exact after all handles flush.
     #[test]
     fn approximate_count_error_bound(
         p in 1usize..16,
         log2_capacity in 6u32..22,
         per_handle in 1usize..200,
     ) {
-        use growt_core::count::{GlobalCount, LocalCount};
+        use growt_core::count::{flush_bound, GlobalCount, LocalCount};
         let capacity = 1usize << log2_capacity;
+        let buffered = p * flush_bound(p, capacity) as usize;
         let global = GlobalCount::new();
         let mut locals: Vec<LocalCount> = (0..p)
             .map(|i| LocalCount::for_generation(p, capacity, i as u64 + 1))
@@ -299,7 +300,7 @@ proptest! {
                 local.record_insertion(&global);
                 truth += 1;
                 let estimate = global.insertions();
-                prop_assert!(truth - estimate <= (capacity / 16).min(2 * p * p) as u64,
+                prop_assert!(truth - estimate <= (capacity / 16).min(buffered) as u64,
                     "round {round}: estimate {estimate}, truth {truth}");
             }
         }
