@@ -575,6 +575,12 @@ enum MapErase {
     Migrating,
 }
 
+/// Cells a plain inline insert reads at once before its probe loop
+/// ([`GenericArray::claim_in_window`]).  Measured on `insert_grow`: 2
+/// inserts slower, 4 no faster at a higher median latency, 8 loses most
+/// of the gain (EXPERIMENTS.md, "the three-cell insert window").
+const INSERT_WINDOW: usize = 3;
+
 /// One table generation: a power-of-two array of word-table cells whose
 /// words are interpreted through `K`'s and `V`'s representations.  The
 /// array never owns the out-of-line allocations (they outlive
@@ -647,7 +653,17 @@ impl<K: KeyRepr, V: ValueRepr> GenericArray<K, V> {
         pending: &mut PendingCell<K, V>,
     ) -> MapOutcome {
         let mut index = self.home_cell(probe.hash);
-        for _ in 0..self.probe_limit() {
+        let mut probes = self.probe_limit();
+        if K::INLINE && update.is_none() {
+            match self.claim_in_window(probe, value, index, pending) {
+                Ok(()) => return MapOutcome::Inserted,
+                Err(skipped) => {
+                    index = (index + skipped) & (self.capacity - 1);
+                    probes = probes.saturating_sub(skipped);
+                }
+            }
+        }
+        for _ in 0..probes {
             let cell = &self.cells[index];
             loop {
                 let (k, v) = cell.read();
@@ -683,6 +699,46 @@ impl<K: KeyRepr, V: ValueRepr> GenericArray<K, V> {
             index = (index + 1) & (self.capacity - 1);
         }
         MapOutcome::Full
+    }
+
+    /// A plain inline insert's first step (DESIGN.md §14): read the key
+    /// words of the [`INSERT_WINDOW`] cells from `home` as independent
+    /// loads, take the first that ends the probe — empty, this key, or
+    /// marked — and claim it if it is empty.  The probe's exit becomes an
+    /// index computed from the loads instead of a branch waiting on each of
+    /// them.  `Err(skipped)` leaves every other outcome to the probe loop,
+    /// which resumes `skipped` cells past `home`: at the ending cell, at a
+    /// lost claim, or past the window when nothing in it ends the probe.
+    #[inline]
+    fn claim_in_window(
+        &self,
+        probe: &Probe<'_, K>,
+        value: &V,
+        home: usize,
+        pending: &mut PendingCell<K, V>,
+    ) -> Result<(), usize> {
+        let mask = self.capacity - 1;
+        let (mut ends, mut empty) = (0u32, 0u32);
+        for i in 0..INSERT_WINDOW {
+            let k = self.cells[(home + i) & mask].load_key();
+            ends |= u32::from((k == EMPTY_KEY) | (k == probe.word_or_sig) | is_marked(k)) << i;
+            empty |= u32::from(k == EMPTY_KEY) << i;
+        }
+        if ends == 0 {
+            return Err(INSERT_WINDOW);
+        }
+        let first = ends.trailing_zeros() as usize;
+        if empty >> first & 1 == 0 {
+            return Err(first);
+        }
+        let new = (pending.key_word(probe), pending.value_word(value));
+        match self.cells[(home + first) & mask].cas_pair((EMPTY_KEY, 0), new) {
+            Ok(()) => {
+                pending.published();
+                Ok(())
+            }
+            Err(_) => Err(first),
+        }
     }
 
     /// Replace the value of an existing key (no insertion).
@@ -1917,6 +1973,7 @@ impl<K: KeyRepr, V: ValueRepr> GenericMapHandle<K, V> for GrowMapHandle<'_, K, V
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{HashMap, HashSet};
 
     fn tiny<K: KeyRepr, V: ValueRepr>() -> GrowMap<K, V> {
         GrowMap::with_config(16, GrowConfig::default(), 4)
@@ -2109,6 +2166,232 @@ mod tests {
         assert_eq!(successes.load(Ordering::Relaxed), 3_000);
         assert_eq!(map.size_exact_quiescent(), 3_000);
         assert!(map.migrations_completed() > 0);
+    }
+
+    // -- the insert window --------------------------------------------------
+
+    /// A `GrowMap<u64, u64>` of exactly `capacity` cells that does not grow
+    /// below load 0.9.
+    fn presized(capacity: usize, threads: usize) -> GrowMap<u64, u64> {
+        let grow = GrowConfig {
+            grow_threshold: 0.9,
+            ..GrowConfig::default()
+        };
+        let map = GrowMap::with_config(capacity / 2, grow, threads);
+        assert_eq!(map.current_capacity(), capacity);
+        map
+    }
+
+    /// The `n` smallest keys whose home is one of the cells `homes`.
+    fn keys_homed_in(capacity: usize, homes: std::ops::Range<usize>, n: usize) -> Vec<u64> {
+        (2u64..)
+            .filter(|&k| homes.contains(&scale_to_capacity(hash_key(k), capacity)))
+            .take(n)
+            .collect()
+    }
+
+    /// Every cell of the current generation as `(key word, value word)`.
+    fn cell_words(map: &GrowMap<u64, u64>) -> Vec<(u64, u64)> {
+        map.inner
+            .current
+            .with_current(|a| a.cells.iter().map(Cell::read).collect())
+    }
+
+    /// Scan the array: no cell is marked, every live key sits at most once
+    /// with its value and with no empty cell between its home and its cell
+    /// (the linear-probing invariant), the live keys are exactly `live`,
+    /// and each of them is found.
+    fn assert_probing_invariant(map: &GrowMap<u64, u64>, live: &HashMap<u64, u64>) {
+        let cells = cell_words(map);
+        let mask = cells.len() - 1;
+        let mut seen = HashSet::new();
+        for (at, &(k, v)) in cells.iter().enumerate() {
+            assert!(!is_marked(k), "cell {at} is marked");
+            if k <= DEL_KEY {
+                continue;
+            }
+            assert!(seen.insert(k), "key {k} is stored twice");
+            assert_eq!(live.get(&k), Some(&v), "key {k} in cell {at}");
+            let home = scale_to_capacity(hash_key(k), cells.len());
+            let mut i = home;
+            while i != at {
+                assert_ne!(
+                    cells[i].0, EMPTY_KEY,
+                    "empty cell {i} between key {k}'s home {home} and its cell {at}"
+                );
+                i = (i + 1) & mask;
+            }
+        }
+        assert_eq!(seen.len(), live.len(), "live keys missing from the array");
+        let mut h = map.handle();
+        for (k, v) in live {
+            assert_eq!(h.find(k), Some(*v), "key {k}");
+        }
+    }
+
+    /// Inserting every live key again returns `false` and stores nothing.
+    fn assert_reinserts_store_nothing(map: &GrowMap<u64, u64>, live: &HashMap<u64, u64>) {
+        let before = cell_words(map);
+        let mut h = map.handle();
+        for k in live.keys() {
+            assert!(!h.insert(k, &0), "key {k} inserted twice");
+        }
+        assert!(cell_words(map) == before, "a present key's insert wrote");
+    }
+
+    /// Presized tables of 8 to 2¹² cells filled to load 0.6 through the
+    /// window: a crowd of keys homed in the last three cells makes windows
+    /// wrap, and an erase phase leaves tombstones inside windows.  After
+    /// each phase the linear-probing invariant holds and present keys
+    /// insert nothing.
+    #[test]
+    fn the_insert_window_keeps_linear_probing_across_wraps_and_tombstones() {
+        for capacity in (3..=12).map(|b| 1usize << b) {
+            let map = presized(capacity, 2);
+            let mut h = map.handle();
+            let mut live = HashMap::new();
+            let full = capacity * 6 / 10;
+            let crowd = keys_homed_in(
+                capacity,
+                capacity - 3..capacity,
+                (capacity / 8).clamp(3, 16),
+            );
+            let mut others = (2u64..).filter(|k| !crowd.contains(k));
+            let insert = |h: &mut GrowMapHandle<'_, u64, u64>, live: &mut HashMap<_, _>, k| {
+                assert!(h.insert(&k, &(k * 7)), "key {k} was absent");
+                live.insert(k, k * 7);
+            };
+            for &k in &crowd {
+                insert(&mut h, &mut live, k);
+            }
+            while live.len() < capacity * 3 / 10 {
+                insert(&mut h, &mut live, others.next().unwrap());
+            }
+            assert_probing_invariant(&map, &live);
+            assert_reinserts_store_nothing(&map, &live);
+
+            let mut erased: Vec<u64> = live
+                .keys()
+                .copied()
+                .filter(|&k| k % 3 == 0 || k == crowd[0])
+                .collect();
+            erased.sort_unstable();
+            for k in &erased {
+                assert!(h.erase(k));
+                live.remove(k);
+            }
+            assert_probing_invariant(&map, &live);
+
+            // Tombstones fill cells, so the load counts them.
+            let mut used = live.len() + erased.len();
+            for &k in erased.iter().take(2) {
+                insert(&mut h, &mut live, k);
+                used += 1;
+            }
+            while used < full {
+                insert(&mut h, &mut live, others.next().unwrap());
+                used += 1;
+            }
+            assert_probing_invariant(&map, &live);
+            assert_reinserts_store_nothing(&map, &live);
+            assert_eq!(map.migrations_completed(), 0, "{capacity} cells grew");
+        }
+    }
+
+    /// A marked cell ends the window: an insert whose first ending cell is
+    /// marked reports `Migrating` even with an empty cell right behind it,
+    /// and a window with no ending cell hands the probe on past itself.
+    #[test]
+    fn a_marked_cell_in_the_window_reports_migrating() {
+        let capacity = 64;
+        let homed = keys_homed_in(capacity, 10..11, 3);
+        let array = GenericArray::<u64, u64>::new(capacity, 1);
+        let insert = |k: u64| {
+            let mut pending = PendingCell::new();
+            array.upsert(&Probe::new(&k), &k, None::<&fn(&u64) -> u64>, &mut pending)
+        };
+        assert!(matches!(insert(homed[0]), MapOutcome::Inserted));
+        assert!(matches!(insert(homed[1]), MapOutcome::Inserted));
+        array.cells[11].mark_for_migration();
+        assert!(matches!(insert(homed[2]), MapOutcome::Migrating));
+        assert_eq!(array.cells[12].load_key(), EMPTY_KEY);
+
+        // Cells 20..=22 hold other keys and 23 a tombstone: the window ends
+        // nowhere, and the loop claims cell 24.
+        let behind = keys_homed_in(capacity, 20..21, 5);
+        for &k in &behind[..4] {
+            assert!(matches!(insert(k), MapOutcome::Inserted));
+        }
+        assert!(matches!(
+            array.erase(&Probe::new(&behind[3])),
+            MapErase::Erased { .. }
+        ));
+        assert!(matches!(insert(behind[4]), MapOutcome::Inserted));
+        assert_eq!(array.cells[24].load_key(), behind[4]);
+    }
+
+    /// Two threads insert the same keys, in the same order, into a presized
+    /// map between loads 0.3 and 0.6: each key is inserted exactly once,
+    /// and the quiescent size is exact.
+    #[test]
+    fn racing_inserts_of_the_same_keys_have_one_winner_each() {
+        let capacity = 1 << 14;
+        for round in 0..4u64 {
+            let map = presized(capacity, 2);
+            let mut live = HashMap::new();
+            let mut h = map.handle();
+            let base = 2 + round * capacity as u64;
+            for k in base..base + (capacity * 3 / 10) as u64 {
+                assert!(h.insert(&k, &k));
+                live.insert(k, k);
+            }
+            let contested: Vec<u64> = (0..(capacity * 3 / 10) as u64)
+                .map(|i| hash_key(i + round) >> 2 | 1 << 60)
+                .collect();
+            // The racers meet before every key, so that its two claims
+            // overlap as often as the CPUs allow.
+            let arrived = AtomicU64::new(0);
+            let wins: Vec<Vec<bool>> = std::thread::scope(|s| {
+                let racers: Vec<_> = (0..2u64)
+                    .map(|t| {
+                        let (map, contested, arrived) = (&map, &contested, &arrived);
+                        s.spawn(move || {
+                            let mut h = map.handle();
+                            let mut met = 0;
+                            let mut inserted = Vec::with_capacity(contested.len());
+                            for k in contested {
+                                met += 2;
+                                arrived.fetch_add(1, Ordering::AcqRel);
+                                let mut spins = 0u32;
+                                while arrived.load(Ordering::Acquire) < met {
+                                    spins += 1;
+                                    if spins.is_multiple_of(64) {
+                                        std::thread::yield_now();
+                                    } else {
+                                        std::hint::spin_loop();
+                                    }
+                                }
+                                inserted.push(h.insert(k, &t));
+                            }
+                            inserted
+                        })
+                    })
+                    .collect();
+                racers.into_iter().map(|r| r.join().unwrap()).collect()
+            });
+            for (i, k) in contested.iter().enumerate() {
+                assert!(
+                    wins[0][i] != wins[1][i],
+                    "key {k}: wins {} and {}",
+                    wins[0][i],
+                    wins[1][i]
+                );
+                live.insert(*k, u64::from(wins[1][i]));
+            }
+            assert_eq!(map.migrations_completed(), 0);
+            assert_eq!(map.size_exact_quiescent(), live.len());
+            assert_probing_invariant(&map, &live);
+        }
     }
 
     // -- the block copier ---------------------------------------------------
