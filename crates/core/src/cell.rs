@@ -266,6 +266,7 @@ impl Cell {
         // technique for this data structure on x86-64 (the paper's C++ code
         // does the same); x86-64 guarantees both access sizes are atomic.
         let dst = self as *const Cell as *mut u128;
+        // SAFETY: see above.
         let observed = unsafe {
             core::arch::x86_64::cmpxchg16b(dst, expected, new, Ordering::AcqRel, Ordering::Acquire)
         };

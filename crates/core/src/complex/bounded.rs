@@ -338,6 +338,7 @@ impl Drop for StringKeyTable {
 // SAFETY: the table owns its key allocations, which are immutable after
 // publication; all shared mutation goes through atomics.
 unsafe impl Send for StringKeyTable {}
+// SAFETY: as above.
 unsafe impl Sync for StringKeyTable {}
 
 /// Per-thread handle of a [`StringKeyTable`] (trivial: the bounded table
@@ -437,7 +438,7 @@ mod tests {
         // because the full string is checked after the signature matches.
         let t = StringKeyTable::with_capacity(64);
         let a = "key-000".to_string();
-        // Find another key with the same 15-bit signature.
+        // Find another key with the same 14-bit signature.
         let mut b = None;
         for i in 0..200_000 {
             let candidate = format!("key-{i}");

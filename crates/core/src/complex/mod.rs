@@ -27,25 +27,39 @@
 //!
 //! ## Key reference layout
 //!
-//! A published key word packs `signature << 48 | pointer`:
+//! A published key word of `GrowMap<String, _>` has one of two forms, and
+//! the bounded table uses the second alone:
 //!
-//! * bits 0..48 — the virtual address of the key allocation (x86-64 /
-//!   AArch64 user-space pointers fit in 48 bits; asserted on allocation);
-//! * bits 48..63 — a 15-bit signature taken from the master hash, never 0
-//!   so a published word is always `≥ 2⁴⁸`;
-//! * bit 63 — kept clear, so `GrowMap` can reuse the word-table sentinels
-//!   unchanged: [`crate::cell::EMPTY_KEY`], [`crate::cell::DEL_KEY`] and
-//!   the migration [`crate::cell::MARK_BIT`] all live outside the packed
-//!   range.
+//! * a **short word** holds a key of at most 7 bytes itself: bit 62 is
+//!   its tag (`SHORT_TAG`), bits 56..59 hold the length and bits 0..56
+//!   the bytes, little-endian, zero above the length.  No allocation
+//!   stands behind it, so a short key is never dereferenced, compared
+//!   byte by byte, retired or freed; its home cell comes from
+//!   [`crate::config::hash_key`] of the word (`short_word`).
+//! * a **packed reference** `signature << 48 | pointer`:
+//!   * bits 0..48 — the virtual address of the key allocation (x86-64 /
+//!     AArch64 user-space pointers fit in 48 bits; asserted on
+//!     allocation);
+//!   * bits 48..62 — a 14-bit signature taken from the master hash, never
+//!     0, so a published reference is always `≥ 2⁴⁸`.
+//!
+//! Bit 62 tells the two forms apart, and bit 63 stays clear in both, so
+//! `GrowMap` reuses the word-table sentinels unchanged:
+//! [`crate::cell::EMPTY_KEY`] (0), [`crate::cell::DEL_KEY`] (1) and the
+//! migration [`crate::cell::MARK_BIT`] all live outside both forms.  A
+//! probe compares `(word & mask) == want` per cell: a short key wants its
+//! whole word, a long key wants its signature with the tag clear
+//! (`SIGNED_BITS`), so a short word never matches a long key's probe,
+//! nor a packed reference a short key's, whatever their other bits.
 //!
 //! The key allocation itself is a length-prefixed byte buffer that also
 //! stores the full 64-bit master hash: `⟨hash: u64, len: u64, bytes⟩`.
 //! Storing the hash is what lets a migration *re-derive the target cell*
 //! of a reference without re-hashing (or even reading) the string bytes,
 //! and lets probes skip the byte comparison whenever the signature
-//! already disagrees.  `GrowMap<String, _>` stores its keys in the same
-//! format through the same functions, so both string-keyed tables share
-//! one hash and one allocation per key.
+//! already disagrees.  `GrowMap<String, _>` stores its long keys in the
+//! same format through the same functions, so both string-keyed tables
+//! share one hash and one allocation per long key.
 
 mod bounded;
 
@@ -56,8 +70,19 @@ use crate::config::hash_bytes;
 /// Number of low bits of a packed key word that hold the pointer.
 pub(crate) const POINTER_BITS: u32 = 48;
 const POINTER_MASK: u64 = (1 << POINTER_BITS) - 1;
-/// 15-bit signature (bit 63 stays clear for the migration mark bit).
-const SIGNATURE_MASK: u64 = 0x7FFF;
+/// Width of a packed reference's signature, bits 48..62: bit 62 is the
+/// short tag and bit 63 the migration mark bit.
+pub(crate) const SIGNATURE_BITS: u32 = 14;
+const SIGNATURE_MASK: u64 = (1 << SIGNATURE_BITS) - 1;
+/// Tag of a short word; clear in every packed reference.
+const SHORT_TAG: u64 = 1 << 62;
+/// Longest key a short word holds.
+const MAX_SHORT_LEN: usize = 7;
+/// Position of a short word's length field (bits 56..59).
+const SHORT_LEN_SHIFT: u32 = 56;
+/// The bits of a cell's key word a long key's probe compares: the
+/// signature, and the short tag, which its `want` has clear.
+pub(crate) const SIGNED_BITS: u64 = SIGNATURE_MASK << POINTER_BITS | SHORT_TAG;
 
 /// The **master hash** of §5.7 for string keys: [`hash_bytes`] over the
 /// UTF-8 bytes.  The scaled top bits choose the cell, the low bits provide
@@ -94,6 +119,38 @@ pub(crate) fn decode_keyref(keyref: u64) -> (u64, *const u8) {
     (keyref >> POINTER_BITS, (keyref & POINTER_MASK) as *const u8)
 }
 
+/// The short word of a key of at most [`MAX_SHORT_LEN`] bytes, `None` for
+/// a longer one.  The bytes come from two four-byte loads that overlap
+/// where the key is shorter than eight bytes, and from its first, middle
+/// and last byte where it is shorter than four: no loop, and no copy into
+/// a buffer, which compiles to a `memcpy` call per key.
+#[inline]
+pub(crate) fn short_word(bytes: &[u8]) -> Option<u64> {
+    let len = bytes.len();
+    if len > MAX_SHORT_LEN {
+        return None;
+    }
+    let payload = if len >= 4 {
+        let low = u32::from_le_bytes(bytes[..4].try_into().expect("4-byte window"));
+        let high = u32::from_le_bytes(bytes[len - 4..].try_into().expect("4-byte window"));
+        u64::from(low) | u64::from(high) << (8 * (len - 4))
+    } else if len > 0 {
+        let mid = len / 2;
+        u64::from(bytes[0])
+            | u64::from(bytes[mid]) << (8 * mid)
+            | u64::from(bytes[len - 1]) << (8 * (len - 1))
+    } else {
+        0
+    };
+    Some(SHORT_TAG | (len as u64) << SHORT_LEN_SHIFT | payload)
+}
+
+/// `true` when an unmarked, published key word is a short word.
+#[inline]
+pub(crate) fn is_short(word: u64) -> bool {
+    word & SHORT_TAG != 0
+}
+
 /// Allocate a key as a `⟨hash, len, bytes⟩` buffer and leak it; the raw
 /// pointer is what gets packed into the table.  Freed with [`free_key`].
 pub(crate) fn allocate_key(key: &str, hash: u64) -> *const u8 {
@@ -112,6 +169,9 @@ pub(crate) fn allocate_key(key: &str, hash: u64) -> *const u8 {
 /// `ptr` must come from [`allocate_key`] and not have been freed.
 #[inline]
 pub(crate) unsafe fn stored_hash(ptr: *const u8) -> u64 {
+    // SAFETY: per the contract `ptr` is a live `⟨hash, len, bytes⟩` buffer,
+    // whose first 8 bytes are the hash; `read` takes no alignment from the
+    // byte array type.
     unsafe { u64::from_le_bytes(std::ptr::read(ptr as *const [u8; 8])) }
 }
 
@@ -123,6 +183,9 @@ pub(crate) unsafe fn stored_hash(ptr: *const u8) -> u64 {
 /// returned slice must not outlive the allocation.
 #[inline]
 pub(crate) unsafe fn stored_bytes<'a>(ptr: *const u8) -> &'a [u8] {
+    // SAFETY: per the contract `ptr` is a live buffer whose bytes 8..16 hold
+    // the key's length and whose `len` bytes from 16 on are the key, alive
+    // for as long as the caller keeps the slice.
     unsafe {
         let len = u64::from_le_bytes(std::ptr::read(ptr.add(8) as *const [u8; 8])) as usize;
         std::slice::from_raw_parts(ptr.add(16), len)
@@ -142,6 +205,7 @@ unsafe fn key_matches(keyref: u64, signature: u64, key: &str) -> bool {
     if stored_sig != signature {
         return false;
     }
+    // SAFETY: the allocation is alive per the contract.
     unsafe { stored_bytes(ptr) == key.as_bytes() }
 }
 
@@ -153,6 +217,9 @@ unsafe fn key_matches(keyref: u64, signature: u64, key: &str) -> bool {
 /// other thread may still dereference it (which is exactly what
 /// `GrowMap`'s QSBR domain guarantees before calling this).
 pub(crate) unsafe fn free_key(ptr: *const u8) {
+    // SAFETY: per the contract `ptr` is the live, unshared buffer that
+    // `allocate_key` leaked as a `Box<[u8]>` of `16 + len` bytes; it is
+    // rebuilt with that length and dropped once.
     unsafe {
         let len = u64::from_le_bytes(std::ptr::read(ptr.add(8) as *const [u8; 8])) as usize;
         let slice = std::ptr::slice_from_raw_parts_mut(ptr as *mut u8, len + 16);
@@ -184,6 +251,70 @@ mod tests {
             assert!(!key_matches(packed, sig, "round-trap"));
             free_key(ptr);
         }
+    }
+
+    /// The key a short word holds: its length field and that many bytes.
+    fn short_bytes(word: u64) -> Vec<u8> {
+        let len = (word >> SHORT_LEN_SHIFT & 7) as usize;
+        word.to_le_bytes()[..len].to_vec()
+    }
+
+    /// Every key of at most seven bytes round-trips through its short word
+    /// and no two share one: exhaustively up to two bytes over an alphabet
+    /// with NUL and non-ASCII bytes, and for strided keys of three to seven
+    /// bytes.  The word is tagged, unmarked and zero above the key.
+    #[test]
+    fn short_words_round_trip_and_are_injective() {
+        let alphabet = [0u8, 1, b'a', b'z', 0x7F, 0x80, 0xC3, 0xFF];
+        let mut keys: Vec<Vec<u8>> = vec![Vec::new()];
+        for &a in &alphabet {
+            keys.push(vec![a]);
+            keys.extend(alphabet.iter().map(|&b| vec![a, b]));
+        }
+        for len in 3..=MAX_SHORT_LEN {
+            for i in 0..2_000u32 {
+                let key = (0..len).map(|j| alphabet[(i as usize >> (2 * j)) % 8] ^ j as u8);
+                keys.push(key.collect());
+            }
+        }
+        keys.sort();
+        keys.dedup();
+        let mut words = std::collections::HashSet::new();
+        for key in &keys {
+            let word = short_word(key).expect("at most seven bytes");
+            assert!(
+                is_short(word) && word & crate::cell::MARK_BIT == 0,
+                "{key:?}"
+            );
+            assert_eq!(short_bytes(word), *key);
+            assert_eq!((word & ((1 << 56) - 1)) >> (8 * key.len()), 0, "{key:?}");
+            assert!(words.insert(word), "{key:?} shares its word");
+        }
+        assert_ne!(short_word(b"a"), short_word(b"a\0"));
+        assert_ne!(short_word(b""), short_word(b"\0"));
+        let seven = "é€ab".as_bytes();
+        assert_eq!(short_bytes(short_word(seven).unwrap()), seven);
+        for long in [&b"abcdefg\0"[..], b"abcdefgh", "é€abc".as_bytes()] {
+            assert_eq!(short_word(long), None, "{long:?}");
+        }
+    }
+
+    /// The two forms never overlap: every packed reference has the short
+    /// tag clear, so no short word equals one, and a long key's probe
+    /// ([`SIGNED_BITS`]) sees the tag of every short word
+    /// (`generic::tests::short_and_long_probes_never_cross` probes both
+    /// ways with equal signature bits).
+    #[test]
+    fn short_words_and_packed_references_never_overlap() {
+        let ptr = allocate_key("a longer key", 7);
+        for sig in 1..=SIGNATURE_MASK {
+            let packed = pack_keyref(sig, ptr);
+            assert!(!is_short(packed) && packed >= 1 << POINTER_BITS);
+            assert_eq!(packed & crate::cell::MARK_BIT, 0);
+        }
+        assert_eq!(SIGNED_BITS & SHORT_TAG, SHORT_TAG);
+        // SAFETY: allocated above, freed once.
+        unsafe { free_key(ptr) };
     }
 
     #[test]

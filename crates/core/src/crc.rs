@@ -99,6 +99,7 @@ pub fn crc64_pair(x: u64) -> u64 {
     if crc32c_hw_available() {
         // SAFETY: feature presence checked (or guaranteed by the build).
         let hi = unsafe { crc32c_u64_hw(CRC_SEED_HI, x) } as u64;
+        // SAFETY: as above.
         let lo = unsafe { crc32c_u64_hw(CRC_SEED_LO, x) } as u64;
         return (hi << 32) | lo;
     }

@@ -16,7 +16,9 @@
 //!   (the storage hooks of [`KeyRepr`]): by default a `KeyBox<K>` holding
 //!   the master hash and the typed key; for `String` the
 //!   `⟨hash, len, bytes⟩` buffer of the same module — one allocation, and
-//!   hash, length and bytes behind one dependent load.
+//!   hash, length and bytes behind one dependent load.  A `String` of at
+//!   most seven bytes needs none of it: its bytes fit the key word, as a
+//!   *short word*.
 //! * [`ValueRepr`] — how a value maps onto the cell's **value word**.
 //!   Word-sized values encode inline (atomic updates are one full-cell
 //!   CAS); larger values live in a plain heap box whose raw pointer is
@@ -36,12 +38,13 @@
 //!   read–derive–CAS update loop ABA-safe: the old value pointer cannot
 //!   be freed and reallocated while the updater still holds it.  A map
 //!   whose keys and values are both inline retires nothing, and its
-//!   handles take no part in the domain at all.
+//!   handles take no part in the domain at all; erasing a short `String`
+//!   key retires nothing either.
 //!
 //! Growth is not reimplemented here: [`GenericInner`]'s [`GrowProtocol`]
 //! impl instantiates the shared coordinator with a block copy that
 //! re-derives each element's home cell from the master hash (stored in
-//! the key allocation, or recomputed from the inline word) — correct for
+//! the key allocation, or recomputed from the inline or short word) — correct for
 //! growth, cleanup and shrink steps alike.  A migration keeps writers off
 //! its source by excluding them (a busy flag per handle, the growing flag
 //! in the version word, and `membarrier` on the leader's side) and then
@@ -59,7 +62,7 @@ use growt_reclaim::{CachedArc, QsbrDomain, QsbrParticipant, VersionedArc};
 use parking_lot::Mutex;
 
 use crate::cell::{is_marked, unmark, Cell, DEL_KEY, EMPTY_KEY, MAX_MARKABLE_KEY};
-use crate::complex::{self, decode_keyref, pack_keyref, signature_of, POINTER_BITS};
+use crate::complex::{self, decode_keyref, pack_keyref, signature_of, POINTER_BITS, SIGNED_BITS};
 use crate::config::{capacity_for, hash_key, scale_to_capacity, GrowConfig, PROBE_LIMIT};
 use crate::coord::{Coordinator, GrowProtocol, MigrationJob};
 pub use crate::coord::{MigrationMode, MigrationRecord};
@@ -91,7 +94,10 @@ use sealed::Sealed;
 /// * **boxed** (`INLINE = false`, the default): the key is cloned into a
 ///   heap allocation that also stores its master hash, and the word is
 ///   the §5.7 packed reference `signature << 48 | pointer`.  Only
-///   [`KeyRepr::hash64`] can be customized; the packing is shared.
+///   [`KeyRepr::hash64`] can be customized; the packing is shared.  A
+///   `String` of at most seven bytes is the exception: it is its own
+///   short word, and nothing is allocated for it ([`crate::complex`],
+///   "Key reference layout").
 ///
 /// The master hash must be **deterministic and process-wide consistent**
 /// (every thread must agree on a key's home cell); the default goes
@@ -124,10 +130,22 @@ pub trait KeyRepr: Clone + Eq + std::hash::Hash + Send + Sync + 'static {
 
     // The out-of-line storage seam: four hooks that describe one
     // allocation format, and the only way the map creates, reads or frees
-    // a boxed key.  Not part of the public API — the `Sealed` argument
-    // cannot be named outside this crate, so no implementation out there
-    // can override one of them and the unsafe code may rely on the four
-    // agreeing with each other (the defaults, or the `String` overrides).
+    // a boxed key, plus the one that spares a short key all four.  Not
+    // part of the public API — the `Sealed` argument cannot be named
+    // outside this crate, so no implementation out there can override one
+    // of them and the unsafe code may rely on the five agreeing with each
+    // other (the defaults, or the `String` overrides).
+
+    /// The key's short word ([`crate::complex::short_word`]) when the key
+    /// lives in the key word itself; `None` (every boxed type but `String`,
+    /// and a `String` of more than seven bytes) stores it out of line.  A
+    /// short word's home cell comes from [`hash_key`] of the word, which
+    /// [`KeyRepr::hash64`] must agree with.
+    #[doc(hidden)]
+    #[inline]
+    fn short_word(&self, _: Sealed) -> Option<u64> {
+        None
+    }
 
     /// Clone the key into a fresh allocation that also stores `hash`;
     /// the pointer must fit the 48 pointer bits of a packed reference.
@@ -228,14 +246,23 @@ impl KeyRepr for u32 {
     }
 }
 
-/// Strings hash and are stored exactly as in
+/// Strings of more than seven bytes hash and are stored exactly as in
 /// [`crate::complex::StringKeyTable`]: the word-at-a-time byte hash, and
 /// one `⟨hash, len, bytes⟩` allocation per key in place of a `KeyBox`
 /// around a `String` (two allocations, two dependent loads per candidate).
+/// Shorter ones are their short word, hashed as a word.
 impl KeyRepr for String {
     #[inline]
     fn hash64(&self) -> u64 {
-        complex::hash_str(self)
+        match self.short_word(Sealed) {
+            Some(word) => hash_key(word),
+            None => complex::hash_str(self),
+        }
+    }
+
+    #[inline]
+    fn short_word(&self, _: Sealed) -> Option<u64> {
+        complex::short_word(self.as_bytes())
     }
 
     fn store(&self, hash: u64, _: Sealed) -> *const u8 {
@@ -359,13 +386,6 @@ fn stored_ptr(word: u64) -> *const u8 {
     decode_keyref(word).1
 }
 
-/// `true` when an (unmarked) boxed-key word is a published packed
-/// reference (sentinels are `< 2`, packed words are `≥ 2⁴⁸`).
-#[inline]
-fn is_packed(word: u64) -> bool {
-    word >= (1 << POINTER_BITS)
-}
-
 /// Read the value behind a published value word.
 ///
 /// # Safety
@@ -415,36 +435,59 @@ impl<V> Drop for RetiredValue<V> {
 // The per-operation probe context
 // ---------------------------------------------------------------------------
 
-/// Everything an operation derives from its key once, up front: the
-/// master hash, and either the encoded inline word or the 15-bit packing
-/// signature.  The `K::INLINE` branches below are monomorphized away, so
-/// the inline instantiation probes with one integer compare per cell —
-/// the same cell ops as the word table.
+/// Everything an operation derives from its key once, up front: its home
+/// hash, and the key word it looks for as `(word & mask) == want`.  The
+/// `K::INLINE` branches below are monomorphized away, so the inline
+/// instantiation probes with one integer compare per cell — the same cell
+/// ops as the word table.  A boxed key's class is decided here, once:
+///
+/// * a short key (a `String` of at most seven bytes) wants its whole short
+///   word, and its home is [`hash_key`] of that word;
+/// * a long key hashes its bytes and wants its 14-bit signature under
+///   [`SIGNED_BITS`], where the short tag is clear, so that no short word
+///   passes; a match is confirmed behind the pointer.
 struct Probe<'k, K: KeyRepr> {
     hash: u64,
-    /// Inline keys: the encoded cell word.  Boxed keys: the signature.
-    word_or_sig: u64,
+    /// The key word (inline and short keys) or the signature bits of one
+    /// (long keys) this probe looks for.
+    want: u64,
+    /// The bits of a cell's key word compared with `want`: all of them,
+    /// or [`SIGNED_BITS`] for a long key.
+    mask: u64,
     key: &'k K,
 }
 
 impl<'k, K: KeyRepr> Probe<'k, K> {
     #[inline]
     fn new(key: &'k K) -> Self {
-        let hash = key.hash64();
-        let word_or_sig = if K::INLINE {
-            key.encode()
+        let (hash, want, mask) = if K::INLINE {
+            (key.hash64(), key.encode(), u64::MAX)
+        } else if let Some(word) = key.short_word(Sealed) {
+            (hash_key(word), word, u64::MAX)
         } else {
-            signature_of(hash)
+            let hash = key.hash64();
+            (hash, signature_of(hash) << POINTER_BITS, SIGNED_BITS)
         };
         Probe {
             hash,
-            word_or_sig,
+            want,
+            mask,
             key,
         }
     }
 
+    /// `true` when the key is stored out of line: a boxed key with no
+    /// short word.
+    #[inline]
+    fn is_stored(&self) -> bool {
+        self.mask != u64::MAX
+    }
+
     /// `true` when the published (unmarked, non-sentinel) key word `k`
-    /// stores this probe's key.
+    /// stores this probe's key.  A sentinel never passes the compare (it
+    /// is below every `want`), and only a long key's passing word is
+    /// dereferenced: the one class branch an operation takes, on a compare
+    /// that has already matched.
     ///
     /// # Safety
     ///
@@ -453,18 +496,14 @@ impl<'k, K: KeyRepr> Probe<'k, K> {
     #[inline]
     unsafe fn matches(&self, k: u64) -> bool {
         if K::INLINE {
-            k == self.word_or_sig
-        } else {
-            if !is_packed(k) {
-                return false;
-            }
-            let (sig, ptr) = decode_keyref(k);
-            if sig != self.word_or_sig {
-                return false;
-            }
-            // SAFETY: QSBR-protected per the contract above.
-            unsafe { K::stored_matches(ptr, self.hash, self.key, Sealed) }
+            return k == self.want;
         }
+        if k & self.mask != self.want {
+            return false;
+        }
+        // SAFETY: QSBR-protected per the contract above.
+        !self.is_stored()
+            || unsafe { K::stored_matches(stored_ptr(k), self.hash, self.key, Sealed) }
     }
 }
 
@@ -478,7 +517,8 @@ impl<'k, K: KeyRepr> Probe<'k, K> {
 /// at least 2⁴⁸, a box pointer is never null).  An inline key or value
 /// never allocates, so every access to its word sits behind its `INLINE`
 /// constant and the inline instantiation tests no flag, on publication or
-/// on drop.
+/// on drop.  Nor does a short key: its word is the probe's, and the
+/// pending key word stays 0.
 struct PendingCell<K: KeyRepr, V: ValueRepr> {
     key_word: u64,
     value_word: u64,
@@ -497,11 +537,12 @@ impl<K: KeyRepr, V: ValueRepr> PendingCell<K, V> {
     /// The key word to publish, allocating the key at most once.
     #[inline]
     fn key_word(&mut self, probe: &Probe<'_, K>) -> u64 {
-        if K::INLINE {
-            return probe.word_or_sig;
+        if K::INLINE || !probe.is_stored() {
+            return probe.want;
         }
         if self.key_word == 0 {
-            self.key_word = pack_keyref(probe.word_or_sig, probe.key.store(probe.hash, Sealed));
+            let signature = probe.want >> POINTER_BITS;
+            self.key_word = pack_keyref(signature, probe.key.store(probe.hash, Sealed));
         }
         self.key_word
     }
@@ -635,6 +676,7 @@ impl<K: KeyRepr, V: ValueRepr> GenericArray<K, V> {
             // SAFETY: out-of-line words observed through a live array are
             // QSBR-protected until this handle's next quiescent state.
             if plain != DEL_KEY && unsafe { probe.matches(plain) } {
+                // SAFETY: as above, for the value word read with the key.
                 return Some(unsafe { read_value::<V>(v) });
             }
             index = (index + 1) & (self.capacity - 1);
@@ -721,7 +763,7 @@ impl<K: KeyRepr, V: ValueRepr> GenericArray<K, V> {
         let (mut ends, mut empty) = (0u32, 0u32);
         for i in 0..INSERT_WINDOW {
             let k = self.cells[(home + i) & mask].load_key();
-            ends |= u32::from((k == EMPTY_KEY) | (k == probe.word_or_sig) | is_marked(k)) << i;
+            ends |= u32::from((k == EMPTY_KEY) | (k == probe.want) | is_marked(k)) << i;
             empty |= u32::from(k == EMPTY_KEY) << i;
         }
         if ends == 0 {
@@ -1154,6 +1196,8 @@ fn migrate_generic_block<K: KeyRepr, V: ValueRepr, P>(
         for (&(k, _), home) in live.iter().zip(&mut homes) {
             let hash = if K::INLINE {
                 K::decode(k).hash64()
+            } else if complex::is_short(k) {
+                hash_key(k) // a short word is its own key: no load
             } else {
                 // SAFETY: the reference was live when read; erased keys
                 // are only freed after all handles quiesce, and migrating
@@ -1435,7 +1479,7 @@ impl<K: KeyRepr, V: ValueRepr> Drop for GrowMap<K, V> {
                 let (k, v) = cell.read();
                 let plain = unmark(k);
                 if plain > DEL_KEY {
-                    if !K::INLINE {
+                    if !K::INLINE && !complex::is_short(plain) {
                         // SAFETY: exclusive access; live keys are owned
                         // by the subsystem and freed exactly here.
                         unsafe { K::free_stored(stored_ptr(plain), Sealed) };
@@ -1457,6 +1501,8 @@ impl<K: KeyRepr, V: ValueRepr> Drop for GrowMap<K, V> {
 // for live ones); all shared mutation goes through atomics, and the
 // KeyRepr/ValueRepr bounds make K and V themselves Send + Sync.
 unsafe impl<K: KeyRepr, V: ValueRepr> Send for GrowMap<K, V> {}
+// SAFETY: as for `Send`: a shared map hands out handles whose operations
+// touch cells through atomics only.
 unsafe impl<K: KeyRepr, V: ValueRepr> Sync for GrowMap<K, V> {}
 
 /// Operations between automatic quiescent-state announcements.  Each
@@ -1622,10 +1668,11 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
         self.local.record_deletion(&self.inner.counts);
     }
 
-    /// Retire the out-of-line allocations displaced by an erase.
+    /// Retire the out-of-line allocations displaced by an erase; a short
+    /// word has none.
     #[inline]
     fn retire_erased(&mut self, key_word: u64, value_word: u64) {
-        if !K::INLINE {
+        if !K::INLINE && !complex::is_short(key_word) {
             self.qsbr()
                 .retire(RetiredKey::<K>(stored_ptr(key_word), PhantomData));
         }
@@ -2110,7 +2157,8 @@ mod tests {
 
     /// Inline keys and values retire nothing, so their handles neither
     /// register with the QSBR domain nor count operations towards an
-    /// announcement; boxed keys still do, and their erases drain.
+    /// announcement; boxed keys still do, and the erases of long ones (short
+    /// keys retire nothing: `erasing_short_keys_retires_nothing`) drain.
     #[test]
     fn only_maps_that_retire_take_part_in_reclamation() {
         let words: GrowMap<u64, u64> = tiny();
@@ -2131,18 +2179,122 @@ mod tests {
         let mut h = strings.handle();
         assert!(h.qsbr.is_some());
         for i in 0..1000u64 {
-            h.insert(&format!("k-{i}"), &i);
+            h.insert(&format!("long-key-{i}"), &i);
         }
         for i in 0..500u64 {
-            assert!(h.erase(&format!("k-{i}")));
+            assert!(h.erase(&format!("long-key-{i}")));
         }
         // The erases since the last announcement wait in limbo until the
         // next one, which ordinary operations bring.
         assert!(strings.pending_reclamation() > 0);
         for i in 0..QUIESCE_INTERVAL {
-            h.find(&format!("k-{i}"));
+            h.find(&format!("long-key-{i}"));
         }
         assert_eq!(strings.pending_reclamation(), 0, "limbo did not drain");
+    }
+
+    /// The short-key twin: a map of `String` keys of at most seven bytes
+    /// takes part in reclamation like any boxed-key map, but its erases put
+    /// nothing into limbo, across growth and with no announcement between.
+    #[test]
+    fn erasing_short_keys_retires_nothing() {
+        let strings: GrowMap<String, u64> = tiny();
+        let mut h = strings.handle();
+        assert!(h.qsbr.is_some());
+        for i in 0..1000u64 {
+            assert!(h.insert(&format!("k-{i}"), &i));
+        }
+        assert!(strings.migrations_completed() > 0, "never migrated");
+        h.quiesce();
+        for i in 0..500u64 {
+            assert!(h.erase(&format!("k-{i}")));
+            assert!(h.update(&format!("k-{}", i + 500), |v| v + 1));
+        }
+        assert_eq!(strings.pending_reclamation(), 0, "a short key was retired");
+        for i in 0..1000u64 {
+            let expected = (i >= 500).then_some(i + 1);
+            assert_eq!(h.find(&format!("k-{i}")), expected);
+        }
+    }
+
+    /// Keys one byte or one length apart on both sides of the short/long
+    /// boundary are different keys, each with its own value, across growth
+    /// and through erase.
+    #[test]
+    fn short_and_long_neighbours_are_distinct_keys() {
+        let keys = [
+            "",
+            "\0",
+            "a",
+            "a\0",
+            "\0a",
+            "é",
+            "abcdef",
+            "abcdefg",
+            "abcdefg\0",
+            "abcdefgh",
+            "abcdeé",
+            "abcdefé",
+            "\0\0\0\0\0\0\0",
+            "\0\0\0\0\0\0\0\0",
+        ]
+        .map(String::from);
+        let map: GrowMap<String, u64> = tiny();
+        let mut h = map.handle();
+        for (i, key) in keys.iter().enumerate() {
+            assert!(h.insert(key, &(i as u64)), "{key:?}");
+        }
+        for i in 0..2_000u64 {
+            h.insert(&format!("{i}"), &i);
+        }
+        assert!(map.migrations_completed() > 0, "never migrated");
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(h.find(key), Some(i as u64), "{key:?}");
+        }
+        for key in keys.iter().step_by(2) {
+            assert!(h.erase(key), "{key:?}");
+        }
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(h.find(key), (i % 2 == 1).then_some(i as u64), "{key:?}");
+        }
+    }
+
+    /// A short key's probe never matches a long key's packed reference, and
+    /// a long key's probe never a short word, even where the short word's
+    /// bits 48..62 spell the long key's signature.
+    #[test]
+    fn short_and_long_probes_never_cross() {
+        // A long key whose signature is a seven-byte short word's bits
+        // 48..62 (byte 6, the length 7, three zero bits) for an ASCII byte.
+        let long = (0u64..)
+            .map(|i| format!("a long key {i}"))
+            .find(|k| signature_of(k.hash64()) >> 7 == 7 << 1)
+            .expect("a signature in 0x700..0x780");
+        let signature = signature_of(long.hash64());
+        let short = format!("abcdef{}", char::from(signature as u8));
+        let long_probe = Probe::new(&long);
+        let short_probe = Probe::new(&short);
+        let short_word = short_probe.want;
+        let signature_bits = (1 << complex::SIGNATURE_BITS) - 1;
+        assert_eq!(short_word >> POINTER_BITS & signature_bits, signature);
+        let mut pending = PendingCell::<String, u64>::new();
+        let packed = pending.key_word(&long_probe);
+        assert_eq!(
+            PendingCell::<String, u64>::new().key_word(&short_probe),
+            short_word
+        );
+        // SAFETY: `packed` is the live allocation `pending` owns and frees.
+        unsafe {
+            assert!(long_probe.matches(packed) && short_probe.matches(short_word));
+            assert!(
+                !long_probe.matches(short_word),
+                "a long probe matched a short word"
+            );
+            assert!(
+                !short_probe.matches(packed),
+                "a short probe matched a packed reference"
+            );
+        }
     }
 
     #[test]
@@ -2430,7 +2582,7 @@ mod tests {
     }
 
     fn free_key_word<K: KeyRepr>(word: u64) {
-        if !K::INLINE {
+        if !K::INLINE && !complex::is_short(word) {
             // SAFETY: single-threaded test code; the word was published by
             // `copier_source` and is freed exactly once.
             unsafe { K::free_stored(stored_ptr(word), Sealed) };
@@ -2568,9 +2720,19 @@ mod tests {
         copier_is_idempotent_for::<u64>(word_key);
     }
 
+    /// Every other key short: `k0`…`k999` are its own short word,
+    /// `long-key-…` a packed reference.
+    fn mixed_string_key(i: u64) -> String {
+        if i.is_multiple_of(2) {
+            format!("k{i}")
+        } else {
+            format!("long-key-{i}")
+        }
+    }
+
     #[test]
     fn block_copies_are_idempotent_with_string_keys() {
-        copier_is_idempotent_for::<String>(|i| format!("key-{i}"));
+        copier_is_idempotent_for::<String>(mixed_string_key);
     }
 
     /// The blocks' ranges tile the table — every source cell lies in exactly
@@ -2651,17 +2813,19 @@ mod tests {
         });
     }
 
-    /// An exclusive copy reads what a marking copy freezes and places it
-    /// into the same cells, block by block and in any order of the blocks;
-    /// it leaves the source unmarked.
-    #[test]
-    fn exclusive_and_marking_copies_place_alike() {
-        let words = |array: &GenericArray<u64, u64>| -> Vec<(u64, u64)> {
+    /// An exclusive copy reads what a marking copy freezes — on either
+    /// marking path — and places it into the same cells, block by block and
+    /// in any order of the blocks; it leaves the source unmarked.
+    fn copies_place_alike_for<K: KeyRepr>(keys: fn(u64) -> K) {
+        let words = |array: &GenericArray<K, u64>| -> Vec<(u64, u64)> {
             array.cells.iter().map(Cell::read).collect()
         };
-        let run = |mode: MigrationMode, reverse: bool| {
-            let (src, _) = copier_source::<u64>(1024, 700, 5, word_key);
-            let dst = GenericArray::<u64, u64>::new(2048, 2);
+        // One source for every copy, so that boxed keys' packed words are
+        // the same in every target; exclusive copies run first.
+        let (src, _) = copier_source::<K>(1024, 700, 5, keys);
+        let original = words(&src);
+        let copy = |mode: MigrationMode, reverse: bool| {
+            let dst = GenericArray::<K, u64>::new(2048, 2);
             let mut starts: Vec<usize> = (0..1024).step_by(96).collect();
             if reverse {
                 starts.reverse();
@@ -2670,13 +2834,33 @@ mod tests {
                 let end = (begin + 96).min(1024);
                 assert!(migrate_generic_block(&src, &dst, begin, end, mode, || Some(())).complete);
             }
-            let src_words = words(&src).into_iter().map(|(k, v)| (unmark(k), v));
-            (src_words.collect::<Vec<_>>(), words(&dst))
+            words(&dst)
         };
-        let marking = run(MigrationMode::Marking, false);
-        for reverse in [false, true] {
-            assert_eq!(run(MigrationMode::Exclusive, reverse), marking);
+        let exclusive = copy(MigrationMode::Exclusive, false);
+        on_each_copy_mode(|mode, _| {
+            for reverse in [false, true] {
+                assert!(
+                    copy(mode, reverse) == exclusive,
+                    "{mode:?}, reverse {reverse}"
+                );
+            }
+            let src_words = words(&src).into_iter().map(|(k, v)| (unmark(k), v));
+            assert!(src_words.eq(original.iter().copied()));
+            if mode == MigrationMode::Exclusive {
+                assert!(words(&src) == original, "an exclusive copy marked");
+            }
+        });
+        for (k, _) in original {
+            if k > DEL_KEY {
+                free_key_word::<K>(k);
+            }
         }
+    }
+
+    #[test]
+    fn exclusive_and_marking_copies_place_alike() {
+        copies_place_alike_for::<u64>(word_key);
+        copies_place_alike_for::<String>(mixed_string_key);
     }
 
     /// The freeze against live writers, through the whole copier: two

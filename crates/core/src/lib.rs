@@ -33,6 +33,9 @@
 //!   `GrowMap`'s writer exclusion during a migration.
 
 #![warn(missing_docs)]
+// Every `unsafe` block and impl says why it is sound; CI's clippy steps
+// enforce it for this crate.
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod bulk;
 pub mod cell;

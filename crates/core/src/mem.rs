@@ -91,8 +91,11 @@ pub unsafe trait ZeroInit {}
 // SAFETY: integer atomics are repr(transparent) over their integer and
 // zero is a valid value; none has drop glue.
 unsafe impl ZeroInit for std::sync::atomic::AtomicU8 {}
+// SAFETY: as above.
 unsafe impl ZeroInit for std::sync::atomic::AtomicU64 {}
+// SAFETY: zero is a valid integer and integers have no drop glue.
 unsafe impl ZeroInit for u8 {}
+// SAFETY: as above.
 unsafe impl ZeroInit for u64 {}
 
 // SAFETY: a zeroed cell is exactly `Cell::new()` — EMPTY_KEY is 0 and the
@@ -122,6 +125,7 @@ pub struct HugeBox<T> {
 // SAFETY: HugeBox owns its storage exclusively; sharing semantics are
 // exactly those of Box<[T]>.
 unsafe impl<T: Send> Send for HugeBox<T> {}
+// SAFETY: as above.
 unsafe impl<T: Sync> Sync for HugeBox<T> {}
 
 impl<T: ZeroInit> HugeBox<T> {

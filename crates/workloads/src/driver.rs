@@ -7,8 +7,9 @@
 //! [`ConcurrentMap`], and are reused by the integration tests, the examples
 //! and the figure harness.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 use growt_iface::{ConcurrentMap, GenericMap, GenericMapHandle, MapHandle};
 
@@ -112,16 +113,57 @@ pub fn mixed_driver<M: ConcurrentMap>(
 /// The deletion workload of Fig. 6: each step performs one insertion and
 /// one deletion ("1 Op = insert + delete"); `aux` counts successful
 /// deletions.
+///
+/// Step `i` deletes the key that step `i − window` inserted.  Blocks are
+/// handed out as threads ask, so a thread descheduled inside its block lets
+/// the others run more than `window` steps past it, and the delete would
+/// miss a key whose insertion has not run yet.  Such a delete waits for
+/// that insertion ([`erase_once_inserted`]): each step raises its flag once
+/// its insertion has returned.  A delete that misses a key whose insertion
+/// is done is the table's miss, and counts as one.
 pub fn deletion_driver<M: ConcurrentMap>(
     table: &M,
     workload: &DeletionWorkload,
     threads: usize,
 ) -> Measurement {
+    let window = workload.prefill.len();
+    let inserted: Vec<AtomicBool> = workload
+        .steps
+        .iter()
+        .map(|_| AtomicBool::new(false))
+        .collect();
     run_parallel(table, threads, workload.steps.len(), |h, i| {
         let (ins, del) = workload.steps[i];
         h.insert(ins, ins);
-        u64::from(h.erase(del))
+        inserted[i].store(true, Ordering::Release);
+        if h.erase(del) {
+            return 1;
+        }
+        match i.checked_sub(window) {
+            Some(step) => u64::from(erase_once_inserted(h, del, &inserted[step])),
+            None => 0,
+        }
     })
+}
+
+/// How long a delete waits for its key's insertion before the run is
+/// declared stuck: far beyond any descheduling, short of a hung test.
+const INSERTION_PATIENCE: Duration = Duration::from_secs(60);
+
+/// A delete that missed its key: yield until the step that inserts the key
+/// has raised `inserted`, then erase once more.
+#[cold]
+#[inline(never)]
+fn erase_once_inserted<H: MapHandle>(h: &mut H, key: u64, inserted: &AtomicBool) -> bool {
+    let started = Instant::now();
+    while !inserted.load(Ordering::Acquire) {
+        assert!(
+            started.elapsed() < INSERTION_PATIENCE,
+            "the insertion of key {key} did not run within {INSERTION_PATIENCE:?}"
+        );
+        std::thread::yield_now();
+    }
+    h.erase(key)
 }
 
 /// Result of a latency-recording workload execution: the usual throughput
@@ -728,8 +770,9 @@ mod tests {
 
     #[test]
     fn deletion_driver_keeps_window() {
-        // The live window must exceed `threads × block` so that a delete
-        // never races ahead of the insertion of its target key.
+        // Every delete lands: one that runs ahead of its key's insertion
+        // (a thread descheduled inside its block lets the other run past
+        // the window) waits for that insertion.
         let wl = crate::keys::deletion_workload(30_000, 20_000, 4);
         let table = RefTable::with_capacity(64_000);
         prefill(&table, &wl.prefill);

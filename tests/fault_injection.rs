@@ -35,7 +35,7 @@ use growt_core::complex::StringKeyTable;
 use growt_core::{
     membarrier, GrowConfig, GrowMap, GrowStrategy, GrowingOptions, GrowingTable, MigrationMode,
 };
-use growt_failpoints::{clear_all, configure, hits, remove, Action, ThreadExit, Trigger};
+use growt_failpoints::{clear_all, configure, hits, remove, visits, Action, ThreadExit, Trigger};
 use growt_iface::{ConcurrentMap, MapHandle};
 use growt_workloads::with_watchdog;
 
@@ -103,6 +103,15 @@ fn on_each_copy_mode(label: &str, body: impl Fn(CopyMode)) {
             body(mode);
         });
     }
+}
+
+/// `{prefix}{i}` for even `i` and `{prefix}{i}-long` for odd `i`.  With a
+/// prefix of at most three bytes and `i < 10⁴` the even keys have at most
+/// seven bytes and live in their key words, and the odd ones are stored out
+/// of line, so a schedule over them runs both forms of a `String` key.
+fn mixed_key(prefix: &str, i: u64) -> String {
+    let suffix = if i.is_multiple_of(2) { "" } else { "-long" };
+    format!("{prefix}{i}{suffix}")
 }
 
 /// Insert `keys` (value = `3·key`), recording each *confirmed* insertion
@@ -534,7 +543,8 @@ fn abandoned_baseline_inflight_claim_is_repaired() {
 /// (the `qsbr.retire` point fires after the limbo push).  Its handle
 /// unregisters from the QSBR domain during unwinding, so the surviving
 /// participant alone must be able to drain the limbo list.  The keys were
-/// inserted across migrations, whose copies dereferenced them.
+/// inserted across migrations, whose copies dereferenced them; they are
+/// longer than seven bytes, so each has an allocation to retire.
 #[test]
 fn qsbr_limbo_drains_after_eraser_thread_exit() {
     on_each_copy_mode("qsbr-drain-after-exit", |mode| {
@@ -542,7 +552,7 @@ fn qsbr_limbo_drains_after_eraser_thread_exit() {
         {
             let mut handle = table.handle();
             for i in 0..100u64 {
-                assert!(handle.insert(&format!("k-{i}"), &i));
+                assert!(handle.insert(&format!("long-key-{i}"), &i));
             }
         }
         let log = table.migration_log();
@@ -554,8 +564,8 @@ fn qsbr_limbo_drains_after_eraser_thread_exit() {
             scope.spawn(|| {
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
                     let mut handle = table.handle();
-                    handle.erase(&"k-3".to_string()); // dies right after the retire
-                    handle.erase(&"k-4".to_string()); // never reached
+                    handle.erase(&"long-key-3".to_string()); // dies right after the retire
+                    handle.erase(&"long-key-4".to_string()); // never reached
                 }));
                 let payload = outcome.expect_err("the first erase must exit the thread");
                 assert!(payload.is::<ThreadExit>());
@@ -577,8 +587,61 @@ fn qsbr_limbo_drains_after_eraser_thread_exit() {
         );
         // The erase that triggered the exit had already taken effect; the
         // one after it never ran.
-        assert_eq!(handle.find(&"k-3".to_string()), None);
-        assert_eq!(handle.find(&"k-4".to_string()), Some(4));
+        assert_eq!(handle.find(&"long-key-3".to_string()), None);
+        assert_eq!(handle.find(&"long-key-4".to_string()), Some(4));
+    });
+}
+
+/// The short-key twin of `qsbr_limbo_drains_after_eraser_thread_exit`:
+/// keys of at most seven bytes live in their key words, so erasing them
+/// retires nothing.  With `qsbr.retire` armed to kill the eraser, every
+/// short erase goes through without visiting it and the limbo stays empty;
+/// the first long key's erase then dies there, as in the twin.
+#[test]
+fn qsbr_retire_is_never_visited_for_short_keys() {
+    on_each_copy_mode("qsbr-short-keys", |mode| {
+        let table: GrowMap<String, u64> = GrowMap::new(32);
+        {
+            let mut handle = table.handle();
+            for i in 0..100u64 {
+                assert!(handle.insert(&format!("k-{i}"), &i));
+            }
+            assert!(handle.insert(&"a long key".to_string(), &100));
+        }
+        let log = table.migration_log();
+        assert!(!log.is_empty());
+        assert!(log.iter().all(|r| r.mode == mode.expected()), "{log:?}");
+        configure("qsbr.retire", Action::ExitThread, Trigger::Always);
+
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    let mut handle = table.handle();
+                    for i in 0..100u64 {
+                        assert!(handle.erase(&format!("k-{i}")));
+                    }
+                    assert_eq!(visits("qsbr.retire"), 0, "a short key was retired");
+                    assert_eq!(table.pending_reclamation(), 0);
+                    handle.erase(&"a long key".to_string()); // dies after the retire
+                }));
+                let payload = outcome.expect_err("the long key's erase must exit the thread");
+                assert!(payload.is::<ThreadExit>());
+            });
+        });
+        assert_eq!((visits("qsbr.retire"), hits("qsbr.retire")), (1, 1));
+
+        let mut handle = table.handle();
+        for i in 0..100u64 {
+            assert_eq!(handle.find(&format!("k-{i}")), None);
+        }
+        assert_eq!(handle.find(&"a long key".to_string()), None);
+        for _ in 0..256 {
+            handle.quiesce();
+            if table.pending_reclamation() == 0 {
+                break;
+            }
+        }
+        assert_eq!(table.pending_reclamation(), 0);
     });
 }
 
@@ -609,7 +672,7 @@ fn generic_migration_thread_exit_leaks_nothing() {
                         let outcome = catch_unwind(AssertUnwindSafe(|| {
                             let mut handle = map.handle();
                             for i in 0..PER_THREAD {
-                                let key = format!("g{t}-{i}");
+                                let key = mixed_key(&format!("g{t}-"), i);
                                 handle.insert(&key, &[i, t, 0, 0]);
                                 confirmed.push((key, [i, t, 0, 0]));
                             }
@@ -636,8 +699,9 @@ fn generic_migration_thread_exit_leaks_nothing() {
             "the injected exit must kill exactly one writer"
         );
 
-        // Exactness for everything confirmed, then erase half of it
-        // and drain the limbo without the dead participant.
+        // Exactness for everything confirmed, then erase a third of it,
+        // short keys and long, and drain the limbo without the dead
+        // participant.
         let mut handle = map.handle();
         for (confirmed, _) in &results {
             for (key, value) in confirmed {
@@ -645,7 +709,7 @@ fn generic_migration_thread_exit_leaks_nothing() {
             }
         }
         for (confirmed, _) in &results {
-            for (key, _) in confirmed.iter().step_by(2) {
+            for (key, _) in confirmed.iter().step_by(3) {
                 assert!(handle.erase(key), "key {key}");
             }
         }
@@ -729,14 +793,14 @@ fn stalled_block_owner_outlived_by_its_target_stops_quietly() {
         with_one_stalled_owner("generic.block.claimed", |t| {
             let mut handle = map.handle();
             for i in 0..PER_THREAD {
-                assert!(handle.insert(&format!("s{t}-{i}"), &i));
+                assert!(handle.insert(&mixed_key(&format!("s{t}-"), i), &i));
             }
         });
         assert!(map.migrations_completed() >= 3, "the target never moved on");
         let mut handle = map.handle();
         for t in 0..2u64 {
             for i in 0..PER_THREAD {
-                assert_eq!(handle.find(&format!("s{t}-{i}")), Some(i));
+                assert_eq!(handle.find(&mixed_key(&format!("s{t}-"), i)), Some(i));
             }
         }
     });
@@ -840,8 +904,9 @@ fn stalled_owner_then_erase(mode: CopyMode, failpoint: &str) {
     );
 }
 
-/// `GrowMap<String, u64>` and `GrowMap<String, [u64; 4]>` — boxed keys, and
-/// boxed values too — grow through several migrations that exclude their
+/// `GrowMap<String, u64>` and `GrowMap<String, [u64; 4]>` — boxed keys,
+/// short and stored out of line, and boxed values too — grow through
+/// several migrations that exclude their
 /// one writer, with erases in between, and the allocator is back to its
 /// baseline byte for byte once the map drops: no key or value box is
 /// leaked or freed twice by a copy that reads with plain loads.
@@ -854,9 +919,9 @@ fn exclusive_string_migrations_are_allocator_exact() {
         let map: GrowMap<String, V> = GrowMap::new(64);
         let mut handle = map.handle();
         for i in 0..5_000u64 {
-            assert!(handle.insert(&format!("ex-{i}"), &value(i)));
+            assert!(handle.insert(&mixed_key("ex-", i), &value(i)));
             if i % 3 == 0 {
-                assert!(handle.erase(&format!("ex-{}", i / 2)));
+                assert!(handle.erase(&mixed_key("ex-", i / 2)));
             }
         }
         let log = map.migration_log();
@@ -866,7 +931,7 @@ fn exclusive_string_migrations_are_allocator_exact() {
             assert_eq!(record.chunks_transactional + record.chunks_locked, 0);
         }
         for i in (4_000..5_000u64).filter(|i| i % 7 == 1) {
-            assert_eq!(handle.find(&format!("ex-{i}")), Some(value(i)));
+            assert_eq!(handle.find(&mixed_key("ex-", i)), Some(value(i)));
         }
         drop(handle);
     }

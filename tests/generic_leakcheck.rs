@@ -9,10 +9,12 @@
 //! return to its pre-map baseline — no matter how many migrations,
 //! updates and deletions happened in between.
 //!
-//! Two further phases pin the `String` key storage: a key costs exactly
-//! one allocation (the string tables' `⟨hash, len, bytes⟩` buffer, not a
-//! box around a `String`), and keys at every length boundary of the byte
-//! hash survive insert / find / update / erase across migrations.
+//! Three further phases pin the `String` key storage: a key of more than
+//! seven bytes costs exactly one allocation (the string tables'
+//! `⟨hash, len, bytes⟩` buffer, not a box around a `String`), a shorter
+//! one none (it lives in its key word), and keys at every length boundary
+//! of the byte hash and of the short form survive insert / find / update /
+//! erase across migrations.
 //!
 //! This file intentionally holds a single `#[test]` — a second
 //! concurrently running test would pollute the allocator counters — so
@@ -111,15 +113,42 @@ fn string_keys_cost_one_allocation_each() {
     );
 }
 
+/// Keys of 0, 5, 6, 7 and 8 bytes, and multi-byte UTF-8 on both sides of
+/// the seven-byte limit of a short word — with a character across bytes 7
+/// and 8 — cost no allocation up to seven bytes and one from eight.
+fn short_keys_cost_no_allocation() {
+    let mut keys: Vec<String> = [0usize, 5, 6, 7, 8]
+        .iter()
+        .flat_map(|&len| (0..if len == 0 { 1 } else { 600 }).map(move |i| format!("{i:0len$}")))
+        .collect();
+    // é is two bytes and € three: "abcdefé" and "abcde€" end in a character
+    // that begins in the seventh byte and ends in the eighth.
+    let utf8 = ["abcdeé", "ab€de", "é€ab", "abcdefé", "abcde€", "é€abc"];
+    keys.extend(utf8.map(String::from));
+    let long = keys.iter().filter(|k| k.len() > 7).count() as u64;
+    assert_eq!(long, 600 + 3);
+    let words: Vec<u64> = (0..keys.len() as u64).map(|i| i + 2).collect();
+    let (word_calls, word_migrations) = allocations_to_insert(&words);
+    let (string_calls, string_migrations) = allocations_to_insert(&keys);
+    assert!(word_migrations >= 2, "never grew");
+    assert_eq!(string_migrations, word_migrations);
+    assert_eq!(
+        string_calls - word_calls,
+        long,
+        "keys of at most seven bytes must allocate nothing, longer ones once"
+    );
+}
+
 /// Keys on both sides of every length boundary of the byte hash (0, 1, 7,
-/// 8, 9, 16 and 17 bytes), a very long one and multi-byte UTF-8 go through
-/// every operation and at least two migrations, for an inline (`u64`) and
-/// a boxed (`[u64; 4]`) value type.
+/// 8, 9, 16 and 17 bytes) and of the short form (5, 6, 7 and 8), a very
+/// long one and multi-byte UTF-8 go through every operation and at least
+/// two migrations, for an inline (`u64`) and a boxed (`[u64; 4]`) value
+/// type.
 fn edge_length_keys_round_trip<V>(value_of: impl Fn(u64) -> V)
 where
     V: ValueRepr + PartialEq + std::fmt::Debug,
 {
-    let mut keys: Vec<String> = [0usize, 1, 7, 8, 9, 16, 17, 100_000]
+    let mut keys: Vec<String> = [0usize, 1, 5, 6, 7, 8, 9, 16, 17, 100_000]
         .iter()
         .map(|&len| {
             "abcdefghijklmnopqrstuvwxyz"
@@ -129,7 +158,7 @@ where
                 .collect()
         })
         .collect();
-    keys.extend(["ключ".to_string(), "鍵🔑".to_string(), "é".to_string()]);
+    keys.extend(["ключ", "鍵🔑", "é", "abcdeé", "abcdefé", "ab€de", "abcde€"].map(String::from));
 
     let map: GrowMap<String, V> = GrowMap::new(16);
     let mut h = map.handle();
@@ -194,6 +223,7 @@ fn generic_map_reclaims_every_box_exactly() {
         "one allocation per key",
         string_keys_cost_one_allocation_each,
     );
+    leak_checked("no allocation per short key", short_keys_cost_no_allocation);
     leak_checked("edge keys, inline values", || {
         edge_length_keys_round_trip(|i| i)
     });
