@@ -139,8 +139,8 @@ pub trait KeyRepr: Clone + Eq + std::hash::Hash + Send + Sync + 'static {
     /// The key's short word ([`crate::complex::short_word`]) when the key
     /// lives in the key word itself; `None` (every boxed type but `String`,
     /// and a `String` of more than seven bytes) stores it out of line.  A
-    /// short word's home cell comes from [`hash_key`] of the word, which
-    /// [`KeyRepr::hash64`] must agree with.
+    /// short word's home cell comes from [`hash_key`] of the word, not from
+    /// [`KeyRepr::hash64`].
     #[doc(hidden)]
     #[inline]
     fn short_word(&self, _: Sealed) -> Option<u64> {
@@ -250,14 +250,11 @@ impl KeyRepr for u32 {
 /// [`crate::complex::StringKeyTable`]: the word-at-a-time byte hash, and
 /// one `⟨hash, len, bytes⟩` allocation per key in place of a `KeyBox`
 /// around a `String` (two allocations, two dependent loads per candidate).
-/// Shorter ones are their short word, hashed as a word.
+/// Shorter ones are their short word, which [`Probe`] hashes as a word.
 impl KeyRepr for String {
     #[inline]
     fn hash64(&self) -> u64 {
-        match self.short_word(Sealed) {
-            Some(word) => hash_key(word),
-            None => complex::hash_str(self),
-        }
+        complex::hash_str(self)
     }
 
     #[inline]
@@ -2065,12 +2062,20 @@ mod tests {
         let map: GrowMap<String, [u64; 4]> = tiny();
         let mut h = map.handle();
         let n = 5_000u64;
+        // Short keys (the key word itself) and long ones (stored out of line).
+        let key = |i: u64| {
+            if i.is_multiple_of(2) {
+                format!("k-{i}")
+            } else {
+                format!("long-key-{i}")
+            }
+        };
         for i in 0..n {
-            assert!(h.insert(&format!("k-{i}"), &[i, i + 1, i + 2, i + 3]));
+            assert!(h.insert(&key(i), &[i, i + 1, i + 2, i + 3]));
         }
         assert!(map.migrations_completed() > 0, "never migrated");
         for i in 0..n {
-            assert_eq!(h.find(&format!("k-{i}")), Some([i, i + 1, i + 2, i + 3]));
+            assert_eq!(h.find(&key(i)), Some([i, i + 1, i + 2, i + 3]));
         }
         assert_eq!(map.size_exact_quiescent(), n as usize);
     }

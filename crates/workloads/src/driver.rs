@@ -120,7 +120,9 @@ pub fn mixed_driver<M: ConcurrentMap>(
 /// miss a key whose insertion has not run yet.  Such a delete waits for
 /// that insertion ([`erase_once_inserted`]): each step raises its flag once
 /// its insertion has returned.  A delete that misses a key whose insertion
-/// is done is the table's miss, and counts as one.
+/// is done is the table's miss, and counts as one: retrying until every key
+/// lands would never end on a table that loses keys, as the phase-concurrent
+/// one does when insertions and erases share a phase.
 pub fn deletion_driver<M: ConcurrentMap>(
     table: &M,
     workload: &DeletionWorkload,

@@ -30,6 +30,20 @@ fn key(k: &str) -> String {
     k.to_string()
 }
 
+/// Key `i` of a mixed set: an even `i` gives `{prefix}{i}`, which must be
+/// short (at most seven bytes, the key word itself), an odd `i` gives
+/// `{prefix}{i}-long`, which is stored behind a reference.  A set of these
+/// runs both key forms through one test.
+fn mixed(prefix: &str, i: u64) -> String {
+    if i.is_multiple_of(2) {
+        let k = format!("{prefix}{i}");
+        assert!(k.len() <= 7, "{k} is not a short key");
+        k
+    } else {
+        format!("{prefix}{i}-long")
+    }
+}
+
 /// The word-count update: add `delta` to the stored count.
 fn add(delta: u64) -> impl Fn(&u64) -> u64 {
     move |c| c + delta
@@ -43,16 +57,13 @@ fn round_trip<M: GenericMap<String, u64>>() {
 
     for i in 0..512u64 {
         assert!(
-            h.insert(&format!("rt-{i}"), &(i + 1)),
+            h.insert(&mixed("rt-", i), &(i + 1)),
             "{name}: insert rt-{i}"
         );
     }
     for i in 0..512u64 {
-        assert!(
-            !h.insert(&format!("rt-{i}"), &0),
-            "{name}: dup insert rt-{i}"
-        );
-        assert_eq!(h.find(&format!("rt-{i}")), Some(i + 1), "{name}: find");
+        assert!(!h.insert(&mixed("rt-", i), &0), "{name}: dup insert rt-{i}");
+        assert_eq!(h.find(&mixed("rt-", i)), Some(i + 1), "{name}: find");
     }
     assert_eq!(h.find(&key("absent")), None, "{name}: absent key");
 
@@ -183,14 +194,15 @@ fn insert_race_single_winner<M: GenericMap<String, u64>>(initial_capacity: usize
     }
 }
 
-/// Racing erases of the same keys: every key is erased exactly once.
+/// Racing erases of the same keys, short and long: every key is erased
+/// exactly once.
 fn erase_race_single_winner<M: GenericMap<String, u64>>() {
     let name = M::map_name();
     let table = M::with_capacity(4_096);
     {
         let mut h = table.handle();
         for i in 0..1_000u64 {
-            assert!(h.insert(&format!("del-{i}"), &i));
+            assert!(h.insert(&mixed("del-", i), &i));
         }
     }
     let erased = std::sync::atomic::AtomicU64::new(0);
@@ -201,7 +213,7 @@ fn erase_race_single_winner<M: GenericMap<String, u64>>() {
             s.spawn(move || {
                 let mut h = table.handle();
                 for i in 0..1_000u64 {
-                    if h.erase(&format!("del-{i}")) {
+                    if h.erase(&mixed("del-", i)) {
                         erased.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     }
                 }
@@ -217,15 +229,16 @@ fn erase_race_single_winner<M: GenericMap<String, u64>>() {
     let mut h = table.handle();
     for i in 0..1_000u64 {
         assert_eq!(
-            h.find(&format!("del-{i}")),
+            h.find(&mixed("del-", i)),
             None,
             "{name}: del-{i} resurrected"
         );
     }
 }
 
-/// Signature collisions (distinct strings with equal 15-bit signatures
+/// Signature collisions (distinct strings with equal 14-bit signatures
 /// colliding onto nearby cells) are resolved by the full key compare.
+/// Every key is longer than seven bytes, so every key carries a signature.
 fn values_survive_dense_collisions<M: GenericMap<String, u64>>() {
     let name = M::map_name();
     // A small capacity forces long shared probe runs, so keys with equal
@@ -234,13 +247,13 @@ fn values_survive_dense_collisions<M: GenericMap<String, u64>>() {
     let mut h = table.handle();
     for i in 0..1_500u64 {
         assert!(
-            h.insert(&format!("col-{i}"), &(i * 3 + 1)),
+            h.insert(&format!("collide-{i}"), &(i * 3 + 1)),
             "{name}: col-{i}"
         );
     }
     for i in 0..1_500u64 {
         assert_eq!(
-            h.find(&format!("col-{i}")),
+            h.find(&format!("collide-{i}")),
             Some(i * 3 + 1),
             "{name}: col-{i} got another key's value"
         );
@@ -302,7 +315,7 @@ fn growing_table_reports_growth() {
     let mut h = table.handle();
     let n = 10_000u64;
     for i in 0..n {
-        assert!(h.insert(&format!("g-{i}"), &i), "insert g-{i}");
+        assert!(h.insert(&mixed("g-", i), &i), "insert g-{i}");
     }
     assert!(
         table.migrations_completed() > 0,
@@ -310,7 +323,7 @@ fn growing_table_reports_growth() {
     );
     assert!(table.current_capacity() >= 2 * n as usize);
     for i in 0..n {
-        assert_eq!(h.find(&format!("g-{i}")), Some(i));
+        assert_eq!(h.find(&mixed("g-", i)), Some(i));
     }
     assert_eq!(table.size_exact_quiescent(), n as usize);
     h.flush_counts();
@@ -324,27 +337,28 @@ fn growing_table_reports_growth() {
 /// A sliding window of 500 live keys over 20 000 insertions: the erases'
 /// tombstones count towards the growth trigger, so cleanup migrations
 /// keep the capacity bounded, and quiescing the only handle reclaims
-/// every erased key.
+/// every erased key.  Every key is longer than seven bytes, so every erase
+/// retires an allocation.
 #[test]
 fn deletion_triggers_cleanup_and_bounds_capacity() {
     let table: GrowMap<String, u64> = GrowMap::with_config(1 << 10, GrowConfig::default(), 2);
     let mut h = table.handle();
     let window = 500u64;
     for i in 0..20_000u64 {
-        assert!(h.insert(&format!("w-{i}"), &i));
+        assert!(h.insert(&format!("w-long-{i}"), &i));
         if i >= window {
             assert!(
-                h.erase(&format!("w-{}", i - window)),
-                "erase w-{}",
+                h.erase(&format!("w-long-{}", i - window)),
+                "erase w-long-{}",
                 i - window
             );
         }
     }
     assert!(table.migrations_completed() > 0, "cleanup never ran");
     for i in 20_000 - window..20_000 {
-        assert_eq!(h.find(&format!("w-{i}")), Some(i));
+        assert_eq!(h.find(&format!("w-long-{i}")), Some(i));
     }
-    assert_eq!(h.find(&key("w-0")), None);
+    assert_eq!(h.find(&key("w-long-0")), None);
     assert_eq!(table.size_exact_quiescent(), window as usize);
     assert!(
         table.current_capacity() <= 1 << 13,
@@ -356,7 +370,8 @@ fn deletion_triggers_cleanup_and_bounds_capacity() {
 }
 
 /// Readers compare key bytes while an eraser retires the allocations into
-/// the QSBR domain.  No probe may touch freed memory; a use-after-free
+/// the QSBR domain (every key is longer than seven bytes, so every erase
+/// retires one).  No probe may touch freed memory; a use-after-free
 /// would corrupt the byte compare and fail the value assertions.
 #[test]
 fn readers_race_erasers_safely() {
@@ -365,7 +380,7 @@ fn readers_race_erasers_safely() {
     {
         let mut h = table.handle();
         for i in 0..n {
-            h.insert(&format!("re-{i}"), &(i + 1));
+            h.insert(&format!("re-long-{i}"), &(i + 1));
         }
     }
     std::thread::scope(|s| {
@@ -375,8 +390,8 @@ fn readers_race_erasers_safely() {
                 let mut h = table.handle();
                 for _ in 0..20 {
                     for i in 0..n {
-                        if let Some(v) = h.find(&format!("re-{i}")) {
-                            assert_eq!(v, i + 1, "corrupted value for re-{i}");
+                        if let Some(v) = h.find(&format!("re-long-{i}")) {
+                            assert_eq!(v, i + 1, "corrupted value for re-long-{i}");
                         }
                     }
                 }
@@ -386,7 +401,7 @@ fn readers_race_erasers_safely() {
         s.spawn(move || {
             let mut h = table.handle();
             for i in 0..n {
-                assert!(h.erase(&format!("re-{i}")));
+                assert!(h.erase(&format!("re-long-{i}")));
                 if i % 64 == 0 {
                     std::thread::yield_now();
                 }
@@ -398,7 +413,7 @@ fn readers_race_erasers_safely() {
 
 /// Readers chase a writer that grows the map from 16 cells: a key that
 /// was found once is found again, with its value, through every
-/// migration that follows.
+/// migration that follows, short keys and long ones alike.
 #[test]
 fn finds_remain_consistent_during_growth() {
     let table = tiny_map();
@@ -409,7 +424,7 @@ fn finds_remain_consistent_during_growth() {
         s.spawn(move || {
             let mut h = writer_table.handle();
             for i in 0..15_000u64 {
-                h.insert(&format!("c-{i}"), &i);
+                h.insert(&mixed("c-", i), &i);
             }
             stop_ref.store(true, std::sync::atomic::Ordering::Release);
         });
@@ -421,9 +436,9 @@ fn finds_remain_consistent_during_growth() {
                 let mut frontier = 0u64;
                 while !stop_ref.load(std::sync::atomic::Ordering::Acquire) {
                     for i in 0..frontier {
-                        assert_eq!(h.find(&format!("c-{i}")), Some(i), "lost c-{i}");
+                        assert_eq!(h.find(&mixed("c-", i)), Some(i), "lost c-{i}");
                     }
-                    if h.find(&format!("c-{}", frontier + 500)).is_some() {
+                    if h.find(&mixed("c-", frontier + 500)).is_some() {
                         frontier += 500;
                     }
                 }
