@@ -17,6 +17,7 @@
 //!   page-fault storm again.
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -42,8 +43,17 @@ static ALLOCATION_COUNT: AtomicU64 = AtomicU64::new(0);
 /// ```
 pub struct TrackingAlloc;
 
+// SAFETY: every method forwards to `System` with the arguments it was
+// given, so `System`'s guarantees (a fresh, suitably aligned block of the
+// layout's size, or null; frees and reallocations of blocks it handed
+// out) are this allocator's.  The bookkeeping around each call only
+// touches relaxed atomics and saturating arithmetic: it never allocates,
+// so it cannot re-enter the allocator, and it never panics, so it cannot
+// unwind out of it.
 unsafe impl GlobalAlloc for TrackingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract (a
+        // non-zero-sized layout), which is `System.alloc`'s.
         let ptr = unsafe { System.alloc(layout) };
         if !ptr.is_null() {
             record_alloc(layout.size() as u64);
@@ -52,11 +62,15 @@ unsafe impl GlobalAlloc for TrackingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator with `layout` (the
+        // caller's contract), i.e. from `System` with that layout.
         unsafe { System.dealloc(ptr, layout) };
         DEALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: as in `alloc`: the caller's layout contract is
+        // `System.alloc_zeroed`'s.
         let ptr = unsafe { System.alloc_zeroed(layout) };
         if !ptr.is_null() {
             record_alloc(layout.size() as u64);
@@ -65,6 +79,9 @@ unsafe impl GlobalAlloc for TrackingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: `ptr` came from `System` with `layout`, and `new_size`
+        // is non-zero and does not overflow when rounded up to the
+        // alignment (the caller's contract), which is `System.realloc`'s.
         let new_ptr = unsafe { System.realloc(ptr, layout, new_size) };
         if !new_ptr.is_null() {
             DEALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
@@ -77,8 +94,11 @@ unsafe impl GlobalAlloc for TrackingAlloc {
 #[inline]
 fn record_alloc(size: u64) {
     ALLOCATION_COUNT.fetch_add(1, Ordering::Relaxed);
-    let live =
-        ALLOCATED.fetch_add(size, Ordering::Relaxed) + size - DEALLOCATED.load(Ordering::Relaxed);
+    // Saturating: between the two loads other threads may allocate and
+    // free more than is live, and an overflow panic inside the allocator
+    // aborts the process (a `GlobalAlloc` must not unwind).
+    let live = (ALLOCATED.fetch_add(size, Ordering::Relaxed) + size)
+        .saturating_sub(DEALLOCATED.load(Ordering::Relaxed));
     // Best-effort peak tracking; exact enough for Fig. 10 reporting.
     PEAK.fetch_max(live, Ordering::Relaxed);
 }

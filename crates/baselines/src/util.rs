@@ -20,13 +20,8 @@ pub fn publish_key(cell: &AtomicU64, key: u64) -> bool {
     growt_iface::inflight::publish_key(cell, key)
 }
 
-/// The splitmix64 finalizer used by every table in the reproduction.
-#[inline]
-pub fn hash_key(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+/// The home hash of every word key in the reproduction.
+pub use growt_iface::hash::hash_key;
 
 /// A second, independent mixer for tables that need two hash functions
 /// (cuckoo hashing).

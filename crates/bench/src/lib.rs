@@ -436,7 +436,9 @@ pub fn fig6(cfg: &HarnessConfig) -> Figure {
     series!(UsGrow);
     series!(PaGrow);
     series!(PsGrow);
-    series!(PhaseConcurrent);
+    // No `PhaseConcurrent`: its contract forbids inserts and erases in one
+    // phase, and Fig. 6 mixes them in every step; driven that way it loses
+    // keys and its operations can spin without end.
     series!(Hopscotch);
     series!(Cuckoo);
     series!(TbbHashMap);
@@ -804,8 +806,8 @@ pub struct ScalingPoint {
     pub table: &'static str,
     /// Operation: "insert" or "find".
     pub op: &'static str,
-    /// Hash path: "mix" (splitmix64 finalizer) or "crc" (two-seed CRC32-C,
-    /// hardware `crc32q` where available).
+    /// Hash path: "mix" (the one-multiply fold, `config::hash_key`) or "crc"
+    /// (two-seed CRC32-C, hardware `crc32q` where available).
     pub hash: &'static str,
     /// Number of driver threads.
     pub threads: usize,
@@ -836,8 +838,8 @@ fn scaling_points_for<M: ConcurrentMap>(
 /// The thread-scaling sweep: insertions into and finds on a pre-sized
 /// table for the folklore table and the default growing variant, per-op
 /// (K = 1) and pipelined (K = [`SCALING_BATCH`]), on both hash paths
-/// (splitmix64 and the paper's CRC32-C pair) and on the striped SIMD
-/// fingerprint probe (`*-simd`, splitmix64 hashing), across the
+/// (the one-multiply fold and the paper's CRC32-C pair) and on the striped
+/// SIMD fingerprint probe (`*-simd`, fold hashing), across the
 /// configured thread grid.  This is the trajectory record for the
 /// zero-shared-traffic handle prologue and the striped probe: per-op
 /// throughput must move with the thread count.

@@ -23,7 +23,9 @@ use crate::table::BoundedTable;
 /// LSD-style counting sort over the top hash bits), deduplicate keys
 /// (keeping the **last** occurrence, matching the paper's "among elements
 /// with the same hash value, remove all but the last"), and return the
-/// sorted, deduplicated vector.
+/// sorted, deduplicated vector.  Duplicates are equal *keys*: the paper's
+/// rule assumes a bijective hash, and [`hash_key`] (a multiply-fold) is
+/// not one, so two keys that share a hash value both stay.
 pub fn sort_by_hash(elements: &[(u64, u64)], capacity: usize) -> Vec<(u64, u64)> {
     let mut indexed: Vec<(usize, u64, u64)> = elements
         .iter()

@@ -49,33 +49,23 @@ pub fn capacity_for(expected_elements: usize) -> usize {
     }
 }
 
-/// The default hash function of all tables in this crate: the splitmix64 /
-/// MurmurHash3 finalizer — a cheap bijective mixer.  The paper uses two
-/// hardware CRC32-C instructions instead; that path is available per table
-/// via [`HashSelect::Crc`] (see [`crate::crc`]), and DESIGN.md documents
-/// the trade-off (both are cheap, statistically uniform full-word hashes).
-#[inline]
-pub fn hash_key(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+/// The default home hash of every word key: one multiply-fold
+/// ([`growt_iface::hash::hash_key`], shared with the baselines and the
+/// sequential tables).  The paper uses two hardware CRC32-C instructions
+/// instead; that path is available per table via [`HashSelect::Crc`] (see
+/// [`crate::crc`]), and DESIGN.md §8 documents the trade-off: the hash is
+/// the head of every operation's dependent chain, and the fold is its
+/// shortest full-word mix.
+pub use growt_iface::hash::hash_key;
 
-/// Odd 64-bit constants of the byte-string kernel (the wyhash secrets: bit
-/// counts near 32, no byte repeated).
+use growt_iface::hash::fold;
+
+/// Odd 64-bit constants of the byte-string kernel (the wyhash secrets, 32
+/// bits set in each).
 const FOLD_START: u64 = 0xA076_1D64_78BD_642F;
 const FOLD_LEN: u64 = 0xE703_7ED1_A0B4_28DB;
 const FOLD_STEP: u64 = 0x8EBC_6AF0_9C88_C6E3;
 const FOLD_FINAL: u64 = 0x5899_65CC_7537_4CC3;
-
-/// Both halves of the 128-bit product, xor-ed: every input bit reaches the
-/// low *and* the high end of the result, which one `wrapping_mul` (low
-/// half only) cannot do.
-#[inline]
-fn fold(a: u64, b: u64) -> u64 {
-    let product = u128::from(a) * u128::from(b);
-    (product as u64) ^ ((product >> 64) as u64)
-}
 
 /// The master hash (§5.7) of every byte-string key in this crate — the
 /// bounded and the growing string table and `GrowMap<String, _>` share it,
@@ -147,7 +137,8 @@ pub(crate) fn hash_bytes(bytes: &[u8]) -> u64 {
 /// and target to agree on the hash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum HashSelect {
-    /// The splitmix64 finalizer ([`hash_key`], the software default).
+    /// The one-multiply fold ([`hash_key`], the software default): the
+    /// shortest chain from a key to its home cell.
     #[default]
     Mix,
     /// The paper's two-seed CRC32-C pair (§8.3), executed with the
@@ -195,6 +186,17 @@ pub enum ProbeSelect {
 #[inline]
 pub fn scale_to_capacity(hash: u64, capacity: usize) -> usize {
     ((hash as u128 * capacity as u128) >> 64) as usize
+}
+
+/// The right shift that maps a full-width hash onto a table of `capacity`
+/// cells, a power of two of at least 2: `hash >> shift` keeps the top
+/// `log₂ c` bits, which is [`scale_to_capacity`]`(hash, capacity)` bit for
+/// bit — so Lemma 1 holds unchanged — in one shift instead of a 128-bit
+/// multiply on the path from key to home cell.
+#[inline]
+pub(crate) fn capacity_shift(capacity: usize) -> u32 {
+    debug_assert!(capacity.is_power_of_two() && capacity >= 2);
+    (capacity as u64).leading_zeros() + 1
 }
 
 /// Configuration shared by every growing-table variant.
@@ -404,6 +406,146 @@ mod tests {
                 (signatures as f64 - expected).abs() <= 0.03 * expected,
                 "{family}: {signatures} distinct signatures, {expected:.0} expected"
             );
+        }
+    }
+
+    #[test]
+    fn hash_key_matches_pinned_vectors() {
+        // Computed by an independent implementation of `fold(x ^ C₁, C₂)`;
+        // any change to the constants, the xor or the fold moves them, and
+        // with them every word table's layout.
+        for (key, want) in [
+            (0u64, 0x1FF5_C292_3A78_8D2Cu64),
+            (1, 0x38F9_4C43_9AC3_6242),
+            (2, 0x51FE_CF31_F98F_3B68),
+            (0x7F, 0xC660_A598_E131_D147),
+            (1 << 32, 0xBF21_F5B4_DD7B_F3DE),
+            (1 << 63, 0x1272_020B_0ADE_6099),
+            (0x1234_5678_9ABC_DEF0, 0xDFDF_55CB_EB3D_15B2),
+            (u64::MAX, 0xDFF5_C05A_BB60_6D30),
+        ] {
+            assert_eq!(hash_key(key), want, "key {key:#x}");
+        }
+    }
+
+    /// Cells of the scaled array the probe-quality families fill.
+    const QUALITY_CELLS: usize = 1 << 15;
+
+    /// Linear probing of `keys` into a scaled array of [`QUALITY_CELLS`]
+    /// cells, homes taken by shift as `GenericArray` takes them: (mean
+    /// probes of a successful find, mean probes of an unsuccessful find
+    /// from every home, longest displacement).
+    fn probe_quality(keys: &[u64]) -> (f64, f64, usize) {
+        let mask = QUALITY_CELLS - 1;
+        let shift = capacity_shift(QUALITY_CELLS);
+        let mut occupied = vec![false; QUALITY_CELLS];
+        let (mut displaced, mut longest) = (0, 0);
+        for &key in keys {
+            let home = (hash_key(key) >> shift) as usize;
+            let distance = (0..).find(|d| !occupied[(home + d) & mask]).expect("room");
+            occupied[(home + distance) & mask] = true;
+            displaced += distance;
+            longest = longest.max(distance);
+        }
+        // An unsuccessful find from cell i reads the occupied run from i
+        // on and the empty cell behind it; two passes backwards wrap.
+        let mut run = vec![0usize; QUALITY_CELLS];
+        for i in (0..2 * QUALITY_CELLS).rev() {
+            let at = i & mask;
+            run[at] = if occupied[at] {
+                run[(at + 1) & mask] + 1
+            } else {
+                0
+            };
+        }
+        let n = keys.len() as f64;
+        let misses = run.iter().map(|&r| r + 1).sum::<usize>() as f64;
+        (
+            1.0 + displaced as f64 / n,
+            misses / QUALITY_CELLS as f64,
+            longest,
+        )
+    }
+
+    /// The structured key families of real workloads that a weak home hash
+    /// piles into one region of the array: counters, strides whose bits
+    /// sit low, mid and high, keys with only high bits, and a 2-D grid.
+    fn quality_families() -> Vec<(&'static str, Vec<u64>)> {
+        let n = QUALITY_CELLS * 3 / 5; // load 0.6
+        let stride = |step: u64| (0..n as u64).map(|i| i.wrapping_mul(step)).collect();
+        let mut state = 0x5EED_u64;
+        let random = (0..n)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            })
+            .collect();
+        let side = (n as f64).sqrt().ceil() as u64;
+        let grid = (0..side)
+            .flat_map(|i| (0..side).map(move |j| i << 32 | j))
+            .take(n)
+            .collect();
+        vec![
+            ("random", random),
+            ("sequential", stride(1)),
+            ("stride 1000", stride(1000)),
+            ("stride 2^8", stride(1 << 8)),
+            ("stride 2^32", stride(1 << 32)),
+            ("stride 2^47", stride(1 << 47)),
+            ("high bits only", stride(1 << 49)),
+            ("i<<32 | j grid", grid),
+        ]
+    }
+
+    /// The home hash must keep linear probing near its random-hash
+    /// expectation (Knuth at load 0.6: 1.75 probes a hit, 3.63 a miss) on
+    /// every structured family, and its low seven bits — the SIMD
+    /// fingerprint — must be as good as uniform.  The identity fails both.
+    #[test]
+    fn hash_key_probes_structured_keys_like_random_ones() {
+        for (family, keys) in quality_families() {
+            let (hit, miss, longest) = probe_quality(&keys);
+            assert!(hit <= 1.95, "{family}: {hit:.3} probes a hit");
+            assert!(miss <= 4.2, "{family}: {miss:.3} probes a miss");
+            assert!(longest <= 128, "{family}: displacement {longest}");
+            let mut fingerprints = [0usize; 128];
+            for &key in &keys {
+                fingerprints[usize::from(crate::simd::fingerprint(hash_key(key)) & 0x7F)] += 1;
+            }
+            let uniform = keys.len() as f64 / 128.0;
+            for (value, &count) in fingerprints.iter().enumerate() {
+                let ratio = count as f64 / uniform;
+                assert!(
+                    (0.6..=1.4).contains(&ratio),
+                    "{family}: fingerprint {value} {ratio:.2}× uniform"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_home_cell_by_shift_is_the_scaled_cell() {
+        let mut state = 7u64;
+        let mut hashes = vec![0, 1, 1 << 63, u64::MAX];
+        hashes.extend((0..64).map(|_| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            hash_key(state)
+        }));
+        for bits in 1..=40 {
+            let capacity = 1usize << bits;
+            let shift = capacity_shift(capacity);
+            for &hash in &hashes {
+                assert_eq!(
+                    (hash >> shift) as usize,
+                    scale_to_capacity(hash, capacity),
+                    "hash {hash:#x}, capacity 2^{bits}"
+                );
+            }
         }
     }
 

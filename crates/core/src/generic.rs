@@ -63,7 +63,7 @@ use parking_lot::Mutex;
 
 use crate::cell::{is_marked, unmark, Cell, DEL_KEY, EMPTY_KEY, MAX_MARKABLE_KEY};
 use crate::complex::{self, decode_keyref, pack_keyref, signature_of, POINTER_BITS, SIGNED_BITS};
-use crate::config::{capacity_for, hash_key, scale_to_capacity, GrowConfig, PROBE_LIMIT};
+use crate::config::{capacity_for, capacity_shift, hash_key, GrowConfig, PROBE_LIMIT};
 use crate::coord::{Coordinator, GrowProtocol, MigrationJob};
 pub use crate::coord::{MigrationMode, MigrationRecord};
 use crate::count::{GlobalCount, LocalCount};
@@ -626,7 +626,12 @@ const INSERT_WINDOW: usize = 3;
 /// and displaced ones through the QSBR domain.
 struct GenericArray<K: KeyRepr, V: ValueRepr> {
     cells: crate::mem::HugeBox<Cell>,
-    capacity: usize,
+    /// [`capacity_shift`] of the capacity, stored in place of the capacity
+    /// (`cells.len()`): computing it from the capacity at each use put the
+    /// capacity's `lzcnt` on the path from key to home cell, and measured
+    /// no faster than the multiply it replaced (EXPERIMENTS.md, "a
+    /// one-multiply home hash").
+    shift: u32,
     version: u64,
     _marker: PhantomData<fn() -> (K, V)>,
 }
@@ -639,23 +644,29 @@ impl<K: KeyRepr, V: ValueRepr> GenericArray<K, V> {
     /// Fallible constructor used by migrations: an OOM while allocating
     /// the next generation degrades to "keep serving the old one".
     fn try_new(capacity: usize, version: u64) -> Result<Self, crate::mem::AllocError> {
-        assert!(capacity.is_power_of_two());
+        assert!(capacity.is_power_of_two() && capacity >= 2);
         Ok(GenericArray {
             cells: crate::mem::HugeBox::try_zeroed(capacity)?,
-            capacity,
+            shift: capacity_shift(capacity),
             version,
             _marker: PhantomData,
         })
     }
 
     #[inline]
+    fn capacity(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// The scaled home cell (§5.3.1) of `hash`, by shift.
+    #[inline]
     fn home_cell(&self, hash: u64) -> usize {
-        scale_to_capacity(hash, self.capacity)
+        (hash >> self.shift) as usize
     }
 
     #[inline]
     fn probe_limit(&self) -> usize {
-        self.capacity.min(PROBE_LIMIT)
+        self.capacity().min(PROBE_LIMIT)
     }
 
     /// Look up the probe's key.  Reads tolerate marked (frozen) cells:
@@ -676,7 +687,7 @@ impl<K: KeyRepr, V: ValueRepr> GenericArray<K, V> {
                 // SAFETY: as above, for the value word read with the key.
                 return Some(unsafe { read_value::<V>(v) });
             }
-            index = (index + 1) & (self.capacity - 1);
+            index = (index + 1) & (self.capacity() - 1);
         }
         None
     }
@@ -697,7 +708,7 @@ impl<K: KeyRepr, V: ValueRepr> GenericArray<K, V> {
             match self.claim_in_window(probe, value, index, pending) {
                 Ok(()) => return MapOutcome::Inserted,
                 Err(skipped) => {
-                    index = (index + skipped) & (self.capacity - 1);
+                    index = (index + skipped) & (self.capacity() - 1);
                     probes = probes.saturating_sub(skipped);
                 }
             }
@@ -735,7 +746,7 @@ impl<K: KeyRepr, V: ValueRepr> GenericArray<K, V> {
                 }
                 break;
             }
-            index = (index + 1) & (self.capacity - 1);
+            index = (index + 1) & (self.capacity() - 1);
         }
         MapOutcome::Full
     }
@@ -756,7 +767,7 @@ impl<K: KeyRepr, V: ValueRepr> GenericArray<K, V> {
         home: usize,
         pending: &mut PendingCell<K, V>,
     ) -> Result<(), usize> {
-        let mask = self.capacity - 1;
+        let mask = self.capacity() - 1;
         let (mut ends, mut empty) = (0u32, 0u32);
         for i in 0..INSERT_WINDOW {
             let k = self.cells[(home + i) & mask].load_key();
@@ -805,7 +816,7 @@ impl<K: KeyRepr, V: ValueRepr> GenericArray<K, V> {
                 }
                 break;
             }
-            index = (index + 1) & (self.capacity - 1);
+            index = (index + 1) & (self.capacity() - 1);
         }
         MapOutcome::NotFound
     }
@@ -886,7 +897,7 @@ impl<K: KeyRepr, V: ValueRepr> GenericArray<K, V> {
                 }
                 break;
             }
-            index = (index + 1) & (self.capacity - 1);
+            index = (index + 1) & (self.capacity() - 1);
         }
         MapErase::NotFound
     }
@@ -989,7 +1000,7 @@ fn place_chunk<K: KeyRepr, V: ValueRepr>(
         let mut walked = 0usize;
         loop {
             assert!(
-                walked <= dst.capacity,
+                walked <= dst.capacity(),
                 "generic migration found no empty target cell"
             );
             let cell = &dst.cells[pos];
@@ -1002,7 +1013,7 @@ fn place_chunk<K: KeyRepr, V: ValueRepr>(
                 cell.store_unsynchronized(k, v);
                 break;
             }
-            pos = (pos + 1) & (dst.capacity - 1);
+            pos = (pos + 1) & (dst.capacity() - 1);
             walked += 1;
         }
     }
@@ -1079,7 +1090,7 @@ fn cluster_range<K: KeyRepr, V: ValueRepr>(
     end: usize,
     mode: MigrationMode,
 ) -> (usize, usize) {
-    let capacity = src.capacity;
+    let capacity = src.capacity();
     let empty = |i: usize| {
         let cell = &src.cells[i & (capacity - 1)];
         let key = match mode {
@@ -1165,7 +1176,7 @@ fn migrate_generic_block<K: KeyRepr, V: ValueRepr, P>(
     let mut live = [(0u64, 0u64); COPY_CHUNK];
     let mut homes = [0usize; COPY_CHUNK];
     let (from, to) = cluster_range(src, block_start, block_end, mode);
-    let capacity = src.capacity;
+    let capacity = src.capacity();
     let pieces = [
         (from, to.min(capacity)),
         (from.max(capacity) - capacity, to.saturating_sub(capacity)),
@@ -1286,7 +1297,7 @@ impl<K: KeyRepr, V: ValueRepr> GrowProtocol for GenericInner<K, V> {
     }
 
     fn capacity_of(array: &GenericArray<K, V>) -> usize {
-        array.capacity
+        array.capacity()
     }
 
     fn alloc_generation(
@@ -1439,7 +1450,7 @@ impl<K: KeyRepr, V: ValueRepr> GrowMap<K, V> {
 
     /// Capacity of the current table generation.
     pub fn current_capacity(&self) -> usize {
-        self.inner.current.with_current(|a| a.capacity)
+        self.inner.current.with_current(|a| a.capacity())
     }
 
     /// Approximate number of live elements (`I − D`, §5.2).
@@ -1534,7 +1545,7 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
         let busy = Arc::new(BusyFlag(AtomicBool::new(false)));
         inner.writers.lock().push(Arc::clone(&busy));
         GrowMapHandle {
-            local: LocalCount::for_generation(inner.threads_hint, cached.cached().capacity, seed),
+            local: LocalCount::for_generation(inner.threads_hint, cached.cached().capacity(), seed),
             cached,
             qsbr: Self::RECLAIMS.then(|| inner.domain.register()),
             since_quiesce: 0,
@@ -1606,7 +1617,7 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
     fn reset_local_counts(local: &mut LocalCount, inner: &GenericInner<K, V>) {
         *local = LocalCount::for_generation(
             inner.threads_hint,
-            inner.current.with_current(|a| a.capacity),
+            inner.current.with_current(|a| a.capacity()),
             inner.handle_seed.fetch_add(0x9E37_79B9, Ordering::Relaxed),
         );
     }
@@ -1697,7 +1708,7 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
                 Self::wait_for_growth(self.inner);
                 continue;
             };
-            let (capacity, version) = (array.capacity, array.version);
+            let (capacity, version) = (array.capacity(), array.version);
             let outcome = array.upsert(&probe, value, None::<&fn(&V) -> V>, &mut pending);
             drop(busy);
             match outcome {
@@ -1733,7 +1744,7 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
                 Self::wait_for_growth(self.inner);
                 continue;
             };
-            let (capacity, version) = (array.capacity, array.version);
+            let (capacity, version) = (array.capacity(), array.version);
             let outcome = array.upsert(&probe, value, None::<&fn(&V) -> V>, &mut pending);
             drop(busy);
             match outcome {
@@ -1817,7 +1828,7 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
                 Self::wait_for_growth(self.inner);
                 continue;
             };
-            let (capacity, version) = (array.capacity, array.version);
+            let (capacity, version) = (array.capacity(), array.version);
             let outcome = array.upsert(&probe, value, Some(&up), &mut pending);
             drop(busy);
             match outcome {
@@ -1858,7 +1869,7 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
                 Self::wait_for_growth(self.inner);
                 continue;
             };
-            let (capacity, version) = (array.capacity, array.version);
+            let (capacity, version) = (array.capacity(), array.version);
             let outcome = array.upsert(&probe, value, Some(&up), &mut pending);
             drop(busy);
             match outcome {
@@ -2017,6 +2028,7 @@ impl<K: KeyRepr, V: ValueRepr> GenericMapHandle<K, V> for GrowMapHandle<'_, K, V
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::scale_to_capacity;
     use std::collections::{HashMap, HashSet};
 
     fn tiny<K: KeyRepr, V: ValueRepr>() -> GrowMap<K, V> {
@@ -2455,6 +2467,19 @@ mod tests {
         }
     }
 
+    /// The array takes a home cell by shift; it must be the scaled cell
+    /// (§5.3.1) that the copier's Lemma 1 ranges and `keys_homed_in` use.
+    #[test]
+    fn the_home_cell_by_shift_is_the_scaled_cell() {
+        for bits in 1..=12 {
+            let array = GenericArray::<u64, u64>::new(1 << bits, 1);
+            for k in (2u64..2000).chain([u64::MAX >> 1, 1 << 62]) {
+                let hash = hash_key(k);
+                assert_eq!(array.home_cell(hash), scale_to_capacity(hash, 1 << bits));
+            }
+        }
+    }
+
     /// A marked cell ends the window: an insert whose first ending cell is
     /// marked reports `Migrating` even with an empty cell right behind it,
     /// and a window with no ending cell hands the probe on past itself.
@@ -2637,7 +2662,7 @@ mod tests {
     ) {
         let (src, live) = source;
         let dst = GenericArray::<K, u64>::new(target_capacity, 2);
-        let blocks = src.capacity.div_ceil(block);
+        let blocks = src.capacity().div_ceil(block);
         let counted: Vec<std::sync::Mutex<Option<usize>>> =
             (0..blocks).map(|_| std::sync::Mutex::new(None)).collect();
         let start = std::sync::Barrier::new(threads);
@@ -2645,8 +2670,8 @@ mod tests {
             for _ in 0..threads {
                 s.spawn(|| {
                     start.wait();
-                    for (b, begin) in (0..src.capacity).step_by(block).enumerate() {
-                        let end = (begin + block).min(src.capacity);
+                    for (b, begin) in (0..src.capacity()).step_by(block).enumerate() {
+                        let end = (begin + block).min(src.capacity());
                         for _ in 0..copies {
                             let copy =
                                 migrate_generic_block(&src, &dst, begin, end, mode, || Some(()));
@@ -2673,7 +2698,7 @@ mod tests {
         let marked = src.cells.iter().filter(|c| is_marked(c.load_key())).count();
         match mode {
             MigrationMode::Exclusive => assert_eq!(marked, 0),
-            MigrationMode::Marking => assert_eq!(marked, src.capacity),
+            MigrationMode::Marking => assert_eq!(marked, src.capacity()),
         }
         assert!(dst.cells.iter().all(|c| c.load_key() != DEL_KEY));
         for (key, value) in &live {

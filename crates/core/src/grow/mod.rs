@@ -73,7 +73,7 @@ pub struct GrowingOptions {
     /// (the `tsx*` variants of §6/§7).
     pub use_htm: bool,
     /// Hash function of the cell mapping, inherited by every table
-    /// generation (default: the splitmix64 mixer; [`HashSelect::Crc`]
+    /// generation (default: the one-multiply fold; [`HashSelect::Crc`]
     /// selects the paper's hardware CRC32-C pair, §8.3).
     pub hash: HashSelect,
     /// Probe strategy of every table generation
@@ -361,9 +361,9 @@ impl GrowProtocol for Inner {
         )
     }
 
-    /// The word table's copiers count each element in the copy that
-    /// claimed its target cell by CAS, so they credit `migrated` directly
-    /// and leave nothing to the block's completion.
+    /// Every complete copy of a block counts the same live elements, so
+    /// the copy that completes the block credits them, once; a late owner
+    /// whose block a rescuer completed credits nothing.
     fn copy_range(
         &self,
         job: &MigrationJob<BoundedTable>,
@@ -371,15 +371,13 @@ impl GrowProtocol for Inner {
         end: usize,
     ) -> Option<usize> {
         let marking = job.mode == MigrationMode::Marking;
-        let placed = if job.rehash {
+        Some(if job.rehash {
             migrate_block_rehash(&job.source, &job.target, start, end, marking)
         } else if marking {
             migrate_block_marking(&job.source, &job.target, start, end)
         } else {
             migrate_block_exclusive(&job.source, &job.target, start, end)
-        };
-        job.migrated.fetch_add(placed as u64, Ordering::AcqRel);
-        Some(0)
+        })
     }
 
     fn enslaves(&self) -> bool {

@@ -56,7 +56,8 @@ enum FreezeMode {
 
 /// Migrate the clusters starting in `[block_start, block_end)` from `src`
 /// to `dst`, freezing every visited source cell with its mark bit.
-/// Returns the number of live elements copied.
+/// Returns the number of live elements in those clusters (see
+/// `migrate_block`).
 pub fn migrate_block_marking(
     src: &BoundedTable,
     dst: &BoundedTable,
@@ -68,7 +69,8 @@ pub fn migrate_block_marking(
 
 /// Migrate the clusters starting in `[block_start, block_end)` without
 /// marking (caller must guarantee the absence of concurrent writers).
-/// Returns the number of live elements copied.
+/// Returns the number of live elements in those clusters (see
+/// `migrate_block`).
 pub fn migrate_block_exclusive(
     src: &BoundedTable,
     dst: &BoundedTable,
@@ -91,9 +93,8 @@ fn freeze(src: &BoundedTable, index: usize, mode: FreezeMode) -> (u64, u64) {
     }
 }
 
-/// Place one live element into `dst` by sequential linear probing.  Returns
-/// `true` if this call actually placed the element, `false` if an earlier
-/// copy of the same block already had.
+/// Place one live element into `dst` by sequential linear probing, unless
+/// an earlier copy of the same block already has.
 ///
 /// Placement is **idempotent**: a block whose owner crashed (or stalled)
 /// mid-copy can be re-copied by a rescuing thread without creating
@@ -112,7 +113,7 @@ fn freeze(src: &BoundedTable, index: usize, mode: FreezeMode) -> (u64, u64) {
 /// sequential migration layout regardless of how many times the block was
 /// copied.
 #[inline]
-fn place_sequential(dst: &BoundedTable, key: u64, value: u64) -> bool {
+fn place_sequential(dst: &BoundedTable, key: u64, value: u64) {
     let capacity = dst.capacity();
     // `home_cell` uses the destination table's own hash selection, so the
     // migration stays correct for CRC-hashed tables too.
@@ -122,7 +123,7 @@ fn place_sequential(dst: &BoundedTable, key: u64, value: u64) -> bool {
         if unmark(existing) == key {
             // An earlier (partial) copy of this block already placed the
             // element; keep that copy.
-            return false;
+            return;
         }
         if existing == EMPTY_KEY {
             growt_failpoints::fire("grow.place");
@@ -132,7 +133,7 @@ fn place_sequential(dst: &BoundedTable, key: u64, value: u64) -> bool {
                 // Readers are only admitted after the migration completes,
                 // so the publish ordering is trivially satisfied here.
                 dst.publish_occupied(pos, key);
-                return true;
+                return;
             }
             // Lost the claim to a concurrent copy of the same cluster;
             // re-read the cell — it may now hold `key`.
@@ -142,6 +143,15 @@ fn place_sequential(dst: &BoundedTable, key: u64, value: u64) -> bool {
     }
 }
 
+/// The cluster copy behind [`migrate_block_marking`] and
+/// [`migrate_block_exclusive`].  Returns the live elements of the clusters
+/// that start in the block, whether this call placed them or an earlier
+/// copy of the block had: every complete copy reads the same frozen cells,
+/// so every one answers the same, and the coordinator credits the answer
+/// of the copy that completes the block, once.  Counting what a copy
+/// placed instead would lose a slow owner's elements: a rescuer re-copies
+/// the block, the migration finalizes, and the owner's credit comes too
+/// late.
 fn migrate_block(
     src: &BoundedTable,
     dst: &BoundedTable,
@@ -245,13 +255,9 @@ fn migrate_block(
             }
         }
         for &(k, v) in &cluster {
-            // Count only elements this call actually placed, so re-copies of
-            // a crashed owner's block never double-count towards the size
-            // estimate the post-migration counter reset is seeded with.
-            if place_sequential(dst, k, v) {
-                migrated += 1;
-            }
+            place_sequential(dst, k, v);
         }
+        migrated += cluster.len();
         // `index` is now one past the empty cell that ended the cluster.  If
         // the walk overshot the block end, every cluster starting in the
         // overshot range has already been handled by us.
@@ -265,7 +271,10 @@ fn migrate_block(
 /// Fallback migration that re-inserts every live element of the block with
 /// ordinary CAS insertions.  Correct for any target capacity (including
 /// shrinking, where Lemma 1 does not hold).  When `mark` is true the source
-/// cells are frozen first (asynchronous protocol).
+/// cells are frozen first (asynchronous protocol).  Returns the live
+/// elements of the block's source cells, which, as with the cluster copy,
+/// every complete copy answers the same (a key the source briefly held
+/// twice counts twice).
 pub fn migrate_block_rehash(
     src: &BoundedTable,
     dst: &BoundedTable,
@@ -298,9 +307,10 @@ pub fn migrate_block_rehash(
                 live.push((key, value));
             }
         }
+        migrated += live.len();
         for &(key, value) in &live {
             match dst.insert(key, value) {
-                crate::table::InsertOutcome::Inserted { .. } => migrated += 1,
+                crate::table::InsertOutcome::Inserted { .. } => {}
                 // The key can already be present if the source table briefly
                 // contained the key twice (insert racing a deletion), or if
                 // this block is being re-copied after its first owner
@@ -546,6 +556,37 @@ mod tests {
         assert_eq!(migrated.load(Ordering::Relaxed), 100);
         for &k in keys.iter().skip(300) {
             assert_eq!(dst.find(k), Some(k.wrapping_mul(10)));
+        }
+    }
+
+    /// The coordinator credits a block's count from whichever copy
+    /// completes the block, so a re-copy — a rescuer's, over a slow
+    /// owner's placements — must count what the first copy counted.
+    #[test]
+    fn a_re_copy_counts_what_the_first_copy_counted() {
+        let src = BoundedTable::with_cells(1 << 10, 0);
+        let keys = test_keys(600, 17);
+        fill(&src, &keys);
+        let (dst, shrunk) = (
+            BoundedTable::with_cells(1 << 11, 1),
+            BoundedTable::with_cells(1 << 10, 1),
+        );
+        let block = 64;
+        let (mut clusters, mut rehashed) = (0, 0);
+        for b in 0..src.capacity() / block {
+            let (start, end) = (b * block, (b + 1) * block);
+            let first = migrate_block_marking(&src, &dst, start, end);
+            assert_eq!(migrate_block_marking(&src, &dst, start, end), first);
+            assert_eq!(migrate_block_exclusive(&src, &dst, start, end), first);
+            clusters += first;
+            let first = migrate_block_rehash(&src, &shrunk, start, end, true);
+            assert_eq!(migrate_block_rehash(&src, &shrunk, start, end, true), first);
+            rehashed += first;
+        }
+        assert_eq!((clusters, rehashed), (keys.len(), keys.len()));
+        for &k in &keys {
+            assert_eq!(dst.find(k), Some(k.wrapping_mul(10)));
+            assert_eq!(shrunk.find(k), Some(k.wrapping_mul(10)));
         }
     }
 

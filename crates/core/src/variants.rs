@@ -546,7 +546,7 @@ growing_variant!(
 
 growing_variant!(
     /// `uaGrow` hashing with the paper's hardware CRC32-C pair instead of
-    /// the splitmix64 mixer (§8.3) — the `scaling` figure measures this
+    /// the one-multiply fold (§8.3) — the `scaling` figure measures this
     /// against [`UaGrow`] to quantify the hash substitution.
     UaGrowCrc,
     UaGrowCrcHandle,
@@ -578,7 +578,7 @@ growing_variant!(
 // ---------------------------------------------------------------------------
 
 /// The bounded folklore table hashing with the paper's hardware CRC32-C
-/// pair instead of the splitmix64 mixer (§8.3).  Shares
+/// pair instead of the one-multiply fold (§8.3).  Shares
 /// [`FolkloreHandle`] with [`Folklore`]; only the cell mapping differs.
 pub struct FolkloreCrc {
     table: BoundedTable,

@@ -24,6 +24,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod hash;
 pub mod inflight;
 
 /// Key type used throughout the reproduction: one machine word.

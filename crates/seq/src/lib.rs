@@ -18,6 +18,7 @@
 
 use std::cell::UnsafeCell;
 
+use growt_iface::hash::hash_key;
 use growt_iface::{
     Capabilities, ConcurrentMap, GrowthSupport, InsertOrUpdate, InterfaceStyle, Key, MapHandle,
     Value,
@@ -25,15 +26,6 @@ use growt_iface::{
 
 const EMPTY: u64 = 0;
 const DELETED: u64 = 1;
-
-/// The default splitmix64 finalizer, identical to the concurrent tables so
-/// that probe distributions are comparable.
-#[inline]
-fn hash_key(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 #[inline]
 fn scale(hash: u64, capacity: usize) -> usize {

@@ -6,13 +6,11 @@
 //!
 //! * [`crc64_pair`] — a faithful software port of that construction built
 //!   on a table-driven CRC32-C (Castagnoli) implementation, and
-//! * [`mix64`] — a multiply–xorshift finalizer
-//!   (splitmix64 finalizer) which is the default hash in the tables because
-//!   it is cheaper in software while having the same statistical purpose
-//!   (spreading word-sized keys uniformly over the 64-bit hash space).
+//! * [`mix64`] — a multiply–xorshift finalizer (the splitmix64
+//!   finalizer), bijective and with a known inverse.
 //!
-//! The substitution is documented in DESIGN.md §8; the benchmark harness
-//! can switch to the CRC pair with `HashKind::Crc`.
+//! Neither is the tables' home hash: that is the one-multiply fold
+//! `growt_iface::hash::hash_key` (DESIGN.md §8).
 //!
 //! On x86-64 CPUs with SSE4.2 the CRC kernel dispatches to the hardware
 //! `crc32q` instruction ([`crc32c_u64`] checks the cached std feature
@@ -119,8 +117,7 @@ pub fn crc64_pair(x: u64) -> u64 {
 
 /// Multiply–xorshift finalizer (the splitmix64 / MurmurHash3 finalizer).
 ///
-/// Bijective on `u64`, cheap, and statistically uniform — the default hash
-/// of every table in this reproduction.
+/// Bijective on `u64`, cheap, and statistically uniform.
 #[inline]
 pub fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
