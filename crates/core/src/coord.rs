@@ -584,7 +584,18 @@ pub(crate) trait GrowProtocol {
             chunks_locked: AtomicUsize::new(0),
         });
         *self.coord().job.lock() = Some(job);
-        self.coord().state.store(STATE_MIGRATING, Ordering::Release);
+        // Only from `PREPARING`: once the job is installed, a participant
+        // (a pool worker woken late for the previous migration, a handle
+        // that meets a marked cell) may copy every block and finalize it
+        // before this line runs, and finalize's `IDLE` must stay.  A plain
+        // store here put `MIGRATING` back over it with no job left to
+        // finish, and every later growth waited forever.
+        let _ = self.coord().state.compare_exchange(
+            STATE_PREPARING,
+            STATE_MIGRATING,
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        );
         Ok(())
     }
 
