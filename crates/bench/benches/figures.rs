@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use growt_baselines::{Cuckoo, FollyStyle, LeaHash, TbbHashMap};
 use growt_bench::GROWING_INITIAL;
-use growt_core::{Folklore, TsxFolklore, UaGrow, UsGrow};
+use growt_core::{Folklore, UaGrow, UsGrow};
 use growt_iface::ConcurrentMap;
 use growt_seq::SeqGrowingTable;
 use growt_workloads::{
@@ -37,7 +37,6 @@ fn bench_insert_prefilled(c: &mut Criterion) {
         };
     }
     bench!(Folklore, "folklore");
-    bench!(TsxFolklore, "tsxfolklore");
     bench!(UaGrow, "uaGrow");
     bench!(UsGrow, "usGrow");
     bench!(LeaHash, "LeaHash");

@@ -8,7 +8,7 @@
 //!
 //! `<id>` is one of: `table1`, `fig2a`, `fig2b`, `fig3a`, `fig3b`, `fig4a`,
 //! `fig4b`, `fig5a`, `fig5b`, `fig6`, `fig7a`, `fig7b`, `fig8a`, `fig8b`,
-//! `fig9a`, `fig9b`, `fig10`, `fig11a`, `fig11b`, `ablation_block`,
+//! `fig10`, `fig11a`, `fig11b`, `ablation_block`,
 //! `ablation_batch`, `ablation_probe`, `scaling`, `wordcount`, `typed`,
 //! `latency`, or `all`.
 //! Output is TSV on stdout (one block per figure).  With `--json`,
@@ -25,7 +25,7 @@
 use growt_bench::*;
 
 /// Every figure id the harness can regenerate, in `all` execution order.
-const FIGURE_IDS: [&str; 26] = [
+const FIGURE_IDS: [&str; 24] = [
     "table1",
     "fig2a",
     "fig2b",
@@ -40,8 +40,6 @@ const FIGURE_IDS: [&str; 26] = [
     "fig7b",
     "fig8a",
     "fig8b",
-    "fig9a",
-    "fig9b",
     "fig10",
     "fig11a",
     "fig11b",
@@ -151,8 +149,6 @@ fn run(id: &str, cfg: &HarnessConfig) {
         "fig7b" => fig7(cfg, true).to_tsv(),
         "fig8a" => fig8a(cfg).to_tsv(),
         "fig8b" => fig8b(cfg).to_tsv(),
-        "fig9a" => fig9(cfg, false).to_tsv(),
-        "fig9b" => fig9(cfg, true).to_tsv(),
         "fig10" => fig10(cfg),
         "fig11a" => fig11(cfg, false).to_tsv(),
         "fig11b" => fig11(cfg, true).to_tsv(),

@@ -17,10 +17,9 @@ use growt_baselines::{
     Cuckoo, FollyStyle, Hopscotch, JunctionLeapfrog, JunctionLinear, LeaHash, PhaseConcurrent,
     RcuQsbrTable, RcuTable, TbbHashMap, TbbUnorderedMap,
 };
-use growt_core::variants::{UaGrowTsx, UsGrowTsx};
 use growt_core::{
-    Folklore, FolkloreCrc, FolkloreSimd, GrowMap, PaGrow, PsGrow, StringKeyTable, TsxFolklore,
-    UaGrow, UaGrowCrc, UaGrowK1, UaGrowK16, UaGrowK4, UaGrowSimd, UsGrow,
+    Folklore, FolkloreCrc, FolkloreSimd, GrowMap, PaGrow, PsGrow, StringKeyTable, UaGrow,
+    UaGrowCrc, UaGrowK1, UaGrowK16, UaGrowK4, UaGrowSimd, UsGrow,
 };
 use growt_iface::{capability_row, Capabilities, ConcurrentMap, GenericMap};
 use growt_seq::{SeqGrowingTable, SeqTable};
@@ -255,7 +254,6 @@ pub fn fig2a(cfg: &HarnessConfig) -> Figure {
     }
     series!(SeqTable);
     series!(Folklore);
-    series!(TsxFolklore);
     series!(UaGrow);
     series!(UsGrow);
     series!(PaGrow);
@@ -318,7 +316,6 @@ pub fn fig3(cfg: &HarnessConfig, successful: bool) -> Figure {
     }
     series!(SeqTable);
     series!(Folklore);
-    series!(TsxFolklore);
     series!(UaGrow);
     series!(UsGrow);
     series!(PaGrow);
@@ -412,7 +409,6 @@ pub fn fig5(cfg: &HarnessConfig, growing: bool) -> Figure {
     series!(PsGrow);
     if !growing {
         series!(Folklore);
-        series!(TsxFolklore);
     }
     series!(FollyStyle);
     series!(Cuckoo);
@@ -507,30 +503,6 @@ pub fn fig8b(cfg: &HarnessConfig) -> Figure {
     series!(UsGrow);
     series!(PaGrow);
     series!(PsGrow);
-    fig
-}
-
-/// Fig. 9a/9b: simulated-HTM ("TSX") variants against the plain variants,
-/// insertions without (9a) and with (9b) growing.
-pub fn fig9(cfg: &HarnessConfig, growing: bool) -> Figure {
-    let id = if growing {
-        "fig9b-htm-insert-growing"
-    } else {
-        "fig9a-htm-insert-preinitialized"
-    };
-    let mut fig = Figure::new(id, "threads");
-    let capacity_of = |ops: usize| if growing { GROWING_INITIAL } else { ops };
-    macro_rules! series {
-        ($t:ty) => {
-            fig.push(insert_series::<$t>(cfg, capacity_of));
-        };
-    }
-    series!(Folklore);
-    series!(TsxFolklore);
-    series!(UaGrow);
-    series!(UaGrowTsx);
-    series!(UsGrow);
-    series!(UsGrowTsx);
     fig
 }
 
@@ -1553,7 +1525,6 @@ pub fn table1() -> String {
         RcuTable::capabilities(),
         RcuQsbrTable::capabilities(),
         Folklore::capabilities(),
-        TsxFolklore::capabilities(),
         PhaseConcurrent::capabilities(),
         Hopscotch::capabilities(),
         LeaHash::capabilities(),
@@ -1602,7 +1573,6 @@ mod tests {
             "paGrow",
             "psGrow",
             "folklore",
-            "tsxfolklore",
             "cuckoo",
             "folly",
             "rcu-urcu",
@@ -2047,12 +2017,11 @@ mod tests {
     }
 
     #[test]
-    fn smoke_deletion_mixed_htm_ablation() {
+    fn smoke_deletion_mixed_ablation() {
         let cfg = smoke_config();
         assert!(!fig6(&cfg).series.is_empty());
         assert!(!fig7(&cfg, true).series.is_empty());
         assert!(!fig8a(&cfg).series.is_empty());
-        assert!(!fig9(&cfg, false).series.is_empty());
         assert!(!ablation_block(&cfg).series[0].points.is_empty());
         assert!(fig10(&cfg).lines().count() > 10);
     }

@@ -235,25 +235,6 @@ impl Cell {
         }
     }
 
-    /// [`Cell::mark_for_migration`] for a caller inside a hardware
-    /// transaction (`growt_htm::rtm`): a load and a store of the key word
-    /// and a load of the value word, no locked instruction.  The commit
-    /// makes the three one atomic step — a `cas_pair` that reaches the cell
-    /// between them aborts the transaction — and that step is the freeze,
-    /// with the contract of the `fetch_or` variant.  Outside a transaction
-    /// the store could overwrite a concurrent writer's key word.
-    ///
-    /// `Relaxed` throughout: the accesses are atomics, so no schedule is a
-    /// data race; what orders them against other threads is the commit,
-    /// and the caller's `Acquire` fence after it stands in for the
-    /// `fetch_or`'s acquire half (DESIGN.md §15).
-    #[inline]
-    pub(crate) fn mark_in_transaction(&self) -> (u64, u64) {
-        let key = self.key.load(Ordering::Relaxed);
-        self.key.store(key | MARK_BIT, Ordering::Relaxed);
-        (unmark(key), self.value.load(Ordering::Relaxed))
-    }
-
     // -- double word CAS backends -------------------------------------------
 
     #[cfg(all(target_arch = "x86_64", target_feature = "cmpxchg16b"))]

@@ -138,17 +138,12 @@ pub struct MigrationRecord {
     /// Block copies made by a waiter's rescue pass (0 unless a participant
     /// crashed or stalled past the rescue patience).
     pub rescued: usize,
-    /// Chunks of at most 64 source cells whose freeze committed as a
-    /// hardware transaction, over all block copies (`GrowMap` marking on a
-    /// CPU with RTM; 0 elsewhere, and always 0 in exclusive mode, which
-    /// freezes nothing).
-    pub chunks_transactional: usize,
-    /// Chunks whose freeze ran on the locked instructions: an aborted
-    /// transaction's fallback, or no RTM.  With `chunks_transactional`, the
-    /// chunks a marking migration copied — `⌈range cells / 64⌉` per
-    /// (wrapped) piece of a block's range per copy (`GrowMap`; the word
-    /// table's copiers do not count).  Placement is plain stores in every
-    /// mode and counts nowhere.
+    /// Chunks of at most 64 source cells that a marking migration froze
+    /// with the locked `fetch_or`, over all block copies: `⌈range cells /
+    /// 64⌉` per (wrapped) piece of a block's range per copy (`GrowMap`; the
+    /// word table's copiers do not count).  Always 0 in exclusive mode,
+    /// which freezes nothing.  Placement is plain stores in every mode and
+    /// counts nowhere.
     pub chunks_locked: usize,
 }
 
@@ -185,7 +180,6 @@ pub(crate) struct MigrationJob<G> {
     copy_ns: AtomicU64,
     blocks_by_leader: AtomicUsize,
     rescued: AtomicUsize,
-    pub(crate) chunks_transactional: AtomicUsize,
     pub(crate) chunks_locked: AtomicUsize,
 }
 
@@ -580,7 +574,6 @@ pub(crate) trait GrowProtocol {
             copy_ns: AtomicU64::new(0),
             blocks_by_leader: AtomicUsize::new(0),
             rescued: AtomicUsize::new(0),
-            chunks_transactional: AtomicUsize::new(0),
             chunks_locked: AtomicUsize::new(0),
         });
         *self.coord().job.lock() = Some(job);
@@ -827,7 +820,6 @@ pub(crate) trait GrowProtocol {
             longest_wait_ns: 0,
             blocks_by_leader: job.blocks_by_leader.load(Ordering::Relaxed),
             rescued: job.rescued.load(Ordering::Relaxed),
-            chunks_transactional: job.chunks_transactional.load(Ordering::Relaxed),
             chunks_locked: job.chunks_locked.load(Ordering::Relaxed),
         });
         if self

@@ -52,11 +52,10 @@
 //! Either way the copy places with plain stores (DESIGN.md §12, §15).
 
 use std::marker::PhantomData;
-use std::sync::atomic::{compiler_fence, fence, AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{compiler_fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use growt_htm::rtm;
 use growt_iface::{GenericMap, GenericMapHandle, InsertOrUpdate, TryGrowError};
 use growt_reclaim::{CachedArc, QsbrDomain, QsbrParticipant, VersionedArc};
 use parking_lot::Mutex;
@@ -916,16 +915,9 @@ impl<K: KeyRepr, V: ValueRepr> GenericArray<K, V> {
 /// boxed key) and target lines are in flight together, its two stack
 /// arrays (1.5 KiB) stay in L1, a late owner is found out within 64
 /// placements (the placement gate holds a publication back for at most
-/// one round), and a freeze transaction writes 32 cache lines (the cells
-/// and the pairs it compacts).  16 to 256 measured alike on word keys
-/// (EXPERIMENTS.md "The grow pause, decomposed").
+/// one round).  16 to 256 measured alike on word keys (EXPERIMENTS.md
+/// "The grow pause, decomposed").
 const COPY_CHUNK: usize = 64;
-
-/// Transactions a block copy may lose in a row before it freezes the rest
-/// of the block on the locked path.  One abort is a writer's conflict, an
-/// interrupt; four in a row is a block under writers, or a CPU that aborts
-/// everything.
-const TXN_ABORTS_IN_A_ROW: u32 = 4;
 
 /// What one call of [`migrate_generic_block`] did.
 #[derive(Debug, Default)]
@@ -936,29 +928,8 @@ struct BlockCopy {
     /// `false` when the copy stopped short: the placement gate turned it
     /// away because someone else completed the block.
     complete: bool,
-    /// Chunks whose freeze committed as a hardware transaction.
-    chunks_transactional: usize,
-    /// Chunks whose freeze ran on the locked instructions.
+    /// Chunks frozen with the locked `fetch_or` (marking mode).
     chunks_locked: usize,
-}
-
-/// How the freeze pass reads a chunk's cells.  The pass ([`freeze_chunk`])
-/// exists once and takes this as a value: besides one body to keep right,
-/// it means the locked pass that follows an abort executes the code and the
-/// stack of the pass that aborted — a page of either that is missing faults
-/// *inside* a transaction, where the fault is dropped and the page stays
-/// missing for the next one.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Access {
-    /// Exclusive mode: no writer runs, so a plain load of each word is the
-    /// cell's final content and nothing is marked.
-    Exclusive,
-    /// Marking, inside a hardware transaction: a plain load and store of
-    /// the key word and a load of the value word per cell, which the commit
-    /// makes one atomic step.
-    Transactional,
-    /// Marking on the locked instructions: one `fetch_or` per cell.
-    Locked,
 }
 
 /// Pass 1 of a chunk: read (and, marking, freeze) its cells and compact the
@@ -968,14 +939,17 @@ enum Access {
 /// (marking).  Every pair is written to the next free slot and the slot is
 /// kept only if the pair is live; tombstones are dropped here (their
 /// allocations were already retired at erase time).
+///
+/// `mode` says how a cell is read: exclusive, a plain load of each word is
+/// the cell's final content and nothing is marked; marking, one `fetch_or`
+/// per cell freezes it.
 #[inline(always)]
-fn freeze_chunk(access: Access, chunk: &[Cell], live: &mut [(u64, u64); COPY_CHUNK]) -> usize {
+fn freeze_chunk(mode: MigrationMode, chunk: &[Cell], live: &mut [(u64, u64); COPY_CHUNK]) -> usize {
     let mut n = 0usize;
     for cell in chunk {
-        let (k, v) = match access {
-            Access::Exclusive => cell.read(),
-            Access::Transactional => cell.mark_in_transaction(),
-            Access::Locked => cell.mark_for_migration(),
+        let (k, v) = match mode {
+            MigrationMode::Exclusive => cell.read(),
+            MigrationMode::Marking => cell.mark_for_migration(),
         };
         live[n] = (k, v);
         n += usize::from(k > DEL_KEY);
@@ -1016,57 +990,6 @@ fn place_chunk<K: KeyRepr, V: ValueRepr>(
             pos = (pos + 1) & (dst.capacity() - 1);
             walked += 1;
         }
-    }
-}
-
-/// Runs the freeze pass of a marking copy as a hardware transaction for as
-/// long as the hardware has them and they commit.
-struct Transactions {
-    /// Aborts in a row from here that switch transactions off; 0: off.
-    aborts_left: u32,
-}
-
-impl Transactions {
-    fn new() -> Self {
-        Transactions {
-            aborts_left: if rtm::available() {
-                TXN_ABORTS_IN_A_ROW
-            } else {
-                0
-            },
-        }
-    }
-
-    /// Run `pass`: inside a transaction if they are on, and again with the
-    /// locked instructions if that aborted — nothing an aborted pass did
-    /// has happened.  Returns the pass's result and whether a transaction
-    /// committed it.  The `generic.copy.txn` failpoint's `FailAlloc` counts
-    /// as an abort; it is asked before `xbegin`, since inside the
-    /// transaction its registry lock would be the abort.
-    #[inline(always)]
-    fn run<R>(&mut self, mut pass: impl FnMut(Access) -> R) -> (R, bool) {
-        if self.aborts_left != 0 {
-            if !growt_failpoints::fire("generic.copy.txn") {
-                // SAFETY: `aborts_left` is non-zero only where
-                // `rtm::available()`; `end` is reached only inside the
-                // transaction `begin` started.
-                unsafe {
-                    if rtm::begin() == rtm::STARTED {
-                        let result = pass(Access::Transactional);
-                        rtm::end();
-                        // The commit ordered the pass's `Relaxed` loads
-                        // after the writers' `Release` CASes they read
-                        // from; this tells the compiler (no instruction on
-                        // x86-64).
-                        fence(Ordering::Acquire);
-                        self.aborts_left = TXN_ABORTS_IN_A_ROW;
-                        return (result, true);
-                    }
-                }
-            }
-            self.aborts_left -= 1;
-        }
-        (pass(Access::Locked), false)
     }
 }
 
@@ -1133,12 +1056,9 @@ fn cluster_range<K: KeyRepr, V: ValueRepr>(
 /// cells, three passes per chunk:
 ///
 /// 1. [`freeze_chunk`], as `mode` says: plain loads when writers are
-///    excluded; marking, inside a hardware transaction where the CPU has
-///    RTM and it commits, else on the locked `fetch_or`
-///    ([`TXN_ABORTS_IN_A_ROW`] aborts hand the rest of the block to that
-///    path);
+///    excluded, the locked `fetch_or` when the migration marks;
 /// 2. hash every live key and prefetch its target line — independent
-///    work, which has no business in a transaction's read set;
+///    work, kept out of the freeze loop;
 /// 3. [`place_chunk`], inside the placement gate (`enter_placement`).
 ///
 /// **Idempotent, also against a concurrent copy of the same block.**  The
@@ -1172,7 +1092,6 @@ fn migrate_generic_block<K: KeyRepr, V: ValueRepr, P>(
         complete: true,
         ..BlockCopy::default()
     };
-    let mut transactions = Transactions::new();
     let mut live = [(0u64, 0u64); COPY_CHUNK];
     let mut homes = [0usize; COPY_CHUNK];
     let (from, to) = cluster_range(src, block_start, block_end, mode);
@@ -1186,17 +1105,13 @@ fn migrate_generic_block<K: KeyRepr, V: ValueRepr, P>(
         .filter(|(lo, hi)| lo < hi)
         .flat_map(|(lo, hi)| src.cells[lo..hi].chunks(COPY_CHUNK));
     for chunk in chunks {
+        // Each arm passes its mode as a constant, so that the inlined
+        // freeze loop is compiled once per mode, with no branch per cell.
         let n = match mode {
-            MigrationMode::Exclusive => freeze_chunk(Access::Exclusive, chunk, &mut live),
+            MigrationMode::Exclusive => freeze_chunk(MigrationMode::Exclusive, chunk, &mut live),
             MigrationMode::Marking => {
-                let (n, committed) =
-                    transactions.run(|access| freeze_chunk(access, chunk, &mut live));
-                if committed {
-                    copy.chunks_transactional += 1;
-                } else {
-                    copy.chunks_locked += 1;
-                }
-                n
+                copy.chunks_locked += 1;
+                freeze_chunk(MigrationMode::Marking, chunk, &mut live)
             }
         };
         let live = &live[..n];
@@ -1319,8 +1234,6 @@ impl<K: KeyRepr, V: ValueRepr> GrowProtocol for GenericInner<K, V> {
             job.enter_placement(start)
         });
         // Relaxed: statistics of the phase record, publishing nothing.
-        job.chunks_transactional
-            .fetch_add(copy.chunks_transactional, Ordering::Relaxed);
         job.chunks_locked
             .fetch_add(copy.chunks_locked, Ordering::Relaxed);
         copy.complete.then_some(copy.live)
@@ -2623,27 +2536,11 @@ mod tests {
         hash_key(i) >> 2 | 2
     }
 
-    /// Serializes the tests that configure `generic.copy.txn` or count
-    /// transactional chunks: the failpoint registry is process-global.
-    static COPY_PATH: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    /// Run `body` in each way this build can copy: exclusive, marking as it
-    /// comes — freezes inside transactions where `rtm::available()` — and,
-    /// with the failpoints compiled in, marking with `generic.copy.txn`
-    /// failing every transaction before it begins.  `body` is told the mode
-    /// and whether the locked freeze is certain.
-    fn on_each_copy_mode(body: impl Fn(MigrationMode, bool)) {
-        let _serial = COPY_PATH.lock().unwrap_or_else(|e| e.into_inner());
-        body(MigrationMode::Exclusive, false);
-        body(MigrationMode::Marking, !rtm::available());
-        if cfg!(feature = "failpoints") {
-            growt_failpoints::configure(
-                "generic.copy.txn",
-                growt_failpoints::Action::FailAlloc,
-                growt_failpoints::Trigger::Always,
-            );
-            body(MigrationMode::Marking, true);
-            growt_failpoints::remove("generic.copy.txn");
+    /// Run `body` in each way a migration can copy: exclusive, then
+    /// marking.
+    fn on_each_copy_mode(body: impl Fn(MigrationMode)) {
+        for mode in [MigrationMode::Exclusive, MigrationMode::Marking] {
+            body(mode);
         }
     }
 
@@ -2658,7 +2555,6 @@ mod tests {
         copies: usize,
         threads: usize,
         mode: MigrationMode,
-        locked: bool,
     ) {
         let (src, live) = source;
         let dst = GenericArray::<K, u64>::new(target_capacity, 2);
@@ -2678,14 +2574,8 @@ mod tests {
                             assert!(copy.complete);
                             let mut seen = counted[b].lock().unwrap();
                             assert_eq!(*seen.get_or_insert(copy.live), copy.live, "block {b}");
-                            match mode {
-                                MigrationMode::Exclusive => {
-                                    assert_eq!(copy.chunks_transactional + copy.chunks_locked, 0)
-                                }
-                                MigrationMode::Marking if locked => {
-                                    assert_eq!(copy.chunks_transactional, 0)
-                                }
-                                MigrationMode::Marking => {}
+                            if mode == MigrationMode::Exclusive {
+                                assert_eq!(copy.chunks_locked, 0);
                             }
                         }
                     }
@@ -2728,7 +2618,7 @@ mod tests {
             (1024, 600, 2, 1024, 100), // cleanup: half the cells are tombstones
             (1024, 600, 1, 64, 300),   // shrink: nothing but tombstones
         ];
-        on_each_copy_mode(|mode, locked| {
+        on_each_copy_mode(|mode| {
             for (cells, inserted, erase_every, target, block) in shapes {
                 for (copies, threads) in [(1, 1), (3, 1), (1, 2), (2, 2)] {
                     copy_and_check(
@@ -2738,7 +2628,6 @@ mod tests {
                         copies,
                         threads,
                         mode,
-                        locked,
                     );
                 }
             }
@@ -2805,7 +2694,7 @@ mod tests {
     /// reports an incomplete copy; a second copy completes the block.
     #[test]
     fn a_copier_without_its_lease_stops_and_a_re_copy_completes() {
-        on_each_copy_mode(|mode, locked| {
+        on_each_copy_mode(|mode| {
             let (src, live) = copier_source::<u64>(1024, 600, 0, word_key);
             let dst = GenericArray::<u64, u64>::new(2048, 2);
             let mut asked = 0;
@@ -2820,31 +2709,20 @@ mod tests {
             assert!(second.complete);
             assert_eq!(second.live, live.len());
             assert_eq!(dst.scan_live(), live.len());
-            let frozen = |c: &BlockCopy| c.chunks_transactional + c.chunks_locked;
             match mode {
-                MigrationMode::Exclusive => assert_eq!(frozen(&first) + frozen(&second), 0),
-                MigrationMode::Marking if locked => {
-                    assert_eq!(first.chunks_transactional + second.chunks_transactional, 0)
+                MigrationMode::Exclusive => {
+                    assert_eq!(first.chunks_locked + second.chunks_locked, 0)
                 }
                 MigrationMode::Marking => {
-                    // Over memory that has been touched a freeze gets
-                    // through its transaction unless something outside
-                    // aborts it (tests running beside this one do, four
-                    // times in a row now and then); a further re-copy
-                    // changes nothing, so it may be asked until one does.
-                    let committed = (0..64).any(|_| {
-                        let again = migrate_generic_block(&src, &dst, 0, 1024, mode, || Some(()));
-                        assert!(again.complete && again.live == live.len());
-                        again.chunks_transactional > 0
-                    });
-                    assert!(committed, "64 re-copies of 16 chunks, none transactional");
+                    // A chunk is frozen before the gate is asked for it.
+                    assert_eq!(first.chunks_locked, 4);
+                    assert!((16..=17).contains(&second.chunks_locked));
                 }
             }
         });
     }
 
-    /// An exclusive copy reads what a marking copy freezes — on either
-    /// marking path — and places it into the same cells, block by block and
+    /// An exclusive copy reads what a marking copy freezes and places it into the same cells, block by block and
     /// in any order of the blocks; it leaves the source unmarked.
     fn copies_place_alike_for<K: KeyRepr>(keys: fn(u64) -> K) {
         let words = |array: &GenericArray<K, u64>| -> Vec<(u64, u64)> {
@@ -2867,7 +2745,7 @@ mod tests {
             words(&dst)
         };
         let exclusive = copy(MigrationMode::Exclusive, false);
-        on_each_copy_mode(|mode, _| {
+        on_each_copy_mode(|mode| {
             for reverse in [false, true] {
                 assert!(
                     copy(mode, reverse) == exclusive,
@@ -2895,13 +2773,11 @@ mod tests {
 
     /// The freeze against live writers, through the whole copier: two
     /// threads bump values of a one-chunk source by `cas_pair` (every
-    /// marking-protocol writer's shape) while a third copies it.  Whichever
-    /// way the freeze ran — the writers abort most transactions, some
-    /// commit between two CASes — each value it placed is its cell's final
-    /// value, and no CAS succeeds once the copy has returned.
+    /// marking-protocol writer's shape) while a third copies it.  Each
+    /// value the freeze placed is its cell's final value, and no CAS
+    /// succeeds once the copy has returned.
     #[test]
     fn freeze_races_cas_pair_writers_and_copies_the_final_values() {
-        let _serial = COPY_PATH.lock().unwrap_or_else(|e| e.into_inner());
         for round in 0..200u64 {
             let (src, live) = copier_source::<u64>(COPY_CHUNK, 40, 0, word_key);
             let dst = GenericArray::<u64, u64>::new(2 * COPY_CHUNK, 2);
@@ -2975,77 +2851,6 @@ mod tests {
                     assert!(cell.cas_pair((unmark(k), v), (unmark(k), v + 1)).is_err());
                 }
             }
-        }
-    }
-
-    /// Transactions made to abort by the failpoint — all of them, every
-    /// second, every third, a coin flip — leave the source frozen and the
-    /// target filled cell for cell as the locked path does, and count the
-    /// same; and after four aborts in a row a block stops asking.
-    #[cfg(feature = "failpoints")]
-    #[test]
-    fn forced_aborts_copy_what_the_locked_path_copies() {
-        use growt_failpoints::{configure, remove, Action, Trigger};
-
-        let _serial = COPY_PATH.lock().unwrap_or_else(|e| e.into_inner());
-
-        // The hand-over: four refusals in a row and the block stops
-        // asking; every refused pass ran once, locked.
-        configure("generic.copy.txn", Action::FailAlloc, Trigger::Always);
-        let mut transactions = Transactions::new();
-        let start = if rtm::available() {
-            TXN_ABORTS_IN_A_ROW
-        } else {
-            0
-        };
-        assert_eq!(transactions.aborts_left, start);
-        for pass in 1..=6 {
-            let mut ran = 0;
-            let (access, committed) = transactions.run(|access| {
-                ran += 1;
-                access
-            });
-            assert!(access == Access::Locked && !committed && ran == 1);
-            assert_eq!(transactions.aborts_left, start.saturating_sub(pass));
-        }
-        remove("generic.copy.txn");
-
-        let words = |array: &GenericArray<u64, u64>| -> Vec<(u64, u64)> {
-            array.cells.iter().map(Cell::read).collect()
-        };
-        let run = |trigger: Option<Trigger>| {
-            let (src, _) = copier_source::<u64>(1024, 600, 3, word_key);
-            let dst = GenericArray::<u64, u64>::new(2048, 2);
-            if let Some(trigger) = trigger {
-                configure("generic.copy.txn", Action::FailAlloc, trigger);
-            }
-            let copy =
-                migrate_generic_block(&src, &dst, 0, 1024, MigrationMode::Marking, || Some(()));
-            remove("generic.copy.txn");
-            assert!((16..=17).contains(&(copy.chunks_transactional + copy.chunks_locked)));
-            if !rtm::available() {
-                assert_eq!(copy.chunks_transactional, 0);
-            }
-            (
-                (copy.live, words(&src), words(&dst)),
-                copy.chunks_transactional,
-            )
-        };
-
-        let (locked, transactional) = run(Some(Trigger::Always));
-        assert_eq!(transactional, 0);
-        let seeded = Trigger::Prob {
-            num: 1,
-            den: 2,
-            seed: 22,
-        };
-        for trigger in [
-            None,
-            Some(Trigger::Each(2)),
-            Some(Trigger::Each(3)),
-            Some(seeded),
-        ] {
-            assert_eq!(run(trigger).0, locked, "{trigger:?}");
         }
     }
 

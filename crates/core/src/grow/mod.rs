@@ -69,9 +69,6 @@ pub struct GrowingOptions {
     /// Expected number of accessing threads `p`: sizes the migration pool
     /// and the randomized counter flush threshold.
     pub threads_hint: usize,
-    /// Wrap single-cell operations in simulated hardware transactions
-    /// (the `tsx*` variants of §6/§7).
-    pub use_htm: bool,
     /// Hash function of the cell mapping, inherited by every table
     /// generation (default: the one-multiply fold; [`HashSelect::Crc`]
     /// selects the paper's hardware CRC32-C pair, §8.3).
@@ -102,7 +99,6 @@ impl Default for GrowingOptions {
             consistency: Consistency::AsyncMarking,
             grow: GrowConfig::default(),
             threads_hint: crate::cpu::available_parallelism(),
-            use_htm: false,
             hash: HashSelect::default(),
             probe: ProbeSelect::default(),
             help_budget: None,
@@ -154,7 +150,6 @@ pub(crate) struct Inner {
     coordinator: Coordinator<BoundedTable>,
     handles: Mutex<Vec<Arc<HandleShared>>>,
     options: GrowingOptions,
-    htm: Option<growt_htm::HtmDomain>,
     pool_shared: Mutex<Option<Arc<PoolShared>>>,
     handle_seed: AtomicU64,
 }
@@ -170,9 +165,6 @@ impl GrowingTable {
     /// Create a table with an initial capacity hint and the given options.
     pub fn with_options(initial_capacity: usize, options: GrowingOptions) -> Self {
         let capacity = capacity_for(initial_capacity.max(2));
-        let htm = options
-            .use_htm
-            .then(|| growt_htm::HtmDomain::new((capacity / 4).max(64)));
         let inner = Arc::new(Inner {
             current: VersionedArc::new(BoundedTable::with_cells_configured(
                 capacity,
@@ -184,7 +176,6 @@ impl GrowingTable {
             coordinator: Coordinator::new(),
             handles: Mutex::new(Vec::new()),
             options: options.clone(),
-            htm,
             pool_shared: Mutex::new(None),
             handle_seed: AtomicU64::new(0x9E3779B97F4A7C15),
         });
@@ -237,11 +228,6 @@ impl GrowingTable {
         self.inner.current.with_current(|t| t.scan_counts().0)
     }
 
-    /// Transaction statistics of the simulated-HTM fast path, if enabled.
-    pub fn htm_stats(&self) -> Option<(u64, u64, u64)> {
-        self.inner.htm.as_ref().map(|h| h.stats.snapshot())
-    }
-
     /// A counted reference to the current table generation.
     ///
     /// Diagnostics/tests only (e.g. `Arc::downgrade` to observe when a
@@ -276,23 +262,6 @@ impl GrowingTable {
 impl Inner {
     fn synchronized(&self) -> bool {
         self.options.consistency == Consistency::Synchronized
-    }
-
-    /// Execute `op` under the (optional) simulated-HTM speculative path.
-    ///
-    /// Lives on `Inner` (not the handle) so operations can call it while
-    /// they hold the borrow of the handle-local table cache.
-    #[inline]
-    fn with_htm<R>(&self, table: &BoundedTable, key: u64, op: impl Fn() -> R) -> R {
-        match &self.htm {
-            Some(htm) => {
-                // One conflict-detection stripe per 4 cells (≈ one cache line).
-                let line = table.home_cell(key) >> 2;
-                let (result, _) = htm.execute(line, &op, &op);
-                result
-            }
-            None => op(),
-        }
     }
 
     fn register_handle(&self) -> Arc<HandleShared> {
@@ -602,7 +571,7 @@ impl<'a> GrowHandle<'a> {
                 let _busy = Self::begin_op(inner, self.shared.as_ref(), &self.cached);
                 let table = Self::table_ref(&mut self.cached, &mut self.local, inner);
                 let (capacity, version) = (table.capacity(), table.version());
-                let outcome = inner.with_htm(table, key, || table.insert(key, value));
+                let outcome = table.insert(key, value);
                 (capacity, version, outcome)
             };
             match outcome {
@@ -637,7 +606,7 @@ impl<'a> GrowHandle<'a> {
                 let _busy = Self::begin_op(inner, self.shared.as_ref(), &self.cached);
                 let table = Self::table_ref(&mut self.cached, &mut self.local, inner);
                 let (capacity, version) = (table.capacity(), table.version());
-                let outcome = inner.with_htm(table, key, || table.insert(key, value));
+                let outcome = table.insert(key, value);
                 (capacity, version, outcome)
             };
             match outcome {
@@ -676,7 +645,7 @@ impl<'a> GrowHandle<'a> {
                 let _busy = Self::begin_op(inner, self.shared.as_ref(), &self.cached);
                 let table = Self::table_ref(&mut self.cached, &mut self.local, inner);
                 let (capacity, version) = (table.capacity(), table.version());
-                let outcome = inner.with_htm(table, key, || table.upsert_with(key, d, up));
+                let outcome = table.upsert_with(key, d, up);
                 (capacity, version, outcome)
             };
             match outcome {
@@ -714,7 +683,7 @@ impl<'a> GrowHandle<'a> {
     /// mark-aware full-cell CAS.
     pub fn update(&mut self, key: u64, d: u64, up: impl Fn(u64, u64) -> u64 + Copy) -> bool {
         let inner = self.inner;
-        if inner.synchronized() && inner.htm.is_none() {
+        if inner.synchronized() {
             let outcome = {
                 let _busy = Self::begin_op(inner, self.shared.as_ref(), &self.cached);
                 let table = Self::table_ref(&mut self.cached, &mut self.local, inner);
@@ -727,7 +696,7 @@ impl<'a> GrowHandle<'a> {
                 let _busy = Self::begin_op(inner, self.shared.as_ref(), &self.cached);
                 let table = Self::table_ref(&mut self.cached, &mut self.local, inner);
                 let version = table.version();
-                let outcome = inner.with_htm(table, key, || table.update_with(key, d, up));
+                let outcome = table.update_with(key, d, up);
                 (version, outcome)
             };
             match outcome {
@@ -773,7 +742,7 @@ impl<'a> GrowHandle<'a> {
                 let _busy = Self::begin_op(inner, self.shared.as_ref(), &self.cached);
                 let table = Self::table_ref(&mut self.cached, &mut self.local, inner);
                 let (capacity, version) = (table.capacity(), table.version());
-                let outcome = inner.with_htm(table, key, || table.upsert_with(key, d, up));
+                let outcome = table.upsert_with(key, d, up);
                 (capacity, version, outcome)
             };
             match outcome {
@@ -857,9 +826,7 @@ impl<'a> GrowHandle<'a> {
     // migration is in flight.  Batches are cut into
     // segments so that a synchronized-protocol handle never holds its busy
     // flag across an unbounded amount of work (which would stall a
-    // migration leader waiting for quiescence).  The simulated-HTM fast
-    // path is not engaged on batch operations: the pipeline already
-    // executes the same fallback code the transactions would run.
+    // migration leader waiting for quiescence).
     // -----------------------------------------------------------------
 
     /// Look up a whole batch of keys; `out[i]` receives `find(keys[i])`.
@@ -911,7 +878,7 @@ impl<'a> GrowHandle<'a> {
             UpdateOutcome::NotFound => BatchDisposition::Noop,
             UpdateOutcome::Migrating => BatchDisposition::RetryAfterMigration,
         };
-        if self.inner.synchronized() && self.inner.htm.is_none() {
+        if self.inner.synchronized() {
             self.run_batch(
                 BatchKind::Update,
                 elements,
@@ -1465,22 +1432,6 @@ mod tests {
                 assert_eq!(f, Some(k), "{name}: find_batch {k}");
             }
         }
-    }
-
-    #[test]
-    fn htm_variant_works_and_records_stats() {
-        let mut opts = options(GrowStrategy::Enslave, Consistency::AsyncMarking);
-        opts.use_htm = true;
-        let table = GrowingTable::with_options(64, opts);
-        let mut handle = table.handle();
-        for key in 2..5_002u64 {
-            assert!(handle.insert(key, key));
-        }
-        for key in 2..5_002u64 {
-            assert_eq!(handle.find(key), Some(key));
-        }
-        let (commits, _aborts, fallbacks) = table.htm_stats().unwrap();
-        assert!(commits + fallbacks >= 5_000);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! * [`grow`] — the growing table framework combining the enslavement/pool
 //!   and marking/synchronized strategies (§5.3.2);
 //! * [`variants`] — the public table types used in the evaluation:
-//!   `Folklore`, `TsxFolklore`, `UaGrow`, `UsGrow`, `PaGrow`, `PsGrow` (§7);
+//!   `Folklore`, `UaGrow`, `UsGrow`, `PaGrow`, `PsGrow` (§7);
 //! * [`bulk`] — bulk construction and batched insertion (§5.5);
 //! * [`prefetch`] — cache-line prefetch helpers for the batched
 //!   (hash → prefetch → probe) hot paths;
@@ -33,9 +33,11 @@
 //!   `GrowMap`'s writer exclusion during a migration.
 
 #![warn(missing_docs)]
-// Every `unsafe` block and impl says why it is sound; CI's clippy steps
-// enforce it for this crate.
+// Every `unsafe` block and impl says why it is sound, and an `unsafe fn`
+// body is no blanket `unsafe` block: each unsafe operation in it sits in a
+// block of its own with its reason.
 #![deny(clippy::undocumented_unsafe_blocks)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod bulk;
 pub mod cell;
@@ -62,6 +64,6 @@ pub use generic::{GrowMap, GrowMapHandle, KeyRepr, MigrationMode, MigrationRecor
 pub use grow::{Consistency, GrowHandle, GrowStrategy, GrowingOptions, GrowingTable};
 pub use table::BoundedTable;
 pub use variants::{
-    Folklore, FolkloreCrc, FolkloreSimd, PaGrow, PsGrow, TsxFolklore, UaGrow, UaGrowCrc, UaGrowK1,
-    UaGrowK16, UaGrowK4, UaGrowSimd, UsGrow,
+    Folklore, FolkloreCrc, FolkloreSimd, PaGrow, PsGrow, UaGrow, UaGrowCrc, UaGrowK1, UaGrowK16,
+    UaGrowK4, UaGrowSimd, UsGrow,
 };

@@ -16,7 +16,7 @@
 //! on kernels older than 5.14): a migration target's page faults then
 //! happen in its leader's preparation, while the other threads keep
 //! inserting, and not inside the copy, where a fault stalls every copier
-//! and aborts the copier's hardware transactions (DESIGN.md §11).
+//! (DESIGN.md §11).
 //!
 //! Fallback matrix (every step degrades gracefully):
 //!
@@ -264,19 +264,24 @@ pub(crate) mod sys {
         a6: usize,
     ) -> isize {
         let ret: isize;
-        std::arch::asm!(
-            "syscall",
-            inlateout("rax") nr => ret,
-            in("rdi") a1,
-            in("rsi") a2,
-            in("rdx") a3,
-            in("r10") a4,
-            in("r8") a5,
-            in("r9") a6,
-            lateout("rcx") _,
-            lateout("r11") _,
-            options(nostack),
-        );
+        // SAFETY: the caller passes arguments valid for syscall `nr`, per
+        // `# Safety` above; the kernel clobbers only `rcx` and `r11`, which
+        // are declared, and touches no stack.
+        unsafe {
+            std::arch::asm!(
+                "syscall",
+                inlateout("rax") nr => ret,
+                in("rdi") a1,
+                in("rsi") a2,
+                in("rdx") a3,
+                in("r10") a4,
+                in("r8") a5,
+                in("r9") a6,
+                lateout("rcx") _,
+                lateout("r11") _,
+                options(nostack),
+            );
+        }
         ret
     }
 

@@ -172,10 +172,14 @@ pub fn match_group_sse2(group: &[u8; GROUP], fp: u8) -> Option<(u32, u32)> {
 #[inline]
 unsafe fn sse2_raw(p: *const u8, fp: u8) -> (u32, u32) {
     use std::arch::x86_64::*;
-    let group = _mm_loadu_si128(p as *const __m128i);
-    let candidates = _mm_movemask_epi8(_mm_cmpeq_epi8(group, _mm_set1_epi8(fp as i8))) as u32;
-    let empties = _mm_movemask_epi8(_mm_cmpeq_epi8(group, _mm_setzero_si128())) as u32;
-    (candidates, empties)
+    // SAFETY: the caller guarantees 16 readable bytes at `p` (the unaligned
+    // load) and SSE2 (every intrinsic here), per `# Safety` above.
+    unsafe {
+        let group = _mm_loadu_si128(p as *const __m128i);
+        let candidates = _mm_movemask_epi8(_mm_cmpeq_epi8(group, _mm_set1_epi8(fp as i8))) as u32;
+        let empties = _mm_movemask_epi8(_mm_cmpeq_epi8(group, _mm_setzero_si128())) as u32;
+        (candidates, empties)
+    }
 }
 
 /// SWAR group match over 16 raw bytes.
@@ -185,7 +189,9 @@ unsafe fn sse2_raw(p: *const u8, fp: u8) -> (u32, u32) {
 /// `p` must point to 16 readable bytes.
 #[inline]
 unsafe fn swar_raw(p: *const u8, fp: u8) -> (u32, u32) {
-    let group = std::ptr::read_unaligned(p as *const [u8; GROUP]);
+    // SAFETY: the caller guarantees 16 readable bytes at `p`, per
+    // `# Safety` above; the read needs no alignment.
+    let group = unsafe { std::ptr::read_unaligned(p as *const [u8; GROUP]) };
     match_group_swar(&group, fp)
 }
 

@@ -2,13 +2,9 @@
 //! [`ConcurrentMap`] implementations.
 //!
 //! * [`Folklore`] — the bounded, non-growing lock-free table of §4;
-//! * [`TsxFolklore`] — the same table with single-cell operations wrapped
-//!   in (simulated) hardware transactions (§6);
 //! * [`UaGrow`], [`UsGrow`], [`PaGrow`], [`PsGrow`] — the four growing
 //!   variants: **u**ser-thread vs. **p**ool migration × **a**synchronous
-//!   marking vs. **s**ynchronized exclusion (§5.3.2, §7);
-//! * [`UaGrowTsx`], [`UsGrowTsx`] — growing variants instantiated on top of
-//!   the TSX-style folklore table (Fig. 9b).
+//!   marking vs. **s**ynchronized exclusion (§5.3.2, §7).
 
 use growt_iface::{
     Capabilities, ConcurrentMap, GrowthSupport, InsertOrUpdate, InterfaceStyle, Key, MapHandle,
@@ -171,142 +167,27 @@ impl MapHandle for FolkloreHandle<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// TsxFolklore (bounded, transactional fast path)
-// ---------------------------------------------------------------------------
-
-/// The bounded folklore table with single-cell modifications wrapped in
-/// (simulated) restricted hardware transactions, falling back to the atomic
-/// path on abort (§6, §7 "tsxfolklore").
-pub struct TsxFolklore {
-    table: BoundedTable,
-    htm: growt_htm::HtmDomain,
-}
-
-/// Per-thread handle of [`TsxFolklore`].
-pub struct TsxFolkloreHandle<'a> {
-    table: &'a BoundedTable,
-    htm: &'a growt_htm::HtmDomain,
-}
-
-impl TsxFolklore {
-    /// Commit/abort/fallback statistics of the transactional fast path.
-    pub fn htm_stats(&self) -> (u64, u64, u64) {
-        self.htm.stats.snapshot()
-    }
-}
-
-impl ConcurrentMap for TsxFolklore {
-    type Handle<'a> = TsxFolkloreHandle<'a>;
-
-    fn with_capacity(capacity: usize) -> Self {
-        let table = BoundedTable::with_expected_elements(capacity);
-        let stripes = (table.capacity() / 4).max(64);
-        TsxFolklore {
-            table,
-            htm: growt_htm::HtmDomain::new(stripes),
-        }
-    }
-
-    fn handle(&self) -> TsxFolkloreHandle<'_> {
-        TsxFolkloreHandle {
-            table: &self.table,
-            htm: &self.htm,
-        }
-    }
-
-    fn capabilities() -> Capabilities {
-        Capabilities {
-            name: "tsxfolklore",
-            interface: InterfaceStyle::Standard,
-            growing: GrowthSupport::None,
-            atomic_updates: true,
-            overwrite_only: false,
-            deletion: false,
-            arbitrary_types: false,
-            note: "simulated RTM fast path",
-        }
-    }
-}
-
-impl TsxFolkloreHandle<'_> {
-    #[inline]
-    fn transactional<R>(&self, k: Key, op: impl Fn() -> R) -> R {
-        let line = self.table.home_cell(k) >> 2;
-        let (result, _) = self.htm.execute(line, &op, &op);
-        result
-    }
-}
-
-impl MapHandle for TsxFolkloreHandle<'_> {
-    fn insert(&mut self, k: Key, v: Value) -> bool {
-        self.transactional(k, || {
-            matches!(self.table.insert(k, v), InsertOutcome::Inserted { .. })
-        })
-    }
-
-    fn find(&mut self, k: Key) -> Option<Value> {
-        // Lookups do not need a transaction (§8.4).
-        self.table.find(k)
-    }
-
-    fn update(&mut self, k: Key, d: Value, up: fn(Value, Value) -> Value) -> bool {
-        self.transactional(k, || {
-            self.table.update_with(k, d, up) == UpdateOutcome::Updated
-        })
-    }
-
-    fn insert_or_update(
-        &mut self,
-        k: Key,
-        d: Value,
-        up: fn(Value, Value) -> Value,
-    ) -> InsertOrUpdate {
-        self.transactional(k, || match self.table.upsert_with(k, d, up) {
-            UpsertOutcome::Inserted => InsertOrUpdate::Inserted,
-            _ => InsertOrUpdate::Updated,
-        })
-    }
-
-    fn erase(&mut self, k: Key) -> bool {
-        self.transactional(k, || self.table.erase(k) == EraseOutcome::Erased)
-    }
-
-    fn insert_or_increment(&mut self, k: Key, d: Value) -> InsertOrUpdate {
-        self.transactional(k, || {
-            match self.table.upsert_fetch_add_unsynchronized(k, d) {
-                UpsertOutcome::Inserted => InsertOrUpdate::Inserted,
-                _ => InsertOrUpdate::Updated,
-            }
-        })
-    }
-
-    fn size_estimate(&mut self) -> usize {
-        self.table.scan_counts().0
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Growing variants
 // ---------------------------------------------------------------------------
 
 macro_rules! growing_variant {
     ($(#[$doc:meta])* $name:ident, $handle:ident, $strategy:expr, $consistency:expr,
-     $display:literal, $htm:literal) => {
+     $display:literal) => {
         growing_variant!($(#[$doc])* $name, $handle, $strategy, $consistency,
-            $display, $htm, HashSelect::Mix, ProbeSelect::Scalar);
+            $display, HashSelect::Mix, ProbeSelect::Scalar);
     };
     ($(#[$doc:meta])* $name:ident, $handle:ident, $strategy:expr, $consistency:expr,
-     $display:literal, $htm:literal, $hash:expr) => {
+     $display:literal, $hash:expr) => {
         growing_variant!($(#[$doc])* $name, $handle, $strategy, $consistency,
-            $display, $htm, $hash, ProbeSelect::Scalar);
+            $display, $hash, ProbeSelect::Scalar);
     };
     ($(#[$doc:meta])* $name:ident, $handle:ident, $strategy:expr, $consistency:expr,
-     $display:literal, $htm:literal, $hash:expr, $probe:expr) => {
+     $display:literal, $hash:expr, $probe:expr) => {
         growing_variant!($(#[$doc])* $name, $handle, $strategy, $consistency,
-            $display, $htm, $hash, $probe, None);
+            $display, $hash, $probe, None);
     };
     ($(#[$doc:meta])* $name:ident, $handle:ident, $strategy:expr, $consistency:expr,
-     $display:literal, $htm:literal, $hash:expr, $probe:expr, $budget:expr) => {
+     $display:literal, $hash:expr, $probe:expr, $budget:expr) => {
         $(#[$doc])*
         pub struct $name {
             table: GrowingTable,
@@ -332,7 +213,6 @@ macro_rules! growing_variant {
                     strategy: $strategy,
                     consistency: $consistency,
                     threads_hint: crate::cpu::available_parallelism(),
-                    use_htm: $htm,
                     hash: $hash,
                     probe: $probe,
                     help_budget: $budget,
@@ -441,8 +321,7 @@ growing_variant!(
     UaGrowHandle,
     GrowStrategy::Enslave,
     Consistency::AsyncMarking,
-    "uaGrow",
-    false
+    "uaGrow"
 );
 
 growing_variant!(
@@ -453,8 +332,7 @@ growing_variant!(
     UsGrowHandle,
     GrowStrategy::Enslave,
     Consistency::Synchronized,
-    "usGrow",
-    false
+    "usGrow"
 );
 
 growing_variant!(
@@ -464,8 +342,7 @@ growing_variant!(
     PaGrowHandle,
     GrowStrategy::Pool,
     Consistency::AsyncMarking,
-    "paGrow",
-    false
+    "paGrow"
 );
 
 growing_variant!(
@@ -475,8 +352,7 @@ growing_variant!(
     PsGrowHandle,
     GrowStrategy::Pool,
     Consistency::Synchronized,
-    "psGrow",
-    false
+    "psGrow"
 );
 
 growing_variant!(
@@ -489,7 +365,6 @@ growing_variant!(
     GrowStrategy::Enslave,
     Consistency::AsyncMarking,
     "uaGrow-k1",
-    false,
     HashSelect::Mix,
     ProbeSelect::Scalar,
     Some(1)
@@ -503,7 +378,6 @@ growing_variant!(
     GrowStrategy::Enslave,
     Consistency::AsyncMarking,
     "uaGrow-k4",
-    false,
     HashSelect::Mix,
     ProbeSelect::Scalar,
     Some(4)
@@ -517,31 +391,9 @@ growing_variant!(
     GrowStrategy::Enslave,
     Consistency::AsyncMarking,
     "uaGrow-k16",
-    false,
     HashSelect::Mix,
     ProbeSelect::Scalar,
     Some(16)
-);
-
-growing_variant!(
-    /// `uaGrow` on top of the TSX-style folklore table: single-cell
-    /// operations run through the simulated-RTM fast path (Fig. 9b).
-    UaGrowTsx,
-    UaGrowTsxHandle,
-    GrowStrategy::Enslave,
-    Consistency::AsyncMarking,
-    "uaGrow-TSX",
-    true
-);
-
-growing_variant!(
-    /// `usGrow` on top of the TSX-style folklore table (Fig. 9b).
-    UsGrowTsx,
-    UsGrowTsxHandle,
-    GrowStrategy::Enslave,
-    Consistency::Synchronized,
-    "usGrow-TSX",
-    true
 );
 
 growing_variant!(
@@ -553,7 +405,6 @@ growing_variant!(
     GrowStrategy::Enslave,
     Consistency::AsyncMarking,
     "uaGrow-crc",
-    false,
     HashSelect::Crc
 );
 
@@ -568,7 +419,6 @@ growing_variant!(
     GrowStrategy::Enslave,
     Consistency::AsyncMarking,
     "uaGrow-simd",
-    false,
     HashSelect::Mix,
     ProbeSelect::Simd
 );
@@ -678,25 +528,11 @@ mod tests {
     }
 
     #[test]
-    fn tsx_folklore_smoke_and_stats() {
-        smoke::<TsxFolklore>();
-        let table = TsxFolklore::with_capacity(64);
-        let mut h = table.handle();
-        for k in 2..40u64 {
-            h.insert(k, k);
-        }
-        let (commits, _, fallbacks) = table.htm_stats();
-        assert!(commits + fallbacks >= 38);
-    }
-
-    #[test]
     fn growing_variants_smoke() {
         smoke::<UaGrow>();
         smoke::<UsGrow>();
         smoke::<PaGrow>();
         smoke::<PsGrow>();
-        smoke::<UaGrowTsx>();
-        smoke::<UsGrowTsx>();
         smoke::<UaGrowCrc>();
         smoke::<UaGrowSimd>();
     }

@@ -187,8 +187,8 @@ macro_rules! seq_table {
 
         // SAFETY: the sequential tables are driven by exactly one thread at a
         // time (the paper's sequential baseline); the harness upholds this.
+        // (`Send` needs no impl: `SeqCore` holds only `Send` fields.)
         unsafe impl Sync for $name {}
-        unsafe impl Send for $name {}
 
         /// Single-threaded handle.
         pub struct $handle<'a> {

@@ -29,8 +29,6 @@
 //! * [`growt_seq`] — sequential reference tables (absolute speedups);
 //! * [`growt_workloads`] — MT19937-64, Zipf keys, drivers, figures;
 //! * [`growt_reclaim`] — QSBR and counted pointers;
-//! * [`growt_htm`] — restricted transactional memory: Intel RTM, and the
-//!   simulation the TSX table variants run on;
 //! * [`growt_alloc_track`] — allocation tracking and the page pool.
 
 #![warn(missing_docs)]
@@ -38,7 +36,6 @@
 pub use growt_alloc_track;
 pub use growt_baselines;
 pub use growt_core;
-pub use growt_htm;
 pub use growt_iface;
 pub use growt_reclaim;
 pub use growt_seq;
@@ -52,8 +49,8 @@ pub mod prelude {
     };
     pub use growt_core::{
         Folklore, FolkloreCrc, FolkloreSimd, GrowMap, GrowMapHandle, GrowingOptions, GrowingTable,
-        HashSelect, KeyRepr, PaGrow, ProbeSelect, PsGrow, StringKeyTable, TsxFolklore, UaGrow,
-        UaGrowCrc, UaGrowK1, UaGrowK16, UaGrowK4, UaGrowSimd, UsGrow, ValueRepr,
+        HashSelect, KeyRepr, PaGrow, ProbeSelect, PsGrow, StringKeyTable, UaGrow, UaGrowCrc,
+        UaGrowK1, UaGrowK16, UaGrowK4, UaGrowSimd, UsGrow, ValueRepr,
     };
     pub use growt_iface::{
         Capabilities, ConcurrentMap, GenericMap, GenericMapHandle, GrowthSupport, InsertOrUpdate,

@@ -365,7 +365,6 @@ conformance! {
     folklore => Folklore,
     folklore_crc => FolkloreCrc,
     folklore_simd => FolkloreSimd,
-    tsx_folklore => TsxFolklore,
     ua_grow => UaGrow,
     ua_grow_crc => UaGrowCrc,
     ua_grow_simd => UaGrowSimd,

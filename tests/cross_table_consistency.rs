@@ -135,11 +135,10 @@ fn growt_variants_match_model() {
 }
 
 #[test]
-fn folklore_and_tsx_match_model() {
+fn folklore_matches_model() {
     // Non-growing tables are sized for the total number of insertions, as
     // the paper prescribes for tombstone-only deletion (§5.4).
     model_check_with_capacity::<Folklore>(20_000, 20_000);
-    model_check_with_capacity::<TsxFolklore>(20_000, 20_000);
 }
 
 #[test]
@@ -194,7 +193,6 @@ fn parallel_insert_find_agree_across_tables() {
     assert_eq!(run::<PaGrow>(), expected);
     assert_eq!(run::<PsGrow>(), expected);
     assert_eq!(run::<Folklore>(), expected);
-    assert_eq!(run::<TsxFolklore>(), expected);
     assert_eq!(run::<LeaHash>(), expected);
     assert_eq!(run::<Hopscotch>(), expected);
     assert_eq!(run::<Cuckoo>(), expected);
@@ -233,7 +231,6 @@ fn parallel_aggregation_agrees_on_supporting_tables() {
     run::<PaGrow>();
     run::<PsGrow>();
     run::<Folklore>();
-    run::<TsxFolklore>();
     run::<LeaHash>();
     run::<TbbHashMap>();
     run::<RcuTable>();

@@ -59,19 +59,16 @@ fn serialized<T>(label: &str, body: impl FnOnce() -> T) -> T {
     result
 }
 
-/// The three ways `GrowMap` can copy a migration's source (DESIGN.md §15).
+/// The two ways `GrowMap` can copy a migration's source (DESIGN.md §15).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CopyMode {
     /// Writers excluded behind `membarrier`, where the kernel has it: plain
     /// loads, nothing marked, plain-store placement.
     Exclusive,
     /// The `generic.membarrier` failpoint reports the barrier missing, so
-    /// every migration marks — freezing inside hardware transactions where
-    /// the CPU has RTM.
-    MarkingTransactional,
-    /// Marking, with `generic.copy.txn` refusing every transaction as well:
-    /// the locked freeze whatever the CPU.
-    MarkingLocked,
+    /// every migration marks: one locked `fetch_or` freezes each source
+    /// cell.
+    Marking,
 }
 
 impl CopyMode {
@@ -88,17 +85,10 @@ impl CopyMode {
 /// [`serialized`], once per [`CopyMode`].  `body` is told the mode; it
 /// configures its own failpoints after the mode's.
 fn on_each_copy_mode(label: &str, body: impl Fn(CopyMode)) {
-    for mode in [
-        CopyMode::Exclusive,
-        CopyMode::MarkingTransactional,
-        CopyMode::MarkingLocked,
-    ] {
+    for mode in [CopyMode::Exclusive, CopyMode::Marking] {
         serialized(label, || {
-            if mode != CopyMode::Exclusive {
+            if mode == CopyMode::Marking {
                 configure("generic.membarrier", Action::FailAlloc, Trigger::Always);
-            }
-            if mode == CopyMode::MarkingLocked {
-                configure("generic.copy.txn", Action::FailAlloc, Trigger::Always);
             }
             body(mode);
         });
@@ -892,9 +882,6 @@ fn stalled_owner_then_erase(mode: CopyMode, failpoint: &str) {
     let record = &log[0];
     assert!(record.rescued >= 1, "the block was not rescued: {record:?}");
     assert_eq!(record.mode, mode.expected(), "{record:?}");
-    if mode == CopyMode::MarkingLocked {
-        assert_eq!(record.chunks_transactional, 0, "{record:?}");
-    }
 
     let mut handle = map.handle();
     assert_eq!(handle.find(&victim), None, "the late owner resurrected it");
@@ -928,7 +915,7 @@ fn exclusive_string_migrations_are_allocator_exact() {
         assert!(log.len() >= 2, "{log:?}");
         for record in &log {
             assert_eq!(record.mode, CopyMode::Exclusive.expected(), "{record:?}");
-            assert_eq!(record.chunks_transactional + record.chunks_locked, 0);
+            assert_eq!(record.chunks_locked, 0);
         }
         for i in (4_000..5_000u64).filter(|i| i % 7 == 1) {
             assert_eq!(handle.find(&mixed_key("ex-", i)), Some(value(i)));

@@ -380,7 +380,7 @@ fn unhindered_mode() -> MigrationMode {
 /// each block's range, where a range is moved to cluster boundaries and
 /// may wrap — so the source's cells over 64, plus at most two per block.
 fn check_chunks_of_one_copy(record: &MigrationRecord) {
-    let chunks = record.chunks_transactional + record.chunks_locked;
+    let chunks = record.chunks_locked;
     match record.mode {
         MigrationMode::Exclusive => assert_eq!(chunks, 0, "{record:?}"),
         MigrationMode::Marking => {
@@ -616,11 +616,11 @@ fn six_migrations(check: impl Fn(&MigrationRecord)) {
 }
 
 /// With the `generic.membarrier` failpoint saying the heavy barrier is not
-/// there, every migration marks — freezing inside transactions where the
-/// CPU has RTM — and the checks that migrate hold.  (The registry is
+/// there, every migration marks — one locked `fetch_or` freezes each
+/// source cell — and the checks that migrate hold; each record counts the
+/// freeze passes of one copy of every block.  (The registry is
 /// process-global: tests running beside this one mark too, which none of
-/// them minds.)  Serialized with the locked-path run below, which sets the
-/// same failpoint.
+/// them minds.)
 #[cfg(feature = "failpoints")]
 #[test]
 fn conformance_holds_when_migrations_mark() {
@@ -634,35 +634,7 @@ fn conformance_holds_when_migrations_mark() {
     six_migrations(|record| {
         assert_eq!(record.mode, MigrationMode::Marking, "{record:?}");
         check_chunks_of_one_copy(record);
-        if !growt_repro::growt_htm::rtm::available() {
-            assert_eq!(record.chunks_transactional, 0, "{record:?}");
-        }
     });
-    remove("generic.membarrier");
-}
-
-/// Where the CPU has RTM a marking migration freezes inside transactions
-/// and reaches the locked instructions only through an abort.  With the
-/// `generic.copy.txn` failpoint refusing every transaction as well, the
-/// checks that migrate run once more on the locked path alone, and the log
-/// says that is what ran.
-#[cfg(feature = "failpoints")]
-#[test]
-fn conformance_holds_on_the_locked_copy_path() {
-    use growt_failpoints::{configure, remove, Action, Trigger};
-
-    let _serial = FAILPOINTS.lock().unwrap_or_else(|e| e.into_inner());
-    configure("generic.membarrier", Action::FailAlloc, Trigger::Always);
-    configure("generic.copy.txn", Action::FailAlloc, Trigger::Always);
-    migrating_checks::<InlineInline>();
-    migrating_checks::<BoxedKey>();
-    migrating_checks::<BoxedValue>();
-    six_migrations(|record| {
-        assert_eq!(record.mode, MigrationMode::Marking, "{record:?}");
-        assert_eq!(record.chunks_transactional, 0, "{record:?}");
-        check_chunks_of_one_copy(record);
-    });
-    remove("generic.copy.txn");
     remove("generic.membarrier");
 }
 
