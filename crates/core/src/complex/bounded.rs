@@ -36,7 +36,9 @@ use parking_lot::Mutex;
 
 use growt_iface::inflight::{load_published_key, publish_key, INFLIGHT, REPAIRED_TOMBSTONE};
 
-use super::{allocate_key, free_key, hash_str, key_matches, pack_keyref, signature_of};
+use super::{
+    allocate_key, decode_keyref, free_key, hash_str, pack_keyref, signature_of, stored_matches,
+};
 use crate::config::{capacity_for, scale_to_capacity};
 
 /// Key word of a never-used cell.
@@ -50,6 +52,22 @@ const TOMBSTONE: u64 = REPAIRED_TOMBSTONE;
 #[inline]
 fn is_published(keyref: u64) -> bool {
     keyref != EMPTY && keyref != TOMBSTONE && keyref != INFLIGHT
+}
+
+/// `true` when the published packed reference `keyref` stores `key`,
+/// whose master hash is `hash` and signature `signature`: the signature
+/// first, the §5.7 pre-filter that decides most mismatches without
+/// dereferencing, then the confirm `GrowMap<String, _>` runs too, header
+/// word and bytes.
+///
+/// # Safety
+///
+/// `keyref` must be a packed reference whose allocation is still alive.
+#[inline]
+unsafe fn stores_key(keyref: u64, signature: u64, hash: u64, key: &str) -> bool {
+    let (stored_signature, ptr) = decode_keyref(keyref);
+    // SAFETY: the allocation is alive per the contract.
+    stored_signature == signature && unsafe { stored_matches(ptr, hash, key) }
 }
 
 /// Outcome of a bounded insertion probe.
@@ -167,7 +185,7 @@ impl StringKeyTable {
                         break;
                     }
                     // SAFETY: published references stay alive until drop.
-                    if unsafe { key_matches(current, signature, key) } {
+                    if unsafe { stores_key(current, signature, hash, key) } {
                         break 'probe TryInsert::Present;
                     }
                     break;
@@ -192,7 +210,7 @@ impl StringKeyTable {
                 return None;
             }
             // SAFETY: published references stay alive until drop.
-            if current != TOMBSTONE && unsafe { key_matches(current, signature, key) } {
+            if current != TOMBSTONE && unsafe { stores_key(current, signature, hash, key) } {
                 return Some((cell, current));
             }
             index = (index + 1) & (self.capacity - 1);

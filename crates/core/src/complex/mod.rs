@@ -52,14 +52,21 @@
 //! (`SIGNED_BITS`), so a short word never matches a long key's probe,
 //! nor a packed reference a short key's, whatever their other bits.
 //!
-//! The key allocation itself is a length-prefixed byte buffer that also
-//! stores the full 64-bit master hash: `⟨hash: u64, len: u64, bytes⟩`.
-//! Storing the hash is what lets a migration *re-derive the target cell*
-//! of a reference without re-hashing (or even reading) the string bytes,
-//! and lets probes skip the byte comparison whenever the signature
-//! already disagrees.  `GrowMap<String, _>` stores its long keys in the
-//! same format through the same functions, so both string-keyed tables
-//! share one hash and one allocation per long key.
+//! The key allocation itself is one header word followed by the bytes:
+//! `⟨header, bytes⟩`, where `header = hash & !0xFFFF | min(len, 0xFFFF)`
+//! ([`header`]) packs the master hash's bits 16..64 over the key's
+//! length.  A key of 65 535 bytes or more saturates the length field
+//! and keeps its full length in a second word, `⟨header, len: u64,
+//! bytes⟩`.  The hash bits are what lets a migration *re-derive the
+//! target cell* of a reference without re-hashing (or even reading) the
+//! string bytes: a home cell reads only the top `log₂ capacity` bits of
+//! the hash, and a `GrowMap` array holds at most 2⁴⁸ cells, so the 16
+//! bits the length takes are never among them.  A probe whose signature matched compares
+//! the header with its own `header(hash, len)`, so one word decides most
+//! remaining mismatches before the bytes at `ptr + 8` are compared
+//! ([`stored_matches`]).  `GrowMap<String, _>` stores its long keys in
+//! the same format through the same functions, so both string-keyed
+//! tables share one hash, one allocation and one confirm per long key.
 
 mod bounded;
 
@@ -92,6 +99,13 @@ pub(crate) const SIGNED_BITS: u64 = SIGNATURE_MASK << POINTER_BITS | SHORT_TAG;
 pub(crate) fn hash_str(s: &str) -> u64 {
     hash_bytes(s.as_bytes())
 }
+
+/// Bits of a key allocation's header word that hold the length; the
+/// master hash fills the 48 above them.
+pub(crate) const LEN_BITS: u32 = 16;
+/// The length field of a header word, and the length from which a key's
+/// full length moves to the word after the header.
+const LEN_FIELD: u64 = (1 << LEN_BITS) - 1;
 
 /// Signature of a master hash: low bits (the cell position comes from the
 /// scaled high bits, so signature and position are nearly independent),
@@ -151,28 +165,87 @@ pub(crate) fn is_short(word: u64) -> bool {
     word & SHORT_TAG != 0
 }
 
-/// Allocate a key as a `⟨hash, len, bytes⟩` buffer and leak it; the raw
-/// pointer is what gets packed into the table.  Freed with [`free_key`].
+/// The header word of a key allocation: the master hash's bits 16..64
+/// over the key's length, saturated at `0xFFFF`.
+#[inline]
+pub(crate) fn header(hash: u64, len: usize) -> u64 {
+    hash & !LEN_FIELD | (len as u64).min(LEN_FIELD)
+}
+
+/// Allocate a key as a `⟨header, bytes⟩` buffer — `⟨header, len, bytes⟩`
+/// from 65 535 bytes on — and leak it; the raw pointer is what gets
+/// packed into the table.  Freed with [`free_key`].
 pub(crate) fn allocate_key(key: &str, hash: u64) -> *const u8 {
-    let mut buf = Vec::with_capacity(16 + key.len());
-    buf.extend_from_slice(&hash.to_le_bytes());
-    buf.extend_from_slice(&(key.len() as u64).to_le_bytes());
+    let len = key.len();
+    let escaped = len as u64 >= LEN_FIELD;
+    let mut buf = Vec::with_capacity(if escaped { 16 } else { 8 } + len);
+    buf.extend_from_slice(&header(hash, len).to_le_bytes());
+    if escaped {
+        buf.extend_from_slice(&(len as u64).to_le_bytes());
+    }
     buf.extend_from_slice(key.as_bytes());
     let boxed: Box<[u8]> = buf.into_boxed_slice();
     Box::into_raw(boxed) as *const u8
 }
 
-/// Master hash stored in the allocation header.
+/// The little-endian word at `ptr`.
 ///
 /// # Safety
 ///
-/// `ptr` must come from [`allocate_key`] and not have been freed.
+/// `ptr` must be valid for reading 8 bytes.
+#[inline]
+unsafe fn read_word(ptr: *const u8) -> u64 {
+    // SAFETY: per the contract; `read` takes no alignment from the byte
+    // array type.
+    unsafe { u64::from_le_bytes(std::ptr::read(ptr as *const [u8; 8])) }
+}
+
+/// The key bytes of the allocation at `ptr`, whose header word is `head`.
+///
+/// # Safety
+///
+/// As for [`stored_bytes`], and `head` must be the allocation's header.
+#[inline]
+unsafe fn bytes_behind<'a>(ptr: *const u8, head: u64) -> &'a [u8] {
+    // SAFETY: per the contract `ptr` is a live buffer laid out by
+    // `allocate_key`: the bytes follow the header, or the full length
+    // that follows a saturated length field.
+    unsafe {
+        let len = head & LEN_FIELD;
+        if len < LEN_FIELD {
+            std::slice::from_raw_parts(ptr.add(8), len as usize)
+        } else {
+            std::slice::from_raw_parts(ptr.add(16), read_word(ptr.add(8)) as usize)
+        }
+    }
+}
+
+/// The master hash stored in the allocation header, with its low 16 bits
+/// clear: the bits a home cell of a table of at most 2⁴⁸ cells reads.
+/// With debug assertions on, it checks the header against a fresh hash of
+/// the stored bytes, so every migration in a debug build re-verifies each
+/// long key it moves.
+///
+/// # Safety
+///
+/// `ptr` must come from [`allocate_key`], with the key's [`hash_bytes`] as
+/// its hash, and not have been freed.
 #[inline]
 pub(crate) unsafe fn stored_hash(ptr: *const u8) -> u64 {
-    // SAFETY: per the contract `ptr` is a live `⟨hash, len, bytes⟩` buffer,
-    // whose first 8 bytes are the hash; `read` takes no alignment from the
-    // byte array type.
-    unsafe { u64::from_le_bytes(std::ptr::read(ptr as *const [u8; 8])) }
+    // SAFETY: per the contract `ptr` is a live buffer whose first word is
+    // its header.
+    let head = unsafe { read_word(ptr) };
+    #[cfg(debug_assertions)]
+    {
+        // SAFETY: as above, and the slice dies in this block.
+        let bytes = unsafe { bytes_behind(ptr, head) };
+        assert_eq!(
+            head,
+            header(hash_bytes(bytes), bytes.len()),
+            "key header disagrees with its bytes"
+        );
+    }
+    head & !LEN_FIELD
 }
 
 /// Key bytes stored in the allocation.
@@ -183,30 +256,27 @@ pub(crate) unsafe fn stored_hash(ptr: *const u8) -> u64 {
 /// returned slice must not outlive the allocation.
 #[inline]
 pub(crate) unsafe fn stored_bytes<'a>(ptr: *const u8) -> &'a [u8] {
-    // SAFETY: per the contract `ptr` is a live buffer whose bytes 8..16 hold
-    // the key's length and whose `len` bytes from 16 on are the key, alive
-    // for as long as the caller keeps the slice.
-    unsafe {
-        let len = u64::from_le_bytes(std::ptr::read(ptr.add(8) as *const [u8; 8])) as usize;
-        std::slice::from_raw_parts(ptr.add(16), len)
-    }
+    // SAFETY: per the contract `ptr` is a live buffer whose first word is
+    // its header, alive for as long as the caller keeps the slice.
+    unsafe { bytes_behind(ptr, read_word(ptr)) }
 }
 
-/// Compare the stored key behind a packed word against `key`, using the
-/// signature as the cheap §5.7 pre-filter: a mismatching signature decides
-/// the comparison without dereferencing the pointer.
+/// `true` when the allocation at `ptr` stores `key`, whose master hash is
+/// `hash`: the stored header against `header(hash, key.len())` — hash bits
+/// and length in one compare — and then the bytes.  The confirm of both
+/// string tables, after their signature compare has matched.
 ///
 /// # Safety
 ///
-/// `keyref` must be a packed word whose allocation is still alive.
+/// As for [`stored_bytes`].
 #[inline]
-unsafe fn key_matches(keyref: u64, signature: u64, key: &str) -> bool {
-    let (stored_sig, ptr) = decode_keyref(keyref);
-    if stored_sig != signature {
-        return false;
+pub(crate) unsafe fn stored_matches(ptr: *const u8, hash: u64, key: &str) -> bool {
+    // SAFETY: per the contract `ptr` is a live buffer whose first word is
+    // its header; the bytes are compared only behind a matching one.
+    unsafe {
+        let head = read_word(ptr);
+        head == header(hash, key.len()) && bytes_behind(ptr, head) == key.as_bytes()
     }
-    // SAFETY: the allocation is alive per the contract.
-    unsafe { stored_bytes(ptr) == key.as_bytes() }
 }
 
 /// Free a key allocation created by [`allocate_key`].
@@ -218,11 +288,12 @@ unsafe fn key_matches(keyref: u64, signature: u64, key: &str) -> bool {
 /// `GrowMap`'s QSBR domain guarantees before calling this).
 pub(crate) unsafe fn free_key(ptr: *const u8) {
     // SAFETY: per the contract `ptr` is the live, unshared buffer that
-    // `allocate_key` leaked as a `Box<[u8]>` of `16 + len` bytes; it is
-    // rebuilt with that length and dropped once.
+    // `allocate_key` leaked as a `Box<[u8]>`, which ends where its bytes
+    // end; it is rebuilt with that length and dropped once.
     unsafe {
-        let len = u64::from_le_bytes(std::ptr::read(ptr.add(8) as *const [u8; 8])) as usize;
-        let slice = std::ptr::slice_from_raw_parts_mut(ptr as *mut u8, len + 16);
+        let bytes = stored_bytes(ptr);
+        let size = bytes.as_ptr().offset_from(ptr) as usize + bytes.len();
+        let slice = std::ptr::slice_from_raw_parts_mut(ptr as *mut u8, size);
         drop(Box::from_raw(slice));
     }
 }
@@ -244,11 +315,12 @@ mod tests {
         assert_eq!(p2, ptr);
         // SAFETY: freshly allocated above, freed exactly once below.
         unsafe {
-            assert_eq!(stored_hash(ptr), hash);
+            assert_eq!(stored_hash(ptr), hash & !LEN_FIELD);
             assert_eq!(stored_bytes(ptr), "round-trip".as_bytes());
-            assert!(key_matches(packed, sig, "round-trip"));
-            assert!(!key_matches(packed, sig ^ 1, "round-trip"));
-            assert!(!key_matches(packed, sig, "round-trap"));
+            assert!(stored_matches(ptr, hash, "round-trip"));
+            assert!(!stored_matches(ptr, hash ^ 1 << 16, "round-trip"));
+            assert!(!stored_matches(ptr, hash, "round-trap"));
+            assert!(!stored_matches(ptr, hash, "round-trip!"));
             free_key(ptr);
         }
     }
@@ -317,6 +389,51 @@ mod tests {
         unsafe { free_key(ptr) };
     }
 
+    /// The header keeps the master hash's bits 16..64 and the length, up
+    /// to the escape at 65 535 bytes, past which the allocation keeps the
+    /// full length; and the stored hash gives every `GenericArray` (at
+    /// most 2⁴⁸ cells, so a shift of at least 16) the home cell of the
+    /// full hash, `hash >> shift`.
+    #[test]
+    fn header_round_trips_the_home_bits_and_the_length() {
+        let lengths = [0, 1, 8, 15, 16, 0xFFFE, 0xFFFF, 0x10000, 1 << 20];
+        let hashes = [
+            0,
+            1,
+            0xFFFF,
+            0x1_0000,
+            u64::MAX,
+            1 << 63,
+            0x9E37_79B9_7F4A_7C15,
+        ];
+        for &hash in &hashes {
+            for &len in &lengths {
+                let head = header(hash, len);
+                assert_eq!(head & !LEN_FIELD, hash & !LEN_FIELD, "{hash:#x}");
+                assert_eq!(head & LEN_FIELD, (len as u64).min(LEN_FIELD), "{len}");
+                for shift in 16..=63 {
+                    let home = (head & !LEN_FIELD) >> shift;
+                    assert_eq!(home, hash >> shift, "{hash:#x} {shift}");
+                }
+            }
+        }
+        for len in lengths {
+            let key = "k".repeat(len);
+            let hash = hash_str(&key);
+            let ptr = allocate_key(&key, hash);
+            // SAFETY: freshly allocated above, freed exactly once here.
+            unsafe {
+                assert_eq!(stored_hash(ptr), hash & !LEN_FIELD, "{len}");
+                assert_eq!(stored_bytes(ptr).len(), len);
+                assert_eq!(
+                    stored_bytes(ptr).as_ptr(),
+                    ptr.add(if len < 0xFFFF { 8 } else { 16 })
+                );
+                free_key(ptr);
+            }
+        }
+    }
+
     #[test]
     fn signatures_are_never_zero() {
         for h in [0u64, 1, SIGNATURE_MASK, u64::MAX, 0x8000] {
@@ -333,7 +450,8 @@ mod tests {
             // SAFETY: freshly allocated above, freed exactly once here.
             unsafe {
                 assert_eq!(stored_bytes(ptr), key.as_bytes());
-                assert_eq!(stored_hash(ptr), hash);
+                assert_eq!(stored_hash(ptr), hash & !LEN_FIELD);
+                assert!(stored_matches(ptr, hash, key));
                 free_key(ptr);
             }
         }

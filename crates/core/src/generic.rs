@@ -15,8 +15,9 @@
 //!   the pointer leads to is the key type's business
 //!   (the storage hooks of [`KeyRepr`]): by default a `KeyBox<K>` holding
 //!   the master hash and the typed key; for `String` the
-//!   `⟨hash, len, bytes⟩` buffer of the same module — one allocation, and
-//!   hash, length and bytes behind one dependent load.  A `String` of at
+//!   `⟨header, bytes⟩` buffer of the same module — one allocation whose
+//!   8-byte header packs the hash's top 48 bits over the length, and
+//!   header and bytes behind one dependent load.  A `String` of at
 //!   most seven bytes needs none of it: its bytes fit the key word, as a
 //!   *short word*.
 //! * [`ValueRepr`] — how a value maps onto the cell's **value word**.
@@ -156,7 +157,9 @@ pub trait KeyRepr: Clone + Eq + std::hash::Hash + Send + Sync + 'static {
         })) as *const u8
     }
 
-    /// The master hash stored in the allocation.
+    /// The master hash stored in the allocation, or at least its bits
+    /// 16..64: all that the home cell of an array of at most 2⁴⁸ cells
+    /// reads.
     ///
     /// # Safety
     ///
@@ -247,8 +250,9 @@ impl KeyRepr for u32 {
 
 /// Strings of more than seven bytes hash and are stored exactly as in
 /// [`crate::complex::StringKeyTable`]: the word-at-a-time byte hash, and
-/// one `⟨hash, len, bytes⟩` allocation per key in place of a `KeyBox`
-/// around a `String` (two allocations, two dependent loads per candidate).
+/// one `⟨header, bytes⟩` allocation per key, its header word the hash's
+/// bits 16..64 over the length, in place of a `KeyBox` around a `String`
+/// (two allocations, two dependent loads per candidate).
 /// Shorter ones are their short word, which [`Probe`] hashes as a word.
 impl KeyRepr for String {
     #[inline]
@@ -273,8 +277,8 @@ impl KeyRepr for String {
 
     #[inline]
     unsafe fn stored_matches(ptr: *const u8, hash: u64, key: &Self, _: Sealed) -> bool {
-        // SAFETY: the caller's contract is that of the two accessors.
-        unsafe { complex::stored_hash(ptr) == hash && complex::stored_bytes(ptr) == key.as_bytes() }
+        // SAFETY: the caller's contract is `complex::stored_matches`'s.
+        unsafe { complex::stored_matches(ptr, hash, key) }
     }
 
     unsafe fn free_stored(ptr: *const u8, _: Sealed) {
@@ -644,6 +648,12 @@ impl<K: KeyRepr, V: ValueRepr> GenericArray<K, V> {
     /// the next generation degrades to "keep serving the old one".
     fn try_new(capacity: usize, version: u64) -> Result<Self, crate::mem::AllocError> {
         assert!(capacity.is_power_of_two() && capacity >= 2);
+        // A shift of at least 16, so that a long `String` key's stored
+        // header, whose low 16 bits are its length, homes like its hash.
+        assert!(
+            capacity as u64 <= 1 << (64 - complex::LEN_BITS),
+            "more than 2^48 cells"
+        );
         Ok(GenericArray {
             cells: crate::mem::HugeBox::try_zeroed(capacity)?,
             shift: capacity_shift(capacity),
@@ -1122,6 +1132,8 @@ fn migrate_generic_block<K: KeyRepr, V: ValueRepr, P>(
             } else if complex::is_short(k) {
                 hash_key(k) // a short word is its own key: no load
             } else {
+                // One header load; a `String`'s holds the hash's bits
+                // 16..64, which are all that `home_cell` reads.
                 // SAFETY: the reference was live when read; erased keys
                 // are only freed after all handles quiesce, and migrating
                 // threads quiesce only between operations.

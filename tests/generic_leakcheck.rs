@@ -9,12 +9,14 @@
 //! return to its pre-map baseline — no matter how many migrations,
 //! updates and deletions happened in between.
 //!
-//! Three further phases pin the `String` key storage: a key of more than
-//! seven bytes costs exactly one allocation (the string tables'
-//! `⟨hash, len, bytes⟩` buffer, not a box around a `String`), a shorter
-//! one none (it lives in its key word), and keys at every length boundary
-//! of the byte hash and of the short form survive insert / find / update /
-//! erase across migrations.
+//! Three further phases pin the `String` key storage: a key of `n > 7`
+//! bytes costs exactly one allocation of `8 + n` bytes (the string tables'
+//! `⟨header, bytes⟩` buffer, whose header word packs the hash over the
+//! length; not a box around a `String`), or of `16 + n` from 65 535 bytes
+//! on, where the full length follows the header; a shorter key costs none
+//! (it lives in its key word); and keys at every length boundary of the
+//! byte hash, of the short form and of the header's length field survive
+//! insert / find / update / erase across migrations.
 //!
 //! This file intentionally holds a single `#[test]` — a second
 //! concurrently running test would pollute the allocator counters — so
@@ -78,38 +80,53 @@ fn settled_bytes() -> u64 {
     last
 }
 
-/// Allocator calls made while one handle inserts `keys` into a map that
-/// starts at 16 cells, and the migrations that took.  The values are boxed
-/// but zero-sized: a box of nothing allocates nothing, and a map with boxed
-/// values keeps the QSBR bookkeeping whatever its key type.
-fn allocations_to_insert<K: KeyRepr>(keys: &[K]) -> (u64, u64) {
-    let before = growt_alloc_track::allocation_count();
+/// Allocator calls and bytes asked for while one handle inserts `keys`
+/// into a map that starts at 16 cells, and the migrations that took.  The
+/// values are boxed but zero-sized: a box of nothing allocates nothing,
+/// and a map with boxed values keeps the QSBR bookkeeping whatever its key
+/// type.
+fn allocations_to_insert<K: KeyRepr>(keys: &[K]) -> (u64, u64, u64) {
+    let calls_before = growt_alloc_track::allocation_count();
+    let bytes_before = growt_alloc_track::total_allocated_bytes();
     let map: GrowMap<K, [u64; 0]> = GrowMap::new(16);
     let mut h = map.handle();
     for key in keys {
         assert!(h.insert(key, &[]));
     }
     drop(h);
-    let calls = growt_alloc_track::allocation_count() - before;
-    (calls, map.migrations_completed())
+    let calls = growt_alloc_track::allocation_count() - calls_before;
+    let bytes = growt_alloc_track::total_allocated_bytes() - bytes_before;
+    (calls, bytes, map.migrations_completed())
 }
 
-/// A `String` key is one allocation.  The same number of `u64` keys takes
-/// the map through the same generations (and the same handle, coordinator
-/// and QSBR bookkeeping) without any key allocation, so the difference
-/// between the two counts is what the keys cost.
+/// A `String` key of `n` bytes is one allocation of `8 + n` bytes, or
+/// `16 + n` from 65 535 bytes on.  The same number of `u64` keys takes the
+/// map through the same generations (and the same handle, coordinator and
+/// QSBR bookkeeping) without any key allocation, so the differences
+/// between the two runs' counts and bytes are what the keys cost.
 fn string_keys_cost_one_allocation_each() {
     const KEYS: u64 = 3_000;
     let words: Vec<u64> = (0..KEYS).map(|i| i + 2).collect();
-    let strings: Vec<String> = (0..KEYS).map(|i| format!("one-allocation-{i}")).collect();
-    let (word_calls, word_migrations) = allocations_to_insert(&words);
-    let (string_calls, string_migrations) = allocations_to_insert(&strings);
+    let mut strings: Vec<String> = (3..KEYS).map(|i| format!("one-allocation-{i}")).collect();
+    // Both sides of the header's saturated length field.
+    strings.extend([0xFFFEusize, 0xFFFF, 0x10000].map(|len| "L".repeat(len)));
+    let key_bytes: u64 = strings
+        .iter()
+        .map(|key| if key.len() < 0xFFFF { 8 } else { 16 } + key.len() as u64)
+        .sum();
+    let (word_calls, word_bytes, word_migrations) = allocations_to_insert(&words);
+    let (string_calls, string_bytes, string_migrations) = allocations_to_insert(&strings);
     assert!(word_migrations >= 2, "never grew");
     assert_eq!(string_migrations, word_migrations);
     assert_eq!(
         string_calls - word_calls,
         KEYS,
         "allocations per String key must be exactly one"
+    );
+    assert_eq!(
+        string_bytes - word_bytes,
+        key_bytes,
+        "a key of n bytes must ask for 8 + n, or 16 + n from 65 535 on"
     );
 }
 
@@ -128,8 +145,8 @@ fn short_keys_cost_no_allocation() {
     let long = keys.iter().filter(|k| k.len() > 7).count() as u64;
     assert_eq!(long, 600 + 3);
     let words: Vec<u64> = (0..keys.len() as u64).map(|i| i + 2).collect();
-    let (word_calls, word_migrations) = allocations_to_insert(&words);
-    let (string_calls, string_migrations) = allocations_to_insert(&keys);
+    let (word_calls, _, word_migrations) = allocations_to_insert(&words);
+    let (string_calls, _, string_migrations) = allocations_to_insert(&keys);
     assert!(word_migrations >= 2, "never grew");
     assert_eq!(string_migrations, word_migrations);
     assert_eq!(
@@ -140,24 +157,26 @@ fn short_keys_cost_no_allocation() {
 }
 
 /// Keys on both sides of every length boundary of the byte hash (0, 1, 7,
-/// 8, 9, 16 and 17 bytes) and of the short form (5, 6, 7 and 8), a very
-/// long one and multi-byte UTF-8 go through every operation and at least
-/// two migrations, for an inline (`u64`) and a boxed (`[u64; 4]`) value
-/// type.
+/// 8, 9, 15, 16 and 17 bytes), of the short form (5, 6, 7 and 8) and of
+/// the header's length field (65 534, 65 535 and 65 536), a very long one
+/// and multi-byte UTF-8 go through every operation and at least two
+/// migrations, for an inline (`u64`) and a boxed (`[u64; 4]`) value type.
 fn edge_length_keys_round_trip<V>(value_of: impl Fn(u64) -> V)
 where
     V: ValueRepr + PartialEq + std::fmt::Debug,
 {
-    let mut keys: Vec<String> = [0usize, 1, 5, 6, 7, 8, 9, 16, 17, 100_000]
-        .iter()
-        .map(|&len| {
-            "abcdefghijklmnopqrstuvwxyz"
-                .chars()
-                .cycle()
-                .take(len)
-                .collect()
-        })
-        .collect();
+    let mut keys: Vec<String> = [
+        0usize, 1, 5, 6, 7, 8, 9, 15, 16, 17, 65_534, 65_535, 65_536, 100_000,
+    ]
+    .iter()
+    .map(|&len| {
+        "abcdefghijklmnopqrstuvwxyz"
+            .chars()
+            .cycle()
+            .take(len)
+            .collect()
+    })
+    .collect();
     keys.extend(["ключ", "鍵🔑", "é", "abcdeé", "abcdefé", "ab€de", "abcde€"].map(String::from));
 
     let map: GrowMap<String, V> = GrowMap::new(16);
