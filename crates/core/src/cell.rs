@@ -15,7 +15,8 @@
 //! * [`DEL_KEY`]   — tombstone: the element was deleted, the cell remains
 //!   occupied until the next migration;
 //! * [`MARK_BIT`]  — set by the asynchronous migration to freeze a cell
-//!   before copying it; writers must never modify a marked cell.
+//!   before copying it; writers must never modify a marked cell.  The
+//!   flipping freeze also XORs [`frozen_flip`] into the value word.
 //!
 //! When the crate is compiled without the `cmpxchg16b` target feature the
 //! double-word CAS — and every single-word value mutation, which must not
@@ -25,7 +26,10 @@
 //! enables the feature through `.cargo/config.toml`).  Reads stay
 //! lock-free on every build.
 
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Key value of a never-used cell.
 pub const EMPTY_KEY: u64 = 0;
@@ -37,6 +41,23 @@ pub const MARK_BIT: u64 = 1 << 63;
 /// Largest key usable by applications when the marking protocol is in use
 /// (the top bit is reserved; §5.6 describes how to win it back).
 pub const MAX_MARKABLE_KEY: u64 = MARK_BIT - 1;
+
+/// The word the flipping freeze XORs into a value word
+/// ([`Cell::mark_and_flip_for_migration`]): drawn at random once per
+/// process, and odd, so that no word equals its frozen form and a reader
+/// that forgot to unflip reads a wrong value in every inline value type.
+///
+/// It must be unpredictable.  A value CAS whose caller read `v` before the
+/// freeze fails against the frozen `w ^ flip` unless `w ^ flip == v`: unless
+/// an update between that read and the freeze stored exactly `v ^ flip`.
+/// With a fixed word a fixed update function does that (bitwise NOT, for
+/// an all-ones word), and the CAS lands in the frozen cell, lost
+/// (`tests/protocol_models.rs`).  With a random one, an update function
+/// that does not read it stores `v ^ flip` with probability 2⁻⁶³ a race.
+pub fn frozen_flip() -> u64 {
+    static FLIP: OnceLock<u64> = OnceLock::new();
+    *FLIP.get_or_init(|| RandomState::new().hash_one(0u64) | 1)
+}
 
 /// `true` if `key` is one of the reserved sentinel keys.
 #[inline]
@@ -122,9 +143,15 @@ impl Cell {
         }
     }
 
-    /// CAS only the value word (the single-word update fast paths of the
-    /// non-growing table and the synchronized growing variants, where the
-    /// marking protocol does not constrain value updates).
+    /// CAS only the value word: the single-word update fast paths of the
+    /// non-growing table and the synchronized growing variants, where no
+    /// migration marks while they run, and of `GrowMap`'s inline values in
+    /// either migration mode.  A marking `GrowMap` migration freezes those
+    /// with [`Cell::mark_and_flip_for_migration`], which changes the value
+    /// word too, so a value CAS that expects a word read before the freeze
+    /// fails (but see [`frozen_flip`]); a caller that read the word after
+    /// it finds out from a load of the key after the value load
+    /// (`GenericArray::update_cell`).
     ///
     /// On the striped-lock fallback build this (like every value-word
     /// mutation) must take the stripe lock: the fallback `cas_pair` reads
@@ -202,8 +229,11 @@ impl Cell {
     /// modification order.  The value-word-only operations
     /// ([`Cell::cas_value`], [`Cell::store_value`],
     /// [`Cell::fetch_add_value`]) do not look at the mark and are therefore
-    /// illegal while a marking migration can run, as they were before
-    /// (DESIGN.md §15 lists every writer).
+    /// illegal while a migration that freezes with this method can run.
+    /// The exception is the flipping freeze,
+    /// [`Cell::mark_and_flip_for_migration`]: against it a [`Cell::cas_value`]
+    /// is legal when its caller loads the key again after the value and
+    /// finds it unmarked (DESIGN.md §15 lists every writer).
     ///
     /// Orderings: the `AcqRel` RMW pairs with the `Release` half of the
     /// writers' CAS (the frozen pair and what a boxed word points to are
@@ -232,6 +262,61 @@ impl Cell {
             if self.cas_pair((key, value), (key | MARK_BIT, value)).is_ok() {
                 return (key, value);
             }
+        }
+    }
+
+    /// Set the migration mark and flip the value word in one double-word
+    /// CAS, `(k, v) → (k | MARK_BIT, v ^ flip)` with `flip` the
+    /// [`frozen_flip`], retried over concurrent modifications.  Returns the
+    /// pair the freeze took effect on, with the key unmarked and the value
+    /// as it was.  Idempotent: a marked cell returns `(unmark(k), v ^
+    /// flip)`, so a re-copy reads the same pair.
+    ///
+    /// The flip is what makes a value-word update legal during a marking
+    /// migration.  A [`Cell::cas_value`] that expects a word read before
+    /// the freeze fails against the flipped one (unless an update stored
+    /// the flipped form of that word in between, see [`frozen_flip`]).
+    /// One that expects the flipped word read it after the freeze, so the
+    /// caller's key load after that value load sees the mark, and it never
+    /// CASes.  Readers unflip a frozen cell's value with
+    /// [`Cell::unflipped_value`].  Only for inline values: a flipped pointer
+    /// points nowhere, and a boxed value's updater must learn of the freeze
+    /// before it retires the displaced box.
+    ///
+    /// Orderings: the `AcqRel` `cmpxchg16b` pairs like
+    /// [`Cell::mark_for_migration`]'s `fetch_or` (the writers' `Release`
+    /// halves before it, the probes' `Acquire` key loads after it); an
+    /// updater's `AcqRel` value CAS and this CAS are locked RMWs of the
+    /// same word, so each sees the other or comes first.
+    pub fn mark_and_flip_for_migration(&self) -> (u64, u64) {
+        let flip = frozen_flip();
+        let mut seen = self.read();
+        loop {
+            let (key, value) = seen;
+            if is_marked(key) {
+                return (unmark(key), value ^ flip);
+            }
+            match self.cas_pair(seen, (key | MARK_BIT, value ^ flip)) {
+                Ok(()) => return seen,
+                Err(observed) => seen = observed,
+            }
+        }
+    }
+
+    /// The value of a cell whose key matched, given the word `value` read
+    /// after that key: the key is loaded once more, and if a flipping
+    /// freeze has marked the cell, the value is loaded again and unflipped.
+    /// This covers a cell found frozen and a freeze that fell between the
+    /// key load and `value`'s; after the mark no writer changes the cell,
+    /// so the re-load is the frozen word.  One re-load and one test on the
+    /// hit path; EXPERIMENTS.md, "one 8-byte CAS per inline update", has
+    /// what testing the first key's mark as well measured.
+    #[inline]
+    pub fn unflipped_value(&self, value: u64) -> u64 {
+        if is_marked(self.load_key()) {
+            self.load_value() ^ frozen_flip()
+        } else {
+            value
         }
     }
 
@@ -370,6 +455,31 @@ mod tests {
         assert!(c.cas_pair((33, 333), (33, 444)).is_err());
         // Marking twice is idempotent.
         assert_eq!(c.mark_for_migration(), (33, 333));
+    }
+
+    /// The flipping freeze marks the key and flips the value in one step:
+    /// a value CAS that expects the word read before it fails, a re-freeze
+    /// returns the same pair, and a reader unflips the frozen word.
+    #[test]
+    fn mark_and_flip_freezes_both_words() {
+        let flip = frozen_flip();
+        assert_eq!(flip % 2, 1, "never 0");
+        let c = Cell::new();
+        c.cas_pair((EMPTY_KEY, 0), (33, 333)).unwrap();
+        assert_eq!(c.unflipped_value(333), 333);
+        assert_eq!(c.mark_and_flip_for_migration(), (33, 333));
+        assert_eq!(c.read(), (33 | MARK_BIT, 333 ^ flip));
+        assert!(c.cas_value(333, 334).is_err());
+        assert!(c.cas_pair((33, 333), (33, 334)).is_err());
+        assert_eq!(c.mark_and_flip_for_migration(), (33, 333));
+        // A value word read before the freeze is re-loaded.
+        assert_eq!(c.unflipped_value(333), 333);
+        assert_eq!(c.unflipped_value(333 ^ flip), 333);
+        // An empty cell freezes to a marked empty key: inserts fail.
+        let e = Cell::new();
+        assert_eq!(e.mark_and_flip_for_migration(), (EMPTY_KEY, 0));
+        assert!(e.cas_pair((EMPTY_KEY, 0), (7, 70)).is_err());
+        assert_eq!(e.mark_and_flip_for_migration(), (EMPTY_KEY, 0));
     }
 
     #[test]

@@ -138,8 +138,8 @@ pub struct MigrationRecord {
     /// Block copies made by a waiter's rescue pass (0 unless a participant
     /// crashed or stalled past the rescue patience).
     pub rescued: usize,
-    /// Chunks of at most 64 source cells that a marking migration froze
-    /// with the locked `fetch_or`, over all block copies: `⌈range cells /
+    /// Chunks of at most 64 source cells that a marking migration froze,
+    /// one locked instruction a cell, over all block copies: `⌈range cells /
     /// 64⌉` per (wrapped) piece of a block's range per copy (`GrowMap`; the
     /// word table's copiers do not count).  Always 0 in exclusive mode,
     /// which freezes nothing.  Placement is plain stores in every mode and

@@ -21,11 +21,11 @@
 //!   most seven bytes needs none of it: its bytes fit the key word, as a
 //!   *short word*.
 //! * [`ValueRepr`] — how a value maps onto the cell's **value word**.
-//!   Word-sized values encode inline (atomic updates are one full-cell
-//!   CAS); larger values live in a plain heap box whose raw pointer is
-//!   the value word.  Value boxes need no signature: the key word decides
-//!   equality, the value word is only ever dereferenced after a key
-//!   match.
+//!   Word-sized values encode inline (an update is one CAS of the value
+//!   word, which a marking freeze defeats by flipping that word); larger
+//!   values live in a plain heap box whose raw pointer is the value word.
+//!   Value boxes need no signature: the key word decides equality, the
+//!   value word is only ever dereferenced after a key match.
 //!
 //! Both out-of-line representations lean on two guarantees:
 //!
@@ -303,7 +303,9 @@ impl KeyRepr for (u32, u32) {
 ///   works — the value word carries no sentinel once the key word is
 ///   published (empty cells are claimed with the full `⟨EMPTY, 0⟩` pair
 ///   CAS, so a published key can never be paired with an unpublished
-///   value).  Provided for `u64`, `u32` and `()`.
+///   value), and a marking migration's freeze XORs a random word into it,
+///   which readers undo.  Updates CAS the value word alone.  Provided for
+///   `u64`, `u32` and `()`.
 /// * **boxed** (`INLINE = false`, the default): the value is cloned into
 ///   a plain `Box<V>` and the word is the raw pointer.  Atomic updates
 ///   allocate the derived value first and swing the value word with a
@@ -679,13 +681,16 @@ impl<K: KeyRepr, V: ValueRepr> GenericArray<K, V> {
     }
 
     /// Look up the probe's key.  Reads tolerate marked (frozen) cells:
-    /// the frozen contents are the linearizable state at freeze time.
+    /// the frozen contents are the linearizable state at freeze time.  An
+    /// inline value is read key, value, key: the second key load says
+    /// whether a flipping freeze came first ([`Cell::unflipped_value`]).
     fn find(&self, probe: &Probe<'_, K>) -> Option<V> {
         let mut index = self.home_cell(probe.hash);
         for _ in 0..self.probe_limit() {
             // Key read before value (§4): the pair-CAS publication means
             // a torn read can only observe a newer value for this key.
-            let (k, v) = self.cells[index].read();
+            let cell = &self.cells[index];
+            let (k, v) = cell.read();
             let plain = unmark(k);
             if plain == EMPTY_KEY {
                 return None;
@@ -693,6 +698,11 @@ impl<K: KeyRepr, V: ValueRepr> GenericArray<K, V> {
             // SAFETY: out-of-line words observed through a live array are
             // QSBR-protected until this handle's next quiescent state.
             if plain != DEL_KEY && unsafe { probe.matches(plain) } {
+                let v = if V::INLINE {
+                    cell.unflipped_value(v)
+                } else {
+                    v
+                };
                 // SAFETY: as above, for the value word read with the key.
                 return Some(unsafe { read_value::<V>(v) });
             }
@@ -830,11 +840,24 @@ impl<K: KeyRepr, V: ValueRepr> GenericArray<K, V> {
         MapOutcome::NotFound
     }
 
-    /// One read–derive–CAS update attempt on a matched cell.  The
-    /// full-cell CAS is mark-aware: it fails if a migration froze the
-    /// cell (or an eraser tombstoned it, or another updater won) after
-    /// the read, so no derived value can leak into an already-copied or
-    /// deleted cell.  `Err(())` asks the caller to re-read.
+    /// One read–derive–CAS update attempt on a matched cell, whose key `k`
+    /// and then value `v` were read.  `Err(())` asks the caller to re-read.
+    ///
+    /// An inline value is replaced by a CAS of the value word alone, after
+    /// the key is loaded once more and found to be `k`.  A marking
+    /// migration freezes inline values with the flip
+    /// ([`Cell::mark_and_flip_for_migration`]): a `v` read before the
+    /// freeze fails the CAS, unless an update in between stored `v` XOR the
+    /// process's random [`crate::cell::frozen_flip`] (probability 2⁻⁶³ a
+    /// race); a `v` read after it is the flipped word, and then the second
+    /// key load, which comes after the value load, sees the mark.  So no
+    /// update lands in a copied cell, and `up` never sees a flipped word.
+    /// A CAS that lands on a tombstone after an erase is linearized before
+    /// that erase; tombstones are never reused, so nothing observes it.
+    ///
+    /// A boxed value keeps the full-cell CAS, which fails on a frozen, an
+    /// erased or an updated cell alike: against an erase, a value CAS
+    /// would let the eraser and this updater both retire the displaced box.
     #[inline]
     fn update_cell<F: Fn(&V) -> V>(
         &self,
@@ -843,23 +866,26 @@ impl<K: KeyRepr, V: ValueRepr> GenericArray<K, V> {
         v: u64,
         up: &F,
     ) -> Result<MapOutcome, ()> {
+        if V::INLINE {
+            if cell.load_key() != k {
+                return Err(());
+            }
+            let new_word = up(&V::decode_inline(v)).encode_inline();
+            return match cell.cas_value(v, new_word) {
+                Ok(()) => Ok(MapOutcome::Updated(None)),
+                Err(_) => Err(()),
+            };
+        }
         // SAFETY: `v` was read from a live cell; the handle has not
         // quiesced since (QSBR also makes this ABA-safe: the old box
         // cannot be freed and reallocated within the operation).
         let current = unsafe { read_value::<V>(v) };
-        let derived = up(&current);
-        let new_word = if V::INLINE {
-            derived.encode_inline()
-        } else {
-            Box::into_raw(Box::new(derived)) as u64
-        };
+        let new_word = Box::into_raw(Box::new(up(&current))) as u64;
         match cell.cas_pair((k, v), (k, new_word)) {
-            Ok(()) => Ok(MapOutcome::Updated((!V::INLINE).then_some(v))),
+            Ok(()) => Ok(MapOutcome::Updated(Some(v))),
             Err(_) => {
-                if !V::INLINE {
-                    // SAFETY: just allocated above, never published.
-                    unsafe { drop(Box::from_raw(new_word as *mut V)) };
-                }
+                // SAFETY: just allocated above, never published.
+                unsafe { drop(Box::from_raw(new_word as *mut V)) };
                 Err(())
             }
         }
@@ -938,7 +964,8 @@ struct BlockCopy {
     /// `false` when the copy stopped short: the placement gate turned it
     /// away because someone else completed the block.
     complete: bool,
-    /// Chunks frozen with the locked `fetch_or` (marking mode).
+    /// Chunks frozen by a marking copy, one locked instruction a cell
+    /// ([`freeze_cell`]).
     chunks_locked: usize,
 }
 
@@ -951,20 +978,38 @@ struct BlockCopy {
 /// allocations were already retired at erase time).
 ///
 /// `mode` says how a cell is read: exclusive, a plain load of each word is
-/// the cell's final content and nothing is marked; marking, one `fetch_or`
-/// per cell freezes it.
+/// the cell's final content and nothing is marked; marking, one locked
+/// instruction per cell freezes it ([`freeze_cell`]).
 #[inline(always)]
-fn freeze_chunk(mode: MigrationMode, chunk: &[Cell], live: &mut [(u64, u64); COPY_CHUNK]) -> usize {
+fn freeze_chunk<V: ValueRepr>(
+    mode: MigrationMode,
+    chunk: &[Cell],
+    live: &mut [(u64, u64); COPY_CHUNK],
+) -> usize {
     let mut n = 0usize;
     for cell in chunk {
         let (k, v) = match mode {
             MigrationMode::Exclusive => cell.read(),
-            MigrationMode::Marking => cell.mark_for_migration(),
+            MigrationMode::Marking => freeze_cell::<V>(cell),
         };
         live[n] = (k, v);
         n += usize::from(k > DEL_KEY);
     }
     n
+}
+
+/// The marking freeze of one source cell, returning its pair as it was.
+/// Inline values take the flipping freeze, one `cmpxchg16b`
+/// ([`Cell::mark_and_flip_for_migration`]), which lets their updates CAS the
+/// value word alone; boxed values keep the `fetch_or` of
+/// [`Cell::mark_for_migration`].
+#[inline(always)]
+fn freeze_cell<V: ValueRepr>(cell: &Cell) -> (u64, u64) {
+    if V::INLINE {
+        cell.mark_and_flip_for_migration()
+    } else {
+        cell.mark_for_migration()
+    }
 }
 
 /// Pass 3 of a chunk: place `live` into `dst` in source order, probing
@@ -1028,7 +1073,7 @@ fn cluster_range<K: KeyRepr, V: ValueRepr>(
         let cell = &src.cells[i & (capacity - 1)];
         let key = match mode {
             MigrationMode::Exclusive => cell.load_key(),
-            MigrationMode::Marking => cell.mark_for_migration().0,
+            MigrationMode::Marking => freeze_cell::<V>(cell).0,
         };
         key == EMPTY_KEY
     };
@@ -1066,7 +1111,7 @@ fn cluster_range<K: KeyRepr, V: ValueRepr>(
 /// cells, three passes per chunk:
 ///
 /// 1. [`freeze_chunk`], as `mode` says: plain loads when writers are
-///    excluded, the locked `fetch_or` when the migration marks;
+///    excluded, one locked freeze a cell when the migration marks;
 /// 2. hash every live key and prefetch its target line — independent
 ///    work, kept out of the freeze loop;
 /// 3. [`place_chunk`], inside the placement gate (`enter_placement`).
@@ -1118,10 +1163,12 @@ fn migrate_generic_block<K: KeyRepr, V: ValueRepr, P>(
         // Each arm passes its mode as a constant, so that the inlined
         // freeze loop is compiled once per mode, with no branch per cell.
         let n = match mode {
-            MigrationMode::Exclusive => freeze_chunk(MigrationMode::Exclusive, chunk, &mut live),
+            MigrationMode::Exclusive => {
+                freeze_chunk::<V>(MigrationMode::Exclusive, chunk, &mut live)
+            }
             MigrationMode::Marking => {
                 copy.chunks_locked += 1;
-                freeze_chunk(MigrationMode::Marking, chunk, &mut live)
+                freeze_chunk::<V>(MigrationMode::Marking, chunk, &mut live)
             }
         };
         let live = &live[..n];
@@ -1953,6 +2000,7 @@ impl<K: KeyRepr, V: ValueRepr> GenericMapHandle<K, V> for GrowMapHandle<'_, K, V
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::{frozen_flip, MARK_BIT};
     use crate::config::scale_to_capacity;
     use std::collections::{HashMap, HashSet};
 
@@ -2419,7 +2467,7 @@ mod tests {
         };
         assert!(matches!(insert(homed[0]), MapOutcome::Inserted));
         assert!(matches!(insert(homed[1]), MapOutcome::Inserted));
-        array.cells[11].mark_for_migration();
+        freeze_cell::<u64>(&array.cells[11]);
         assert!(matches!(insert(homed[2]), MapOutcome::Migrating));
         assert_eq!(array.cells[12].load_key(), EMPTY_KEY);
 
@@ -2734,8 +2782,10 @@ mod tests {
         });
     }
 
-    /// An exclusive copy reads what a marking copy freezes and places it into the same cells, block by block and
-    /// in any order of the blocks; it leaves the source unmarked.
+    /// An exclusive copy reads what a marking copy freezes and places it
+    /// into the same cells, block by block and in any order of the blocks.
+    /// It leaves the source as it was; a marking copy leaves every source
+    /// cell marked and, the values being inline, its value word flipped.
     fn copies_place_alike_for<K: KeyRepr>(keys: fn(u64) -> K) {
         let words = |array: &GenericArray<K, u64>| -> Vec<(u64, u64)> {
             array.cells.iter().map(Cell::read).collect()
@@ -2764,11 +2814,11 @@ mod tests {
                     "{mode:?}, reverse {reverse}"
                 );
             }
-            let src_words = words(&src).into_iter().map(|(k, v)| (unmark(k), v));
-            assert!(src_words.eq(original.iter().copied()));
-            if mode == MigrationMode::Exclusive {
-                assert!(words(&src) == original, "an exclusive copy marked");
-            }
+            let left = original.iter().map(|&(k, v)| match mode {
+                MigrationMode::Exclusive => (k, v),
+                MigrationMode::Marking => (k | MARK_BIT, v ^ frozen_flip()),
+            });
+            assert!(words(&src).into_iter().eq(left), "{mode:?}");
         });
         for (k, _) in original {
             if k > DEL_KEY {
@@ -2784,10 +2834,10 @@ mod tests {
     }
 
     /// The freeze against live writers, through the whole copier: two
-    /// threads bump values of a one-chunk source by `cas_pair` (every
-    /// marking-protocol writer's shape) while a third copies it.  Each
-    /// value the freeze placed is its cell's final value, and no CAS
-    /// succeeds once the copy has returned.
+    /// threads bump values of a one-chunk source by `cas_pair` (the shape
+    /// of inserts, erases and boxed-value updates) while a third copies it.
+    /// Each value the freeze placed is its cell's final value, unflipped,
+    /// and no CAS succeeds once the copy has returned.
     #[test]
     fn freeze_races_cas_pair_writers_and_copies_the_final_values() {
         for round in 0..200u64 {
@@ -2851,7 +2901,8 @@ mod tests {
             });
             assert_eq!(late_successes.load(Ordering::SeqCst), 0);
             for cell in src.cells.iter() {
-                let (k, v) = cell.read();
+                let (k, flipped) = cell.read();
+                let v = flipped ^ frozen_flip();
                 assert!(is_marked(k));
                 if unmark(k) > DEL_KEY {
                     let key = u64::decode(unmark(k));
@@ -2862,6 +2913,107 @@ mod tests {
                     );
                     assert!(cell.cas_pair((unmark(k), v), (unmark(k), v + 1)).is_err());
                 }
+            }
+        }
+    }
+
+    /// The flipping freeze against value-word updates, through the whole
+    /// copier: two threads bump the values of a one-chunk source through
+    /// `GenericArray::upsert` — key, value, key, value CAS — while a third
+    /// copies it marking.  No update succeeds once the copy has returned,
+    /// and the target holds every update that succeeded.
+    #[test]
+    fn value_word_updates_racing_a_marking_copy_lose_nothing() {
+        let bump = |v: &u64| v + 1;
+        for round in 0..200u64 {
+            let (src, live) = copier_source::<u64>(COPY_CHUNK, 40, 0, word_key);
+            let dst = GenericArray::<u64, u64>::new(2 * COPY_CHUNK, 2);
+            let copied = std::sync::atomic::AtomicBool::new(false);
+            let late_successes = AtomicU64::new(0);
+            let bumps = AtomicU64::new(0);
+            // Successful updates per key, by either writer.
+            let landed: Vec<AtomicU64> = live.iter().map(|_| AtomicU64::new(0)).collect();
+            std::thread::scope(|s| {
+                for writer in 0..2usize {
+                    let (src, live, landed) = (&src, &live, &landed);
+                    let (copied, late_successes, bumps) = (&copied, &late_successes, &bumps);
+                    s.spawn(move || {
+                        let mut pending = PendingCell::new();
+                        'bumping: loop {
+                            for (i, (key, _)) in live.iter().enumerate().skip(writer).step_by(2) {
+                                let after_copy = copied.load(Ordering::SeqCst);
+                                match src.upsert(&Probe::new(key), &0, Some(&bump), &mut pending) {
+                                    MapOutcome::Updated(None) => {
+                                        landed[i].fetch_add(1, Ordering::Relaxed);
+                                        bumps.fetch_add(1, Ordering::Relaxed);
+                                        if after_copy {
+                                            late_successes.fetch_add(1, Ordering::SeqCst);
+                                        }
+                                    }
+                                    MapOutcome::Migrating => break 'bumping,
+                                    _ => panic!("a present key is updated or migrating"),
+                                }
+                            }
+                        }
+                    });
+                }
+                s.spawn(|| {
+                    // Let the writers get going; vary how far.
+                    while bumps.load(Ordering::Relaxed) < round * 4 {
+                        std::thread::yield_now();
+                    }
+                    let copy = migrate_generic_block(
+                        &src,
+                        &dst,
+                        0,
+                        COPY_CHUNK,
+                        MigrationMode::Marking,
+                        || Some(()),
+                    );
+                    copied.store(true, Ordering::SeqCst);
+                    assert_eq!(copy.live, live.len());
+                });
+            });
+            assert_eq!(late_successes.load(Ordering::SeqCst), 0);
+            for ((key, value), landed) in live.iter().zip(&landed) {
+                let expected = value + landed.load(Ordering::Relaxed);
+                assert_eq!(dst.find(&Probe::new(key)), Some(expected), "lost an update");
+                assert_eq!(src.find(&Probe::new(key)), Some(expected), "frozen source");
+            }
+        }
+    }
+
+    /// A map whose values are boxed keeps the `fetch_or` freeze: a marking
+    /// copy marks each source cell and leaves its value word — a pointer —
+    /// as it was, and the target finds every value.
+    #[test]
+    fn boxed_values_freeze_without_the_flip() {
+        let src = GenericArray::<u64, [u64; 2]>::new(256, 1);
+        let keys: Vec<u64> = (0..100).map(word_key).collect();
+        for (i, key) in (0u64..).zip(&keys) {
+            let mut pending = PendingCell::new();
+            let outcome = src.upsert(
+                &Probe::new(key),
+                &[i, i + 1],
+                None::<&fn(&[u64; 2]) -> [u64; 2]>,
+                &mut pending,
+            );
+            assert!(matches!(outcome, MapOutcome::Inserted));
+        }
+        let before: Vec<(u64, u64)> = src.cells.iter().map(Cell::read).collect();
+        let dst = GenericArray::<u64, [u64; 2]>::new(512, 2);
+        let copy = migrate_generic_block(&src, &dst, 0, 256, MigrationMode::Marking, || Some(()));
+        assert_eq!(copy.live, keys.len());
+        let after = src.cells.iter().map(Cell::read);
+        assert!(after.eq(before.iter().map(|&(k, v)| (k | MARK_BIT, v))));
+        for (i, key) in (0u64..).zip(&keys) {
+            assert_eq!(dst.find(&Probe::new(key)), Some([i, i + 1]));
+        }
+        for &(k, v) in &before {
+            if k > DEL_KEY {
+                // SAFETY: single-threaded test code; each published box is
+                // freed once, here.
+                unsafe { drop(Box::from_raw(v as *mut [u64; 2])) };
             }
         }
     }

@@ -6,20 +6,21 @@
 //! and the copy time per source cell of each migration of a fresh
 //! `GrowMap<u64, u64>` growing from 2^11 to 2^17 cells at one thread.
 //! An `Exclusive` migration copies with plain loads, a `Marking` one
-//! freezes each source cell with a locked `fetch_or` (DESIGN.md §15).
-//! Run it before trusting a before/after of the grow pause, and name the
-//! mode with the numbers.
+//! freezes each source cell with one locked instruction — for these inline
+//! values the `cmpxchg16b` that marks the key and flips the value word
+//! (DESIGN.md §15).  Run it before trusting a before/after of the grow
+//! pause, and name the mode with the numbers.
+//!
+//! Built with `--features failpoints`, it fills a second table with the
+//! `generic.membarrier` failpoint forced, so that every migration marks,
+//! and prints that table's copy cost as well: both modes' per-cell cost.
 //!
 //! Run with: `cargo run -q --release --example migration_smoke`
 
 use growt_repro::growt_core::{membarrier, GrowMap};
 
-fn main() {
-    match membarrier::query() {
-        Some(mask) => println!("membarrier QUERY = {mask:#x}"),
-        None => println!("membarrier QUERY failed"),
-    }
-    println!("membarrier::available() = {}", membarrier::available());
+/// Fill a fresh table from 2^11 to 2^17 cells and print its migrations.
+fn fill_and_report() {
     let map: GrowMap<u64, u64> = GrowMap::new(1024);
     let mut handle = map.handle();
     for key in 2..2 + (1u64 << 16) {
@@ -34,5 +35,23 @@ fn main() {
             record.mode,
             record.copy_ns as f64 / record.from_capacity as f64
         );
+    }
+}
+
+fn main() {
+    match membarrier::query() {
+        Some(mask) => println!("membarrier QUERY = {mask:#x}"),
+        None => println!("membarrier QUERY failed"),
+    }
+    println!("membarrier::available() = {}", membarrier::available());
+    fill_and_report();
+    #[cfg(feature = "failpoints")]
+    {
+        use growt_failpoints::{configure, remove, Action, Trigger};
+
+        println!("with the generic.membarrier failpoint forced:");
+        configure("generic.membarrier", Action::FailAlloc, Trigger::Always);
+        fill_and_report();
+        remove("generic.membarrier");
     }
 }

@@ -638,6 +638,59 @@ fn conformance_holds_when_migrations_mark() {
     remove("generic.membarrier");
 }
 
+/// Two threads bump a hot key set by `insert_or_update` while they insert
+/// fresh keys that keep the map migrating, every migration marking: each
+/// bump lands exactly once.  An inline value is updated by a CAS of its
+/// value word alone, which the marking freeze defeats by flipping that
+/// word (DESIGN.md §15).
+#[cfg(feature = "failpoints")]
+fn updates_stay_exact_when_migrations_mark<K: KeyRepr>(key: fn(u64) -> K) {
+    const HOT: u64 = 16;
+    const PER_THREAD: u64 = 10_000;
+    let map: GrowMap<K, u64> = GrowMap::with_config(16, GrowConfig::default(), 2);
+    std::thread::scope(|scope| {
+        for t in 0..2u64 {
+            let map = &map;
+            scope.spawn(move || {
+                let mut handle = map.handle();
+                for i in 0..PER_THREAD {
+                    handle.insert_or_update(&key(i % HOT), &1, |v| v + 1);
+                    assert!(handle.insert(&key(HOT + 2 * i + t), &0));
+                }
+            });
+        }
+    });
+    let log = map.migration_log();
+    assert!(map.migrations_completed() >= 10, "{log:?}");
+    assert!(
+        log.iter().all(|r| r.mode == MigrationMode::Marking),
+        "{log:?}"
+    );
+    let mut handle = map.handle();
+    let bumps: u64 = (0..HOT).map(|i| handle.find(&key(i)).unwrap()).sum();
+    assert_eq!(bumps, 2 * PER_THREAD, "lost or doubled updates");
+    assert_eq!(map.size_exact_quiescent() as u64, HOT + 2 * PER_THREAD);
+}
+
+#[cfg(feature = "failpoints")]
+#[test]
+fn insert_or_update_stays_exact_when_migrations_mark() {
+    use growt_failpoints::{configure, remove, Action, Trigger};
+
+    let _serial = FAILPOINTS.lock().unwrap_or_else(|e| e.into_inner());
+    configure("generic.membarrier", Action::FailAlloc, Trigger::Always);
+    updates_stay_exact_when_migrations_mark::<u64>(|i| BASE + i);
+    // Short keys in their key words and long ones behind a pointer.
+    updates_stay_exact_when_migrations_mark::<String>(|i| {
+        if i.is_multiple_of(2) {
+            format!("k{i}")
+        } else {
+            format!("long-key-{i}")
+        }
+    });
+    remove("generic.membarrier");
+}
+
 /// Serializes the tests that configure the `generic.membarrier` failpoint
 /// with the one that needs a migration to try excluding writers.
 static FAILPOINTS: std::sync::Mutex<()> = std::sync::Mutex::new(());

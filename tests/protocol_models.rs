@@ -6,21 +6,28 @@
 //!   flag against the growth leader, whose `membarrier` is a full fence
 //!   injected into every other thread at whatever step it has reached;
 //! * **the placement gate** — a late block owner against the rescuer that
-//!   completes its block and finalizes, across two consecutive migrations.
+//!   completes its block and finalizes, across two consecutive migrations;
+//! * **the flipping freeze** (DESIGN.md §15) — two value-word updaters of an
+//!   inline value against the marking freeze that flips the value word,
+//!   and a find against it.
 //!
-//! Each model is checked twice: as the code does it, where every schedule
-//! must end well, and with one seeded mutation — the leader's barrier
-//! dropped, the lease checked before the gate's counter is raised — where
-//! some schedule must end badly.  A model that cannot fail proves nothing.
+//! Each model is checked as the code does it, where every schedule must
+//! end well, and with seeded mutations — the leader's barrier dropped, the
+//! lease checked before the gate's counter is raised, a freeze that does
+//! not flip or whose flip the update function computes, an updater or a
+//! find short of one of its loads — where some schedule must end badly.
+//! A model that cannot fail proves nothing.
 //!
 //! The machine: each thread runs a small program over shared bytes.  A
 //! plain store goes into the thread's FIFO store buffer, from which it
 //! reaches memory at any later step; a load reads the thread's newest
-//! buffered store to the location, else memory.  Locked instructions and
-//! fences wait for the buffer to drain.  Spin loops are blocking loads: a
-//! spin that reads the wrong value changes nothing, so only its final,
-//! successful read is a step.  Explored depth-first with a visited set;
-//! std only.
+//! buffered store to the location, else memory.  Locked instructions —
+//! among them the two-location compare-exchange that stands for
+//! `cmpxchg16b` on a cell's key and value words — and fences wait for the
+//! buffer to drain.  Register arithmetic is a step of its own.  Spin loops
+//! are blocking loads: a spin that reads the wrong value changes nothing,
+//! so only its final, successful read is a step.  Explored depth-first
+//! with a visited set; std only.
 
 use std::collections::HashSet;
 
@@ -36,6 +43,29 @@ enum Ins {
     Add(usize, u8),
     /// Locked compare-exchange `(location, expected, new)`.
     Cas(usize, u8, u8),
+    /// Locked compare-exchange of a location from the value in register
+    /// `expected` to the one in register `new`; register `ok` gets 1 on
+    /// success, else 0 (`lock cmpxchg`).
+    CasReg {
+        at: usize,
+        expected: usize,
+        new: usize,
+        ok: usize,
+    },
+    /// Locked compare-exchange of two locations at once, registers as in
+    /// `CasReg` (`lock cmpxchg16b` on a cell's key and value words).
+    Cas2 {
+        at: [usize; 2],
+        expected: [usize; 2],
+        new: [usize; 2],
+        ok: usize,
+    },
+    /// `dst = src | bits`.
+    Or(usize, usize, u8),
+    /// `dst = src ^ bits`.
+    Xor(usize, usize, u8),
+    /// `dst = src + n`, wrapping.
+    AddImm(usize, usize, u8),
     /// `mfence`: waits for the buffer to drain.
     Fence,
     /// `membarrier(MEMBARRIER_CMD_PRIVATE_EXPEDITED)`: a full barrier in
@@ -45,6 +75,9 @@ enum Ins {
     Await(usize, u8),
     /// Continue at the target unless the register holds the value.
     JumpUnless(usize, u8, usize),
+    /// Continue at the target if `register & mask == value`:
+    /// `(register, mask, value, target)`.
+    JumpIf(usize, u8, u8, usize),
     /// Continue at the target.
     Jump(usize),
 }
@@ -75,17 +108,17 @@ struct State {
 /// A finished schedule: final memory, and each thread's registers.
 type Outcome = (Vec<u8>, Vec<[u8; 8]>);
 
-/// Run every schedule of `programs` from zeroed memory of `locations`
-/// bytes.  Returns the distinct outcomes, or the first schedule (its steps,
-/// as `(thread, instruction or flush)`) whose outcome `check` rejects or
-/// that deadlocks.
+/// Run every schedule of `programs` from the memory `initial`.  Returns
+/// the distinct outcomes, or the first schedule (its steps, as `(thread,
+/// instruction or flush)`) whose outcome `check` rejects or that
+/// deadlocks.
 fn explore(
     programs: &[Vec<Ins>],
-    locations: usize,
+    initial: &[u8],
     check: impl Fn(&Outcome) -> bool,
 ) -> Result<HashSet<Outcome>, Vec<String>> {
     let start = State {
-        memory: vec![0; locations],
+        memory: initial.to_vec(),
         threads: programs
             .iter()
             .map(|_| Thread {
@@ -159,6 +192,49 @@ fn dfs(
                 }
                 drained
             }
+            Ins::CasReg {
+                at,
+                expected,
+                new,
+                ok,
+            } => {
+                let success = next.memory[at] == me.regs[expected];
+                if success {
+                    next.memory[at] = me.regs[new];
+                }
+                me.regs[ok] = u8::from(success);
+                drained
+            }
+            Ins::Cas2 {
+                at,
+                expected,
+                new,
+                ok,
+            } => {
+                let success = at
+                    .iter()
+                    .zip(expected)
+                    .all(|(&location, reg)| next.memory[location] == me.regs[reg]);
+                if success {
+                    for (&location, reg) in at.iter().zip(new) {
+                        next.memory[location] = me.regs[reg];
+                    }
+                }
+                me.regs[ok] = u8::from(success);
+                drained
+            }
+            Ins::Or(dst, src, bits) => {
+                me.regs[dst] = me.regs[src] | bits;
+                true
+            }
+            Ins::Xor(dst, src, bits) => {
+                me.regs[dst] = me.regs[src] ^ bits;
+                true
+            }
+            Ins::AddImm(dst, src, n) => {
+                me.regs[dst] = me.regs[src].wrapping_add(n);
+                true
+            }
             Ins::Fence => drained,
             Ins::HeavyBarrier => {
                 if drained {
@@ -173,6 +249,12 @@ fn dfs(
             Ins::Await(location, value) => thread.load(&state.memory, location) == value,
             Ins::JumpUnless(reg, value, target) => {
                 if me.regs[reg] != value {
+                    me.pc = target;
+                }
+                true
+            }
+            Ins::JumpIf(reg, mask, value, target) => {
+                if me.regs[reg] & mask == value {
                     me.pc = target;
                 }
                 true
@@ -261,7 +343,7 @@ fn copy_is_final(outcome: &Outcome) -> bool {
 #[test]
 fn writer_exclusion_holds_in_every_schedule() {
     let programs = [writer(BUSY[0]), writer(BUSY[1]), leader(true)];
-    let outcomes = explore(&programs, 4, copy_is_final).unwrap_or_else(|trace| {
+    let outcomes = explore(&programs, &[0; 4], copy_is_final).unwrap_or_else(|trace| {
         panic!("{}", trace.join("\n"));
     });
     // Not vacuous: each number of writes, from both turned away to both
@@ -273,7 +355,7 @@ fn writer_exclusion_holds_in_every_schedule() {
 #[test]
 fn writer_exclusion_fails_without_the_heavy_barrier() {
     let programs = [writer(BUSY[0]), writer(BUSY[1]), leader(false)];
-    let trace = explore(&programs, 4, copy_is_final)
+    let trace = explore(&programs, &[0; 4], copy_is_final)
         .expect_err("a busy flag still in its store buffer must be missed");
     assert!(
         trace.last().unwrap().starts_with("bad outcome"),
@@ -361,7 +443,7 @@ fn no_store_after_publication(outcome: &Outcome) -> bool {
 
 #[test]
 fn placement_gate_holds_in_every_schedule() {
-    let outcomes = explore(&gate_programs(false), 5, no_store_after_publication)
+    let outcomes = explore(&gate_programs(false), &[0; 5], no_store_after_publication)
         .unwrap_or_else(|trace| panic!("{}", trace.join("\n")));
     // Not vacuous: the owner both placed its whole block before the rescue
     // completed it, and found the lease gone.
@@ -371,10 +453,240 @@ fn placement_gate_holds_in_every_schedule() {
 
 #[test]
 fn placement_gate_fails_when_the_lease_is_checked_first() {
-    let trace = explore(&gate_programs(true), 5, no_store_after_publication)
+    let trace = explore(&gate_programs(true), &[0; 5], no_store_after_publication)
         .expect_err("a late owner's store must reach the published target");
     assert!(
         trace.last().unwrap().starts_with("bad outcome"),
         "{trace:?}"
     );
+}
+
+// ---------------------------------------------------------------------
+// The flipping freeze
+// ---------------------------------------------------------------------
+
+/// The cell: its key word and its value word.
+const KEY: usize = 0;
+const VALUE: usize = 1;
+/// The cell's key, unmarked, and the two words' bits the freeze changes:
+/// the mark in the key (`MARK_BIT`), and the flip XOR-ed into the value
+/// (`frozen_flip()`, random in the code; any word here that the updaters
+/// do not compute).
+const THE_KEY: u8 = 7;
+const MARK: u8 = 0x80;
+const FLIP: u8 = 0x5a;
+
+/// `Cell::mark_and_flip_for_migration` as a marking copy calls it: read
+/// the pair into registers 0 and 1, then one two-word CAS to the marked
+/// key and the value XOR `flip`, retried on failure.  Register 1 ends as
+/// the value the freeze took effect on: what the copy places.  A `flip`
+/// of 0 is the mutation that only marks, as the `fetch_or` freeze does.
+fn freezer(flip: u8) -> Vec<Ins> {
+    vec![
+        Ins::Load(KEY, 0),
+        Ins::Load(VALUE, 1),
+        Ins::Or(2, 0, MARK),
+        Ins::Xor(3, 1, flip),
+        Ins::Cas2 {
+            at: [KEY, VALUE],
+            expected: [0, 1],
+            new: [2, 3],
+            ok: 4,
+        },
+        Ins::JumpUnless(4, 1, 0),
+    ]
+}
+
+/// The update function of the modelled updaters.
+#[derive(Clone, Copy)]
+enum Update {
+    /// `v + 1`, as `aggregate_zipf` counts.
+    Increment,
+    /// `v ^ bits`: with bits all ones, a toggle.
+    Xor(u8),
+}
+
+impl Update {
+    fn derive(self) -> Ins {
+        match self {
+            Update::Increment => Ins::AddImm(3, 1, 1),
+            Update::Xor(bits) => Ins::Xor(3, 1, bits),
+        }
+    }
+
+    /// The value `n` successful updates leave from 0.
+    fn after(self, n: u8) -> u8 {
+        (0..n).fold(0, |v, _| match self {
+            Update::Increment => v + 1,
+            Update::Xor(bits) => v ^ bits,
+        })
+    }
+}
+
+/// One update by `GenericArray::update_cell` on an inline value: load
+/// the key (marked: `Migrating`, stop), load the value, load the key
+/// again (changed: re-read), derive, then CAS the value word alone; a
+/// failed CAS re-reads.  Register 4 ends 1 if the update reported success.
+/// `second_key_load` false is the mutation without the key's re-load.
+fn value_updater(update: Update, second_key_load: bool) -> Vec<Ins> {
+    let end = if second_key_load { 8 } else { 6 };
+    let mut program = vec![
+        Ins::Load(KEY, 0),
+        Ins::JumpIf(0, MARK, MARK, end),
+        Ins::Load(VALUE, 1),
+    ];
+    if second_key_load {
+        program.extend([Ins::Load(KEY, 2), Ins::JumpUnless(2, THE_KEY, 0)]);
+    }
+    program.extend([
+        update.derive(),
+        Ins::CasReg {
+            at: VALUE,
+            expected: 1,
+            new: 3,
+            ok: 4,
+        },
+        Ins::JumpUnless(4, 1, 0),
+    ]);
+    assert_eq!(program.len(), end);
+    program
+}
+
+/// Two updaters and the freezer, on the cell `(THE_KEY, 0)`.  Returns the
+/// outcomes, or a schedule in which an update that reported success is
+/// not in the copied value: one that landed in the frozen cell.
+fn explore_updates(
+    update: Update,
+    second_key_load: bool,
+    flip: u8,
+) -> Result<HashSet<Outcome>, Vec<String>> {
+    let updater = value_updater(update, second_key_load);
+    explore(
+        &[updater.clone(), updater, freezer(flip)],
+        &[THE_KEY, 0],
+        |(_, regs)| regs[2][1] == update.after(regs[0][4] + regs[1][4]),
+    )
+}
+
+#[test]
+fn value_updates_meet_the_flipping_freeze_in_every_schedule() {
+    for update in [Update::Increment, Update::Xor(0xff)] {
+        let outcomes = explore_updates(update, true, FLIP)
+            .unwrap_or_else(|trace| panic!("{}", trace.join("\n")));
+        // Not vacuous: the freeze came before both updates, between them
+        // and after both.
+        let copied: HashSet<u8> = outcomes.iter().map(|(_, regs)| regs[2][1]).collect();
+        let expected: HashSet<u8> = (0..3).map(|n| update.after(n)).collect();
+        assert_eq!(copied, expected);
+    }
+}
+
+fn assert_an_update_is_lost(explored: Result<HashSet<Outcome>, Vec<String>>) {
+    let trace = explored.expect_err("an update must land in the frozen cell");
+    assert!(
+        trace.last().unwrap().starts_with("bad outcome"),
+        "{trace:?}"
+    );
+}
+
+#[test]
+fn value_updates_are_lost_to_a_freeze_that_does_not_flip() {
+    assert_an_update_is_lost(explore_updates(Update::Increment, true, 0));
+}
+
+#[test]
+fn value_updates_are_lost_without_the_second_key_load() {
+    assert_an_update_is_lost(explore_updates(Update::Increment, false, FLIP));
+}
+
+/// Why `frozen_flip()` is random: an update function that computes the
+/// flip — here XOR with it — stores `v ^ flip` between an updater's read
+/// of `v` and the freeze, whose flip then restores `v`, and that
+/// updater's CAS succeeds in the frozen cell.
+#[test]
+fn value_updates_are_lost_to_a_flip_the_update_computes() {
+    assert_an_update_is_lost(explore_updates(Update::Xor(FLIP), true, FLIP));
+}
+
+/// The value the finds read.
+const FOUND: u8 = 5;
+
+/// How a find reads a matched inline value.
+#[derive(Clone, Copy)]
+enum FindRead {
+    /// As `GenericArray::find` does: key, value, key again, and if that is
+    /// marked, the value loaded again and unflipped (`Cell::unflipped_value`).
+    KeyValueKey,
+    /// Mutation: unflips the value it already read when the second key is
+    /// marked, instead of loading it again.
+    NoReload,
+    /// Mutation: tests the first key's mark only.
+    FirstKeyOnly,
+}
+
+/// A find of the cell's key; register 1 ends as the value it returns.
+fn finder(read: FindRead) -> Vec<Ins> {
+    match read {
+        FindRead::KeyValueKey => vec![
+            Ins::Load(KEY, 0),
+            Ins::Load(VALUE, 1),
+            Ins::Load(KEY, 2),
+            Ins::JumpIf(2, MARK, 0, 6),
+            Ins::Load(VALUE, 1),
+            Ins::Xor(1, 1, FLIP),
+        ],
+        FindRead::NoReload => vec![
+            Ins::Load(KEY, 0),
+            Ins::Load(VALUE, 1),
+            Ins::Load(KEY, 2),
+            Ins::JumpIf(2, MARK, 0, 5),
+            Ins::Xor(1, 1, FLIP),
+        ],
+        FindRead::FirstKeyOnly => vec![
+            Ins::Load(KEY, 0),
+            Ins::Load(VALUE, 1),
+            Ins::JumpIf(0, MARK, 0, 4),
+            Ins::Xor(1, 1, FLIP),
+        ],
+    }
+}
+
+/// A find never returns the flipped word, nor the unflipped form of a
+/// word read before the freeze.
+fn find_reads_the_value(outcome: &Outcome) -> bool {
+    outcome.1[0][1] == FOUND
+}
+
+fn explore_find(read: FindRead) -> Result<HashSet<Outcome>, Vec<String>> {
+    explore(
+        &[finder(read), freezer(FLIP)],
+        &[THE_KEY, FOUND],
+        find_reads_the_value,
+    )
+}
+
+#[test]
+fn finds_never_return_a_flipped_word() {
+    let outcomes =
+        explore_find(FindRead::KeyValueKey).unwrap_or_else(|trace| panic!("{}", trace.join("\n")));
+    // Not vacuous: the find's last key load came before the freeze and
+    // after it, and so did its first.
+    for reg in [0, 2] {
+        let marks: HashSet<u8> = outcomes
+            .iter()
+            .map(|(_, regs)| regs[0][reg] & MARK)
+            .collect();
+        assert_eq!(marks, HashSet::from([0, MARK]), "register {reg}");
+    }
+}
+
+#[test]
+fn finds_return_a_wrong_word_without_the_value_reload() {
+    for read in [FindRead::NoReload, FindRead::FirstKeyOnly] {
+        let trace = explore_find(read).expect_err("a freeze between the loads must be missed");
+        assert!(
+            trace.last().unwrap().starts_with("bad outcome"),
+            "{trace:?}"
+        );
+    }
 }
