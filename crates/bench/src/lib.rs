@@ -506,9 +506,27 @@ pub fn fig8b(cfg: &HarnessConfig) -> Figure {
     fig
 }
 
+/// A table `M` of `capacity` cells holding `keys`, and the bytes it took
+/// to build it: the delta of the global allocator's tracked bytes (when
+/// [`growt_alloc_track::TrackingAlloc`] is the global allocator) plus that
+/// of [`growt_core::mem::mapped_bytes`], the cell arrays of 2 MB or more,
+/// which are anonymous mappings the allocator never sees.  Fig. 10's
+/// memory column.
+pub fn fig10_footprint<M: ConcurrentMap>(capacity: usize, keys: &[u64]) -> (M, usize) {
+    growt_alloc_track::reset_counters();
+    let tracked = growt_alloc_track::current_bytes();
+    let mapped = growt_core::mem::mapped_bytes();
+    let table = M::with_capacity(capacity);
+    prefill_for::<M>(&table, keys);
+    let bytes = growt_alloc_track::current_bytes().saturating_sub(tracked) as usize
+        + growt_core::mem::mapped_bytes().saturating_sub(mapped);
+    (table, bytes)
+}
+
 /// Fig. 10: memory consumption vs. unsuccessful-find throughput for
 /// different initial capacities.  Returns rows of
-/// `(table, init-capacity-factor, bytes, MOps/s)`.
+/// `(table, init-capacity-factor, bytes, MOps/s)`, the bytes as
+/// [`fig10_footprint`] counts them.
 pub fn fig10(cfg: &HarnessConfig) -> String {
     let mut out =
         String::from("# fig10-memory-vs-throughput\ntable\tinit-factor\tapprox-bytes\tmops\n");
@@ -536,11 +554,7 @@ pub fn fig10(cfg: &HarnessConfig) -> String {
         } else {
             (cfg.ops as f64 * factor) as usize
         };
-        growt_alloc_track::reset_counters();
-        let before = growt_alloc_track::current_bytes();
-        let table = M::with_capacity(capacity);
-        prefill_for::<M>(&table, keys);
-        let after = growt_alloc_track::current_bytes();
+        let (table, bytes) = fig10_footprint::<M>(capacity, keys);
         let m = find_driver(
             &table,
             misses,
@@ -550,7 +564,7 @@ pub fn fig10(cfg: &HarnessConfig) -> String {
             "{}\t{}\t{}\t{:.3}\n",
             M::table_name(),
             label,
-            after.saturating_sub(before),
+            bytes,
             m.mops()
         ));
     }

@@ -151,77 +151,106 @@ pub struct MigrationRecord {
 /// straggler holding the job of an already finished migration simply finds
 /// its block counter exhausted and leaves without touching a newer
 /// migration.
+///
+/// Laid out for the copy (DESIGN.md §12): the fields every chunk reads —
+/// `source`, `target`, `block_size`, the lease slots' slice and `mode` —
+/// are written once, by the leader, and share no cache line with what the
+/// copiers write.  A chunk's placement gate writes only its own lease's
+/// slot ([`LeaseSlot`]); the once-per-block counters sit together in
+/// [`Progress`], on lines of their own.
 pub(crate) struct MigrationJob<G> {
     pub(crate) source: Arc<G>,
     pub(crate) target: Arc<G>,
     pub(crate) expected_version: u64,
-    next_block: AtomicUsize,
-    blocks_done: AtomicUsize,
     total_blocks: usize,
     block_size: usize,
-    pub(crate) migrated: AtomicU64,
-    /// One lease word per block (`BLOCK_FREE`/`BLOCK_CLAIMED`/`BLOCK_DONE`).
-    block_states: Box<[AtomicU8]>,
-    /// Finalization latch (`FINALIZE_*`).
-    finalize_state: AtomicU8,
+    /// One slot per block lease, each on its own pair of cache lines.
+    leases: Box<[LeaseSlot]>,
     /// `true` when the target is smaller than the source (shrink/cleanup
     /// with rehash insertion instead of cluster migration; tables whose
     /// migration always rehashes ignore this).
     pub(crate) rehash: bool,
     /// Whether writers were excluded or source cells must be frozen.
     pub(crate) mode: MigrationMode,
-    /// Copiers inside the placement gate ([`MigrationJob::enter_placement`]);
-    /// finalization publishes only once it has drained.
-    placing: AtomicUsize,
     // Phase accounting for the coordinator's `MigrationRecord`.
     leader: ThreadId,
     prepare_ns: u64,
     quiesce_ns: u64,
+    pub(crate) progress: Progress,
+}
+
+/// A block lease: its state (`BLOCK_FREE`/`BLOCK_CLAIMED`/`BLOCK_DONE`)
+/// and its placement gate's count of copiers inside
+/// ([`MigrationJob::enter_placement`]).  Aligned to 128 bytes, the pair of
+/// lines the adjacent-line prefetcher fetches together, so copiers of
+/// different blocks never write a line in common; a late owner and its
+/// rescuer share their block's slot.
+#[repr(align(128))]
+struct LeaseSlot {
+    state: AtomicU8,
+    placing: AtomicUsize,
+}
+
+/// A migration's once-per-block counters (and the finalization latch),
+/// together on a 128-byte slot of their own: the copiers write them once
+/// per block, never per chunk.
+#[repr(align(128))]
+pub(crate) struct Progress {
+    next_block: AtomicUsize,
+    blocks_done: AtomicUsize,
+    /// Live elements credited by the copies that completed their blocks.
+    pub(crate) migrated: AtomicU64,
+    /// Finalization latch (`FINALIZE_*`).
+    finalize_state: AtomicU8,
     copy_ns: AtomicU64,
+    pub(crate) chunks_locked: AtomicUsize,
     blocks_by_leader: AtomicUsize,
     rescued: AtomicUsize,
-    pub(crate) chunks_locked: AtomicUsize,
 }
 
 impl<G> MigrationJob<G> {
-    /// Enter the placement gate for one pass of placements of the block
-    /// starting at source cell `start`: `Some` while the block's lease is
-    /// still `CLAIMED`, and then the target stays unpublished until the
-    /// returned pass is dropped.  `None` once someone else completed the
-    /// block (a rescuer, after the owner stalled past the patience): the
-    /// target may be published already, and a store into it would
-    /// overwrite what writers put there since (DESIGN.md §12).
+    /// Enter the placement gate of lease `block` for one pass of its
+    /// placements: `Some` while the lease is still `CLAIMED`, and then the
+    /// target stays unpublished until the returned pass is dropped.  `None`
+    /// once someone else completed the block (a rescuer, after the owner
+    /// stalled past the patience): the target may be published already,
+    /// and a store into it would overwrite what writers put there since
+    /// (DESIGN.md §12).
     ///
-    /// The counter is raised *before* the lease is read, both `SeqCst`, and
-    /// [`GrowProtocol::finalize`] reads the counter after all leases are
-    /// `DONE` (behind a `SeqCst` fence): either this read sees `DONE`, or
-    /// the finalizer sees the raised counter and waits for the pass.
-    pub(crate) fn enter_placement(&self, start: usize) -> Option<PlacementPass<'_>> {
-        self.placing.fetch_add(1, Ordering::SeqCst);
-        let pass = PlacementPass(&self.placing);
-        let block = start / self.block_size;
-        (self.block_states[block].load(Ordering::SeqCst) == BLOCK_CLAIMED).then_some(pass)
+    /// The lease's counter is raised *before* its state is read, both
+    /// `SeqCst`, and [`GrowProtocol::finalize`] reads every lease's counter
+    /// after all leases are `DONE` (behind a `SeqCst` fence): either this
+    /// read sees `DONE`, or the finalizer sees the raised counter and waits
+    /// for the pass.
+    pub(crate) fn enter_placement(&self, block: usize) -> Option<PlacementPass<'_>> {
+        let slot = &self.leases[block];
+        slot.placing.fetch_add(1, Ordering::SeqCst);
+        let pass = PlacementPass(&slot.placing);
+        (slot.state.load(Ordering::SeqCst) == BLOCK_CLAIMED).then_some(pass)
     }
 
-    /// Wait until no copier is inside the placement gate.  Called with
-    /// every lease `DONE`, so no new pass gets in; the one in flight is at
-    /// most 64 placements long, unless its thread was descheduled in it.
+    /// Wait until no copier is inside the placement gate of any lease.
+    /// Called with every lease `DONE`, so no new pass gets in; the one in
+    /// flight is at most 64 placements long, unless its thread was
+    /// descheduled in it.
     fn drain_placements(&self) {
         fence(Ordering::SeqCst);
         let mut spins = 0u32;
-        while self.placing.load(Ordering::SeqCst) != 0 {
-            if spins < 1024 {
-                spins += 1;
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
+        for slot in self.leases.iter() {
+            while slot.placing.load(Ordering::SeqCst) != 0 {
+                if spins < 1024 {
+                    spins += 1;
+                    std::hint::spin_loop();
+                } else {
+                    std::thread::yield_now();
+                }
             }
         }
     }
 }
 
-/// A copier's stay in the placement gate; leaving it — also by unwinding —
-/// lowers the job's in-flight count.
+/// A copier's stay in the placement gate of one lease; leaving it — also
+/// by unwinding — lowers that lease's in-flight count.
 pub(crate) struct PlacementPass<'j>(&'j AtomicUsize);
 
 impl Drop for PlacementPass<'_> {
@@ -340,13 +369,19 @@ pub(crate) trait GrowProtocol {
         version: u64,
     ) -> Result<Self::Gen, crate::mem::AllocError>;
 
-    /// Copy the block `[start, end)` of `job`'s source into its target.
-    /// Must be **idempotent**: a rescuer may re-copy the block, also while
+    /// Copy the block `[start, end)`, lease `block`, of `job`'s source into
+    /// its target.  Must be **idempotent**: a rescuer may re-copy the block, also while
     /// its owner still copies.  Returns `None` when the copy stopped short
     /// because someone else completed the block, else the live elements to
-    /// credit to `job.migrated` — which the copy that completes the block
+    /// credit to `job.progress.migrated` — which the copy that completes the block
     /// does, once, so every complete copy must answer the same.
-    fn copy_range(&self, job: &MigrationJob<Self::Gen>, start: usize, end: usize) -> Option<usize>;
+    fn copy_range(
+        &self,
+        job: &MigrationJob<Self::Gen>,
+        block: usize,
+        start: usize,
+        end: usize,
+    ) -> Option<usize>;
 
     /// `true` when user threads are recruited into migrations (§5.3.2
     /// enslavement); `false` for the pool strategy, where they wait.
@@ -556,25 +591,29 @@ pub(crate) trait GrowProtocol {
             source,
             target,
             expected_version: version,
-            next_block: AtomicUsize::new(0),
-            blocks_done: AtomicUsize::new(0),
             total_blocks,
             block_size,
-            migrated: AtomicU64::new(0),
-            block_states: (0..total_blocks)
-                .map(|_| AtomicU8::new(BLOCK_FREE))
+            leases: (0..total_blocks)
+                .map(|_| LeaseSlot {
+                    state: AtomicU8::new(BLOCK_FREE),
+                    placing: AtomicUsize::new(0),
+                })
                 .collect(),
-            finalize_state: AtomicU8::new(FINALIZE_IDLE),
             rehash,
             mode,
-            placing: AtomicUsize::new(0),
             leader: std::thread::current().id(),
             prepare_ns,
             quiesce_ns: quiesce_started.elapsed().as_nanos() as u64,
-            copy_ns: AtomicU64::new(0),
-            blocks_by_leader: AtomicUsize::new(0),
-            rescued: AtomicUsize::new(0),
-            chunks_locked: AtomicUsize::new(0),
+            progress: Progress {
+                next_block: AtomicUsize::new(0),
+                blocks_done: AtomicUsize::new(0),
+                migrated: AtomicU64::new(0),
+                finalize_state: AtomicU8::new(FINALIZE_IDLE),
+                copy_ns: AtomicU64::new(0),
+                chunks_locked: AtomicUsize::new(0),
+                blocks_by_leader: AtomicUsize::new(0),
+                rescued: AtomicUsize::new(0),
+            },
         });
         *self.coord().job.lock() = Some(job);
         // Only from `PREPARING`: once the job is installed, a participant
@@ -617,11 +656,12 @@ pub(crate) trait GrowProtocol {
         // Phase 1: deal out fresh blocks through the shared cursor.
         let mut copied = 0usize;
         while copied < budget {
-            let block = job.next_block.fetch_add(1, Ordering::AcqRel);
+            let block = job.progress.next_block.fetch_add(1, Ordering::AcqRel);
             if block >= job.total_blocks {
                 break;
             }
-            if job.block_states[block]
+            if job.leases[block]
+                .state
                 .compare_exchange(
                     BLOCK_FREE,
                     BLOCK_CLAIMED,
@@ -659,7 +699,7 @@ pub(crate) trait GrowProtocol {
         impl<G> Drop for Lease<'_, G> {
             fn drop(&mut self) {
                 if !self.completed {
-                    let _ = self.job.block_states[self.block].compare_exchange(
+                    let _ = self.job.leases[self.block].state.compare_exchange(
                         BLOCK_CLAIMED,
                         BLOCK_FREE,
                         Ordering::AcqRel,
@@ -678,18 +718,22 @@ pub(crate) trait GrowProtocol {
         let start = block * job.block_size;
         let end = ((block + 1) * job.block_size).min(capacity);
         let copy_started = Instant::now();
-        let copied = self.copy_range(job, start, end);
+        let copied = self.copy_range(job, block, start, end);
         // Relaxed: statistics of the phase record, publishing nothing.
-        job.copy_ns
+        job.progress
+            .copy_ns
             .fetch_add(copy_started.elapsed().as_nanos() as u64, Ordering::Relaxed);
         if std::thread::current().id() == job.leader {
-            job.blocks_by_leader.fetch_add(1, Ordering::Relaxed);
+            job.progress
+                .blocks_by_leader
+                .fetch_add(1, Ordering::Relaxed);
         }
         lease.completed = true;
         let Some(migrated) = copied else {
             return;
         };
-        if job.block_states[block]
+        if job.leases[block]
+            .state
             .compare_exchange(
                 BLOCK_CLAIMED,
                 BLOCK_DONE,
@@ -698,8 +742,10 @@ pub(crate) trait GrowProtocol {
             )
             .is_ok()
         {
-            job.migrated.fetch_add(migrated as u64, Ordering::AcqRel);
-            job.blocks_done.fetch_add(1, Ordering::AcqRel);
+            job.progress
+                .migrated
+                .fetch_add(migrated as u64, Ordering::AcqRel);
+            job.progress.blocks_done.fetch_add(1, Ordering::AcqRel);
         }
     }
 
@@ -715,12 +761,13 @@ pub(crate) trait GrowProtocol {
             if self.generations().version() != job.expected_version {
                 return; // someone finalized a replacement meanwhile
             }
-            let rescue = match job.block_states[block].load(Ordering::Acquire) {
+            let lease = &job.leases[block].state;
+            let rescue = match lease.load(Ordering::Acquire) {
                 BLOCK_DONE => false,
                 // Released by a crashed owner's lease guard (or never
                 // dealt out because the owner died between the cursor
                 // fetch-add and the claim).
-                BLOCK_FREE => job.block_states[block]
+                BLOCK_FREE => lease
                     .compare_exchange(
                         BLOCK_FREE,
                         BLOCK_CLAIMED,
@@ -735,7 +782,7 @@ pub(crate) trait GrowProtocol {
             };
             if rescue {
                 self.copy_block(job, block);
-                job.rescued.fetch_add(1, Ordering::Relaxed);
+                job.progress.rescued.fetch_add(1, Ordering::Relaxed);
             }
         }
         self.maybe_finalize(job);
@@ -747,8 +794,8 @@ pub(crate) trait GrowProtocol {
     /// latch so the next caller retries (all finalization steps are
     /// idempotent — the generation publish is version-guarded).
     fn maybe_finalize(&self, job: &Arc<MigrationJob<Self::Gen>>) {
-        while job.blocks_done.load(Ordering::Acquire) >= job.total_blocks {
-            match job.finalize_state.compare_exchange(
+        while job.progress.blocks_done.load(Ordering::Acquire) >= job.total_blocks {
+            match job.progress.finalize_state.compare_exchange(
                 FINALIZE_IDLE,
                 FINALIZE_RUNNING,
                 Ordering::AcqRel,
@@ -786,7 +833,10 @@ pub(crate) trait GrowProtocol {
                 } else {
                     FINALIZE_IDLE
                 };
-                self.job.finalize_state.store(next, Ordering::Release);
+                self.job
+                    .progress
+                    .finalize_state
+                    .store(next, Ordering::Release);
             }
         }
         let mut latch = Latch {
@@ -801,7 +851,7 @@ pub(crate) trait GrowProtocol {
         // generation (every cell is frozen under the marking protocol; in
         // exclusive mode the growing flag keeps writers off), so the
         // counters can be reset before the new generation becomes visible.
-        let live = job.migrated.load(Ordering::Acquire);
+        let live = job.progress.migrated.load(Ordering::Acquire);
         self.counts().reset_after_migration(live);
         // Logged before the publication so that a waiter, released by it,
         // finds the record its wait belongs to.
@@ -815,12 +865,12 @@ pub(crate) trait GrowProtocol {
             prepare_ns: job.prepare_ns,
             quiesce_ns: job.quiesce_ns,
             mode: job.mode,
-            copy_ns: job.copy_ns.load(Ordering::Relaxed),
+            copy_ns: job.progress.copy_ns.load(Ordering::Relaxed),
             finalize_ns: 0,
             longest_wait_ns: 0,
-            blocks_by_leader: job.blocks_by_leader.load(Ordering::Relaxed),
-            rescued: job.rescued.load(Ordering::Relaxed),
-            chunks_locked: job.chunks_locked.load(Ordering::Relaxed),
+            blocks_by_leader: job.progress.blocks_by_leader.load(Ordering::Relaxed),
+            rescued: job.progress.rescued.load(Ordering::Relaxed),
+            chunks_locked: job.progress.chunks_locked.load(Ordering::Relaxed),
         });
         if self
             .generations()
@@ -944,7 +994,7 @@ pub(crate) trait GrowProtocol {
             }
             let now = Instant::now();
             if let Some(job) = &job {
-                let done = job.blocks_done.load(Ordering::Acquire);
+                let done = job.progress.blocks_done.load(Ordering::Acquire);
                 if done != blocks_seen {
                     blocks_seen = done;
                     last_progress = now;
@@ -1007,5 +1057,162 @@ mod tests {
         // Small tables are one lease; large ones keep the configured block.
         assert_eq!(block_size_for(64, MIGRATION_BLOCK), 256);
         assert_eq!(block_size_for(1 << 20, MIGRATION_BLOCK), MIGRATION_BLOCK);
+    }
+
+    /// The protocol alone: a generation is its capacity, and a block copy
+    /// only passes its lease's placement gate, as `GrowMap`'s copier does
+    /// before each chunk's placement.
+    struct Sizes {
+        current: VersionedArc<usize>,
+        counts: GlobalCount,
+        coordinator: Coordinator<usize>,
+        grow: GrowConfig,
+    }
+
+    impl GrowProtocol for Sizes {
+        type Gen = usize;
+        type Leader = ();
+
+        const FP_PREPARE_ALLOC: &'static str = "coord.tests.prepare.alloc";
+        const FP_BLOCK_CLAIMED: &'static str = "coord.tests.block.claimed";
+        const FP_FINALIZE: &'static str = "coord.tests.finalize";
+
+        fn coord(&self) -> &Coordinator<usize> {
+            &self.coordinator
+        }
+
+        fn generations(&self) -> &VersionedArc<usize> {
+            &self.current
+        }
+
+        fn counts(&self) -> &GlobalCount {
+            &self.counts
+        }
+
+        fn grow_config(&self) -> &GrowConfig {
+            &self.grow
+        }
+
+        fn capacity_of(capacity: &usize) -> usize {
+            *capacity
+        }
+
+        fn alloc_generation(
+            &self,
+            _source: &usize,
+            new_capacity: usize,
+            _version: u64,
+        ) -> Result<usize, crate::mem::AllocError> {
+            Ok(new_capacity)
+        }
+
+        fn copy_range(
+            &self,
+            job: &MigrationJob<usize>,
+            block: usize,
+            _start: usize,
+            _end: usize,
+        ) -> Option<usize> {
+            job.enter_placement(block).map(|_pass| 0)
+        }
+    }
+
+    /// A table of `capacity` cells with its migration job installed: 16
+    /// leases of 256 cells at 4096 cells.
+    fn migrating(capacity: usize) -> (Sizes, Arc<MigrationJob<usize>>) {
+        let table = Sizes {
+            current: VersionedArc::new(capacity),
+            counts: GlobalCount::new(),
+            coordinator: Coordinator::new(),
+            grow: GrowConfig::default(),
+        };
+        table
+            .prepare_migration(1, &())
+            .expect("nothing to allocate");
+        let job = table.current_job().expect("installed");
+        (table, job)
+    }
+
+    /// A late owner inside the placement gate of lease 5 holds the
+    /// publication back while every lease is `DONE` — its rescuer completed
+    /// lease 5 — and releases it when it leaves (DESIGN.md §12).
+    #[test]
+    fn a_placement_pass_on_a_later_lease_holds_the_publication_back() {
+        let (table, job) = migrating(4096);
+        assert_eq!(job.total_blocks, 16);
+        let late = 5;
+        // Its owner claimed the lease and was descheduled in its gate.
+        job.leases[late]
+            .state
+            .store(BLOCK_CLAIMED, Ordering::SeqCst);
+        let pass = job.enter_placement(late).expect("the lease is claimed");
+        std::thread::scope(|s| {
+            let rescuer = s.spawn(|| {
+                table.participate(); // every lease but the late one
+                table.rescue_stalled_blocks(&job); // that one, then finalize
+            });
+            while job.progress.blocks_done.load(Ordering::Acquire) < job.total_blocks {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(Duration::from_millis(20));
+            assert_eq!(table.current.version(), 1, "published past a placement");
+            assert!(!rescuer.is_finished());
+            drop(pass);
+            rescuer.join().unwrap();
+        });
+        assert_eq!(table.current.version(), 2);
+        assert_eq!(
+            table
+                .coordinator
+                .migrations_completed
+                .load(Ordering::Acquire),
+            1
+        );
+        assert_eq!(job.progress.rescued.load(Ordering::Relaxed), 1);
+    }
+
+    /// The cache lines of a value: first to last.
+    fn lines<T: ?Sized>(value: &T) -> std::ops::RangeInclusive<usize> {
+        let at = value as *const T as *const u8 as usize;
+        at / 64..=(at + std::mem::size_of_val(value) - 1) / 64
+    }
+
+    /// Copiers of different leases write no line in common, and no copier
+    /// writes a line that every chunk reads — nor any other field of the
+    /// job.
+    #[test]
+    fn lease_slots_and_counters_keep_off_the_lines_each_chunk_reads() {
+        // Eight jobs alive at once, so their addresses take every offset
+        // from a line boundary that the allocator hands out.
+        let jobs: Vec<_> = (0..8).map(|_| migrating(4096)).collect();
+        for (_table, job) in &jobs {
+            for pair in job.leases.windows(2) {
+                let gap =
+                    &pair[1] as *const LeaseSlot as usize - &pair[0] as *const LeaseSlot as usize;
+                assert!(gap >= 128, "lease slots {gap} bytes apart");
+            }
+            let counters = lines(&job.progress);
+            let read_per_chunk = [
+                ("source", lines(&job.source)),
+                ("target", lines(&job.target)),
+                ("block_size", lines(&job.block_size)),
+                ("leases", lines(&job.leases)),
+                ("mode", lines(&job.mode)),
+            ];
+            let others = [
+                ("expected_version", lines(&job.expected_version)),
+                ("total_blocks", lines(&job.total_blocks)),
+                ("rehash", lines(&job.rehash)),
+                ("leader", lines(&job.leader)),
+                ("prepare_ns", lines(&job.prepare_ns)),
+                ("quiesce_ns", lines(&job.quiesce_ns)),
+            ];
+            for (name, read) in read_per_chunk.into_iter().chain(others) {
+                assert!(
+                    read.end() < counters.start() || read.start() > counters.end(),
+                    "{name} on lines {read:?}, the counters on {counters:?}"
+                );
+            }
+        }
     }
 }

@@ -336,6 +336,7 @@ impl GrowProtocol for Inner {
     fn copy_range(
         &self,
         job: &MigrationJob<BoundedTable>,
+        _block: usize,
         start: usize,
         end: usize,
     ) -> Option<usize> {
@@ -394,7 +395,7 @@ impl GrowProtocol for Inner {
     /// participant detects `migrated == 0` with a non-empty source and
     /// re-migrates everything with CAS re-insertion.
     fn recover_degenerate(&self, job: &Arc<MigrationJob<BoundedTable>>) {
-        if job.rehash || job.migrated.load(Ordering::Acquire) != 0 {
+        if job.rehash || job.progress.migrated.load(Ordering::Acquire) != 0 {
             return;
         }
         let (live, _, _) = job.source.scan_counts();
@@ -408,7 +409,9 @@ impl GrowProtocol for Inner {
             job.source.capacity(),
             job.mode == MigrationMode::Marking,
         );
-        job.migrated.fetch_add(recovered as u64, Ordering::AcqRel);
+        job.progress
+            .migrated
+            .fetch_add(recovered as u64, Ordering::AcqRel);
     }
 }
 

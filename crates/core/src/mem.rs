@@ -43,6 +43,18 @@
 use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::ops::Deref;
 use std::ptr::NonNull;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Bytes of all live [`HugeBox`] mappings in the process, bumped where a
+/// box maps and unmaps: never on an operation's path.
+static MAPPED_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+/// Bytes the live [`HugeBox`]es of the process hold as anonymous mappings
+/// (whole huge pages each).  The global allocator never sees them, so a
+/// count of its bytes misses every cell array of 2 MB or more.
+pub fn mapped_bytes() -> usize {
+    MAPPED_BYTES.load(Ordering::Relaxed)
+}
 
 /// A backing-slice allocation failed: the requested layout could not be
 /// satisfied by either the mapping path or the global allocator (or an
@@ -175,6 +187,7 @@ impl<T: ZeroInit> HugeBox<T> {
             // length is what khugepaged can actually collapse.
             let mapped_bytes = layout.size().div_ceil(HUGEPAGE_THRESHOLD) * HUGEPAGE_THRESHOLD;
             if let Some(ptr) = sys::map_hugepage_hinted(mapped_bytes) {
+                MAPPED_BYTES.fetch_add(mapped_bytes, Ordering::Relaxed);
                 return Ok(HugeBox {
                     ptr: ptr.cast(),
                     len,
@@ -218,6 +231,7 @@ impl<T> Drop for HugeBox<T> {
     fn drop(&mut self) {
         if self.mapped_bytes != 0 {
             sys::unmap(self.ptr.cast(), self.mapped_bytes);
+            MAPPED_BYTES.fetch_sub(self.mapped_bytes, Ordering::Relaxed);
         } else if self.len != 0 && std::mem::size_of::<T>() != 0 {
             // Invariant, not a reachable failure: the same `Layout::array`
             // succeeded in `try_zeroed` for this very `len`, or the box
@@ -450,6 +464,10 @@ mod tests {
             && std::env::var_os("GROWT_NO_HUGEPAGES").is_none()
         {
             assert!(b.is_mapped(), "large allocation should be mmap-backed");
+            assert!(
+                mapped_bytes() >= 2 * HUGEPAGE_THRESHOLD,
+                "the mapping is counted"
+            );
         }
         assert!(b.iter().all(|x| x.load(Ordering::Relaxed) == 0));
         b[0].store(7, Ordering::Relaxed);

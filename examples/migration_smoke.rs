@@ -11,7 +11,13 @@
 //! (DESIGN.md §15).  Run it before trusting a before/after of the grow
 //! pause, and name the mode with the numbers.
 //!
-//! Built with `--features failpoints`, it fills a second table with the
+//! It then fills a second table the same way from two threads, each
+//! inserting every other key, and prints per migration the copy time per
+//! source cell summed over both participants, the longest wait of a
+//! thread left with nothing to copy, and the blocks the leader copied of
+//! all the leases: the two-thread baseline of the grow pause.
+//!
+//! Built with `--features failpoints`, it fills a third table with the
 //! `generic.membarrier` failpoint forced, so that every migration marks,
 //! and prints that table's copy cost as well: both modes' per-cell cost.
 //!
@@ -19,22 +25,37 @@
 
 use growt_repro::growt_core::{membarrier, GrowMap};
 
-/// Fill a fresh table from 2^11 to 2^17 cells and print its migrations.
-fn fill_and_report() {
+/// Fill a fresh table from 2^11 to 2^17 cells from `threads` threads,
+/// thread `t` inserting the keys `t` apart from the last, and print its
+/// migrations.
+fn fill_and_report(threads: u64) {
     let map: GrowMap<u64, u64> = GrowMap::new(1024);
-    let mut handle = map.handle();
-    for key in 2..2 + (1u64 << 16) {
-        handle.insert(&key, &key);
-    }
-    drop(handle);
+    std::thread::scope(|s| {
+        for t in 0..threads {
+            let map = &map;
+            s.spawn(move || {
+                let mut handle = map.handle();
+                for key in (2 + t..2 + (1u64 << 16)).step_by(threads as usize) {
+                    handle.insert(&key, &key);
+                }
+            });
+        }
+    });
     for record in map.migration_log() {
-        println!(
+        print!(
             "migration {} -> {} cells: {:?}, copy {:.1} ns a source cell",
             record.from_capacity,
             record.to_capacity,
             record.mode,
             record.copy_ns as f64 / record.from_capacity as f64
         );
+        if threads > 1 {
+            print!(
+                ", longest wait {} ns, {}/{} blocks by the leader",
+                record.longest_wait_ns, record.blocks_by_leader, record.blocks
+            );
+        }
+        println!();
     }
 }
 
@@ -44,14 +65,16 @@ fn main() {
         None => println!("membarrier QUERY failed"),
     }
     println!("membarrier::available() = {}", membarrier::available());
-    fill_and_report();
+    fill_and_report(1);
+    println!("from two threads:");
+    fill_and_report(2);
     #[cfg(feature = "failpoints")]
     {
         use growt_failpoints::{configure, remove, Action, Trigger};
 
         println!("with the generic.membarrier failpoint forced:");
         configure("generic.membarrier", Action::FailAlloc, Trigger::Always);
-        fill_and_report();
+        fill_and_report(1);
         remove("generic.membarrier");
     }
 }

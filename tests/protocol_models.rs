@@ -5,17 +5,20 @@
 //! * **writer exclusion** — a writer's busy flag and the table's growing
 //!   flag against the growth leader, whose `membarrier` is a full fence
 //!   injected into every other thread at whatever step it has reached;
-//! * **the placement gate** — a late block owner against the rescuer that
-//!   completes its block and finalizes, across two consecutive migrations;
+//! * **the placement gate** — a late owner of the second of two block
+//!   leases, each with its own gate counter, against the rescuer that
+//!   completes both leases and finalizes, across two consecutive
+//!   migrations;
 //! * **the flipping freeze** (DESIGN.md §15) — two value-word updaters of an
 //!   inline value against the marking freeze that flips the value word,
 //!   and a find against it.
 //!
 //! Each model is checked as the code does it, where every schedule must
 //! end well, and with seeded mutations — the leader's barrier dropped, the
-//! lease checked before the gate's counter is raised, a freeze that does
-//! not flip or whose flip the update function computes, an updater or a
-//! find short of one of its loads — where some schedule must end badly.
+//! lease checked before the gate's counter is raised, a finalizer that
+//! drains the first lease's counter only, a freeze that does not flip or
+//! whose flip the update function computes, an updater or a find short of
+//! one of its loads — where some schedule must end badly.
 //! A model that cannot fail proves nothing.
 //!
 //! The machine: each thread runs a small program over shared bytes.  A
@@ -367,29 +370,32 @@ fn writer_exclusion_fails_without_the_heavy_barrier() {
 // The placement gate
 // ---------------------------------------------------------------------
 
-const LEASE: usize = 0; // 0: CLAIMED, 1: DONE
-const PLACING: usize = 1;
-const GENERATION: usize = 2;
-/// The two cells of migration 1's target that the block's two chunks
-/// place (0: empty, 1: the element, 2: its tombstone).
-const TARGET: [usize; 2] = [3, 4];
+/// Two block leases, each with its own gate counter (`LeaseSlot`).
+const LEASE: [usize; 2] = [0, 1]; // 0: CLAIMED, 1: DONE
+const PLACING: [usize; 2] = [2, 3];
+const GENERATION: usize = 4;
+/// The two cells of migration 1's target that block 1's two chunks place
+/// (0: empty, 1: the element, 2: its tombstone).
+const TARGET: [usize; 2] = [5, 6];
+/// The cell of migration 1's target that block 0's one chunk places.
+const BLOCK_0_CELL: usize = 7;
 const CLAIMED: u8 = 0;
 const DONE: u8 = 1;
 /// `fetch_sub(1)`.
 const MINUS_ONE: u8 = u8::MAX;
 
-/// One copy of the block, from instruction 0: per chunk, enter the gate
-/// (raise the in-flight count, *then* check the lease), place the chunk
-/// with a plain store and leave the gate; at a lease that is no longer
-/// `CLAIMED`, leave the gate and stop (`MigrationJob::enter_placement`).
-/// `lease_first` is the mutation that checks the lease before raising the
-/// count.  Ends at instruction `8 × chunks`.
-fn copy_of_the_block(lease_first: bool) -> Vec<Ins> {
-    let end = 8 * TARGET.len();
+/// One copy of block `lease`, whose chunks place `cells`, as instructions
+/// `origin..`: per chunk, enter the lease's gate (raise its in-flight
+/// count, *then* check the lease), place the chunk with a plain store and
+/// leave the gate; at a lease that is no longer `CLAIMED`, leave the gate
+/// and stop (`MigrationJob::enter_placement`).  `lease_first` is the
+/// mutation that checks the lease before raising the count.
+fn copy_of_the_block(lease: usize, cells: &[usize], lease_first: bool, origin: usize) -> Vec<Ins> {
+    let end = origin + 8 * cells.len();
     let mut program = Vec::new();
-    for &cell in &TARGET {
-        let base = program.len();
-        let mut enter = [Ins::Add(PLACING, 1), Ins::Load(LEASE, 0)];
+    for &cell in cells {
+        let base = origin + program.len();
+        let mut enter = [Ins::Add(PLACING[lease], 1), Ins::Load(LEASE[lease], 0)];
         if lease_first {
             enter.reverse();
         }
@@ -397,9 +403,9 @@ fn copy_of_the_block(lease_first: bool) -> Vec<Ins> {
         program.extend([
             Ins::JumpUnless(0, CLAIMED, base + 6),
             Ins::Store(cell, 1),
-            Ins::Add(PLACING, MINUS_ONE),
+            Ins::Add(PLACING[lease], MINUS_ONE),
             Ins::Jump(base + 8),
-            Ins::Add(PLACING, MINUS_ONE),
+            Ins::Add(PLACING[lease], MINUS_ONE),
             Ins::Jump(end),
         ]);
     }
@@ -407,23 +413,27 @@ fn copy_of_the_block(lease_first: bool) -> Vec<Ins> {
 }
 
 /// Three threads:
-/// * the block's owner, late: it copies the block, but its lease may have
+/// * block 1's owner, late: it copies the block, but its lease may have
 ///   been completed by the rescuer at any point (it never completes it);
-/// * the rescuer: re-copies the block, completes the lease (CLAIMED →
-///   DONE), then finalizes — a `SeqCst` fence, waiting for the gate to
-///   drain — and publishes migration 1's target;
-/// * a writer: once the target is published, erases the element of the
-///   first cell (a locked CAS to a tombstone), then leads migration 2 and
-///   copies both cells of the target with plain loads.
-fn gate_programs(lease_first: bool) -> [Vec<Ins>; 3] {
-    let owner = copy_of_the_block(lease_first);
-    let mut rescuer = copy_of_the_block(lease_first);
-    rescuer.extend([
-        Ins::Cas(LEASE, CLAIMED, DONE),
-        Ins::Fence,
-        Ins::Await(PLACING, 0),
-        Ins::Add(GENERATION, 1),
-    ]);
+/// * the rescuer: copies block 0 and completes its lease, re-copies block
+///   1 and completes that lease (CLAIMED → DONE), then finalizes — a
+///   `SeqCst` fence, waiting for the gate counters of the leases in
+///   `drained` to read 0 — and publishes migration 1's target;
+/// * a writer: once the target is published, erases the element of block
+///   1's first cell (a locked CAS to a tombstone), then leads migration 2
+///   and copies both of block 1's cells of the target with plain loads.
+///
+/// The code drains both leases; `drained` short of lease 1 is the mutation
+/// of a finalizer that misses the late owner's counter.
+fn gate_programs(lease_first: bool, drained: &[usize]) -> [Vec<Ins>; 3] {
+    let owner = copy_of_the_block(1, &TARGET, lease_first, 0);
+    let mut rescuer = copy_of_the_block(0, &[BLOCK_0_CELL], lease_first, 0);
+    rescuer.push(Ins::Cas(LEASE[0], CLAIMED, DONE));
+    let origin = rescuer.len();
+    rescuer.extend(copy_of_the_block(1, &TARGET, lease_first, origin));
+    rescuer.extend([Ins::Cas(LEASE[1], CLAIMED, DONE), Ins::Fence]);
+    rescuer.extend(drained.iter().map(|&lease| Ins::Await(PLACING[lease], 0)));
+    rescuer.push(Ins::Add(GENERATION, 1));
     let writer = vec![
         Ins::Await(GENERATION, 1),
         Ins::Cas(TARGET[0], 1, 2),
@@ -438,13 +448,17 @@ fn gate_programs(lease_first: bool) -> [Vec<Ins>; 3] {
 /// migration 2 copied the target as migration 1 left it plus the erase.
 fn no_store_after_publication(outcome: &Outcome) -> bool {
     let (memory, regs) = outcome;
-    memory[TARGET[0]] == 2 && regs[2][0] == 2 && regs[2][1] == 1
+    memory[TARGET[0]] == 2 && regs[2][0] == 2 && regs[2][1] == 1 && memory[BLOCK_0_CELL] == 1
 }
 
 #[test]
 fn placement_gate_holds_in_every_schedule() {
-    let outcomes = explore(&gate_programs(false), &[0; 5], no_store_after_publication)
-        .unwrap_or_else(|trace| panic!("{}", trace.join("\n")));
+    let outcomes = explore(
+        &gate_programs(false, &[0, 1]),
+        &[0; 8],
+        no_store_after_publication,
+    )
+    .unwrap_or_else(|trace| panic!("{}", trace.join("\n")));
     // Not vacuous: the owner both placed its whole block before the rescue
     // completed it, and found the lease gone.
     let leases: HashSet<u8> = outcomes.iter().map(|(_, regs)| regs[0][0]).collect();
@@ -453,8 +467,26 @@ fn placement_gate_holds_in_every_schedule() {
 
 #[test]
 fn placement_gate_fails_when_the_lease_is_checked_first() {
-    let trace = explore(&gate_programs(true), &[0; 5], no_store_after_publication)
-        .expect_err("a late owner's store must reach the published target");
+    let trace = explore(
+        &gate_programs(true, &[0, 1]),
+        &[0; 8],
+        no_store_after_publication,
+    )
+    .expect_err("a late owner's store must reach the published target");
+    assert!(
+        trace.last().unwrap().starts_with("bad outcome"),
+        "{trace:?}"
+    );
+}
+
+#[test]
+fn placement_gate_fails_when_the_finalizer_drains_one_lease() {
+    let trace = explore(
+        &gate_programs(false, &[0]),
+        &[0; 8],
+        no_store_after_publication,
+    )
+    .expect_err("the late owner on lease 1 must go unnoticed");
     assert!(
         trace.last().unwrap().starts_with("bad outcome"),
         "{trace:?}"
