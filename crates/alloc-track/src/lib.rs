@@ -21,8 +21,9 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-use parking_lot::Mutex;
+use growt_iface::sync::lock;
 
 // ---------------------------------------------------------------------------
 // Tracking allocator
@@ -201,7 +202,7 @@ impl PagePool {
     /// Acquire a zeroed buffer of at least `bytes` bytes.
     pub fn acquire(&self, bytes: usize) -> PooledBuffer {
         {
-            let mut free = self.free.lock();
+            let mut free = lock(&self.free);
             if let Some(pos) = free.iter().position(|b| b.capacity() >= bytes) {
                 let mut data = free.swap_remove(pos);
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -219,7 +220,7 @@ impl PagePool {
 
     /// Return a buffer to the pool for reuse.
     pub fn release(&self, buffer: PooledBuffer) {
-        let mut free = self.free.lock();
+        let mut free = lock(&self.free);
         if free.len() < self.max_cached {
             free.push(buffer.data);
         }
@@ -235,7 +236,7 @@ impl PagePool {
 
     /// Number of buffers currently cached.
     pub fn cached(&self) -> usize {
-        self.free.lock().len()
+        lock(&self.free).len()
     }
 }
 

@@ -14,11 +14,13 @@
 //! Growing rehashes the whole table under a global write lock, which is why
 //! the paper groups libcuckoo with the "limited growing" tables ("slow").
 
+use std::sync::{Mutex, MutexGuard, RwLock};
+
+use growt_iface::sync::{lock, read, write};
 use growt_iface::{
     Capabilities, ConcurrentMap, GrowthSupport, InsertOrUpdate, InterfaceStyle, Key, MapHandle,
     Value,
 };
-use parking_lot::{Mutex, RwLock};
 
 use crate::util::{capacity_for, hash_key, hash_key_alt, scale};
 
@@ -173,18 +175,11 @@ pub struct CuckooHandle<'a> {
 }
 
 impl Cuckoo {
-    fn lock_two(
-        &self,
-        a: usize,
-        b: usize,
-    ) -> (
-        parking_lot::MutexGuard<'_, ()>,
-        Option<parking_lot::MutexGuard<'_, ()>>,
-    ) {
+    fn lock_two(&self, a: usize, b: usize) -> (MutexGuard<'_, ()>, Option<MutexGuard<'_, ()>>) {
         let (first, second) = (a.min(b) % LOCK_STRIPES, a.max(b) % LOCK_STRIPES);
-        let g1 = self.locks[first].lock();
+        let g1 = lock(&self.locks[first]);
         let g2 = if second != first {
-            Some(self.locks[second].lock())
+            Some(lock(&self.locks[second]))
         } else {
             None
         };
@@ -196,7 +191,7 @@ impl Cuckoo {
     /// doubled table still cannot place every element in one of its two
     /// buckets, the target size is doubled again and the rehash restarts.
     fn grow(&self) {
-        let mut inner = self.inner.write();
+        let mut inner = write(&self.inner);
         let mut new_n = inner.nbuckets * 2;
         'retry: loop {
             let mut fresh = Inner::new(new_n);
@@ -254,7 +249,7 @@ impl MapHandle for CuckooHandle<'_> {
                 // All structural changes go through the global write lock
                 // (see the module doc); the striped locks only cover the
                 // read path.
-                let mut inner = self.table.inner.write();
+                let mut inner = write(&self.table.inner);
                 let (a, b) = inner.bucket_pair(k);
                 if inner.find_in(a, k).is_some() || inner.find_in(b, k).is_some() {
                     return false;
@@ -269,7 +264,7 @@ impl MapHandle for CuckooHandle<'_> {
     }
 
     fn find(&mut self, k: Key) -> Option<Value> {
-        let inner = self.table.inner.read();
+        let inner = read(&self.table.inner);
         let (a, b) = inner.bucket_pair(k);
         // Lookups lock the primary bucket, like the modeled library.
         let (_g1, _g2) = self.table.lock_two(a, a);
@@ -282,7 +277,7 @@ impl MapHandle for CuckooHandle<'_> {
     }
 
     fn update(&mut self, k: Key, d: Value, up: fn(Value, Value) -> Value) -> bool {
-        let mut inner = self.table.inner.write();
+        let mut inner = write(&self.table.inner);
         inner.update_in_place(k, d, up)
     }
 
@@ -298,7 +293,7 @@ impl MapHandle for CuckooHandle<'_> {
         // them and drops this thread's update ("lost increment").
         loop {
             {
-                let mut inner = self.table.inner.write();
+                let mut inner = write(&self.table.inner);
                 if inner.update_in_place(k, d, up) {
                     return InsertOrUpdate::Updated;
                 }
@@ -312,7 +307,7 @@ impl MapHandle for CuckooHandle<'_> {
     }
 
     fn erase(&mut self, k: Key) -> bool {
-        let mut inner = self.table.inner.write();
+        let mut inner = write(&self.table.inner);
         let (a, b) = inner.bucket_pair(k);
         for bucket in [a, b] {
             if let Some((slot, _)) = inner.find_in(bucket, k) {

@@ -14,12 +14,13 @@
 //! (find tolerates the transient zero value exactly like the original).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
+use growt_iface::sync::lock;
 use growt_iface::{
     Capabilities, ConcurrentMap, GrowthSupport, InsertOrUpdate, InterfaceStyle, Key, MapHandle,
     Value,
 };
-use parking_lot::Mutex;
 
 use crate::util::{
     assert_user_key, capacity_for, hash_key, load_published_key, publish_key, scale,
@@ -142,7 +143,7 @@ pub struct FollyStyleHandle<'a> {
 
 impl FollyStyle {
     fn activate_next(&self) {
-        let _guard = self.grow_lock.lock();
+        let _guard = lock(&self.grow_lock);
         let active = self.active.load(Ordering::Acquire);
         if active < self.submaps.len() {
             self.active.store(active + 1, Ordering::Release);

@@ -12,12 +12,13 @@
 //! folklore table.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::Mutex;
 
+use growt_iface::sync::lock;
 use growt_iface::{
     Capabilities, ConcurrentMap, GrowthSupport, InsertOrUpdate, InterfaceStyle, Key, MapHandle,
     Value,
 };
-use parking_lot::Mutex;
 
 use crate::util::{assert_user_key, capacity_for, hash_key, scale};
 
@@ -118,7 +119,7 @@ impl Hopscotch {
             let candidate_home = (free + self.capacity - distance) & (self.capacity - 1);
             let candidate_stripe = candidate_home % LOCK_STRIPES;
             let _stripe_guard = if candidate_stripe != held_stripe {
-                Some(self.locks[candidate_stripe].lock())
+                Some(lock(&self.locks[candidate_stripe]))
             } else {
                 None
             };
@@ -241,8 +242,8 @@ impl Hopscotch {
     /// landed in between; that is re-checked here and reported as
     /// [`DisplacedInsert::AlreadyPresent`].
     fn insert_displaced(&self, home: usize, k: u64, v: u64, mut free: usize) -> DisplacedInsert {
-        let _displace = self.displacement_lock.lock();
-        let _guard = self.lock_for(home).lock();
+        let _displace = lock(&self.displacement_lock);
+        let _guard = lock(self.lock_for(home));
         if self.contains_locked(home, k) {
             self.slots[free].key.store(EMPTY, Ordering::Release);
             return DisplacedInsert::AlreadyPresent;
@@ -318,7 +319,7 @@ impl MapHandle for HopscotchHandle<'_> {
         assert_user_key(k);
         let t = self.table;
         let home = t.home(k);
-        let guard = t.lock_for(home).lock();
+        let guard = lock(t.lock_for(home));
         if t.contains_locked(home, k) {
             return false;
         }
@@ -378,7 +379,7 @@ impl MapHandle for HopscotchHandle<'_> {
                 return None;
             }
         }
-        let _guard = t.lock_for(home).lock();
+        let _guard = lock(t.lock_for(home));
         t.slot_of(home, k)
             .map(|(idx, _)| t.slots[idx].value.load(Ordering::Acquire))
     }
@@ -387,7 +388,7 @@ impl MapHandle for HopscotchHandle<'_> {
         assert_user_key(k);
         let t = self.table;
         let home = t.home(k);
-        let _guard = t.lock_for(home).lock();
+        let _guard = lock(t.lock_for(home));
         t.update_locked(home, k, d, up)
     }
 
@@ -407,7 +408,7 @@ impl MapHandle for HopscotchHandle<'_> {
         let t = self.table;
         let home = t.home(k);
         loop {
-            let guard = t.lock_for(home).lock();
+            let guard = lock(t.lock_for(home));
             if t.update_locked(home, k, d, up) {
                 return InsertOrUpdate::Updated;
             }
@@ -433,7 +434,7 @@ impl MapHandle for HopscotchHandle<'_> {
         assert_user_key(k);
         let t = self.table;
         let home = t.home(k);
-        let _guard = t.lock_for(home).lock();
+        let _guard = lock(t.lock_for(home));
         match t.slot_of(home, k) {
             Some((idx, offset)) => {
                 t.slots[idx].key.store(EMPTY, Ordering::Release);
@@ -503,14 +504,14 @@ mod tests {
                     for i in 0..100u64 {
                         let k = 1_000_000 * start + i + 2;
                         if h.insert(k, i) {
-                            inserted.lock().push((k, i));
+                            lock(inserted).push((k, i));
                         }
                     }
                 });
             }
         });
         // Every key that reported success must be findable.
-        let keys = inserted.into_inner();
+        let keys = inserted.into_inner().unwrap();
         assert!(!keys.is_empty());
         let mut h = t.handle();
         for (k, v) in keys {

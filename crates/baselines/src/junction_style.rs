@@ -20,14 +20,14 @@
 //! models the delta-chained probing of the original Leapfrog map).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
+use growt_iface::sync::lock;
 use growt_iface::{
     Capabilities, ConcurrentMap, GrowthSupport, InsertOrUpdate, InterfaceStyle, Key, MapHandle,
     Value,
 };
 use growt_reclaim::{CachedArc, QsbrDomain, VersionedArc};
-use parking_lot::Mutex;
 
 use crate::util::{
     assert_user_key, capacity_for, hash_key, load_published_key, publish_key, scale,
@@ -153,7 +153,7 @@ impl JunctionCore {
         // Single-threaded migration guarded by a lock (the detecting thread
         // performs it; latecomers wait on the same lock, then notice the
         // version changed).
-        let _guard = self.migration_lock.lock();
+        let _guard = lock(&self.migration_lock);
         let (old, version) = self.current.acquire();
         if version != observed_version {
             return; // someone else already migrated

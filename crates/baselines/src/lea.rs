@@ -11,11 +11,13 @@
 //! The version benchmarked in the paper only exposes a *set* interface; we
 //! keep the full map interface but mark the capability accordingly.
 
+use std::sync::Mutex;
+
+use growt_iface::sync::lock;
 use growt_iface::{
     Capabilities, ConcurrentMap, GrowthSupport, InsertOrUpdate, InterfaceStyle, Key, MapHandle,
     Value,
 };
-use parking_lot::Mutex;
 
 use crate::util::{capacity_for, hash_key, scale};
 
@@ -71,7 +73,7 @@ impl ConcurrentMap for LeaHash {
 
 impl MapHandle for LeaHashHandle<'_> {
     fn insert(&mut self, k: Key, v: Value) -> bool {
-        let mut bucket = self.table.bucket(k).lock();
+        let mut bucket = lock(self.table.bucket(k));
         if bucket.iter().any(|&(bk, _)| bk == k) {
             return false;
         }
@@ -80,12 +82,12 @@ impl MapHandle for LeaHashHandle<'_> {
     }
 
     fn find(&mut self, k: Key) -> Option<Value> {
-        let bucket = self.table.bucket(k).lock();
+        let bucket = lock(self.table.bucket(k));
         bucket.iter().find(|&&(bk, _)| bk == k).map(|&(_, v)| v)
     }
 
     fn update(&mut self, k: Key, d: Value, up: fn(Value, Value) -> Value) -> bool {
-        let mut bucket = self.table.bucket(k).lock();
+        let mut bucket = lock(self.table.bucket(k));
         for entry in bucket.iter_mut() {
             if entry.0 == k {
                 entry.1 = up(entry.1, d);
@@ -101,7 +103,7 @@ impl MapHandle for LeaHashHandle<'_> {
         d: Value,
         up: fn(Value, Value) -> Value,
     ) -> InsertOrUpdate {
-        let mut bucket = self.table.bucket(k).lock();
+        let mut bucket = lock(self.table.bucket(k));
         for entry in bucket.iter_mut() {
             if entry.0 == k {
                 entry.1 = up(entry.1, d);
@@ -113,7 +115,7 @@ impl MapHandle for LeaHashHandle<'_> {
     }
 
     fn erase(&mut self, k: Key) -> bool {
-        let mut bucket = self.table.bucket(k).lock();
+        let mut bucket = lock(self.table.bucket(k));
         let before = bucket.len();
         bucket.retain(|&(bk, _)| bk != k);
         bucket.len() != before

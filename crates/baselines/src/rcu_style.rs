@@ -21,14 +21,14 @@
 //! require periodic quiescent-state announcements (served by `quiesce`,
 //! which the benchmark driver calls after every operation block).
 
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
+use growt_iface::sync::{read, write};
 use growt_iface::{
     Capabilities, ConcurrentMap, GrowthSupport, InsertOrUpdate, InterfaceStyle, Key, MapHandle,
     Value,
 };
 use growt_reclaim::QsbrDomain;
-use parking_lot::RwLock;
 
 use crate::util::{capacity_for, hash_key, scale};
 
@@ -137,14 +137,14 @@ macro_rules! rcu_table {
 
         impl $name {
             fn grow(&self) {
-                let mut outer = self.buckets.write();
+                let mut outer = write(&self.buckets);
                 let new_n = outer.nbuckets * 2;
                 let fresh = Buckets::new(new_n);
                 for chain_lock in &outer.chains {
-                    let mut cursor = chain_lock.read().clone();
+                    let mut cursor = read(&chain_lock).clone();
                     while let Some(node) = cursor {
                         let idx = scale(hash_key(node.key), new_n);
-                        let mut target = fresh.chains[idx].write();
+                        let mut target = write(&fresh.chains[idx]);
                         let (rebuilt, _, _) = chain_with(&target, node.key, node.value);
                         *target = rebuilt;
                         cursor = node.next.clone();
@@ -193,9 +193,9 @@ macro_rules! rcu_table {
                 let grow_needed;
                 let inserted;
                 {
-                    let outer = self.table.buckets.read();
+                    let outer = read(&self.table.buckets);
                     let idx = scale(hash_key(k), outer.nbuckets);
-                    let mut chain = outer.chains[idx].write();
+                    let mut chain = write(&outer.chains[idx]);
                     if chain_find(&chain, k).is_some() {
                         return false;
                     }
@@ -213,19 +213,19 @@ macro_rules! rcu_table {
             }
 
             fn find(&mut self, k: Key) -> Option<Value> {
-                let outer = self.table.buckets.read();
+                let outer = read(&self.table.buckets);
                 let idx = scale(hash_key(k), outer.nbuckets);
                 // Clone the chain head under the shared lock, then traverse
                 // the immutable snapshot without any lock (the RCU pattern).
-                let snapshot = outer.chains[idx].read().clone();
+                let snapshot = read(&outer.chains[idx]).clone();
                 drop(outer);
                 chain_find(&snapshot, k)
             }
 
             fn update(&mut self, k: Key, d: Value, up: fn(Value, Value) -> Value) -> bool {
-                let outer = self.table.buckets.read();
+                let outer = read(&self.table.buckets);
                 let idx = scale(hash_key(k), outer.nbuckets);
-                let mut chain = outer.chains[idx].write();
+                let mut chain = write(&outer.chains[idx]);
                 match chain_find(&chain, k) {
                     Some(cur) => {
                         let (rebuilt, _, _) = chain_with(&chain, k, up(cur, d));
@@ -247,9 +247,9 @@ macro_rules! rcu_table {
                 let grow_needed;
                 let result;
                 {
-                    let outer = self.table.buckets.read();
+                    let outer = read(&self.table.buckets);
                     let idx = scale(hash_key(k), outer.nbuckets);
-                    let mut chain = outer.chains[idx].write();
+                    let mut chain = write(&outer.chains[idx]);
                     let (new_value, was_present) = match chain_find(&chain, k) {
                         Some(cur) => (up(cur, d), true),
                         None => (d, false),
@@ -272,9 +272,9 @@ macro_rules! rcu_table {
             }
 
             fn erase(&mut self, k: Key) -> bool {
-                let outer = self.table.buckets.read();
+                let outer = read(&self.table.buckets);
                 let idx = scale(hash_key(k), outer.nbuckets);
-                let mut chain = outer.chains[idx].write();
+                let mut chain = write(&outer.chains[idx]);
                 let (rebuilt, removed) = chain_without(&chain, k);
                 if removed {
                     let old = std::mem::replace(&mut *chain, rebuilt);

@@ -17,11 +17,13 @@
 //! serializes every other operation while it runs, which is what caps the
 //! speedup in Fig. 2b.
 
+use std::sync::{PoisonError, RwLock};
+
+use growt_iface::sync::{read, write};
 use growt_iface::{
     Capabilities, ConcurrentMap, GrowthSupport, InsertOrUpdate, InterfaceStyle, Key, MapHandle,
     Value,
 };
-use parking_lot::RwLock;
 
 use crate::util::{capacity_for, hash_key, scale};
 
@@ -55,13 +57,16 @@ macro_rules! tbb_map {
 
         impl $name {
             fn grow(&self) {
-                let mut outer = self.buckets.write();
+                let mut outer = write(&self.buckets);
                 let new_n = outer.nbuckets * 2;
                 let mut fresh = Buckets::new(new_n);
                 for chain in &outer.chains {
-                    for &(k, v) in chain.read().iter() {
+                    for &(k, v) in read(chain).iter() {
                         let idx = scale(hash_key(k), new_n);
-                        fresh.chains[idx].get_mut().push((k, v));
+                        fresh.chains[idx]
+                            .get_mut()
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .push((k, v));
                     }
                 }
                 *outer = fresh;
@@ -99,9 +104,9 @@ macro_rules! tbb_map {
             fn insert(&mut self, k: Key, v: Value) -> bool {
                 loop {
                     let grow_needed = {
-                        let outer = self.table.buckets.read();
+                        let outer = read(&self.table.buckets);
                         let idx = scale(hash_key(k), outer.nbuckets);
-                        let mut chain = outer.chains[idx].write();
+                        let mut chain = write(&outer.chains[idx]);
                         if chain.iter().any(|&(ck, _)| ck == k) {
                             return false;
                         }
@@ -116,16 +121,16 @@ macro_rules! tbb_map {
             }
 
             fn find(&mut self, k: Key) -> Option<Value> {
-                let outer = self.table.buckets.read();
+                let outer = read(&self.table.buckets);
                 let idx = scale(hash_key(k), outer.nbuckets);
-                let chain = outer.chains[idx].read();
+                let chain = read(&outer.chains[idx]);
                 chain.iter().find(|&&(ck, _)| ck == k).map(|&(_, v)| v)
             }
 
             fn update(&mut self, k: Key, d: Value, up: fn(Value, Value) -> Value) -> bool {
-                let outer = self.table.buckets.read();
+                let outer = read(&self.table.buckets);
                 let idx = scale(hash_key(k), outer.nbuckets);
-                let mut chain = outer.chains[idx].write();
+                let mut chain = write(&outer.chains[idx]);
                 for entry in chain.iter_mut() {
                     if entry.0 == k {
                         entry.1 = up(entry.1, d);
@@ -144,9 +149,9 @@ macro_rules! tbb_map {
                 let grow_needed;
                 let result;
                 {
-                    let outer = self.table.buckets.read();
+                    let outer = read(&self.table.buckets);
                     let idx = scale(hash_key(k), outer.nbuckets);
-                    let mut chain = outer.chains[idx].write();
+                    let mut chain = write(&outer.chains[idx]);
                     if let Some(entry) = chain.iter_mut().find(|e| e.0 == k) {
                         entry.1 = up(entry.1, d);
                         return InsertOrUpdate::Updated;
@@ -162,9 +167,9 @@ macro_rules! tbb_map {
             }
 
             fn erase(&mut self, k: Key) -> bool {
-                let outer = self.table.buckets.read();
+                let outer = read(&self.table.buckets);
                 let idx = scale(hash_key(k), outer.nbuckets);
-                let mut chain = outer.chains[idx].write();
+                let mut chain = write(&outer.chains[idx]);
                 let before = chain.len();
                 chain.retain(|&(ck, _)| ck != k);
                 chain.len() != before
@@ -225,7 +230,7 @@ mod tests {
         for k in 2..20_002u64 {
             assert_eq!(h.find(k), Some(k));
         }
-        assert!(t.buckets.read().nbuckets > 16);
+        assert!(read(&t.buckets).nbuckets > 16);
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub fn sort_by_hash(elements: &[(u64, u64)], capacity: usize) -> Vec<(u64, u64)>
         .collect();
     // Stable sort by (cell, key): the cell position stays the primary
     // order (what the partitioned insertion needs), while the key as a
-    // secondary criterion makes every run of equal keys contiguous — with
+    // secondary sort key makes every run of equal keys contiguous — with
     // the *last* input occurrence at the end of its run (stability).
     indexed.sort_by_key(|&(cell, k, _)| (cell, k));
     // Deduplicate keeping the last occurrence with one reverse scan over
@@ -144,7 +144,7 @@ mod tests {
         for &(k, v) in &sorted {
             assert_eq!(v, reference[&k], "key {k}");
         }
-        // Cell order must remain the primary sort criterion.
+        // Cell order must remain the primary sort key.
         let cells: Vec<usize> = sorted
             .iter()
             .map(|&(k, _)| scale_to_capacity(hash_key(k), capacity))

@@ -171,8 +171,7 @@ impl Cell {
     /// `cas_pair`'s read-modify-write of the same cell).
     #[cfg(not(all(target_arch = "x86_64", target_feature = "cmpxchg16b")))]
     pub fn cas_value(&self, expected: u64, new: u64) -> Result<(), u64> {
-        let lock = fallback::stripe_for(self as *const Cell as usize);
-        let _guard = lock.lock();
+        let _guard = fallback::lock_stripe(self as *const Cell as usize);
         let observed = self.value.load(Ordering::Relaxed);
         if observed == expected {
             self.value.store(new, Ordering::Relaxed);
@@ -193,8 +192,7 @@ impl Cell {
     /// fallback build (same lost-update hazard as [`Cell::cas_value`]).
     #[cfg(not(all(target_arch = "x86_64", target_feature = "cmpxchg16b")))]
     pub fn store_value(&self, new: u64) {
-        let lock = fallback::stripe_for(self as *const Cell as usize);
-        let _guard = lock.lock();
+        let _guard = fallback::lock_stripe(self as *const Cell as usize);
         self.value.store(new, Ordering::Relaxed);
     }
 
@@ -209,8 +207,7 @@ impl Cell {
     /// build (same lost-update hazard as [`Cell::cas_value`]).
     #[cfg(not(all(target_arch = "x86_64", target_feature = "cmpxchg16b")))]
     pub fn fetch_add_value(&self, delta: u64) -> u64 {
-        let lock = fallback::stripe_for(self as *const Cell as usize);
-        let _guard = lock.lock();
+        let _guard = fallback::lock_stripe(self as *const Cell as usize);
         let old = self.value.load(Ordering::Relaxed);
         self.value.store(old.wrapping_add(delta), Ordering::Relaxed);
         old
@@ -349,8 +346,7 @@ impl Cell {
         // Portable fallback: a striped lock keyed by the cell address.  Not
         // lock-free, but correct; reads remain lock-free which preserves the
         // paper's most important property (find never writes).
-        let lock = fallback::stripe_for(self as *const Cell as usize);
-        let _guard = lock.lock();
+        let _guard = fallback::lock_stripe(self as *const Cell as usize);
         let (k, v) = (
             self.key.load(Ordering::Relaxed),
             self.value.load(Ordering::Relaxed),
@@ -380,15 +376,15 @@ fn unpack(pair: u128) -> (u64, u64) {
 
 #[cfg(not(all(target_arch = "x86_64", target_feature = "cmpxchg16b")))]
 mod fallback {
-    use parking_lot::Mutex;
-    use std::sync::OnceLock;
+    use std::sync::{Mutex, MutexGuard, OnceLock};
 
     const STRIPES: usize = 1024;
 
-    pub(super) fn stripe_for(addr: usize) -> &'static Mutex<()> {
+    /// Lock the stripe of the cell at `addr`.
+    pub(super) fn lock_stripe(addr: usize) -> MutexGuard<'static, ()> {
         static LOCKS: OnceLock<Vec<Mutex<()>>> = OnceLock::new();
         let locks = LOCKS.get_or_init(|| (0..STRIPES).map(|_| Mutex::new(())).collect());
-        &locks[(addr >> 4) & (STRIPES - 1)]
+        growt_iface::sync::lock(&locks[(addr >> 4) & (STRIPES - 1)])
     }
 }
 

@@ -30,9 +30,10 @@
 //! `GrowMap` defers frees to a QSBR domain instead).
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
+use growt_iface::sync::lock;
 use growt_iface::{GenericMap, GenericMapHandle, InsertOrUpdate, TableFull, TryGrowError};
-use parking_lot::Mutex;
 
 use growt_iface::inflight::{load_published_key, publish_key, INFLIGHT, REPAIRED_TOMBSTONE};
 
@@ -320,7 +321,7 @@ impl StringKeyTable {
             .is_ok();
         if erased {
             let (_, ptr) = super::decode_keyref(current);
-            self.deferred.lock().push(ptr);
+            lock(&self.deferred).push(ptr);
         }
         erased
     }
@@ -345,7 +346,7 @@ impl Drop for StringKeyTable {
                 unsafe { free_key(ptr) };
             }
         }
-        for ptr in self.deferred.get_mut().drain(..) {
+        for ptr in lock(&self.deferred).drain(..) {
             // SAFETY: tombstoned allocations are owned solely by the
             // deferred list.
             unsafe { free_key(ptr) };

@@ -31,12 +31,12 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
+use growt_iface::sync::lock;
 use growt_reclaim::VersionedArc;
-use parking_lot::Mutex;
 
 use crate::config::{capacity_for, GrowConfig};
 use crate::count::GlobalCount;
@@ -295,13 +295,13 @@ impl<G> Coordinator<G> {
 
     /// The phase records of the most recent migrations, oldest first.
     pub(crate) fn migration_log(&self) -> Vec<MigrationRecord> {
-        self.log.lock().iter().cloned().collect()
+        lock(&self.log).iter().cloned().collect()
     }
 
     /// Append `record`, dropping the oldest beyond [`MIGRATION_LOG_LEN`].
     /// A finalization retried after an unwind replaces its own entry.
     fn log_migration(&self, record: MigrationRecord) {
-        let mut log = self.log.lock();
+        let mut log = lock(&self.log);
         if log
             .back()
             .is_some_and(|r| r.generation == record.generation)
@@ -316,7 +316,7 @@ impl<G> Coordinator<G> {
     /// Apply `update` to the record of the migration that replaced
     /// generation `generation`, if the log still holds it.
     fn update_record(&self, generation: u64, update: impl FnOnce(&mut MigrationRecord)) {
-        let mut log = self.log.lock();
+        let mut log = lock(&self.log);
         if let Some(record) = log.iter_mut().rev().find(|r| r.generation == generation) {
             update(record);
         }
@@ -615,7 +615,7 @@ pub(crate) trait GrowProtocol {
                 rescued: AtomicUsize::new(0),
             },
         });
-        *self.coord().job.lock() = Some(job);
+        *lock(&self.coord().job) = Some(job);
         // Only from `PREPARING`: once the job is installed, a participant
         // (a pool worker woken late for the previous migration, a handle
         // that meets a marked cell) may copy every block and finalize it
@@ -633,7 +633,7 @@ pub(crate) trait GrowProtocol {
 
     /// The currently installed migration job, if any.
     fn current_job(&self) -> Option<Arc<MigrationJob<Self::Gen>>> {
-        self.coord().job.lock().as_ref().map(Arc::clone)
+        lock(&self.coord().job).as_ref().map(Arc::clone)
     }
 
     /// Pull migration blocks until none are left; the participant that
@@ -882,7 +882,7 @@ pub(crate) trait GrowProtocol {
                 .fetch_add(1, Ordering::AcqRel);
         }
         {
-            let mut slot = self.coord().job.lock();
+            let mut slot = lock(&self.coord().job);
             if slot.as_ref().is_some_and(|j| Arc::ptr_eq(j, job)) {
                 *slot = None;
             }

@@ -22,7 +22,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crossbeam_utils::CachePadded;
+use growt_iface::sync::CachePadded;
 
 /// Global approximate counters of a table generation.
 #[derive(Debug, Default)]
@@ -189,6 +189,15 @@ impl LocalCount {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_two_counters_start_128_bytes_apart() {
+        let count = GlobalCount::new();
+        let insertions = &count.insertions as *const _ as usize;
+        let deletions = &count.deletions as *const _ as usize;
+        assert_eq!(insertions.abs_diff(deletions), 128);
+        assert_eq!(std::mem::align_of::<GlobalCount>(), 128);
+    }
 
     #[test]
     fn thresholds_lie_under_the_flush_bound() {

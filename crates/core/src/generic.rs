@@ -54,12 +54,12 @@
 
 use std::marker::PhantomData;
 use std::sync::atomic::{compiler_fence, AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use growt_iface::sync::lock;
 use growt_iface::{GenericMap, GenericMapHandle, InsertOrUpdate, TryGrowError};
 use growt_reclaim::{CachedArc, QsbrDomain, QsbrParticipant, VersionedArc};
-use parking_lot::Mutex;
 
 use crate::cell::{is_marked, unmark, Cell, DEL_KEY, EMPTY_KEY, MAX_MARKABLE_KEY};
 use crate::complex::{self, decode_keyref, pack_keyref, signature_of, POINTER_BITS, SIGNED_BITS};
@@ -1326,7 +1326,7 @@ impl<K: KeyRepr, V: ValueRepr> GrowProtocol for GenericInner<K, V> {
         // A snapshot, so that creating or dropping a handle does not wait
         // for this wait: a handle registered after the raise sees the flag
         // on its first write.
-        let writers = self.writers.lock().clone();
+        let writers = lock(&self.writers).clone();
         let started = Instant::now();
         for writer in writers.iter() {
             let mut spins = 0u32;
@@ -1520,7 +1520,7 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
         let seed = inner.handle_seed.fetch_add(0x9E37_79B9, Ordering::Relaxed);
         let cached = CachedArc::new(&inner.current);
         let busy = Arc::new(BusyFlag(AtomicBool::new(false)));
-        inner.writers.lock().push(Arc::clone(&busy));
+        lock(&inner.writers).push(Arc::clone(&busy));
         GrowMapHandle {
             local: LocalCount::for_generation(inner.threads_hint, cached.cached().capacity(), seed),
             cached,
@@ -1934,10 +1934,7 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
 impl<K: KeyRepr, V: ValueRepr> Drop for GrowMapHandle<'_, K, V> {
     fn drop(&mut self) {
         self.local.flush(&self.inner.counts);
-        self.inner
-            .writers
-            .lock()
-            .retain(|writer| !Arc::ptr_eq(writer, &self.busy));
+        lock(&self.inner.writers).retain(|writer| !Arc::ptr_eq(writer, &self.busy));
         // The participant's own Drop unregisters it from the domain and
         // runs a final reclamation attempt.
     }
@@ -2637,7 +2634,7 @@ mod tests {
                             let copy =
                                 migrate_generic_block(&src, &dst, begin, end, mode, || Some(()));
                             assert!(copy.complete);
-                            let mut seen = counted[b].lock().unwrap();
+                            let mut seen = lock(&counted[b]);
                             assert_eq!(*seen.get_or_insert(copy.live), copy.live, "block {b}");
                             if mode == MigrationMode::Exclusive {
                                 assert_eq!(copy.chunks_locked, 0);
@@ -2647,7 +2644,7 @@ mod tests {
                 });
             }
         });
-        let total: usize = counted.iter().map(|c| c.lock().unwrap().unwrap()).sum();
+        let total: usize = counted.iter().map(|c| lock(c).unwrap()).sum();
         assert_eq!(total, live.len());
         assert_eq!(dst.scan_live(), live.len(), "duplicates or losses");
         let marked = src.cells.iter().filter(|c| is_marked(c.load_key())).count();

@@ -24,10 +24,10 @@
 pub(crate) mod pool;
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
+use growt_iface::sync::lock;
 use growt_reclaim::{CachedArc, VersionedArc};
-use parking_lot::Mutex;
 
 use crate::cell::MAX_MARKABLE_KEY;
 use crate::config::{capacity_for, GrowConfig, HashSelect, ProbeSelect};
@@ -185,7 +185,7 @@ impl GrowingTable {
             let pool = MigrationPool::spawn(options.threads_hint, move || {
                 worker_inner.participate();
             });
-            *inner.pool_shared.lock() = Some(pool.shared());
+            *lock(&inner.pool_shared) = Some(pool.shared());
             Some(pool)
         } else {
             None
@@ -269,14 +269,14 @@ impl Inner {
             busy: AtomicU64::new(0),
             active: AtomicBool::new(true),
         });
-        self.handles.lock().push(Arc::clone(&shared));
+        lock(&self.handles).push(Arc::clone(&shared));
         shared
     }
 
     fn deregister_handle(&self, shared: &Arc<HandleShared>) {
         shared.active.store(false, Ordering::Release);
         shared.busy.store(0, Ordering::Release);
-        let mut handles = self.handles.lock();
+        let mut handles = lock(&self.handles);
         handles.retain(|h| !Arc::ptr_eq(h, shared));
     }
 }
@@ -367,7 +367,7 @@ impl GrowProtocol for Inner {
             return MigrationMode::Marking;
         }
         self.current.raise_flag();
-        let handles = self.handles.lock().clone();
+        let handles = lock(&self.handles).clone();
         for shared in handles.iter() {
             if std::ptr::eq(shared.as_ref(), leader) {
                 continue;
@@ -380,7 +380,7 @@ impl GrowProtocol for Inner {
     }
 
     fn signal_pool(&self) {
-        if let Some(pool) = self.pool_shared.lock().as_ref() {
+        if let Some(pool) = lock(&self.pool_shared).as_ref() {
             pool.signal_migration();
         }
     }

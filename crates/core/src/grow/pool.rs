@@ -8,10 +8,10 @@
 //! would, and go back to sleep when the migration is finished.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
-use parking_lot::{Condvar, Mutex};
+use growt_iface::sync::lock;
 
 /// Shared state between the pool owner and its workers.
 pub(crate) struct PoolShared {
@@ -36,7 +36,7 @@ impl PoolShared {
 
     /// Wake all workers for a new migration.
     pub(crate) fn signal_migration(&self) {
-        let mut generation = self.generation.lock();
+        let mut generation = lock(&self.generation);
         *generation += 1;
         self.wakeup.notify_all();
     }
@@ -87,12 +87,13 @@ impl MigrationPool {
                         let mut seen_generation = 0u64;
                         loop {
                             {
-                                let mut generation = shared.generation.lock();
-                                while *generation == seen_generation
-                                    && !shared.shutdown.load(Ordering::Acquire)
-                                {
-                                    shared.wakeup.wait(&mut generation);
-                                }
+                                let generation = shared
+                                    .wakeup
+                                    .wait_while(lock(&shared.generation), |generation| {
+                                        *generation == seen_generation
+                                            && !shared.shutdown.load(Ordering::Acquire)
+                                    })
+                                    .unwrap_or_else(PoisonError::into_inner);
                                 if shared.shutdown.load(Ordering::Acquire) {
                                     return;
                                 }
@@ -119,7 +120,7 @@ impl Drop for MigrationPool {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
         {
-            let _guard = self.shared.generation.lock();
+            let _guard = lock(&self.shared.generation);
             self.shared.wakeup.notify_all();
         }
         for worker in self.workers.drain(..) {

@@ -14,8 +14,9 @@
 //! and accepts **every** `u64` key.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 
-use parking_lot::Mutex;
+use growt_iface::sync::lock;
 
 use crate::cell::{DEL_KEY, EMPTY_KEY, MARK_BIT};
 use crate::grow::{GrowHandle, GrowingOptions, GrowingTable};
@@ -111,7 +112,7 @@ impl FullKeyspaceHandle<'_> {
     pub fn insert(&mut self, key: u64, value: u64) -> bool {
         if let Some(slot) = special_index(key) {
             let special = &self.table.specials[slot];
-            let _guard = special.lock.lock();
+            let _guard = lock(&special.lock);
             if special.present.load(Ordering::Acquire) {
                 false
             } else {
@@ -146,7 +147,7 @@ impl FullKeyspaceHandle<'_> {
     pub fn erase(&mut self, key: u64) -> bool {
         if let Some(slot) = special_index(key) {
             let special = &self.table.specials[slot];
-            let _guard = special.lock.lock();
+            let _guard = lock(&special.lock);
             if special.present.load(Ordering::Acquire) {
                 special.present.store(false, Ordering::Release);
                 true
@@ -164,7 +165,7 @@ impl FullKeyspaceHandle<'_> {
     pub fn update(&mut self, key: u64, d: u64, up: impl Fn(u64, u64) -> u64 + Copy) -> bool {
         if let Some(slot) = special_index(key) {
             let special = &self.table.specials[slot];
-            let _guard = special.lock.lock();
+            let _guard = lock(&special.lock);
             if special.present.load(Ordering::Acquire) {
                 let current = special.value.load(Ordering::Acquire);
                 special.value.store(up(current, d), Ordering::Release);

@@ -26,6 +26,7 @@
 
 pub mod hash;
 pub mod inflight;
+pub mod sync;
 
 /// Key type used throughout the reproduction: one machine word.
 pub type Key = u64;

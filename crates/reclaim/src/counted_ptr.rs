@@ -16,9 +16,9 @@
 //! its own.  Everything else reads the version with the flag masked off.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
+use growt_iface::sync::lock;
 
 /// The flag bit of the version word; versions count up from 1 and never
 /// reach it.
@@ -84,7 +84,7 @@ impl<T> VersionedArc<T> {
     /// contended a few dozen times in total — every other access is the
     /// version load + pointer dereference of the cached fast path.
     pub fn acquire(&self) -> (Arc<T>, u64) {
-        let guard = self.current.lock();
+        let guard = lock(&self.current);
         let arc = Arc::clone(&guard);
         let version = self.version();
         self.acquires.fetch_add(1, Ordering::Relaxed);
@@ -101,7 +101,7 @@ impl<T> VersionedArc<T> {
     /// Publish `new` as the next version unconditionally.  Returns the
     /// previous value.  The flag is left as it is.
     pub fn publish(&self, new: Arc<T>) -> Arc<T> {
-        let mut guard = self.current.lock();
+        let mut guard = lock(&self.current);
         let old = std::mem::replace(&mut *guard, new);
         self.version.fetch_add(1, Ordering::AcqRel);
         old
@@ -111,7 +111,7 @@ impl<T> VersionedArc<T> {
     /// (i.e. no other thread finished a migration first).  On failure the
     /// current version is returned in the error.
     pub fn publish_if(&self, expected_version: u64, new: Arc<T>) -> Result<Arc<T>, u64> {
-        let mut guard = self.current.lock();
+        let mut guard = lock(&self.current);
         let version = self.version();
         if version != expected_version {
             return Err(version);

@@ -9,9 +9,9 @@
 //! quiescent state.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
+use growt_iface::sync::lock;
 
 type Deferred = Box<dyn FnOnce() + Send>;
 
@@ -64,7 +64,7 @@ impl QsbrDomain {
             quiescent_epoch: AtomicU64::new(self.global_epoch.load(Ordering::Acquire)),
             active: AtomicBool::new(true),
         });
-        self.participants.lock().push(Arc::clone(&state));
+        lock(&self.participants).push(Arc::clone(&state));
         QsbrParticipant {
             domain: Arc::clone(self),
             state,
@@ -74,7 +74,7 @@ impl QsbrDomain {
     /// Retire an object; `drop_fn` runs once the object is safe to free.
     pub fn retire(&self, drop_fn: Deferred) {
         let epoch = self.global_epoch.fetch_add(1, Ordering::AcqRel);
-        self.limbo.lock().push((epoch, drop_fn));
+        lock(&self.limbo).push((epoch, drop_fn));
         self.pending_hint.fetch_add(1, Ordering::Release);
         // A thread that dies here (after the retire, before its next
         // quiescent announcement) must not strand the object: dropping
@@ -85,7 +85,7 @@ impl QsbrDomain {
 
     /// Number of objects waiting in the limbo list (for tests/diagnostics).
     pub fn pending(&self) -> usize {
-        self.limbo.lock().len()
+        lock(&self.limbo).len()
     }
 
     /// Attempt to reclaim retired objects.  Returns the number destroyed.
@@ -99,7 +99,7 @@ impl QsbrDomain {
         // The minimum epoch any active participant has announced; retired
         // objects from strictly earlier epochs can no longer be reached.
         let min_epoch = {
-            let participants = self.participants.lock();
+            let participants = lock(&self.participants);
             participants
                 .iter()
                 .filter(|p| p.active.load(Ordering::Acquire))
@@ -108,7 +108,7 @@ impl QsbrDomain {
                 .unwrap_or(u64::MAX)
         };
         let ready: Vec<Deferred> = {
-            let mut limbo = self.limbo.lock();
+            let mut limbo = lock(&self.limbo);
             let mut ready = Vec::new();
             let mut i = 0;
             while i < limbo.len() {
@@ -138,7 +138,7 @@ impl QsbrDomain {
 
     fn unregister(&self, state: &Arc<ParticipantState>) {
         state.active.store(false, Ordering::Release);
-        let mut participants = self.participants.lock();
+        let mut participants = lock(&self.participants);
         participants.retain(|p| !Arc::ptr_eq(p, state));
         drop(participants);
         self.try_reclaim();

@@ -13,12 +13,14 @@
 //!   skewed, mixed, sliding-window deletions);
 //! * [`words`] — Zipf-distributed synthetic text over a configurable
 //!   vocabulary for the word-count workload (§5.7 complex keys);
+//! * [`cases`] — the seeded case runner of the property tests;
 //! * [`scheduler`] — the shared block-of-4096 work-dealing counter;
 //! * [`driver`] — the generic multi-threaded measurement loop;
 //! * [`stats`] — timing, repetition averaging and figure/TSV output.
 
 #![warn(missing_docs)]
 
+pub mod cases;
 pub mod driver;
 pub mod hash;
 pub mod keys;

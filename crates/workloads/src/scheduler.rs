@@ -8,7 +8,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crossbeam_utils::CachePadded;
+use growt_iface::sync::CachePadded;
 
 /// Default block size used by the paper (4096 operations).
 pub const DEFAULT_BLOCK: usize = 4096;
