@@ -1,29 +1,26 @@
-//! Allocation tracking and a pre-touched memory pool.
+//! Allocation tracking for the figures' memory columns.
 //!
-//! Two pieces of the paper's methodology live here:
+//! **Allocation tracking** (Fig. 10): "the memory consumption is measured
+//! by logging the size of each allocation and deallocation during the
+//! execution (done by replacing allocation methods)".  [`TrackingAlloc`]
+//! is a `GlobalAlloc` wrapper that does exactly that; the figure harness
+//! installs it as the global allocator and reads [`current_bytes`] /
+//! [`peak_bytes`] around each run.
 //!
-//! * **Allocation tracking** (Fig. 10): "the memory consumption is measured
-//!   by logging the size of each allocation and deallocation during the
-//!   execution (done by replacing allocation methods)".  [`TrackingAlloc`]
-//!   is a `GlobalAlloc` wrapper that does exactly that; the figure harness
-//!   installs it as the global allocator and reads [`current_bytes`] /
-//!   [`peak_bytes`] around each run.
-//!
-//! * **User-space memory pool** (§7): the paper allocates table arrays from
-//!   Intel TBB's memory pool so that the virtual memory handed to a growing
-//!   migration is already mapped, bypassing a kernel lock.  [`PagePool`]
-//!   reproduces the semantics: buffers are pre-touched on first
-//!   acquisition and recycled on release, so a growing step never pays the
-//!   page-fault storm again.
+//! The paper's other allocation device, the **user-space memory pool**
+//! (§7) — table arrays taken from Intel TBB's pool, so that the memory a
+//! growing migration gets is already mapped and skips the kernel — lives
+//! with the arrays themselves: `growt_core::mem::HugeBox` keeps freed cell
+//! arrays of 2 MiB and more, up to 64 MiB, and hands them to the next
+//! request of the same size, cleared.  Those mappings never pass through
+//! the global allocator, so this crate does not see them either; the
+//! figures add `growt_core::mem::mapped_bytes()`.
 
 #![warn(missing_docs)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-use growt_iface::sync::lock;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 // ---------------------------------------------------------------------------
 // Tracking allocator
@@ -135,111 +132,6 @@ pub fn reset_counters() {
     ALLOCATION_COUNT.store(0, Ordering::Relaxed);
 }
 
-// ---------------------------------------------------------------------------
-// Page pool
-// ---------------------------------------------------------------------------
-
-/// A recycled, pre-touched buffer handed out by [`PagePool`].
-pub struct PooledBuffer {
-    data: Vec<u8>,
-}
-
-impl PooledBuffer {
-    /// Size of the buffer in bytes.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// `true` when the buffer has zero length.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Mutable view of the buffer contents.
-    pub fn as_mut_slice(&mut self) -> &mut [u8] {
-        &mut self.data
-    }
-}
-
-/// A user-space memory pool with pre-touched, recyclable buffers.
-///
-/// `acquire(n)` returns a zeroed buffer of at least `n` bytes.  Buffers
-/// given back with `release` are reused by later acquisitions of the same
-/// or smaller size, so repeated growing steps do not go back to the kernel
-/// for fresh pages — the property the paper gets from TBB's pool.
-pub struct PagePool {
-    free: Mutex<Vec<Vec<u8>>>,
-    /// Number of acquisitions served from the free list.
-    hits: AtomicUsize,
-    /// Number of acquisitions that had to allocate fresh memory.
-    misses: AtomicUsize,
-    /// Maximum number of buffers kept on the free list.
-    max_cached: usize,
-}
-
-impl Default for PagePool {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PagePool {
-    /// Create an empty pool keeping at most 16 buffers cached.
-    pub fn new() -> Self {
-        Self::with_max_cached(16)
-    }
-
-    /// Create an empty pool with an explicit cache limit.
-    pub fn with_max_cached(max_cached: usize) -> Self {
-        PagePool {
-            free: Mutex::new(Vec::new()),
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-            max_cached,
-        }
-    }
-
-    /// Acquire a zeroed buffer of at least `bytes` bytes.
-    pub fn acquire(&self, bytes: usize) -> PooledBuffer {
-        {
-            let mut free = lock(&self.free);
-            if let Some(pos) = free.iter().position(|b| b.capacity() >= bytes) {
-                let mut data = free.swap_remove(pos);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                data.clear();
-                data.resize(bytes, 0);
-                return PooledBuffer { data };
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        // Fresh allocation: zeroing it here is the "pre-touch" that maps the
-        // pages before the buffer reaches the (timed) migration.
-        let data = vec![0u8; bytes];
-        PooledBuffer { data }
-    }
-
-    /// Return a buffer to the pool for reuse.
-    pub fn release(&self, buffer: PooledBuffer) {
-        let mut free = lock(&self.free);
-        if free.len() < self.max_cached {
-            free.push(buffer.data);
-        }
-    }
-
-    /// `(hits, misses)` acquisition statistics.
-    pub fn stats(&self) -> (usize, usize) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Number of buffers currently cached.
-    pub fn cached(&self) -> usize {
-        lock(&self.free).len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,61 +146,5 @@ mod tests {
         assert!(allocation_count() >= 1);
         reset_counters();
         assert_eq!(allocation_count(), 0);
-    }
-
-    #[test]
-    fn pool_reuses_buffers() {
-        let pool = PagePool::new();
-        let buf = pool.acquire(4096);
-        assert_eq!(buf.len(), 4096);
-        pool.release(buf);
-        assert_eq!(pool.cached(), 1);
-        let buf2 = pool.acquire(1024);
-        // The 4096-byte buffer is large enough and must be reused.
-        let (hits, misses) = pool.stats();
-        assert_eq!(hits, 1);
-        assert_eq!(misses, 1);
-        assert_eq!(buf2.len(), 1024);
-        assert_eq!(pool.cached(), 0);
-    }
-
-    #[test]
-    fn pool_buffers_are_zeroed_on_reuse() {
-        let pool = PagePool::new();
-        let mut buf = pool.acquire(128);
-        buf.as_mut_slice().fill(0xAB);
-        pool.release(buf);
-        let buf2 = pool.acquire(128);
-        assert!(buf2.data.iter().all(|&b| b == 0));
-    }
-
-    #[test]
-    fn pool_respects_cache_limit() {
-        let pool = PagePool::with_max_cached(2);
-        let buffers: Vec<_> = (0..4).map(|_| pool.acquire(64)).collect();
-        for b in buffers {
-            pool.release(b);
-        }
-        assert_eq!(pool.cached(), 2);
-    }
-
-    #[test]
-    fn concurrent_pool_usage() {
-        let pool = std::sync::Arc::new(PagePool::with_max_cached(8));
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let pool = std::sync::Arc::clone(&pool);
-                s.spawn(move || {
-                    for i in 0..200 {
-                        let mut b = pool.acquire(512 + (i % 7) * 64);
-                        b.as_mut_slice()[0] = 1;
-                        pool.release(b);
-                    }
-                });
-            }
-        });
-        let (hits, misses) = pool.stats();
-        assert_eq!(hits + misses, 4 * 200);
-        assert!(hits > 0);
     }
 }

@@ -18,6 +18,14 @@
 //! inserting, and not inside the copy, where a fault stalls every copier
 //! (DESIGN.md §11).
 //!
+//! A dropped mapping is not unmapped at once: it goes to one process-wide
+//! pool of idle mappings, and a later request of the same size takes it
+//! back and clears it with `write_bytes` instead of asking the kernel for
+//! fresh zeroed pages — the paper's TBB memory pool (§7).  The pool holds
+//! at most [`POOL_CAP_BYTES`]; a drop past that unmaps.  An idle mapping
+//! is `PROT_NONE`, so a stale access into a retired generation faults as
+//! it would after `munmap`.
+//!
 //! Fallback matrix (every step degrades gracefully):
 //!
 //! | condition                                   | behaviour                     |
@@ -25,6 +33,7 @@
 //! | allocation < 2 MB                           | global allocator (zeroed)     |
 //! | not Linux/x86-64                             | global allocator (zeroed)     |
 //! | `GROWT_NO_HUGEPAGES` set in the environment | global allocator (zeroed)     |
+//! | an idle mapping of the same size is pooled  | take it, clear it             |
 //! | `mmap` fails (e.g. overcommit limit)        | global allocator (zeroed)     |
 //! | `madvise` fails (THP disabled)              | keep the mapping, plain pages |
 //! | `MADV_POPULATE_WRITE` unknown (`EINVAL`)    | populate by one write per 4 KiB |
@@ -44,16 +53,98 @@ use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::ops::Deref;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+
+use growt_iface::sync::lock;
 
 /// Bytes of all live [`HugeBox`] mappings in the process, bumped where a
-/// box maps and unmaps: never on an operation's path.
+/// box maps, unmaps or moves to and from the pool: never on an
+/// operation's path.
 static MAPPED_BYTES: AtomicUsize = AtomicUsize::new(0);
 
 /// Bytes the live [`HugeBox`]es of the process hold as anonymous mappings
 /// (whole huge pages each).  The global allocator never sees them, so a
-/// count of its bytes misses every cell array of 2 MB or more.
+/// count of its bytes misses every cell array of 2 MB or more.  Idle
+/// pooled mappings are not counted here but in [`pooled_bytes`].
 pub fn mapped_bytes() -> usize {
     MAPPED_BYTES.load(Ordering::Relaxed)
+}
+
+/// Most bytes of idle mappings the pool keeps: glibc's default maximum
+/// trim threshold (twice its largest dynamic mmap threshold, 32 MiB on
+/// 64-bit), i.e. what `malloc` itself may keep of freed memory.  It holds
+/// one round of the benchmark's churn (16 tables of a 2 MiB last target).
+pub const POOL_CAP_BYTES: usize = 64 << 20;
+
+/// Slots the pool needs: every pooled mapping is at least one huge page.
+const POOL_SLOTS: usize = POOL_CAP_BYTES / HUGEPAGE_THRESHOLD;
+
+/// Idle mappings, kept in a fixed array so that the pool never allocates
+/// (the allocator-exact tests count every heap byte).
+struct Pool {
+    /// `(address, bytes)` of each idle mapping; the first `len` are used.
+    idle: [(usize, usize); POOL_SLOTS],
+    len: usize,
+    /// Sum of the used slots' bytes, at most [`POOL_CAP_BYTES`].
+    bytes: usize,
+}
+
+impl Pool {
+    /// Take out an idle mapping of exactly `bytes`, if one is pooled.
+    fn take(&mut self, bytes: usize) -> Option<NonNull<u8>> {
+        let slot = self.idle[..self.len]
+            .iter()
+            .position(|&(_, b)| b == bytes)?;
+        let (addr, _) = self.idle[slot];
+        self.len -= 1;
+        self.idle[slot] = self.idle[self.len];
+        self.bytes -= bytes;
+        NonNull::new(addr as *mut u8)
+    }
+
+    /// Keep the mapping `ptr` of `bytes` unless that passes the cap.
+    fn put(&mut self, ptr: NonNull<u8>, bytes: usize) -> bool {
+        if self.bytes + bytes > POOL_CAP_BYTES {
+            return false;
+        }
+        // `len < POOL_SLOTS` here: each used slot holds ≥ one huge page.
+        self.idle[self.len] = (ptr.as_ptr() as usize, bytes);
+        self.len += 1;
+        self.bytes += bytes;
+        true
+    }
+}
+
+static POOL: Mutex<Pool> = Mutex::new(Pool {
+    idle: [(0, 0); POOL_SLOTS],
+    len: 0,
+    bytes: 0,
+});
+
+/// Bytes of idle mappings the pool holds for reuse, at most
+/// [`POOL_CAP_BYTES`].
+pub fn pooled_bytes() -> usize {
+    lock(&POOL).bytes
+}
+
+/// A pooled mapping of exactly `bytes`, readable and writable again (its
+/// contents are whatever its last owner left).
+fn take_pooled(bytes: usize) -> Option<NonNull<u8>> {
+    let ptr = lock(&POOL).take(bytes)?;
+    if sys::protect(ptr, bytes, true) {
+        Some(ptr)
+    } else {
+        sys::unmap(ptr, bytes);
+        None
+    }
+}
+
+/// Pool the mapping `ptr` of `bytes`, made inaccessible first, or unmap it
+/// when the pool is full.
+fn retire_mapping(ptr: NonNull<u8>, bytes: usize) {
+    if !(sys::protect(ptr, bytes, false) && lock(&POOL).put(ptr, bytes)) {
+        sys::unmap(ptr, bytes);
+    }
 }
 
 /// A backing-slice allocation failed: the requested layout could not be
@@ -125,7 +216,8 @@ fn hugepages_disabled() -> bool {
 /// An owned, fixed-length slice allocated through the hugepage-aware
 /// policy above.  Dereferences to `[T]`; the backing storage is either an
 /// anonymous mapping (≥ [`HUGEPAGE_THRESHOLD`], Linux/x86-64) or a global
-/// allocator block, and is released on drop.
+/// allocator block, and is released on drop: a mapping to the pool of
+/// idle ones, or unmapped when that is full.
 pub struct HugeBox<T> {
     ptr: NonNull<T>,
     len: usize,
@@ -186,7 +278,16 @@ impl<T: ZeroInit> HugeBox<T> {
             // Round the mapping up to whole huge pages: a 2 MB-aligned
             // length is what khugepaged can actually collapse.
             let mapped_bytes = layout.size().div_ceil(HUGEPAGE_THRESHOLD) * HUGEPAGE_THRESHOLD;
-            if let Some(ptr) = sys::map_hugepage_hinted(mapped_bytes) {
+            let ptr = match take_pooled(mapped_bytes) {
+                Some(ptr) => {
+                    // SAFETY: a pooled mapping of `mapped_bytes ≥
+                    // layout.size()` bytes, writable again and ours alone.
+                    unsafe { ptr.as_ptr().write_bytes(0, layout.size()) };
+                    Some(ptr)
+                }
+                None => sys::map_hugepage_hinted(mapped_bytes),
+            };
+            if let Some(ptr) = ptr {
                 MAPPED_BYTES.fetch_add(mapped_bytes, Ordering::Relaxed);
                 return Ok(HugeBox {
                     ptr: ptr.cast(),
@@ -230,8 +331,8 @@ impl<T> Deref for HugeBox<T> {
 impl<T> Drop for HugeBox<T> {
     fn drop(&mut self) {
         if self.mapped_bytes != 0 {
-            sys::unmap(self.ptr.cast(), self.mapped_bytes);
             MAPPED_BYTES.fetch_sub(self.mapped_bytes, Ordering::Relaxed);
+            retire_mapping(self.ptr.cast(), self.mapped_bytes);
         } else if self.len != 0 && std::mem::size_of::<T>() != 0 {
             // Invariant, not a reachable failure: the same `Layout::array`
             // succeeded in `try_zeroed` for this very `len`, or the box
@@ -250,11 +351,13 @@ pub(crate) mod sys {
     use std::ptr::NonNull;
 
     const SYS_MMAP: usize = 9;
+    const SYS_MPROTECT: usize = 10;
     const SYS_MUNMAP: usize = 11;
     const SYS_MADVISE: usize = 28;
     #[cfg(feature = "numa-interleave")]
     const SYS_MBIND: usize = 237;
 
+    const PROT_NONE: usize = 0;
     const PROT_READ_WRITE: usize = 0x3;
     /// `MAP_PRIVATE | MAP_ANONYMOUS`.
     const MAP_PRIVATE_ANON: usize = 0x22;
@@ -355,6 +458,20 @@ pub(crate) mod sys {
         unsafe { syscall6(SYS_MUNMAP, ptr.as_ptr() as usize, bytes, 0, 0, 0, 0) };
     }
 
+    /// Make a range previously returned by [`map_hugepage_hinted`]
+    /// readable and writable, or inaccessible; `false` when `mprotect`
+    /// fails.
+    pub(super) fn protect(ptr: NonNull<u8>, bytes: usize, read_write: bool) -> bool {
+        let prot = if read_write {
+            PROT_READ_WRITE
+        } else {
+            PROT_NONE
+        };
+        // SAFETY: ptr/bytes come from our own mmap; only the protection of
+        // our own range changes.
+        unsafe { syscall6(SYS_MPROTECT, ptr.as_ptr() as usize, bytes, prot, 0, 0, 0) == 0 }
+    }
+
     /// Best-effort `mbind(MPOL_INTERLEAVE)` over all online NUMA nodes.
     /// Skipped (silently) with a single node, more than 64 nodes, or an
     /// unreadable topology — the mapping works either way, only the page
@@ -420,6 +537,10 @@ mod sys {
     }
 
     pub(super) fn unmap(_ptr: NonNull<u8>, _bytes: usize) {
+        unreachable!("no mapping can exist on this platform");
+    }
+
+    pub(super) fn protect(_ptr: NonNull<u8>, _bytes: usize, _read_write: bool) -> bool {
         unreachable!("no mapping can exist on this platform");
     }
 }
@@ -516,6 +637,111 @@ mod tests {
             "mapped cell array not resident after try_zeroed"
         );
         assert!(b.iter().all(|&x| x == 0));
+    }
+
+    /// The permissions `/proc/self/maps` gives the mapping around `addr`,
+    /// e.g. `rw-p`.
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    fn permissions_at(addr: usize) -> String {
+        let maps = std::fs::read_to_string("/proc/self/maps").expect("/proc/self/maps");
+        for line in maps.lines() {
+            let mut fields = line.split_whitespace();
+            let (range, perms) = (fields.next().unwrap(), fields.next().unwrap());
+            let (start, end) = range.split_once('-').unwrap();
+            let start = usize::from_str_radix(start, 16).unwrap();
+            let end = usize::from_str_radix(end, 16).unwrap();
+            if (start..end).contains(&addr) {
+                return perms.to_owned();
+            }
+        }
+        panic!("{addr:#x} is not mapped");
+    }
+
+    /// A dropped mapping waits in the pool inaccessible, and the next
+    /// request of its size takes it back cleared.  The pool is
+    /// process-wide and the tests run in parallel, so each test that goes
+    /// through it has a size of its own (here 14 MiB).
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    #[test]
+    fn a_pooled_mapping_comes_back_zeroed_at_the_same_address() {
+        let n = (14 << 20) / std::mem::size_of::<u64>();
+        let first: HugeBox<AtomicU64> = HugeBox::try_zeroed(n).expect("14 MiB");
+        if !first.is_mapped() {
+            return; // mappings disabled: the heap path, no pool
+        }
+        for word in first.iter() {
+            word.store(u64::MAX, Ordering::Relaxed);
+        }
+        let addr = first.as_ptr() as usize;
+        drop(first);
+        assert!(pooled_bytes() >= 14 << 20, "the mapping was not pooled");
+        assert_eq!(permissions_at(addr), "---p", "an idle mapping is PROT_NONE");
+        let second: HugeBox<AtomicU64> = HugeBox::try_zeroed(n).expect("14 MiB");
+        assert_eq!(second.as_ptr() as usize, addr, "not served from the pool");
+        assert_eq!(permissions_at(addr), "rw-p");
+        assert!(second.iter().all(|x| x.load(Ordering::Relaxed) == 0));
+    }
+
+    /// The pool keeps exact sizes, and refuses a mapping that would take
+    /// its idle bytes past the cap (the drop then unmaps).
+    #[test]
+    fn the_pool_keeps_exact_sizes_up_to_its_cap() {
+        let mut pool = Pool {
+            idle: [(0, 0); POOL_SLOTS],
+            len: 0,
+            bytes: 0,
+        };
+        let at = |addr: usize| NonNull::new(addr as *mut u8).unwrap();
+        // Fill it with huge pages: exactly `POOL_SLOTS` fit, no more.
+        for slot in 0..POOL_SLOTS {
+            assert!(pool.put(at(0x1000 * (slot + 1)), HUGEPAGE_THRESHOLD));
+        }
+        assert_eq!(pool.bytes, POOL_CAP_BYTES);
+        assert!(
+            !pool.put(at(0xdead_0000), HUGEPAGE_THRESHOLD),
+            "past the cap"
+        );
+        assert_eq!(pool.take(2 * HUGEPAGE_THRESHOLD), None, "sizes are exact");
+        let taken = pool.take(HUGEPAGE_THRESHOLD).unwrap();
+        assert_eq!(pool.bytes, POOL_CAP_BYTES - HUGEPAGE_THRESHOLD);
+        // The freed room holds a page again, but not two.
+        assert!(!pool.put(at(0xbeef_0000), 2 * HUGEPAGE_THRESHOLD));
+        assert!(pool.put(taken, HUGEPAGE_THRESHOLD));
+        while pool.take(HUGEPAGE_THRESHOLD).is_some() {}
+        assert_eq!((pool.len, pool.bytes), (0, 0));
+        assert!(!pool.put(at(0x1000), POOL_CAP_BYTES + HUGEPAGE_THRESHOLD));
+    }
+
+    /// A mapping bigger than the cap is unmapped on drop, as before the
+    /// pool: its range is gone (`mincore` answers `ENOMEM`).
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    #[test]
+    fn a_mapping_past_the_cap_is_unmapped_on_drop() {
+        const SYS_MINCORE: usize = 27;
+        const ENOMEM: isize = 12;
+        let bytes = POOL_CAP_BYTES + 2 * HUGEPAGE_THRESHOLD;
+        let b: HugeBox<u8> = HugeBox::try_zeroed(bytes).expect("68 MiB");
+        if !b.is_mapped() {
+            return;
+        }
+        let addr = b.as_ptr() as usize;
+        drop(b);
+        assert!(pooled_bytes() <= POOL_CAP_BYTES);
+        let mut pages = vec![0u8; bytes / 4096];
+        // SAFETY: `mincore` only writes one byte per page of the range
+        // into `pages`, which is that long; the range itself is not read.
+        let ret = unsafe {
+            sys::syscall6(
+                SYS_MINCORE,
+                addr,
+                bytes,
+                pages.as_mut_ptr() as usize,
+                0,
+                0,
+                0,
+            )
+        };
+        assert_eq!(ret, -ENOMEM, "the mapping past the cap is still there");
     }
 
     #[test]

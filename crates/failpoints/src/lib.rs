@@ -16,7 +16,8 @@
 //!   [`Action::ExitThread`] unwinds with the [`ThreadExit`] sentinel
 //!   payload (the test harness catches it to simulate a thread dying
 //!   mid-protocol without tearing the process down), [`Action::Yield`] /
-//!   [`Action::DelayMs`] widen race windows deterministically, and
+//!   [`Action::DelayMs`] widen race windows deterministically,
+//!   [`Action::WaitFor`] holds one open until an event, and
 //!   [`Action::FailAlloc`] makes `fire` return `true`, which fallible
 //!   call sites translate into an allocation failure.
 //! * **Triggers** — fire always, once, on the *k*-th visit, every *n*-th
@@ -41,7 +42,7 @@ use std::sync::{Mutex, OnceLock};
 pub struct ThreadExit;
 
 /// What a triggered failpoint does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub enum Action {
     /// Unwind with a descriptive panic message.
     Panic,
@@ -51,6 +52,15 @@ pub enum Action {
     Yield(u32),
     /// Sleep for the given number of milliseconds.
     DelayMs(u64),
+    /// Hold the visiting thread until `until` returns `true` (polled once
+    /// a millisecond) or `deadline_ms` have passed: a window held open
+    /// until another thread has made its steps, however it is scheduled.
+    WaitFor {
+        /// The event the hold waits for.
+        until: fn() -> bool,
+        /// Longest hold in milliseconds.
+        deadline_ms: u64,
+    },
     /// Make [`fire`] return `true`; fallible call sites treat that as a
     /// failed allocation (or, generally, as "inject the failure").
     FailAlloc,
@@ -216,6 +226,13 @@ pub fn fire(name: &str) -> bool {
             std::thread::sleep(std::time::Duration::from_millis(ms));
             false
         }
+        Action::WaitFor { until, deadline_ms } => {
+            let start = std::time::Instant::now();
+            while !until() && start.elapsed().as_millis() < u128::from(deadline_ms) {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            false
+        }
         Action::FailAlloc => true,
     }
 }
@@ -317,6 +334,45 @@ mod tests {
         let payload = result.expect_err("must unwind");
         let msg = payload.downcast_ref::<String>().expect("string payload");
         assert!(msg.contains("t.panic"));
+        clear_all();
+    }
+
+    #[test]
+    fn wait_for_holds_until_the_event_or_the_deadline() {
+        static EVENT: AtomicUsize = AtomicUsize::new(0);
+        fn happened() -> bool {
+            EVENT.load(Ordering::SeqCst) != 0
+        }
+        let _guard = lock();
+        clear_all();
+        configure(
+            "t.wait",
+            Action::WaitFor {
+                until: happened,
+                deadline_ms: 20,
+            },
+            Trigger::Always,
+        );
+        let start = std::time::Instant::now();
+        assert!(!fire("t.wait"));
+        assert!(start.elapsed() >= std::time::Duration::from_millis(20));
+        configure(
+            "t.wait",
+            Action::WaitFor {
+                until: happened,
+                deadline_ms: 10_000,
+            },
+            Trigger::Always,
+        );
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(std::time::Duration::from_millis(5));
+                EVENT.store(1, Ordering::SeqCst);
+            });
+            let start = std::time::Instant::now();
+            fire("t.wait");
+            assert!(start.elapsed() < std::time::Duration::from_secs(5));
+        });
         clear_all();
     }
 

@@ -17,18 +17,26 @@
 //! thread left with nothing to copy, and the blocks the leader copied of
 //! all the leases: the two-thread baseline of the grow pause.
 //!
+//! Each migration line also gives the leader's preparation (allocating
+//! and clearing the target), and each table the bytes of idle mappings
+//! the process pools (`mem::pooled_bytes`) before its fill and after it.
+//! The first table's 2^17-cell array (2 MiB) is pooled when it drops, so
+//! the two-thread table's last target is that array, recycled: the pool
+//! reads 2 MiB before the second fill and 0 after it (DESIGN.md §11).
+//!
 //! Built with `--features failpoints`, it fills a third table with the
 //! `generic.membarrier` failpoint forced, so that every migration marks,
 //! and prints that table's copy cost as well: both modes' per-cell cost.
 //!
 //! Run with: `cargo run -q --release --example migration_smoke`
 
-use growt_repro::growt_core::{membarrier, GrowMap};
+use growt_repro::growt_core::{mem, membarrier, GrowMap};
 
 /// Fill a fresh table from 2^11 to 2^17 cells from `threads` threads,
 /// thread `t` inserting the keys `t` apart from the last, and print its
 /// migrations.
 fn fill_and_report(threads: u64) {
+    let pooled_before = mem::pooled_bytes();
     let map: GrowMap<u64, u64> = GrowMap::new(1024);
     std::thread::scope(|s| {
         for t in 0..threads {
@@ -43,10 +51,11 @@ fn fill_and_report(threads: u64) {
     });
     for record in map.migration_log() {
         print!(
-            "migration {} -> {} cells: {:?}, copy {:.1} ns a source cell",
+            "migration {} -> {} cells: {:?}, prepare {:.1} us, copy {:.1} ns a source cell",
             record.from_capacity,
             record.to_capacity,
             record.mode,
+            record.prepare_ns as f64 / 1e3,
             record.copy_ns as f64 / record.from_capacity as f64
         );
         if threads > 1 {
@@ -57,6 +66,11 @@ fn fill_and_report(threads: u64) {
         }
         println!();
     }
+    println!(
+        "pooled idle mappings: {} bytes before the fill, {} after",
+        pooled_before,
+        mem::pooled_bytes()
+    );
 }
 
 fn main() {

@@ -29,7 +29,7 @@
 //! * [`growt_seq`] — sequential reference tables (absolute speedups);
 //! * [`growt_workloads`] — MT19937-64, Zipf keys, drivers, figures;
 //! * [`growt_reclaim`] — QSBR and counted pointers;
-//! * [`growt_alloc_track`] — allocation tracking and the page pool.
+//! * [`growt_alloc_track`] — allocation tracking (Fig. 10).
 
 #![warn(missing_docs)]
 

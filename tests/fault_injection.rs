@@ -370,6 +370,31 @@ fn transient_hugebox_failure_is_retried_transparently() {
     });
 }
 
+/// The `mem.hugebox.alloc` failpoint fails a request even when the pool
+/// of idle mappings could serve it (it fires before the lookup), and the
+/// pooled mapping stays for the next request.  22 MiB: a size no other
+/// test in this process maps.
+#[test]
+fn the_hugebox_failpoint_fails_a_request_the_pool_could_serve() {
+    use growt_core::mem::{pooled_bytes, HugeBox};
+    const LEN: usize = (22 << 20) / 8;
+    serialized("hugebox-failpoint-before-the-pool", || {
+        let first: HugeBox<u64> = HugeBox::try_zeroed(LEN).expect("22 MiB");
+        let (mapped, addr) = (first.is_mapped(), first.as_ptr() as usize);
+        drop(first);
+        configure("mem.hugebox.alloc", Action::FailAlloc, Trigger::Once);
+        assert!(HugeBox::<u64>::try_zeroed(LEN).is_err());
+        assert_eq!(hits("mem.hugebox.alloc"), 1);
+        if mapped {
+            assert!(pooled_bytes() >= 22 << 20, "the failed request took it");
+        }
+        let again: HugeBox<u64> = HugeBox::try_zeroed(LEN).expect("22 MiB");
+        if mapped {
+            assert_eq!(again.as_ptr() as usize, addr, "the pooled mapping is gone");
+        }
+    });
+}
+
 /// The degradation test on `GrowMap<String, u64>`, in each copy mode:
 /// with every target allocation failing, `try_insert` errors once the
 /// first generation is full, while finds and in-place updates keep being
@@ -933,36 +958,51 @@ fn exclusive_string_migrations_are_allocator_exact() {
     });
 }
 
-/// A growth's leader sleeps 50 ms in its preparation, before it allocates
-/// the target.  The other writer's inserts meet their growth trigger
-/// meanwhile and return instead of waiting for it (DESIGN.md §13): the
-/// source still has room, and it fills it until the migration runs.
+/// A growth's leader holds in its preparation, before it allocates the
+/// target, until the other writer has made 65 inserts since the hold began
+/// (10 s at most).  Those inserts meet their growth trigger and return
+/// instead of waiting for the preparation (DESIGN.md §13): the source still
+/// has room, and the writer fills it until the migration runs.  A writer
+/// that waited would make none, and the hold would end at its deadline.
 /// Nothing is lost; nor when the allocation at the same point fails once.
 #[test]
 fn growth_preparation_is_waited_for_only_by_its_leader() {
     const PER_THREAD: u64 = 20_000;
     const PREPARE: &str = "generic.prepare.alloc";
-
-    /// Two writers fill a map of 4096 cells; returns how many of their
-    /// inserts completed after the first preparation began and before the
+    /// Inserts completed after the first preparation began and before the
     /// first migration was over.
+    static DURING: AtomicU64 = AtomicU64::new(0);
+    /// Length of the leader's hold, set when it ends.
+    static HELD_NS: AtomicU64 = AtomicU64::new(0);
+
+    /// The hold's event: the other writer is past the bound.
+    fn other_writer_is_through() -> bool {
+        static SINCE: std::sync::OnceLock<std::time::Instant> = std::sync::OnceLock::new();
+        let start = *SINCE.get_or_init(std::time::Instant::now);
+        let through = DURING.load(Ordering::Relaxed) > 64;
+        if through {
+            HELD_NS.store(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        }
+        through
+    }
+
+    /// Two writers fill a map of 4096 cells; returns `DURING`.
     fn two_writers(map: &GrowMap<u64, u64>) -> u64 {
-        let during = AtomicU64::new(0);
+        DURING.store(0, Ordering::Relaxed);
         std::thread::scope(|scope| {
             for t in 0..2u64 {
-                let during = &during;
                 scope.spawn(move || {
                     let mut handle = map.handle();
                     for i in 0..PER_THREAD {
                         assert!(handle.insert(&(2 + t * PER_THREAD + i), &i));
                         if map.migrations_completed() == 0 && hits(PREPARE) == 1 {
-                            during.fetch_add(1, Ordering::Relaxed);
+                            DURING.fetch_add(1, Ordering::Relaxed);
                         }
                     }
                 });
             }
         });
-        during.into_inner()
+        DURING.load(Ordering::Relaxed)
     }
 
     fn assert_exact(map: &GrowMap<u64, u64>) {
@@ -975,15 +1015,22 @@ fn growth_preparation_is_waited_for_only_by_its_leader() {
 
     serialized("generic-slow-preparation", || {
         let map: GrowMap<u64, u64> = GrowMap::with_config(2048, GrowConfig::default(), 2);
-        configure(PREPARE, Action::DelayMs(50), Trigger::Once);
+        let hold = Action::WaitFor {
+            until: other_writer_is_through,
+            deadline_ms: 10_000,
+        };
+        configure(PREPARE, hold, Trigger::Once);
         let during = two_writers(&map);
         assert_eq!(hits(PREPARE), 1);
-        let first = &map.migration_log()[0];
-        assert!(first.prepare_ns >= 50_000_000, "{first:?}");
         // The source had ≈ 1600 free cells at its trigger.  A writer that
         // waited for the preparation would have stopped at its next flush,
         // within four inserts.
         assert!(during > 64, "{during} inserts during the preparation");
+        let first = &map.migration_log()[0];
+        assert!(
+            first.prepare_ns >= HELD_NS.load(Ordering::Relaxed),
+            "{first:?}"
+        );
         assert_exact(&map);
     });
 
