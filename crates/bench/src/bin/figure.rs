@@ -6,51 +6,28 @@
 //!                                                        [--json]
 //! ```
 //!
-//! `<id>` is one of: `table1`, `fig2a`, `fig2b`, `fig3a`, `fig3b`, `fig4a`,
+//! `<id>` is `table1`, `all`, or one of the measured ids of
+//! [`growt_bench::FIGURES`]: `fig2a`, `fig2b`, `fig3a`, `fig3b`, `fig4a`,
 //! `fig4b`, `fig5a`, `fig5b`, `fig6`, `fig7a`, `fig7b`, `fig8a`, `fig8b`,
-//! `fig10`, `fig11a`, `fig11b`, `ablation_block`,
-//! `ablation_batch`, `ablation_probe`, `scaling`, `wordcount`, `typed`,
-//! `latency`, or `all`.
-//! Output is TSV on stdout (one block per figure).  With `--json`,
-//! `ablation_batch`, `ablation_probe`, `scaling`, `wordcount`, `typed`
-//! and `latency` additionally merge their results into the
-//! machine-readable perf-trajectory record `BENCH_hotpath.json` (schema
-//! `growt-bench/hotpath-v2`) in the current directory: the file
-//! accumulates one entry per figure key across runs (and upgrades legacy
-//! v1 files in place) instead of being overwritten.  The `wordcount`
-//! sweep takes `--vocab N` (vocabulary size, i.e. distinct words).
-//! `--threads` overrides the thread grid of every sweep, including the
-//! figures that otherwise use a built-in wide grid (`fig11a`/`fig11b`).
+//! `fig10`, `fig11a`, `fig11b`, `ablation_block`, `ablation_batch`,
+//! `ablation_probe`, `scaling`, `wordcount`, `typed`, `latency`.
+//! Output is TSV on stdout (one block per figure).  With `--json`, every
+//! measured id also merges its record into the machine-readable
+//! perf-trajectory record `BENCH_hotpath.json` (schema
+//! `growt-bench/hotpath-v2`) in the current directory: the file keeps one
+//! block per figure id across runs, and a re-run replaces its own block in
+//! place.  The whole record is reproduced by
+//!
+//! ```text
+//! cargo run -p growt-bench --release --bin figure -- all --json --ops 1000000 --reps 3 --threads 1,2
+//! ```
+//!
+//! The `wordcount` sweep takes `--vocab N` (vocabulary size, i.e.
+//! distinct words).  `--threads` overrides the thread grid of every sweep,
+//! including the figures that otherwise use a built-in wide grid
+//! (`fig11a`/`fig11b`).
 
 use growt_bench::*;
-
-/// Every figure id the harness can regenerate, in `all` execution order.
-const FIGURE_IDS: [&str; 24] = [
-    "table1",
-    "fig2a",
-    "fig2b",
-    "fig3a",
-    "fig3b",
-    "fig4a",
-    "fig4b",
-    "fig5a",
-    "fig5b",
-    "fig6",
-    "fig7a",
-    "fig7b",
-    "fig8a",
-    "fig8b",
-    "fig10",
-    "fig11a",
-    "fig11b",
-    "ablation_block",
-    "ablation_batch",
-    "ablation_probe",
-    "scaling",
-    "wordcount",
-    "typed",
-    "latency",
-];
 
 /// Install the tracking allocator so that Fig. 10 can report memory usage.
 #[global_allocator]
@@ -120,13 +97,17 @@ fn parse_args() -> (Vec<String>, HarnessConfig) {
     (ids, cfg)
 }
 
-/// Merge one figure block into `BENCH_hotpath.json` in the current
-/// directory (creating or upgrading the file as needed).
-fn write_hotpath_json(figure: &str, block: &str, points: usize) {
+/// Merge `record` into `BENCH_hotpath.json` in the current directory
+/// (creating the file if needed).
+fn write_hotpath_json(record: &Record, cfg: &HarnessConfig) {
     let existing = std::fs::read_to_string("BENCH_hotpath.json").ok();
-    let merged = merge_hotpath_json(existing.as_deref(), figure, block);
+    let merged = merge_hotpath_json(existing.as_deref(), record.id, &record.block(cfg));
     std::fs::write("BENCH_hotpath.json", merged).expect("failed to write BENCH_hotpath.json");
-    eprintln!("[figure] merged {figure} into BENCH_hotpath.json ({points} points)");
+    eprintln!(
+        "[figure] merged {} into BENCH_hotpath.json ({} points)",
+        record.id,
+        record.points.len()
+    );
 }
 
 fn run(id: &str, cfg: &HarnessConfig) {
@@ -134,87 +115,31 @@ fn run(id: &str, cfg: &HarnessConfig) {
         "[figure] running {id} (ops = {}, threads = {:?})",
         cfg.ops, cfg.threads
     );
-    let output = match id {
-        "table1" => table1(),
-        "fig2a" => fig2a(cfg).to_tsv(),
-        "fig2b" => fig2b(cfg).to_tsv(),
-        "fig3a" => fig3(cfg, true).to_tsv(),
-        "fig3b" => fig3(cfg, false).to_tsv(),
-        "fig4a" => fig4a(cfg).to_tsv(),
-        "fig4b" => fig4b(cfg).to_tsv(),
-        "fig5a" => fig5(cfg, false).to_tsv(),
-        "fig5b" => fig5(cfg, true).to_tsv(),
-        "fig6" => fig6(cfg).to_tsv(),
-        "fig7a" => fig7(cfg, false).to_tsv(),
-        "fig7b" => fig7(cfg, true).to_tsv(),
-        "fig8a" => fig8a(cfg).to_tsv(),
-        "fig8b" => fig8b(cfg).to_tsv(),
-        "fig10" => fig10(cfg),
-        "fig11a" => fig11(cfg, false).to_tsv(),
-        "fig11b" => fig11(cfg, true).to_tsv(),
-        "ablation_block" => ablation_block(cfg).to_tsv(),
-        "ablation_batch" => {
-            let points = ablation_batch_points(cfg);
-            if cfg.json {
-                let block = batch_points_block(cfg, &points);
-                write_hotpath_json("ablation_batch", &block, points.len());
-            }
-            batch_points_figure(&points).to_tsv()
+    let start = std::time::Instant::now();
+    let output = if id == "table1" {
+        table1()
+    } else if let Some((_, measure)) = FIGURES.iter().find(|(known, _)| *known == id) {
+        let record = measure(cfg);
+        if cfg.json {
+            write_hotpath_json(&record, cfg);
         }
-        "ablation_probe" => {
-            let points = ablation_probe_points(cfg);
-            if cfg.json {
-                let block = probe_points_block(cfg, &points);
-                write_hotpath_json("ablation_probe", &block, points.len());
-            }
-            probe_points_figure(&points).to_tsv()
-        }
-        "scaling" => {
-            let points = scaling_points(cfg);
-            if cfg.json {
-                let block = scaling_points_block(cfg, &points);
-                write_hotpath_json("scaling", &block, points.len());
-            }
-            scaling_figure(&points).to_tsv()
-        }
-        "wordcount" => {
-            let points = wordcount_points(cfg);
-            if cfg.json {
-                let block = wordcount_points_block(cfg, &points);
-                write_hotpath_json("wordcount", &block, points.len());
-            }
-            wordcount_figure(&points).to_tsv()
-        }
-        "typed" => {
-            let points = typed_points(cfg);
-            if cfg.json {
-                let block = typed_points_block(cfg, &points);
-                write_hotpath_json("typed", &block, points.len());
-            }
-            typed_figure(&points).to_tsv()
-        }
-        "latency" => {
-            let points = latency_points(cfg);
-            if cfg.json {
-                let block = latency_points_block(cfg, &points);
-                write_hotpath_json("latency", &block, points.len());
-            }
-            latency_figure(&points).to_tsv()
-        }
-        other => {
-            eprintln!("[figure] unknown figure id `{other}`");
-            eprintln!("[figure] valid ids: {} (or `all`)", FIGURE_IDS.join(", "));
-            std::process::exit(2);
-        }
+        record.to_tsv()
+    } else {
+        let ids: Vec<&str> = FIGURES.iter().map(|(id, _)| *id).collect();
+        eprintln!("[figure] unknown figure id `{id}`");
+        eprintln!("[figure] valid ids: table1, {} (or `all`)", ids.join(", "));
+        std::process::exit(2);
     };
     println!("{output}");
+    eprintln!("[figure] {id} took {:.1} s", start.elapsed().as_secs_f64());
 }
 
 fn main() {
     let (ids, cfg) = parse_args();
     for id in &ids {
         if id == "all" {
-            for id in FIGURE_IDS {
+            run("table1", &cfg);
+            for (id, _) in FIGURES {
                 run(id, &cfg);
             }
         } else {

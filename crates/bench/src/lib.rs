@@ -1,17 +1,23 @@
 //! Benchmark harness regenerating the tables and figures of the paper's
 //! evaluation (§8.4).
 //!
-//! Every experiment of the paper has a runner function here that produces a
-//! [`Figure`] (a set of per-table series over a common x axis, printed as
-//! TSV).  The `figure` binary dispatches on the experiment id (`fig2a`,
-//! `fig4b`, `table1`, …); `EXPERIMENTS.md` records the measured output next
-//! to the paper's reported behaviour.
+//! Every measured figure has a runner here that returns a [`Record`]: a
+//! list of [`Point`]s, each the configuration it was measured at (table,
+//! operation, threads, …) and what was measured (MOps/s and its spread
+//! over the repetitions, latency percentiles, bytes).  One renderer draws
+//! any record as TSV ([`Record::to_tsv`]) and one serializer writes it as a
+//! block of `BENCH_hotpath.json` ([`Record::block`], [`merge_hotpath_json`]).
+//! The `figure` binary looks the id up in [`FIGURES`]; `table1` is the one
+//! id that measures nothing.  `EXPERIMENTS.md` records the measured output
+//! next to the paper's reported behaviour.
 //!
 //! The op counts are scaled down from the paper's 10⁸ (configurable with
 //! `--ops`); DESIGN.md §4 documents why the *shape* of the results is the
 //! reproduction target rather than absolute numbers.
 
 #![warn(missing_docs)]
+
+use std::fmt;
 
 use growt_baselines::{
     Cuckoo, FollyStyle, Hopscotch, JunctionLeapfrog, JunctionLinear, LeaHash, PhaseConcurrent,
@@ -21,14 +27,14 @@ use growt_core::{
     Folklore, FolkloreCrc, FolkloreSimd, GrowMap, PaGrow, PsGrow, StringKeyTable, UaGrow,
     UaGrowCrc, UaGrowK1, UaGrowK16, UaGrowK4, UaGrowSimd, UsGrow,
 };
-use growt_iface::{capability_row, Capabilities, ConcurrentMap, GenericMap};
+use growt_iface::{capability_row, Capabilities, ConcurrentMap, GenericMap, GrowthSupport};
 use growt_seq::{SeqGrowingTable, SeqTable};
 use growt_workloads::{
     aggregate_driver, deletion_driver, deletion_workload, dense_prefill_keys, find_batch_driver,
     find_driver, generic_aggregate_driver, generic_wordcount_driver, insert_batch_driver,
     insert_driver, mixed_driver, mixed_workload, prefill, uniform_distinct_keys, uniform_keys,
     update_driver, word_corpus, zipf_keys, zipf_mixed_latency_driver, zipf_mixed_workload, Figure,
-    LatencyHistogram, Repetitions, Series, ZipfMixedWorkload, LAT_CLASS_FIND, LAT_CLASS_INSERT,
+    LatencyHistogram, Measurement, Repetitions, Series, LAT_CLASS_FIND, LAT_CLASS_INSERT,
     LAT_CLASS_UPDATE,
 };
 
@@ -55,8 +61,7 @@ pub struct HarnessConfig {
     pub wordcount_vocab: usize,
     /// Zipf exponent of the `wordcount` word stream (natural text ≈ 1).
     pub wordcount_zipf: f64,
-    /// Also write machine-readable JSON output where a figure supports it
-    /// (`ablation_batch` → `BENCH_hotpath.json`).
+    /// Also merge each figure's record into `BENCH_hotpath.json`.
     pub json: bool,
 }
 
@@ -81,6 +86,258 @@ impl Default for HarnessConfig {
 /// 4096).
 pub const GROWING_INITIAL: usize = 4096;
 
+// ---------------------------------------------------------------------------
+// The record: one point type, one TSV renderer, one JSON block
+// ---------------------------------------------------------------------------
+
+/// One field value of a [`Point`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Value {
+    /// A name: table, operation, hash path, workload.
+    Str(&'static str),
+    /// A count: threads, batch size, nanoseconds, bytes, migrations.
+    Int(u64),
+    /// A real number: a Zipf exponent, a load factor, MOps/s, a spread.
+    Float(f64),
+}
+
+impl From<&'static str> for Value {
+    fn from(v: &'static str) -> Self {
+        Value::Str(v)
+    }
+}
+
+impl From<usize> for Value {
+    fn from(v: usize) -> Self {
+        Value::Int(v as u64)
+    }
+}
+
+impl From<u64> for Value {
+    fn from(v: u64) -> Self {
+        Value::Int(v)
+    }
+}
+
+impl From<f64> for Value {
+    fn from(v: f64) -> Self {
+        Value::Float(v)
+    }
+}
+
+impl Value {
+    /// The value as a number; a name reads as NaN.
+    pub(crate) fn as_f64(self) -> f64 {
+        match self {
+            Value::Str(_) => f64::NAN,
+            Value::Int(v) => v as f64,
+            Value::Float(v) => v,
+        }
+    }
+}
+
+/// Names as they are, counts as integers, reals to three decimals without
+/// trailing zeros (`12.5`, `0.9`, `1`).
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Value::Str(v) => f.write_str(v),
+            Value::Int(v) => write!(f, "{v}"),
+            Value::Float(v) => {
+                let text = format!("{v:.3}");
+                f.write_str(text.trim_end_matches('0').trim_end_matches('.'))
+            }
+        }
+    }
+}
+
+/// One measured point of a figure: the configuration it was measured at
+/// (`dims`: table, operation, threads, …) and what was measured
+/// (`metrics`: MOps/s and its spread, latency percentiles, bytes), each an
+/// ordered list of named fields.  Its JSON row lists the dims, then the
+/// metrics.
+#[derive(Debug, Clone, Default)]
+pub struct Point {
+    /// The configuration, `table` first.
+    pub dims: Vec<(&'static str, Value)>,
+    /// The measurements.
+    pub metrics: Vec<(&'static str, Value)>,
+}
+
+impl Point {
+    /// A point of `table`, with no other field yet.
+    pub(crate) fn new(table: &'static str) -> Self {
+        Point::default().dim("table", table)
+    }
+
+    /// Append the dimension `name`.
+    pub(crate) fn dim(mut self, name: &'static str, value: impl Into<Value>) -> Self {
+        self.dims.push((name, value.into()));
+        self
+    }
+
+    /// Append the metric `name`.
+    pub(crate) fn metric(mut self, name: &'static str, value: impl Into<Value>) -> Self {
+        self.metrics.push((name, value.into()));
+        self
+    }
+
+    /// Append `mops`, the mean throughput of `reps`, and `spread`, its
+    /// [`Repetitions::spread`].
+    pub(crate) fn mops(self, reps: &Repetitions) -> Self {
+        self.metric("mops", reps.mean_mops())
+            .metric("spread", reps.spread())
+    }
+
+    /// The field `name`, dimension or metric.
+    pub(crate) fn get(&self, name: &str) -> Option<Value> {
+        self.dims
+            .iter()
+            .chain(&self.metrics)
+            .find(|(field, _)| *field == name)
+            .map(|&(_, value)| value)
+    }
+
+    /// The point as one JSON object on one line.
+    fn json(&self) -> String {
+        let fields: Vec<String> = self
+            .dims
+            .iter()
+            .chain(&self.metrics)
+            .map(|(name, value)| match value {
+                Value::Str(v) => format!("\"{name}\": \"{v}\""),
+                v => format!("\"{name}\": {v}"),
+            })
+            .collect();
+        format!("{{{}}}", fields.join(", "))
+    }
+}
+
+/// A measured figure: its points, and which fields to draw.
+#[derive(Debug, Clone)]
+pub struct Record {
+    /// The figure id, also its key in `BENCH_hotpath.json` ("fig2a").
+    pub id: &'static str,
+    /// The heading of its TSV table ("fig2a-insert-preinitialized").
+    pub title: &'static str,
+    /// The dimension on the x axis.
+    pub x: &'static str,
+    /// The metrics drawn: one series each per combination of the other
+    /// dimensions.
+    pub y: &'static [&'static str],
+    /// The measured points.
+    pub points: Vec<Point>,
+}
+
+impl Record {
+    /// The record as a [`Figure`]: x is the dimension [`Record::x`], and
+    /// every combination of the other dimensions is one series per metric
+    /// of [`Record::y`], labelled by its names (`folklore find`) and its
+    /// numbers (`threads=2`), and by the metric when there are several.
+    pub(crate) fn to_figure(&self) -> Figure {
+        let mut fig = Figure::new(self.title, self.x);
+        for point in &self.points {
+            let x = point.get(self.x).map_or(f64::NAN, Value::as_f64);
+            let others: Vec<String> = point
+                .dims
+                .iter()
+                .filter(|(name, _)| *name != self.x)
+                .map(|(name, value)| match value {
+                    Value::Str(v) => v.to_string(),
+                    v => format!("{name}={v}"),
+                })
+                .collect();
+            for &metric in self.y {
+                let mut label = others.join(" ");
+                if self.y.len() > 1 {
+                    label = format!("{label} {metric}");
+                }
+                let y = point.get(metric).map_or(f64::NAN, Value::as_f64);
+                match fig.series.iter_mut().find(|s| s.label == label) {
+                    Some(series) => series.push(x, y),
+                    None => {
+                        let mut series = Series::new(label);
+                        series.push(x, y);
+                        fig.push(series);
+                    }
+                }
+            }
+        }
+        fig
+    }
+
+    /// The record as a TSV table.
+    pub fn to_tsv(&self) -> String {
+        self.to_figure().to_tsv()
+    }
+
+    /// The record as one figure block of `BENCH_hotpath.json`, for
+    /// [`merge_hotpath_json`]: its id, the run's `ops` and `reps`, and one
+    /// result row per point.
+    pub fn block(&self, cfg: &HarnessConfig) -> String {
+        let rows: Vec<String> = self
+            .points
+            .iter()
+            .map(|point| format!("        {}", point.json()))
+            .collect();
+        format!(
+            "    {{\n      \"figure\": \"{}\",\n      \"ops\": {},\n      \"reps\": {},\n      \"results\": [\n{}\n      ]\n    }}",
+            self.id,
+            cfg.ops,
+            cfg.reps,
+            rows.join(",\n")
+        )
+    }
+}
+
+/// A figure runner.
+pub type Runner = fn(&HarnessConfig) -> Record;
+
+/// Every measured figure: its id and its runner, in `figure all` order.
+pub const FIGURES: [(&str, Runner); 23] = [
+    ("fig2a", fig2a),
+    ("fig2b", fig2b),
+    ("fig3a", fig3a),
+    ("fig3b", fig3b),
+    ("fig4a", fig4a),
+    ("fig4b", fig4b),
+    ("fig5a", fig5a),
+    ("fig5b", fig5b),
+    ("fig6", fig6),
+    ("fig7a", fig7a),
+    ("fig7b", fig7b),
+    ("fig8a", fig8a),
+    ("fig8b", fig8b),
+    ("fig10", fig10),
+    ("fig11a", fig11a),
+    ("fig11b", fig11b),
+    ("ablation_block", ablation_block),
+    ("ablation_batch", ablation_batch),
+    ("ablation_probe", ablation_probe),
+    ("scaling", scaling),
+    ("wordcount", wordcount),
+    ("typed", typed),
+    ("latency", latency),
+];
+
+// ---------------------------------------------------------------------------
+// Generic per-table runners
+// ---------------------------------------------------------------------------
+
+/// `$run::<T>(args…)` for each table type `T` in the list.
+macro_rules! for_tables {
+    ($run:ident $args:tt: $($table:ty),+ $(,)?) => {
+        $( $run::<$table> $args; )+
+    };
+}
+
+/// `reps` runs of `run(rep)`.
+fn repeat(reps: usize, run: impl FnMut(usize) -> Measurement) -> Repetitions {
+    let mut out = Repetitions::new();
+    (0..reps).map(run).for_each(|m| out.push(m));
+    out
+}
+
 /// The sequential reference tables use no synchronization at all and are
 /// only ever driven with a single thread (paper §8.1.4); every runner
 /// clamps the thread count for them.
@@ -91,10 +348,6 @@ fn effective_threads<M: ConcurrentMap>(requested: usize) -> usize {
         requested
     }
 }
-
-// ---------------------------------------------------------------------------
-// Generic per-table runners
-// ---------------------------------------------------------------------------
 
 /// Prefill helper that respects the single-thread restriction of the
 /// sequential reference tables.
@@ -108,23 +361,20 @@ fn prefill_for<M: ConcurrentMap>(table: &M, keys: &[u64]) {
 
 fn insert_series<M: ConcurrentMap>(
     cfg: &HarnessConfig,
+    out: &mut Vec<Point>,
     capacity_of: impl Fn(usize) -> usize,
-) -> Series {
-    let mut series = Series::new(M::table_name());
+) {
     for &p in &cfg.threads {
-        let mut reps = Repetitions::new();
-        for rep in 0..cfg.reps {
+        let reps = repeat(cfg.reps, |rep| {
             let keys = uniform_distinct_keys(cfg.ops, 1000 + rep as u64);
             let table = M::with_capacity(capacity_of(cfg.ops));
-            reps.push(insert_driver(&table, &keys, effective_threads::<M>(p)));
-        }
-        series.push(p as f64, reps.mean_mops());
+            insert_driver(&table, &keys, effective_threads::<M>(p))
+        });
+        out.push(Point::new(M::table_name()).dim("threads", p).mops(&reps));
     }
-    series
 }
 
-fn find_series<M: ConcurrentMap>(cfg: &HarnessConfig, successful: bool) -> Series {
-    let mut series = Series::new(M::table_name());
+fn find_series<M: ConcurrentMap>(cfg: &HarnessConfig, out: &mut Vec<Point>, successful: bool) {
     let keys = uniform_distinct_keys(cfg.ops, 1000);
     let lookup = if successful {
         keys.clone()
@@ -132,112 +382,104 @@ fn find_series<M: ConcurrentMap>(cfg: &HarnessConfig, successful: bool) -> Serie
         uniform_keys(cfg.ops, 999_999)
     };
     for &p in &cfg.threads {
-        let mut reps = Repetitions::new();
-        for _ in 0..cfg.reps {
+        let reps = repeat(cfg.reps, |_| {
             let table = M::with_capacity(cfg.ops);
             prefill_for::<M>(&table, &keys);
-            reps.push(find_driver(&table, &lookup, effective_threads::<M>(p)));
-        }
-        series.push(p as f64, reps.mean_mops());
+            find_driver(&table, &lookup, effective_threads::<M>(p))
+        });
+        out.push(Point::new(M::table_name()).dim("threads", p).mops(&reps));
     }
-    series
 }
 
-fn zipf_update_series<M: ConcurrentMap>(cfg: &HarnessConfig, universe: u64) -> Series {
-    let mut series = Series::new(M::table_name());
+/// Overwriting updates (`finds == false`) or successful finds on a
+/// prefilled universe, over Zipf exponents, at the contention thread count.
+fn contention_series<M: ConcurrentMap>(
+    cfg: &HarnessConfig,
+    out: &mut Vec<Point>,
+    universe: u64,
+    finds: bool,
+) {
     let prefill_keys = dense_prefill_keys(universe);
+    let p = cfg.contention_threads;
     for &s in &cfg.zipf_s {
-        let keys = zipf_keys(cfg.ops, universe, s, 4200 + (s * 100.0) as u64);
-        let mut reps = Repetitions::new();
-        for _ in 0..cfg.reps {
+        let seed = if finds { 4300 } else { 4200 } + (s * 100.0) as u64;
+        let keys = zipf_keys(cfg.ops, universe, s, seed);
+        let reps = repeat(cfg.reps, |_| {
             let table = M::with_capacity(universe as usize);
             prefill_for::<M>(&table, &prefill_keys);
-            reps.push(update_driver(
-                &table,
-                &keys,
-                effective_threads::<M>(cfg.contention_threads),
-            ));
-        }
-        series.push(s, reps.mean_mops());
+            if finds {
+                find_driver(&table, &keys, effective_threads::<M>(p))
+            } else {
+                update_driver(&table, &keys, effective_threads::<M>(p))
+            }
+        });
+        let point = Point::new(M::table_name()).dim("threads", p);
+        out.push(point.dim("zipf", s).mops(&reps));
     }
-    series
-}
-
-fn zipf_find_series<M: ConcurrentMap>(cfg: &HarnessConfig, universe: u64) -> Series {
-    let mut series = Series::new(M::table_name());
-    let prefill_keys = dense_prefill_keys(universe);
-    for &s in &cfg.zipf_s {
-        let keys = zipf_keys(cfg.ops, universe, s, 4300 + (s * 100.0) as u64);
-        let mut reps = Repetitions::new();
-        for _ in 0..cfg.reps {
-            let table = M::with_capacity(universe as usize);
-            prefill_for::<M>(&table, &prefill_keys);
-            reps.push(find_driver(
-                &table,
-                &keys,
-                effective_threads::<M>(cfg.contention_threads),
-            ));
-        }
-        series.push(s, reps.mean_mops());
-    }
-    series
 }
 
 fn aggregation_series<M: ConcurrentMap>(
     cfg: &HarnessConfig,
+    out: &mut Vec<Point>,
     universe: u64,
     growing: bool,
-) -> Series {
-    let mut series = Series::new(M::table_name());
+) {
+    let p = cfg.contention_threads;
     for &s in &cfg.zipf_s {
         let keys = zipf_keys(cfg.ops, universe, s, 4400 + (s * 100.0) as u64);
-        let mut reps = Repetitions::new();
-        for _ in 0..cfg.reps {
+        let reps = repeat(cfg.reps, |_| {
             let capacity = if growing { GROWING_INITIAL } else { cfg.ops };
             let table = M::with_capacity(capacity);
-            reps.push(aggregate_driver(
-                &table,
-                &keys,
-                effective_threads::<M>(cfg.contention_threads),
-            ));
-        }
-        series.push(s, reps.mean_mops());
+            aggregate_driver(&table, &keys, effective_threads::<M>(p))
+        });
+        let point = Point::new(M::table_name()).dim("threads", p);
+        out.push(point.dim("zipf", s).mops(&reps));
     }
-    series
 }
 
-fn deletion_series<M: ConcurrentMap>(cfg: &HarnessConfig, thread_grid: &[usize]) -> Series {
-    let mut series = Series::new(M::table_name());
+fn deletion_series<M: ConcurrentMap>(cfg: &HarnessConfig, out: &mut Vec<Point>) {
     let window = (cfg.ops / 10).max(8192 * 8);
     let wl = deletion_workload(cfg.ops, window, 5100);
-    for &p in thread_grid {
-        let mut reps = Repetitions::new();
-        for _ in 0..cfg.reps {
+    for &p in &cfg.threads {
+        let reps = repeat(cfg.reps, |_| {
             let table = M::with_capacity(window + window / 2);
             prefill_for::<M>(&table, &wl.prefill);
-            reps.push(deletion_driver(&table, &wl, effective_threads::<M>(p)));
-        }
-        series.push(p as f64, reps.mean_mops());
+            deletion_driver(&table, &wl, effective_threads::<M>(p))
+        });
+        out.push(Point::new(M::table_name()).dim("threads", p).mops(&reps));
     }
-    series
 }
 
-fn mixed_series<M: ConcurrentMap>(cfg: &HarnessConfig, growing: bool) -> Series {
-    let mut series = Series::new(M::table_name());
+fn mixed_series<M: ConcurrentMap>(cfg: &HarnessConfig, out: &mut Vec<Point>, growing: bool) {
     let p = cfg.contention_threads;
     for &wp in &cfg.write_percents {
         let wl = mixed_workload(cfg.ops, wp, 8192 * p, 8192 * p, 6100 + wp as u64);
-        let mut reps = Repetitions::new();
-        for _ in 0..cfg.reps {
+        let reps = repeat(cfg.reps, |_| {
             let inserts = 8192 * p + (cfg.ops * wp as usize) / 100;
             let capacity = if growing { GROWING_INITIAL } else { inserts };
             let table = M::with_capacity(capacity);
             prefill_for::<M>(&table, &wl.prefill);
-            reps.push(mixed_driver(&table, &wl, effective_threads::<M>(p)));
-        }
-        series.push(wp as f64, reps.mean_mops());
+            mixed_driver(&table, &wl, effective_threads::<M>(p))
+        });
+        let point = Point::new(M::table_name()).dim("threads", p);
+        out.push(point.dim("write_percent", wp as usize).mops(&reps));
     }
-    series
+}
+
+/// A record drawn as MOps/s over `x`.
+fn throughput(
+    id: &'static str,
+    title: &'static str,
+    x: &'static str,
+    points: Vec<Point>,
+) -> Record {
+    Record {
+        id,
+        title,
+        x,
+        y: &["mops"],
+        points,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -245,265 +487,166 @@ fn mixed_series<M: ConcurrentMap>(cfg: &HarnessConfig, growing: bool) -> Series 
 // ---------------------------------------------------------------------------
 
 /// Fig. 2a: insertions into a pre-initialized (non-growing) table.
-pub fn fig2a(cfg: &HarnessConfig) -> Figure {
-    let mut fig = Figure::new("fig2a-insert-preinitialized", "threads");
-    macro_rules! series {
-        ($t:ty) => {
-            fig.push(insert_series::<$t>(cfg, |ops| ops));
-        };
-    }
-    series!(SeqTable);
-    series!(Folklore);
-    series!(UaGrow);
-    series!(UsGrow);
-    series!(PaGrow);
-    series!(PsGrow);
-    series!(PhaseConcurrent);
-    series!(Hopscotch);
-    series!(LeaHash);
-    series!(FollyStyle);
-    series!(Cuckoo);
-    series!(TbbHashMap);
-    series!(TbbUnorderedMap);
-    series!(RcuTable);
-    series!(JunctionLinear);
-    series!(JunctionLeapfrog);
-    fig
+pub fn fig2a(cfg: &HarnessConfig) -> Record {
+    let mut out = Vec::new();
+    for_tables!(insert_series(cfg, &mut out, |ops| ops):
+        SeqTable, Folklore, UaGrow, UsGrow, PaGrow, PsGrow, PhaseConcurrent, Hopscotch, LeaHash,
+        FollyStyle, Cuckoo, TbbHashMap, TbbUnorderedMap, RcuTable, JunctionLinear, JunctionLeapfrog);
+    throughput("fig2a", "fig2a-insert-preinitialized", "threads", out)
 }
 
 /// Fig. 2b: insertions into a growing table (initial capacity 4096; tables
 /// with limited growing start at half the final size).
-pub fn fig2b(cfg: &HarnessConfig) -> Figure {
-    let mut fig = Figure::new("fig2b-insert-growing", "threads");
-    macro_rules! growing {
-        ($t:ty) => {
-            fig.push(insert_series::<$t>(cfg, |_| GROWING_INITIAL));
-        };
-    }
-    macro_rules! semi {
-        ($t:ty) => {
-            fig.push(insert_series::<$t>(cfg, |ops| ops / 2));
-        };
-    }
-    fig.push(insert_series::<SeqGrowingTable>(cfg, |_| GROWING_INITIAL));
-    growing!(UaGrow);
-    growing!(UsGrow);
-    growing!(PaGrow);
-    growing!(PsGrow);
-    growing!(JunctionLinear);
-    growing!(JunctionLeapfrog);
-    growing!(TbbHashMap);
-    growing!(TbbUnorderedMap);
-    growing!(RcuTable);
-    growing!(RcuQsbrTable);
-    semi!(FollyStyle);
-    semi!(Cuckoo);
-    fig
+pub fn fig2b(cfg: &HarnessConfig) -> Record {
+    let mut out = Vec::new();
+    for_tables!(insert_series(cfg, &mut out, |_| GROWING_INITIAL):
+        SeqGrowingTable, UaGrow, UsGrow, PaGrow, PsGrow, JunctionLinear, JunctionLeapfrog,
+        TbbHashMap, TbbUnorderedMap, RcuTable, RcuQsbrTable);
+    for_tables!(insert_series(cfg, &mut out, |ops| ops / 2): FollyStyle, Cuckoo);
+    throughput("fig2b", "fig2b-insert-growing", "threads", out)
 }
 
-/// Fig. 3a: successful finds.  Fig. 3b: unsuccessful finds.
-pub fn fig3(cfg: &HarnessConfig, successful: bool) -> Figure {
-    let id = if successful {
-        "fig3a-find-successful"
-    } else {
-        "fig3b-find-unsuccessful"
-    };
-    let mut fig = Figure::new(id, "threads");
-    macro_rules! series {
-        ($t:ty) => {
-            fig.push(find_series::<$t>(cfg, successful));
-        };
-    }
-    series!(SeqTable);
-    series!(Folklore);
-    series!(UaGrow);
-    series!(UsGrow);
-    series!(PaGrow);
-    series!(PsGrow);
-    series!(PhaseConcurrent);
-    series!(Hopscotch);
-    series!(LeaHash);
-    series!(FollyStyle);
-    series!(Cuckoo);
-    series!(TbbHashMap);
-    series!(TbbUnorderedMap);
-    series!(RcuTable);
-    series!(JunctionLinear);
-    series!(JunctionLeapfrog);
-    fig
+fn fig3(cfg: &HarnessConfig, successful: bool) -> Vec<Point> {
+    let mut out = Vec::new();
+    for_tables!(find_series(cfg, &mut out, successful):
+        SeqTable, Folklore, UaGrow, UsGrow, PaGrow, PsGrow, PhaseConcurrent, Hopscotch, LeaHash,
+        FollyStyle, Cuckoo, TbbHashMap, TbbUnorderedMap, RcuTable, JunctionLinear, JunctionLeapfrog);
+    out
+}
+
+/// Fig. 3a: successful finds.
+pub fn fig3a(cfg: &HarnessConfig) -> Record {
+    throughput("fig3a", "fig3a-find-successful", "threads", fig3(cfg, true))
+}
+
+/// Fig. 3b: unsuccessful finds.
+pub fn fig3b(cfg: &HarnessConfig) -> Record {
+    throughput(
+        "fig3b",
+        "fig3b-find-unsuccessful",
+        "threads",
+        fig3(cfg, false),
+    )
 }
 
 /// Fig. 4a: overwriting updates under Zipf contention.
-pub fn fig4a(cfg: &HarnessConfig) -> Figure {
+pub fn fig4a(cfg: &HarnessConfig) -> Record {
     let universe = (cfg.ops as u64).max(1 << 14);
-    let mut fig = Figure::new("fig4a-update-contention", "zipf-s");
-    macro_rules! series {
-        ($t:ty) => {
-            fig.push(zipf_update_series::<$t>(cfg, universe));
-        };
-    }
-    series!(SeqTable);
-    series!(Folklore);
-    series!(UaGrow);
-    series!(UsGrow);
-    series!(PaGrow);
-    series!(PsGrow);
-    series!(Hopscotch);
-    series!(LeaHash);
-    series!(FollyStyle);
-    series!(Cuckoo);
-    series!(TbbHashMap);
-    series!(TbbUnorderedMap);
-    series!(RcuTable);
-    series!(JunctionLinear);
-    series!(JunctionLeapfrog);
-    fig
+    let mut out = Vec::new();
+    for_tables!(contention_series(cfg, &mut out, universe, false):
+        SeqTable, Folklore, UaGrow, UsGrow, PaGrow, PsGrow, Hopscotch, LeaHash, FollyStyle, Cuckoo,
+        TbbHashMap, TbbUnorderedMap, RcuTable, JunctionLinear, JunctionLeapfrog);
+    throughput("fig4a", "fig4a-update-contention", "zipf", out)
 }
 
 /// Fig. 4b: successful finds under Zipf contention.
-pub fn fig4b(cfg: &HarnessConfig) -> Figure {
+pub fn fig4b(cfg: &HarnessConfig) -> Record {
     let universe = (cfg.ops as u64).max(1 << 14);
-    let mut fig = Figure::new("fig4b-find-contention", "zipf-s");
-    macro_rules! series {
-        ($t:ty) => {
-            fig.push(zipf_find_series::<$t>(cfg, universe));
-        };
-    }
-    series!(SeqTable);
-    series!(Folklore);
-    series!(UaGrow);
-    series!(UsGrow);
-    series!(PhaseConcurrent);
-    series!(Hopscotch);
-    series!(LeaHash);
-    series!(FollyStyle);
-    series!(Cuckoo);
-    series!(TbbHashMap);
-    series!(TbbUnorderedMap);
-    series!(RcuTable);
-    series!(JunctionLinear);
-    series!(JunctionLeapfrog);
-    fig
+    let mut out = Vec::new();
+    for_tables!(contention_series(cfg, &mut out, universe, true):
+        SeqTable, Folklore, UaGrow, UsGrow, PhaseConcurrent, Hopscotch, LeaHash, FollyStyle,
+        Cuckoo, TbbHashMap, TbbUnorderedMap, RcuTable, JunctionLinear, JunctionLeapfrog);
+    throughput("fig4b", "fig4b-find-contention", "zipf", out)
 }
 
-/// Fig. 5a/5b: aggregation (insert-or-increment) with and without growing.
-/// Only tables whose interface supports atomic read-modify-write updates
-/// participate (paper §8.4).
-pub fn fig5(cfg: &HarnessConfig, growing: bool) -> Figure {
+/// Aggregation (insert-or-increment) with and without growing.  Only tables
+/// whose interface supports atomic read-modify-write updates participate
+/// (paper §8.4).
+fn fig5(cfg: &HarnessConfig, growing: bool) -> Vec<Point> {
     let universe = (cfg.ops as u64).max(1 << 14);
-    let id = if growing {
-        "fig5b-aggregation-growing"
-    } else {
-        "fig5a-aggregation-preinitialized"
-    };
-    let mut fig = Figure::new(id, "zipf-s");
-    macro_rules! series {
-        ($t:ty) => {
-            fig.push(aggregation_series::<$t>(cfg, universe, growing));
-        };
-    }
-    series!(SeqGrowingTable);
-    series!(UaGrow);
-    series!(UsGrow);
-    series!(PaGrow);
-    series!(PsGrow);
+    let mut out = Vec::new();
+    for_tables!(aggregation_series(cfg, &mut out, universe, growing):
+        SeqGrowingTable, UaGrow, UsGrow, PaGrow, PsGrow);
     if !growing {
-        series!(Folklore);
+        for_tables!(aggregation_series(cfg, &mut out, universe, growing): Folklore);
     }
-    series!(FollyStyle);
-    series!(Cuckoo);
-    series!(TbbHashMap);
-    series!(LeaHash);
-    series!(RcuTable);
-    fig
+    for_tables!(aggregation_series(cfg, &mut out, universe, growing):
+        FollyStyle, Cuckoo, TbbHashMap, LeaHash, RcuTable);
+    out
+}
+
+/// Fig. 5a: aggregation into a pre-initialized table.
+pub fn fig5a(cfg: &HarnessConfig) -> Record {
+    throughput(
+        "fig5a",
+        "fig5a-aggregation-preinitialized",
+        "zipf",
+        fig5(cfg, false),
+    )
+}
+
+/// Fig. 5b: aggregation into a growing table.
+pub fn fig5b(cfg: &HarnessConfig) -> Record {
+    throughput(
+        "fig5b",
+        "fig5b-aggregation-growing",
+        "zipf",
+        fig5(cfg, true),
+    )
 }
 
 /// Fig. 6: alternating insertions and deletions (sliding window).
-pub fn fig6(cfg: &HarnessConfig) -> Figure {
-    let mut fig = Figure::new("fig6-deletions", "threads");
-    let grid: Vec<usize> = cfg.threads.clone();
-    macro_rules! series {
-        ($t:ty) => {
-            fig.push(deletion_series::<$t>(cfg, &grid));
-        };
-    }
-    series!(SeqGrowingTable);
-    series!(UaGrow);
-    series!(UsGrow);
-    series!(PaGrow);
-    series!(PsGrow);
+pub fn fig6(cfg: &HarnessConfig) -> Record {
+    let mut out = Vec::new();
     // No `PhaseConcurrent`: its contract forbids inserts and erases in one
     // phase, and Fig. 6 mixes them in every step; driven that way it loses
     // keys and its operations can spin without end.
-    series!(Hopscotch);
-    series!(Cuckoo);
-    series!(TbbHashMap);
-    series!(LeaHash);
-    series!(RcuTable);
-    fig
+    for_tables!(deletion_series(cfg, &mut out):
+        SeqGrowingTable, UaGrow, UsGrow, PaGrow, PsGrow, Hopscotch, Cuckoo, TbbHashMap, LeaHash,
+        RcuTable);
+    throughput("fig6", "fig6-deletions", "threads", out)
 }
 
-/// Fig. 7a/7b: mixed insertions and finds over the write percentage.
-pub fn fig7(cfg: &HarnessConfig, growing: bool) -> Figure {
-    let id = if growing {
-        "fig7b-mixed-growing"
-    } else {
-        "fig7a-mixed-preinitialized"
-    };
-    let mut fig = Figure::new(id, "write-percent");
-    macro_rules! series {
-        ($t:ty) => {
-            fig.push(mixed_series::<$t>(cfg, growing));
-        };
-    }
-    series!(SeqGrowingTable);
+/// Mixed insertions and finds over the write percentage.
+fn fig7(cfg: &HarnessConfig, growing: bool) -> Vec<Point> {
+    let mut out = Vec::new();
+    for_tables!(mixed_series(cfg, &mut out, growing): SeqGrowingTable);
     if !growing {
-        series!(Folklore);
-        series!(Hopscotch);
-        series!(PhaseConcurrent);
+        for_tables!(mixed_series(cfg, &mut out, growing): Folklore, Hopscotch, PhaseConcurrent);
     }
-    series!(UaGrow);
-    series!(UsGrow);
-    series!(PaGrow);
-    series!(PsGrow);
-    series!(FollyStyle);
-    series!(Cuckoo);
-    series!(TbbHashMap);
-    series!(LeaHash);
-    series!(RcuTable);
-    series!(JunctionLinear);
-    fig
+    for_tables!(mixed_series(cfg, &mut out, growing):
+        UaGrow, UsGrow, PaGrow, PsGrow, FollyStyle, Cuckoo, TbbHashMap, LeaHash, RcuTable,
+        JunctionLinear);
+    out
+}
+
+/// Fig. 7a: mixed insertions and finds on a pre-initialized table.
+pub fn fig7a(cfg: &HarnessConfig) -> Record {
+    throughput(
+        "fig7a",
+        "fig7a-mixed-preinitialized",
+        "write_percent",
+        fig7(cfg, false),
+    )
+}
+
+/// Fig. 7b: mixed insertions and finds on a growing table.
+pub fn fig7b(cfg: &HarnessConfig) -> Record {
+    throughput(
+        "fig7b",
+        "fig7b-mixed-growing",
+        "write_percent",
+        fig7(cfg, true),
+    )
 }
 
 /// Fig. 8a: pool-based vs. enslavement-based growing, insertions.
-pub fn fig8a(cfg: &HarnessConfig) -> Figure {
-    let mut fig = Figure::new("fig8a-pool-vs-enslavement-insert", "threads");
-    macro_rules! series {
-        ($t:ty) => {
-            fig.push(insert_series::<$t>(cfg, |_| GROWING_INITIAL));
-        };
-    }
-    series!(UaGrow);
-    series!(UsGrow);
-    series!(PaGrow);
-    series!(PsGrow);
-    fig
+pub fn fig8a(cfg: &HarnessConfig) -> Record {
+    let mut out = Vec::new();
+    for_tables!(insert_series(cfg, &mut out, |_| GROWING_INITIAL): UaGrow, UsGrow, PaGrow, PsGrow);
+    throughput("fig8a", "fig8a-pool-vs-enslavement-insert", "threads", out)
 }
 
 /// Fig. 8b: pool-based vs. enslavement-based growing, insert+delete cycles.
-pub fn fig8b(cfg: &HarnessConfig) -> Figure {
-    let mut fig = Figure::new("fig8b-pool-vs-enslavement-deletions", "threads");
-    let grid: Vec<usize> = cfg.threads.clone();
-    macro_rules! series {
-        ($t:ty) => {
-            fig.push(deletion_series::<$t>(cfg, &grid));
-        };
-    }
-    series!(UaGrow);
-    series!(UsGrow);
-    series!(PaGrow);
-    series!(PsGrow);
-    fig
+pub fn fig8b(cfg: &HarnessConfig) -> Record {
+    let mut out = Vec::new();
+    for_tables!(deletion_series(cfg, &mut out): UaGrow, UsGrow, PaGrow, PsGrow);
+    throughput(
+        "fig8b",
+        "fig8b-pool-vs-enslavement-deletions",
+        "threads",
+        out,
+    )
 }
 
 /// A table `M` of `capacity` cells holding `keys`, and the bytes it took
@@ -523,173 +666,142 @@ pub fn fig10_footprint<M: ConcurrentMap>(capacity: usize, keys: &[u64]) -> (M, u
     (table, bytes)
 }
 
-/// Fig. 10: memory consumption vs. unsuccessful-find throughput for
-/// different initial capacities.  Returns rows of
-/// `(table, init-capacity-factor, bytes, MOps/s)`, the bytes as
-/// [`fig10_footprint`] counts them.
-pub fn fig10(cfg: &HarnessConfig) -> String {
-    let mut out =
-        String::from("# fig10-memory-vs-throughput\ntable\tinit-factor\tapprox-bytes\tmops\n");
-    let factors: &[(f64, &str)] = &[
-        (0.0, "4096"),
-        (0.5, "0.5x"),
-        (1.0, "1.0x"),
-        (1.5, "1.5x"),
-        (2.0, "2.0x"),
-        (3.0, "3.0x"),
-    ];
-    let keys = uniform_distinct_keys(cfg.ops, 777);
-    let misses = uniform_keys(cfg.ops, 778);
-
-    fn run_one<M: ConcurrentMap>(
-        out: &mut String,
-        cfg: &HarnessConfig,
-        keys: &[u64],
-        misses: &[u64],
-        factor: f64,
-        label: &str,
-    ) {
-        let capacity = if factor == 0.0 {
+fn fig10_series<M: ConcurrentMap>(
+    cfg: &HarnessConfig,
+    out: &mut Vec<Point>,
+    keys: &[u64],
+    misses: &[u64],
+) {
+    let p = cfg.contention_threads;
+    for factor in [0.0f64, 0.5, 1.0, 1.5, 2.0, 3.0] {
+        // Non-growing tables cannot start below the element count.
+        let start = if M::capabilities().growing == GrowthSupport::None {
+            factor.max(1.0)
+        } else {
+            factor
+        };
+        let capacity = if start == 0.0 {
             GROWING_INITIAL
         } else {
-            (cfg.ops as f64 * factor) as usize
+            (cfg.ops as f64 * start) as usize
         };
         let (table, bytes) = fig10_footprint::<M>(capacity, keys);
-        let m = find_driver(
-            &table,
-            misses,
-            effective_threads::<M>(cfg.contention_threads),
+        let reps = repeat(cfg.reps, |_| {
+            find_driver(&table, misses, effective_threads::<M>(p))
+        });
+        let point = Point::new(M::table_name()).dim("threads", p);
+        out.push(
+            point
+                .dim("init_factor", factor)
+                .mops(&reps)
+                .metric("bytes", bytes),
         );
-        out.push_str(&format!(
-            "{}\t{}\t{}\t{:.3}\n",
-            M::table_name(),
-            label,
-            bytes,
-            m.mops()
-        ));
     }
-
-    macro_rules! series {
-        ($t:ty) => {
-            for &(factor, label) in factors {
-                // Non-growing tables cannot start below the element count.
-                run_one::<$t>(
-                    &mut out,
-                    cfg,
-                    &keys,
-                    &misses,
-                    factor.max(
-                        if <$t as ConcurrentMap>::capabilities().growing
-                            == growt_iface::GrowthSupport::None
-                        {
-                            1.0
-                        } else {
-                            factor
-                        },
-                    ),
-                    label,
-                );
-            }
-        };
-    }
-    series!(UaGrow);
-    series!(UsGrow);
-    series!(Folklore);
-    series!(FollyStyle);
-    series!(Cuckoo);
-    series!(TbbHashMap);
-    series!(RcuTable);
-    series!(JunctionLinear);
-    series!(LeaHash);
-    series!(Hopscotch);
-    out
 }
 
-/// Fig. 11a/11b: the 4-socket experiment — the same insert-growing and
-/// unsuccessful-find workloads run over a wider (oversubscribed) thread
-/// grid.
-pub fn fig11(cfg: &HarnessConfig, finds: bool) -> Figure {
+/// Fig. 10: memory consumption vs. unsuccessful-find throughput for
+/// different initial capacities: `init_factor` times the element count,
+/// where 0 is the growing start of [`GROWING_INITIAL`] cells (a table that
+/// cannot grow starts at 1×), `bytes` as [`fig10_footprint`] counts them.
+pub fn fig10(cfg: &HarnessConfig) -> Record {
+    let keys = uniform_distinct_keys(cfg.ops, 777);
+    let misses = uniform_keys(cfg.ops, 778);
+    let mut out = Vec::new();
+    for_tables!(fig10_series(cfg, &mut out, &keys, &misses):
+        UaGrow, UsGrow, Folklore, FollyStyle, Cuckoo, TbbHashMap, RcuTable, JunctionLinear,
+        LeaHash, Hopscotch);
+    Record {
+        y: &["bytes", "mops"],
+        ..throughput("fig10", "fig10-memory-vs-throughput", "init_factor", out)
+    }
+}
+
+/// Fig. 11's thread grid: the 4-socket experiment's, unless `--threads`
+/// overrides it.
+fn wide(cfg: &HarnessConfig) -> HarnessConfig {
     let mut wide = cfg.clone();
     if !cfg.threads_overridden {
         wide.threads = vec![1, 2, 4, 8, 16, 32, 64];
     }
-    if finds {
-        let mut fig = fig3(&wide, false);
-        fig.id = "fig11b-find-unsuccessful-wide".into();
-        fig
-    } else {
-        let mut fig = fig2b(&wide);
-        fig.id = "fig11a-insert-growing-wide".into();
-        fig
-    }
+    wide
+}
+
+/// Fig. 11a: the 4-socket experiment — Fig. 2b's insert-growing workload
+/// over a wider (oversubscribed) thread grid.
+pub fn fig11a(cfg: &HarnessConfig) -> Record {
+    let points = fig2b(&wide(cfg)).points;
+    throughput("fig11a", "fig11a-insert-growing-wide", "threads", points)
+}
+
+/// Fig. 11b: Fig. 3b's unsuccessful finds over the wider thread grid.
+pub fn fig11b(cfg: &HarnessConfig) -> Record {
+    let points = fig3(&wide(cfg), false);
+    throughput("fig11b", "fig11b-find-unsuccessful-wide", "threads", points)
 }
 
 /// Ablation: migration block size (DESIGN.md §6).
-pub fn ablation_block(cfg: &HarnessConfig) -> Figure {
+pub fn ablation_block(cfg: &HarnessConfig) -> Record {
     use growt_core::{GrowConfig, GrowingOptions, GrowingTable};
-    let mut fig = Figure::new("ablation-migration-block-size", "block-size");
-    let mut series = Series::new("uaGrow insert-growing");
-    for &block in &[256usize, 1024, 4096, 16384] {
-        let keys = uniform_distinct_keys(cfg.ops, 31);
-        let options = GrowingOptions {
-            grow: GrowConfig {
-                migration_block: block,
-                ..GrowConfig::default()
-            },
-            threads_hint: cfg.contention_threads,
-            ..GrowingOptions::default()
-        };
-        let table = GrowingTable::with_options(GROWING_INITIAL, options);
-        let start = std::time::Instant::now();
-        std::thread::scope(|scope| {
-            for t in 0..cfg.contention_threads {
-                let table = &table;
-                let keys = &keys;
-                scope.spawn(move || {
-                    let mut handle = table.handle();
-                    for key in keys.iter().skip(t).step_by(cfg.contention_threads) {
-                        handle.insert(*key, *key);
+    let p = cfg.contention_threads;
+    let keys = uniform_distinct_keys(cfg.ops, 31);
+    let mut out = Vec::new();
+    for block in [256usize, 1024, 4096, 16384] {
+        let reps = repeat(cfg.reps, |_| {
+            let options = GrowingOptions {
+                grow: GrowConfig {
+                    migration_block: block,
+                    ..GrowConfig::default()
+                },
+                threads_hint: p,
+                ..GrowingOptions::default()
+            };
+            let table = GrowingTable::with_options(GROWING_INITIAL, options);
+            growt_workloads::stats::time(|| {
+                std::thread::scope(|scope| {
+                    for t in 0..p {
+                        let (table, keys) = (&table, &keys);
+                        scope.spawn(move || {
+                            let mut handle = table.handle();
+                            for key in keys.iter().skip(t).step_by(p) {
+                                handle.insert(*key, *key);
+                            }
+                        });
                     }
                 });
-            }
+                (cfg.ops, 0)
+            })
         });
-        let mops = cfg.ops as f64 / start.elapsed().as_secs_f64() / 1e6;
-        series.push(block as f64, mops);
+        out.push(
+            Point::new("uaGrow")
+                .dim("threads", p)
+                .dim("block", block)
+                .mops(&reps),
+        );
     }
-    fig.push(series);
-    fig
+    throughput(
+        "ablation_block",
+        "ablation-migration-block-size",
+        "block",
+        out,
+    )
 }
 
-/// Batch sizes K swept by [`ablation_batch_points`].  K = 1 is measured with the
+/// Batch sizes K swept by [`ablation_batch`].  K = 1 is measured with the
 /// plain per-op drivers, so it is the true single-op baseline rather than
 /// a batch call of length one.
 pub const BATCH_SIZES: [usize; 5] = [1, 8, 16, 32, 64];
-
-/// One measured point of the batched-hot-path sweep (`ablation_batch`).
-#[derive(Debug, Clone)]
-pub struct BatchPoint {
-    /// Table implementation name (e.g. "folklore").
-    pub table: &'static str,
-    /// Operation: "insert" or "find".
-    pub op: &'static str,
-    /// Number of driver threads.
-    pub threads: usize,
-    /// Batch size K (1 = per-op loop baseline).
-    pub batch: usize,
-    /// Mean throughput over the repetitions, in MOps/s.
-    pub mops: f64,
-}
 
 /// Shared insert/find sweep skeleton of `ablation_batch` and `scaling`:
 /// for every (threads, K) combination measure insertions into a fresh
 /// pre-sized table and finds on one shared prefilled table (the find
 /// sweep is read-only, so one table serves every combination); K = 1 runs
-/// the true per-op drivers, K > 1 the batch drivers.  Each measurement is
-/// reported through `record(op, threads, batch, mean_mops)`.
+/// the true per-op drivers, K > 1 the batch drivers.  `head(op)` starts
+/// each point; the sweep adds `threads`, `batch` and the throughput.
 fn insert_find_sweep<M: ConcurrentMap>(
     cfg: &HarnessConfig,
+    out: &mut Vec<Point>,
     batch_sizes: &[usize],
-    mut record: impl FnMut(&'static str, usize, usize, f64),
+    head: impl Fn(&'static str) -> Point,
 ) {
     let keys = uniform_distinct_keys(cfg.ops, 1000);
     let pairs: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k)).collect();
@@ -698,39 +810,35 @@ fn insert_find_sweep<M: ConcurrentMap>(
     for &p in &cfg.threads {
         let p_eff = effective_threads::<M>(p);
         for &k in batch_sizes {
-            let mut reps = Repetitions::new();
-            for _ in 0..cfg.reps {
+            let inserts = repeat(cfg.reps, |_| {
                 let table = M::with_capacity(cfg.ops);
-                reps.push(if k == 1 {
+                if k == 1 {
                     insert_driver(&table, &keys, p_eff)
                 } else {
                     insert_batch_driver(&table, &pairs, p_eff, k)
-                });
-            }
-            record("insert", p, k, reps.mean_mops());
-
-            let mut reps = Repetitions::new();
-            for _ in 0..cfg.reps {
-                reps.push(if k == 1 {
+                }
+            });
+            out.push(
+                head("insert")
+                    .dim("threads", p)
+                    .dim("batch", k)
+                    .mops(&inserts),
+            );
+            let finds = repeat(cfg.reps, |_| {
+                if k == 1 {
                     find_driver(&find_table, &keys, p_eff)
                 } else {
                     find_batch_driver(&find_table, &keys, p_eff, k)
-                });
-            }
-            record("find", p, k, reps.mean_mops());
+                }
+            });
+            out.push(head("find").dim("threads", p).dim("batch", k).mops(&finds));
         }
     }
 }
 
-fn batch_points_for<M: ConcurrentMap>(cfg: &HarnessConfig, points: &mut Vec<BatchPoint>) {
-    insert_find_sweep::<M>(cfg, &BATCH_SIZES, |op, threads, batch, mops| {
-        points.push(BatchPoint {
-            table: M::table_name(),
-            op,
-            threads,
-            batch,
-            mops,
-        });
+fn batch_series<M: ConcurrentMap>(cfg: &HarnessConfig, out: &mut Vec<Point>) {
+    insert_find_sweep::<M>(cfg, out, &BATCH_SIZES, |op| {
+        Point::new(M::table_name()).dim("op", op)
     });
 }
 
@@ -741,83 +849,28 @@ fn batch_points_for<M: ConcurrentMap>(cfg: &HarnessConfig, points: &mut Vec<Batc
 /// default growing variant — each on both probe strategies (scalar linear
 /// probe and the striped SIMD fingerprint probe) — across the configured
 /// thread grid.
-pub fn ablation_batch_points(cfg: &HarnessConfig) -> Vec<BatchPoint> {
-    let mut points = Vec::new();
-    batch_points_for::<Folklore>(cfg, &mut points);
-    batch_points_for::<FolkloreSimd>(cfg, &mut points);
-    batch_points_for::<UaGrow>(cfg, &mut points);
-    batch_points_for::<UaGrowSimd>(cfg, &mut points);
-    points
+pub fn ablation_batch(cfg: &HarnessConfig) -> Record {
+    let mut out = Vec::new();
+    for_tables!(batch_series(cfg, &mut out): Folklore, FolkloreSimd, UaGrow, UaGrowSimd);
+    throughput("ablation_batch", "ablation-batch-hot-paths", "batch", out)
 }
-
-/// Append `(x, y)` to the series labeled `label`, creating the series on
-/// first use — the shared skeleton of every point-list → [`Figure`]
-/// builder (`batch`, `scaling`, `probe`, `wordcount`, `latency`).
-fn push_series_point(fig: &mut Figure, label: String, x: f64, y: f64) {
-    match fig.series.iter_mut().find(|s| s.label == label) {
-        Some(series) => series.push(x, y),
-        None => {
-            let mut series = Series::new(label);
-            series.push(x, y);
-            fig.push(series);
-        }
-    }
-}
-
-/// Render the batch sweep as a [`Figure`] (x axis = K, one series per
-/// table × operation × thread count).
-pub fn batch_points_figure(points: &[BatchPoint]) -> Figure {
-    let mut fig = Figure::new("ablation-batch-hot-paths", "batch-K");
-    for point in points {
-        let label = format!("{} {} p={}", point.table, point.op, point.threads);
-        push_series_point(&mut fig, label, point.batch as f64, point.mops);
-    }
-    fig
-}
-
-// ---------------------------------------------------------------------------
-// Thread-scaling figure (`scaling`): per-op vs. batched hot paths after the
-// zero-shared-traffic handle prologue, on both hash paths.
-// ---------------------------------------------------------------------------
 
 /// Batch size used by the batched series of the `scaling` figure (the
 /// pipeline width, the sweet spot of the `ablation_batch` sweep).
 pub const SCALING_BATCH: usize = 16;
 
-/// One measured point of the thread-scaling sweep (`scaling`).
-#[derive(Debug, Clone)]
-pub struct ScalingPoint {
-    /// Base table name ("folklore", "folklore-simd", "uaGrow" or
-    /// "uaGrow-simd"); the hash path is recorded separately in `hash`.
-    pub table: &'static str,
-    /// Operation: "insert" or "find".
-    pub op: &'static str,
-    /// Hash path: "mix" (the one-multiply fold, `config::hash_key`) or "crc"
-    /// (two-seed CRC32-C, hardware `crc32q` where available).
-    pub hash: &'static str,
-    /// Number of driver threads.
-    pub threads: usize,
-    /// Batch size K (1 = per-op loop, [`SCALING_BATCH`] = pipelined).
-    pub batch: usize,
-    /// Mean throughput over the repetitions, in MOps/s.
-    pub mops: f64,
-}
-
-fn scaling_points_for<M: ConcurrentMap>(
+/// `scaling`'s sweep of `M`, recorded as the base table `table` ("uaGrow")
+/// on the hash path `hash`: "mix" (the one-multiply fold,
+/// `config::hash_key`) or "crc" (two-seed CRC32-C, hardware `crc32q` where
+/// available).
+fn scaling_series<M: ConcurrentMap>(
     cfg: &HarnessConfig,
+    out: &mut Vec<Point>,
     table: &'static str,
     hash: &'static str,
-    points: &mut Vec<ScalingPoint>,
 ) {
-    insert_find_sweep::<M>(cfg, &[1, SCALING_BATCH], |op, threads, batch, mops| {
-        points.push(ScalingPoint {
-            table,
-            op,
-            hash,
-            threads,
-            batch,
-            mops,
-        });
+    insert_find_sweep::<M>(cfg, out, &[1, SCALING_BATCH], |op| {
+        Point::new(table).dim("op", op).dim("hash", hash)
     });
 }
 
@@ -829,37 +882,18 @@ fn scaling_points_for<M: ConcurrentMap>(
 /// configured thread grid.  This is the trajectory record for the
 /// zero-shared-traffic handle prologue and the striped probe: per-op
 /// throughput must move with the thread count.
-pub fn scaling_points(cfg: &HarnessConfig) -> Vec<ScalingPoint> {
-    let mut points = Vec::new();
-    scaling_points_for::<Folklore>(cfg, "folklore", "mix", &mut points);
-    scaling_points_for::<FolkloreCrc>(cfg, "folklore", "crc", &mut points);
-    scaling_points_for::<FolkloreSimd>(cfg, "folklore-simd", "mix", &mut points);
-    scaling_points_for::<UaGrow>(cfg, "uaGrow", "mix", &mut points);
-    scaling_points_for::<UaGrowCrc>(cfg, "uaGrow", "crc", &mut points);
-    scaling_points_for::<UaGrowSimd>(cfg, "uaGrow-simd", "mix", &mut points);
-    points
+pub fn scaling(cfg: &HarnessConfig) -> Record {
+    let mut out = Vec::new();
+    scaling_series::<Folklore>(cfg, &mut out, "folklore", "mix");
+    scaling_series::<FolkloreCrc>(cfg, &mut out, "folklore", "crc");
+    scaling_series::<FolkloreSimd>(cfg, &mut out, "folklore-simd", "mix");
+    scaling_series::<UaGrow>(cfg, &mut out, "uaGrow", "mix");
+    scaling_series::<UaGrowCrc>(cfg, &mut out, "uaGrow", "crc");
+    scaling_series::<UaGrowSimd>(cfg, &mut out, "uaGrow-simd", "mix");
+    throughput("scaling", "scaling-hot-paths", "threads", out)
 }
 
-/// Render the scaling sweep as a [`Figure`] (x axis = threads, one series
-/// per table × operation × hash × batch size).
-pub fn scaling_figure(points: &[ScalingPoint]) -> Figure {
-    let mut fig = Figure::new("scaling-hot-paths", "threads");
-    for point in points {
-        let label = format!(
-            "{} {} {} K={}",
-            point.table, point.op, point.hash, point.batch
-        );
-        push_series_point(&mut fig, label, point.threads as f64, point.mops);
-    }
-    fig
-}
-
-// ---------------------------------------------------------------------------
-// Probe-regime figure (`ablation_probe`): scalar vs. striped SIMD probing
-// across load factors, on find-hit and find-miss key streams.
-// ---------------------------------------------------------------------------
-
-/// Load factors α swept by [`ablation_probe_points`].
+/// Load factors α swept by [`ablation_probe`].
 pub const PROBE_LOADS: [f64; 3] = [0.5, 0.75, 0.9];
 
 /// Cell count of the bounded tables of the `ablation_probe` sweep.  Fixed
@@ -868,24 +902,8 @@ pub const PROBE_LOADS: [f64; 3] = [0.5, 0.75, 0.9];
 /// the α = 0.9 prefill stays cheap.
 pub const PROBE_CAPACITY: usize = 1 << 18;
 
-/// One measured point of the probe-regime sweep (`ablation_probe`).
-#[derive(Debug, Clone)]
-pub struct ProbePoint {
-    /// Table implementation name ("folklore" or "folklore-simd").
-    pub table: &'static str,
-    /// Operation: "find_hit" (every looked-up key is resident) or
-    /// "find_miss" (none is).
-    pub op: &'static str,
-    /// Load factor α of the probed table (live cells / capacity).
-    pub load: f64,
-    /// Number of driver threads.
-    pub threads: usize,
-    /// Mean throughput over the repetitions, in MOps/s.
-    pub mops: f64,
-}
-
-fn probe_points_for<M: ConcurrentMap>(cfg: &HarnessConfig, points: &mut Vec<ProbePoint>) {
-    for &load in &PROBE_LOADS {
+fn probe_series<M: ConcurrentMap>(cfg: &HarnessConfig, out: &mut Vec<Point>) {
+    for load in PROBE_LOADS {
         let live = (load * PROBE_CAPACITY as f64) as usize;
         let keys = uniform_distinct_keys(live, 1000);
         // `with_capacity(n)` sizes for n expected elements (2n cells
@@ -899,19 +917,12 @@ fn probe_points_for<M: ConcurrentMap>(cfg: &HarnessConfig, points: &mut Vec<Prob
         let hits: Vec<u64> = keys.iter().copied().cycle().take(cfg.ops).collect();
         let misses = uniform_keys(cfg.ops, 999_999);
         for &p in &cfg.threads {
-            let p_eff = effective_threads::<M>(p);
             for (op, stream) in [("find_hit", &hits), ("find_miss", &misses)] {
-                let mut reps = Repetitions::new();
-                for _ in 0..cfg.reps {
-                    reps.push(find_driver(&table, stream, p_eff));
-                }
-                points.push(ProbePoint {
-                    table: M::table_name(),
-                    op,
-                    load,
-                    threads: p,
-                    mops: reps.mean_mops(),
+                let reps = repeat(cfg.reps, |_| {
+                    find_driver(&table, stream, effective_threads::<M>(p))
                 });
+                let point = Point::new(M::table_name()).dim("op", op);
+                out.push(point.dim("load", load).dim("threads", p).mops(&reps));
             }
         }
     }
@@ -924,65 +935,27 @@ fn probe_points_for<M: ConcurrentMap>(cfg: &HarnessConfig, points: &mut Vec<Prob
 /// signature stripe is built for — long probe runs, where one 16-byte
 /// fingerprint comparison replaces up to sixteen cell-line touches —
 /// which the half-full all-resident `scaling` sweep never enters.
-pub fn ablation_probe_points(cfg: &HarnessConfig) -> Vec<ProbePoint> {
-    let mut points = Vec::new();
-    probe_points_for::<Folklore>(cfg, &mut points);
-    probe_points_for::<FolkloreSimd>(cfg, &mut points);
-    points
+pub fn ablation_probe(cfg: &HarnessConfig) -> Record {
+    let mut out = Vec::new();
+    for_tables!(probe_series(cfg, &mut out): Folklore, FolkloreSimd);
+    throughput("ablation_probe", "ablation-probe-regimes", "threads", out)
 }
 
-/// Render the probe sweep as a [`Figure`] (x axis = threads, one series
-/// per table × operation × load factor).
-pub fn probe_points_figure(points: &[ProbePoint]) -> Figure {
-    let mut fig = Figure::new("ablation-probe-regimes", "threads");
-    for point in points {
-        let label = format!("{} {} load={}", point.table, point.op, point.load);
-        push_series_point(&mut fig, label, point.threads as f64, point.mops);
-    }
-    fig
-}
-
-// ---------------------------------------------------------------------------
-// Word-count figure (`wordcount`): string-key aggregation throughput on the
-// §5.7 complex keys, growing and bounded.
-// ---------------------------------------------------------------------------
-
-/// One measured point of the word-count sweep (`wordcount`).
-#[derive(Debug, Clone)]
-pub struct WordCountPoint {
-    /// Table implementation name ("stringGrow" or "stringFolklore").
-    pub table: &'static str,
-    /// Number of driver threads.
-    pub threads: usize,
-    /// Vocabulary size (distinct words).
-    pub vocab: usize,
-    /// Zipf exponent of the word stream.
-    pub zipf: f64,
-    /// Mean aggregation throughput over the repetitions, in MOps/s.
-    pub mops: f64,
-}
-
-fn wordcount_points_for<M: GenericMap<String, u64>>(
+fn wordcount_series<M: GenericMap<String, u64>>(
     cfg: &HarnessConfig,
+    out: &mut Vec<Point>,
     table: &'static str,
     capacity: usize,
-    points: &mut Vec<WordCountPoint>,
 ) {
     let vocab = cfg.wordcount_vocab.max(1);
     for &p in &cfg.threads {
-        let mut reps = Repetitions::new();
-        for rep in 0..cfg.reps {
+        let reps = repeat(cfg.reps, |rep| {
             let corpus = word_corpus(cfg.ops, vocab, cfg.wordcount_zipf, 9_000 + rep as u64);
             let map = M::with_capacity(capacity);
-            reps.push(generic_wordcount_driver(&map, &corpus, p));
-        }
-        points.push(WordCountPoint {
-            table,
-            threads: p,
-            vocab,
-            zipf: cfg.wordcount_zipf,
-            mops: reps.mean_mops(),
+            generic_wordcount_driver(&map, &corpus, p)
         });
+        let point = Point::new(table).dim("threads", p).dim("vocab", vocab);
+        out.push(point.dim("zipf", cfg.wordcount_zipf).mops(&reps));
     }
 }
 
@@ -993,60 +966,12 @@ fn wordcount_points_for<M: GenericMap<String, u64>>(
 /// standard tiny initial capacity so the run crosses several migrations —
 /// and `stringFolklore`, the bounded [`StringKeyTable`] pre-sized to the
 /// vocabulary.
-pub fn wordcount_points(cfg: &HarnessConfig) -> Vec<WordCountPoint> {
-    let mut points = Vec::new();
-    wordcount_points_for::<GrowMap<String, u64>>(cfg, "stringGrow", GROWING_INITIAL, &mut points);
-    wordcount_points_for::<StringKeyTable>(
-        cfg,
-        "stringFolklore",
-        cfg.wordcount_vocab.max(1),
-        &mut points,
-    );
-    points
-}
-
-/// Render the word-count sweep as a [`Figure`] (x axis = threads, one
-/// series per table).
-pub fn wordcount_figure(points: &[WordCountPoint]) -> Figure {
-    let mut fig = Figure::new("wordcount-string-aggregation", "threads");
-    for point in points {
-        let label = point.table.to_string();
-        push_series_point(&mut fig, label, point.threads as f64, point.mops);
-    }
-    fig
-}
-
-/// Serialize a word-count sweep as one figure block for
-/// [`merge_hotpath_json`] (key `wordcount`).
-pub fn wordcount_points_block(cfg: &HarnessConfig, points: &[WordCountPoint]) -> String {
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"table\": \"{}\", \"threads\": {}, \"vocab\": {}, \"zipf\": {}, \"mops\": {:.3}}}",
-                p.table, p.threads, p.vocab, p.zipf, p.mops
-            )
-        })
-        .collect();
-    figure_block_json("wordcount", cfg, &rows)
-}
-
-// ---------------------------------------------------------------------------
-// Typed-facade figure (`typed`): the generic GrowMap<K, V> against the
-// specialized tables it claims to subsume.
-// ---------------------------------------------------------------------------
-
-/// One measured point of the typed-facade sweep (`typed`).
-#[derive(Debug, Clone)]
-pub struct TypedPoint {
-    /// Table implementation name ("uaGrow" or "growMap").
-    pub table: &'static str,
-    /// Workload name ("aggregate-u64").
-    pub workload: &'static str,
-    /// Number of driver threads.
-    pub threads: usize,
-    /// Mean aggregation throughput over the repetitions, in MOps/s.
-    pub mops: f64,
+pub fn wordcount(cfg: &HarnessConfig) -> Record {
+    let mut out = Vec::new();
+    wordcount_series::<GrowMap<String, u64>>(cfg, &mut out, "stringGrow", GROWING_INITIAL);
+    let vocab = cfg.wordcount_vocab.max(1);
+    wordcount_series::<StringKeyTable>(cfg, &mut out, "stringFolklore", vocab);
+    throughput("wordcount", "wordcount-string-aggregation", "threads", out)
 }
 
 /// The typed-facade sweep: the same Zipf aggregation workload driven
@@ -1060,65 +985,25 @@ pub struct TypedPoint {
 /// so the two curves should coincide (within noise) — the "abstraction
 /// costs nothing" claim of DESIGN.md §14, measured.  (String keys have
 /// one growing table, `GrowMap<String, u64>`, measured by `wordcount`.)
-pub fn typed_points(cfg: &HarnessConfig) -> Vec<TypedPoint> {
-    let mut points = Vec::new();
+pub fn typed(cfg: &HarnessConfig) -> Record {
     let universe = (cfg.ops / 10).max(64) as u64;
+    let keys = |rep: usize| zipf_keys(cfg.ops, universe, cfg.wordcount_zipf, 11_000 + rep as u64);
+    let mut out = Vec::new();
     for &p in &cfg.threads {
-        let mut ua = Repetitions::new();
-        let mut generic = Repetitions::new();
-        for rep in 0..cfg.reps {
-            let keys = zipf_keys(cfg.ops, universe, cfg.wordcount_zipf, 11_000 + rep as u64);
-            let table = UaGrow::with_capacity(GROWING_INITIAL);
-            ua.push(aggregate_driver(&table, &keys, p));
+        let ua = repeat(cfg.reps, |rep| {
+            aggregate_driver(&UaGrow::with_capacity(GROWING_INITIAL), &keys(rep), p)
+        });
+        let generic = repeat(cfg.reps, |rep| {
             let map: GrowMap<u64, u64> = GrowMap::with_capacity(GROWING_INITIAL);
-            generic.push(generic_aggregate_driver(&map, &keys, p));
+            generic_aggregate_driver(&map, &keys(rep), p)
+        });
+        for (table, reps) in [("uaGrow", ua), ("growMap", generic)] {
+            let point = Point::new(table).dim("workload", "aggregate-u64");
+            out.push(point.dim("threads", p).mops(&reps));
         }
-        points.push(TypedPoint {
-            table: "uaGrow",
-            workload: "aggregate-u64",
-            threads: p,
-            mops: ua.mean_mops(),
-        });
-        points.push(TypedPoint {
-            table: "growMap",
-            workload: "aggregate-u64",
-            threads: p,
-            mops: generic.mean_mops(),
-        });
     }
-    points
+    throughput("typed", "typed-generic-map", "threads", out)
 }
-
-/// Render the typed-facade sweep as a [`Figure`] (x axis = threads, one
-/// series per workload/table pair).
-pub fn typed_figure(points: &[TypedPoint]) -> Figure {
-    let mut fig = Figure::new("typed-generic-map", "threads");
-    for point in points {
-        let label = format!("{}/{}", point.workload, point.table);
-        push_series_point(&mut fig, label, point.threads as f64, point.mops);
-    }
-    fig
-}
-
-/// Serialize a typed-facade sweep as one figure block for
-/// [`merge_hotpath_json`] (key `typed`).
-pub fn typed_points_block(cfg: &HarnessConfig, points: &[TypedPoint]) -> String {
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"table\": \"{}\", \"workload\": \"{}\", \"threads\": {}, \"mops\": {:.3}}}",
-                p.table, p.workload, p.threads, p.mops
-            )
-        })
-        .collect();
-    figure_block_json("typed", cfg, &rows)
-}
-
-// ---------------------------------------------------------------------------
-// Tail-latency figure (`latency`): per-op latency percentiles of a mixed
-// Zipf workload that crosses several migrations, across help budgets.
-// ---------------------------------------------------------------------------
 
 /// Initial capacity of the growing tables in the `latency` figure: small
 /// enough that the default `--ops` crosses many migrations (the workload
@@ -1136,44 +1021,20 @@ pub const LATENCY_UPDATE_PERCENT: u32 = 25;
 /// (mild skew: contended hot keys without degenerating to one key).
 pub const LATENCY_ZIPF_S: f64 = 1.05;
 
-/// One measured point of the tail-latency sweep (`latency`).
-#[derive(Debug, Clone)]
-pub struct LatencyPoint {
-    /// Table implementation name ("folklore", "uaGrow", "uaGrow-k1", …).
-    pub table: &'static str,
-    /// Operation class: "insert", "find" or "update".
-    pub op: &'static str,
-    /// Number of driver threads.
-    pub threads: usize,
-    /// Mean throughput of the whole mixed workload (all op classes), in
-    /// MOps/s — repeated on each op row of the same configuration.
-    pub mops: f64,
-    /// Median op latency in nanoseconds.
-    pub p50_ns: u64,
-    /// 99th-percentile op latency in nanoseconds.
-    pub p99_ns: u64,
-    /// 99.9th-percentile op latency in nanoseconds.
-    pub p999_ns: u64,
-    /// Worst observed op latency in nanoseconds.
-    pub max_ns: u64,
-    /// Completed migrations per repetition (0 for the pre-sized folklore
-    /// control — the figure is meaningless if this is < 4 for the growing
-    /// tables).
-    pub migrations: u64,
-}
-
-fn latency_points_for<M: ConcurrentMap>(
+/// `latency`'s points of `M`, one per thread count and op class: the
+/// whole mixed workload's throughput, the class's latency percentiles in
+/// nanoseconds, and the completed migrations per repetition.  A table
+/// that cannot grow is pre-sized for the workload.
+fn latency_series<M: ConcurrentMap>(
     cfg: &HarnessConfig,
-    capacity: impl Fn(&ZipfMixedWorkload) -> usize,
+    out: &mut Vec<Point>,
     migrations: impl Fn(&M) -> u64,
-    points: &mut Vec<LatencyPoint>,
 ) {
+    let growing = M::capabilities().growing != GrowthSupport::None;
     for &p in &cfg.threads {
-        let p_eff = effective_threads::<M>(p);
-        let mut reps = Repetitions::new();
         let mut merged = vec![LatencyHistogram::new(); 3];
         let mut migrated = 0u64;
-        for rep in 0..cfg.reps {
+        let reps = repeat(cfg.reps, |rep| {
             let workload = zipf_mixed_workload(
                 cfg.ops,
                 LATENCY_INSERT_PERCENT,
@@ -1182,16 +1043,20 @@ fn latency_points_for<M: ConcurrentMap>(
                 LATENCY_ZIPF_S,
                 7_000 + rep as u64,
             );
-            let table = M::with_capacity(capacity(&workload));
+            let capacity = if growing {
+                LATENCY_INITIAL
+            } else {
+                workload.prefill.len() + workload.insert_count()
+            };
+            let table = M::with_capacity(capacity);
             prefill_for::<M>(&table, &workload.prefill);
-            let result = zipf_mixed_latency_driver(&table, &workload, p_eff);
-            reps.push(result.measurement);
+            let result = zipf_mixed_latency_driver(&table, &workload, effective_threads::<M>(p));
             for (acc, thread) in merged.iter_mut().zip(result.histograms.iter()) {
                 acc.merge(thread);
             }
             migrated += migrations(&table);
-        }
-        let mops = reps.mean_mops();
+            result.measurement
+        });
         let migrations = migrated / cfg.reps.max(1) as u64;
         for (class, op) in [
             (LAT_CLASS_INSERT, "insert"),
@@ -1199,17 +1064,16 @@ fn latency_points_for<M: ConcurrentMap>(
             (LAT_CLASS_UPDATE, "update"),
         ] {
             let hist = &merged[class];
-            points.push(LatencyPoint {
-                table: M::table_name(),
-                op,
-                threads: p,
-                mops,
-                p50_ns: hist.value_at_percentile(50.0),
-                p99_ns: hist.value_at_percentile(99.0),
-                p999_ns: hist.value_at_percentile(99.9),
-                max_ns: hist.max(),
-                migrations,
-            });
+            let point = Point::new(M::table_name()).dim("op", op).dim("threads", p);
+            out.push(
+                point
+                    .mops(&reps)
+                    .metric("p50_ns", hist.value_at_percentile(50.0))
+                    .metric("p99_ns", hist.value_at_percentile(99.0))
+                    .metric("p999_ns", hist.value_at_percentile(99.9))
+                    .metric("max_ns", hist.max())
+                    .metric("migrations", migrations),
+            );
         }
     }
 }
@@ -1219,148 +1083,24 @@ fn latency_points_for<M: ConcurrentMap>(
 /// with every op bracketed by calibrated clock reads into per-thread
 /// histograms.  Compares help-until-done (`uaGrow`) against bounded help
 /// with k ∈ {1, 4, 16} (`uaGrow-k*`), the migration thread pool
-/// (`paGrow` — the first recorded numbers for [`growt_core::PaGrow`]) and
-/// the pre-sized folklore table as the no-migration control.  This is the
-/// trajectory record for the grow pause: the growing tables' p999 must
-/// move toward the folklore control as the help budget shrinks.
-pub fn latency_points(cfg: &HarnessConfig) -> Vec<LatencyPoint> {
-    let mut points = Vec::new();
-    latency_points_for::<Folklore>(
-        cfg,
-        |w| w.prefill.len() + w.insert_count(),
-        |_| 0,
-        &mut points,
-    );
-    latency_points_for::<UaGrow>(
-        cfg,
-        |_| LATENCY_INITIAL,
-        |t| t.inner().migrations_completed(),
-        &mut points,
-    );
-    latency_points_for::<UaGrowK1>(
-        cfg,
-        |_| LATENCY_INITIAL,
-        |t| t.inner().migrations_completed(),
-        &mut points,
-    );
-    latency_points_for::<UaGrowK4>(
-        cfg,
-        |_| LATENCY_INITIAL,
-        |t| t.inner().migrations_completed(),
-        &mut points,
-    );
-    latency_points_for::<UaGrowK16>(
-        cfg,
-        |_| LATENCY_INITIAL,
-        |t| t.inner().migrations_completed(),
-        &mut points,
-    );
-    latency_points_for::<PaGrow>(
-        cfg,
-        |_| LATENCY_INITIAL,
-        |t| t.inner().migrations_completed(),
-        &mut points,
-    );
-    points
-}
-
-/// Render the tail-latency sweep as a [`Figure`] (x axis = threads, one
-/// series per table × operation × percentile, values in nanoseconds).
-pub fn latency_figure(points: &[LatencyPoint]) -> Figure {
-    let mut fig = Figure::new("latency-tail-ns", "threads");
-    for point in points {
-        for (pct, value) in [
-            ("p50", point.p50_ns),
-            ("p99", point.p99_ns),
-            ("p999", point.p999_ns),
-            ("max", point.max_ns),
-        ] {
-            let label = format!("{} {} {}", point.table, point.op, pct);
-            push_series_point(&mut fig, label, point.threads as f64, value as f64);
-        }
+/// (`paGrow`) and the pre-sized folklore table as the no-migration
+/// control.  This is the trajectory record for the grow pause: the
+/// growing tables' p999 must move toward the folklore control as the help
+/// budget shrinks.
+pub fn latency(cfg: &HarnessConfig) -> Record {
+    let mut out = Vec::new();
+    for_tables!(latency_series(cfg, &mut out, |_| 0): Folklore);
+    for_tables!(latency_series(cfg, &mut out, |t| t.inner().migrations_completed()):
+        UaGrow, UaGrowK1, UaGrowK4, UaGrowK16, PaGrow);
+    Record {
+        y: &["p50_ns", "p99_ns", "p999_ns", "max_ns"],
+        ..throughput("latency", "latency-tail-ns", "threads", out)
     }
-    fig
 }
 
 // ---------------------------------------------------------------------------
 // BENCH_hotpath.json: the accumulated perf-trajectory record
 // ---------------------------------------------------------------------------
-
-/// Assemble one figure block of the `BENCH_hotpath.json` record from
-/// pre-rendered result rows.
-fn figure_block_json(figure: &str, cfg: &HarnessConfig, rows: &[String]) -> String {
-    let mut out = String::from("    {\n");
-    out.push_str(&format!("      \"figure\": \"{figure}\",\n"));
-    out.push_str(&format!("      \"ops\": {},\n", cfg.ops));
-    out.push_str(&format!("      \"reps\": {},\n", cfg.reps));
-    out.push_str("      \"results\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let comma = if i + 1 == rows.len() { "" } else { "," };
-        out.push_str(&format!("        {row}{comma}\n"));
-    }
-    out.push_str("      ]\n    }");
-    out
-}
-
-/// Serialize a batch sweep as one figure block for
-/// [`merge_hotpath_json`] (key `ablation_batch`).
-pub fn batch_points_block(cfg: &HarnessConfig, points: &[BatchPoint]) -> String {
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"table\": \"{}\", \"op\": \"{}\", \"threads\": {}, \"batch\": {}, \"mops\": {:.3}}}",
-                p.table, p.op, p.threads, p.batch, p.mops
-            )
-        })
-        .collect();
-    figure_block_json("ablation_batch", cfg, &rows)
-}
-
-/// Serialize a probe-regime sweep as one figure block for
-/// [`merge_hotpath_json`] (key `ablation_probe`).
-pub fn probe_points_block(cfg: &HarnessConfig, points: &[ProbePoint]) -> String {
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"table\": \"{}\", \"op\": \"{}\", \"load\": {}, \"threads\": {}, \"mops\": {:.3}}}",
-                p.table, p.op, p.load, p.threads, p.mops
-            )
-        })
-        .collect();
-    figure_block_json("ablation_probe", cfg, &rows)
-}
-
-/// Serialize a tail-latency sweep as one figure block for
-/// [`merge_hotpath_json`] (key `latency`).
-pub fn latency_points_block(cfg: &HarnessConfig, points: &[LatencyPoint]) -> String {
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"table\": \"{}\", \"op\": \"{}\", \"threads\": {}, \"mops\": {:.3}, \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \"max_ns\": {}, \"migrations\": {}}}",
-                p.table, p.op, p.threads, p.mops, p.p50_ns, p.p99_ns, p.p999_ns, p.max_ns, p.migrations
-            )
-        })
-        .collect();
-    figure_block_json("latency", cfg, &rows)
-}
-
-/// Serialize a scaling sweep as one figure block for
-/// [`merge_hotpath_json`] (key `scaling`).
-pub fn scaling_points_block(cfg: &HarnessConfig, points: &[ScalingPoint]) -> String {
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"table\": \"{}\", \"op\": \"{}\", \"hash\": \"{}\", \"threads\": {}, \"batch\": {}, \"mops\": {:.3}}}",
-                p.table, p.op, p.hash, p.threads, p.batch, p.mops
-            )
-        })
-        .collect();
-    figure_block_json("scaling", cfg, &rows)
-}
 
 /// Find the index of the bracket matching `s[open]` (which must be `{` or
 /// `[`), skipping over string literals.  Returns `None` on malformed input.
@@ -1400,11 +1140,11 @@ fn matching_bracket(s: &str, open: usize) -> Option<usize> {
     None
 }
 
-/// Extract the string value of `"key": "value"` after `from` (best-effort
-/// scan over the JSON formats this harness itself emits).
-fn json_string_value(s: &str, key: &str, from: usize) -> Option<String> {
+/// Extract the string value of `"key": "value"` (best-effort scan over the
+/// JSON this harness itself emits).
+fn json_string_value(s: &str, key: &str) -> Option<String> {
     let pat = format!("\"{key}\":");
-    let at = s[from..].find(&pat)? + from + pat.len();
+    let at = s.find(&pat)? + pat.len();
     let rest = &s[at..];
     let q1 = rest.find('"')?;
     let q2 = rest[q1 + 1..].find('"')? + q1 + 1;
@@ -1412,64 +1152,30 @@ fn json_string_value(s: &str, key: &str, from: usize) -> Option<String> {
 }
 
 /// Split a `BENCH_hotpath.json` document into `(figure_key, block_text)`
-/// pairs.  Understands both the current container format (`"figures": [...]`)
-/// — which may legitimately hold zero blocks — and the legacy single-figure
-/// v1 format (top-level `"figure"` key), which is converted into one
-/// equivalent block.  Returns `None` when the document matches neither
-/// format (the caller must then refuse to overwrite it).
+/// pairs.  The `"figures": [...]` array may legitimately hold zero blocks.
+/// Returns `None` when the document has no such array or a block in it
+/// does not close (the caller must then refuse to overwrite it).
 fn extract_figure_blocks(existing: &str) -> Option<Vec<(String, String)>> {
-    if let Some(arr_key) = existing.find("\"figures\":") {
-        let open = existing[arr_key..].find('[').map(|i| i + arr_key)?;
-        let close = matching_bracket(existing, open)?;
-        let mut blocks = Vec::new();
-        let mut at = open + 1;
-        while at < close {
-            let Some(obj_open) = existing[at..close].find('{').map(|i| i + at) else {
-                break; // no further object: a (possibly empty) valid array
-            };
-            let obj_close = matching_bracket(existing, obj_open)?;
-            let block = existing[obj_open..=obj_close].to_string();
-            let key = json_string_value(&block, "figure", 0).unwrap_or_default();
-            blocks.push((key, format!("    {}", block.trim_start())));
-            at = obj_close + 1;
-        }
-        Some(blocks)
-    } else if let Some(key) = json_string_value(existing, "figure", 0) {
-        // Legacy v1: one flat record.  Rebuild an equivalent block from its
-        // fields (schema/unit move to the container).
-        let ops = json_number_value(existing, "ops").unwrap_or_default();
-        let reps = json_number_value(existing, "reps").unwrap_or_default();
-        let results = existing
-            .find("\"results\":")
-            .and_then(|k| existing[k..].find('[').map(|i| i + k))
-            .and_then(|open| matching_bracket(existing, open).map(|close| (open, close)))
-            .map(|(open, close)| existing[open..=close].to_string())
-            .unwrap_or_else(|| "[]".to_string());
-        let block = format!(
-            "    {{\n      \"figure\": \"{key}\",\n      \"ops\": {ops},\n      \"reps\": {reps},\n      \"results\": {results}\n    }}",
-        );
-        Some(vec![(key, block)])
-    } else {
-        None
+    let arr_key = existing.find("\"figures\":")?;
+    let open = existing[arr_key..].find('[').map(|i| i + arr_key)?;
+    let close = matching_bracket(existing, open)?;
+    let mut blocks = Vec::new();
+    let mut at = open + 1;
+    while let Some(obj_open) = existing[at..close].find('{').map(|i| i + at) {
+        let obj_close = matching_bracket(existing, obj_open)?;
+        let block = &existing[obj_open..=obj_close];
+        let key = json_string_value(block, "figure").unwrap_or_default();
+        blocks.push((key, format!("    {}", block.trim_start())));
+        at = obj_close + 1;
     }
+    Some(blocks)
 }
 
-/// Extract the raw text of `"key": <number>`.
-fn json_number_value(s: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":");
-    let at = s.find(&pat)? + pat.len();
-    let rest = s[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    (end > 0).then(|| rest[..end].to_string())
-}
-
-/// Merge one figure `block` (from [`batch_points_block`] or
-/// [`scaling_points_block`]) into an existing `BENCH_hotpath.json`
-/// document, **replacing** the block with the same figure key and keeping
-/// every other figure — the perf trajectory accumulates one entry per
-/// figure across PRs instead of being overwritten.
+/// Merge one figure `block` ([`Record::block`]) into an existing
+/// `BENCH_hotpath.json` document, **replacing** the block with the same
+/// figure key in place and keeping every other figure — the perf
+/// trajectory accumulates one entry per figure across PRs instead of being
+/// overwritten.
 ///
 /// Output schema (`growt-bench/hotpath-v2`):
 ///
@@ -1484,18 +1190,14 @@ fn json_number_value(s: &str, key: &str) -> Option<String> {
 /// }
 /// ```
 ///
-/// A legacy v1 document (single flat figure) is upgraded in place: its
-/// record becomes the first entry of the `figures` array, so no measured
-/// point is ever dropped by a later run.
-///
 /// # Panics
 ///
-/// If `existing` holds non-empty content in neither the v2 container nor
-/// the legacy v1 format (truncated or hand-mangled JSON), the function
-/// refuses to proceed rather than silently rewriting the file with only
-/// the new figure — overwriting would destroy the recorded perf
-/// trajectory the merge contract promises to preserve.  A well-formed
-/// container with an *empty* `figures` array is fine.
+/// If `existing` holds non-empty content that is not such a container
+/// (truncated or hand-mangled JSON), the function refuses to proceed
+/// rather than silently rewriting the file with only the new figure —
+/// overwriting would destroy the recorded perf trajectory the merge
+/// contract promises to preserve.  A well-formed container with an
+/// *empty* `figures` array is fine.
 pub fn merge_hotpath_json(existing: Option<&str>, figure: &str, block: &str) -> String {
     let existing = existing.filter(|text| !text.trim().is_empty());
     let mut blocks = match existing {
@@ -1509,18 +1211,11 @@ pub fn merge_hotpath_json(existing: Option<&str>, figure: &str, block: &str) -> 
         Some((_, existing_block)) => *existing_block = block.to_string(),
         None => blocks.push((figure.to_string(), block.to_string())),
     }
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"growt-bench/hotpath-v2\",\n");
-    out.push_str("  \"unit\": \"mops\",\n");
-    out.push_str("  \"figures\": [\n");
-    for (i, (_, b)) in blocks.iter().enumerate() {
-        let comma = if i + 1 == blocks.len() { "" } else { "," };
-        out.push_str(b);
-        out.push_str(comma);
-        out.push('\n');
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let blocks: Vec<String> = blocks.into_iter().map(|(_, b)| b).collect();
+    format!(
+        "{{\n  \"schema\": \"growt-bench/hotpath-v2\",\n  \"unit\": \"mops\",\n  \"figures\": [\n{}\n  ]\n}}\n",
+        blocks.join(",\n")
+    )
 }
 
 /// Table 1: the functionality overview of every implementation.
@@ -1558,12 +1253,13 @@ pub fn table1() -> String {
     out
 }
 
-/// A fast smoke run of every figure with tiny sizes (used by tests).
+/// A fast smoke run of every figure with tiny sizes (used by tests): the
+/// thread grid {1, 2} holds for `fig11a`/`fig11b` too.
 pub fn smoke_config() -> HarnessConfig {
     HarnessConfig {
         ops: 20_000,
         threads: vec![1, 2],
-        threads_overridden: false,
+        threads_overridden: true,
         reps: 1,
         zipf_s: vec![0.5, 1.0],
         write_percents: vec![20, 60],
@@ -1608,264 +1304,203 @@ mod tests {
     #[test]
     fn smoke_fig2a_and_fig2b() {
         let cfg = smoke_config();
-        let a = fig2a(&cfg);
+        let a = fig2a(&cfg).to_figure();
         assert!(a.series.len() >= 15);
         assert!(a.series.iter().all(|s| s.points.len() == cfg.threads.len()));
         assert!(a.to_tsv().contains("folklore"));
-        let b = fig2b(&cfg);
+        let b = fig2b(&cfg).to_figure();
         assert!(b.series.len() >= 10);
     }
 
     #[test]
     fn smoke_contention_and_aggregation() {
         let cfg = smoke_config();
-        let f4a = fig4a(&cfg);
+        let f4a = fig4a(&cfg).to_figure();
         assert!(f4a
             .series
             .iter()
             .all(|s| s.points.len() == cfg.zipf_s.len()));
-        let f5b = fig5(&cfg, true);
+        let f5b = fig5b(&cfg).to_figure();
         assert!(f5b
             .series
             .iter()
             .all(|s| s.points.iter().all(|&(_, y)| y >= 0.0)));
     }
 
-    #[test]
-    fn smoke_ablation_batch_and_json() {
-        let mut cfg = smoke_config();
-        cfg.ops = 10_000;
-        let points = ablation_batch_points(&cfg);
-        // 4 tables (scalar + simd probes) × 2 ops × |threads| ×
-        // |BATCH_SIZES| points.
-        assert_eq!(points.len(), 4 * 2 * cfg.threads.len() * BATCH_SIZES.len());
-        assert!(points.iter().all(|p| p.mops > 0.0));
-        assert!(points.iter().any(|p| p.table == "folklore-simd"));
-        assert!(points.iter().any(|p| p.table == "uaGrow-simd"));
-        let fig = batch_points_figure(&points);
-        assert_eq!(fig.series.len(), 4 * 2 * cfg.threads.len());
-        assert!(fig
-            .series
-            .iter()
-            .all(|s| s.points.len() == BATCH_SIZES.len()));
-        assert!(fig.to_tsv().contains("folklore find p=2"));
-        let json = merge_hotpath_json(None, "ablation_batch", &batch_points_block(&cfg, &points));
-        assert!(json.contains("\"schema\": \"growt-bench/hotpath-v2\""));
-        assert!(json.contains("\"figure\": \"ablation_batch\""));
-        assert!(json.contains("\"table\": \"uaGrow\""));
-        // Crude structural validity: balanced braces/brackets, one result
-        // object per point.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches("{\"table\"").count(), points.len());
+    /// The string field `name` of every point of `record`.
+    fn names<'r>(record: &'r Record, name: &'r str) -> impl Iterator<Item = &'static str> + 'r {
+        record.points.iter().map(move |p| match p.get(name) {
+            Some(Value::Str(v)) => v,
+            other => panic!("{}: {name} is {other:?}", record.id),
+        })
     }
 
-    #[test]
-    fn smoke_scaling_points_and_figure() {
-        let mut cfg = smoke_config();
-        cfg.ops = 10_000;
-        let points = scaling_points(&cfg);
-        // 6 table instantiations (2 tables × {mix, crc} hashing + the two
-        // -simd probes) × 2 ops × |threads| × 2 batch sizes.
-        assert_eq!(points.len(), 6 * 2 * cfg.threads.len() * 2);
-        assert!(points.iter().all(|p| p.mops > 0.0));
-        for hash in ["mix", "crc"] {
-            for table in ["folklore", "uaGrow"] {
-                assert!(
-                    points.iter().any(|p| p.hash == hash && p.table == table),
-                    "missing {table}/{hash} series"
-                );
+    /// The number field `name` of every point of `record`.
+    fn numbers<'r>(record: &'r Record, name: &'r str) -> impl Iterator<Item = f64> + 'r {
+        record
+            .points
+            .iter()
+            .map(move |p| p.get(name).map_or(f64::NAN, Value::as_f64))
+    }
+
+    /// What a smoke run of figure `id` must hold beyond the common
+    /// checks: its point count, tables and series, and the TSV label of
+    /// one series.
+    fn check_figure(cfg: &HarnessConfig, record: &Record) {
+        let p = cfg.threads.len();
+        let has = |table: &str| names(record, "table").any(|t| t == table);
+        let series = record.to_figure().series;
+        let tsv = record.to_tsv();
+        match record.id {
+            "ablation_batch" => {
+                // 4 tables (scalar + simd probes) × 2 ops × |threads| × |K|.
+                assert_eq!(record.points.len(), 4 * 2 * p * BATCH_SIZES.len());
+                assert!(has("folklore-simd") && has("uaGrow-simd"));
+                assert_eq!(series.len(), 4 * 2 * p);
+                assert!(series.iter().all(|s| s.points.len() == BATCH_SIZES.len()));
+                assert!(tsv.contains("folklore find threads=2"));
+            }
+            "scaling" => {
+                // 6 instantiations (2 tables × {mix, crc} + the two -simd
+                // probes) × 2 ops × |threads| × 2 batch sizes.
+                assert_eq!(record.points.len(), 6 * 2 * p * 2);
+                let pairs: Vec<_> = names(record, "table").zip(names(record, "hash")).collect();
+                for table in ["folklore", "uaGrow"] {
+                    for hash in ["mix", "crc"] {
+                        assert!(pairs.contains(&(table, hash)), "missing {table}/{hash}");
+                    }
+                }
+                // The striped-probe series hash with the default mixer only.
+                for table in ["folklore-simd", "uaGrow-simd"] {
+                    assert!(pairs.contains(&(table, "mix")), "missing {table}");
+                    assert!(!pairs.contains(&(table, "crc")));
+                }
+                assert_eq!(series.len(), 6 * 2 * 2);
+                assert!(series.iter().all(|s| s.points.len() == p));
+                assert!(tsv.contains("folklore find crc batch=16"));
+            }
+            "ablation_probe" => {
+                // 2 tables × |PROBE_LOADS| × |threads| × {find_hit, find_miss}.
+                assert_eq!(record.points.len(), 2 * PROBE_LOADS.len() * p * 2);
+                let pairs: Vec<_> = names(record, "table").zip(names(record, "op")).collect();
+                for table in ["folklore", "folklore-simd"] {
+                    for op in ["find_hit", "find_miss"] {
+                        assert!(pairs.contains(&(table, op)), "missing {table}/{op}");
+                    }
+                }
+                assert!(numbers(record, "load").any(|load| load == 0.9));
+                assert_eq!(series.len(), 2 * PROBE_LOADS.len() * 2);
+                assert!(series.iter().all(|s| s.points.len() == p));
+                assert!(tsv.contains("folklore-simd find_miss load=0.9"));
+            }
+            "wordcount" => {
+                assert_eq!(record.points.len(), 2 * p);
+                assert!(numbers(record, "vocab").all(|v| v == cfg.wordcount_vocab as f64));
+                assert!(has("stringGrow") && has("stringFolklore"));
+                assert_eq!(series.len(), 2);
+                assert!(series.iter().all(|s| s.points.len() == p));
+            }
+            "typed" => {
+                assert_eq!(record.points.len(), 2 * p);
+                assert!(has("uaGrow") && has("growMap"));
+                assert_eq!(series.len(), 2);
+                assert!(series.iter().all(|s| s.points.len() == p));
+                assert!(tsv.contains("growMap aggregate-u64"));
+            }
+            "latency" => {
+                // 6 tables (folklore control, uaGrow, k1/k4/k16, paGrow) ×
+                // 3 op classes × |threads|, drawn as 4 percentiles.
+                let tables = [
+                    "folklore",
+                    "uaGrow",
+                    "uaGrow-k1",
+                    "uaGrow-k4",
+                    "uaGrow-k16",
+                    "paGrow",
+                ];
+                assert_eq!(record.points.len(), tables.len() * 3 * p);
+                assert!(tables.iter().all(|t| has(t)), "a latency table is missing");
+                for point in &record.points {
+                    let pct: Vec<f64> = ["p50_ns", "p99_ns", "p999_ns", "max_ns"]
+                        .map(|name| point.get(name).unwrap().as_f64())
+                        .to_vec();
+                    assert!(
+                        pct.windows(2).all(|w| w[0] <= w[1]),
+                        "{point:?}: not monotonic"
+                    );
+                    let migrations = point.get("migrations").unwrap().as_f64();
+                    if point.get("table") == Some(Value::Str("folklore")) {
+                        assert_eq!(migrations, 0.0, "pre-sized control migrated");
+                    } else {
+                        assert!(migrations >= 1.0, "{point:?}: never migrated");
+                    }
+                }
+                assert_eq!(series.len(), tables.len() * 3 * 4);
+                assert!(tsv.contains("uaGrow-k1 insert p999_ns"));
+            }
+            "fig4a" | "fig4b" | "fig5a" | "fig5b" => {
+                assert!(series.iter().all(|s| s.points.len() == cfg.zipf_s.len()));
+            }
+            "fig7a" | "fig7b" => {
+                assert!(series
+                    .iter()
+                    .all(|s| s.points.len() == cfg.write_percents.len()));
+            }
+            "fig10" => {
+                // 10 tables × 6 initial capacities, drawn as bytes and MOps/s
+                // (the bytes read 0 here, without the tracking allocator:
+                // `tests/fig10_memory.rs` checks them).
+                assert_eq!(record.points.len(), 10 * 6);
+                assert!(tsv.contains("uaGrow threads=2 bytes"));
+            }
+            "ablation_block" => assert_eq!(record.points.len(), 4),
+            _ => {
+                assert!(series.iter().all(|s| s.points.len() == p), "{}", record.id);
             }
         }
-        // The striped-probe series hash with the default mixer only.
-        for table in ["folklore-simd", "uaGrow-simd"] {
-            assert!(
-                points.iter().any(|p| p.table == table && p.hash == "mix"),
-                "missing {table} series"
-            );
-            assert!(!points.iter().any(|p| p.table == table && p.hash == "crc"));
-        }
-        let fig = scaling_figure(&points);
-        assert_eq!(fig.series.len(), 6 * 2 * 2);
-        assert!(fig
-            .series
-            .iter()
-            .all(|s| s.points.len() == cfg.threads.len()));
-        assert!(fig.to_tsv().contains("folklore find crc K=16"));
-        let json = merge_hotpath_json(None, "scaling", &scaling_points_block(&cfg, &points));
-        assert!(json.contains("\"hash\": \"crc\""));
-        assert_eq!(json.matches("{\"table\"").count(), points.len());
     }
 
+    /// Every measured id at [`smoke_config`]: at least one point, every
+    /// point carrying the drawn fields (and `spread` beside each `mops`),
+    /// the id's own checks, one JSON row per point, and a block that
+    /// replaces itself in place when merged again.
     #[test]
-    fn smoke_ablation_probe_points_and_json() {
-        let mut cfg = smoke_config();
-        cfg.ops = 10_000;
-        let points = ablation_probe_points(&cfg);
-        // 2 tables × |PROBE_LOADS| × |threads| × {find_hit, find_miss}.
-        assert_eq!(points.len(), 2 * PROBE_LOADS.len() * cfg.threads.len() * 2);
-        assert!(points.iter().all(|p| p.mops > 0.0));
-        for table in ["folklore", "folklore-simd"] {
-            for op in ["find_hit", "find_miss"] {
-                assert!(
-                    points.iter().any(|p| p.table == table && p.op == op),
-                    "missing {table}/{op} series"
-                );
+    fn every_measured_figure_records_and_merges_in_place() {
+        let cfg = smoke_config();
+        let mut doc = None::<String>;
+        let mut blocks = Vec::new();
+        for (id, run) in FIGURES {
+            let record = run(&cfg);
+            assert_eq!(record.id, id);
+            assert!(!record.points.is_empty(), "{id}: no points");
+            for point in &record.points {
+                for field in ["table", record.x].iter().chain(record.y) {
+                    assert!(point.get(field).is_some(), "{id}: no {field} in {point:?}");
+                }
+                if let Some(mops) = point.get("mops") {
+                    assert!(mops.as_f64() > 0.0, "{id}: {point:?}");
+                    assert!(point.get("spread").is_some(), "{id}: no spread");
+                }
             }
-        }
-        assert!(points.iter().any(|p| p.load == 0.9));
-        let fig = probe_points_figure(&points);
-        assert_eq!(fig.series.len(), 2 * PROBE_LOADS.len() * 2);
-        assert!(fig
-            .series
-            .iter()
-            .all(|s| s.points.len() == cfg.threads.len()));
-        assert!(fig.to_tsv().contains("folklore-simd find_miss load=0.9"));
-        let json = merge_hotpath_json(None, "ablation_probe", &probe_points_block(&cfg, &points));
-        assert!(json.contains("\"figure\": \"ablation_probe\""));
-        assert!(json.contains("\"op\": \"find_miss\""));
-        assert!(json.contains("\"load\": 0.9"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches("{\"table\"").count(), points.len());
-    }
+            check_figure(&cfg, &record);
 
-    #[test]
-    fn smoke_wordcount_points_and_json() {
-        let mut cfg = smoke_config();
-        cfg.ops = 10_000;
-        let points = wordcount_points(&cfg);
-        // 2 tables × |threads| points.
-        assert_eq!(points.len(), 2 * cfg.threads.len());
-        assert!(points.iter().all(|p| p.mops > 0.0));
-        assert!(points.iter().all(|p| p.vocab == cfg.wordcount_vocab));
-        for table in ["stringGrow", "stringFolklore"] {
-            assert!(
-                points.iter().any(|p| p.table == table),
-                "missing {table} series"
-            );
+            let block = record.block(&cfg);
+            assert_eq!(block.matches("{\"table\"").count(), record.points.len());
+            let merged = merge_hotpath_json(doc.as_deref(), id, &block);
+            assert_eq!(merged.matches(&format!("\"figure\": \"{id}\"")).count(), 1);
+            assert_eq!(merged.matches('{').count(), merged.matches('}').count());
+            doc = Some(merged);
+            blocks.push((id, block));
         }
-        let fig = wordcount_figure(&points);
-        assert_eq!(fig.series.len(), 2);
-        assert!(fig
-            .series
-            .iter()
-            .all(|s| s.points.len() == cfg.threads.len()));
-        assert!(fig.to_tsv().contains("stringGrow"));
-        // Merging wordcount into a record that already holds the scaling
-        // figure must keep both figure keys.
-        let scaling = merge_hotpath_json(
-            None,
-            "scaling",
-            &figure_block_json("scaling", &cfg, &["{\"table\": \"folklore\"}".to_string()]),
-        );
-        let merged = merge_hotpath_json(
-            Some(&scaling),
-            "wordcount",
-            &wordcount_points_block(&cfg, &points),
-        );
-        assert!(merged.contains("\"figure\": \"scaling\""));
-        assert!(merged.contains("\"figure\": \"wordcount\""));
-        assert!(merged.contains("\"table\": \"stringFolklore\""));
-        assert_eq!(merged.matches('{').count(), merged.matches('}').count());
-    }
-
-    #[test]
-    fn smoke_typed_points_and_json() {
-        let mut cfg = smoke_config();
-        cfg.ops = 10_000;
-        let points = typed_points(&cfg);
-        // 1 workload × 2 tables × |threads| points.
-        assert_eq!(points.len(), 2 * cfg.threads.len());
-        assert!(points.iter().all(|p| p.mops > 0.0));
-        for table in ["uaGrow", "growMap"] {
-            assert!(
-                points.iter().any(|p| p.table == table),
-                "missing {table} series"
-            );
+        // Merged again into the whole record, each block takes its own
+        // place: the document does not change.
+        let doc = doc.unwrap();
+        for (id, block) in &blocks {
+            assert_eq!(merge_hotpath_json(Some(&doc), id, block), doc, "{id} moved");
         }
-        let fig = typed_figure(&points);
-        assert_eq!(fig.series.len(), 2);
-        assert!(fig
-            .series
-            .iter()
-            .all(|s| s.points.len() == cfg.threads.len()));
-        assert!(fig.to_tsv().contains("aggregate-u64/growMap"));
-        // Merging typed into a record that already holds every prior
-        // figure key must preserve all of them.
-        let prior = [
-            "ablation_batch",
-            "scaling",
-            "wordcount",
-            "ablation_probe",
-            "latency",
-        ];
-        let mut merged = None::<String>;
-        for figure in prior {
-            merged = Some(merge_hotpath_json(
-                merged.as_deref(),
-                figure,
-                &figure_block_json(figure, &cfg, &["{\"table\": \"x\"}".to_string()]),
-            ));
-        }
-        let merged = merge_hotpath_json(
-            merged.as_deref(),
-            "typed",
-            &typed_points_block(&cfg, &points),
-        );
-        for figure in prior {
-            assert!(
-                merged.contains(&format!("\"figure\": \"{figure}\"")),
-                "merge dropped {figure}"
-            );
-        }
-        assert!(merged.contains("\"figure\": \"typed\""));
-        assert!(merged.contains("\"table\": \"growMap\""));
-        assert_eq!(merged.matches('{').count(), merged.matches('}').count());
-    }
-
-    #[test]
-    fn smoke_latency_points_and_json() {
-        let mut cfg = smoke_config();
-        cfg.ops = 10_000;
-        let points = latency_points(&cfg);
-        // 6 tables (folklore control, uaGrow, k1/k4/k16, paGrow) × 3 op
-        // classes × |threads|.
-        assert_eq!(points.len(), 6 * 3 * cfg.threads.len());
-        assert!(points.iter().all(|p| p.mops > 0.0));
-        for table in [
-            "folklore",
-            "uaGrow",
-            "uaGrow-k1",
-            "uaGrow-k4",
-            "uaGrow-k16",
-            "paGrow",
-        ] {
-            assert!(
-                points.iter().any(|p| p.table == table),
-                "missing {table} series"
-            );
-        }
-        for p in &points {
-            assert!(
-                p.p50_ns <= p.p99_ns && p.p99_ns <= p.p999_ns && p.p999_ns <= p.max_ns,
-                "{} {}: percentiles not monotonic",
-                p.table,
-                p.op
-            );
-            if p.table == "folklore" {
-                assert_eq!(p.migrations, 0, "pre-sized control migrated");
-            } else {
-                assert!(p.migrations >= 1, "{}: never migrated", p.table);
-            }
-        }
-        let fig = latency_figure(&points);
-        assert_eq!(fig.series.len(), 6 * 3 * 4);
-        assert!(fig.to_tsv().contains("uaGrow-k1 insert p999"));
-        let json = merge_hotpath_json(None, "latency", &latency_points_block(&cfg, &points));
-        assert!(json.contains("\"figure\": \"latency\""));
-        assert!(json.contains("\"p999_ns\""));
-        assert!(json.contains("\"migrations\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches("{\"table\"").count(), points.len());
+        assert!(doc.contains("\"schema\": \"growt-bench/hotpath-v2\""));
+        assert!(doc.contains("\"hash\": \"crc\""));
+        assert!(doc.contains("\"p999_ns\""));
     }
 
     #[test]
@@ -1874,74 +1509,52 @@ mod tests {
         cfg.ops = 5_000;
         cfg.threads = vec![2];
         cfg.threads_overridden = true;
-        let fig = fig11(&cfg, true);
-        assert!(fig.series.iter().all(|s| s.points.len() == 1));
-        assert!(fig.series.iter().all(|s| s.points[0].0 == 2.0));
+        let record = fig11b(&cfg);
+        assert!(!record.points.is_empty());
+        assert!(record
+            .points
+            .iter()
+            .all(|p| p.get("threads") == Some(Value::Int(2))));
     }
 
     #[test]
     fn hotpath_json_merges_by_figure_key() {
         let cfg = smoke_config();
-        let batch = BatchPoint {
-            table: "folklore",
-            op: "find",
-            threads: 2,
-            batch: 16,
-            mops: 12.5,
-        };
-        let scaling = ScalingPoint {
-            table: "uaGrow",
-            op: "insert",
-            hash: "crc",
-            threads: 4,
-            batch: 1,
-            mops: 9.25,
+        let record = |id, mops: f64| Record {
+            points: vec![Point::new("folklore")
+                .dim("op", "find")
+                .dim("threads", 2usize)
+                .metric("mops", mops)],
+            ..throughput(id, "test", "threads", Vec::new())
         };
         // Fresh file, then append a second figure: both survive.
         let v2 = merge_hotpath_json(
             None,
             "ablation_batch",
-            &batch_points_block(&cfg, std::slice::from_ref(&batch)),
+            &record("ablation_batch", 12.5).block(&cfg),
         );
-        let merged = merge_hotpath_json(
-            Some(&v2),
-            "scaling",
-            &scaling_points_block(&cfg, std::slice::from_ref(&scaling)),
-        );
+        let merged = merge_hotpath_json(Some(&v2), "scaling", &record("scaling", 9.25).block(&cfg));
         assert!(merged.contains("\"figure\": \"ablation_batch\""));
         assert!(merged.contains("\"figure\": \"scaling\""));
-        assert!(merged.contains("\"mops\": 12.500"));
-        assert!(merged.contains("\"mops\": 9.250"));
+        assert!(merged.contains("\"mops\": 12.5}"));
+        assert!(merged.contains("\"mops\": 9.25}"));
         assert_eq!(merged.matches('{').count(), merged.matches('}').count());
         assert_eq!(merged.matches('[').count(), merged.matches(']').count());
 
         // Re-running a figure replaces its block instead of duplicating it.
-        let mut faster = batch.clone();
-        faster.mops = 14.0;
         let rerun = merge_hotpath_json(
             Some(&merged),
             "ablation_batch",
-            &batch_points_block(&cfg, &[faster]),
+            &record("ablation_batch", 14.0).block(&cfg),
         );
         assert_eq!(rerun.matches("\"figure\": \"ablation_batch\"").count(), 1);
-        assert!(rerun.contains("\"mops\": 14.000"));
-        assert!(!rerun.contains("\"mops\": 12.500"));
-        assert!(rerun.contains("\"mops\": 9.250"), "other figure dropped");
-
-        // A legacy v1 document is upgraded without losing its points.
-        let v1 = format!(
-            "{{\n  \"schema\": \"growt-bench/hotpath-v1\",\n  \"figure\": \"ablation_batch\",\n  \"ops\": {},\n  \"reps\": 1,\n  \"unit\": \"mops\",\n  \"results\": [\n    {{\"table\": \"folklore\", \"op\": \"find\", \"threads\": 8, \"batch\": 1, \"mops\": 25.551}}\n  ]\n}}\n",
-            cfg.ops
+        assert!(rerun.contains("\"mops\": 14}"));
+        assert!(!rerun.contains("\"mops\": 12.5}"));
+        assert!(rerun.contains("\"mops\": 9.25}"), "other figure dropped");
+        assert!(
+            rerun.find("ablation_batch") < rerun.find("\"scaling\""),
+            "block moved"
         );
-        let upgraded = merge_hotpath_json(
-            Some(&v1),
-            "scaling",
-            &scaling_points_block(&cfg, &[scaling]),
-        );
-        assert!(upgraded.contains("\"schema\": \"growt-bench/hotpath-v2\""));
-        assert!(upgraded.contains("\"mops\": 25.551"), "v1 point lost");
-        assert!(upgraded.contains("\"figure\": \"scaling\""));
-        assert_eq!(upgraded.matches('{').count(), upgraded.matches('}').count());
 
         // Whitespace-only existing content is treated as a fresh file.
         let fresh = merge_hotpath_json(Some("  \n"), "scaling", "    {\"figure\": \"scaling\"}");
@@ -1966,19 +1579,14 @@ mod tests {
             _ => return, // no recorded trajectory yet (fresh checkout)
         };
         let cfg = smoke_config();
-        let point = ScalingPoint {
-            table: "folklore-simd",
-            op: "find",
-            hash: "mix",
-            threads: 4,
-            batch: 1,
-            mops: 1.0,
+        let point = Point::new("folklore-simd")
+            .dim("threads", 4usize)
+            .metric("mops", 1.0);
+        let record = Record {
+            points: vec![point],
+            ..throughput("scaling", "test", "threads", Vec::new())
         };
-        let merged = merge_hotpath_json(
-            Some(&existing),
-            "scaling",
-            &scaling_points_block(&cfg, std::slice::from_ref(&point)),
-        );
+        let merged = merge_hotpath_json(Some(&existing), "scaling", &record.block(&cfg));
         for (key, _) in extract_figure_blocks(&existing).expect("checked-in record parses") {
             assert!(
                 merged.contains(&format!("\"figure\": \"{key}\"")),
@@ -2033,10 +1641,10 @@ mod tests {
     #[test]
     fn smoke_deletion_mixed_ablation() {
         let cfg = smoke_config();
-        assert!(!fig6(&cfg).series.is_empty());
-        assert!(!fig7(&cfg, true).series.is_empty());
-        assert!(!fig8a(&cfg).series.is_empty());
-        assert!(!ablation_block(&cfg).series[0].points.is_empty());
-        assert!(fig10(&cfg).lines().count() > 10);
+        assert!(!fig6(&cfg).points.is_empty());
+        assert!(!fig7b(&cfg).points.is_empty());
+        assert!(!fig8a(&cfg).points.is_empty());
+        assert!(!ablation_block(&cfg).points.is_empty());
+        assert!(fig10(&cfg).to_tsv().lines().count() > 6);
     }
 }

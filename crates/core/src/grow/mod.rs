@@ -33,7 +33,9 @@ use crate::cell::MAX_MARKABLE_KEY;
 use crate::config::{capacity_for, GrowConfig, HashSelect, ProbeSelect};
 use crate::coord::{Coordinator, GrowProtocol, MigrationJob, MigrationMode};
 use crate::count::{GlobalCount, LocalCount};
-use crate::migrate::{migrate_block_exclusive, migrate_block_marking, migrate_block_rehash};
+use crate::migrate::{
+    always_open, migrate_block_exclusive, migrate_block_marking, migrate_block_rehash,
+};
 use crate::table::{BoundedTable, EraseOutcome, InsertOutcome, UpdateOutcome, UpsertOutcome};
 
 use pool::{MigrationPool, PoolShared};
@@ -332,22 +334,26 @@ impl GrowProtocol for Inner {
 
     /// Every complete copy of a block counts the same live elements, so
     /// the copy that completes the block credits them, once; a late owner
-    /// whose block a rescuer completed credits nothing.
+    /// whose block a rescuer completed credits nothing, and stops at its
+    /// next pass through the lease's placement gate, before its stores
+    /// could reach a published target.
     fn copy_range(
         &self,
         job: &MigrationJob<BoundedTable>,
-        _block: usize,
+        block: usize,
         start: usize,
         end: usize,
     ) -> Option<usize> {
         let marking = job.mode == MigrationMode::Marking;
-        Some(if job.rehash {
-            migrate_block_rehash(&job.source, &job.target, start, end, marking)
+        let (src, dst) = (&*job.source, &*job.target);
+        let gate = || job.enter_placement(block);
+        if job.rehash {
+            migrate_block_rehash(src, dst, start, end, marking, gate)
         } else if marking {
-            migrate_block_marking(&job.source, &job.target, start, end)
+            migrate_block_marking(src, dst, start, end, gate)
         } else {
-            migrate_block_exclusive(&job.source, &job.target, start, end)
-        })
+            migrate_block_exclusive(src, dst, start, end, gate)
+        }
     }
 
     fn enslaves(&self) -> bool {
@@ -408,7 +414,9 @@ impl GrowProtocol for Inner {
             0,
             job.source.capacity(),
             job.mode == MigrationMode::Marking,
-        );
+            always_open,
+        )
+        .expect("an open gate never stops the copy");
         job.progress
             .migrated
             .fetch_add(recovered as u64, Ordering::AcqRel);

@@ -28,6 +28,12 @@
 //! of its block that belongs to a cluster started in an earlier block —
 //! "implicitly moving the block borders to free cells" (Fig. 1b).
 //!
+//! A copier enters its lease's placement gate (`MigrationJob::enter_placement`,
+//! DESIGN.md §12) before every run of at most `PLACE_CHUNK` (64) placements,
+//! and stops when the gate answers `None`: a rescuer completed the block,
+//! and the target may be published, where a late store would bring back
+//! a key erased since.
+//!
 //! Three per-block routines are provided:
 //!
 //! * [`migrate_block_marking`] — used by the **asynchronous** growing
@@ -54,30 +60,39 @@ enum FreezeMode {
     Plain,
 }
 
+/// Placements per pass through the placement gate: a copier that slept
+/// through its own rescue stores at most this many elements after its
+/// lease was completed, all into the still unpublished target.
+pub(crate) const PLACE_CHUNK: usize = 64;
+
 /// Migrate the clusters starting in `[block_start, block_end)` from `src`
 /// to `dst`, freezing every visited source cell with its mark bit.
 /// Returns the number of live elements in those clusters (see
-/// `migrate_block`).
-pub fn migrate_block_marking(
+/// `migrate_block`), or `None` when `enter_placement` stopped the copy.
+pub fn migrate_block_marking<P>(
     src: &BoundedTable,
     dst: &BoundedTable,
     block_start: usize,
     block_end: usize,
-) -> usize {
-    migrate_block(src, dst, block_start, block_end, FreezeMode::Mark)
+    enter_placement: impl FnMut() -> Option<P>,
+) -> Option<usize> {
+    let mode = FreezeMode::Mark;
+    migrate_block(src, dst, block_start, block_end, mode, enter_placement)
 }
 
 /// Migrate the clusters starting in `[block_start, block_end)` without
 /// marking (caller must guarantee the absence of concurrent writers).
 /// Returns the number of live elements in those clusters (see
-/// `migrate_block`).
-pub fn migrate_block_exclusive(
+/// `migrate_block`), or `None` when `enter_placement` stopped the copy.
+pub fn migrate_block_exclusive<P>(
     src: &BoundedTable,
     dst: &BoundedTable,
     block_start: usize,
     block_end: usize,
-) -> usize {
-    migrate_block(src, dst, block_start, block_end, FreezeMode::Plain)
+    enter_placement: impl FnMut() -> Option<P>,
+) -> Option<usize> {
+    let mode = FreezeMode::Plain;
+    migrate_block(src, dst, block_start, block_end, mode, enter_placement)
 }
 
 /// Freeze (or just read) cell `index` of `src` and return its contents with
@@ -143,6 +158,27 @@ fn place_sequential(dst: &BoundedTable, key: u64, value: u64) {
     }
 }
 
+/// Place `pending` into `dst` in order, entering the placement gate before
+/// each run of at most [`PLACE_CHUNK`] elements, and empty it.  `false`
+/// when the gate closed: someone else completed the block, and the target
+/// may be published already.
+fn place_gated<P>(
+    dst: &BoundedTable,
+    pending: &mut Vec<(u64, u64)>,
+    enter_placement: &mut impl FnMut() -> Option<P>,
+) -> bool {
+    for run in pending.chunks(PLACE_CHUNK) {
+        let Some(_pass) = enter_placement() else {
+            return false;
+        };
+        for &(key, value) in run {
+            place_sequential(dst, key, value);
+        }
+    }
+    pending.clear();
+    true
+}
+
 /// The cluster copy behind [`migrate_block_marking`] and
 /// [`migrate_block_exclusive`].  Returns the live elements of the clusters
 /// that start in the block, whether this call placed them or an earlier
@@ -151,19 +187,22 @@ fn place_sequential(dst: &BoundedTable, key: u64, value: u64) {
 /// of the copy that completes the block, once.  Counting what a copy
 /// placed instead would lose a slow owner's elements: a rescuer re-copies
 /// the block, the migration finalizes, and the owner's credit comes too
-/// late.
-fn migrate_block(
+/// late.  Placements go through [`place_gated`], in runs of up to
+/// [`PLACE_CHUNK`] elements that may span clusters; `None` when the gate
+/// stopped the copy.
+fn migrate_block<P>(
     src: &BoundedTable,
     dst: &BoundedTable,
     block_start: usize,
     block_end: usize,
     mode: FreezeMode,
-) -> usize {
+    mut enter_placement: impl FnMut() -> Option<P>,
+) -> Option<usize> {
     let capacity = src.capacity();
     debug_assert!(block_end <= capacity);
     debug_assert!(dst.capacity() >= capacity, "cluster migration needs γ ≥ 1");
     if block_start >= block_end {
-        return 0;
+        return Some(0);
     }
 
     let mask = capacity - 1;
@@ -202,7 +241,7 @@ fn migrate_block(
             // this block's owner to do.
             let (last_key, _) = src.cell(block_end - 1).read();
             if unmark(last_key) != EMPTY_KEY {
-                return 0;
+                return Some(0);
             }
         }
     }
@@ -210,11 +249,11 @@ fn migrate_block(
     // Migrate clusters that start at or after `index` and before the block
     // end.  A cluster may extend past the block end (we own it entirely).
     // Each cluster is collected (freezing source cells and prefetching the
-    // destination line of every live element) and only then placed, so the
-    // target misses overlap with the source walk.  Placement happens in
-    // collection order, producing exactly the layout a sequential
-    // migration would (Lemma 1).
-    let mut cluster: Vec<(u64, u64)> = Vec::new();
+    // destination line of every live element) and placed once a run of
+    // [`PLACE_CHUNK`] elements is pending, so the target misses overlap
+    // with the source walk.  Placement happens in collection order,
+    // producing exactly the layout a sequential migration would (Lemma 1).
+    let mut pending: Vec<(u64, u64)> = Vec::new();
     while index < block_end {
         if index.is_multiple_of(CELLS_PER_LINE) {
             prefetch_write(src.cell((index + CELLS_PER_LINE) & mask));
@@ -225,10 +264,10 @@ fn migrate_block(
             continue;
         }
         // `index - 1` is the first cell of a cluster.
-        cluster.clear();
         if key != DEL_KEY {
             prefetch_write(dst.cell(dst.home_cell(key)));
-            cluster.push((key, value));
+            pending.push((key, value));
+            migrated += 1;
         }
         // Walk the rest of the cluster (possibly past the block end).
         let mut walked = 0usize;
@@ -251,13 +290,13 @@ fn migrate_block(
             }
             if k != DEL_KEY {
                 prefetch_write(dst.cell(dst.home_cell(k)));
-                cluster.push((k, v));
+                pending.push((k, v));
+                migrated += 1;
             }
         }
-        for &(k, v) in &cluster {
-            place_sequential(dst, k, v);
+        if pending.len() >= PLACE_CHUNK && !place_gated(dst, &mut pending, &mut enter_placement) {
+            return None;
         }
-        migrated += cluster.len();
         // `index` is now one past the empty cell that ended the cluster.  If
         // the walk overshot the block end, every cluster starting in the
         // overshot range has already been handled by us.
@@ -265,7 +304,7 @@ fn migrate_block(
             break;
         }
     }
-    migrated
+    place_gated(dst, &mut pending, &mut enter_placement).then_some(migrated)
 }
 
 /// Fallback migration that re-inserts every live element of the block with
@@ -274,14 +313,16 @@ fn migrate_block(
 /// cells are frozen first (asynchronous protocol).  Returns the live
 /// elements of the block's source cells, which, as with the cluster copy,
 /// every complete copy answers the same (a key the source briefly held
-/// twice counts twice).
-pub fn migrate_block_rehash(
+/// twice counts twice); `None` when `enter_placement`, asked before each
+/// chunk's insertions, stopped the copy.
+pub fn migrate_block_rehash<P>(
     src: &BoundedTable,
     dst: &BoundedTable,
     block_start: usize,
     block_end: usize,
     mark: bool,
-) -> usize {
+    mut enter_placement: impl FnMut() -> Option<P>,
+) -> Option<usize> {
     let mode = if mark {
         FreezeMode::Mark
     } else {
@@ -308,6 +349,11 @@ pub fn migrate_block_rehash(
             }
         }
         migrated += live.len();
+        let _pass = if live.is_empty() {
+            None
+        } else {
+            Some(enter_placement()?)
+        };
         for &(key, value) in &live {
             match dst.insert(key, value) {
                 crate::table::InsertOutcome::Inserted { .. } => {}
@@ -330,14 +376,22 @@ pub fn migrate_block_rehash(
         }
         chunk_start = chunk_end;
     }
-    migrated
+    Some(migrated)
+}
+
+/// A placement gate that never closes, for a copy that no one else can
+/// complete: a sequential migration, or a re-migration under the
+/// finalization latch.
+pub(crate) fn always_open() -> Option<()> {
+    Some(())
 }
 
 /// Sequentially migrate an entire table (helper for tests and for the
 /// sequential reference path): clusters are processed in one block spanning
 /// the whole table.
 pub fn migrate_all_sequential(src: &BoundedTable, dst: &BoundedTable) -> usize {
-    migrate_block_exclusive(src, dst, 0, src.capacity())
+    migrate_block_exclusive(src, dst, 0, src.capacity(), always_open)
+        .expect("an open gate never stops the copy")
 }
 
 #[cfg(test)]
@@ -445,8 +499,14 @@ mod tests {
                     if b >= nblocks {
                         break;
                     }
-                    let migrated =
-                        migrate_block_marking(src_ref, dst_ref, b * block, (b + 1) * block);
+                    let migrated = migrate_block_marking(
+                        src_ref,
+                        dst_ref,
+                        b * block,
+                        (b + 1) * block,
+                        always_open,
+                    )
+                    .unwrap();
                     total.fetch_add(migrated, Ordering::Relaxed);
                 });
             }
@@ -485,7 +545,13 @@ mod tests {
                     if b >= nblocks {
                         break;
                     }
-                    migrate_block_exclusive(src_ref, dst_ref, b * block, (b + 1) * block);
+                    migrate_block_exclusive(
+                        src_ref,
+                        dst_ref,
+                        b * block,
+                        (b + 1) * block,
+                        always_open,
+                    );
                 });
             }
         });
@@ -547,8 +613,15 @@ mod tests {
                     if b >= nblocks {
                         break;
                     }
-                    let n =
-                        migrate_block_rehash(src_ref, dst_ref, b * block, (b + 1) * block, true);
+                    let n = migrate_block_rehash(
+                        src_ref,
+                        dst_ref,
+                        b * block,
+                        (b + 1) * block,
+                        true,
+                        always_open,
+                    )
+                    .unwrap();
                     migrated.fetch_add(n, Ordering::Relaxed);
                 });
             }
@@ -575,13 +648,16 @@ mod tests {
         let (mut clusters, mut rehashed) = (0, 0);
         for b in 0..src.capacity() / block {
             let (start, end) = (b * block, (b + 1) * block);
-            let first = migrate_block_marking(&src, &dst, start, end);
-            assert_eq!(migrate_block_marking(&src, &dst, start, end), first);
-            assert_eq!(migrate_block_exclusive(&src, &dst, start, end), first);
+            let first = migrate_block_marking(&src, &dst, start, end, always_open).unwrap();
+            let again = migrate_block_marking(&src, &dst, start, end, always_open);
+            assert_eq!(again, Some(first));
+            let plain = migrate_block_exclusive(&src, &dst, start, end, always_open);
+            assert_eq!(plain, Some(first));
             clusters += first;
-            let first = migrate_block_rehash(&src, &shrunk, start, end, true);
-            assert_eq!(migrate_block_rehash(&src, &shrunk, start, end, true), first);
-            rehashed += first;
+            let first = migrate_block_rehash(&src, &shrunk, start, end, true, always_open);
+            let again = migrate_block_rehash(&src, &shrunk, start, end, true, always_open);
+            assert_eq!(again, first);
+            rehashed += first.unwrap();
         }
         assert_eq!((clusters, rehashed), (keys.len(), keys.len()));
         for &k in &keys {
@@ -601,7 +677,8 @@ mod tests {
         let block = 64; // small blocks → many boundary-crossing clusters
         let mut total = 0;
         for b in 0..(src.capacity() / block) {
-            total += migrate_block_marking(&src, &dst, b * block, (b + 1) * block);
+            total +=
+                migrate_block_marking(&src, &dst, b * block, (b + 1) * block, always_open).unwrap();
         }
         assert_eq!(total, keys.len());
         let (live, _, _) = dst.scan_counts();
@@ -625,7 +702,7 @@ mod tests {
         let dst = BoundedTable::with_cells(128, 1);
         let mut total = 0;
         for b in 0..(src.capacity() / 16) {
-            total += migrate_block_marking(&src, &dst, b * 16, (b + 1) * 16);
+            total += migrate_block_marking(&src, &dst, b * 16, (b + 1) * 16, always_open).unwrap();
         }
         assert_eq!(total, keys.len());
         for &k in &keys {

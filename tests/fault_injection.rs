@@ -33,7 +33,8 @@ use std::time::Duration;
 use growt_baselines::FollyStyle;
 use growt_core::complex::StringKeyTable;
 use growt_core::{
-    membarrier, GrowConfig, GrowMap, GrowStrategy, GrowingOptions, GrowingTable, MigrationMode,
+    membarrier, Consistency, GrowConfig, GrowMap, GrowStrategy, GrowingOptions, GrowingTable,
+    MigrationMode,
 };
 use growt_failpoints::{clear_all, configure, hits, remove, visits, Action, ThreadExit, Trigger};
 use growt_iface::{ConcurrentMap, MapHandle};
@@ -912,6 +913,99 @@ fn stalled_owner_then_erase(mode: CopyMode, failpoint: &str) {
     assert_eq!(handle.find(&victim), None, "the late owner resurrected it");
     assert_eq!(
         map.size_exact_quiescent(),
+        owner_inserted + rescuer_inserted - 1
+    );
+}
+
+/// The stalled owner of [`stalled_owner_then_erase`] on the word table
+/// (uaGrow's marking copy): it sleeps on its claimed block, the rescuer
+/// re-copies it, publishes and erases a key of the block.  The owner's
+/// copy enters the lease's placement gate before it places anything,
+/// finds the lease completed, and stops.
+#[test]
+fn word_table_stalled_owner_does_not_resurrect_an_erased_key() {
+    serialized("word-stalled-owner-erase", || {
+        word_stalled_owner_then_erase(Consistency::AsyncMarking, "grow.block.claimed");
+    });
+}
+
+/// The same schedule under the synchronized protocol (usGrow), whose copy
+/// reads the excluded source with plain loads.
+#[test]
+fn synchronized_word_table_stalled_owner_does_not_resurrect_an_erased_key() {
+    serialized("word-sync-stalled-owner-erase", || {
+        word_stalled_owner_then_erase(Consistency::Synchronized, "grow.block.claimed");
+    });
+}
+
+/// The owner stalls inside a pass through the placement gate, at its
+/// first placement (`grow.place`): the rescuer completes the block, and
+/// the finalizer holds the publication until the owner's pass is over, so
+/// its stores land in the unpublished target and the erase comes after
+/// them.
+#[test]
+fn word_table_late_owner_stalled_inside_its_placement_cannot_resurrect_an_erased_key() {
+    serialized("word-late-owner-placement", || {
+        word_stalled_owner_then_erase(Consistency::AsyncMarking, "grow.place");
+    });
+}
+
+/// [`stalled_owner_then_erase`]'s schedule on a `GrowingTable` of the
+/// given consistency: its first migration is one block, held by the
+/// stalled owner; the rescuer erases the owner's first key from the
+/// published target, and the key must stay erased, and the count exact.
+fn word_stalled_owner_then_erase(consistency: Consistency, failpoint: &str) {
+    const STALL_MS: u64 = 400;
+
+    let options = GrowingOptions {
+        consistency,
+        ..GrowingOptions::default()
+    };
+    let table = GrowingTable::with_options(32, options);
+    configure(failpoint, Action::DelayMs(STALL_MS), Trigger::Once);
+    let victim = 2u64;
+    let (owner_inserted, rescuer_inserted) = std::thread::scope(|scope| {
+        let owner = scope.spawn(|| {
+            let mut handle = table.handle();
+            let mut inserted = 0usize;
+            for key in victim.. {
+                assert!(handle.insert(key, key));
+                inserted += 1;
+                if table.migrations_completed() >= 1 {
+                    break;
+                }
+            }
+            inserted
+        });
+        let rescuer = scope.spawn(|| {
+            while hits(failpoint) == 0 {
+                std::thread::yield_now();
+            }
+            let mut handle = table.handle();
+            let mut inserted = 0usize;
+            for key in 1_000_000u64.. {
+                if table.migrations_completed() >= 1 {
+                    break;
+                }
+                assert!(handle.insert(key, key));
+                inserted += 1;
+            }
+            assert!(handle.erase(victim), "the rescue lost the key");
+            assert_eq!(handle.find(victim), None);
+            inserted
+        });
+        (owner.join().unwrap(), rescuer.join().unwrap())
+    });
+    assert_eq!(hits(failpoint), 1);
+    assert_eq!(
+        table.migrations_completed(),
+        1,
+        "a second migration hides the window"
+    );
+    let mut handle = table.handle();
+    assert_eq!(handle.find(victim), None, "the late owner resurrected it");
+    assert_eq!(
+        table.size_exact_quiescent(),
         owner_inserted + rescuer_inserted - 1
     );
 }
