@@ -1460,32 +1460,140 @@ mod tests {
         }
     }
 
-    /// Every measured id at [`smoke_config`]: at least one point, every
-    /// point carrying the drawn fields (and `spread` beside each `mops`),
-    /// the id's own checks, one JSON row per point, and a block that
-    /// replaces itself in place when merged again.
+    /// The checks every smoke record must pass: at least one point,
+    /// every point carrying the drawn fields (and `spread` beside each
+    /// `mops`), the id's own checks, and one JSON row per point. Returns
+    /// the record's block.
+    fn check_record(cfg: &HarnessConfig, id: &str, record: &Record) -> String {
+        assert_eq!(record.id, id);
+        assert!(!record.points.is_empty(), "{id}: no points");
+        for point in &record.points {
+            for field in ["table", record.x].iter().chain(record.y) {
+                assert!(point.get(field).is_some(), "{id}: no {field} in {point:?}");
+            }
+            if let Some(mops) = point.get("mops") {
+                assert!(mops.as_f64() > 0.0, "{id}: {point:?}");
+                assert!(point.get("spread").is_some(), "{id}: no spread");
+            }
+        }
+        check_figure(cfg, record);
+        let block = record.block(cfg);
+        assert_eq!(block.matches("{\"table\"").count(), record.points.len());
+        block
+    }
+
+    /// Runs the measured figure `id` at [`smoke_config`] through
+    /// [`check_record`] and merges its block into a fresh record.
+    fn smoke(id: &str) -> (Record, String) {
+        let cfg = smoke_config();
+        let (_, run) = FIGURES.iter().find(|(name, _)| *name == id).unwrap();
+        let record = run(&cfg);
+        let block = check_record(&cfg, id, &record);
+        let json = merge_hotpath_json(None, id, &block);
+        assert!(json.contains("\"schema\": \"growt-bench/hotpath-v2\""));
+        assert!(json.contains(&format!("\"figure\": \"{id}\"")));
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert_eq!(json.matches("{\"table\"").count(), record.points.len());
+        (record, json)
+    }
+
+    /// Merges `record` into a record holding a one-point stand-in block
+    /// for each of `prior`, and checks that every key survives once.
+    fn merge_over(prior: &[&'static str], record: &Record) -> String {
+        let cfg = smoke_config();
+        let mut doc = None::<String>;
+        for &id in prior {
+            let stand_in = Record {
+                id,
+                title: id,
+                x: "threads",
+                y: &["mops"],
+                points: vec![Point::new("x")],
+            };
+            doc = Some(merge_hotpath_json(
+                doc.as_deref(),
+                id,
+                &stand_in.block(&cfg),
+            ));
+        }
+        let merged = merge_hotpath_json(doc.as_deref(), record.id, &record.block(&cfg));
+        for id in prior.iter().chain([&record.id]) {
+            let key = format!("\"figure\": \"{id}\"");
+            assert_eq!(
+                merged.matches(&key).count(),
+                1,
+                "merge lost or doubled {id}"
+            );
+        }
+        assert_eq!(merged.matches('{').count(), merged.matches('}').count());
+        merged
+    }
+
+    #[test]
+    fn smoke_ablation_batch_and_json() {
+        let (_, json) = smoke("ablation_batch");
+        assert!(json.contains("\"table\": \"uaGrow\""));
+        assert!(json.contains("\"batch\""));
+    }
+
+    #[test]
+    fn smoke_scaling_points_and_figure() {
+        let (_, json) = smoke("scaling");
+        assert!(json.contains("\"hash\": \"crc\""));
+    }
+
+    #[test]
+    fn smoke_ablation_probe_points_and_json() {
+        let (_, json) = smoke("ablation_probe");
+        assert!(json.contains("\"op\": \"find_miss\""));
+        assert!(json.contains("\"load\": 0.9"));
+    }
+
+    #[test]
+    fn smoke_wordcount_points_and_json() {
+        let (record, json) = smoke("wordcount");
+        assert!(record.to_tsv().contains("stringGrow"));
+        assert!(json.contains("\"table\": \"stringFolklore\""));
+        // Merged into a record that already holds the scaling figure, it
+        // keeps both figure keys.
+        let merged = merge_over(&["scaling"], &record);
+        assert!(merged.contains("\"table\": \"stringFolklore\""));
+    }
+
+    #[test]
+    fn smoke_typed_points_and_json() {
+        let (record, json) = smoke("typed");
+        assert!(record.to_tsv().contains("growMap aggregate-u64"));
+        assert!(json.contains("\"workload\": \"aggregate-u64\""));
+        // Merged into a record that already holds every other hot-path
+        // key, it keeps all of them.
+        let prior = [
+            "ablation_batch",
+            "scaling",
+            "wordcount",
+            "ablation_probe",
+            "latency",
+        ];
+        let merged = merge_over(&prior, &record);
+        assert!(merged.contains("\"table\": \"growMap\""));
+    }
+
+    #[test]
+    fn smoke_latency_points_and_json() {
+        let (_, json) = smoke("latency");
+        assert!(json.contains("\"p999_ns\""));
+        assert!(json.contains("\"migrations\""));
+    }
+
+    /// Every measured id at [`smoke_config`] through [`check_record`],
+    /// and a block that replaces itself in place when merged again.
     #[test]
     fn every_measured_figure_records_and_merges_in_place() {
         let cfg = smoke_config();
         let mut doc = None::<String>;
         let mut blocks = Vec::new();
         for (id, run) in FIGURES {
-            let record = run(&cfg);
-            assert_eq!(record.id, id);
-            assert!(!record.points.is_empty(), "{id}: no points");
-            for point in &record.points {
-                for field in ["table", record.x].iter().chain(record.y) {
-                    assert!(point.get(field).is_some(), "{id}: no {field} in {point:?}");
-                }
-                if let Some(mops) = point.get("mops") {
-                    assert!(mops.as_f64() > 0.0, "{id}: {point:?}");
-                    assert!(point.get("spread").is_some(), "{id}: no spread");
-                }
-            }
-            check_figure(&cfg, &record);
-
-            let block = record.block(&cfg);
-            assert_eq!(block.matches("{\"table\"").count(), record.points.len());
+            let block = check_record(&cfg, id, &run(&cfg));
             let merged = merge_hotpath_json(doc.as_deref(), id, &block);
             assert_eq!(merged.matches(&format!("\"figure\": \"{id}\"")).count(), 1);
             assert_eq!(merged.matches('{').count(), merged.matches('}').count());
