@@ -86,6 +86,19 @@ impl Default for HarnessConfig {
 /// 4096).
 pub const GROWING_INITIAL: usize = 4096;
 
+/// Where a growing benchmark starts a table that ends with `elements`
+/// elements: at [`GROWING_INITIAL`] cells, or at half the element count for
+/// a table whose growth is limited (folly, cuckoo), as the paper's Fig. 2b
+/// does.  From 4096 cells such a table tops out long before (folly near
+/// 61 000 keys), and its row would time failing inserts.
+pub fn growing_start<M: ConcurrentMap>(elements: usize) -> usize {
+    if M::capabilities().growing == GrowthSupport::Limited {
+        elements / 2
+    } else {
+        GROWING_INITIAL
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The record: one point type, one TSV renderer, one JSON block
 // ---------------------------------------------------------------------------
@@ -418,6 +431,22 @@ fn contention_series<M: ConcurrentMap>(
     }
 }
 
+/// Fig. 2b's insertions into a growing table, started by [`growing_start`].
+fn growing_insert_series<M: ConcurrentMap>(cfg: &HarnessConfig, out: &mut Vec<Point>) {
+    insert_series::<M>(cfg, out, growing_start::<M>);
+}
+
+/// The table an aggregation of `cfg.ops` keys from `universe` starts with:
+/// room for every key, or a growing start for at most that many.
+fn aggregation_start<M: ConcurrentMap>(cfg: &HarnessConfig, universe: u64, growing: bool) -> M {
+    let elements = cfg.ops.min(universe as usize);
+    M::with_capacity(if growing {
+        growing_start::<M>(elements)
+    } else {
+        cfg.ops
+    })
+}
+
 fn aggregation_series<M: ConcurrentMap>(
     cfg: &HarnessConfig,
     out: &mut Vec<Point>,
@@ -428,8 +457,7 @@ fn aggregation_series<M: ConcurrentMap>(
     for &s in &cfg.zipf_s {
         let keys = zipf_keys(cfg.ops, universe, s, 4400 + (s * 100.0) as u64);
         let reps = repeat(cfg.reps, |_| {
-            let capacity = if growing { GROWING_INITIAL } else { cfg.ops };
-            let table = M::with_capacity(capacity);
+            let table = aggregation_start::<M>(cfg, universe, growing);
             aggregate_driver(&table, &keys, effective_threads::<M>(p))
         });
         let point = Point::new(M::table_name()).dim("threads", p);
@@ -450,14 +478,23 @@ fn deletion_series<M: ConcurrentMap>(cfg: &HarnessConfig, out: &mut Vec<Point>) 
     }
 }
 
+/// The table Fig. 7's mixed workload of `wp` percent writes starts with:
+/// room for its prefill and its insertions, or a growing start for them.
+fn mixed_start<M: ConcurrentMap>(cfg: &HarnessConfig, wp: u32, growing: bool) -> M {
+    let inserts = 8192 * cfg.contention_threads + (cfg.ops * wp as usize) / 100;
+    M::with_capacity(if growing {
+        growing_start::<M>(inserts)
+    } else {
+        inserts
+    })
+}
+
 fn mixed_series<M: ConcurrentMap>(cfg: &HarnessConfig, out: &mut Vec<Point>, growing: bool) {
     let p = cfg.contention_threads;
     for &wp in &cfg.write_percents {
         let wl = mixed_workload(cfg.ops, wp, 8192 * p, 8192 * p, 6100 + wp as u64);
         let reps = repeat(cfg.reps, |_| {
-            let inserts = 8192 * p + (cfg.ops * wp as usize) / 100;
-            let capacity = if growing { GROWING_INITIAL } else { inserts };
-            let table = M::with_capacity(capacity);
+            let table = mixed_start::<M>(cfg, wp, growing);
             prefill_for::<M>(&table, &wl.prefill);
             mixed_driver(&table, &wl, effective_threads::<M>(p))
         });
@@ -496,13 +533,12 @@ pub fn fig2a(cfg: &HarnessConfig) -> Record {
 }
 
 /// Fig. 2b: insertions into a growing table (initial capacity 4096; tables
-/// with limited growing start at half the final size).
+/// with limited growing start at half the final size, [`growing_start`]).
 pub fn fig2b(cfg: &HarnessConfig) -> Record {
     let mut out = Vec::new();
-    for_tables!(insert_series(cfg, &mut out, |_| GROWING_INITIAL):
+    for_tables!(growing_insert_series(cfg, &mut out):
         SeqGrowingTable, UaGrow, UsGrow, PaGrow, PsGrow, JunctionLinear, JunctionLeapfrog,
-        TbbHashMap, TbbUnorderedMap, RcuTable, RcuQsbrTable);
-    for_tables!(insert_series(cfg, &mut out, |ops| ops / 2): FollyStyle, Cuckoo);
+        TbbHashMap, TbbUnorderedMap, RcuTable, RcuQsbrTable, FollyStyle, Cuckoo);
     throughput("fig2b", "fig2b-insert-growing", "threads", out)
 }
 
@@ -681,7 +717,7 @@ fn fig10_series<M: ConcurrentMap>(
             factor
         };
         let capacity = if start == 0.0 {
-            GROWING_INITIAL
+            growing_start::<M>(keys.len())
         } else {
             (cfg.ops as f64 * start) as usize
         };
@@ -701,8 +737,8 @@ fn fig10_series<M: ConcurrentMap>(
 
 /// Fig. 10: memory consumption vs. unsuccessful-find throughput for
 /// different initial capacities: `init_factor` times the element count,
-/// where 0 is the growing start of [`GROWING_INITIAL`] cells (a table that
-/// cannot grow starts at 1×), `bytes` as [`fig10_footprint`] counts them.
+/// where 0 is the growing start of [`growing_start`] (a table that cannot
+/// grow starts at 1×), `bytes` as [`fig10_footprint`] counts them.
 pub fn fig10(cfg: &HarnessConfig) -> Record {
     let keys = uniform_distinct_keys(cfg.ops, 777);
     let misses = uniform_keys(cfg.ops, 778);
@@ -1273,6 +1309,8 @@ pub fn smoke_config() -> HarnessConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use growt_iface::MapHandle;
+    use growt_workloads::MixedOp;
 
     #[test]
     fn table1_lists_all_tables() {
@@ -1299,6 +1337,50 @@ mod tests {
         ] {
             assert!(t.contains(name), "missing {name} in table 1");
         }
+    }
+
+    /// Folly, whose growth is limited, loses no insert in the growing
+    /// series at the start they give it: fig5b's aggregation, fig7b's
+    /// mixed workload and fig10's prefill, each driven as its series
+    /// drives it, past the 61 000 keys it holds from 4096 cells.
+    #[test]
+    fn a_limited_table_starts_where_every_insert_of_a_growing_series_lands() {
+        let cfg = HarnessConfig {
+            ops: 200_000,
+            contention_threads: 2,
+            ..smoke_config()
+        };
+        let universe = cfg.ops as u64;
+        let keys = zipf_keys(cfg.ops, universe, 0.25, 4425);
+        let distinct = keys.iter().collect::<std::collections::HashSet<_>>().len();
+        let table = aggregation_start::<FollyStyle>(&cfg, universe, true);
+        let aggregated = aggregate_driver(&table, &keys, 2);
+        assert_eq!(aggregated.aux as usize, distinct, "aggregation insertions");
+        let mut h = table.handle();
+        assert!(
+            keys.iter().all(|&k| h.find(k).is_some()),
+            "an aggregated key is missing"
+        );
+
+        let wl = mixed_workload(cfg.ops, 80, 8192 * 2, 8192 * 2, 6180);
+        let table = mixed_start::<FollyStyle>(&cfg, 80, true);
+        prefill_for::<FollyStyle>(&table, &wl.prefill);
+        mixed_driver(&table, &wl, 2);
+        let mut h = table.handle();
+        for op in &wl.ops {
+            if let MixedOp::Insert(k) = *op {
+                assert_eq!(h.find(k), Some(k), "a mixed insertion is missing");
+            }
+        }
+
+        let keys = uniform_distinct_keys(cfg.ops, 777);
+        let (table, _) =
+            fig10_footprint::<FollyStyle>(growing_start::<FollyStyle>(keys.len()), &keys);
+        let mut h = table.handle();
+        assert!(
+            keys.iter().all(|&k| h.find(k) == Some(k)),
+            "a fig10 key is missing"
+        );
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! Every growing table in this crate replaces its current generation by a
 //! migrated copy through the same protocol — leader election by an
 //! `IDLE → PREPARING` CAS, fallible target allocation with graceful
-//! degradation, steal-able block leases with rescue, a re-entrant
+//! degradation, an uncleared target cleared in slices by the writers that
+//! pass, steal-able block leases with rescue, a re-entrant
 //! finalization latch, and a version-guarded generation publish.  Until
 //! this module existed the protocol lived twice (once in [`crate::grow`]
 //! for the word table, once in `complex/growing.rs` for the string table,
@@ -12,7 +13,8 @@
 //! what actually differs:
 //!
 //! * **what a generation is** ([`GrowProtocol::Gen`]) and how to allocate
-//!   ([`GrowProtocol::alloc_generation`]) and copy
+//!   ([`GrowProtocol::alloc_generation`]), clear
+//!   ([`GrowProtocol::clear_slice`]) and copy
 //!   ([`GrowProtocol::copy_range`]) one;
 //! * **strategy axes** — enslavement vs. pool
 //!   ([`GrowProtocol::enslaves`], [`GrowProtocol::signal_pool`]),
@@ -31,7 +33,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, TryLockError};
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
@@ -72,6 +74,15 @@ const MIN_SCALED_BLOCK: usize = 256;
 const BLOCKS_PER_MIGRATION: usize = 16;
 /// Migrations the per-table phase log remembers.
 const MIGRATION_LOG_LEN: usize = 16;
+/// Bytes of an uncleared target that one passing write clears.  On a 2-vCPU
+/// Xeon (2 MiB L2) a recycled target of 64 KiB–2 MiB clears 4 KiB in
+/// 0.1–0.16 µs at the median and under 0.5 µs at p999, with other work
+/// between the slices (8 KiB: 0.2–0.4 and 0.65 µs).  In `insert_grow`'s
+/// flow, where a slice's lines are colder, 4 KiB read a higher unstalled
+/// share than 8 KiB in 4 of 4 runs (EXPERIMENTS.md "PR 40"): a clearing
+/// write must stay well under the 2 µs at which an operation counts as
+/// stalled (DESIGN.md §13).
+pub(crate) const CLEAR_SLICE_BYTES: usize = 4 << 10;
 
 /// How a migration keeps writers from changing a source cell after the copy
 /// has read it (DESIGN.md §12, §15).
@@ -103,7 +114,10 @@ pub(crate) fn block_size_for(old_capacity: usize, migration_block: usize) -> usi
 /// every participant, so at two threads it can exceed the migration's
 /// duration; `longest_wait_ns` is the longest time a thread that had run
 /// out of blocks (or was never drafted) waited for the publication.  The
-/// leader's part before the copy is `prepare_ns + quiesce_ns`.
+/// electing thread's part is `prepare_ns`; a target that came uncleared is
+/// then cleared a slice per passing write over `clear_ns`, and the leader —
+/// the thread that cleared the last slice, or the elector when there were
+/// none — spends `quiesce_ns` before the copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MigrationRecord {
     /// Version of the generation that was migrated away.
@@ -118,11 +132,19 @@ pub struct MigrationRecord {
     pub blocks: usize,
     /// Source cells per lease.
     pub block_size: usize,
-    /// Leader: sizing, allocating and zeroing the target, installing the
-    /// job.
+    /// Elector: sizing and allocating the target, from the election on.
     pub prepare_ns: u64,
-    /// Leader, after the allocation: excluding the writers (raising the
-    /// growing flag, the heavy barrier, waiting for busy handles) — or
+    /// From the election to the last slice of the target cleared; 0 when
+    /// the target came cleared.
+    pub clear_ns: u64,
+    /// Slices of 4 KiB (`CLEAR_SLICE_BYTES`) the target was cleared in, one per
+    /// passing write; 0 when it came cleared (a fresh mapping, or a table
+    /// that allocates its generations zeroed).
+    pub slices: usize,
+    /// Slices the electing thread cleared itself.
+    pub slices_by_elector: usize,
+    /// Leader, once the target is clear: excluding the writers (raising
+    /// the growing flag, the heavy barrier, waiting for busy handles) — or
     /// giving up on that, which makes the migration mark.
     pub quiesce_ns: u64,
     /// How the copy kept writers off the source.
@@ -133,7 +155,7 @@ pub struct MigrationRecord {
     pub finalize_ns: u64,
     /// Longest wait of a thread with nothing left to copy.
     pub longest_wait_ns: u64,
-    /// Blocks copied by the thread that prepared the migration.
+    /// Blocks copied by the leader, the thread that installed the job.
     pub blocks_by_leader: usize,
     /// Block copies made by a waiter's rescue pass (0 unless a participant
     /// crashed or stalled past the rescue patience).
@@ -174,9 +196,60 @@ pub(crate) struct MigrationJob<G> {
     pub(crate) mode: MigrationMode,
     // Phase accounting for the coordinator's `MigrationRecord`.
     leader: ThreadId,
-    prepare_ns: u64,
-    quiesce_ns: u64,
+    preparation: Preparation,
     pub(crate) progress: Progress,
+}
+
+/// The phase record's fields that are known once the job is installed.
+#[derive(Clone, Copy)]
+struct Preparation {
+    prepare_ns: u64,
+    clear_ns: u64,
+    slices: usize,
+    slices_by_elector: usize,
+    quiesce_ns: u64,
+}
+
+/// A migration between its election and its job: the sized source, the
+/// allocated target and, while the writers clear it, how far they got
+/// (DESIGN.md §13).  The coordinator keeps it, under the clearing lock,
+/// from the election until the last slice is clear.
+pub(crate) struct Prepared<G> {
+    source: Arc<G>,
+    target: Arc<G>,
+    expected_version: u64,
+    total_blocks: usize,
+    block_size: usize,
+    rehash: bool,
+    elected: Instant,
+    elector: ThreadId,
+    prepare_ns: u64,
+    /// Slices the target needs cleared; 0 when it came cleared.
+    slices: usize,
+    /// Slices cleared, which is also the next one to clear: raised only
+    /// once its slice is clear, so a clearer that unwinds inside a slice
+    /// leaves it to the next one.
+    cleared: usize,
+    slices_by_elector: usize,
+}
+
+/// Restores `IDLE`, and lowers the growing flag and the clearing bit, when
+/// a migration's preparation fails or unwinds before its job is installed:
+/// a crashed elector or leader cannot wedge every later growth attempt.
+struct PrepareGuard<'c, G> {
+    coordinator: &'c Coordinator<G>,
+    generations: &'c VersionedArc<G>,
+    armed: bool,
+}
+
+impl<G> Drop for PrepareGuard<'_, G> {
+    fn drop(&mut self) {
+        if self.armed {
+            self.generations.lower_flag();
+            self.generations.lower_clearing();
+            self.coordinator.state.store(STATE_IDLE, Ordering::Release);
+        }
+    }
 }
 
 /// A block lease: its state (`BLOCK_FREE`/`BLOCK_CLAIMED`/`BLOCK_DONE`)
@@ -259,12 +332,18 @@ impl Drop for PlacementPass<'_> {
     }
 }
 
-/// The per-table coordinator cell: migration state machine, installed job
-/// and completion diagnostics.  (The growing flag of a migration that
-/// excludes writers lives in the generation slot's version word,
-/// [`VersionedArc::raise_flag`].)
+/// The per-table coordinator cell: migration state machine, the target
+/// being cleared, the installed job and completion diagnostics.  (The
+/// growing flag of a migration that excludes writers, and the clearing bit
+/// raised while the record below holds a target, live in the generation
+/// slot's version word: [`VersionedArc::raise_flag`],
+/// [`VersionedArc::raise_clearing`].)
 pub(crate) struct Coordinator<G> {
     state: AtomicU64,
+    /// The prepared migration whose target waits for its slices; the lock
+    /// is the clearing lock, which passing writers only try.  Boxed: it is
+    /// there for a fraction of the table's life.
+    clearing: Mutex<Option<Box<Prepared<G>>>>,
     job: Mutex<Option<Arc<MigrationJob<G>>>>,
     /// Completed migrations (diagnostics / tests).
     pub(crate) migrations_completed: AtomicU64,
@@ -278,17 +357,19 @@ impl<G> Coordinator<G> {
     pub(crate) fn new() -> Self {
         Coordinator {
             state: AtomicU64::new(STATE_IDLE),
+            clearing: Mutex::new(None),
             job: Mutex::new(None),
             migrations_completed: AtomicU64::new(0),
             log: Mutex::new(VecDeque::new()),
         }
     }
 
-    /// `true` while an elected leader prepares a migration (allocates and
-    /// installs its target): an insert that has landed and meets its growth
-    /// trigger then returns instead of waiting (DESIGN.md §13).  The
-    /// cheap check; [`GrowProtocol::try_grow_once`] closes the race with an
-    /// election that is being won meanwhile.
+    /// `true` from a migration's election until its job is installed —
+    /// while the target is allocated, cleared in slices and the writers
+    /// excluded: an insert that has landed and meets its growth trigger
+    /// then returns instead of waiting (DESIGN.md §13).  The cheap check;
+    /// [`GrowProtocol::try_grow_once`] closes the race with an election
+    /// that is being won meanwhile.
     pub(crate) fn preparing(&self) -> bool {
         self.state.load(Ordering::Acquire) == STATE_PREPARING
     }
@@ -334,15 +415,13 @@ pub(crate) trait GrowProtocol {
     /// One table generation (the word table's `BoundedTable`, the string
     /// table's cell array, a typed map's cell array).
     type Gen;
-    /// Leader context threaded from the operation that triggers a growth
-    /// into [`GrowProtocol::quiesce_writers`] (the word table passes its
-    /// per-handle busy flags so the leader can exempt itself from the
-    /// synchronized quiescence wait; marking-only tables pass `()`).
-    type Leader: ?Sized;
 
     /// Failpoint fired before the target-generation allocation
     /// (`FailAlloc` schedules inject an allocation failure here).
     const FP_PREPARE_ALLOC: &'static str;
+    /// Failpoint fired inside the clearing of one slice of an uncleared
+    /// target, before the slice is cleared.
+    const FP_PREPARE_SLICE: &'static str;
     /// Failpoint fired right after a block lease is claimed.
     const FP_BLOCK_CLAIMED: &'static str;
     /// Failpoint fired at the start of finalization.
@@ -359,15 +438,24 @@ pub(crate) trait GrowProtocol {
     fn grow_config(&self) -> &GrowConfig;
     fn capacity_of(generation: &Self::Gen) -> usize;
 
-    /// Allocate the target generation.  Fallible: an `Err` degrades to
-    /// "keep serving the old generation" (the caller's guard restores the
-    /// coordinator state and the growth is retried with backoff).
+    /// Allocate the target generation, cleared or not: returns it and the
+    /// slices of [`CLEAR_SLICE_BYTES`] it needs cleared
+    /// ([`GrowProtocol::clear_slice`]) before anything reads it, 0 when it
+    /// came cleared.  Fallible: an `Err` degrades to "keep serving the old
+    /// generation" (the caller's guard restores the coordinator state and
+    /// the growth is retried with backoff).
     fn alloc_generation(
         &self,
         source: &Self::Gen,
         new_capacity: usize,
         version: u64,
-    ) -> Result<Self::Gen, crate::mem::AllocError>;
+    ) -> Result<(Self::Gen, usize), crate::mem::AllocError>;
+
+    /// Clear slice `slice` of a target that [`GrowProtocol::alloc_generation`]
+    /// handed out uncleared.  The clearing lock keeps every other thread
+    /// off the target meanwhile.  Tables whose generations come cleared
+    /// have no slices and keep the default.
+    fn clear_slice(_target: &Self::Gen, _slice: usize) {}
 
     /// Copy the block `[start, end)`, lease `block`, of `job`'s source into
     /// its target.  Must be **idempotent**: a rescuer may re-copy the block, also while
@@ -401,7 +489,7 @@ pub(crate) trait GrowProtocol {
     /// a write, then answers [`MigrationMode::Exclusive`]; one that cannot
     /// (or gives up waiting) answers [`MigrationMode::Marking`], the
     /// default.
-    fn quiesce_writers(&self, _leader: &Self::Leader) -> MigrationMode {
+    fn quiesce_writers(&self) -> MigrationMode {
         MigrationMode::Marking
     }
 
@@ -429,10 +517,10 @@ pub(crate) trait GrowProtocol {
     /// the bounded-attempt variant behind the `try_*` handle operations.
     /// Cold, as is that one: kept out of the operations' loops.
     #[cold]
-    fn grow(&self, observed_version: u64, leader: &Self::Leader) {
+    fn grow(&self, observed_version: u64) {
         let mut backoff_us = 50u64;
         loop {
-            if self.try_grow_once(observed_version, leader, false).is_ok() {
+            if self.try_grow_once(observed_version, false).is_ok() {
                 return;
             }
             std::thread::sleep(std::time::Duration::from_micros(backoff_us));
@@ -444,16 +532,12 @@ pub(crate) trait GrowProtocol {
     /// a few short-backoff attempts, then the allocation failure is
     /// reported to the caller instead of being retried forever.
     #[cold]
-    fn try_grow(
-        &self,
-        observed_version: u64,
-        leader: &Self::Leader,
-    ) -> Result<(), crate::mem::AllocError> {
+    fn try_grow(&self, observed_version: u64) -> Result<(), crate::mem::AllocError> {
         const ATTEMPTS: u32 = 8;
         let mut backoff_us = 50u64;
         let mut attempt = 0;
         loop {
-            match self.try_grow_once(observed_version, leader, false) {
+            match self.try_grow_once(observed_version, false) {
                 Ok(()) => return Ok(()),
                 Err(error) => {
                     attempt += 1;
@@ -469,17 +553,22 @@ pub(crate) trait GrowProtocol {
 
     /// One growth attempt.  `Ok(())` means the observed generation has been
     /// (or is being) replaced — or the trigger was stale; `Err` reports the
-    /// allocation failure that kept the leader from installing a migration
-    /// job (the coordinator is back in `IDLE` so any thread can retry).
+    /// allocation failure that kept the elected thread from preparing a
+    /// migration (the coordinator is back in `IDLE` so any thread can
+    /// retry).
     ///
-    /// A thread that loses the election helps with the migration or waits
-    /// for it — unless `skip_preparation` is set and the winner is still
-    /// preparing it: an insert that has landed and met its growth trigger
-    /// need not wait for that (DESIGN.md §13).
+    /// The elected thread allocates the target.  One that came cleared it
+    /// migrates at once, as the leader; one that came uncleared it leaves
+    /// to the writers that pass, a slice each, and the thread that clears
+    /// the last slice leads ([`GrowProtocol::clear_next_slice`]).  A thread
+    /// that loses the election helps with the migration or waits for it —
+    /// unless `skip_preparation` is set and the migration is still being
+    /// prepared: an insert that has landed and met its growth trigger need
+    /// not wait for that, nor, as the elector, clear the whole target
+    /// (DESIGN.md §13).
     fn try_grow_once(
         &self,
         observed_version: u64,
-        leader: &Self::Leader,
         skip_preparation: bool,
     ) -> Result<(), crate::mem::AllocError> {
         // Stale trigger: someone already replaced the generation.
@@ -493,24 +582,9 @@ pub(crate) trait GrowProtocol {
             Ordering::Acquire,
         ) {
             Ok(_) => {
-                // Leader path.  From here until the job is published the
-                // coordinator must never be left in PREPARING: the guard
-                // restores IDLE (and lowers the growing flag) if
-                // preparation fails *or unwinds*, so a crashed leader
-                // cannot wedge every later growth attempt.
-                struct PrepareGuard<'c, G> {
-                    coordinator: &'c Coordinator<G>,
-                    generations: &'c VersionedArc<G>,
-                    armed: bool,
-                }
-                impl<G> Drop for PrepareGuard<'_, G> {
-                    fn drop(&mut self) {
-                        if self.armed {
-                            self.generations.lower_flag();
-                            self.coordinator.state.store(STATE_IDLE, Ordering::Release);
-                        }
-                    }
-                }
+                // Elected.  Until the target is handed on, the coordinator
+                // must never be left in PREPARING: the guard restores IDLE
+                // if the allocation fails *or unwinds*.
                 let mut guard = PrepareGuard {
                     coordinator: self.coord(),
                     generations: self.generations(),
@@ -520,13 +594,23 @@ pub(crate) trait GrowProtocol {
                 if self.generations().version() != observed_version {
                     return Ok(());
                 }
-                self.prepare_migration(observed_version, leader)?;
+                let prepared = self.allocate_target(observed_version)?;
                 guard.armed = false;
-                self.signal_pool();
-                if self.enslaves() {
-                    self.participate();
+                if prepared.slices == 0 {
+                    self.lead(prepared);
+                    return Ok(());
                 }
-                self.wait_until_replaced(observed_version);
+                // The record and the clearing bit change together, under
+                // the clearing lock: the bit is up exactly while a target
+                // waits for its slices.
+                {
+                    let mut clearing = lock(&self.coord().clearing);
+                    *clearing = Some(Box::new(prepared));
+                    self.generations().raise_clearing();
+                }
+                if !skip_preparation {
+                    self.help_or_wait(observed_version);
+                }
                 Ok(())
             }
             Err(STATE_PREPARING) if skip_preparation => Ok(()),
@@ -537,21 +621,19 @@ pub(crate) trait GrowProtocol {
         }
     }
 
-    /// Leader-only: allocate the target generation, decide the mode
-    /// ([`GrowProtocol::quiesce_writers`]) and publish the migration job.
-    /// The capacity policy is §5.2's: grow by at least the configured
-    /// factor when the live estimate justifies it, shrink far below the
-    /// shrink threshold, otherwise run a cleanup migration that only drops
-    /// tombstones.  Writers are excluded only after the allocation, so
-    /// that they keep inserting into the source while it runs (DESIGN.md
-    /// §13).  Fallible: an allocation failure leaves the table untouched
-    /// (the caller's guard restores the coordinator).
-    fn prepare_migration(
+    /// Elector-only: size and allocate the target generation.  The capacity
+    /// policy is §5.2's: grow by at least the configured factor when the
+    /// live estimate justifies it, shrink far below the shrink threshold,
+    /// otherwise run a cleanup migration that only drops tombstones.
+    /// Writers keep inserting into the source meanwhile, and while the
+    /// target is cleared after it (DESIGN.md §13).  Fallible: an allocation
+    /// failure leaves the table untouched (the caller's guard restores the
+    /// coordinator).
+    fn allocate_target(
         &self,
         expected_version: u64,
-        leader: &Self::Leader,
-    ) -> Result<(), crate::mem::AllocError> {
-        let started = Instant::now();
+    ) -> Result<Prepared<Self::Gen>, crate::mem::AllocError> {
+        let elected = Instant::now();
         let (source, version) = self.generations().acquire();
         debug_assert_eq!(version, expected_version);
         let live = self.counts().live_estimate() as usize;
@@ -577,33 +659,115 @@ pub(crate) trait GrowProtocol {
         } else {
             block_size_for(old_capacity, self.grow_config().migration_block)
         };
-        let total_blocks = old_capacity.div_ceil(block_size);
         if growt_failpoints::fire(Self::FP_PREPARE_ALLOC) {
             return Err(crate::mem::AllocError {
                 bytes: new_capacity * std::mem::size_of::<crate::cell::Cell>(),
             });
         }
-        let target = Arc::new(self.alloc_generation(&source, new_capacity, version + 1)?);
-        let prepare_ns = started.elapsed().as_nanos() as u64;
-        let quiesce_started = Instant::now();
-        let mode = self.quiesce_writers(leader);
-        let job = Arc::new(MigrationJob {
+        let (target, slices) = self.alloc_generation(&source, new_capacity, version + 1)?;
+        Ok(Prepared {
             source,
-            target,
+            target: Arc::new(target),
             expected_version: version,
-            total_blocks,
+            total_blocks: old_capacity.div_ceil(block_size),
             block_size,
-            leases: (0..total_blocks)
+            rehash,
+            elected,
+            elector: std::thread::current().id(),
+            prepare_ns: elected.elapsed().as_nanos() as u64,
+            slices,
+            cleared: 0,
+            slices_by_elector: 0,
+        })
+    }
+
+    /// Clear the next slice of the target that waits for them, unless
+    /// another thread holds the clearing lock or no target waits; called
+    /// by a write that saw the clearing bit, after its operation and with
+    /// its busy flag lowered, and by a thread that waits for the
+    /// preparation.  The thread that clears the last slice lowers the bit
+    /// and leads the migration ([`GrowProtocol::lead`]) before it returns.
+    /// `false` when there was nothing for this thread to clear.
+    #[cold]
+    fn clear_next_slice(&self) -> bool {
+        let mut clearing = match self.coord().clearing.try_lock() {
+            Ok(clearing) => clearing,
+            // A clearer unwound inside a slice, which it did not count: the
+            // slice is cleared again, here.
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => return false,
+        };
+        let Some(prepared) = clearing.as_mut() else {
+            return false;
+        };
+        growt_failpoints::fire(Self::FP_PREPARE_SLICE);
+        Self::clear_slice(&prepared.target, prepared.cleared);
+        prepared.cleared += 1;
+        if std::thread::current().id() == prepared.elector {
+            prepared.slices_by_elector += 1;
+        }
+        if prepared.cleared < prepared.slices {
+            return true;
+        }
+        let prepared = clearing.take().expect("the record was just cleared from");
+        self.generations().lower_clearing();
+        drop(clearing);
+        self.lead(*prepared);
+        true
+    }
+
+    /// Lead a prepared migration whose target is clear: install its job,
+    /// then copy and wait for the publication.  Run by the elector when the
+    /// target came cleared, else by the thread that cleared its last slice.
+    fn lead(&self, prepared: Prepared<Self::Gen>) {
+        let expected_version = prepared.expected_version;
+        self.install_job(prepared);
+        self.signal_pool();
+        if self.enslaves() {
+            self.participate();
+        }
+        self.wait_until_replaced(expected_version);
+    }
+
+    /// Decide the mode of a prepared migration
+    /// ([`GrowProtocol::quiesce_writers`]) and publish its job.  The guard
+    /// restores `IDLE` if this unwinds first; the target is then dropped,
+    /// and the next trigger elects again.
+    fn install_job(&self, prepared: Prepared<Self::Gen>) {
+        let mut guard = PrepareGuard {
+            coordinator: self.coord(),
+            generations: self.generations(),
+            armed: true,
+        };
+        let clear_ns = if prepared.slices == 0 {
+            0
+        } else {
+            prepared.elected.elapsed().as_nanos() as u64
+        };
+        let quiesce_started = Instant::now();
+        let mode = self.quiesce_writers();
+        let job = Arc::new(MigrationJob {
+            source: prepared.source,
+            target: prepared.target,
+            expected_version: prepared.expected_version,
+            total_blocks: prepared.total_blocks,
+            block_size: prepared.block_size,
+            leases: (0..prepared.total_blocks)
                 .map(|_| LeaseSlot {
                     state: AtomicU8::new(BLOCK_FREE),
                     placing: AtomicUsize::new(0),
                 })
                 .collect(),
-            rehash,
+            rehash: prepared.rehash,
             mode,
             leader: std::thread::current().id(),
-            prepare_ns,
-            quiesce_ns: quiesce_started.elapsed().as_nanos() as u64,
+            preparation: Preparation {
+                prepare_ns: prepared.prepare_ns,
+                clear_ns,
+                slices: prepared.slices,
+                slices_by_elector: prepared.slices_by_elector,
+                quiesce_ns: quiesce_started.elapsed().as_nanos() as u64,
+            },
             progress: Progress {
                 next_block: AtomicUsize::new(0),
                 blocks_done: AtomicUsize::new(0),
@@ -628,7 +792,7 @@ pub(crate) trait GrowProtocol {
             Ordering::AcqRel,
             Ordering::Acquire,
         );
-        Ok(())
+        guard.armed = false;
     }
 
     /// The currently installed migration job, if any.
@@ -862,8 +1026,11 @@ pub(crate) trait GrowProtocol {
             live,
             blocks: job.total_blocks,
             block_size: job.block_size,
-            prepare_ns: job.prepare_ns,
-            quiesce_ns: job.quiesce_ns,
+            prepare_ns: job.preparation.prepare_ns,
+            clear_ns: job.preparation.clear_ns,
+            slices: job.preparation.slices,
+            slices_by_elector: job.preparation.slices_by_elector,
+            quiesce_ns: job.preparation.quiesce_ns,
             mode: job.mode,
             copy_ns: job.progress.copy_ns.load(Ordering::Relaxed),
             finalize_ns: 0,
@@ -898,16 +1065,19 @@ pub(crate) trait GrowProtocol {
     /// Help with (enslavement) or wait for (pool) an in-flight migration of
     /// the generation `observed_version`.  Under a help budget a drafted
     /// helper copies at most that many blocks before falling through to
-    /// the backoff wait; the growth leader (in
-    /// [`GrowProtocol::try_grow_once`]) never comes through here and stays
-    /// unbudgeted, so every migration retains at least one help-until-done
-    /// participant.
+    /// the backoff wait; the growth leader ([`GrowProtocol::lead`]) never
+    /// comes through here and stays unbudgeted, so every migration retains
+    /// at least one help-until-done participant.  Cold: kept out of the
+    /// operations' retry loops, as `grow` is.
+    #[cold]
     fn help_or_wait(&self, observed_version: u64) {
         if self.enslaves() {
-            // The job may not be published yet (leader still preparing, or
-            // waiting for busy writers); spin, then yield the CPU the
-            // leader or a busy writer may need, until there is something
-            // to do or the table changed.
+            // The job may not be published yet: the elector allocates the
+            // target, the writers clear it, or the leader waits for busy
+            // writers.  Clear what is left of the target; with nothing to
+            // clear, spin, then yield the CPU the elector, a clearer or a
+            // busy writer may need, until there is something to do or the
+            // table changed.
             let mut spins = 0u32;
             loop {
                 if self.generations().version() != observed_version {
@@ -920,6 +1090,7 @@ pub(crate) trait GrowProtocol {
                         return;
                     }
                     STATE_IDLE => return,
+                    _ if self.clear_next_slice() => {}
                     _ if spins < 1024 => {
                         spins += 1;
                         std::hint::spin_loop();
@@ -1059,21 +1230,23 @@ mod tests {
         assert_eq!(block_size_for(1 << 20, MIGRATION_BLOCK), MIGRATION_BLOCK);
     }
 
-    /// The protocol alone: a generation is its capacity, and a block copy
-    /// only passes its lease's placement gate, as `GrowMap`'s copier does
-    /// before each chunk's placement.
+    /// The protocol alone: a generation is its capacity, a target comes
+    /// with `slices` slices to clear, and a block copy only passes its
+    /// lease's placement gate, as `GrowMap`'s copier does before each
+    /// chunk's placement.
     struct Sizes {
         current: VersionedArc<usize>,
         counts: GlobalCount,
         coordinator: Coordinator<usize>,
         grow: GrowConfig,
+        slices: usize,
     }
 
     impl GrowProtocol for Sizes {
         type Gen = usize;
-        type Leader = ();
 
         const FP_PREPARE_ALLOC: &'static str = "coord.tests.prepare.alloc";
+        const FP_PREPARE_SLICE: &'static str = "coord.tests.prepare.slice";
         const FP_BLOCK_CLAIMED: &'static str = "coord.tests.block.claimed";
         const FP_FINALIZE: &'static str = "coord.tests.finalize";
 
@@ -1102,8 +1275,8 @@ mod tests {
             _source: &usize,
             new_capacity: usize,
             _version: u64,
-        ) -> Result<usize, crate::mem::AllocError> {
-            Ok(new_capacity)
+        ) -> Result<(usize, usize), crate::mem::AllocError> {
+            Ok((new_capacity, self.slices))
         }
 
         fn copy_range(
@@ -1117,18 +1290,22 @@ mod tests {
         }
     }
 
-    /// A table of `capacity` cells with its migration job installed: 16
-    /// leases of 256 cells at 4096 cells.
-    fn migrating(capacity: usize) -> (Sizes, Arc<MigrationJob<usize>>) {
-        let table = Sizes {
+    fn sizes(capacity: usize, slices: usize) -> Sizes {
+        Sizes {
             current: VersionedArc::new(capacity),
             counts: GlobalCount::new(),
             coordinator: Coordinator::new(),
             grow: GrowConfig::default(),
-        };
-        table
-            .prepare_migration(1, &())
-            .expect("nothing to allocate");
+            slices,
+        }
+    }
+
+    /// A table of `capacity` cells with its migration job installed: 16
+    /// leases of 256 cells at 4096 cells.
+    fn migrating(capacity: usize) -> (Sizes, Arc<MigrationJob<usize>>) {
+        let table = sizes(capacity, 0);
+        let prepared = table.allocate_target(1).expect("nothing to allocate");
+        table.install_job(prepared);
         let job = table.current_job().expect("installed");
         (table, job)
     }
@@ -1204,8 +1381,7 @@ mod tests {
                 ("total_blocks", lines(&job.total_blocks)),
                 ("rehash", lines(&job.rehash)),
                 ("leader", lines(&job.leader)),
-                ("prepare_ns", lines(&job.prepare_ns)),
-                ("quiesce_ns", lines(&job.quiesce_ns)),
+                ("preparation", lines(&job.preparation)),
             ];
             for (name, read) in read_per_chunk.into_iter().chain(others) {
                 assert!(
@@ -1214,5 +1390,64 @@ mod tests {
                 );
             }
         }
+    }
+    /// A target that comes with slices: the elector's insert returns with
+    /// the clearing bit up and no job; each clearer clears one slice, the
+    /// last one leads the migration, and the record tells who did what.
+    #[test]
+    fn an_uncleared_target_is_cleared_a_slice_a_write_and_led_by_the_last_clearer() {
+        let table = sizes(4096, 3);
+        table.try_grow_once(1, true).expect("nothing to allocate");
+        assert!(table.coord().preparing());
+        assert!(table.current.clearing());
+        assert!(
+            table.current_job().is_none(),
+            "a job before the target is clear"
+        );
+        assert!(table.clear_next_slice(), "the elector's next write");
+        assert!(table.clear_next_slice());
+        assert!(table.current_job().is_none() && table.current.clearing());
+        std::thread::scope(|s| {
+            s.spawn(|| assert!(table.clear_next_slice(), "the last slice"));
+        });
+        assert!(!table.current.clearing());
+        assert_eq!(
+            table.current.version(),
+            2,
+            "the last clearer led the migration"
+        );
+        assert!(!table.clear_next_slice(), "nothing left to clear");
+        let record = &table.coordinator.migration_log()[0];
+        assert_eq!(
+            (record.slices, record.slices_by_elector),
+            (3, 2),
+            "{record:?}"
+        );
+        assert!(record.clear_ns >= record.prepare_ns, "{record:?}");
+        // A target that comes cleared is led by its elector at once.
+        let table = sizes(4096, 0);
+        table.try_grow_once(1, true).expect("nothing to allocate");
+        assert_eq!(table.current.version(), 2);
+        let record = &table.coordinator.migration_log()[0];
+        assert_eq!(
+            (record.slices, record.slices_by_elector, record.clear_ns),
+            (0, 0, 0)
+        );
+    }
+
+    /// A writer that waits for the preparation clears what is left itself,
+    /// and leads; a clearer that holds the lock makes the others pass.
+    #[test]
+    fn a_waiter_clears_what_is_left_and_a_held_lock_is_passed_by() {
+        let table = sizes(4096, 5);
+        table.try_grow_once(1, true).expect("nothing to allocate");
+        {
+            let _held = lock(&table.coordinator.clearing);
+            assert!(!table.clear_next_slice(), "a held lock is passed by");
+        }
+        table.help_or_wait(1);
+        assert_eq!(table.current.version(), 2);
+        let record = &table.coordinator.migration_log()[0];
+        assert_eq!((record.slices, record.slices_by_elector), (5, 5));
     }
 }

@@ -64,7 +64,7 @@ use growt_reclaim::{CachedArc, QsbrDomain, QsbrParticipant, VersionedArc};
 use crate::cell::{is_marked, unmark, Cell, DEL_KEY, EMPTY_KEY, MAX_MARKABLE_KEY};
 use crate::complex::{self, decode_keyref, pack_keyref, signature_of, POINTER_BITS, SIGNED_BITS};
 use crate::config::{capacity_for, capacity_shift, hash_key, GrowConfig, PROBE_LIMIT};
-use crate::coord::{Coordinator, GrowProtocol, MigrationJob};
+use crate::coord::{Coordinator, GrowProtocol, MigrationJob, CLEAR_SLICE_BYTES};
 pub use crate::coord::{MigrationMode, MigrationRecord};
 use crate::count::{GlobalCount, LocalCount};
 use crate::membarrier;
@@ -624,6 +624,9 @@ enum MapErase {
 /// of the gain (EXPERIMENTS.md, "the three-cell insert window").
 const INSERT_WINDOW: usize = 3;
 
+/// Cells in one slice of an uncleared migration target.
+const CLEAR_SLICE_CELLS: usize = CLEAR_SLICE_BYTES / std::mem::size_of::<Cell>();
+
 /// One table generation: a power-of-two array of word-table cells whose
 /// words are interpreted through `K`'s and `V`'s representations.  The
 /// array never owns the out-of-line allocations (they outlive
@@ -646,9 +649,36 @@ impl<K: KeyRepr, V: ValueRepr> GenericArray<K, V> {
         Self::try_new(capacity, version).expect("initial generic-table allocation failed")
     }
 
-    /// Fallible constructor used by migrations: an OOM while allocating
-    /// the next generation degrades to "keep serving the old one".
+    /// Fallible constructor: an OOM degrades to an error.
     fn try_new(capacity: usize, version: u64) -> Result<Self, crate::mem::AllocError> {
+        Self::with_cells(crate::mem::HugeBox::try_zeroed(capacity)?, version)
+    }
+
+    /// The constructor migrations use: the next generation's cells as the
+    /// allocator hands them out, with the slices of [`CLEAR_SLICE_CELLS`]
+    /// cells they need cleared before anything reads them (0 when they
+    /// came zero).  An OOM degrades to "keep serving the old one".
+    fn try_uncleared(
+        capacity: usize,
+        version: u64,
+    ) -> Result<(Self, usize), crate::mem::AllocError> {
+        // SAFETY: a target is not read before the coordinator has cleared
+        // every slice of it (`GrowProtocol::clear_next_slice`), nor freed
+        // from: the array owns no out-of-line allocation.
+        let (cells, zero) = unsafe { crate::mem::HugeBox::try_uncleared(capacity)? };
+        let slices = if zero {
+            0
+        } else {
+            capacity.div_ceil(CLEAR_SLICE_CELLS)
+        };
+        Ok((Self::with_cells(cells, version)?, slices))
+    }
+
+    fn with_cells(
+        cells: crate::mem::HugeBox<Cell>,
+        version: u64,
+    ) -> Result<Self, crate::mem::AllocError> {
+        let capacity = cells.len();
         assert!(capacity.is_power_of_two() && capacity >= 2);
         // A shift of at least 16, so that a long `String` key's stored
         // header, whose low 16 bits are its length, homes like its hash.
@@ -657,7 +687,7 @@ impl<K: KeyRepr, V: ValueRepr> GenericArray<K, V> {
             "more than 2^48 cells"
         );
         Ok(GenericArray {
-            cells: crate::mem::HugeBox::try_zeroed(capacity)?,
+            cells,
             shift: capacity_shift(capacity),
             version,
             _marker: PhantomData,
@@ -1247,9 +1277,9 @@ struct GenericInner<K: KeyRepr, V: ValueRepr> {
 
 impl<K: KeyRepr, V: ValueRepr> GrowProtocol for GenericInner<K, V> {
     type Gen = GenericArray<K, V>;
-    type Leader = ();
 
     const FP_PREPARE_ALLOC: &'static str = "generic.prepare.alloc";
+    const FP_PREPARE_SLICE: &'static str = "generic.prepare.slice";
     const FP_BLOCK_CLAIMED: &'static str = "generic.block.claimed";
     const FP_FINALIZE: &'static str = "generic.finalize";
     const SHRINK_IN_ONE_BLOCK: bool = true;
@@ -1279,8 +1309,16 @@ impl<K: KeyRepr, V: ValueRepr> GrowProtocol for GenericInner<K, V> {
         _source: &GenericArray<K, V>,
         new_capacity: usize,
         version: u64,
-    ) -> Result<GenericArray<K, V>, crate::mem::AllocError> {
-        GenericArray::try_new(new_capacity, version)
+    ) -> Result<(GenericArray<K, V>, usize), crate::mem::AllocError> {
+        GenericArray::try_uncleared(new_capacity, version)
+    }
+
+    fn clear_slice(target: &GenericArray<K, V>, slice: usize) {
+        let start = slice * CLEAR_SLICE_CELLS;
+        let end = (start + CLEAR_SLICE_CELLS).min(target.capacity());
+        // SAFETY: the clearing lock is held, and nothing reads a target
+        // before its job is installed, after its last slice.
+        unsafe { target.cells.clear(start..end) };
     }
 
     fn copy_range(
@@ -1312,7 +1350,7 @@ impl<K: KeyRepr, V: ValueRepr> GrowProtocol for GenericInner<K, V> {
     /// Without the barrier (the kernel lacks it, or the `generic.membarrier`
     /// failpoint says so), or with a handle still busy after
     /// [`QUIESCE_PATIENCE`], the migration marks.
-    fn quiesce_writers(&self, _leader: &()) -> MigrationMode {
+    fn quiesce_writers(&self) -> MigrationMode {
         /// Polls of a busy flag before the leader starts yielding its CPU,
         /// which a busy handle's thread may be waiting for.
         const SPINS: u32 = 256;
@@ -1507,6 +1545,9 @@ pub struct GrowMapHandle<'a, K: KeyRepr, V: ValueRepr> {
     qsbr: Option<QsbrParticipant>,
     since_quiesce: u32,
     busy: Arc<BusyFlag>,
+    /// Set by a write prologue that saw the clearing bit, taken by the
+    /// write's epilogue ([`GrowMapHandle::write_done`]).
+    clear_due: bool,
 }
 
 impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
@@ -1527,6 +1568,7 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
             qsbr: Self::RECLAIMS.then(|| inner.domain.register()),
             since_quiesce: 0,
             busy,
+            clear_due: false,
             inner,
         }
     }
@@ -1560,22 +1602,49 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
     /// CPU is made to by the leader's `membarrier`
     /// ([`GrowProtocol::quiesce_writers`]).  The returned guard lowers the
     /// flag when the write ends, before the write leads, helps or waits
-    /// for a migration.
+    /// for a migration.  A clearing bit, seen on the same cold path as a
+    /// raised flag, sets `clear_due` for [`GrowMapHandle::write_done`].
     #[inline]
     fn enter_write<'t>(
         cached: &'t mut CachedArc<GenericArray<K, V>>,
         local: &mut LocalCount,
         inner: &GenericInner<K, V>,
         busy: &'t BusyFlag,
+        clear_due: &mut bool,
     ) -> Option<(&'t GenericArray<K, V>, BusyGuard<'t>)> {
         busy.0.store(true, Ordering::Relaxed);
         compiler_fence(Ordering::SeqCst);
         let guard = BusyGuard(busy);
-        let (array, refreshed) = cached.get_ref_unless_flagged(&inner.current)?;
+        let (array, refreshed, clearing) = cached.get_ref_unless_flagged(&inner.current)?;
         if refreshed {
             Self::reset_local_counts(local, inner);
         }
+        if clearing {
+            *clear_due = true;
+        }
         Some((array, guard))
+    }
+
+    /// The write epilogue: if a prologue of the write saw the clearing bit,
+    /// clear a slice of the next generation — or, with its last slice, lead
+    /// the migration (DESIGN.md §13) — then [`GrowMapHandle::op_done`].
+    /// After the write's own count, so that a write that leads has counted
+    /// its insert in the generation it landed in.  Carried in the handle,
+    /// not in a register across the write's retry loop: that spilled on
+    /// the upsert's fast path and measured slower.
+    #[inline]
+    fn write_done(&mut self) {
+        if self.clear_due {
+            self.clear_due = false;
+            Self::clear_a_slice(self.inner);
+        }
+        self.op_done();
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn clear_a_slice(inner: &GenericInner<K, V>) {
+        inner.clear_next_slice();
     }
 
     /// A write found the growing flag raised: help with, or wait for, the
@@ -1625,11 +1694,12 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
     /// trigger a migration when the fill threshold is reached (§5.2).
     ///
     /// The insert has landed and the source still has room, so this never
-    /// waits for another thread's preparation of the migration: while one
-    /// prepares, the handle returns, and joins the copy when a later flush
-    /// finds it running or a later insert meets a marked cell (DESIGN.md
-    /// §13).  A target that cannot be allocated is left to the next flush,
-    /// which meets the trigger again.
+    /// waits for the preparation of the migration: while one is prepared,
+    /// the handle returns, clears a slice of the target on each later write,
+    /// and joins the copy when a later flush finds it running or a later
+    /// insert meets a marked cell (DESIGN.md §13).  The elector returns as
+    /// well, once it has allocated the target.  A target that cannot be
+    /// allocated is left to the next flush, which meets the trigger again.
     #[inline]
     fn after_insert(&mut self, capacity: usize, version: u64) {
         if let Some((insertions, _)) = self.local.record_insertion(&self.inner.counts) {
@@ -1645,7 +1715,7 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
     #[cold]
     #[inline(never)]
     fn request_growth(inner: &GenericInner<K, V>, version: u64) {
-        let _ = inner.try_grow_once(version, &(), true);
+        let _ = inner.try_grow_once(version, true);
     }
 
     #[inline]
@@ -1679,9 +1749,13 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
         let probe = Probe::new(key);
         let mut pending = PendingCell::new();
         let inserted = loop {
-            let Some((array, busy)) =
-                Self::enter_write(&mut self.cached, &mut self.local, self.inner, &self.busy)
-            else {
+            let Some((array, busy)) = Self::enter_write(
+                &mut self.cached,
+                &mut self.local,
+                self.inner,
+                &self.busy,
+                &mut self.clear_due,
+            ) else {
                 Self::wait_for_growth(self.inner);
                 continue;
             };
@@ -1694,14 +1768,14 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
                     break true;
                 }
                 MapOutcome::Present => break false,
-                MapOutcome::Full => self.inner.grow(version, &()),
+                MapOutcome::Full => self.inner.grow(version),
                 MapOutcome::Migrating => self.inner.help_or_wait(version),
                 // Invariant: plain upsert never updates and never reports
                 // an absent key as anything but an insertion (or `Full`).
                 MapOutcome::Updated(_) | MapOutcome::NotFound => unreachable!(),
             }
         };
-        self.op_done();
+        self.write_done();
         inserted
     }
 
@@ -1715,9 +1789,13 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
         let probe = Probe::new(key);
         let mut pending = PendingCell::new();
         let result = loop {
-            let Some((array, busy)) =
-                Self::enter_write(&mut self.cached, &mut self.local, self.inner, &self.busy)
-            else {
+            let Some((array, busy)) = Self::enter_write(
+                &mut self.cached,
+                &mut self.local,
+                self.inner,
+                &self.busy,
+                &mut self.clear_due,
+            ) else {
                 Self::wait_for_growth(self.inner);
                 continue;
             };
@@ -1731,7 +1809,7 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
                 }
                 MapOutcome::Present => break Ok(false),
                 MapOutcome::Full => {
-                    if self.inner.try_grow(version, &()).is_err() {
+                    if self.inner.try_grow(version).is_err() {
                         break Err(TryGrowError);
                     }
                 }
@@ -1739,7 +1817,7 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
                 MapOutcome::Updated(_) | MapOutcome::NotFound => unreachable!(),
             }
         };
-        self.op_done();
+        self.write_done();
         result
     }
 
@@ -1761,9 +1839,13 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
     pub fn update<F: Fn(&V) -> V>(&mut self, key: &K, up: F) -> bool {
         let probe = Probe::new(key);
         let updated = loop {
-            let Some((array, busy)) =
-                Self::enter_write(&mut self.cached, &mut self.local, self.inner, &self.busy)
-            else {
+            let Some((array, busy)) = Self::enter_write(
+                &mut self.cached,
+                &mut self.local,
+                self.inner,
+                &self.busy,
+                &mut self.clear_due,
+            ) else {
                 Self::wait_for_growth(self.inner);
                 continue;
             };
@@ -1782,7 +1864,7 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
                 MapOutcome::Inserted | MapOutcome::Present | MapOutcome::Full => unreachable!(),
             }
         };
-        self.op_done();
+        self.write_done();
         updated
     }
 
@@ -1799,9 +1881,13 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
         let probe = Probe::new(key);
         let mut pending = PendingCell::new();
         let outcome = loop {
-            let Some((array, busy)) =
-                Self::enter_write(&mut self.cached, &mut self.local, self.inner, &self.busy)
-            else {
+            let Some((array, busy)) = Self::enter_write(
+                &mut self.cached,
+                &mut self.local,
+                self.inner,
+                &self.busy,
+                &mut self.clear_due,
+            ) else {
                 Self::wait_for_growth(self.inner);
                 continue;
             };
@@ -1817,14 +1903,14 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
                     self.retire_updated(displaced);
                     break InsertOrUpdate::Updated;
                 }
-                MapOutcome::Full => self.inner.grow(version, &()),
+                MapOutcome::Full => self.inner.grow(version),
                 MapOutcome::Migrating => self.inner.help_or_wait(version),
                 // Invariant: upsert reports an absent key by inserting it
                 // (or `Full`), never as `NotFound` or `Present`.
                 MapOutcome::NotFound | MapOutcome::Present => unreachable!(),
             }
         };
-        self.op_done();
+        self.write_done();
         outcome
     }
 
@@ -1840,9 +1926,13 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
         let probe = Probe::new(key);
         let mut pending = PendingCell::new();
         let result = loop {
-            let Some((array, busy)) =
-                Self::enter_write(&mut self.cached, &mut self.local, self.inner, &self.busy)
-            else {
+            let Some((array, busy)) = Self::enter_write(
+                &mut self.cached,
+                &mut self.local,
+                self.inner,
+                &self.busy,
+                &mut self.clear_due,
+            ) else {
                 Self::wait_for_growth(self.inner);
                 continue;
             };
@@ -1859,7 +1949,7 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
                     break Ok(InsertOrUpdate::Updated);
                 }
                 MapOutcome::Full => {
-                    if self.inner.try_grow(version, &()).is_err() {
+                    if self.inner.try_grow(version).is_err() {
                         break Err(TryGrowError);
                     }
                 }
@@ -1867,7 +1957,7 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
                 MapOutcome::NotFound | MapOutcome::Present => unreachable!(),
             }
         };
-        self.op_done();
+        self.write_done();
         result
     }
 
@@ -1877,9 +1967,13 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
     pub fn erase(&mut self, key: &K) -> bool {
         let probe = Probe::new(key);
         let erased = loop {
-            let Some((array, busy)) =
-                Self::enter_write(&mut self.cached, &mut self.local, self.inner, &self.busy)
-            else {
+            let Some((array, busy)) = Self::enter_write(
+                &mut self.cached,
+                &mut self.local,
+                self.inner,
+                &self.busy,
+                &mut self.clear_due,
+            ) else {
                 Self::wait_for_growth(self.inner);
                 continue;
             };
@@ -1899,7 +1993,7 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
                 MapErase::Migrating => self.inner.help_or_wait(version),
             }
         };
-        self.op_done();
+        self.write_done();
         erased
     }
 

@@ -292,9 +292,9 @@ impl Inner {
 /// trait's default methods.
 impl GrowProtocol for Inner {
     type Gen = BoundedTable;
-    type Leader = HandleShared;
 
     const FP_PREPARE_ALLOC: &'static str = "grow.prepare.alloc";
+    const FP_PREPARE_SLICE: &'static str = "grow.prepare.slice";
     const FP_BLOCK_CLAIMED: &'static str = "grow.block.claimed";
     const FP_FINALIZE: &'static str = "grow.finalize";
 
@@ -323,13 +323,15 @@ impl GrowProtocol for Inner {
         source: &BoundedTable,
         new_capacity: usize,
         version: u64,
-    ) -> Result<BoundedTable, crate::mem::AllocError> {
-        BoundedTable::try_with_cells_configured(
+    ) -> Result<(BoundedTable, usize), crate::mem::AllocError> {
+        // Allocated zeroed: the word table's targets have no slices.
+        let table = BoundedTable::try_with_cells_configured(
             new_capacity,
             version,
             source.hash_select(),
             source.probe_select(),
-        )
+        )?;
+        Ok((table, 0))
     }
 
     /// Every complete copy of a block counts the same live elements, so
@@ -366,18 +368,15 @@ impl GrowProtocol for Inner {
 
     /// RCU-style exclusion (§5.3.2): raise the growing flag, then wait
     /// until every registered handle has been observed outside a table
-    /// operation at least once.  The leader's own handle is exempt (it
-    /// cleared its busy flag before calling `grow()`).
-    fn quiesce_writers(&self, leader: &HandleShared) -> MigrationMode {
+    /// operation at least once.  The leader's own handle reads idle: every
+    /// operation lowers its busy flag before it grows, helps or waits.
+    fn quiesce_writers(&self) -> MigrationMode {
         if !self.synchronized() {
             return MigrationMode::Marking;
         }
         self.current.raise_flag();
         let handles = lock(&self.handles).clone();
         for shared in handles.iter() {
-            if std::ptr::eq(shared.as_ref(), leader) {
-                continue;
-            }
             while shared.active.load(Ordering::Acquire) && shared.busy.load(Ordering::SeqCst) != 0 {
                 std::thread::yield_now();
             }
@@ -545,7 +544,7 @@ impl<'a> GrowHandle<'a> {
         if let Some((insertions, _)) = self.local.record_insertion(&self.inner.counts) {
             let threshold = self.inner.options.grow.grow_threshold * capacity as f64;
             if insertions as f64 >= threshold {
-                self.inner.grow(version, &self.shared);
+                self.inner.grow(version);
             }
         }
     }
@@ -560,7 +559,7 @@ impl<'a> GrowHandle<'a> {
         if let Some((insertions, _)) = self.local.record_insertion(&self.inner.counts) {
             let threshold = self.inner.options.grow.grow_threshold * capacity as f64;
             if insertions as f64 >= threshold {
-                let _ = self.inner.try_grow(version, &self.shared);
+                let _ = self.inner.try_grow(version);
             }
         }
     }
@@ -592,7 +591,7 @@ impl<'a> GrowHandle<'a> {
                 }
                 InsertOutcome::AlreadyPresent => return false,
                 InsertOutcome::Full => {
-                    inner.grow(version, &self.shared);
+                    inner.grow(version);
                 }
                 InsertOutcome::Migrating => {
                     inner.help_or_wait(version);
@@ -627,7 +626,7 @@ impl<'a> GrowHandle<'a> {
                 }
                 InsertOutcome::AlreadyPresent => return Ok(false),
                 InsertOutcome::Full => {
-                    if inner.try_grow(version, &self.shared).is_err() {
+                    if inner.try_grow(version).is_err() {
                         return Err(growt_iface::TryGrowError);
                     }
                 }
@@ -666,7 +665,7 @@ impl<'a> GrowHandle<'a> {
                 }
                 UpsertOutcome::Updated => return Ok(false),
                 UpsertOutcome::Full => {
-                    if inner.try_grow(version, &self.shared).is_err() {
+                    if inner.try_grow(version).is_err() {
                         return Err(growt_iface::TryGrowError);
                     }
                 }
@@ -762,7 +761,7 @@ impl<'a> GrowHandle<'a> {
                     return true;
                 }
                 UpsertOutcome::Updated => return false,
-                UpsertOutcome::Full => inner.grow(version, &self.shared),
+                UpsertOutcome::Full => inner.grow(version),
                 UpsertOutcome::Migrating => inner.help_or_wait(version),
             }
         }
@@ -791,7 +790,7 @@ impl<'a> GrowHandle<'a> {
                         return true;
                     }
                     UpsertOutcome::Updated => return false,
-                    UpsertOutcome::Full => inner.grow(version, &self.shared),
+                    UpsertOutcome::Full => inner.grow(version),
                     UpsertOutcome::Migrating => inner.help_or_wait(version),
                 }
             }
@@ -988,7 +987,7 @@ impl<'a> GrowHandle<'a> {
                     break;
                 }
                 if need_grow {
-                    inner.grow(version, &self.shared);
+                    inner.grow(version);
                 } else {
                     inner.help_or_wait(version);
                 }

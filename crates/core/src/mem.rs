@@ -20,8 +20,12 @@
 //!
 //! A dropped mapping is not unmapped at once: it goes to one process-wide
 //! pool of idle mappings, and a later request of the same size takes it
-//! back and clears it with `write_bytes` instead of asking the kernel for
-//! fresh zeroed pages — the paper's TBB memory pool (§7).  The pool holds
+//! back instead of asking the kernel for fresh zeroed pages — the paper's
+//! TBB memory pool (§7).  [`HugeBox::try_zeroed`] clears it with
+//! `write_bytes`; [`HugeBox::try_uncleared`] hands it back as its last
+//! owner left it, with the global allocator's `alloc` in place of
+//! `alloc_zeroed`, for a caller that clears it later in slices
+//! ([`HugeBox::clear`], DESIGN.md §13).  The pool holds
 //! at most [`POOL_CAP_BYTES`]; a drop past that unmaps.  An idle mapping
 //! is `PROT_NONE`, so a stale access into a retired generation faults as
 //! it would after `munmap`.
@@ -33,7 +37,7 @@
 //! | allocation < 2 MB                           | global allocator (zeroed)     |
 //! | not Linux/x86-64                             | global allocator (zeroed)     |
 //! | `GROWT_NO_HUGEPAGES` set in the environment | global allocator (zeroed)     |
-//! | an idle mapping of the same size is pooled  | take it, clear it             |
+//! | an idle mapping of the same size is pooled  | take it, clear it (`try_zeroed`) |
 //! | `mmap` fails (e.g. overcommit limit)        | global allocator (zeroed)     |
 //! | `madvise` fails (THP disabled)              | keep the mapping, plain pages |
 //! | `MADV_POPULATE_WRITE` unknown (`EINVAL`)    | populate by one write per 4 KiB |
@@ -49,8 +53,8 @@
 //! (`syscall` instruction); on other platforms the code compiles to the
 //! plain-allocator path.
 
-use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
-use std::ops::Deref;
+use std::alloc::{alloc, alloc_zeroed, dealloc, handle_alloc_error, Layout};
+use std::ops::{Deref, Range};
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -255,6 +259,25 @@ impl<T: ZeroInit> HugeBox<T> {
     /// the request (checked via the non-aborting `alloc_zeroed` result),
     /// or when the `mem.hugebox.alloc` failpoint injects a failure.
     pub fn try_zeroed(len: usize) -> Result<Self, AllocError> {
+        Self::allocate(len, true).map(|(slice, _)| slice)
+    }
+
+    /// [`HugeBox::try_zeroed`] without the clearing: a pooled mapping comes
+    /// back as its last owner left it, and the global allocator's block
+    /// from `alloc`.  The flag says whether the slice is zero all the same
+    /// (a fresh mapping, or no storage at all).
+    ///
+    /// # Safety
+    ///
+    /// When the flag is `false`, no element may be read before
+    /// [`HugeBox::clear`] has cleared it.
+    pub unsafe fn try_uncleared(len: usize) -> Result<(Self, bool), AllocError> {
+        Self::allocate(len, false)
+    }
+
+    /// The allocation behind both constructors; `zero` says to clear what
+    /// does not come zero.  Returns the slice and whether it is zero.
+    fn allocate(len: usize, zero: bool) -> Result<(Self, bool), AllocError> {
         let Ok(layout) = Layout::array::<T>(len) else {
             return Err(AllocError { bytes: usize::MAX });
         };
@@ -263,11 +286,12 @@ impl<T: ZeroInit> HugeBox<T> {
             "HugeBox element alignment exceeds the page size"
         );
         if layout.size() == 0 {
-            return Ok(HugeBox {
+            let slice = HugeBox {
                 ptr: NonNull::dangling(),
                 len,
                 mapped_bytes: 0,
-            });
+            };
+            return Ok((slice, true));
         }
         if growt_failpoints::fire("mem.hugebox.alloc") {
             return Err(AllocError {
@@ -278,37 +302,67 @@ impl<T: ZeroInit> HugeBox<T> {
             // Round the mapping up to whole huge pages: a 2 MB-aligned
             // length is what khugepaged can actually collapse.
             let mapped_bytes = layout.size().div_ceil(HUGEPAGE_THRESHOLD) * HUGEPAGE_THRESHOLD;
-            let ptr = match take_pooled(mapped_bytes) {
+            let taken = match take_pooled(mapped_bytes) {
                 Some(ptr) => {
-                    // SAFETY: a pooled mapping of `mapped_bytes ≥
-                    // layout.size()` bytes, writable again and ours alone.
-                    unsafe { ptr.as_ptr().write_bytes(0, layout.size()) };
-                    Some(ptr)
+                    if zero {
+                        // SAFETY: a pooled mapping of `mapped_bytes ≥
+                        // layout.size()` bytes, writable again and ours alone.
+                        unsafe { ptr.as_ptr().write_bytes(0, layout.size()) };
+                    }
+                    Some((ptr, zero))
                 }
-                None => sys::map_hugepage_hinted(mapped_bytes),
+                None => sys::map_hugepage_hinted(mapped_bytes).map(|ptr| (ptr, true)),
             };
-            if let Some(ptr) = ptr {
+            if let Some((ptr, is_zero)) = taken {
                 MAPPED_BYTES.fetch_add(mapped_bytes, Ordering::Relaxed);
-                return Ok(HugeBox {
+                let slice = HugeBox {
                     ptr: ptr.cast(),
                     len,
                     mapped_bytes,
-                });
+                };
+                return Ok((slice, is_zero));
             }
         }
-        // SAFETY: layout has non-zero size; ZeroInit guarantees the zeroed
-        // block is a valid [T; len].
-        let raw = unsafe { alloc_zeroed(layout) };
+        // SAFETY: layout has non-zero size.  Zeroed, the block is a valid
+        // [T; len] (ZeroInit); not zeroed, the caller of `try_uncleared`
+        // clears it before reading.
+        let raw = unsafe {
+            if zero {
+                alloc_zeroed(layout)
+            } else {
+                alloc(layout)
+            }
+        };
         let Some(ptr) = NonNull::new(raw.cast::<T>()) else {
             return Err(AllocError {
                 bytes: layout.size(),
             });
         };
-        Ok(HugeBox {
+        let slice = HugeBox {
             ptr,
             len,
             mapped_bytes: 0,
-        })
+        };
+        Ok((slice, zero))
+    }
+
+    /// Write zeros over the elements `range`: one slice of an array that
+    /// [`HugeBox::try_uncleared`] handed out, or any range of one in use.
+    ///
+    /// # Safety
+    ///
+    /// No other thread may access those elements meanwhile.
+    pub unsafe fn clear(&self, range: Range<usize>) {
+        assert!(range.start <= range.end && range.end <= self.len);
+        // SAFETY: inside the owned allocation, by the assert; zero is a
+        // valid `T` (ZeroInit), and the caller keeps every other access
+        // off the range.
+        unsafe {
+            self.ptr
+                .as_ptr()
+                .add(range.start)
+                .write_bytes(0, range.end - range.start)
+        };
     }
 
     /// `true` when the slice is backed by a hugepage-hinted mapping (used
@@ -742,6 +796,40 @@ mod tests {
             )
         };
         assert_eq!(ret, -ENOMEM, "the mapping past the cap is still there");
+    }
+
+    /// An uncleared slice comes back as its last owner left it when it is
+    /// pooled (here 18 MiB, a size of its own), zero when fresh, and
+    /// `clear` zeroes exactly its range.
+    #[test]
+    fn an_uncleared_slice_is_zero_after_clear() {
+        let n = (18 << 20) / std::mem::size_of::<u64>();
+        let first: HugeBox<AtomicU64> = HugeBox::try_zeroed(n).expect("18 MiB");
+        for word in first.iter() {
+            word.store(u64::MAX, Ordering::Relaxed);
+        }
+        let (mapped, addr) = (first.is_mapped(), first.as_ptr() as usize);
+        drop(first);
+        // SAFETY: nothing is read before it is cleared, or known zero —
+        // but a pooled mapping, which holds what it was left.
+        let (second, zero) = unsafe { HugeBox::<AtomicU64>::try_uncleared(n) }.expect("18 MiB");
+        if mapped && second.as_ptr() as usize == addr {
+            assert!(!zero, "a pooled mapping came back cleared");
+            assert_eq!(second[n - 1].load(Ordering::Relaxed), u64::MAX);
+        }
+        if !zero {
+            // SAFETY: this thread alone has the slice.
+            unsafe { second.clear(0..n / 2) };
+            assert!(second[..n / 2]
+                .iter()
+                .all(|x| x.load(Ordering::Relaxed) == 0));
+            // SAFETY: as above.
+            unsafe { second.clear(n / 2..n) };
+        }
+        assert!(second.iter().all(|x| x.load(Ordering::Relaxed) == 0));
+        // SAFETY: zero-sized: nothing to read.
+        let (empty, zero) = unsafe { HugeBox::<u64>::try_uncleared(0) }.unwrap();
+        assert!(zero && empty.is_empty());
     }
 
     #[test]

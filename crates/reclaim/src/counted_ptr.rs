@@ -9,11 +9,13 @@
 //! table is freed automatically once every handle has refreshed its cached
 //! pointer (and any in-flight readers dropped their temporary clones).
 //!
-//! The version word also carries one **flag** bit (bit 63), which a
-//! growing table raises while a migration excludes its writers: a writer
-//! learns of it from the version load it makes anyway
-//! ([`CachedArc::get_ref_unless_flagged`]), so the check costs no load of
-//! its own.  Everything else reads the version with the flag masked off.
+//! The version word also carries two bits a growing table raises: the
+//! **flag** (bit 63) while a migration excludes its writers, and
+//! **clearing** (bit 62) while the next generation waits to be cleared in
+//! slices by the writers that pass.  A writer learns of either from the
+//! version load it makes anyway ([`CachedArc::get_ref_unless_flagged`]),
+//! so the check costs no load of its own.  A reader ignores both, and so
+//! does every reader of the version number ([`VersionedArc::version`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -23,12 +25,16 @@ use growt_iface::sync::lock;
 /// The flag bit of the version word; versions count up from 1 and never
 /// reach it.
 const FLAG: u64 = 1 << 63;
+/// The clearing bit of the version word, below the flag.
+const CLEARING: u64 = 1 << 62;
+/// The version number's bits.
+const VERSION: u64 = !(FLAG | CLEARING);
 
 /// A versioned, reference-counted slot holding the current value of type
 /// `T` (in the hash table: the current table array).
 pub struct VersionedArc<T> {
     current: Mutex<Arc<T>>,
-    /// The version, with [`FLAG`] or-ed in while the flag is raised.
+    /// The version, with [`FLAG`] and [`CLEARING`] or-ed in while raised.
     version: AtomicU64,
     /// Number of [`VersionedArc::acquire`] calls ever made (diagnostics:
     /// the zero-shared-traffic conformance tests assert that a burst of
@@ -49,7 +55,7 @@ impl<T> VersionedArc<T> {
     /// The current version number (monotonically increasing).
     #[inline]
     pub fn version(&self) -> u64 {
-        self.version.load(Ordering::Acquire) & !FLAG
+        self.version.load(Ordering::Acquire) & VERSION
     }
 
     /// Raise the flag.  `SeqCst`: the store side of the exclusion
@@ -67,6 +73,22 @@ impl<T> VersionedArc<T> {
     #[inline]
     pub fn flagged(&self) -> bool {
         self.version.load(Ordering::SeqCst) & FLAG != 0
+    }
+
+    /// Raise the clearing bit, which tells each writer that passes to
+    /// clear a slice of the next generation.
+    pub fn raise_clearing(&self) {
+        self.version.fetch_or(CLEARING, Ordering::SeqCst);
+    }
+
+    /// Lower the clearing bit (a no-op when it is not raised).
+    pub fn lower_clearing(&self) {
+        self.version.fetch_and(!CLEARING, Ordering::SeqCst);
+    }
+
+    /// `true` while the clearing bit is raised.
+    pub fn clearing(&self) -> bool {
+        self.version.load(Ordering::SeqCst) & CLEARING != 0
     }
 
     /// Acquire a counted reference to the current value together with its
@@ -99,7 +121,7 @@ impl<T> VersionedArc<T> {
     }
 
     /// Publish `new` as the next version unconditionally.  Returns the
-    /// previous value.  The flag is left as it is.
+    /// previous value.  The flag and the clearing bit are left as they are.
     pub fn publish(&self, new: Arc<T>) -> Arc<T> {
         let mut guard = lock(&self.current);
         let old = std::mem::replace(&mut *guard, new);
@@ -156,29 +178,49 @@ impl<T> CachedArc<T> {
     /// `#[cold]` so the common cached branch compiles to a version load, a
     /// compare and a return — no spilled registers for the slow path.
     ///
-    /// The flag is ignored: a reader is not excluded by it.
+    /// The flag and the clearing bit are ignored: a reader is not excluded
+    /// by them.  The fast path compares the whole word, unmasked: the
+    /// cached version never has either bit, so a raised bit fails the
+    /// compare and is told apart on the cold path, like a newer version.
+    /// Masking both bits before the compare (an `and` with a 62-bit
+    /// constant) made `GrowMap`'s find-only benchmark 6–10 % slower.
     #[inline]
     pub fn get<'a>(&'a mut self, source: &VersionedArc<T>) -> (&'a Arc<T>, bool) {
-        let version = source.version();
-        if version != self.version {
-            (self.refresh(source), true)
-        } else {
+        let word = source.version.load(Ordering::Acquire);
+        if word == self.version {
             (&self.cached, false)
+        } else {
+            self.refresh_unless_current(source, word)
+        }
+    }
+
+    #[cold]
+    fn refresh_unless_current<'a>(
+        &'a mut self,
+        source: &VersionedArc<T>,
+        word: u64,
+    ) -> (&'a Arc<T>, bool) {
+        if word & VERSION == self.version {
+            (&self.cached, false)
+        } else {
+            (self.refresh(source), true)
         }
     }
 
     /// [`CachedArc::get_ref`] for a writer that the flag excludes: `None`
-    /// while the flag is raised.  The fast path is the same one load and
-    /// one compare — the cached version never has the flag bit, so a raised
-    /// flag fails the compare and is told apart on the cold path.
+    /// while the flag is raised, else the value, whether the cache was
+    /// refreshed, and whether the clearing bit is raised.  The fast path is
+    /// the same one load and one compare — the cached version never has
+    /// either bit, so a raised bit fails the compare and is told apart on
+    /// the cold path.
     #[inline]
     pub fn get_ref_unless_flagged<'a>(
         &'a mut self,
         source: &VersionedArc<T>,
-    ) -> Option<(&'a T, bool)> {
+    ) -> Option<(&'a T, bool, bool)> {
         let word = source.version.load(Ordering::Acquire);
         if word == self.version {
-            Some((self.cached.as_ref(), false))
+            Some((self.cached.as_ref(), false, false))
         } else {
             self.refresh_unless_flagged(source, word)
         }
@@ -189,11 +231,15 @@ impl<T> CachedArc<T> {
         &'a mut self,
         source: &VersionedArc<T>,
         word: u64,
-    ) -> Option<(&'a T, bool)> {
+    ) -> Option<(&'a T, bool, bool)> {
         if word & FLAG != 0 {
             return None;
         }
-        Some((self.refresh(source).as_ref(), true))
+        let clearing = word & CLEARING != 0;
+        if word & VERSION == self.version {
+            return Some((self.cached.as_ref(), false, clearing));
+        }
+        Some((self.refresh(source).as_ref(), true, clearing))
     }
 
     /// Borrow-based variant of [`CachedArc::get`]: the same
@@ -326,9 +372,43 @@ mod tests {
         assert!(cache.get_ref_unless_flagged(&slot).is_none());
         slot.lower_flag();
         assert!(!slot.flagged());
-        assert_eq!(cache.get_ref_unless_flagged(&slot), Some((&6, true)));
-        assert_eq!(cache.get_ref_unless_flagged(&slot), Some((&6, false)));
+        assert_eq!(cache.get_ref_unless_flagged(&slot), Some((&6, true, false)));
+        assert_eq!(
+            cache.get_ref_unless_flagged(&slot),
+            Some((&6, false, false))
+        );
         assert!(slot.publish_if(2, Arc::new(7)).is_ok());
+    }
+
+    #[test]
+    fn the_clearing_bit_reaches_writers_only_and_refreshes_nothing() {
+        let slot = VersionedArc::new(5u64);
+        let mut cache = CachedArc::new(&slot);
+        let acquires = slot.acquire_count();
+        slot.raise_clearing();
+        assert!(slot.clearing() && !slot.flagged());
+        assert_eq!(slot.version(), 1);
+        assert_eq!(cache.get_ref(&slot), (&5, false));
+        assert_eq!(cache.get_ref_unless_flagged(&slot), Some((&5, false, true)));
+        assert_eq!(
+            slot.acquire_count(),
+            acquires,
+            "a raised bit is no new version"
+        );
+        // The flag still excludes while the bit is up.
+        slot.raise_flag();
+        assert!(cache.get_ref_unless_flagged(&slot).is_none());
+        slot.lower_flag();
+        slot.lower_clearing();
+        assert!(!slot.clearing());
+        assert_eq!(
+            cache.get_ref_unless_flagged(&slot),
+            Some((&5, false, false))
+        );
+        // A newer version seen with the bit up: refreshed and told.
+        slot.publish(Arc::new(6));
+        slot.raise_clearing();
+        assert_eq!(cache.get_ref_unless_flagged(&slot), Some((&6, true, true)));
     }
 
     #[test]

@@ -20,13 +20,18 @@ use std::time::{Duration, Instant};
 /// no alarm(2)), so it composes with any number of concurrently running
 /// `#[test]`s; an abort takes the whole test binary down, which is the
 /// correct severity for a liveness violation — the remaining tests would
-/// only queue behind the wedged threads anyway.
+/// only queue behind the wedged threads anyway.  `body` starts once the
+/// monitor runs: a thread frees its spawn closure when it starts, and an
+/// allocator-exact body must not count that free (on one CPU the monitor
+/// may first run long after it was spawned).
 pub fn with_watchdog<T>(label: &str, timeout: Duration, body: impl FnOnce() -> T) -> T {
     let done = Arc::new(AtomicBool::new(false));
+    let started = Arc::new(AtomicBool::new(false));
     let monitor = {
-        let done = Arc::clone(&done);
+        let (done, started) = (Arc::clone(&done), Arc::clone(&started));
         let label = label.to_owned();
         std::thread::spawn(move || {
+            started.store(true, Ordering::Release);
             let deadline = Instant::now() + timeout;
             while Instant::now() < deadline {
                 if done.load(Ordering::Acquire) {
@@ -44,6 +49,9 @@ pub fn with_watchdog<T>(label: &str, timeout: Duration, body: impl FnOnce() -> T
             }
         })
     };
+    while !started.load(Ordering::Acquire) {
+        std::thread::yield_now();
+    }
     let result = body();
     done.store(true, Ordering::Release);
     let _ = monitor.join();

@@ -17,12 +17,16 @@
 //! thread left with nothing to copy, and the blocks the leader copied of
 //! all the leases: the two-thread baseline of the grow pause.
 //!
-//! Each migration line also gives the leader's preparation (allocating
-//! and clearing the target), and each table the bytes of idle mappings
-//! the process pools (`mem::pooled_bytes`) before its fill and after it.
-//! The first table's 2^17-cell array (2 MiB) is pooled when it drops, so
-//! the two-thread table's last target is that array, recycled: the pool
-//! reads 2 MiB before the second fill and 0 after it (DESIGN.md §11).
+//! Each migration line also gives the elector's preparation (allocating
+//! the target), then the clearing of a target that came uncleared: the
+//! time from the election to its last slice, the slices, and how many of
+//! them the electing thread cleared — the writers that pass clear one each
+//! (DESIGN.md §13).  Each table adds the bytes of idle mappings the process
+//! pools (`mem::pooled_bytes`) before its fill and after it.  The first
+//! table's 2^17-cell array (2 MiB) is pooled when it drops, so the
+//! two-thread table's last target is that array, recycled and uncleared:
+//! the pool reads 2 MiB before the second fill and 0 after it (DESIGN.md
+//! §11).
 //!
 //! Built with `--features failpoints`, it fills a third table with the
 //! `generic.membarrier` failpoint forced, so that every migration marks,
@@ -51,11 +55,15 @@ fn fill_and_report(threads: u64) {
     });
     for record in map.migration_log() {
         print!(
-            "migration {} -> {} cells: {:?}, prepare {:.1} us, copy {:.1} ns a source cell",
+            "migration {} -> {} cells: {:?}, prepare {:.1} us, cleared in {:.1} us \
+             ({} slices, {} by the elector), copy {:.1} ns a source cell",
             record.from_capacity,
             record.to_capacity,
             record.mode,
             record.prepare_ns as f64 / 1e3,
+            record.clear_ns as f64 / 1e3,
+            record.slices,
+            record.slices_by_elector,
             record.copy_ns as f64 / record.from_capacity as f64
         );
         if threads > 1 {

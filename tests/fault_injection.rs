@@ -33,7 +33,7 @@ use std::time::Duration;
 use growt_baselines::FollyStyle;
 use growt_core::complex::StringKeyTable;
 use growt_core::{
-    membarrier, Consistency, GrowConfig, GrowMap, GrowStrategy, GrowingOptions, GrowingTable,
+    mem, membarrier, Consistency, GrowConfig, GrowMap, GrowStrategy, GrowingOptions, GrowingTable,
     MigrationMode,
 };
 use growt_failpoints::{clear_all, configure, hits, remove, visits, Action, ThreadExit, Trigger};
@@ -1135,5 +1135,264 @@ fn growth_preparation_is_waited_for_only_by_its_leader() {
         assert_eq!(hits(PREPARE), 1);
         assert!(map.migrations_completed() >= 1);
         assert_exact(&map);
+    });
+}
+
+// ---------------------------------------------------------------------
+// Clearing the next generation in slices (DESIGN.md §13)
+// ---------------------------------------------------------------------
+
+const PREPARE_ALLOC: &str = "generic.prepare.alloc";
+const PREPARE_SLICE: &str = "generic.prepare.slice";
+
+/// Count the elections of `GrowMap`'s migrations: a yield of nothing at
+/// the allocation, visited once per election.
+fn count_elections() {
+    configure(PREPARE_ALLOC, Action::Yield(0), Trigger::Always);
+}
+
+/// Insert `key` (value `key + 1`) until the map elects a migration:
+/// returns the keys inserted.  The electing insert returns with the
+/// target allocated and its slices left to later writes.
+fn insert_until_elected(
+    handle: &mut growt_core::GrowMapHandle<'_, u64, u64>,
+    from: u64,
+) -> Vec<u64> {
+    let elections = visits(PREPARE_ALLOC);
+    let mut keys = Vec::new();
+    for key in from.. {
+        assert!(handle.insert(&key, &(key + 1)));
+        keys.push(key);
+        if visits(PREPARE_ALLOC) > elections {
+            return keys;
+        }
+    }
+    unreachable!()
+}
+
+/// Two writers fill a map over several migrations, and the first of them
+/// to clear a slice of a target is killed inside it, before the slice is
+/// cleared.  The slice is not counted, so the survivor clears it again and
+/// leads the migration; every confirmed insert is there, and at most the
+/// killed thread's last, which had landed before its epilogue cleared.
+/// The writers are joined, not scoped: a joined thread has run its
+/// thread-local destructors, whose frees the allocator-exact schedules
+/// that follow would otherwise count.
+#[test]
+fn a_clearer_killed_inside_a_slice_leaves_it_to_the_next() {
+    const PER_THREAD: u64 = 20_000;
+    on_each_copy_mode("killed-clearer", |mode| {
+        let map = std::sync::Arc::new(GrowMap::<u64, u64>::with_config(
+            2048,
+            GrowConfig::default(),
+            2,
+        ));
+        configure(PREPARE_SLICE, Action::ExitThread, Trigger::Once);
+        let confirmed: Vec<(Vec<u64>, bool)> = {
+            let writers: Vec<_> = (0..2u64)
+                .map(|t| {
+                    let map = std::sync::Arc::clone(&map);
+                    std::thread::spawn(move || {
+                        let mut confirmed = Vec::new();
+                        let killed = catch_unwind(AssertUnwindSafe(|| {
+                            let mut handle = map.handle();
+                            for key in 2 + t * PER_THREAD..2 + (t + 1) * PER_THREAD {
+                                handle.insert(&key, &(key + 1));
+                                confirmed.push(key);
+                            }
+                        }))
+                        .map_err(|payload| assert!(payload.is::<ThreadExit>()))
+                        .is_err();
+                        (confirmed, killed)
+                    })
+                })
+                .collect();
+            writers.into_iter().map(|w| w.join().unwrap()).collect()
+        };
+        assert_eq!(hits(PREPARE_SLICE), 1);
+        assert_eq!(confirmed.iter().filter(|(_, killed)| *killed).count(), 1);
+        let mut handle = map.handle();
+        for (keys, _) in &confirmed {
+            for &key in keys {
+                assert_eq!(handle.find(&key), Some(key + 1), "key {key}");
+            }
+        }
+        let confirmed_count: usize = confirmed.iter().map(|(keys, _)| keys.len()).sum();
+        let size = map.size_exact_quiescent();
+        assert!(
+            (confirmed_count..=confirmed_count + 1).contains(&size),
+            "{size}"
+        );
+        let log = map.migration_log();
+        assert!(log.len() >= 3, "{log:?}");
+        for record in &log {
+            assert!(record.slices > 0, "{record:?}");
+            assert_eq!(record.mode, mode.expected(), "{record:?}");
+        }
+    });
+}
+
+/// The handle whose insert elected a migration is dropped while the
+/// target waits for its slices; the writes of another handle clear them
+/// all, one each, and the last leads the migration.
+#[test]
+fn a_migration_whose_elector_is_gone_is_finished_by_a_later_write() {
+    on_each_copy_mode("elector-gone", |mode| {
+        count_elections();
+        let map: GrowMap<u64, u64> = GrowMap::with_config(2048, GrowConfig::default(), 2);
+        let mut elector = map.handle();
+        let mut keys = insert_until_elected(&mut elector, 2);
+        let elected = keys.len();
+        drop(elector);
+        assert_eq!(
+            map.migrations_completed(),
+            0,
+            "led inside the electing insert"
+        );
+        let mut handle = map.handle();
+        let mut key = *keys.last().unwrap();
+        while map.migrations_completed() == 0 {
+            key += 1;
+            assert!(handle.insert(&key, &(key + 1)));
+            keys.push(key);
+        }
+        let record = &map.migration_log()[0];
+        assert!(record.slices > 0 && record.clear_ns > 0, "{record:?}");
+        assert_eq!(record.mode, mode.expected());
+        // One write a slice, and the one that clears the last leads.
+        assert_eq!(keys.len() - elected, record.slices, "{record:?}");
+        for key in &keys {
+            assert_eq!(handle.find(key), Some(key + 1), "key {key}");
+        }
+        assert_eq!(map.size_exact_quiescent(), keys.len());
+    });
+}
+
+/// Every attempt to clear a slice unwinds (the failpoint kills it inside
+/// the slice), so the target never becomes clear and the writer fills the
+/// source until an insert finds it full.  That insert, too, unwinds —
+/// from clearing what is left, which it does instead of spinning — and
+/// its key is not there.  With the failpoint lifted its retry clears every
+/// slice itself, leads the migration and lands.  The hundreds of unwinds
+/// go unreported ([`QuietExits`]).
+#[test]
+fn a_write_that_finds_the_source_full_clears_what_is_left() {
+    on_each_copy_mode("full-while-clearing", |mode| {
+        let _quiet = QuietExits::new();
+        count_elections();
+        let map: GrowMap<u64, u64> = GrowMap::with_config(2048, GrowConfig::default(), 1);
+        let mut handle = map.handle();
+        let mut keys = insert_until_elected(&mut handle, 2);
+        configure(PREPARE_SLICE, Action::ExitThread, Trigger::Always);
+        let mut key = *keys.last().unwrap();
+        let full = loop {
+            key += 1;
+            let landed = catch_unwind(AssertUnwindSafe(|| handle.insert(&key, &(key + 1))));
+            assert!(landed.is_err(), "a slice was cleared");
+            if handle.find(&key).is_none() {
+                break key;
+            }
+            keys.push(key);
+        };
+        assert!(keys.len() >= 2048 - 64, "full at {} keys", keys.len());
+        assert_eq!(map.migrations_completed(), 0);
+        remove(PREPARE_SLICE);
+        assert!(handle.insert(&full, &(full + 1)));
+        keys.push(full);
+        assert_eq!(map.migrations_completed(), 1);
+        let record = &map.migration_log()[0];
+        assert_eq!(record.slices_by_elector, record.slices, "{record:?}");
+        assert_eq!(record.mode, mode.expected());
+        for key in &keys {
+            assert_eq!(handle.find(key), Some(key + 1), "key {key}");
+        }
+        assert_eq!(map.size_exact_quiescent(), keys.len());
+    });
+}
+
+/// While alive, a panic hook that does not report injected thread exits:
+/// hundreds of their messages would fill the captured output, whose
+/// release the allocator-exact schedules would count.  Dropped inside
+/// [`serialized`], so that no other schedule sees the hooks change.
+struct QuietExits;
+
+impl QuietExits {
+    fn new() -> Self {
+        let report = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !info.payload().is::<ThreadExit>() {
+                report(info);
+            }
+        }));
+        QuietExits
+    }
+}
+
+impl Drop for QuietExits {
+    fn drop(&mut self) {
+        let _ = std::panic::take_hook();
+    }
+}
+
+/// Writes stop while the next generation waits for its slices: the old
+/// generation keeps serving finds, exactly, and dropping the map frees the
+/// unfinished target with everything else — the mapped bytes, the pool
+/// and the heap are back where they were.  The target is a 2 MiB mapping
+/// taken back from the pool, uncleared, where mappings are on.  A first
+/// round warms up, as in `exclusive_string_migrations_are_allocator_exact`:
+/// the process's and the watchdog's one-time allocations fall into it.
+#[test]
+fn writes_stopped_mid_clearing_leave_finds_exact_and_free_everything() {
+    fn stop_mid_clearing() {
+        let pooled = mem::pooled_bytes();
+        let map: GrowMap<u64, u64> = GrowMap::with_config(20_000, GrowConfig::default(), 1);
+        assert_eq!(map.current_capacity(), 1 << 16);
+        let mut handle = map.handle();
+        let mut keys = insert_until_elected(&mut handle, 2);
+        if pooled >= 2 << 20 {
+            assert_eq!(
+                mem::pooled_bytes(),
+                pooled - (2 << 20),
+                "not the pooled array"
+            );
+        }
+        let mut key = *keys.last().unwrap();
+        for _ in 0..3 {
+            key += 1;
+            assert!(handle.insert(&key, &(key + 1)));
+            keys.push(key);
+        }
+        assert_eq!(map.migrations_completed(), 0);
+        assert_eq!(map.current_capacity(), 1 << 16);
+        for key in &keys {
+            assert_eq!(handle.find(key), Some(key + 1), "key {key}");
+        }
+        assert_eq!(handle.find(&(key + 1)), None);
+        assert_eq!(map.size_exact_quiescent(), keys.len());
+    }
+
+    on_each_copy_mode("stopped-mid-clearing", |_| {
+        count_elections();
+        // A 2^17-cell array for the pool.
+        drop(GrowMap::<u64, u64>::with_config(
+            40_000,
+            GrowConfig::default(),
+            1,
+        ));
+        stop_mid_clearing();
+        let baseline = (
+            mem::mapped_bytes(),
+            mem::pooled_bytes(),
+            growt_alloc_track::current_bytes(),
+        );
+        stop_mid_clearing();
+        assert_eq!(
+            (
+                mem::mapped_bytes(),
+                mem::pooled_bytes(),
+                growt_alloc_track::current_bytes()
+            ),
+            baseline
+        );
     });
 }

@@ -1,6 +1,6 @@
-//! Exhaustive-interleaving models of two parts of `GrowMap`'s migration
-//! protocol (DESIGN.md §12, §15), explored over every schedule of two or
-//! three threads on an x86-TSO memory:
+//! Exhaustive-interleaving models of parts of `GrowMap`'s migration
+//! protocol (DESIGN.md §12, §13, §15), explored over every schedule of two
+//! or three threads on an x86-TSO memory:
 //!
 //! * **writer exclusion** — a writer's busy flag and the table's growing
 //!   flag against the growth leader, whose `membarrier` is a full fence
@@ -11,14 +11,19 @@
 //!   migrations;
 //! * **the flipping freeze** (DESIGN.md §15) — two value-word updaters of an
 //!   inline value against the marking freeze that flips the value word,
-//!   and a find against it.
+//!   and a find against it;
+//! * **the clearing hand-off** (DESIGN.md §13) — the elector that installs
+//!   an uncleared target, a writer that clears its slices under the
+//!   clearing lock and leads with the last, and a clearer killed inside a
+//!   slice, which then waits for the job and reads the target.
 //!
 //! Each model is checked as the code does it, where every schedule must
 //! end well, and with seeded mutations — the leader's barrier dropped, the
 //! lease checked before the gate's counter is raised, a finalizer that
 //! drains the first lease's counter only, a freeze that does not flip or
 //! whose flip the update function computes, an updater or a find short of
-//! one of its loads — where some schedule must end badly.
+//! one of its loads, a clearing that counts claimed slices instead of
+//! cleared ones — where some schedule must end badly.
 //! A model that cannot fail proves nothing.
 //!
 //! The machine: each thread runs a small program over shared bytes.  A
@@ -721,4 +726,185 @@ fn finds_return_a_wrong_word_without_the_value_reload() {
             "{trace:?}"
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// The clearing hand-off
+// ---------------------------------------------------------------------
+
+/// The clearing lock (`Coordinator::clearing`'s mutex): 1 while held.
+const LOCK: usize = 0;
+/// The clearing record: 0 before the elector installs it, 1 while it waits
+/// for its slices, 2 once the last clearer took it out.
+const RECORD: usize = 1;
+/// The record's count of cleared slices, the next one to clear.
+const CLEARED: usize = 2;
+/// A count of slices raised when a clearer takes one, before clearing it:
+/// what the mutation counts.
+const TAKEN: usize = 3;
+/// The target's two slices: 1 while they hold what the allocator left.
+const SLICE: [usize; 2] = [4, 5];
+/// The clearing bit of the version word.
+const CLEARING_BIT: usize = 6;
+/// 1 once the elector has installed the record (never lowered): a writer
+/// that starts after it sees the clearing bit.
+const INSTALLED: usize = 7;
+/// The migration job: 1 once installed.
+const JOB: usize = 8;
+/// Threads that led the migration.
+const LEADERS: usize = 9;
+
+/// `GrowProtocol::clear_next_slice` in a loop, as a writer that waits for
+/// the preparation runs it, placed at `base`: try the lock (register 6
+/// holds 1, register 7 stays 0); leave when the record is not waiting; read
+/// the slice to clear from `count`; clear it; count it.  The clearer of the
+/// last slice takes the record out, lowers the bit, unlocks and leads: it
+/// installs the job.  `killed` unwinds inside the slice, before it is
+/// cleared, which unlocks.  `count` of [`TAKEN`] is the mutation that
+/// counts the slice when it is taken.
+fn slice_clearer(base: usize, count: usize, killed: bool) -> Vec<Ins> {
+    const TO_EXIT: usize = usize::MAX;
+    const TO_LOOP: usize = usize::MAX - 1;
+    const TO_END: usize = usize::MAX - 2;
+    let mut program = vec![
+        Ins::CasReg {
+            at: LOCK,
+            expected: 7,
+            new: 6,
+            ok: 0,
+        },
+        Ins::JumpUnless(0, 1, base),
+        Ins::Load(RECORD, 1),
+        Ins::JumpUnless(1, 1, TO_EXIT),
+        Ins::Load(count, 2),
+        Ins::JumpUnless(2, 0, 0), // to slice 1, set below
+    ];
+    for slice in 0..2u8 {
+        if slice == 1 {
+            program[5] = Ins::JumpUnless(2, 0, base + program.len());
+        }
+        if count == TAKEN {
+            program.push(Ins::Store(TAKEN, slice + 1));
+        }
+        if killed {
+            program.push(Ins::Jump(TO_EXIT));
+            continue;
+        }
+        program.push(Ins::Store(SLICE[slice as usize], 0));
+        program.push(Ins::Store(CLEARED, slice + 1));
+        if slice == 0 {
+            program.push(Ins::Jump(TO_LOOP));
+        } else {
+            program.extend([
+                Ins::Store(RECORD, 2),
+                Ins::Add(CLEARING_BIT, 255),
+                Ins::Cas(LOCK, 1, 0),
+                Ins::Add(LEADERS, 1),
+                Ins::Store(JOB, 1),
+                Ins::Jump(TO_END),
+            ]);
+        }
+    }
+    let loop_at = base + program.len();
+    program.extend([Ins::Cas(LOCK, 1, 0), Ins::Jump(base)]);
+    let exit_at = base + program.len();
+    program.push(Ins::Cas(LOCK, 1, 0));
+    let end_at = base + program.len();
+    for ins in &mut program {
+        match ins {
+            Ins::Jump(target) | Ins::JumpUnless(_, _, target) => {
+                *target = match *target {
+                    TO_EXIT => exit_at,
+                    TO_LOOP => loop_at,
+                    TO_END => end_at,
+                    other => other,
+                }
+            }
+            _ => {}
+        }
+    }
+    program
+}
+
+/// Three threads over a target of two slices, counting them by `count`:
+///
+/// * the elector: under the lock, installs the record and raises the bit,
+///   then clears like a writer whose source is full;
+/// * a writer that saw the bit: clears until the record is gone;
+/// * a clearer killed inside a slice, which then waits for the job and
+///   reads both slices into registers 4 and 5 — as a copier would read
+///   the target.
+fn clearing_programs(count: usize) -> [Vec<Ins>; 3] {
+    let mut elector = vec![
+        Ins::AddImm(6, 7, 1),
+        Ins::CasReg {
+            at: LOCK,
+            expected: 7,
+            new: 6,
+            ok: 0,
+        },
+        Ins::JumpUnless(0, 1, 1),
+        Ins::Store(RECORD, 1),
+        Ins::Add(CLEARING_BIT, 1),
+        Ins::Store(INSTALLED, 1),
+        Ins::Cas(LOCK, 1, 0),
+    ];
+    elector.extend(slice_clearer(elector.len(), count, false));
+    let arrival = [Ins::AddImm(6, 7, 1), Ins::Await(INSTALLED, 1)];
+    let mut writer = arrival.to_vec();
+    writer.extend(slice_clearer(writer.len(), count, false));
+    let mut killed = arrival.to_vec();
+    killed.extend(slice_clearer(killed.len(), count, true));
+    killed.extend([
+        Ins::Await(JOB, 1),
+        Ins::Load(SLICE[0], 4),
+        Ins::Load(SLICE[1], 5),
+    ]);
+    [elector, writer, killed]
+}
+
+/// One leader installed the job, the bit is down, and the target was clear
+/// in memory and to the thread that read it after the job.
+fn cleared_before_the_job(outcome: &Outcome) -> bool {
+    let (memory, regs) = outcome;
+    memory[LEADERS] == 1
+        && memory[JOB] == 1
+        && memory[CLEARING_BIT] == 0
+        && memory[LOCK] == 0
+        && SLICE.iter().all(|&slice| memory[slice] == 0)
+        && regs[2][4] == 0
+        && regs[2][5] == 0
+}
+
+#[test]
+fn clearing_hands_off_to_one_leader_in_every_schedule() {
+    let mut initial = [0; 10];
+    initial[SLICE[0]] = 1;
+    initial[SLICE[1]] = 1;
+    let outcomes = explore(
+        &clearing_programs(CLEARED),
+        &initial,
+        cleared_before_the_job,
+    )
+    .unwrap_or_else(|trace| panic!("{}", trace.join("\n")));
+    // Not vacuous: the elector led in some schedules and the writer in
+    // others (register 2 ends 1 in the thread that cleared the last slice).
+    let led: HashSet<(bool, bool)> = outcomes
+        .iter()
+        .map(|(_, regs)| (regs[0][2] == 1, regs[1][2] == 1))
+        .collect();
+    assert_eq!(led, HashSet::from([(true, false), (false, true)]));
+}
+
+#[test]
+fn clearing_fails_when_it_counts_taken_slices() {
+    let mut initial = [0; 10];
+    initial[SLICE[0]] = 1;
+    initial[SLICE[1]] = 1;
+    let trace = explore(&clearing_programs(TAKEN), &initial, cleared_before_the_job)
+        .expect_err("the killed clearer's slice must reach the job uncleared");
+    assert!(
+        trace.last().unwrap().starts_with("bad outcome"),
+        "{trace:?}"
+    );
 }
