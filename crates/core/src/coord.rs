@@ -420,7 +420,8 @@ pub(crate) trait GrowProtocol {
     /// (`FailAlloc` schedules inject an allocation failure here).
     const FP_PREPARE_ALLOC: &'static str;
     /// Failpoint fired inside the clearing of one slice of an uncleared
-    /// target, before the slice is cleared.
+    /// target, before the slice is cleared; `true` skips the slice, as if
+    /// another thread held the clearing lock.
     const FP_PREPARE_SLICE: &'static str;
     /// Failpoint fired right after a block lease is claimed.
     const FP_BLOCK_CLAIMED: &'static str;
@@ -683,11 +684,11 @@ pub(crate) trait GrowProtocol {
 
     /// Clear the next slice of the target that waits for them, unless
     /// another thread holds the clearing lock or no target waits; called
-    /// by a write that saw the clearing bit, after its operation and with
-    /// its busy flag lowered, and by a thread that waits for the
-    /// preparation.  The thread that clears the last slice lowers the bit
-    /// and leads the migration ([`GrowProtocol::lead`]) before it returns.
-    /// `false` when there was nothing for this thread to clear.
+    /// in the prologue of a write that saw the clearing bit, its busy flag
+    /// lowered, and by a thread that waits for the preparation.  The thread
+    /// that clears the last slice lowers the bit and leads the migration
+    /// ([`GrowProtocol::lead`]) before it returns.  `false` when there was
+    /// nothing for this thread to clear.
     #[cold]
     fn clear_next_slice(&self) -> bool {
         let mut clearing = match self.coord().clearing.try_lock() {
@@ -700,7 +701,9 @@ pub(crate) trait GrowProtocol {
         let Some(prepared) = clearing.as_mut() else {
             return false;
         };
-        growt_failpoints::fire(Self::FP_PREPARE_SLICE);
+        if growt_failpoints::fire(Self::FP_PREPARE_SLICE) {
+            return false;
+        }
         Self::clear_slice(&prepared.target, prepared.cleared);
         prepared.cleared += 1;
         if std::thread::current().id() == prepared.elector {

@@ -1245,6 +1245,23 @@ const QUIESCE_PATIENCE: Duration = Duration::from_millis(2);
 #[repr(align(64))]
 struct BusyFlag(AtomicBool);
 
+impl BusyFlag {
+    /// Before the version load, which the compiler must not hoist above
+    /// the store (the CPU is kept from it by the leader's `membarrier`).
+    #[inline]
+    fn raise(&self) {
+        self.0.store(true, Ordering::Relaxed);
+        compiler_fence(Ordering::SeqCst);
+    }
+
+    /// Release: the write's cell operations happen before a leader's
+    /// `Acquire` read of `false`, and so before its copy reads the cells.
+    #[inline]
+    fn lower(&self) {
+        self.0.store(false, Ordering::Release);
+    }
+}
+
 /// Lowers a busy flag when the write ends — also when it unwinds, so a
 /// panicking closure or an injected fault cannot leave a leader waiting.
 struct BusyGuard<'b>(&'b BusyFlag);
@@ -1252,9 +1269,7 @@ struct BusyGuard<'b>(&'b BusyFlag);
 impl Drop for BusyGuard<'_> {
     #[inline]
     fn drop(&mut self) {
-        // Release: the write's cell operations happen before a leader's
-        // `Acquire` read of `false`, and so before its copy reads the cells.
-        self.0 .0.store(false, Ordering::Release);
+        self.0.lower();
     }
 }
 
@@ -1545,9 +1560,6 @@ pub struct GrowMapHandle<'a, K: KeyRepr, V: ValueRepr> {
     qsbr: Option<QsbrParticipant>,
     since_quiesce: u32,
     busy: Arc<BusyFlag>,
-    /// Set by a write prologue that saw the clearing bit, taken by the
-    /// write's epilogue ([`GrowMapHandle::write_done`]).
-    clear_due: bool,
 }
 
 impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
@@ -1568,7 +1580,6 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
             qsbr: Self::RECLAIMS.then(|| inner.domain.register()),
             since_quiesce: 0,
             busy,
-            clear_due: false,
             inner,
         }
     }
@@ -1602,49 +1613,29 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
     /// CPU is made to by the leader's `membarrier`
     /// ([`GrowProtocol::quiesce_writers`]).  The returned guard lowers the
     /// flag when the write ends, before the write leads, helps or waits
-    /// for a migration.  A clearing bit, seen on the same cold path as a
-    /// raised flag, sets `clear_due` for [`GrowMapHandle::write_done`].
+    /// for a migration.  A clearing bit fails the same compare; that cold
+    /// path clears a slice of the next generation with the flag lowered,
+    /// as its last slice leads (DESIGN.md §13), then raises it again and
+    /// reloads the version, so a write that led goes on in the new one.
     #[inline]
     fn enter_write<'t>(
         cached: &'t mut CachedArc<GenericArray<K, V>>,
         local: &mut LocalCount,
         inner: &GenericInner<K, V>,
         busy: &'t BusyFlag,
-        clear_due: &mut bool,
     ) -> Option<(&'t GenericArray<K, V>, BusyGuard<'t>)> {
-        busy.0.store(true, Ordering::Relaxed);
-        compiler_fence(Ordering::SeqCst);
+        busy.raise();
         let guard = BusyGuard(busy);
-        let (array, refreshed, clearing) = cached.get_ref_unless_flagged(&inner.current)?;
-        if refreshed {
-            Self::reset_local_counts(local, inner);
-        }
-        if clearing {
-            *clear_due = true;
-        }
+        let array = cached.get_ref_unless_flagged(
+            &inner.current,
+            || {
+                busy.lower();
+                inner.clear_next_slice();
+                busy.raise();
+            },
+            || Self::reset_local_counts(local, inner),
+        )?;
         Some((array, guard))
-    }
-
-    /// The write epilogue: if a prologue of the write saw the clearing bit,
-    /// clear a slice of the next generation — or, with its last slice, lead
-    /// the migration (DESIGN.md §13) — then [`GrowMapHandle::op_done`].
-    /// After the write's own count, so that a write that leads has counted
-    /// its insert in the generation it landed in.  Carried in the handle,
-    /// not in a register across the write's retry loop: that spilled on
-    /// the upsert's fast path and measured slower.
-    #[inline]
-    fn write_done(&mut self) {
-        if self.clear_due {
-            self.clear_due = false;
-            Self::clear_a_slice(self.inner);
-        }
-        self.op_done();
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn clear_a_slice(inner: &GenericInner<K, V>) {
-        inner.clear_next_slice();
     }
 
     /// A write found the growing flag raised: help with, or wait for, the
@@ -1695,11 +1686,12 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
     ///
     /// The insert has landed and the source still has room, so this never
     /// waits for the preparation of the migration: while one is prepared,
-    /// the handle returns, clears a slice of the target on each later write,
-    /// and joins the copy when a later flush finds it running or a later
-    /// insert meets a marked cell (DESIGN.md §13).  The elector returns as
-    /// well, once it has allocated the target.  A target that cannot be
-    /// allocated is left to the next flush, which meets the trigger again.
+    /// the handle returns, clears a slice of the target at the start of
+    /// each later write, and joins the copy when a later flush finds it
+    /// running or a later insert meets a marked cell (DESIGN.md §13).  The
+    /// elector returns as well, once it has allocated the target.  A target
+    /// that cannot be allocated is left to the next flush, which meets the
+    /// trigger again.
     #[inline]
     fn after_insert(&mut self, capacity: usize, version: u64) {
         if let Some((insertions, _)) = self.local.record_insertion(&self.inner.counts) {
@@ -1749,13 +1741,9 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
         let probe = Probe::new(key);
         let mut pending = PendingCell::new();
         let inserted = loop {
-            let Some((array, busy)) = Self::enter_write(
-                &mut self.cached,
-                &mut self.local,
-                self.inner,
-                &self.busy,
-                &mut self.clear_due,
-            ) else {
+            let Some((array, busy)) =
+                Self::enter_write(&mut self.cached, &mut self.local, self.inner, &self.busy)
+            else {
                 Self::wait_for_growth(self.inner);
                 continue;
             };
@@ -1775,7 +1763,7 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
                 MapOutcome::Updated(_) | MapOutcome::NotFound => unreachable!(),
             }
         };
-        self.write_done();
+        self.op_done();
         inserted
     }
 
@@ -1789,13 +1777,9 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
         let probe = Probe::new(key);
         let mut pending = PendingCell::new();
         let result = loop {
-            let Some((array, busy)) = Self::enter_write(
-                &mut self.cached,
-                &mut self.local,
-                self.inner,
-                &self.busy,
-                &mut self.clear_due,
-            ) else {
+            let Some((array, busy)) =
+                Self::enter_write(&mut self.cached, &mut self.local, self.inner, &self.busy)
+            else {
                 Self::wait_for_growth(self.inner);
                 continue;
             };
@@ -1817,7 +1801,7 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
                 MapOutcome::Updated(_) | MapOutcome::NotFound => unreachable!(),
             }
         };
-        self.write_done();
+        self.op_done();
         result
     }
 
@@ -1839,13 +1823,9 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
     pub fn update<F: Fn(&V) -> V>(&mut self, key: &K, up: F) -> bool {
         let probe = Probe::new(key);
         let updated = loop {
-            let Some((array, busy)) = Self::enter_write(
-                &mut self.cached,
-                &mut self.local,
-                self.inner,
-                &self.busy,
-                &mut self.clear_due,
-            ) else {
+            let Some((array, busy)) =
+                Self::enter_write(&mut self.cached, &mut self.local, self.inner, &self.busy)
+            else {
                 Self::wait_for_growth(self.inner);
                 continue;
             };
@@ -1864,7 +1844,7 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
                 MapOutcome::Inserted | MapOutcome::Present | MapOutcome::Full => unreachable!(),
             }
         };
-        self.write_done();
+        self.op_done();
         updated
     }
 
@@ -1881,13 +1861,9 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
         let probe = Probe::new(key);
         let mut pending = PendingCell::new();
         let outcome = loop {
-            let Some((array, busy)) = Self::enter_write(
-                &mut self.cached,
-                &mut self.local,
-                self.inner,
-                &self.busy,
-                &mut self.clear_due,
-            ) else {
+            let Some((array, busy)) =
+                Self::enter_write(&mut self.cached, &mut self.local, self.inner, &self.busy)
+            else {
                 Self::wait_for_growth(self.inner);
                 continue;
             };
@@ -1910,7 +1886,7 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
                 MapOutcome::NotFound | MapOutcome::Present => unreachable!(),
             }
         };
-        self.write_done();
+        self.op_done();
         outcome
     }
 
@@ -1926,13 +1902,9 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
         let probe = Probe::new(key);
         let mut pending = PendingCell::new();
         let result = loop {
-            let Some((array, busy)) = Self::enter_write(
-                &mut self.cached,
-                &mut self.local,
-                self.inner,
-                &self.busy,
-                &mut self.clear_due,
-            ) else {
+            let Some((array, busy)) =
+                Self::enter_write(&mut self.cached, &mut self.local, self.inner, &self.busy)
+            else {
                 Self::wait_for_growth(self.inner);
                 continue;
             };
@@ -1957,7 +1929,7 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
                 MapOutcome::NotFound | MapOutcome::Present => unreachable!(),
             }
         };
-        self.write_done();
+        self.op_done();
         result
     }
 
@@ -1967,13 +1939,9 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
     pub fn erase(&mut self, key: &K) -> bool {
         let probe = Probe::new(key);
         let erased = loop {
-            let Some((array, busy)) = Self::enter_write(
-                &mut self.cached,
-                &mut self.local,
-                self.inner,
-                &self.busy,
-                &mut self.clear_due,
-            ) else {
+            let Some((array, busy)) =
+                Self::enter_write(&mut self.cached, &mut self.local, self.inner, &self.busy)
+            else {
                 Self::wait_for_growth(self.inner);
                 continue;
             };
@@ -1993,7 +1961,7 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
                 MapErase::Migrating => self.inner.help_or_wait(version),
             }
         };
-        self.write_done();
+        self.op_done();
         erased
     }
 

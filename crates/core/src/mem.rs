@@ -80,6 +80,11 @@ pub fn mapped_bytes() -> usize {
 /// one round of the benchmark's churn (16 tables of a 2 MiB last target).
 pub const POOL_CAP_BYTES: usize = 64 << 20;
 
+/// What a `failpoints` build fills an uncleared slice with: as a cell's
+/// key word, `0x5A5A…5A` is a live key and carries no mark.
+#[cfg_attr(not(feature = "failpoints"), allow(dead_code))]
+const POISON: u8 = 0x5A;
+
 /// Slots the pool needs: every pooled mapping is at least one huge page.
 const POOL_SLOTS: usize = POOL_CAP_BYTES / HUGEPAGE_THRESHOLD;
 
@@ -267,12 +272,23 @@ impl<T: ZeroInit> HugeBox<T> {
     /// from `alloc`.  The flag says whether the slice is zero all the same
     /// (a fresh mapping, or no storage at all).
     ///
+    /// With the `failpoints` feature what comes uncleared is filled with
+    /// `0x5A`, so that a cell read before it is cleared breaks the
+    /// exactness checks.
+    ///
     /// # Safety
     ///
     /// When the flag is `false`, no element may be read before
     /// [`HugeBox::clear`] has cleared it.
     pub unsafe fn try_uncleared(len: usize) -> Result<(Self, bool), AllocError> {
-        Self::allocate(len, false)
+        let (slice, zero) = Self::allocate(len, false)?;
+        #[cfg(feature = "failpoints")]
+        if !zero {
+            let bytes = len * std::mem::size_of::<T>();
+            // SAFETY: the owned allocation, not read before it is cleared.
+            unsafe { slice.ptr.as_ptr().cast::<u8>().write_bytes(POISON, bytes) };
+        }
+        Ok((slice, zero))
     }
 
     /// The allocation behind both constructors; `zero` says to clear what
@@ -799,8 +815,9 @@ mod tests {
     }
 
     /// An uncleared slice comes back as its last owner left it when it is
-    /// pooled (here 18 MiB, a size of its own), zero when fresh, and
-    /// `clear` zeroes exactly its range.
+    /// pooled (here 18 MiB, a size of its own) — poisoned, in a
+    /// `failpoints` build — zero when fresh, and `clear` zeroes exactly its
+    /// range.
     #[test]
     fn an_uncleared_slice_is_zero_after_clear() {
         let n = (18 << 20) / std::mem::size_of::<u64>();
@@ -815,7 +832,12 @@ mod tests {
         let (second, zero) = unsafe { HugeBox::<AtomicU64>::try_uncleared(n) }.expect("18 MiB");
         if mapped && second.as_ptr() as usize == addr {
             assert!(!zero, "a pooled mapping came back cleared");
-            assert_eq!(second[n - 1].load(Ordering::Relaxed), u64::MAX);
+            let left = if cfg!(feature = "failpoints") {
+                u64::from_ne_bytes([POISON; 8])
+            } else {
+                u64::MAX
+            };
+            assert_eq!(second[n - 1].load(Ordering::Relaxed), left);
         }
         if !zero {
             // SAFETY: this thread alone has the slice.

@@ -14,8 +14,10 @@
 //! **clearing** (bit 62) while the next generation waits to be cleared in
 //! slices by the writers that pass.  A writer learns of either from the
 //! version load it makes anyway ([`CachedArc::get_ref_unless_flagged`]),
-//! so the check costs no load of its own.  A reader ignores both, and so
-//! does every reader of the version number ([`VersionedArc::version`]).
+//! so the check costs no load of its own, and it clears its slice in a
+//! hook that only the cold path runs, before its operation.  A reader
+//! ignores both bits, and so does every reader of the version number
+//! ([`VersionedArc::version`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -208,21 +210,30 @@ impl<T> CachedArc<T> {
     }
 
     /// [`CachedArc::get_ref`] for a writer that the flag excludes: `None`
-    /// while the flag is raised, else the value, whether the cache was
-    /// refreshed, and whether the clearing bit is raised.  The fast path is
-    /// the same one load and one compare — the cached version never has
-    /// either bit, so a raised bit fails the compare and is told apart on
-    /// the cold path.
+    /// while the flag is raised, else the value.  The fast path is the
+    /// same one load and one compare — the cached version never has either
+    /// bit, so a raised bit fails the compare and is told apart on the cold
+    /// path, which also runs the caller's two hooks:
+    ///
+    /// * `on_clearing`, once, when the word has the clearing bit; the word
+    ///   is then loaded again, so that what the hook did (it may have
+    ///   raised the flag, or published a newer version) is seen;
+    /// * `on_refresh`, after the cache took a newer version.
+    ///
+    /// Neither hook nor its outcome is on the fast path: it returns the
+    /// value and nothing else, so a caller has no discriminant to test.
     #[inline]
     pub fn get_ref_unless_flagged<'a>(
         &'a mut self,
         source: &VersionedArc<T>,
-    ) -> Option<(&'a T, bool, bool)> {
+        on_clearing: impl FnOnce(),
+        on_refresh: impl FnOnce(),
+    ) -> Option<&'a T> {
         let word = source.version.load(Ordering::Acquire);
         if word == self.version {
-            Some((self.cached.as_ref(), false, false))
+            Some(self.cached.as_ref())
         } else {
-            self.refresh_unless_flagged(source, word)
+            self.refresh_unless_flagged(source, word, on_clearing, on_refresh)
         }
     }
 
@@ -230,16 +241,22 @@ impl<T> CachedArc<T> {
     fn refresh_unless_flagged<'a>(
         &'a mut self,
         source: &VersionedArc<T>,
-        word: u64,
-    ) -> Option<(&'a T, bool, bool)> {
+        mut word: u64,
+        on_clearing: impl FnOnce(),
+        on_refresh: impl FnOnce(),
+    ) -> Option<&'a T> {
+        if word & CLEARING != 0 {
+            on_clearing();
+            word = source.version.load(Ordering::Acquire);
+        }
         if word & FLAG != 0 {
             return None;
         }
-        let clearing = word & CLEARING != 0;
-        if word & VERSION == self.version {
-            return Some((self.cached.as_ref(), false, clearing));
+        if word & VERSION != self.version {
+            self.refresh(source);
+            on_refresh();
         }
-        Some((self.refresh(source).as_ref(), true, clearing))
+        Some(self.cached.as_ref())
     }
 
     /// Borrow-based variant of [`CachedArc::get`]: the same
@@ -355,6 +372,19 @@ mod tests {
         assert_eq!(slot.acquire_count(), acquires_after_init + 1);
     }
 
+    /// A writer's check with hooks that count: the value, how often the
+    /// clearing hook ran, and whether the refresh hook ran.
+    fn write_check(
+        cache: &mut CachedArc<u64>,
+        slot: &VersionedArc<u64>,
+    ) -> (Option<u64>, u32, bool) {
+        let (mut clears, mut refreshed) = (0, false);
+        let value = cache
+            .get_ref_unless_flagged(slot, || clears += 1, || refreshed = true)
+            .copied();
+        (value, clears, refreshed)
+    }
+
     #[test]
     fn the_flag_excludes_writers_and_is_invisible_to_readers() {
         let slot = VersionedArc::new(5u64);
@@ -363,20 +393,17 @@ mod tests {
         slot.raise_flag();
         assert!(slot.flagged());
         assert_eq!(slot.version(), 1);
-        assert!(cache.get_ref_unless_flagged(&slot).is_none());
+        assert_eq!(write_check(&mut cache, &slot), (None, 0, false));
         assert_eq!(cache.get_ref(&slot), (&5, false));
         // A publication under the flag keeps it; lowering it lets the
         // writer through to the new value.
         slot.publish(Arc::new(6));
         assert_eq!(slot.version(), 2);
-        assert!(cache.get_ref_unless_flagged(&slot).is_none());
+        assert_eq!(write_check(&mut cache, &slot), (None, 0, false));
         slot.lower_flag();
         assert!(!slot.flagged());
-        assert_eq!(cache.get_ref_unless_flagged(&slot), Some((&6, true, false)));
-        assert_eq!(
-            cache.get_ref_unless_flagged(&slot),
-            Some((&6, false, false))
-        );
+        assert_eq!(write_check(&mut cache, &slot), (Some(6), 0, true));
+        assert_eq!(write_check(&mut cache, &slot), (Some(6), 0, false));
         assert!(slot.publish_if(2, Arc::new(7)).is_ok());
     }
 
@@ -389,7 +416,7 @@ mod tests {
         assert!(slot.clearing() && !slot.flagged());
         assert_eq!(slot.version(), 1);
         assert_eq!(cache.get_ref(&slot), (&5, false));
-        assert_eq!(cache.get_ref_unless_flagged(&slot), Some((&5, false, true)));
+        assert_eq!(write_check(&mut cache, &slot), (Some(5), 1, false));
         assert_eq!(
             slot.acquire_count(),
             acquires,
@@ -397,18 +424,72 @@ mod tests {
         );
         // The flag still excludes while the bit is up.
         slot.raise_flag();
-        assert!(cache.get_ref_unless_flagged(&slot).is_none());
+        assert_eq!(write_check(&mut cache, &slot), (None, 1, false));
         slot.lower_flag();
         slot.lower_clearing();
         assert!(!slot.clearing());
-        assert_eq!(
-            cache.get_ref_unless_flagged(&slot),
-            Some((&5, false, false))
-        );
+        assert_eq!(write_check(&mut cache, &slot), (Some(5), 0, false));
         // A newer version seen with the bit up: refreshed and told.
         slot.publish(Arc::new(6));
         slot.raise_clearing();
-        assert_eq!(cache.get_ref_unless_flagged(&slot), Some((&6, true, true)));
+        assert_eq!(write_check(&mut cache, &slot), (Some(6), 1, true));
+    }
+
+    /// The clearing hook runs once in each cold call that sees the bit,
+    /// however long the bit stays up, and never where the compare holds;
+    /// readers take no hook and are not held up by the bit.
+    #[test]
+    fn the_clearing_hook_runs_once_per_cold_call_and_never_on_the_fast_path() {
+        let slot = VersionedArc::new(5u64);
+        let mut cache = CachedArc::new(&slot);
+        for _ in 0..1000 {
+            assert_eq!(write_check(&mut cache, &slot), (Some(5), 0, false));
+        }
+        slot.raise_clearing();
+        for _ in 0..3 {
+            assert_eq!(cache.get(&slot), (&Arc::new(5), false));
+            assert_eq!(cache.get_ref(&slot), (&5, false));
+            assert_eq!(write_check(&mut cache, &slot), (Some(5), 1, false));
+        }
+        slot.lower_clearing();
+        for _ in 0..1000 {
+            assert_eq!(write_check(&mut cache, &slot), (Some(5), 0, false));
+        }
+        assert_eq!(slot.acquire_count(), 1, "the bit refreshed a cache");
+    }
+
+    /// What the clearing hook does is seen by the writer that ran it: a
+    /// flag it raised (a lead it started) returns `None`, and a version it
+    /// published (a lead it finished) a refreshed value.
+    #[test]
+    fn a_flag_raised_by_the_clearing_hook_excludes_its_writer() {
+        let slot = VersionedArc::new(5u64);
+        let mut cache = CachedArc::new(&slot);
+        slot.raise_clearing();
+        let mut refreshed = false;
+        let value = cache.get_ref_unless_flagged(
+            &slot,
+            || {
+                slot.lower_clearing();
+                slot.raise_flag();
+            },
+            || refreshed = true,
+        );
+        assert_eq!((value, refreshed), (None, false));
+        slot.lower_flag();
+        slot.raise_clearing();
+        let value = cache.get_ref_unless_flagged(
+            &slot,
+            || {
+                slot.lower_clearing();
+                slot.raise_flag();
+                slot.publish(Arc::new(6));
+                slot.lower_flag();
+            },
+            || refreshed = true,
+        );
+        assert_eq!((value, refreshed), (Some(&6), true));
+        assert_eq!(write_check(&mut cache, &slot), (Some(6), 0, false));
     }
 
     #[test]

@@ -11,11 +11,12 @@
 //! (DESIGN.md §15).  Run it before trusting a before/after of the grow
 //! pause, and name the mode with the numbers.
 //!
-//! It then fills a second table the same way from two threads, each
-//! inserting every other key, and prints per migration the copy time per
-//! source cell summed over both participants, the longest wait of a
-//! thread left with nothing to copy, and the blocks the leader copied of
-//! all the leases: the two-thread baseline of the grow pause.
+//! It then fills a second table the same way from two threads, which
+//! start together, each inserting every other key, and prints per
+//! migration the copy time per source cell summed over both participants,
+//! the longest wait of a thread left with nothing to copy, and the blocks
+//! the leader copied of all the leases: the two-thread baseline of the
+//! grow pause.
 //!
 //! Each migration line also gives the elector's preparation (allocating
 //! the target), then the clearing of a target that came uncleared: the
@@ -34,6 +35,8 @@
 //!
 //! Run with: `cargo run -q --release --example migration_smoke`
 
+use std::sync::Barrier;
+
 use growt_repro::growt_core::{mem, membarrier, GrowMap};
 
 /// Fill a fresh table from 2^11 to 2^17 cells from `threads` threads,
@@ -42,11 +45,15 @@ use growt_repro::growt_core::{mem, membarrier, GrowMap};
 fn fill_and_report(threads: u64) {
     let pooled_before = mem::pooled_bytes();
     let map: GrowMap<u64, u64> = GrowMap::new(1024);
+    // Every thread has its handle before any inserts: a thread that started
+    // late would find the early migrations run by the other alone.
+    let start = Barrier::new(threads as usize);
     std::thread::scope(|s| {
         for t in 0..threads {
-            let map = &map;
+            let (map, start) = (&map, &start);
             s.spawn(move || {
                 let mut handle = map.handle();
+                start.wait();
                 for key in (2 + t..2 + (1u64 << 16)).step_by(threads as usize) {
                     handle.insert(&key, &key);
                 }

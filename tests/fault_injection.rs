@@ -1173,8 +1173,9 @@ fn insert_until_elected(
 /// Two writers fill a map over several migrations, and the first of them
 /// to clear a slice of a target is killed inside it, before the slice is
 /// cleared.  The slice is not counted, so the survivor clears it again and
-/// leads the migration; every confirmed insert is there, and at most the
-/// killed thread's last, which had landed before its epilogue cleared.
+/// leads the migration; every confirmed insert is there.  The killed write
+/// clears in its prologue, before its insert, so its key never lands; the
+/// size is still allowed one key more than the confirmed ones.
 /// The writers are joined, not scoped: a joined thread has run its
 /// thread-local destructors, whose frees the allocator-exact schedules
 /// that follow would otherwise count.
@@ -1268,36 +1269,48 @@ fn a_migration_whose_elector_is_gone_is_finished_by_a_later_write() {
     });
 }
 
-/// Every attempt to clear a slice unwinds (the failpoint kills it inside
-/// the slice), so the target never becomes clear and the writer fills the
-/// source until an insert finds it full.  That insert, too, unwinds —
-/// from clearing what is left, which it does instead of spinning — and
-/// its key is not there.  With the failpoint lifted its retry clears every
-/// slice itself, leads the migration and lands.  The hundreds of unwinds
-/// go unreported ([`QuietExits`]).
+/// Every slice is skipped (the failpoint says so, as if another thread
+/// held the clearing lock), so the writes land without clearing and the
+/// target never becomes clear; the writer fills the source until an insert
+/// finds it full.  That insert, instead of spinning, clears what is left:
+/// once it has come back to the skipped slices in the one write, the
+/// failpoint is lifted, and it clears every slice itself, leads the
+/// migration and lands.
 #[test]
 fn a_write_that_finds_the_source_full_clears_what_is_left() {
     on_each_copy_mode("full-while-clearing", |mode| {
-        let _quiet = QuietExits::new();
         count_elections();
         let map: GrowMap<u64, u64> = GrowMap::with_config(2048, GrowConfig::default(), 1);
         let mut handle = map.handle();
         let mut keys = insert_until_elected(&mut handle, 2);
-        configure(PREPARE_SLICE, Action::ExitThread, Trigger::Always);
-        let mut key = *keys.last().unwrap();
-        let full = loop {
-            key += 1;
-            let landed = catch_unwind(AssertUnwindSafe(|| handle.insert(&key, &(key + 1))));
-            assert!(landed.is_err(), "a slice was cleared");
-            if handle.find(&key).is_none() {
-                break key;
+        configure(PREPARE_SLICE, Action::FailAlloc, Trigger::Always);
+        // Writes begun since the skipping started: each visits the
+        // failpoint once in its prologue, so more visits than writes mean
+        // a write is clearing what is left.  The watch is bounded, so that
+        // the scope still ends when the writer fails an assertion.
+        let writes = AtomicU64::new(0);
+        let full = std::thread::scope(|s| {
+            s.spawn(|| {
+                let started = std::time::Instant::now();
+                while visits(PREPARE_SLICE) <= writes.load(Ordering::SeqCst)
+                    && started.elapsed() < Duration::from_secs(30)
+                {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                remove(PREPARE_SLICE);
+            });
+            let mut key = *keys.last().unwrap();
+            loop {
+                key += 1;
+                writes.fetch_add(1, Ordering::SeqCst);
+                assert!(handle.insert(&key, &(key + 1)));
+                if map.migrations_completed() > 0 {
+                    break key;
+                }
+                keys.push(key);
             }
-            keys.push(key);
-        };
+        });
         assert!(keys.len() >= 2048 - 64, "full at {} keys", keys.len());
-        assert_eq!(map.migrations_completed(), 0);
-        remove(PREPARE_SLICE);
-        assert!(handle.insert(&full, &(full + 1)));
         keys.push(full);
         assert_eq!(map.migrations_completed(), 1);
         let record = &map.migration_log()[0];
@@ -1310,28 +1323,65 @@ fn a_write_that_finds_the_source_full_clears_what_is_left() {
     });
 }
 
-/// While alive, a panic hook that does not report injected thread exits:
-/// hundreds of their messages would fill the captured output, whose
-/// release the allocator-exact schedules would count.  Dropped inside
-/// [`serialized`], so that no other schedule sees the hooks change.
-struct QuietExits;
-
-impl QuietExits {
-    fn new() -> Self {
-        let report = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if !info.payload().is::<ThreadExit>() {
-                report(info);
-            }
-        }));
-        QuietExits
-    }
+/// After the election only updates come, one handle's: each clears one
+/// slice before it updates, and the one that clears the last leads the
+/// migration and then updates in the new generation.  Every update is
+/// there, exactly once.
+#[test]
+fn updates_alone_finish_the_clearing_and_the_migration() {
+    on_each_copy_mode("updates-clear", |mode| {
+        count_elections();
+        let map: GrowMap<u64, u64> = GrowMap::with_config(2048, GrowConfig::default(), 1);
+        let mut handle = map.handle();
+        let keys = insert_until_elected(&mut handle, 2);
+        let mut updates = 0;
+        while map.migrations_completed() == 0 {
+            let key = keys[updates % keys.len()];
+            assert!(handle.update(&key, |v| v + 1));
+            updates += 1;
+        }
+        let record = &map.migration_log()[0];
+        assert!(record.slices > 0, "{record:?}");
+        assert_eq!(record.mode, mode.expected());
+        assert_eq!(updates, record.slices, "one slice an update: {record:?}");
+        for (i, key) in keys.iter().enumerate() {
+            let bumps = (updates / keys.len() + usize::from(i < updates % keys.len())) as u64;
+            assert_eq!(handle.find(key), Some(key + 1 + bumps), "key {key}");
+        }
+        assert_eq!(map.size_exact_quiescent(), keys.len());
+    });
 }
 
-impl Drop for QuietExits {
-    fn drop(&mut self) {
-        let _ = std::panic::take_hook();
-    }
+/// The insert whose prologue clears the last slice leads the migration
+/// before its own operation, so its key lands in the new generation: it is
+/// found there, and counted there — a lone handle's estimate and the
+/// quiescent size are both exact.
+#[test]
+fn the_write_that_clears_the_last_slice_leads_and_then_lands() {
+    on_each_copy_mode("last-clearer-lands", |mode| {
+        count_elections();
+        let map: GrowMap<u64, u64> = GrowMap::with_config(2048, GrowConfig::default(), 1);
+        let mut handle = map.handle();
+        let mut keys = insert_until_elected(&mut handle, 2);
+        let elected = keys.len();
+        let capacity = map.current_capacity();
+        let mut key = *keys.last().unwrap();
+        while map.migrations_completed() == 0 {
+            key += 1;
+            assert!(handle.insert(&key, &(key + 1)));
+            keys.push(key);
+        }
+        let record = &map.migration_log()[0];
+        assert_eq!(record.mode, mode.expected());
+        assert_eq!(keys.len() - elected, record.slices, "{record:?}");
+        assert!(map.current_capacity() > capacity);
+        assert_eq!(handle.find(&key), Some(key + 1), "the leader's own key");
+        for key in &keys {
+            assert_eq!(handle.find(key), Some(key + 1), "key {key}");
+        }
+        assert_eq!(map.size_exact_quiescent(), keys.len());
+        assert_eq!(handle.size_estimate(), keys.len());
+    });
 }
 
 /// Writes stop while the next generation waits for its slices: the old
