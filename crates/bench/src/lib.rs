@@ -25,7 +25,7 @@ use growt_baselines::{
 };
 use growt_core::{
     Folklore, FolkloreCrc, FolkloreSimd, GrowMap, PaGrow, PsGrow, StringKeyTable, UaGrow,
-    UaGrowCrc, UaGrowK1, UaGrowK16, UaGrowK4, UaGrowSimd, UsGrow,
+    UaGrowCrc, UsGrow,
 };
 use growt_iface::{capability_row, Capabilities, ConcurrentMap, GenericMap, GrowthSupport};
 use growt_seq::{SeqGrowingTable, SeqTable};
@@ -881,13 +881,12 @@ fn batch_series<M: ConcurrentMap>(cfg: &HarnessConfig, out: &mut Vec<Point>) {
 /// Ablation: batched hot paths (hash → prefetch → probe, DESIGN.md).
 ///
 /// Sweeps the batch size K over [`BATCH_SIZES`] for insertions into and
-/// finds on a pre-initialized table, for the folklore table and the
-/// default growing variant — each on both probe strategies (scalar linear
-/// probe and the striped SIMD fingerprint probe) — across the configured
-/// thread grid.
+/// finds on a pre-initialized table, for the folklore table on both probe
+/// strategies (scalar linear probe and the striped SIMD fingerprint probe)
+/// and the default growing variant, across the configured thread grid.
 pub fn ablation_batch(cfg: &HarnessConfig) -> Record {
     let mut out = Vec::new();
-    for_tables!(batch_series(cfg, &mut out): Folklore, FolkloreSimd, UaGrow, UaGrowSimd);
+    for_tables!(batch_series(cfg, &mut out): Folklore, FolkloreSimd, UaGrow);
     throughput("ablation_batch", "ablation-batch-hot-paths", "batch", out)
 }
 
@@ -913,9 +912,9 @@ fn scaling_series<M: ConcurrentMap>(
 /// The thread-scaling sweep: insertions into and finds on a pre-sized
 /// table for the folklore table and the default growing variant, per-op
 /// (K = 1) and pipelined (K = [`SCALING_BATCH`]), on both hash paths
-/// (the one-multiply fold and the paper's CRC32-C pair) and on the striped
-/// SIMD fingerprint probe (`*-simd`, fold hashing), across the
-/// configured thread grid.  This is the trajectory record for the
+/// (the one-multiply fold and the paper's CRC32-C pair) and, for the
+/// folklore table, on the striped SIMD fingerprint probe
+/// (`folklore-simd`, fold hashing), across the configured thread grid.  This is the trajectory record for the
 /// zero-shared-traffic handle prologue and the striped probe: per-op
 /// throughput must move with the thread count.
 pub fn scaling(cfg: &HarnessConfig) -> Record {
@@ -925,7 +924,6 @@ pub fn scaling(cfg: &HarnessConfig) -> Record {
     scaling_series::<FolkloreSimd>(cfg, &mut out, "folklore-simd", "mix");
     scaling_series::<UaGrow>(cfg, &mut out, "uaGrow", "mix");
     scaling_series::<UaGrowCrc>(cfg, &mut out, "uaGrow", "crc");
-    scaling_series::<UaGrowSimd>(cfg, &mut out, "uaGrow-simd", "mix");
     throughput("scaling", "scaling-hot-paths", "threads", out)
 }
 
@@ -1117,17 +1115,16 @@ fn latency_series<M: ConcurrentMap>(
 /// The tail-latency sweep: a mixed Zipf insert/find/update workload
 /// (25/50/25) started from a tiny table so it crosses several migrations,
 /// with every op bracketed by calibrated clock reads into per-thread
-/// histograms.  Compares help-until-done (`uaGrow`) against bounded help
-/// with k ∈ {1, 4, 16} (`uaGrow-k*`), the migration thread pool
-/// (`paGrow`) and the pre-sized folklore table as the no-migration
-/// control.  This is the trajectory record for the grow pause: the
-/// growing tables' p999 must move toward the folklore control as the help
-/// budget shrinks.
+/// histograms.  Compares enslavement (`uaGrow`, help until done), the
+/// migration thread pool (`paGrow`) and the pre-sized folklore table as
+/// the no-migration control.  This is the trajectory record for the grow
+/// pause: how far the growing tables' p999 sits from the folklore
+/// control.
 pub fn latency(cfg: &HarnessConfig) -> Record {
     let mut out = Vec::new();
     for_tables!(latency_series(cfg, &mut out, |_| 0): Folklore);
     for_tables!(latency_series(cfg, &mut out, |t| t.inner().migrations_completed()):
-        UaGrow, UaGrowK1, UaGrowK4, UaGrowK16, PaGrow);
+        UaGrow, PaGrow);
     Record {
         y: &["p50_ns", "p99_ns", "p999_ns", "max_ns"],
         ..throughput("latency", "latency-tail-ns", "threads", out)
@@ -1435,29 +1432,29 @@ mod tests {
         let tsv = record.to_tsv();
         match record.id {
             "ablation_batch" => {
-                // 4 tables (scalar + simd probes) × 2 ops × |threads| × |K|.
-                assert_eq!(record.points.len(), 4 * 2 * p * BATCH_SIZES.len());
-                assert!(has("folklore-simd") && has("uaGrow-simd"));
-                assert_eq!(series.len(), 4 * 2 * p);
+                // 3 tables (folklore on both probes, uaGrow) × 2 ops ×
+                // |threads| × |K|; the growing table has no striped probe.
+                assert_eq!(record.points.len(), 3 * 2 * p * BATCH_SIZES.len());
+                assert!(has("folklore-simd") && has("uaGrow"));
+                assert_eq!(series.len(), 3 * 2 * p);
                 assert!(series.iter().all(|s| s.points.len() == BATCH_SIZES.len()));
                 assert!(tsv.contains("folklore find threads=2"));
             }
             "scaling" => {
-                // 6 instantiations (2 tables × {mix, crc} + the two -simd
-                // probes) × 2 ops × |threads| × 2 batch sizes.
-                assert_eq!(record.points.len(), 6 * 2 * p * 2);
+                // 5 instantiations (2 tables × {mix, crc} + folklore-simd)
+                // × 2 ops × |threads| × 2 batch sizes.
+                assert_eq!(record.points.len(), 5 * 2 * p * 2);
                 let pairs: Vec<_> = names(record, "table").zip(names(record, "hash")).collect();
                 for table in ["folklore", "uaGrow"] {
                     for hash in ["mix", "crc"] {
                         assert!(pairs.contains(&(table, hash)), "missing {table}/{hash}");
                     }
                 }
-                // The striped-probe series hash with the default mixer only.
-                for table in ["folklore-simd", "uaGrow-simd"] {
-                    assert!(pairs.contains(&(table, "mix")), "missing {table}");
-                    assert!(!pairs.contains(&(table, "crc")));
-                }
-                assert_eq!(series.len(), 6 * 2 * 2);
+                // The striped-probe series hashes with the default mixer
+                // only, and only the bounded table has one.
+                assert!(pairs.contains(&("folklore-simd", "mix")));
+                assert!(!pairs.contains(&("folklore-simd", "crc")));
+                assert_eq!(series.len(), 5 * 2 * 2);
                 assert!(series.iter().all(|s| s.points.len() == p));
                 assert!(tsv.contains("folklore find crc batch=16"));
             }
@@ -1490,16 +1487,9 @@ mod tests {
                 assert!(tsv.contains("growMap aggregate-u64"));
             }
             "latency" => {
-                // 6 tables (folklore control, uaGrow, k1/k4/k16, paGrow) ×
-                // 3 op classes × |threads|, drawn as 4 percentiles.
-                let tables = [
-                    "folklore",
-                    "uaGrow",
-                    "uaGrow-k1",
-                    "uaGrow-k4",
-                    "uaGrow-k16",
-                    "paGrow",
-                ];
+                // 3 tables (folklore control, uaGrow, paGrow) × 3 op
+                // classes × |threads|, drawn as 4 percentiles.
+                let tables = ["folklore", "uaGrow", "paGrow"];
                 assert_eq!(record.points.len(), tables.len() * 3 * p);
                 assert!(tables.iter().all(|t| has(t)), "a latency table is missing");
                 for point in &record.points {
@@ -1518,7 +1508,7 @@ mod tests {
                     }
                 }
                 assert_eq!(series.len(), tables.len() * 3 * 4);
-                assert!(tsv.contains("uaGrow-k1 insert p999_ns"));
+                assert!(tsv.contains("uaGrow insert p999_ns"));
             }
             "fig4a" | "fig4b" | "fig5a" | "fig5b" => {
                 assert!(series.iter().all(|s| s.points.len() == cfg.zipf_s.len()));
@@ -1616,12 +1606,14 @@ mod tests {
         let (_, json) = smoke("ablation_batch");
         assert!(json.contains("\"table\": \"uaGrow\""));
         assert!(json.contains("\"batch\""));
+        assert!(!json.contains("uaGrow-simd"));
     }
 
     #[test]
     fn smoke_scaling_points_and_figure() {
         let (_, json) = smoke("scaling");
         assert!(json.contains("\"hash\": \"crc\""));
+        assert!(!json.contains("uaGrow-simd"));
     }
 
     #[test]
@@ -1665,6 +1657,7 @@ mod tests {
         let (_, json) = smoke("latency");
         assert!(json.contains("\"p999_ns\""));
         assert!(json.contains("\"migrations\""));
+        assert!(!json.contains("uaGrow-k"));
     }
 
     /// Every measured id at [`smoke_config`] through [`check_record`],

@@ -5,9 +5,13 @@
 /// started").
 pub const DEFAULT_GROW_THRESHOLD: f64 = 0.6;
 
-/// Default growth factor γ (§7: "With each migration, we double the
-/// capacity").
-pub const DEFAULT_GROWTH_FACTOR: usize = 2;
+/// Growth factor γ used when the live count justifies growing (§7: "With
+/// each migration, we double the capacity").
+pub const GROWTH_FACTOR: usize = 2;
+
+/// Fraction of the capacity below which a cleanup migration shrinks the
+/// table instead of keeping its size.
+pub const SHRINK_THRESHOLD: f64 = 0.1;
 
 /// Cell-block size used by the migration (§7: "The migration works in
 /// cell-blocks of the size 4096").
@@ -161,12 +165,13 @@ impl HashSelect {
 /// Which probe kernel a table instance uses.
 ///
 /// Like [`HashSelect`] the selection is **per table** so benchmarks can
-/// measure both paths side by side, and all generations of one growing
-/// table inherit it.  [`ProbeSelect::Simd`] attaches a signature metadata
-/// stripe (see [`crate::simd`]) to the table and probes 16 cells per
-/// compare; the kernel degrades from SSE2 to the portable SWAR matcher
+/// measure both paths side by side.  It is an option of the bounded tables
+/// only: on a growing table, which stays at load ≤ 0.6, the stripe did not
+/// pay (DESIGN.md §11).  [`ProbeSelect::Simd`] attaches a signature
+/// metadata stripe (see [`crate::simd`]) to the table and probes 16 cells
+/// per compare; the kernel degrades from SSE2 to the portable SWAR matcher
 /// when SSE2 is unavailable or `GROWT_NO_SIMD` is set, and a table whose
-/// capacity is below one probe group keeps the scalar loop until it grows.
+/// capacity is below one probe group keeps the scalar loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProbeSelect {
     /// The scalar probe loop over the cell array (default).
@@ -199,29 +204,24 @@ pub(crate) fn capacity_shift(capacity: usize) -> u32 {
     (capacity as u64).leading_zeros() + 1
 }
 
-/// Configuration shared by every growing-table variant.
+/// Configuration shared by every growing-table variant: the two policy
+/// values a caller sets.  The growth factor and the shrink threshold are
+/// the constants [`GROWTH_FACTOR`] and [`SHRINK_THRESHOLD`].
 #[derive(Debug, Clone, Copy)]
 pub struct GrowConfig {
     /// Fill factor α at which a migration is triggered.
     pub grow_threshold: f64,
-    /// Growth factor γ used when the live count justifies growing.
-    pub growth_factor: usize,
     /// Upper bound of the migration block size in cells: a source of
     /// fewer than 16 such blocks is split into blocks of a sixteenth of
     /// its capacity, but not below 256 cells (DESIGN.md §6).
     pub migration_block: usize,
-    /// Fraction of the capacity below which a cleanup migration shrinks the
-    /// table instead of keeping its size.
-    pub shrink_threshold: f64,
 }
 
 impl Default for GrowConfig {
     fn default() -> Self {
         GrowConfig {
             grow_threshold: DEFAULT_GROW_THRESHOLD,
-            growth_factor: DEFAULT_GROWTH_FACTOR,
             migration_block: MIGRATION_BLOCK,
-            shrink_threshold: 0.1,
         }
     }
 }
@@ -553,7 +553,7 @@ mod tests {
     fn default_config_matches_paper_constants() {
         let cfg = GrowConfig::default();
         assert!((cfg.grow_threshold - 0.6).abs() < 1e-9);
-        assert_eq!(cfg.growth_factor, 2);
+        assert_eq!(GROWTH_FACTOR, 2);
         assert_eq!(cfg.migration_block, 4096);
     }
 }

@@ -19,8 +19,7 @@
 //! * **strategy axes** — enslavement vs. pool
 //!   ([`GrowProtocol::enslaves`], [`GrowProtocol::signal_pool`]),
 //!   marking vs. exclusive ([`GrowProtocol::quiesce_writers`], whose answer
-//!   is the job's [`MigrationMode`]), the per-op help budget of
-//!   DESIGN.md §13 ([`GrowProtocol::help_budget`]);
+//!   is the job's [`MigrationMode`]);
 //! * **failpoint names**, so the fault-injection schedules keep targeting
 //!   each table's migration independently;
 //! * **degenerate-case recovery** ([`GrowProtocol::recover_degenerate`]),
@@ -40,7 +39,7 @@ use std::time::{Duration, Instant};
 use growt_iface::sync::lock;
 use growt_reclaim::VersionedArc;
 
-use crate::config::{capacity_for, GrowConfig};
+use crate::config::{capacity_for, GrowConfig, GROWTH_FACTOR, SHRINK_THRESHOLD};
 use crate::count::GlobalCount;
 
 /// Migration coordinator states.
@@ -478,12 +477,6 @@ pub(crate) trait GrowProtocol {
         true
     }
 
-    /// Per-op help budget for drafted helpers (DESIGN.md §13); the growth
-    /// leader, pool workers and the rescue pass are never budgeted.
-    fn help_budget(&self) -> Option<usize> {
-        None
-    }
-
     /// Decide the migration's mode, once its target is allocated: a table
     /// that can exclude its writers raises the growing flag
     /// ([`VersionedArc::raise_flag`]) and waits until no handle is inside
@@ -644,11 +637,9 @@ pub(crate) trait GrowProtocol {
         // migrate.
         let desired = capacity_for(live.max(1)).max(64);
         let new_capacity = if desired > old_capacity {
-            // Grow by at least the configured factor.
-            desired.max(old_capacity.saturating_mul(self.grow_config().growth_factor))
-        } else if (live as f64) < self.grow_config().shrink_threshold * old_capacity as f64
-            && desired < old_capacity
-        {
+            // Grow by at least the growth factor.
+            desired.max(old_capacity.saturating_mul(GROWTH_FACTOR))
+        } else if (live as f64) < SHRINK_THRESHOLD * old_capacity as f64 && desired < old_capacity {
             desired // shrink
         } else {
             old_capacity // cleanup migration (γ = 1): drop tombstones only
@@ -803,26 +794,15 @@ pub(crate) trait GrowProtocol {
         lock(&self.coord().job).as_ref().map(Arc::clone)
     }
 
-    /// Pull migration blocks until none are left; the participant that
-    /// completes the last block finalizes the migration.
+    /// Pull migration blocks until none are left (§5.3.2's enslavement:
+    /// help until done); the participant that completes the last block
+    /// finalizes the migration.
     fn participate(&self) {
-        self.participate_bounded(usize::MAX);
-    }
-
-    /// Pull migration blocks until none are left *or* this caller has
-    /// copied `budget` blocks, whichever comes first (the bounded help of
-    /// DESIGN.md §13).  Stopping early is always safe: a block is either
-    /// untouched (the cursor simply never dealt it to us) or fully copied
-    /// and completed under its lease, so the remaining participants — and,
-    /// after the waiters' patience runs out, the rescue pass — observe
-    /// exactly the states they would under help-until-done.
-    fn participate_bounded(&self, budget: usize) {
         let Some(job) = self.current_job() else {
             return;
         };
-        // Phase 1: deal out fresh blocks through the shared cursor.
-        let mut copied = 0usize;
-        while copied < budget {
+        // Deal out fresh blocks through the shared cursor.
+        loop {
             let block = job.progress.next_block.fetch_add(1, Ordering::AcqRel);
             if block >= job.total_blocks {
                 break;
@@ -842,7 +822,6 @@ pub(crate) trait GrowProtocol {
                 continue;
             }
             self.copy_block(&job, block);
-            copied += 1;
         }
         self.maybe_finalize(&job);
     }
@@ -1066,12 +1045,9 @@ pub(crate) trait GrowProtocol {
     }
 
     /// Help with (enslavement) or wait for (pool) an in-flight migration of
-    /// the generation `observed_version`.  Under a help budget a drafted
-    /// helper copies at most that many blocks before falling through to
-    /// the backoff wait; the growth leader ([`GrowProtocol::lead`]) never
-    /// comes through here and stays unbudgeted, so every migration retains
-    /// at least one help-until-done participant.  Cold: kept out of the
-    /// operations' retry loops, as `grow` is.
+    /// the generation `observed_version`: a drafted helper copies blocks
+    /// until none are left, then waits for the copies still running.
+    /// Cold: kept out of the operations' retry loops, as `grow` is.
     #[cold]
     fn help_or_wait(&self, observed_version: u64) {
         if self.enslaves() {
@@ -1088,7 +1064,7 @@ pub(crate) trait GrowProtocol {
                 }
                 match self.coord().state.load(Ordering::Acquire) {
                     STATE_MIGRATING => {
-                        self.participate_bounded(self.help_budget().unwrap_or(usize::MAX));
+                        self.participate();
                         self.wait_until_replaced(observed_version);
                         return;
                     }

@@ -52,6 +52,7 @@
 //! copies with plain loads; where that does not work in time it marks.
 //! Either way the copy places with plain stores (DESIGN.md §12, §15).
 
+use std::convert::Infallible;
 use std::marker::PhantomData;
 use std::sync::atomic::{compiler_fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -1562,6 +1563,27 @@ pub struct GrowMapHandle<'a, K: KeyRepr, V: ValueRepr> {
     busy: Arc<BusyFlag>,
 }
 
+/// What a full generation makes the infallible writes do: grow, waiting
+/// for memory as long as it takes.
+#[inline(always)]
+fn grow_blocking<K: KeyRepr, V: ValueRepr>(
+    inner: &GenericInner<K, V>,
+    version: u64,
+) -> Result<(), Infallible> {
+    inner.grow(version);
+    Ok(())
+}
+
+/// What a full generation makes the fallible writes do: grow within a
+/// bounded number of allocation retries, or fail.
+#[inline(always)]
+fn grow_or_fail<K: KeyRepr, V: ValueRepr>(
+    inner: &GenericInner<K, V>,
+    version: u64,
+) -> Result<(), TryGrowError> {
+    inner.try_grow(version).map_err(|_| TryGrowError)
+}
+
 impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
     /// `false` when keys and values are both inline: no operation allocates
     /// out of line, so nothing is ever retired, no handle registers with
@@ -1737,33 +1759,12 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
     }
 
     /// Insert `⟨key, value⟩`; returns `true` iff the key was not present.
+    ///
+    /// Out of line: the wrapper is small, and without the attribute it
+    /// would carry its whole loop into every caller.
+    #[inline(never)]
     pub fn insert(&mut self, key: &K, value: &V) -> bool {
-        let probe = Probe::new(key);
-        let mut pending = PendingCell::new();
-        let inserted = loop {
-            let Some((array, busy)) =
-                Self::enter_write(&mut self.cached, &mut self.local, self.inner, &self.busy)
-            else {
-                Self::wait_for_growth(self.inner);
-                continue;
-            };
-            let (capacity, version) = (array.capacity(), array.version);
-            let outcome = array.upsert(&probe, value, None::<&fn(&V) -> V>, &mut pending);
-            drop(busy);
-            match outcome {
-                MapOutcome::Inserted => {
-                    self.after_insert(capacity, version);
-                    break true;
-                }
-                MapOutcome::Present => break false,
-                MapOutcome::Full => self.inner.grow(version),
-                MapOutcome::Migrating => self.inner.help_or_wait(version),
-                // Invariant: plain upsert never updates and never reports
-                // an absent key as anything but an insertion (or `Full`).
-                MapOutcome::Updated(_) | MapOutcome::NotFound => unreachable!(),
-            }
-        };
-        self.op_done();
+        let Ok(inserted) = self.insert_driven(key, value, grow_blocking);
         inserted
     }
 
@@ -1774,6 +1775,19 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
     /// error; the map stays valid and keeps serving its current
     /// generation.
     pub fn try_insert(&mut self, key: &K, value: &V) -> Result<bool, TryGrowError> {
+        self.insert_driven(key, value, grow_or_fail)
+    }
+
+    /// The loop of [`GrowMapHandle::insert`] and
+    /// [`GrowMapHandle::try_insert`]; `on_full` makes room in a full
+    /// generation or gives up with its error.
+    #[inline(always)]
+    fn insert_driven<E>(
+        &mut self,
+        key: &K,
+        value: &V,
+        on_full: impl Fn(&GenericInner<K, V>, u64) -> Result<(), E>,
+    ) -> Result<bool, E> {
         let probe = Probe::new(key);
         let mut pending = PendingCell::new();
         let result = loop {
@@ -1793,11 +1807,13 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
                 }
                 MapOutcome::Present => break Ok(false),
                 MapOutcome::Full => {
-                    if self.inner.try_grow(version).is_err() {
-                        break Err(TryGrowError);
+                    if let Err(error) = on_full(self.inner, version) {
+                        break Err(error);
                     }
                 }
                 MapOutcome::Migrating => self.inner.help_or_wait(version),
+                // Invariant: plain upsert never updates and never reports
+                // an absent key as anything but an insertion (or `Full`).
                 MapOutcome::Updated(_) | MapOutcome::NotFound => unreachable!(),
             }
         };
@@ -1851,42 +1867,16 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
     /// Insert `⟨key, value⟩` if absent, otherwise atomically replace the
     /// stored value by `up(current)` — the generalized aggregation
     /// primitive (`insert_or_update(&k, &1, |c| c + 1)` is the word-count
-    /// loop of the paper's introduction).
+    /// loop of the paper's introduction).  Out of line, as
+    /// [`GrowMapHandle::insert`] is.
+    #[inline(never)]
     pub fn insert_or_update<F: Fn(&V) -> V>(
         &mut self,
         key: &K,
         value: &V,
         up: F,
     ) -> InsertOrUpdate {
-        let probe = Probe::new(key);
-        let mut pending = PendingCell::new();
-        let outcome = loop {
-            let Some((array, busy)) =
-                Self::enter_write(&mut self.cached, &mut self.local, self.inner, &self.busy)
-            else {
-                Self::wait_for_growth(self.inner);
-                continue;
-            };
-            let (capacity, version) = (array.capacity(), array.version);
-            let outcome = array.upsert(&probe, value, Some(&up), &mut pending);
-            drop(busy);
-            match outcome {
-                MapOutcome::Inserted => {
-                    self.after_insert(capacity, version);
-                    break InsertOrUpdate::Inserted;
-                }
-                MapOutcome::Updated(displaced) => {
-                    self.retire_updated(displaced);
-                    break InsertOrUpdate::Updated;
-                }
-                MapOutcome::Full => self.inner.grow(version),
-                MapOutcome::Migrating => self.inner.help_or_wait(version),
-                // Invariant: upsert reports an absent key by inserting it
-                // (or `Full`), never as `NotFound` or `Present`.
-                MapOutcome::NotFound | MapOutcome::Present => unreachable!(),
-            }
-        };
-        self.op_done();
+        let Ok(outcome) = self.insert_or_update_driven(key, value, up, grow_blocking);
         outcome
     }
 
@@ -1899,6 +1889,20 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
         value: &V,
         up: F,
     ) -> Result<InsertOrUpdate, TryGrowError> {
+        self.insert_or_update_driven(key, value, up, grow_or_fail)
+    }
+
+    /// The loop of [`GrowMapHandle::insert_or_update`] and
+    /// [`GrowMapHandle::try_insert_or_update`]; `on_full` as in
+    /// [`GrowMapHandle::insert_driven`].
+    #[inline(always)]
+    fn insert_or_update_driven<F: Fn(&V) -> V, E>(
+        &mut self,
+        key: &K,
+        value: &V,
+        up: F,
+        on_full: impl Fn(&GenericInner<K, V>, u64) -> Result<(), E>,
+    ) -> Result<InsertOrUpdate, E> {
         let probe = Probe::new(key);
         let mut pending = PendingCell::new();
         let result = loop {
@@ -1921,11 +1925,13 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
                     break Ok(InsertOrUpdate::Updated);
                 }
                 MapOutcome::Full => {
-                    if self.inner.try_grow(version).is_err() {
-                        break Err(TryGrowError);
+                    if let Err(error) = on_full(self.inner, version) {
+                        break Err(error);
                     }
                 }
                 MapOutcome::Migrating => self.inner.help_or_wait(version),
+                // Invariant: upsert reports an absent key by inserting it
+                // (or `Full`), never as `NotFound` or `Present`.
                 MapOutcome::NotFound | MapOutcome::Present => unreachable!(),
             }
         };

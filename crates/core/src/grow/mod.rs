@@ -30,7 +30,7 @@ use growt_iface::sync::lock;
 use growt_reclaim::{CachedArc, VersionedArc};
 
 use crate::cell::MAX_MARKABLE_KEY;
-use crate::config::{capacity_for, GrowConfig, HashSelect, ProbeSelect};
+use crate::config::{capacity_for, GrowConfig, HashSelect};
 use crate::coord::{Coordinator, GrowProtocol, MigrationJob, MigrationMode};
 use crate::count::{GlobalCount, LocalCount};
 use crate::migrate::{
@@ -75,23 +75,6 @@ pub struct GrowingOptions {
     /// generation (default: the one-multiply fold; [`HashSelect::Crc`]
     /// selects the paper's hardware CRC32-C pair, §8.3).
     pub hash: HashSelect,
-    /// Probe strategy of every table generation
-    /// ([`ProbeSelect::Simd`] maintains a signature stripe and matches
-    /// 16 fingerprints per probe step).
-    pub probe: ProbeSelect,
-    /// Per-op migration help budget for drafted helpers (DESIGN.md §13).
-    ///
-    /// `None` (the default) keeps the paper's help-until-done behavior: a
-    /// thread that trips over a live migration copies blocks until none
-    /// are left.  `Some(k)` bounds the *drafted* helper — an operation
-    /// trapped by a frozen cell copies at most `k` blocks, then waits
-    /// with backoff for the remaining participants, which moves migration
-    /// cost off the op's critical path and onto the tail of whoever keeps
-    /// helping.  The growth *leader* and pool workers are never budgeted
-    /// (someone must guarantee the migration finishes), and the PR 7
-    /// lease/rescue discipline is unchanged, so a budgeted table is
-    /// exactly as crash-tolerant as an unbudgeted one.
-    pub help_budget: Option<usize>,
 }
 
 impl Default for GrowingOptions {
@@ -102,8 +85,6 @@ impl Default for GrowingOptions {
             grow: GrowConfig::default(),
             threads_hint: crate::cpu::available_parallelism(),
             hash: HashSelect::default(),
-            probe: ProbeSelect::default(),
-            help_budget: None,
         }
     }
 }
@@ -168,12 +149,7 @@ impl GrowingTable {
     pub fn with_options(initial_capacity: usize, options: GrowingOptions) -> Self {
         let capacity = capacity_for(initial_capacity.max(2));
         let inner = Arc::new(Inner {
-            current: VersionedArc::new(BoundedTable::with_cells_configured(
-                capacity,
-                1,
-                options.hash,
-                options.probe,
-            )),
+            current: VersionedArc::new(BoundedTable::with_cells_hashed(capacity, 1, options.hash)),
             counts: GlobalCount::new(),
             coordinator: Coordinator::new(),
             handles: Mutex::new(Vec::new()),
@@ -285,9 +261,9 @@ impl Inner {
 
 /// The word table's instantiation of the shared §12 coordinator
 /// ([`crate::coord`]): generations are [`BoundedTable`]s, block copies
-/// dispatch on the cluster/marking/exclusive migration kernels, and all
-/// four strategy axes (enslave/pool × marking/synchronized, plus the help
-/// budget) map onto the trait hooks.  The protocol itself — leases,
+/// dispatch on the cluster/marking/exclusive migration kernels, and both
+/// strategy axes (enslave/pool × marking/synchronized) map onto the trait
+/// hooks.  The protocol itself — leases,
 /// rescue, finalization latch, backoff degradation — lives entirely in the
 /// trait's default methods.
 impl GrowProtocol for Inner {
@@ -325,12 +301,8 @@ impl GrowProtocol for Inner {
         version: u64,
     ) -> Result<(BoundedTable, usize), crate::mem::AllocError> {
         // Allocated zeroed: the word table's targets have no slices.
-        let table = BoundedTable::try_with_cells_configured(
-            new_capacity,
-            version,
-            source.hash_select(),
-            source.probe_select(),
-        )?;
+        let table =
+            BoundedTable::try_with_cells_hashed(new_capacity, version, source.hash_select())?;
         Ok((table, 0))
     }
 
@@ -360,10 +332,6 @@ impl GrowProtocol for Inner {
 
     fn enslaves(&self) -> bool {
         self.options.strategy == GrowStrategy::Enslave
-    }
-
-    fn help_budget(&self) -> Option<usize> {
-        self.options.help_budget
     }
 
     /// RCU-style exclusion (§5.3.2): raise the growing flag, then wait
@@ -1128,80 +1096,6 @@ mod tests {
             assert!(
                 table.migrations_completed() >= 5,
                 "{name}: too few migrations"
-            );
-        }
-    }
-
-    #[test]
-    fn budgeted_help_completes_migrations_single_thread() {
-        // With a single thread the inserter is always the growth leader,
-        // which stays unbudgeted — a help budget must never deadlock or
-        // leave a migration unfinished.
-        for budget in [0usize, 1, 4] {
-            let table = GrowingTable::with_options(
-                16,
-                GrowingOptions {
-                    help_budget: Some(budget),
-                    threads_hint: 4,
-                    ..GrowingOptions::default()
-                },
-            );
-            let mut handle = table.handle();
-            let n = 20_000u64;
-            for k in 2..2 + n {
-                assert!(handle.insert(k, k * 3), "budget {budget}: insert {k}");
-            }
-            assert!(
-                table.migrations_completed() > 0,
-                "budget {budget}: never migrated"
-            );
-            for k in 2..2 + n {
-                assert_eq!(handle.find(k), Some(k * 3), "budget {budget}: find {k}");
-            }
-            assert_eq!(table.size_exact_quiescent(), n as usize, "budget {budget}");
-        }
-    }
-
-    #[test]
-    fn budgeted_help_parallel_growth_preserves_all_elements() {
-        // Drafted helpers stop after one block; the leader still finishes
-        // the migration, and no element is lost or duplicated.
-        for budget in [1usize, 16] {
-            let table = GrowingTable::with_options(
-                64,
-                GrowingOptions {
-                    help_budget: Some(budget),
-                    threads_hint: 4,
-                    ..GrowingOptions::default()
-                },
-            );
-            let threads = 4u64;
-            let per_thread = 8_000u64;
-            std::thread::scope(|s| {
-                for t in 0..threads {
-                    let table = &table;
-                    s.spawn(move || {
-                        let mut handle = table.handle();
-                        for i in 0..per_thread {
-                            let key = 2 + t * per_thread + i;
-                            assert!(handle.insert(key, key), "budget {budget}");
-                        }
-                    });
-                }
-            });
-            let total = (threads * per_thread) as usize;
-            assert_eq!(
-                table.size_exact_quiescent(),
-                total,
-                "budget {budget}: lost elements"
-            );
-            let mut handle = table.handle();
-            for key in 2..2 + threads * per_thread {
-                assert_eq!(handle.find(key), Some(key), "budget {budget}: find {key}");
-            }
-            assert!(
-                table.migrations_completed() >= 5,
-                "budget {budget}: too few migrations"
             );
         }
     }

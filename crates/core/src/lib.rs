@@ -16,7 +16,10 @@
 //! * [`grow`] — the growing table framework combining the enslavement/pool
 //!   and marking/synchronized strategies (§5.3.2);
 //! * [`variants`] — the public table types used in the evaluation:
-//!   `Folklore`, `UaGrow`, `UsGrow`, `PaGrow`, `PsGrow` (§7);
+//!   `Folklore`, `UaGrow`, `UsGrow`, `PaGrow`, `PsGrow` (§7), with
+//!   `FolkloreCrc`/`UaGrowCrc` on the paper's CRC32-C hash (§8.3) and
+//!   `FolkloreSimd` on the striped fingerprint probe, which only the
+//!   bounded table keeps (DESIGN.md §11);
 //! * [`bulk`] — bulk construction and batched insertion (§5.5);
 //! * [`prefetch`] — cache-line prefetch helpers for the batched
 //!   (hash → prefetch → probe) hot paths;
@@ -64,6 +67,5 @@ pub use generic::{GrowMap, GrowMapHandle, KeyRepr, MigrationMode, MigrationRecor
 pub use grow::{Consistency, GrowHandle, GrowStrategy, GrowingOptions, GrowingTable};
 pub use table::BoundedTable;
 pub use variants::{
-    Folklore, FolkloreCrc, FolkloreSimd, PaGrow, PsGrow, UaGrow, UaGrowCrc, UaGrowK1, UaGrowK16,
-    UaGrowK4, UaGrowSimd, UsGrow,
+    Folklore, FolkloreCrc, FolkloreSimd, PaGrow, PsGrow, UaGrow, UaGrowCrc, UsGrow,
 };

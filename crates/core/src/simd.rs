@@ -228,21 +228,6 @@ impl MetaStripe {
         }
     }
 
-    /// Fallible variant of [`MetaStripe::new`]: surfaces an allocation
-    /// failure instead of aborting, so a growing table can refuse to grow
-    /// and keep serving its current generation.
-    pub fn try_new(capacity: usize) -> Result<Self, crate::mem::AllocError> {
-        assert!(
-            capacity.is_power_of_two() && capacity >= GROUP,
-            "stripe requires a power-of-two capacity >= {GROUP}, got {capacity}"
-        );
-        Ok(MetaStripe {
-            bytes: HugeBox::try_zeroed(capacity + GROUP)?,
-            capacity,
-            use_sse2: cfg!(target_arch = "x86_64") && crate::cpu::has_sse2(),
-        })
-    }
-
     /// Publish the stripe byte for cell `index` (Release, after the cell
     /// CAS that the byte describes), keeping the mirror tail coherent.
     #[inline]

@@ -93,12 +93,8 @@ pub struct BoundedTable {
     /// generations of a growing table share one selection (the cluster
     /// migration requires source and target to agree on the hash).
     hash: HashSelect,
-    /// Probe kernel selection.  Stored even while the stripe is absent
-    /// (capacity below one probe group) so growing tables inherit it and
-    /// attach the stripe once the capacity allows.
-    probe: ProbeSelect,
     /// Signature metadata stripe for SIMD group probing (see
-    /// [`crate::simd`]); present exactly when `probe` is
+    /// [`crate::simd`]); present exactly when the table was built with
     /// [`ProbeSelect::Simd`] and the capacity spans at least one group.
     meta: Option<MetaStripe>,
 }
@@ -142,39 +138,31 @@ impl BoundedTable {
             capacity,
             version,
             hash,
-            probe,
             meta,
         }
     }
 
-    /// Fallible variant of [`BoundedTable::with_cells_configured`]: the
-    /// cell array (and the signature stripe, when one is configured) are
-    /// allocated through [`HugeBox::try_zeroed`], so an allocation failure
-    /// is returned as a typed error instead of aborting the process.  The
-    /// growing tables allocate every next generation through this path —
-    /// on failure they keep serving the current generation.
-    pub fn try_with_cells_configured(
+    /// Fallible variant of [`BoundedTable::with_cells_hashed`]: the cell
+    /// array is allocated through [`HugeBox::try_zeroed`], so an
+    /// allocation failure is returned as a typed error instead of aborting
+    /// the process.  The growing tables allocate every next generation
+    /// through this path — on failure they keep serving the current
+    /// generation.
+    pub fn try_with_cells_hashed(
         capacity: usize,
         version: u64,
         hash: HashSelect,
-        probe: ProbeSelect,
     ) -> Result<Self, crate::mem::AllocError> {
         assert!(
             capacity.is_power_of_two(),
             "capacity must be a power of two"
         );
-        let meta = if probe == ProbeSelect::Simd && capacity >= GROUP {
-            Some(MetaStripe::try_new(capacity)?)
-        } else {
-            None
-        };
         Ok(BoundedTable {
             cells: HugeBox::try_zeroed(capacity)?,
             capacity,
             version,
             hash,
-            probe,
-            meta,
+            meta: None,
         })
     }
 
@@ -200,13 +188,6 @@ impl BoundedTable {
     #[inline]
     pub fn hash_select(&self) -> HashSelect {
         self.hash
-    }
-
-    /// Probe kernel selection of this table (inherited by every generation
-    /// of a growing table, like the hash selection).
-    #[inline]
-    pub fn probe_select(&self) -> ProbeSelect {
-        self.probe
     }
 
     /// Signature stripe, when this table maintains one (tests and
@@ -1471,10 +1452,7 @@ mod tests {
     /// A striped table of the given capacity (the stripe exists whenever
     /// `capacity >= GROUP`).
     fn simd_table(capacity: usize) -> BoundedTable {
-        let t =
-            BoundedTable::with_cells_configured(capacity, 0, HashSelect::Mix, ProbeSelect::Simd);
-        assert_eq!(t.probe_select(), ProbeSelect::Simd);
-        t
+        BoundedTable::with_cells_configured(capacity, 0, HashSelect::Mix, ProbeSelect::Simd)
     }
 
     #[test]

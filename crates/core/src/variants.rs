@@ -174,20 +174,10 @@ macro_rules! growing_variant {
     ($(#[$doc:meta])* $name:ident, $handle:ident, $strategy:expr, $consistency:expr,
      $display:literal) => {
         growing_variant!($(#[$doc])* $name, $handle, $strategy, $consistency,
-            $display, HashSelect::Mix, ProbeSelect::Scalar);
+            $display, HashSelect::Mix);
     };
     ($(#[$doc:meta])* $name:ident, $handle:ident, $strategy:expr, $consistency:expr,
      $display:literal, $hash:expr) => {
-        growing_variant!($(#[$doc])* $name, $handle, $strategy, $consistency,
-            $display, $hash, ProbeSelect::Scalar);
-    };
-    ($(#[$doc:meta])* $name:ident, $handle:ident, $strategy:expr, $consistency:expr,
-     $display:literal, $hash:expr, $probe:expr) => {
-        growing_variant!($(#[$doc])* $name, $handle, $strategy, $consistency,
-            $display, $hash, $probe, None);
-    };
-    ($(#[$doc:meta])* $name:ident, $handle:ident, $strategy:expr, $consistency:expr,
-     $display:literal, $hash:expr, $probe:expr, $budget:expr) => {
         $(#[$doc])*
         pub struct $name {
             table: GrowingTable,
@@ -214,8 +204,6 @@ macro_rules! growing_variant {
                     consistency: $consistency,
                     threads_hint: crate::cpu::available_parallelism(),
                     hash: $hash,
-                    probe: $probe,
-                    help_budget: $budget,
                     ..GrowingOptions::default()
                 };
                 $name {
@@ -356,47 +344,6 @@ growing_variant!(
 );
 
 growing_variant!(
-    /// `uaGrow-k1`: [`UaGrow`] with a **help budget of one block** —
-    /// a thread drafted into a live migration copies at most one block
-    /// before waiting with backoff (bounded cooperative help,
-    /// DESIGN.md §13).  The growth leader stays unbudgeted.
-    UaGrowK1,
-    UaGrowK1Handle,
-    GrowStrategy::Enslave,
-    Consistency::AsyncMarking,
-    "uaGrow-k1",
-    HashSelect::Mix,
-    ProbeSelect::Scalar,
-    Some(1)
-);
-
-growing_variant!(
-    /// `uaGrow-k4`: [`UaGrow`] with a help budget of four blocks
-    /// (DESIGN.md §13).
-    UaGrowK4,
-    UaGrowK4Handle,
-    GrowStrategy::Enslave,
-    Consistency::AsyncMarking,
-    "uaGrow-k4",
-    HashSelect::Mix,
-    ProbeSelect::Scalar,
-    Some(4)
-);
-
-growing_variant!(
-    /// `uaGrow-k16`: [`UaGrow`] with a help budget of sixteen blocks
-    /// (DESIGN.md §13).
-    UaGrowK16,
-    UaGrowK16Handle,
-    GrowStrategy::Enslave,
-    Consistency::AsyncMarking,
-    "uaGrow-k16",
-    HashSelect::Mix,
-    ProbeSelect::Scalar,
-    Some(16)
-);
-
-growing_variant!(
     /// `uaGrow` hashing with the paper's hardware CRC32-C pair instead of
     /// the one-multiply fold (§8.3) — the `scaling` figure measures this
     /// against [`UaGrow`] to quantify the hash substitution.
@@ -406,21 +353,6 @@ growing_variant!(
     Consistency::AsyncMarking,
     "uaGrow-crc",
     HashSelect::Crc
-);
-
-growing_variant!(
-    /// `uaGrow` probing through the signature metadata stripe: every table
-    /// generation keeps a one-byte fingerprint per cell and matches 16
-    /// fingerprints per probe step (SSE2, portable SWAR fallback) — the
-    /// `scaling` figure measures this against [`UaGrow`] to quantify the
-    /// striped probe under growing and migration.
-    UaGrowSimd,
-    UaGrowSimdHandle,
-    GrowStrategy::Enslave,
-    Consistency::AsyncMarking,
-    "uaGrow-simd",
-    HashSelect::Mix,
-    ProbeSelect::Simd
 );
 
 // ---------------------------------------------------------------------------
@@ -534,20 +466,18 @@ mod tests {
         smoke::<PaGrow>();
         smoke::<PsGrow>();
         smoke::<UaGrowCrc>();
-        smoke::<UaGrowSimd>();
     }
 
     #[test]
     fn simd_variants_grow_and_roundtrip() {
-        // The striped probe strategy must be inherited by every generation
-        // and survive migrations, deletions, and plain bounded operation.
+        // The striped probe strategy is a bounded-table option: it must
+        // survive deletions and plain bounded operation near its capacity.
         smoke::<FolkloreSimd>();
-        let table = UaGrowSimd::with_capacity(16);
+        let table = FolkloreSimd::with_capacity(10_000);
         let mut h = table.handle();
         for k in 2..10_002u64 {
             assert!(h.insert(k, k * 3));
         }
-        assert!(table.inner().migrations_completed() > 0);
         for k in 2..10_002u64 {
             assert_eq!(h.find(k), Some(k * 3));
         }
@@ -556,7 +486,6 @@ mod tests {
             assert_eq!(h.find(k), None);
         }
         assert_eq!(FolkloreSimd::table_name(), "folklore-simd");
-        assert_eq!(UaGrowSimd::table_name(), "uaGrow-simd");
     }
 
     #[test]

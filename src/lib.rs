@@ -41,7 +41,7 @@ pub use growt_reclaim;
 pub use growt_seq;
 pub use growt_workloads;
 
-/// Convenient re-exports of the most commonly used types.
+/// Convenient re-exports: the evaluated tables, `GrowMap`, the drivers and the traits.
 pub mod prelude {
     pub use growt_baselines::{
         Cuckoo, FollyStyle, Hopscotch, JunctionLeapfrog, JunctionLinear, LeaHash, PhaseConcurrent,
@@ -50,7 +50,7 @@ pub mod prelude {
     pub use growt_core::{
         Folklore, FolkloreCrc, FolkloreSimd, GrowMap, GrowMapHandle, GrowingOptions, GrowingTable,
         HashSelect, KeyRepr, PaGrow, ProbeSelect, PsGrow, StringKeyTable, UaGrow, UaGrowCrc,
-        UaGrowK1, UaGrowK16, UaGrowK4, UaGrowSimd, UsGrow, ValueRepr,
+        UsGrow, ValueRepr,
     };
     pub use growt_iface::{
         Capabilities, ConcurrentMap, GenericMap, GenericMapHandle, GrowthSupport, InsertOrUpdate,

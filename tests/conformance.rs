@@ -328,38 +328,6 @@ macro_rules! conformance {
     };
 }
 
-/// Budgeted-help stress: a `uaGrow-k1` table (every drafted helper copies
-/// at most one block, DESIGN.md §13) driven from a tiny capacity through
-/// several migrations must stay exact — nothing lost, nothing duplicated,
-/// and the migrations must actually have happened (otherwise the budget
-/// was never exercised).
-#[test]
-fn budgeted_help_stays_exact_across_migrations() {
-    let threads = 4u64;
-    let per_thread = 8_000u64;
-    let table = UaGrowK1::with_capacity(64);
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let table = &table;
-            scope.spawn(move || {
-                let mut h = table.handle();
-                for i in 0..per_thread {
-                    let k = BASE + t * per_thread + i;
-                    assert!(h.insert(k, k * 2), "budgeted insert {k}");
-                }
-            });
-        }
-    });
-    assert!(
-        table.inner().migrations_completed() >= 2,
-        "budgeted-help stress never crossed two migrations"
-    );
-    let mut h = table.handle();
-    for k in BASE..BASE + threads * per_thread {
-        assert_eq!(h.find(k), Some(k * 2), "budgeted find {k}");
-    }
-}
-
 conformance! {
     // growt-core variants (§7).
     folklore => Folklore,
@@ -367,8 +335,6 @@ conformance! {
     folklore_simd => FolkloreSimd,
     ua_grow => UaGrow,
     ua_grow_crc => UaGrowCrc,
-    ua_grow_simd => UaGrowSimd,
-    ua_grow_k1 => UaGrowK1,
     us_grow => UsGrow,
     pa_grow => PaGrow,
     ps_grow => PsGrow,

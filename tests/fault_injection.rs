@@ -190,64 +190,6 @@ fn thread_exit_during_migration_is_rescued_by_survivors() {
     });
 }
 
-/// The same kill under **bounded help** (`help_budget = 1`, DESIGN.md
-/// §13): a drafted helper is killed at the moment it has claimed its one
-/// budgeted block.  The budget must not weaken the rescue discipline —
-/// the lease is released by the unwind, a survivor (or the waiters'
-/// rescue pass) re-copies it, and every confirmed insert survives.
-#[test]
-fn budgeted_help_thread_exit_is_rescued() {
-    serialized("thread-exit-budgeted-help", || {
-        const PER_THREAD: u64 = 10_000;
-        let table = GrowingTable::with_options(
-            64,
-            GrowingOptions {
-                help_budget: Some(1),
-                ..GrowingOptions::default()
-            },
-        );
-        configure("grow.block.claimed", Action::ExitThread, Trigger::Once);
-
-        let mut results: Vec<(Vec<u64>, bool)> = Vec::new();
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..2u64)
-                .map(|t| {
-                    let table = &table;
-                    scope.spawn(move || {
-                        let mut confirmed = Vec::new();
-                        let keys = (0..PER_THREAD).map(move |i| 2 + t * PER_THREAD + i);
-                        let died = insert_confirming(table, keys, &mut confirmed);
-                        (confirmed, died)
-                    })
-                })
-                .collect();
-            for worker in workers {
-                results.push(worker.join().unwrap());
-            }
-        });
-
-        assert_eq!(hits("grow.block.claimed"), 1, "exactly one injected exit");
-        let deaths = results.iter().filter(|(_, died)| *died).count();
-        assert_eq!(deaths, 1, "the injected exit must kill exactly one writer");
-
-        let mut handle = table.handle();
-        for (confirmed, _) in &results {
-            for &key in confirmed {
-                assert_eq!(handle.find(key), Some(key.wrapping_mul(3)), "key {key}");
-            }
-        }
-        drop(handle);
-
-        let confirmed_total: usize = results.iter().map(|(c, _)| c.len()).sum();
-        let size = table.size_exact_quiescent();
-        assert!(
-            size >= confirmed_total && size <= confirmed_total + 1,
-            "scan {size} vs {confirmed_total} confirmed inserts"
-        );
-        assert!(table.migrations_completed() >= 1, "growth never completed");
-    });
-}
-
 /// The *only* thread that ever touched the table is killed mid-migration,
 /// abandoning a generation with a published job and unclaimed blocks.  The
 /// next thread to arrive must steal the abandoned work and complete the

@@ -253,14 +253,6 @@ fn folklore_simd_matches_hashmap() {
     );
 }
 
-/// uaGrow with striped probing: the stripe must stay coherent across
-/// migrations triggered by the op sequence.
-#[test]
-fn ua_grow_simd_matches_hashmap() {
-    let name = "ua_grow_simd_matches_hashmap";
-    check_ops(name, CASES, |rng| ops(rng, 1..400), run_model::<UaGrowSimd>);
-}
-
 /// Up to `len` latency samples in `0..2·10⁹` ns.
 fn samples(rng: &mut Mt64, len: std::ops::Range<u64>) -> Vec<u64> {
     (0..draw(rng, len))
