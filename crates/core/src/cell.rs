@@ -125,7 +125,8 @@ impl Cell {
     }
 
     /// Non-atomic-pair store used only on cells that no other thread can
-    /// access (freshly allocated target tables during migration, Lemma 1).
+    /// access (freshly allocated target tables during migration, Lemma 1)
+    /// or write (a `GrowMap`'s cells while it has one handle).
     #[inline]
     pub fn store_unsynchronized(&self, key: u64, value: u64) {
         self.value.store(value, Ordering::Relaxed);

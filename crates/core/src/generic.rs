@@ -54,13 +54,13 @@
 
 use std::convert::Infallible;
 use std::marker::PhantomData;
-use std::sync::atomic::{compiler_fence, AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{compiler_fence, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use growt_iface::sync::lock;
 use growt_iface::{GenericMap, GenericMapHandle, InsertOrUpdate, TryGrowError};
-use growt_reclaim::{CachedArc, QsbrDomain, QsbrParticipant, VersionedArc};
+use growt_reclaim::{CachedArc, QsbrDomain, QsbrParticipant, VersionedArc, SOLE};
 
 use crate::cell::{is_marked, unmark, Cell, DEL_KEY, EMPTY_KEY, MAX_MARKABLE_KEY};
 use crate::complex::{self, decode_keyref, pack_keyref, signature_of, POINTER_BITS, SIGNED_BITS};
@@ -214,7 +214,7 @@ impl KeyRepr for u64 {
     fn encode(&self) -> u64 {
         // Same key-space contract as the word tables: 0/1 are sentinels,
         // bit 63 is the migration mark (§5.6 describes how to win the
-        // reserved encodings back; `crate::keyspace` implements it).
+        // reserved encodings back).
         assert!(
             (2..=MAX_MARKABLE_KEY).contains(self),
             "key {self:#x} is reserved"
@@ -606,6 +606,9 @@ enum MapOutcome {
     Full,
     /// A marked cell was encountered: help the migration, then retry.
     Migrating,
+    /// A sole write's check after its closure failed: the write enters
+    /// again, and learns there whether it still writes alone.
+    Revoked,
 }
 
 enum MapErase {
@@ -627,6 +630,19 @@ const INSERT_WINDOW: usize = 3;
 
 /// Cells in one slice of an uncleared migration target.
 const CLEAR_SLICE_CELLS: usize = CLEAR_SLICE_BYTES / std::mem::size_of::<Cell>();
+
+/// Publish `new` in a cell read empty: the locked pair CAS, `false` when
+/// it lost the cell; for a sole write two plain stores, which no other
+/// write can race (DESIGN.md §8).
+#[inline(always)]
+fn claim<const SOLE: bool>(cell: &Cell, new: (u64, u64)) -> bool {
+    if SOLE {
+        growt_failpoints::fire("generic.sole.store");
+        cell.store_unsynchronized(new.0, new.1);
+        return true;
+    }
+    cell.cas_pair((EMPTY_KEY, 0), new).is_ok()
+}
 
 /// One table generation: a power-of-two array of word-table cells whose
 /// words are interpreted through `K`'s and `V`'s representations.  The
@@ -744,18 +760,21 @@ impl<K: KeyRepr, V: ValueRepr> GenericArray<K, V> {
 
     /// Insert, or insert-or-update when `update` is given.  `pending`
     /// carries the (at most one) out-of-line allocation pair across
-    /// retries; on `Inserted` it is consumed (published).
-    fn upsert<F: Fn(&V) -> V>(
+    /// retries; on `Inserted` it is consumed (published).  `SOLE` is the
+    /// write's mode (`WriteGuard::sole`): a sole write claims and updates
+    /// with plain stores, the others with the locked CAS.
+    fn upsert<const SOLE: bool, F: Fn(&V) -> V>(
         &self,
         probe: &Probe<'_, K>,
         value: &V,
         update: Option<&F>,
         pending: &mut PendingCell<K, V>,
+        gate: &WriteGuard<'_, K, V>,
     ) -> MapOutcome {
         let mut index = self.home_cell(probe.hash);
         let mut probes = self.probe_limit();
         if K::INLINE && update.is_none() {
-            match self.claim_in_window(probe, value, index, pending) {
+            match self.claim_in_window::<SOLE>(probe, value, index, pending) {
                 Ok(()) => return MapOutcome::Inserted,
                 Err(skipped) => {
                     index = (index + skipped) & (self.capacity() - 1);
@@ -771,15 +790,12 @@ impl<K: KeyRepr, V: ValueRepr> GenericArray<K, V> {
                     return MapOutcome::Migrating;
                 }
                 if k == EMPTY_KEY {
-                    let key_word = pending.key_word(probe);
-                    let value_word = pending.value_word(value);
-                    match cell.cas_pair((EMPTY_KEY, 0), (key_word, value_word)) {
-                        Ok(()) => {
-                            pending.published();
-                            return MapOutcome::Inserted;
-                        }
-                        Err(_) => continue, // re-examine the claimed cell
+                    let new = (pending.key_word(probe), pending.value_word(value));
+                    if !claim::<SOLE>(cell, new) {
+                        continue; // re-examine the claimed cell
                     }
+                    pending.published();
+                    return MapOutcome::Inserted;
                 }
                 if k == DEL_KEY {
                     break; // tombstone: reclaimed by the next migration
@@ -789,7 +805,7 @@ impl<K: KeyRepr, V: ValueRepr> GenericArray<K, V> {
                     let Some(up) = update else {
                         return MapOutcome::Present;
                     };
-                    return match self.update_cell(cell, k, v, up) {
+                    return match self.update_cell::<SOLE, F>(cell, k, v, up, gate) {
                         Ok(outcome) => outcome,
                         Err(()) => continue, // CAS failed: re-read the cell
                     };
@@ -810,7 +826,7 @@ impl<K: KeyRepr, V: ValueRepr> GenericArray<K, V> {
     /// which resumes `skipped` cells past `home`: at the ending cell, at a
     /// lost claim, or past the window when nothing in it ends the probe.
     #[inline]
-    fn claim_in_window(
+    fn claim_in_window<const SOLE: bool>(
         &self,
         probe: &Probe<'_, K>,
         value: &V,
@@ -832,17 +848,20 @@ impl<K: KeyRepr, V: ValueRepr> GenericArray<K, V> {
             return Err(first);
         }
         let new = (pending.key_word(probe), pending.value_word(value));
-        match self.cells[(home + first) & mask].cas_pair((EMPTY_KEY, 0), new) {
-            Ok(()) => {
-                pending.published();
-                Ok(())
-            }
-            Err(_) => Err(first),
+        if !claim::<SOLE>(&self.cells[(home + first) & mask], new) {
+            return Err(first);
         }
+        pending.published();
+        Ok(())
     }
 
     /// Replace the value of an existing key (no insertion).
-    fn update<F: Fn(&V) -> V>(&self, probe: &Probe<'_, K>, up: &F) -> MapOutcome {
+    fn update<const SOLE: bool, F: Fn(&V) -> V>(
+        &self,
+        probe: &Probe<'_, K>,
+        up: &F,
+        gate: &WriteGuard<'_, K, V>,
+    ) -> MapOutcome {
         let mut index = self.home_cell(probe.hash);
         for _ in 0..self.probe_limit() {
             let cell = &self.cells[index];
@@ -859,7 +878,7 @@ impl<K: KeyRepr, V: ValueRepr> GenericArray<K, V> {
                 }
                 // SAFETY: see `find`.
                 if unsafe { probe.matches(k) } {
-                    match self.update_cell(cell, k, v, up) {
+                    match self.update_cell::<SOLE, F>(cell, k, v, up, gate) {
                         Ok(outcome) => return outcome,
                         Err(()) => continue,
                     }
@@ -889,14 +908,42 @@ impl<K: KeyRepr, V: ValueRepr> GenericArray<K, V> {
     /// A boxed value keeps the full-cell CAS, which fails on a frozen, an
     /// erased or an updated cell alike: against an erase, a value CAS
     /// would let the eraser and this updater both retire the displaced box.
+    ///
+    /// A sole write stores the new value word plainly, but `up` may open a
+    /// handle on this map and write through it, so it runs with the busy
+    /// flag lowered ([`WriteGuard::call_unbusied`]): such a registration
+    /// does not wait for the write that is running the closure.  The store
+    /// follows only if afterwards the write is still alone, on the same
+    /// generation, and the cell still holds `(k, v)`; else `Revoked`.
     #[inline]
-    fn update_cell<F: Fn(&V) -> V>(
+    fn update_cell<const SOLE: bool, F: Fn(&V) -> V>(
         &self,
         cell: &Cell,
         k: u64,
         v: u64,
         up: &F,
+        gate: &WriteGuard<'_, K, V>,
     ) -> Result<MapOutcome, ()> {
+        if SOLE {
+            let (new_value, alone) = if V::INLINE {
+                gate.call_unbusied(|| up(&V::decode_inline(v)))
+            } else {
+                // SAFETY: as below, for the locked path.
+                let current = unsafe { read_value::<V>(v) };
+                gate.call_unbusied(|| up(&current))
+            };
+            if !alone || cell.read() != (k, v) {
+                return Ok(MapOutcome::Revoked);
+            }
+            return Ok(if V::INLINE {
+                cell.store_unsynchronized(k, new_value.encode_inline());
+                MapOutcome::Updated(None)
+            } else {
+                let new_word = Box::into_raw(Box::new(new_value)) as u64;
+                cell.store_unsynchronized(k, new_word);
+                MapOutcome::Updated(Some(v))
+            });
+        }
         if V::INLINE {
             if cell.load_key() != k {
                 return Err(());
@@ -925,8 +972,8 @@ impl<K: KeyRepr, V: ValueRepr> GenericArray<K, V> {
     /// Tombstone the probe's key.  The value word is preserved in the
     /// tombstone CAS expectation so a racing value update cannot be
     /// silently dropped; the caller receives both displaced words for
-    /// deferred reclamation.
-    fn erase(&self, probe: &Probe<'_, K>) -> MapErase {
+    /// deferred reclamation.  A sole write stores the tombstone plainly.
+    fn erase<const SOLE: bool>(&self, probe: &Probe<'_, K>) -> MapErase {
         let mut index = self.home_cell(probe.hash);
         for _ in 0..self.probe_limit() {
             let cell = &self.cells[index];
@@ -951,15 +998,15 @@ impl<K: KeyRepr, V: ValueRepr> GenericArray<K, V> {
                 }
                 // SAFETY: see `find`.
                 if unsafe { probe.matches(k) } {
-                    match cell.cas_pair((k, v), (DEL_KEY, v)) {
-                        Ok(()) => {
-                            return MapErase::Erased {
-                                key_word: k,
-                                value_word: v,
-                            }
-                        }
-                        Err(_) => continue,
+                    if SOLE {
+                        cell.store_unsynchronized(DEL_KEY, v);
+                    } else if cell.cas_pair((k, v), (DEL_KEY, v)).is_err() {
+                        continue;
                     }
+                    return MapErase::Erased {
+                        key_word: k,
+                        value_word: v,
+                    };
                 }
                 break;
             }
@@ -1240,37 +1287,98 @@ fn migrate_generic_block<K: KeyRepr, V: ValueRepr, P>(
 /// on the same map that is now leading this growth.
 const QUIESCE_PATIENCE: Duration = Duration::from_millis(2);
 
-/// A handle's busy flag, alone on its cache line: `true` for the duration
+/// A handle's busy flag, alone on its cache line: raised for the duration
 /// of each write operation (insert, update, erase and their `try_*` forms),
-/// read by a growth leader that excludes writers (DESIGN.md §12).
+/// read by a growth leader that excludes writers (DESIGN.md §12) and by
+/// the registration that revokes the sole mode (§8).  [`BUSY`] while the
+/// write may store plainly, [`BUSY_LOCKED`] once a write that runs a
+/// closure has taken the locked path, [`IDLE`] between writes.
 #[repr(align(64))]
-struct BusyFlag(AtomicBool);
+struct BusyFlag(AtomicU8);
+
+const IDLE: u8 = 0;
+const BUSY: u8 = 1;
+const BUSY_LOCKED: u8 = 2;
 
 impl BusyFlag {
     /// Before the version load, which the compiler must not hoist above
     /// the store (the CPU is kept from it by the leader's `membarrier`).
     #[inline]
     fn raise(&self) {
-        self.0.store(true, Ordering::Relaxed);
+        self.0.store(BUSY, Ordering::Relaxed);
         compiler_fence(Ordering::SeqCst);
     }
 
     /// Release: the write's cell operations happen before a leader's
-    /// `Acquire` read of `false`, and so before its copy reads the cells.
+    /// `Acquire` read of `IDLE`, and so before its copy reads the cells.
     #[inline]
     fn lower(&self) {
-        self.0.store(false, Ordering::Release);
+        self.0.store(IDLE, Ordering::Release);
+    }
+
+    /// The write saw no sole bit: whatever it stores, it stores with a
+    /// locked instruction, so a registration need not wait for it — and
+    /// must not, since the write's closure may be that registration.
+    #[inline]
+    fn locked(&self) {
+        self.0.store(BUSY_LOCKED, Ordering::Release);
+    }
+
+    /// `Acquire`: what a write stored is visible once this reads that it
+    /// ended.
+    #[inline]
+    fn state(&self) -> u8 {
+        self.0.load(Ordering::Acquire)
     }
 }
 
-/// Lowers a busy flag when the write ends — also when it unwinds, so a
-/// panicking closure or an injected fault cannot leave a leader waiting.
-struct BusyGuard<'b>(&'b BusyFlag);
+/// A write's pass, from [`GrowMapHandle::enter_write`]: the version word
+/// its prologue compared, and the busy flag, which it lowers when the
+/// write ends — also when it unwinds, so a panicking closure or an
+/// injected fault cannot leave a leader or a registration waiting.
+struct WriteGuard<'b, K: KeyRepr, V: ValueRepr> {
+    busy: &'b BusyFlag,
+    generations: &'b VersionedArc<GenericArray<K, V>>,
+    word: u64,
+}
 
-impl Drop for BusyGuard<'_> {
+/// What a write's prologue hands it: the current generation and its pass.
+type Entered<'t, K, V> = (&'t GenericArray<K, V>, WriteGuard<'t, K, V>);
+
+impl<K: KeyRepr, V: ValueRepr> WriteGuard<'_, K, V> {
+    /// `true` when the write is its map's only one: the compared word has
+    /// the sole bit, raised while the map has one handle (DESIGN.md §8).
+    #[inline]
+    fn sole(&self) -> bool {
+        self.word & SOLE != 0
+    }
+
+    /// The write takes the locked path: say so on the busy flag, so that a
+    /// registration made from its closure does not wait for it.
+    #[inline]
+    fn locked(&self) {
+        self.busy.locked();
+    }
+
+    /// Run a sole write's closure with the busy flag lowered, then raise
+    /// it and load the version word again: `true` when that still holds
+    /// the compared word ([`VersionedArc::still`]), so that no registration
+    /// has revoked the mode since without waiting for this write, and no
+    /// migration has excluded writers or published.  The same handshake as
+    /// the prologue's, against the registration's barrier.
+    #[inline]
+    fn call_unbusied<R>(&self, f: impl FnOnce() -> R) -> (R, bool) {
+        self.busy.lower();
+        let result = f();
+        self.busy.raise();
+        (result, self.generations.still(self.word))
+    }
+}
+
+impl<K: KeyRepr, V: ValueRepr> Drop for WriteGuard<'_, K, V> {
     #[inline]
     fn drop(&mut self) {
-        self.0.lower();
+        self.busy.lower();
     }
 }
 
@@ -1367,9 +1475,6 @@ impl<K: KeyRepr, V: ValueRepr> GrowProtocol for GenericInner<K, V> {
     /// failpoint says so), or with a handle still busy after
     /// [`QUIESCE_PATIENCE`], the migration marks.
     fn quiesce_writers(&self) -> MigrationMode {
-        /// Polls of a busy flag before the leader starts yielding its CPU,
-        /// which a busy handle's thread may be waiting for.
-        const SPINS: u32 = 256;
         if growt_failpoints::fire("generic.membarrier") || !membarrier::available() {
             return MigrationMode::Marking;
         }
@@ -1383,19 +1488,70 @@ impl<K: KeyRepr, V: ValueRepr> GrowProtocol for GenericInner<K, V> {
         let writers = lock(&self.writers).clone();
         let started = Instant::now();
         for writer in writers.iter() {
-            let mut spins = 0u32;
-            while writer.0.load(Ordering::Acquire) {
-                if spins < SPINS {
-                    spins += 1;
-                    std::hint::spin_loop();
-                } else if started.elapsed() < QUIESCE_PATIENCE {
-                    std::thread::yield_now();
-                } else {
-                    return MigrationMode::Marking;
-                }
+            if !wait_while(
+                writer,
+                |state| state != IDLE,
+                || started.elapsed() < QUIESCE_PATIENCE,
+            ) {
+                return MigrationMode::Marking;
             }
         }
         MigrationMode::Exclusive
+    }
+}
+
+/// Poll `writer`'s busy flag until it reads other than `busy`: spin, then
+/// yield the CPU, which the busy handle's thread may be waiting for, as
+/// long as `patient`; `false` when patience ran out first.
+fn wait_while(writer: &BusyFlag, busy: fn(u8) -> bool, patient: impl Fn() -> bool) -> bool {
+    /// Polls of a busy flag before the waiter starts yielding its CPU.
+    const SPINS: u32 = 256;
+    let mut spins = 0u32;
+    while busy(writer.state()) {
+        if spins < SPINS {
+            spins += 1;
+            std::hint::spin_loop();
+        } else if patient() {
+            std::thread::yield_now();
+        } else {
+            return false;
+        }
+    }
+    true
+}
+
+impl<K: KeyRepr, V: ValueRepr> GenericInner<K, V> {
+    /// Add a new handle's busy flag to the writers (DESIGN.md §8).  The
+    /// first handle raises the sole bit, where the heavy barrier that
+    /// revokes it exists.  The second lowers it, and before it can write
+    /// waits out the sole handle's write, if that may store plainly: the
+    /// handshake of [`GrowProtocol::quiesce_writers`], the bit in place of
+    /// the growing flag, with no patience — a sole write ends without
+    /// waiting for anyone, and runs no closure while [`BUSY`].
+    fn register(&self, busy: Arc<BusyFlag>) {
+        let mut writers = lock(&self.writers);
+        match writers.as_slice() {
+            [] if membarrier::available() => self.current.raise_sole(),
+            // The guard lowers the bit, and is true when it was raised.
+            [sole] if self.current.lower_sole() => {
+                // Registered for the command, the process cannot see it
+                // fail (membarrier(2)).
+                assert!(membarrier::heavy_barrier(), "the heavy barrier failed");
+                wait_while(sole, |state| state == BUSY, || true);
+            }
+            _ => {}
+        }
+        writers.push(busy);
+    }
+
+    /// Remove a dropped handle's busy flag; the one handle it leaves
+    /// writes alone again.
+    fn unregister(&self, busy: &Arc<BusyFlag>) {
+        let mut writers = lock(&self.writers);
+        writers.retain(|writer| !Arc::ptr_eq(writer, busy));
+        if writers.len() == 1 && membarrier::available() {
+            self.current.raise_sole();
+        }
     }
 }
 
@@ -1594,8 +1750,8 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
     fn new(inner: &'a GenericInner<K, V>) -> Self {
         let seed = inner.handle_seed.fetch_add(0x9E37_79B9, Ordering::Relaxed);
         let cached = CachedArc::new(&inner.current);
-        let busy = Arc::new(BusyFlag(AtomicBool::new(false)));
-        lock(&inner.writers).push(Arc::clone(&busy));
+        let busy = Arc::new(BusyFlag(AtomicU8::new(IDLE)));
+        inner.register(Arc::clone(&busy));
         GrowMapHandle {
             local: LocalCount::for_generation(inner.threads_hint, cached.cached().capacity(), seed),
             cached,
@@ -1633,22 +1789,28 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
     /// line and no shared load.  No CPU fence either: between the flag
     /// store and the version load the compiler must not reorder, and the
     /// CPU is made to by the leader's `membarrier`
-    /// ([`GrowProtocol::quiesce_writers`]).  The returned guard lowers the
-    /// flag when the write ends, before the write leads, helps or waits
-    /// for a migration.  A clearing bit fails the same compare; that cold
-    /// path clears a slice of the next generation with the flag lowered,
-    /// as its last slice leads (DESIGN.md §13), then raises it again and
-    /// reloads the version, so a write that led goes on in the new one.
+    /// ([`GrowProtocol::quiesce_writers`]).  The returned guard holds the
+    /// compared word, whose sole bit picks the write's instantiation, and
+    /// lowers the flag when the write ends, before the write leads, helps
+    /// or waits for a migration.  A clearing bit fails the same compare;
+    /// that cold path clears a slice of the next generation with the flag
+    /// lowered, as its last slice leads (DESIGN.md §13), then raises it
+    /// again and reloads the version, so a write that led goes on in the
+    /// new one.
     #[inline]
     fn enter_write<'t>(
         cached: &'t mut CachedArc<GenericArray<K, V>>,
         local: &mut LocalCount,
-        inner: &GenericInner<K, V>,
+        inner: &'t GenericInner<K, V>,
         busy: &'t BusyFlag,
-    ) -> Option<(&'t GenericArray<K, V>, BusyGuard<'t>)> {
+    ) -> Option<Entered<'t, K, V>> {
         busy.raise();
-        let guard = BusyGuard(busy);
-        let array = cached.get_ref_unless_flagged(
+        let mut guard = WriteGuard {
+            busy,
+            generations: &inner.current,
+            word: 0,
+        };
+        let (array, word) = cached.get_ref_unless_flagged(
             &inner.current,
             || {
                 busy.lower();
@@ -1657,6 +1819,7 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
             },
             || Self::reset_local_counts(local, inner),
         )?;
+        guard.word = word;
         Some((array, guard))
     }
 
@@ -1791,15 +1954,19 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
         let probe = Probe::new(key);
         let mut pending = PendingCell::new();
         let result = loop {
-            let Some((array, busy)) =
+            let Some((array, gate)) =
                 Self::enter_write(&mut self.cached, &mut self.local, self.inner, &self.busy)
             else {
                 Self::wait_for_growth(self.inner);
                 continue;
             };
             let (capacity, version) = (array.capacity(), array.version);
-            let outcome = array.upsert(&probe, value, None::<&fn(&V) -> V>, &mut pending);
-            drop(busy);
+            let outcome = if gate.sole() {
+                array.upsert::<true, fn(&V) -> V>(&probe, value, None, &mut pending, &gate)
+            } else {
+                array.upsert::<false, fn(&V) -> V>(&probe, value, None, &mut pending, &gate)
+            };
+            drop(gate);
             match outcome {
                 MapOutcome::Inserted => {
                     self.after_insert(capacity, version);
@@ -1812,9 +1979,12 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
                     }
                 }
                 MapOutcome::Migrating => self.inner.help_or_wait(version),
-                // Invariant: plain upsert never updates and never reports
-                // an absent key as anything but an insertion (or `Full`).
-                MapOutcome::Updated(_) | MapOutcome::NotFound => unreachable!(),
+                // Invariant: plain upsert never updates, runs no closure
+                // and never reports an absent key as anything but an
+                // insertion (or `Full`).
+                MapOutcome::Updated(_) | MapOutcome::NotFound | MapOutcome::Revoked => {
+                    unreachable!()
+                }
             }
         };
         self.op_done();
@@ -1835,19 +2005,28 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
     /// Atomically replace the value of an existing `key` by
     /// `up(current)`; returns `true` iff an element was present.  No
     /// concurrent interleaving with other updaters, erasers or migrations
-    /// can lose an update.
+    /// can lose an update.  `up` may be called more than once, and may
+    /// open and use other handles on this map.  The `Clone`, `Eq` and
+    /// `Hash` of `K` and `V` run inside the write and must not: a handle
+    /// registered there waits for the write of a map's only handle
+    /// (DESIGN.md §8).
     pub fn update<F: Fn(&V) -> V>(&mut self, key: &K, up: F) -> bool {
         let probe = Probe::new(key);
         let updated = loop {
-            let Some((array, busy)) =
+            let Some((array, gate)) =
                 Self::enter_write(&mut self.cached, &mut self.local, self.inner, &self.busy)
             else {
                 Self::wait_for_growth(self.inner);
                 continue;
             };
             let version = array.version;
-            let outcome = array.update(&probe, &up);
-            drop(busy);
+            let outcome = if gate.sole() {
+                array.update::<true, F>(&probe, &up, &gate)
+            } else {
+                gate.locked();
+                array.update::<false, F>(&probe, &up, &gate)
+            };
+            drop(gate);
             match outcome {
                 MapOutcome::Updated(displaced) => {
                     self.retire_updated(displaced);
@@ -1855,6 +2034,7 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
                 }
                 MapOutcome::NotFound => break false,
                 MapOutcome::Migrating => self.inner.help_or_wait(version),
+                MapOutcome::Revoked => {}
                 // Invariant: `update` never inserts and reports an
                 // exhausted probe as `NotFound`, not `Full`.
                 MapOutcome::Inserted | MapOutcome::Present | MapOutcome::Full => unreachable!(),
@@ -1867,7 +2047,8 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
     /// Insert `⟨key, value⟩` if absent, otherwise atomically replace the
     /// stored value by `up(current)` — the generalized aggregation
     /// primitive (`insert_or_update(&k, &1, |c| c + 1)` is the word-count
-    /// loop of the paper's introduction).  Out of line, as
+    /// loop of the paper's introduction).  `up` as for
+    /// [`GrowMapHandle::update`].  Out of line, as
     /// [`GrowMapHandle::insert`] is.
     #[inline(never)]
     pub fn insert_or_update<F: Fn(&V) -> V>(
@@ -1906,15 +2087,20 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
         let probe = Probe::new(key);
         let mut pending = PendingCell::new();
         let result = loop {
-            let Some((array, busy)) =
+            let Some((array, gate)) =
                 Self::enter_write(&mut self.cached, &mut self.local, self.inner, &self.busy)
             else {
                 Self::wait_for_growth(self.inner);
                 continue;
             };
             let (capacity, version) = (array.capacity(), array.version);
-            let outcome = array.upsert(&probe, value, Some(&up), &mut pending);
-            drop(busy);
+            let outcome = if gate.sole() {
+                array.upsert::<true, F>(&probe, value, Some(&up), &mut pending, &gate)
+            } else {
+                gate.locked();
+                array.upsert::<false, F>(&probe, value, Some(&up), &mut pending, &gate)
+            };
+            drop(gate);
             match outcome {
                 MapOutcome::Inserted => {
                     self.after_insert(capacity, version);
@@ -1930,6 +2116,7 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
                     }
                 }
                 MapOutcome::Migrating => self.inner.help_or_wait(version),
+                MapOutcome::Revoked => {}
                 // Invariant: upsert reports an absent key by inserting it
                 // (or `Full`), never as `NotFound` or `Present`.
                 MapOutcome::NotFound | MapOutcome::Present => unreachable!(),
@@ -1945,15 +2132,19 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
     pub fn erase(&mut self, key: &K) -> bool {
         let probe = Probe::new(key);
         let erased = loop {
-            let Some((array, busy)) =
+            let Some((array, gate)) =
                 Self::enter_write(&mut self.cached, &mut self.local, self.inner, &self.busy)
             else {
                 Self::wait_for_growth(self.inner);
                 continue;
             };
             let version = array.version;
-            let outcome = array.erase(&probe);
-            drop(busy);
+            let outcome = if gate.sole() {
+                array.erase::<true>(&probe)
+            } else {
+                array.erase::<false>(&probe)
+            };
+            drop(gate);
             match outcome {
                 MapErase::Erased {
                     key_word,
@@ -2002,7 +2193,7 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
 impl<K: KeyRepr, V: ValueRepr> Drop for GrowMapHandle<'_, K, V> {
     fn drop(&mut self) {
         self.local.flush(&self.inner.counts);
-        lock(&self.inner.writers).retain(|writer| !Arc::ptr_eq(writer, &self.busy));
+        self.inner.unregister(&self.busy);
         // The participant's own Drop unregisters it from the domain and
         // runs a final reclamation attempt.
     }
@@ -2531,9 +2722,16 @@ mod tests {
         let capacity = 64;
         let homed = keys_homed_in(capacity, 10..11, 3);
         let array = GenericArray::<u64, u64>::new(capacity, 1);
+        let gate = LockedGate::new();
         let insert = |k: u64| {
             let mut pending = PendingCell::new();
-            array.upsert(&Probe::new(&k), &k, None::<&fn(&u64) -> u64>, &mut pending)
+            array.upsert::<false, fn(&u64) -> u64>(
+                &Probe::new(&k),
+                &k,
+                None,
+                &mut pending,
+                &gate.guard(),
+            )
         };
         assert!(matches!(insert(homed[0]), MapOutcome::Inserted));
         assert!(matches!(insert(homed[1]), MapOutcome::Inserted));
@@ -2548,7 +2746,7 @@ mod tests {
             assert!(matches!(insert(k), MapOutcome::Inserted));
         }
         assert!(matches!(
-            array.erase(&Probe::new(&behind[3])),
+            array.erase::<false>(&Probe::new(&behind[3])),
             MapErase::Erased { .. }
         ));
         assert!(matches!(insert(behind[4]), MapOutcome::Inserted));
@@ -2624,6 +2822,30 @@ mod tests {
     /// A source generation for the copier tests: `keys(i)` for `i` in
     /// `0..inserted` inserted with value `i`, then every `erase_every`-th
     /// of them erased (0: none).  Returns the array and its live pairs.
+    /// What a locked write passes the array's operations, for calling them
+    /// directly: the guard of a write on the locked path.
+    struct LockedGate<K: KeyRepr, V: ValueRepr> {
+        busy: BusyFlag,
+        generations: VersionedArc<GenericArray<K, V>>,
+    }
+
+    impl<K: KeyRepr, V: ValueRepr> LockedGate<K, V> {
+        fn new() -> Self {
+            LockedGate {
+                busy: BusyFlag(AtomicU8::new(BUSY_LOCKED)),
+                generations: VersionedArc::new(GenericArray::new(2, 1)),
+            }
+        }
+
+        fn guard(&self) -> WriteGuard<'_, K, V> {
+            WriteGuard {
+                busy: &self.busy,
+                generations: &self.generations,
+                word: 1,
+            }
+        }
+    }
+
     fn copier_source<K: KeyRepr>(
         capacity: usize,
         inserted: u64,
@@ -2631,19 +2853,22 @@ mod tests {
         keys: fn(u64) -> K,
     ) -> (GenericArray<K, u64>, Vec<(K, u64)>) {
         let array = GenericArray::new(capacity, 1);
+        let gate = LockedGate::new();
         let mut live = Vec::new();
         for i in 0..inserted {
             let key = keys(i);
             let mut pending = PendingCell::new();
-            let outcome = array.upsert(
+            let outcome = array.upsert::<false, fn(&u64) -> u64>(
                 &Probe::new(&key),
                 &i,
-                None::<&fn(&u64) -> u64>,
+                None,
                 &mut pending,
+                &gate.guard(),
             );
             assert!(matches!(outcome, MapOutcome::Inserted));
             if erase_every != 0 && i % erase_every == 0 {
-                let MapErase::Erased { key_word, .. } = array.erase(&Probe::new(&key)) else {
+                let MapErase::Erased { key_word, .. } = array.erase::<false>(&Probe::new(&key))
+                else {
                     panic!("a key just inserted must be erasable");
                 };
                 free_key_word::<K>(key_word);
@@ -3017,10 +3242,19 @@ mod tests {
                     let (copied, late_successes, bumps) = (&copied, &late_successes, &bumps);
                     s.spawn(move || {
                         let mut pending = PendingCell::new();
+                        let gate = LockedGate::new();
+                        let gate = gate.guard();
                         'bumping: loop {
                             for (i, (key, _)) in live.iter().enumerate().skip(writer).step_by(2) {
                                 let after_copy = copied.load(Ordering::SeqCst);
-                                match src.upsert(&Probe::new(key), &0, Some(&bump), &mut pending) {
+                                let probe = Probe::new(key);
+                                match src.upsert::<false, _>(
+                                    &probe,
+                                    &0,
+                                    Some(&bump),
+                                    &mut pending,
+                                    &gate,
+                                ) {
                                     MapOutcome::Updated(None) => {
                                         landed[i].fetch_add(1, Ordering::Relaxed);
                                         bumps.fetch_add(1, Ordering::Relaxed);
@@ -3067,14 +3301,16 @@ mod tests {
     #[test]
     fn boxed_values_freeze_without_the_flip() {
         let src = GenericArray::<u64, [u64; 2]>::new(256, 1);
+        let gate = LockedGate::new();
         let keys: Vec<u64> = (0..100).map(word_key).collect();
         for (i, key) in (0u64..).zip(&keys) {
             let mut pending = PendingCell::new();
-            let outcome = src.upsert(
+            let outcome = src.upsert::<false, fn(&[u64; 2]) -> [u64; 2]>(
                 &Probe::new(key),
                 &[i, i + 1],
-                None::<&fn(&[u64; 2]) -> [u64; 2]>,
+                None,
                 &mut pending,
+                &gate.guard(),
             );
             assert!(matches!(outcome, MapOutcome::Inserted));
         }

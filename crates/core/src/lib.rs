@@ -20,10 +20,8 @@
 //!   `FolkloreCrc`/`UaGrowCrc` on the paper's CRC32-C hash (§8.3) and
 //!   `FolkloreSimd` on the striped fingerprint probe, which only the
 //!   bounded table keeps (DESIGN.md §11);
-//! * [`bulk`] — bulk construction and batched insertion (§5.5);
 //! * [`prefetch`] — cache-line prefetch helpers for the batched
 //!   (hash → prefetch → probe) hot paths;
-//! * [`keyspace`] — restoring the full 64-bit key space (§5.6);
 //! * [`complex`] — complex (non-word) key support via indirection with
 //!   hash signatures (§5.7): the packed key format and the bounded
 //!   [`complex::StringKeyTable`] baseline;
@@ -42,7 +40,6 @@
 #![deny(clippy::undocumented_unsafe_blocks)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod bulk;
 pub mod cell;
 pub mod complex;
 pub mod config;
@@ -52,7 +49,6 @@ pub mod cpu;
 pub mod crc;
 pub mod generic;
 pub mod grow;
-pub mod keyspace;
 pub mod mem;
 pub mod membarrier;
 pub mod migrate;

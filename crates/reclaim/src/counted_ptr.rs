@@ -9,15 +9,19 @@
 //! table is freed automatically once every handle has refreshed its cached
 //! pointer (and any in-flight readers dropped their temporary clones).
 //!
-//! The version word also carries two bits a growing table raises: the
-//! **flag** (bit 63) while a migration excludes its writers, and
+//! The version word also carries three bits a growing table raises: the
+//! **flag** (bit 63) while a migration excludes its writers,
 //! **clearing** (bit 62) while the next generation waits to be cleared in
-//! slices by the writers that pass.  A writer learns of either from the
-//! version load it makes anyway ([`CachedArc::get_ref_unless_flagged`]),
-//! so the check costs no load of its own, and it clears its slice in a
-//! hook that only the cold path runs, before its operation.  A reader
-//! ignores both bits, and so does every reader of the version number
-//! ([`VersionedArc::version`]).
+//! slices by the writers that pass, and **sole** (bit 61, [`SOLE`]) while
+//! the table has exactly one handle, whose writes may then store without a
+//! locked instruction.  A writer learns of any of them from the version
+//! load it makes anyway ([`CachedArc::get_ref_unless_flagged`]), so the
+//! check costs no load of its own, and it clears its slice in a hook that
+//! only the cold path runs, before its operation.  A reader ignores the
+//! flag and the clearing bit, and every reader of the version number
+//! ([`VersionedArc::version`]) ignores all three.  The sole bit is the one
+//! a cache adopts: its cached word carries it, so that the compare of the
+//! fast path holds, for readers and writers alike, while it stays raised.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -29,14 +33,19 @@ use growt_iface::sync::lock;
 const FLAG: u64 = 1 << 63;
 /// The clearing bit of the version word, below the flag.
 const CLEARING: u64 = 1 << 62;
+/// The sole bit of the version word, below the clearing bit: raised while
+/// the slot's owner has one writer, which may then write without locked
+/// instructions.  A [`CachedArc`] keeps it in its cached word.
+pub const SOLE: u64 = 1 << 61;
 /// The version number's bits.
-const VERSION: u64 = !(FLAG | CLEARING);
+const VERSION: u64 = !(FLAG | CLEARING | SOLE);
 
 /// A versioned, reference-counted slot holding the current value of type
 /// `T` (in the hash table: the current table array).
 pub struct VersionedArc<T> {
     current: Mutex<Arc<T>>,
-    /// The version, with [`FLAG`] and [`CLEARING`] or-ed in while raised.
+    /// The version, with [`FLAG`], [`CLEARING`] and [`SOLE`] or-ed in
+    /// while raised.
     version: AtomicU64,
     /// Number of [`VersionedArc::acquire`] calls ever made (diagnostics:
     /// the zero-shared-traffic conformance tests assert that a burst of
@@ -91,6 +100,28 @@ impl<T> VersionedArc<T> {
     /// `true` while the clearing bit is raised.
     pub fn clearing(&self) -> bool {
         self.version.load(Ordering::SeqCst) & CLEARING != 0
+    }
+
+    /// Raise the sole bit.  `SeqCst`, a release: what the last other
+    /// writer did happens before a write that sees the bit.
+    pub fn raise_sole(&self) {
+        self.version.fetch_or(SOLE, Ordering::SeqCst);
+    }
+
+    /// Lower the sole bit; `true` when it was raised.  `SeqCst`: the store
+    /// side of the handshake that revokes the sole writer's plain stores.
+    pub fn lower_sole(&self) -> bool {
+        self.version.fetch_and(!SOLE, Ordering::SeqCst) & SOLE != 0
+    }
+
+    /// `true` while the version word is `word`, one that
+    /// [`CachedArc::get_ref_unless_flagged`] returned: the same version,
+    /// flag and sole bit.  The clearing bit is not compared: it asks
+    /// writers to clear the next generation, and changes nothing in the
+    /// current one.
+    #[inline]
+    pub fn still(&self, word: u64) -> bool {
+        self.version.load(Ordering::Acquire) | CLEARING == word | CLEARING
     }
 
     /// Acquire a counted reference to the current value together with its
@@ -182,10 +213,12 @@ impl<T> CachedArc<T> {
     ///
     /// The flag and the clearing bit are ignored: a reader is not excluded
     /// by them.  The fast path compares the whole word, unmasked: the
-    /// cached version never has either bit, so a raised bit fails the
+    /// cached word never has either bit, so a raised bit fails the
     /// compare and is told apart on the cold path, like a newer version.
     /// Masking both bits before the compare (an `and` with a 62-bit
-    /// constant) made `GrowMap`'s find-only benchmark 6–10 % slower.
+    /// constant) made `GrowMap`'s find-only benchmark 6–10 % slower.  The
+    /// sole bit is adopted on the cold path, so a raised one costs one
+    /// cold call per change, not one per operation.
     #[inline]
     pub fn get<'a>(&'a mut self, source: &VersionedArc<T>) -> (&'a Arc<T>, bool) {
         let word = source.version.load(Ordering::Acquire);
@@ -202,18 +235,29 @@ impl<T> CachedArc<T> {
         source: &VersionedArc<T>,
         word: u64,
     ) -> (&'a Arc<T>, bool) {
-        if word & VERSION == self.version {
-            (&self.cached, false)
-        } else {
-            (self.refresh(source), true)
+        let refreshed = word & VERSION != self.version & VERSION;
+        if refreshed {
+            self.refresh(source);
         }
+        self.adopt_sole(word);
+        (&self.cached, refreshed)
+    }
+
+    /// Take the sole bit of `word` into the cached word, where the fast
+    /// path's compare will find it.
+    #[inline]
+    fn adopt_sole(&mut self, word: u64) {
+        self.version = self.version & VERSION | word & SOLE;
     }
 
     /// [`CachedArc::get_ref`] for a writer that the flag excludes: `None`
-    /// while the flag is raised, else the value.  The fast path is the
-    /// same one load and one compare — the cached version never has either
-    /// bit, so a raised bit fails the compare and is told apart on the cold
-    /// path, which also runs the caller's two hooks:
+    /// while the flag is raised, else the value and the compared word,
+    /// whose [`SOLE`] bit says whether the writer may store without locked
+    /// instructions.  The fast path is the same one load and one compare —
+    /// the cached word never has the flag or the clearing bit, so a raised
+    /// one fails the compare and is told apart on the cold path, as is a
+    /// changed sole bit, which the cold path adopts without acquiring; it
+    /// also runs the caller's two hooks:
     ///
     /// * `on_clearing`, once, when the word has the clearing bit; the word
     ///   is then loaded again, so that what the hook did (it may have
@@ -221,17 +265,18 @@ impl<T> CachedArc<T> {
     /// * `on_refresh`, after the cache took a newer version.
     ///
     /// Neither hook nor its outcome is on the fast path: it returns the
-    /// value and nothing else, so a caller has no discriminant to test.
+    /// value and the word it loaded and nothing else, so a caller has no
+    /// discriminant to test.
     #[inline]
     pub fn get_ref_unless_flagged<'a>(
         &'a mut self,
         source: &VersionedArc<T>,
         on_clearing: impl FnOnce(),
         on_refresh: impl FnOnce(),
-    ) -> Option<&'a T> {
+    ) -> Option<(&'a T, u64)> {
         let word = source.version.load(Ordering::Acquire);
         if word == self.version {
-            Some(self.cached.as_ref())
+            Some((self.cached.as_ref(), word))
         } else {
             self.refresh_unless_flagged(source, word, on_clearing, on_refresh)
         }
@@ -244,7 +289,7 @@ impl<T> CachedArc<T> {
         mut word: u64,
         on_clearing: impl FnOnce(),
         on_refresh: impl FnOnce(),
-    ) -> Option<&'a T> {
+    ) -> Option<(&'a T, u64)> {
         if word & CLEARING != 0 {
             on_clearing();
             word = source.version.load(Ordering::Acquire);
@@ -252,11 +297,12 @@ impl<T> CachedArc<T> {
         if word & FLAG != 0 {
             return None;
         }
-        if word & VERSION != self.version {
+        if word & VERSION != self.version & VERSION {
             self.refresh(source);
             on_refresh();
         }
-        Some(self.cached.as_ref())
+        self.adopt_sole(word);
+        Some((self.cached.as_ref(), self.version))
     }
 
     /// Borrow-based variant of [`CachedArc::get`]: the same
@@ -291,10 +337,10 @@ impl<T> CachedArc<T> {
         &self.cached
     }
 
-    /// The version of the cached value.
+    /// The version of the cached value (without the sole bit).
     #[inline]
     pub fn cached_version(&self) -> u64 {
-        self.version
+        self.version & VERSION
     }
 }
 
@@ -381,7 +427,7 @@ mod tests {
         let (mut clears, mut refreshed) = (0, false);
         let value = cache
             .get_ref_unless_flagged(slot, || clears += 1, || refreshed = true)
-            .copied();
+            .map(|(value, _)| *value);
         (value, clears, refreshed)
     }
 
@@ -475,7 +521,7 @@ mod tests {
             },
             || refreshed = true,
         );
-        assert_eq!((value, refreshed), (None, false));
+        assert_eq!((value.map(|(v, _)| *v), refreshed), (None, false));
         slot.lower_flag();
         slot.raise_clearing();
         let value = cache.get_ref_unless_flagged(
@@ -488,8 +534,45 @@ mod tests {
             },
             || refreshed = true,
         );
-        assert_eq!((value, refreshed), (Some(&6), true));
+        assert_eq!((value.map(|(v, _)| v), refreshed), (Some(&6), true));
         assert_eq!(write_check(&mut cache, &slot), (Some(6), 0, false));
+    }
+
+    /// The sole bit is adopted by a cold call and kept in the cached word:
+    /// no acquisition, the writer is told through the returned word, and
+    /// every later compare holds until the bit changes again.
+    #[test]
+    fn the_sole_bit_is_adopted_without_acquiring_and_returned_to_writers() {
+        let slot = VersionedArc::new(5u64);
+        let mut cache = CachedArc::new(&slot);
+        let word = |cache: &mut CachedArc<u64>| {
+            cache
+                .get_ref_unless_flagged(&slot, || unreachable!(), || unreachable!())
+                .map(|(_, word)| word)
+        };
+        assert_eq!(word(&mut cache), Some(1));
+        slot.raise_sole();
+        assert_eq!(slot.version(), 1);
+        assert_eq!(word(&mut cache), Some(1 | SOLE));
+        assert_eq!(cache.cached_version(), 1);
+        assert_eq!(cache.get_ref(&slot), (&5, false));
+        assert!(slot.lower_sole());
+        assert!(!slot.lower_sole());
+        assert_eq!(cache.get_ref(&slot), (&5, false));
+        assert_eq!(word(&mut cache), Some(1));
+        slot.raise_sole();
+        slot.publish(Arc::new(6));
+        let mut refreshed = false;
+        let value = cache.get_ref_unless_flagged(&slot, || {}, || refreshed = true);
+        assert_eq!((value, refreshed), (Some((&6, 2 | SOLE)), true));
+        assert!(slot.still(2 | SOLE));
+        slot.raise_clearing();
+        assert!(slot.still(2 | SOLE) && !slot.still(2) && !slot.still(1 | SOLE));
+        assert_eq!(
+            slot.acquire_count(),
+            2,
+            "the sole bit was adopted without an acquisition"
+        );
     }
 
     #[test]

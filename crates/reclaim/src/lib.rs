@@ -17,5 +17,5 @@
 pub mod counted_ptr;
 pub mod qsbr;
 
-pub use counted_ptr::{CachedArc, VersionedArc};
+pub use counted_ptr::{CachedArc, VersionedArc, SOLE};
 pub use qsbr::{QsbrDomain, QsbrParticipant};

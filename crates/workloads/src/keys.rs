@@ -24,7 +24,7 @@ pub const RESERVED_KEYS: u64 = 16;
 /// The topmost bit is reserved by the asynchronous growing variants as the
 /// migration mark (§5.3.2); generated keys stay below it so that every
 /// implementation can ingest the same sequence.  (§5.6 describes how the
-/// full key space can be restored; `FullKeyspaceTable` implements it.)
+/// full key space can be restored.)
 pub const KEY_LIMIT: u64 = 1 << 63;
 
 /// Generate `n` uniformly random keys (not necessarily distinct) from the

@@ -33,9 +33,16 @@
 //! `generic.membarrier` failpoint forced, so that every migration marks,
 //! and prints that table's copy cost as well: both modes' per-cell cost.
 //!
+//! Last, one line says whether a lone handle's writes store without a
+//! locked instruction here (DESIGN.md §8): the time an insert into a
+//! presized table takes from its only handle, and beside an idle second
+//! handle, which puts the writes on the locked path.  Where the kernel has
+//! no heavy barrier both fills take the locked path, and read alike.
+//!
 //! Run with: `cargo run -q --release --example migration_smoke`
 
 use std::sync::Barrier;
+use std::time::Instant;
 
 use growt_repro::growt_core::{mem, membarrier, GrowMap};
 
@@ -88,6 +95,29 @@ fn fill_and_report(threads: u64) {
     );
 }
 
+/// The fastest of 200 fills of 2^10 keys into a table presized for them
+/// (no migration; cells that the allocator recycles and the cache keeps),
+/// in ns an insert: from a lone handle, and beside an idle second handle.
+/// The two kinds of fill alternate.
+fn fill_ns() -> [f64; 2] {
+    const KEYS: u64 = 1 << 10;
+    let mut fastest = [f64::INFINITY; 2];
+    for _ in 0..200 {
+        for (beside_idle, fastest) in [false, true].into_iter().zip(&mut fastest) {
+            let map: GrowMap<u64, u64> = GrowMap::new(4 * KEYS as usize);
+            let mut handle = map.handle();
+            let idle = beside_idle.then(|| map.handle());
+            let started = Instant::now();
+            for key in 2..2 + KEYS {
+                handle.insert(&key, &key);
+            }
+            *fastest = fastest.min(started.elapsed().as_nanos() as f64 / KEYS as f64);
+            drop(idle);
+        }
+    }
+    fastest
+}
+
 fn main() {
     match membarrier::query() {
         Some(mask) => println!("membarrier QUERY = {mask:#x}"),
@@ -106,4 +136,9 @@ fn main() {
         fill_and_report(1);
         remove("generic.membarrier");
     }
+    let [alone, beside_idle] = fill_ns();
+    println!(
+        "presized fill: {alone:.1} ns an insert from a lone handle, \
+         {beside_idle:.1} ns beside an idle one"
+    );
 }

@@ -537,8 +537,9 @@ fn growth_trigger_overshoots_by_at_most_a_sixteenth_with_two_writers() {
 }
 
 /// A writer that holds its write open past the leader's patience — its
-/// `insert_or_update` closure sleeps — keeps that migration from excluding
-/// writers: it marks instead, and says so.  The sleeper's update lands
+/// `insert_or_update` closure sleeps, on the locked path of a map with two
+/// handles — keeps that migration from excluding writers: it marks
+/// instead, and says so.  The sleeper's update lands
 /// once, on whichever generation it retries on, and nothing is lost.
 #[test]
 fn a_writer_busy_past_the_patience_makes_the_migration_mark() {
@@ -551,9 +552,15 @@ fn a_writer_busy_past_the_patience_makes_the_migration_mark() {
     map.handle().insert(&BASE, &0);
     let sleeping = AtomicBool::new(false);
     let slept = AtomicBool::new(false);
+    // The inserter registers first: a lone handle runs its closure with its
+    // busy flag lowered (DESIGN.md §8), so it keeps no migration waiting.
+    let registered = AtomicBool::new(false);
     std::thread::scope(|scope| {
         scope.spawn(|| {
             let mut handle = map.handle();
+            while !registered.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
             handle.insert_or_update(&BASE, &0, |v| {
                 if !slept.swap(true, Ordering::SeqCst) {
                     sleeping.store(true, Ordering::SeqCst);
@@ -563,10 +570,11 @@ fn a_writer_busy_past_the_patience_makes_the_migration_mark() {
             });
         });
         scope.spawn(|| {
+            let mut handle = map.handle();
+            registered.store(true, Ordering::SeqCst);
             while !sleeping.load(Ordering::SeqCst) {
                 std::thread::yield_now();
             }
-            let mut handle = map.handle();
             let mut key = BASE + 1;
             while map.migrations_completed() == 0 {
                 assert!(handle.insert(&key, &key));
@@ -586,6 +594,204 @@ fn a_writer_busy_past_the_patience_makes_the_migration_mark() {
     for key in BASE + 1..=BASE + inserted {
         assert_eq!(handle.find(&key), Some(key));
     }
+}
+
+// ---------------------------------------------------------------------
+// The sole mode: a lone handle's writes store plainly
+// ---------------------------------------------------------------------
+
+/// `rounds` times, a lone handle bumps one key by `insert_or_update`
+/// whose closure, the first time it runs, opens a second handle on the
+/// same map, bumps the same key through it, inserts `fresh` new keys (so
+/// the map migrates under the closure) and drops the handle.  Neither
+/// registration waits for the write that runs it, and the outer write,
+/// which found its cell changed, enters again: every bump lands once.
+fn reentrant_bumps<K: KeyRepr, V: ValueRepr + PartialEq + std::fmt::Debug>(
+    key: fn(u64) -> K,
+    value: fn(u64) -> V,
+    bump: fn(&V) -> V,
+) {
+    const ROUNDS: u64 = 200;
+    const FRESH: u64 = 20;
+    let map: GrowMap<K, V> = GrowMap::new(16);
+    let mut handle = map.handle();
+    handle.insert(&key(0), &value(0));
+    for round in 0..ROUNDS {
+        let calls = std::cell::Cell::new(0);
+        handle.insert_or_update(&key(0), &value(0), |v| {
+            calls.set(calls.get() + 1);
+            if calls.get() == 1 {
+                let mut inner = map.handle();
+                inner.insert_or_update(&key(0), &value(0), bump);
+                for i in 0..FRESH {
+                    assert!(inner.insert(&key(1 + round * FRESH + i), &value(i)));
+                }
+            }
+            bump(v)
+        });
+        if membarrier::available() {
+            // Alone, the outer write ran its closure unbusied, saw the
+            // cell changed and entered again.
+            assert_eq!(calls.get(), 2, "round {round}");
+        }
+    }
+    assert!(map.migrations_completed() >= 5, "{:?}", map.migration_log());
+    let expected = (0..2 * ROUNDS).fold(value(0), |v, _| bump(&v));
+    assert_eq!(handle.find(&key(0)), Some(expected));
+    for i in 0..ROUNDS * FRESH {
+        assert_eq!(handle.find(&key(1 + i)), Some(value(i % FRESH)), "key {i}");
+    }
+    assert_eq!(map.size_exact_quiescent() as u64, 1 + ROUNDS * FRESH);
+}
+
+/// A write on the locked path whose closure drops the map's other handle,
+/// which leaves its own handle alone, and then opens a second one: that
+/// registration revokes the sole mode, but the write it runs in marked its
+/// busy flag locked, so it does not wait for it.
+fn reentrant_bump_on_the_locked_path() {
+    let map: GrowMap<u64, u64> = GrowMap::new(16);
+    let mut handle = map.handle();
+    handle.insert(&BASE, &0);
+    let other = std::cell::RefCell::new(Some(map.handle()));
+    handle.insert_or_update(&BASE, &0, |v| {
+        if other.borrow_mut().take().is_some() {
+            map.handle().insert_or_update(&BASE, &0, |v| v + 1);
+        }
+        v + 1
+    });
+    assert_eq!(handle.find(&BASE), Some(2));
+}
+
+#[test]
+fn a_closure_that_opens_a_handle_on_its_own_map_neither_deadlocks_nor_loses_a_bump() {
+    reentrant_bumps::<u64, u64>(|i| BASE + i, |i| i, |v| v + 1);
+    reentrant_bumps::<String, u64>(|i| format!("reentrant-{i}"), |i| i, |v| v + 1);
+    reentrant_bumps::<u64, [u64; 4]>(|i| BASE + i, |i| [i; 4], |v| v.map(|x| x + 1));
+    reentrant_bump_on_the_locked_path();
+}
+
+/// One thread bumps a small key set 10^5 times by `insert_or_update`, and
+/// erases and re-inserts a key of its own now and then, while another
+/// creates and drops handles in a loop, each bumping one key once: the
+/// writer keeps changing between storing plainly, alone, and the locked
+/// path, and no bump or erase is lost.
+#[test]
+fn handles_come_and_go_beside_a_writer_without_losing_an_update() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+    const UPSERTS: u64 = 100_000;
+    const HOT: u64 = 8;
+    let map: GrowMap<u64, u64> = GrowMap::new(16);
+    let done = AtomicBool::new(false);
+    let churned = AtomicU64::new(0);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut handle = map.handle();
+            for i in 0..UPSERTS {
+                handle.insert_or_update(&(BASE + i % HOT), &1, |v| v + 1);
+                if i % 64 == 0 {
+                    let own = BASE + HOT + i;
+                    assert!(handle.insert(&own, &i));
+                    assert!(handle.erase(&own));
+                    assert!(handle.insert(&own, &i));
+                }
+            }
+            done.store(true, Ordering::SeqCst);
+        });
+        scope.spawn(|| {
+            let mut n = 0u64;
+            while !done.load(Ordering::SeqCst) {
+                let mut handle = map.handle();
+                handle.insert_or_update(&(BASE + n % HOT), &1, |v| v + 1);
+                n += 1;
+            }
+            churned.store(n, Ordering::SeqCst);
+        });
+    });
+    let churned = churned.load(Ordering::SeqCst);
+    let mut handle = map.handle();
+    let bumps: u64 = (0..HOT).map(|i| handle.find(&(BASE + i)).unwrap()).sum();
+    assert_eq!(bumps, UPSERTS + churned, "lost or doubled updates");
+    let own = UPSERTS.div_ceil(64);
+    for i in (0..UPSERTS).step_by(64) {
+        assert_eq!(handle.find(&(BASE + HOT + i)), Some(i));
+    }
+    assert_eq!(map.size_exact_quiescent() as u64, HOT + own);
+}
+
+/// Held in its insert between its prologue and its plain store (the
+/// `generic.sole.store` failpoint), a lone handle keeps a second handle's
+/// registration waiting until the store is made; then both write side by
+/// side, and every key is found.
+#[cfg(feature = "failpoints")]
+#[test]
+fn a_registration_waits_for_the_sole_write_it_revokes() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
+
+    use growt_failpoints::{configure, remove, Action, Trigger};
+
+    const KEYS: u64 = 5_000;
+    const HELD_KEY: u64 = BASE + KEYS;
+    static HELD: AtomicBool = AtomicBool::new(false);
+    static RELEASED: AtomicBool = AtomicBool::new(false);
+    std::thread_local! {
+        static HOLDER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+    /// Holds the one thread that asked for it, until released.
+    fn hold() -> bool {
+        if !HOLDER.with(std::cell::Cell::get) {
+            return true;
+        }
+        HELD.store(true, Ordering::SeqCst);
+        RELEASED.load(Ordering::SeqCst)
+    }
+
+    if !membarrier::available() {
+        return; // no sole mode to revoke
+    }
+    let map: GrowMap<u64, u64> = GrowMap::new(16);
+    configure(
+        "generic.sole.store",
+        Action::WaitFor {
+            until: hold,
+            deadline_ms: 30_000,
+        },
+        Trigger::Always,
+    );
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut handle = map.handle();
+            HOLDER.with(|holder| holder.set(true));
+            assert!(handle.insert(&HELD_KEY, &7));
+            HOLDER.with(|holder| holder.set(false));
+            for i in (0..KEYS).step_by(2) {
+                assert!(handle.insert(&(BASE + i), &i));
+            }
+        });
+        while !HELD.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        scope.spawn(|| {
+            std::thread::sleep(Duration::from_millis(30));
+            RELEASED.store(true, Ordering::SeqCst);
+        });
+        let mut handle = map.handle();
+        assert!(
+            RELEASED.load(Ordering::SeqCst),
+            "registered past a held write"
+        );
+        assert_eq!(handle.find(&HELD_KEY), Some(7));
+        for i in (1..KEYS).step_by(2) {
+            assert!(handle.insert(&(BASE + i), &i));
+        }
+    });
+    remove("generic.sole.store");
+    let mut handle = map.handle();
+    for i in 0..KEYS {
+        assert_eq!(handle.find(&(BASE + i)), Some(i), "key {i}");
+    }
+    assert_eq!(map.size_exact_quiescent() as u64, KEYS + 1);
 }
 
 // ---------------------------------------------------------------------

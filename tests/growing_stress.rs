@@ -141,30 +141,6 @@ fn handles_can_be_created_and_dropped_concurrently() {
 }
 
 #[test]
-fn full_keyspace_wrapper_accepts_all_keys_concurrently() {
-    use growt_core::keyspace::FullKeyspaceTable;
-    let table = FullKeyspaceTable::new(256);
-    std::thread::scope(|scope| {
-        for t in 0..4u64 {
-            let table = &table;
-            scope.spawn(move || {
-                let mut handle = table.handle();
-                for i in 0..10_000u64 {
-                    // Cover low keys, high keys and the sentinels.
-                    let key = match i % 3 {
-                        0 => t * 1_000_000 + i,
-                        1 => (1 << 63) | (t * 1_000_000 + i),
-                        _ => u64::MAX - (t * 1_000_000 + i),
-                    };
-                    handle.insert(key, i);
-                    assert_eq!(handle.find(key), Some(i), "key {key:#x}");
-                }
-            });
-        }
-    });
-}
-
-#[test]
 fn string_key_table_concurrent_wordcount() {
     use growt_core::complex::StringKeyTable;
     let table = StringKeyTable::with_capacity(10_000);
@@ -183,21 +159,4 @@ fn string_key_table_concurrent_wordcount() {
     });
     let total: u64 = words.iter().map(|w| table.find(w).unwrap_or(0)).sum();
     assert_eq!(total, 4 * 20_000);
-}
-
-#[test]
-fn bulk_build_and_bulk_insert() {
-    use growt_core::bulk::{build_from, bulk_insert};
-    let elements: Vec<(u64, u64)> = (0..20_000u64).map(|i| (i * 13 + 17, i)).collect();
-    let bounded = build_from(&elements, 4);
-    for &(k, v) in &elements {
-        assert_eq!(bounded.find(k), Some(v));
-    }
-
-    let growing = growt_core::GrowingTable::new(64);
-    bulk_insert(&growing, &elements, 4);
-    let mut handle = growing.handle();
-    for &(k, v) in &elements {
-        assert_eq!(handle.find(k), Some(v));
-    }
 }

@@ -109,6 +109,89 @@ fn us_grow_matches_hashmap() {
     check_ops(name, CASES, |rng| ops(rng, 1..400), run_model::<UsGrow>);
 }
 
+/// Replay `ops` on a fresh `GrowMap` and on a `HashMap`, as
+/// [`run_model_with_capacity`] does, with keys made by `key`.  With
+/// `beside_idle`, a second handle is registered and left idle throughout:
+/// the writes take the locked path, where alone they store plainly
+/// (DESIGN.md §8).
+fn run_grow_map_model<K: KeyRepr>(ops: &[Op], key: fn(u64) -> K, beside_idle: bool) {
+    let map: GrowMap<K, u64> = GrowMap::new(16);
+    let mut handle = map.handle();
+    let idle = beside_idle.then(|| map.handle());
+    let mut model: HashMap<u64, u64> = HashMap::new();
+    for (i, op) in ops.iter().enumerate() {
+        match *op {
+            Op::Insert(k, v) => {
+                let expected = !model.contains_key(&k);
+                assert_eq!(handle.insert(&key(k), &v), expected, "op {i}: {op:?}");
+                model.entry(k).or_insert(v);
+            }
+            Op::Find(k) => {
+                let found = handle.find(&key(k));
+                assert_eq!(found, model.get(&k).copied(), "op {i}: {op:?}");
+            }
+            Op::Upsert(k, d) => {
+                let expected = if model.contains_key(&k) {
+                    InsertOrUpdate::Updated
+                } else {
+                    InsertOrUpdate::Inserted
+                };
+                let outcome = handle.insert_or_update(&key(k), &d, |c| c.wrapping_add(d));
+                assert_eq!(outcome, expected, "op {i}: {op:?}");
+                model
+                    .entry(k)
+                    .and_modify(|v| *v = v.wrapping_add(d))
+                    .or_insert(d);
+            }
+            Op::Erase(k) => {
+                let erased = handle.erase(&key(k));
+                assert_eq!(erased, model.remove(&k).is_some(), "op {i}: {op:?}");
+            }
+            Op::Overwrite(k, v) => {
+                let expected = model.contains_key(&k);
+                assert_eq!(handle.update(&key(k), |_| v), expected, "op {i}: {op:?}");
+                if expected {
+                    model.insert(k, v);
+                }
+            }
+        }
+    }
+    for (&k, &v) in &model {
+        assert_eq!(handle.find(&key(k)), Some(v), "the final sweep, key {k}");
+    }
+    drop(idle);
+    assert_eq!(map.size_exact_quiescent(), model.len());
+}
+
+/// `GrowMap` behaves exactly like HashMap, each case replayed twice: by a
+/// lone handle, whose writes store plainly, and beside an idle second
+/// handle, which puts them on the locked path.  Word keys, and `String`
+/// keys both short (in the key word) and long (behind a pointer).
+#[test]
+fn grow_map_matches_hashmap() {
+    check_ops(
+        "grow_map_matches_hashmap",
+        CASES,
+        |rng| ops(rng, 1..400),
+        |ops| {
+            for beside_idle in [false, true] {
+                run_grow_map_model::<u64>(ops, |k| k, beside_idle);
+                run_grow_map_model::<String>(
+                    ops,
+                    |k| {
+                        if k % 2 == 0 {
+                            format!("k{k}")
+                        } else {
+                            format!("long-key-{k}")
+                        }
+                    },
+                    beside_idle,
+                );
+            }
+        },
+    );
+}
+
 /// The bounded folklore table, sized for the whole key universe (it
 /// cannot grow and its tombstones are never reclaimed, §5.4).
 #[test]

@@ -15,7 +15,12 @@
 //! * **the clearing hand-off** (DESIGN.md §13) — the elector that installs
 //!   an uncleared target, a writer that clears its slices under the
 //!   clearing lock and leads with the last, and a clearer killed inside a
-//!   slice, which then waits for the job and reads the target.
+//!   slice, which then waits for the job and reads the target;
+//! * **the sole writer's revocation** (DESIGN.md §8) — a lone handle's
+//!   update with plain loads and a plain store, its closure run with the
+//!   busy flag lowered, against a second handle's registration, which
+//!   lowers the sole bit, runs the heavy barrier, waits for the busy flag,
+//!   updates the same cell with the locked CAS and drops again.
 //!
 //! Each model is checked as the code does it, where every schedule must
 //! end well, and with seeded mutations — the leader's barrier dropped, the
@@ -23,7 +28,9 @@
 //! drains the first lease's counter only, a freeze that does not flip or
 //! whose flip the update function computes, an updater or a find short of
 //! one of its loads, a clearing that counts claimed slices instead of
-//! cleared ones — where some schedule must end badly.
+//! cleared ones, a registration without its barrier, a sole writer that
+//! does not check its cell again after its closure — where some schedule
+//! must end badly.
 //! A model that cannot fail proves nothing.
 //!
 //! The machine: each thread runs a small program over shared bytes.  A
@@ -45,6 +52,8 @@ use std::collections::HashSet;
 enum Ins {
     /// Plain store, into the store buffer.
     Store(usize, u8),
+    /// Plain store of a register's value, into the store buffer.
+    StoreReg(usize, usize),
     /// Plain load into a register.
     Load(usize, usize),
     /// Locked wrapping add (`lock xadd`): drains the buffer first.
@@ -81,6 +90,8 @@ enum Ins {
     HeavyBarrier,
     /// Spin until a load of the location reads the value.
     Await(usize, u8),
+    /// Spin until a load of the location reads other than the value.
+    AwaitNot(usize, u8),
     /// Continue at the target unless the register holds the value.
     JumpUnless(usize, u8, usize),
     /// Continue at the target if `register & mask == value`:
@@ -88,6 +99,8 @@ enum Ins {
     JumpIf(usize, u8, u8, usize),
     /// Continue at the target.
     Jump(usize),
+    /// Continue at the target unless the two registers hold the same value.
+    JumpUnlessEqual(usize, usize, usize),
 }
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -186,6 +199,11 @@ fn dfs(
                 me.buffer.push((location, value));
                 true
             }
+            Ins::StoreReg(location, reg) => {
+                let value = me.regs[reg];
+                me.buffer.push((location, value));
+                true
+            }
             Ins::Load(location, reg) => {
                 me.regs[reg] = thread.load(&state.memory, location);
                 true
@@ -255,6 +273,7 @@ fn dfs(
                 drained
             }
             Ins::Await(location, value) => thread.load(&state.memory, location) == value,
+            Ins::AwaitNot(location, value) => thread.load(&state.memory, location) != value,
             Ins::JumpUnless(reg, value, target) => {
                 if me.regs[reg] != value {
                     me.pc = target;
@@ -269,6 +288,12 @@ fn dfs(
             }
             Ins::Jump(target) => {
                 me.pc = target;
+                true
+            }
+            Ins::JumpUnlessEqual(a, b, target) => {
+                if me.regs[a] != me.regs[b] {
+                    me.pc = target;
+                }
                 true
             }
         };
@@ -314,7 +339,7 @@ const BUSY: [usize; 2] = [2, 3];
 /// — in the version word the borrow loads anyway — and either write the
 /// source cell with the operations' locked CAS or turn away to wait for the
 /// migration; the flag is lowered either way (`GrowMapHandle::enter_write`
-/// and `BusyGuard`).
+/// and `WriteGuard`).
 fn writer(busy: usize) -> Vec<Ins> {
     vec![
         Ins::Store(busy, 1),
@@ -903,6 +928,140 @@ fn clearing_fails_when_it_counts_taken_slices() {
     initial[SLICE[1]] = 1;
     let trace = explore(&clearing_programs(TAKEN), &initial, cleared_before_the_job)
         .expect_err("the killed clearer's slice must reach the job uncleared");
+    assert!(
+        trace.last().unwrap().starts_with("bad outcome"),
+        "{trace:?}"
+    );
+}
+
+// ---------------------------------------------------------------------
+// The sole writer's revocation
+// ---------------------------------------------------------------------
+
+/// The sole bit of the version word: 1 while raised.
+const SOLE_BIT: usize = 0;
+/// The value word of the cell both handles update.
+const COUNT: usize = 1;
+/// The sole handle's busy flag: 0 idle, 1 busy, 2 busy on the locked path.
+const SOLE_BUSY: usize = 2;
+
+/// The lone handle's `insert_or_update(+1)` of an existing key
+/// (`GenericArray::update_cell`): raise the busy flag, load the version
+/// word; with the sole bit, read the value, run the closure with the flag
+/// lowered (`WriteGuard::call_unbusied`), raise it, load the word again and
+/// then the cell, and store plainly if both are as before, else lower the
+/// flag and enter again; without it, mark the flag locked and run the
+/// locked CAS loop.  Register 5 ends 1 for a sole store, 2 for a locked
+/// one.  `cell_recheck` false is the mutation that stores once the word
+/// holds, without loading the cell again.
+fn sole_updater(cell_recheck: bool) -> Vec<Ins> {
+    let recheck = if cell_recheck { 2 } else { 0 };
+    let revoked = 12 + recheck;
+    let locked = revoked + 2;
+    let end = locked + 6;
+    let mut program = vec![
+        Ins::Store(SOLE_BUSY, 1),
+        Ins::Load(SOLE_BIT, 0),
+        Ins::JumpUnless(0, 1, locked),
+        Ins::Load(COUNT, 1),
+        Ins::Store(SOLE_BUSY, 0),
+        Ins::AddImm(3, 1, 1),
+        Ins::Store(SOLE_BUSY, 1),
+        Ins::Load(SOLE_BIT, 6),
+        Ins::JumpUnless(6, 1, revoked),
+    ];
+    if cell_recheck {
+        program.extend([Ins::Load(COUNT, 2), Ins::JumpUnlessEqual(1, 2, revoked)]);
+    }
+    program.extend([
+        Ins::StoreReg(COUNT, 3),
+        Ins::AddImm(5, 7, 1),
+        Ins::Jump(end),
+        // Revoked: enter again.
+        Ins::Store(SOLE_BUSY, 0),
+        Ins::Jump(0),
+        // The locked path.
+        Ins::Store(SOLE_BUSY, 2),
+        Ins::Load(COUNT, 1),
+        Ins::AddImm(3, 1, 1),
+        Ins::CasReg {
+            at: COUNT,
+            expected: 1,
+            new: 3,
+            ok: 4,
+        },
+        Ins::JumpUnless(4, 1, locked + 1),
+        Ins::AddImm(5, 7, 2),
+        Ins::Store(SOLE_BUSY, 0),
+    ]);
+    assert_eq!(program.len(), end + 1);
+    program
+}
+
+/// A second handle (`GenericInner::register`, one update, then
+/// `GenericInner::unregister`): lower the sole bit, the heavy barrier,
+/// wait until the sole handle's busy flag reads other than 1, update the
+/// cell with the locked CAS loop, and raise the bit again as its drop
+/// leaves one handle.  `barrier` false is the mutation without the barrier.
+fn registrant(barrier: bool) -> Vec<Ins> {
+    let mut program = vec![Ins::Add(SOLE_BIT, MINUS_ONE)];
+    if barrier {
+        program.push(Ins::HeavyBarrier);
+    }
+    let update = program.len() + 1;
+    program.extend([
+        Ins::AwaitNot(SOLE_BUSY, 1),
+        Ins::Load(COUNT, 1),
+        Ins::AddImm(3, 1, 1),
+        Ins::CasReg {
+            at: COUNT,
+            expected: 1,
+            new: 3,
+            ok: 4,
+        },
+        Ins::JumpUnless(4, 1, update),
+        Ins::Add(SOLE_BIT, 1),
+    ]);
+    program
+}
+
+/// The two handles' programs from a raised sole bit and a count of 0:
+/// every schedule must end with both updates in the cell.
+fn explore_revocation(barrier: bool, cell_recheck: bool) -> Result<HashSet<Outcome>, Vec<String>> {
+    explore(
+        &[sole_updater(cell_recheck), registrant(barrier)],
+        &[1, 0, 0],
+        |(memory, _)| memory[COUNT] == 2,
+    )
+}
+
+#[test]
+fn sole_writes_lose_no_update_to_a_registration_in_any_schedule() {
+    let outcomes =
+        explore_revocation(true, true).unwrap_or_else(|trace| panic!("{}", trace.join("\n")));
+    // Not vacuous: the lone handle stored plainly in some schedules and
+    // with the locked CAS in others.
+    let paths: HashSet<u8> = outcomes.iter().map(|(_, regs)| regs[0][5]).collect();
+    assert_eq!(paths, HashSet::from([1, 2]));
+}
+
+#[test]
+fn sole_writes_lose_an_update_without_the_registrants_barrier() {
+    let trace = explore_revocation(false, true)
+        .expect_err("a busy flag still in its store buffer must be missed");
+    assert!(
+        trace.last().unwrap().starts_with("bad outcome"),
+        "{trace:?}"
+    );
+}
+
+/// A handle registered, updated and dropped while the sole writer ran its
+/// closure with its flag lowered: the sole bit is raised again when the
+/// writer loads it, and only the cell says that someone else wrote.
+#[test]
+fn sole_writes_lose_an_update_without_the_cell_recheck() {
+    let trace = explore_revocation(true, false)
+        .expect_err("an update made during the closure must be overwritten");
     assert!(
         trace.last().unwrap().starts_with("bad outcome"),
         "{trace:?}"
