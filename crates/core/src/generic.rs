@@ -1434,6 +1434,12 @@ impl<K: KeyRepr, V: ValueRepr> GrowProtocol for GenericInner<K, V> {
         new_capacity: usize,
         version: u64,
     ) -> Result<(GenericArray<K, V>, usize), crate::mem::AllocError> {
+        // A lone handle would clear every slice itself, one a write: the
+        // allocator clears the target in one pass instead, and the elector
+        // leads at once (DESIGN.md §13).
+        if lock(&self.writers).len() <= 1 {
+            return GenericArray::try_new(new_capacity, version).map(|array| (array, 0));
+        }
         GenericArray::try_uncleared(new_capacity, version)
     }
 
@@ -1473,19 +1479,25 @@ impl<K: KeyRepr, V: ValueRepr> GrowProtocol for GenericInner<K, V> {
     /// raises it after sees the growing flag and waits for the migration.
     /// Without the barrier (the kernel lacks it, or the `generic.membarrier`
     /// failpoint says so), or with a handle still busy after
-    /// [`QUIESCE_PATIENCE`], the migration marks.
+    /// [`QUIESCE_PATIENCE`], the migration marks.  A leader that is its
+    /// map's only handle skips the barrier and the wait (DESIGN.md §15).
     fn quiesce_writers(&self) -> MigrationMode {
         if growt_failpoints::fire("generic.membarrier") || !membarrier::available() {
             return MigrationMode::Marking;
         }
         self.current.raise_flag();
+        // A snapshot, so that creating or dropping a handle does not wait
+        // for this wait: a handle registered after the raise sees the flag
+        // on its first write, since it takes the lock after this one.  The
+        // leader is a handle of the map, idle while it leads, so a snapshot
+        // of one holds nobody who could be writing.
+        let writers = lock(&self.writers).clone();
+        if writers.len() <= 1 {
+            return MigrationMode::Exclusive;
+        }
         if !membarrier::heavy_barrier() {
             return MigrationMode::Marking;
         }
-        // A snapshot, so that creating or dropping a handle does not wait
-        // for this wait: a handle registered after the raise sees the flag
-        // on its first write.
-        let writers = lock(&self.writers).clone();
         let started = Instant::now();
         for writer in writers.iter() {
             if !wait_while(

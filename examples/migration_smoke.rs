@@ -9,9 +9,15 @@
 //! freezes each source cell with one locked instruction — for these inline
 //! values the `cmpxchg16b` that marks the key and flips the value word
 //! (DESIGN.md §15).  Run it before trusting a before/after of the grow
-//! pause, and name the mode with the numbers.
+//! pause, and name the mode with the numbers.  A lone handle grows like a
+//! sequential table: each target comes cleared from the allocator, so
+//! this table's lines read `0 slices`, and its leader skips the heavy
+//! barrier (DESIGN.md §13, §15).
 //!
-//! It then fills a second table the same way from two threads, which
+//! It then fills a second table the same way from one thread beside an
+//! idle second handle, which puts the migrations on the path of a map
+//! written from several handles: targets that come uncleared, cleared a
+//! slice per write.  A third table is filled from two threads, which
 //! start together, each inserting every other key, and prints per
 //! migration the copy time per source cell summed over both participants,
 //! the longest wait of a thread left with nothing to copy, and the blocks
@@ -23,13 +29,12 @@
 //! time from the election to its last slice, the slices, and how many of
 //! them the electing thread cleared — the writers that pass clear one each
 //! (DESIGN.md §13).  Each table adds the bytes of idle mappings the process
-//! pools (`mem::pooled_bytes`) before its fill and after it.  The first
-//! table's 2^17-cell array (2 MiB) is pooled when it drops, so the
-//! two-thread table's last target is that array, recycled and uncleared:
-//! the pool reads 2 MiB before the second fill and 0 after it (DESIGN.md
-//! §11).
+//! pools (`mem::pooled_bytes`) before its fill and after it.  Each table's
+//! 2^17-cell array (2 MiB) is pooled when it drops, so the last target of
+//! the tables after the first is that array, recycled and uncleared: the
+//! pool reads 2 MiB before their fills and 0 after them (DESIGN.md §11).
 //!
-//! Built with `--features failpoints`, it fills a third table with the
+//! Built with `--features failpoints`, it fills a fourth table with the
 //! `generic.membarrier` failpoint forced, so that every migration marks,
 //! and prints that table's copy cost as well: both modes' per-cell cost.
 //!
@@ -47,11 +52,12 @@ use std::time::Instant;
 use growt_repro::growt_core::{mem, membarrier, GrowMap};
 
 /// Fill a fresh table from 2^11 to 2^17 cells from `threads` threads,
-/// thread `t` inserting the keys `t` apart from the last, and print its
-/// migrations.
-fn fill_and_report(threads: u64) {
+/// thread `t` inserting the keys `t` apart from the last, beside an idle
+/// handle if `beside_idle`, and print its migrations.
+fn fill_and_report(threads: u64, beside_idle: bool) {
     let pooled_before = mem::pooled_bytes();
     let map: GrowMap<u64, u64> = GrowMap::new(1024);
+    let idle = beside_idle.then(|| map.handle());
     // Every thread has its handle before any inserts: a thread that started
     // late would find the early migrations run by the other alone.
     let start = Barrier::new(threads as usize);
@@ -67,6 +73,7 @@ fn fill_and_report(threads: u64) {
             });
         }
     });
+    drop(idle);
     for record in map.migration_log() {
         print!(
             "migration {} -> {} cells: {:?}, prepare {:.1} us, cleared in {:.1} us \
@@ -124,16 +131,18 @@ fn main() {
         None => println!("membarrier QUERY failed"),
     }
     println!("membarrier::available() = {}", membarrier::available());
-    fill_and_report(1);
+    fill_and_report(1, false);
+    println!("from one thread beside an idle handle:");
+    fill_and_report(1, true);
     println!("from two threads:");
-    fill_and_report(2);
+    fill_and_report(2, false);
     #[cfg(feature = "failpoints")]
     {
         use growt_failpoints::{configure, remove, Action, Trigger};
 
         println!("with the generic.membarrier failpoint forced:");
         configure("generic.membarrier", Action::FailAlloc, Trigger::Always);
-        fill_and_report(1);
+        fill_and_report(1, false);
         remove("generic.membarrier");
     }
     let [alone, beside_idle] = fill_ns();

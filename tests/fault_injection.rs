@@ -1120,7 +1120,10 @@ fn insert_until_elected(
 /// size is still allowed one key more than the confirmed ones.
 /// The writers are joined, not scoped: a joined thread has run its
 /// thread-local destructors, whose frees the allocator-exact schedules
-/// that follow would otherwise count.
+/// that follow would otherwise count.  An idle third handle keeps every
+/// migration sliced, the first before the second writer has registered
+/// and the later ones after the killed writer's handle is gone (a lone
+/// handle's targets come cleared, DESIGN.md §13).
 #[test]
 fn a_clearer_killed_inside_a_slice_leaves_it_to_the_next() {
     const PER_THREAD: u64 = 20_000;
@@ -1130,6 +1133,7 @@ fn a_clearer_killed_inside_a_slice_leaves_it_to_the_next() {
             GrowConfig::default(),
             2,
         ));
+        let idle = map.handle();
         configure(PREPARE_SLICE, Action::ExitThread, Trigger::Once);
         let confirmed: Vec<(Vec<u64>, bool)> = {
             let writers: Vec<_> = (0..2u64)
@@ -1152,6 +1156,7 @@ fn a_clearer_killed_inside_a_slice_leaves_it_to_the_next() {
                 .collect();
             writers.into_iter().map(|w| w.join().unwrap()).collect()
         };
+        drop(idle);
         assert_eq!(hits(PREPARE_SLICE), 1);
         assert_eq!(confirmed.iter().filter(|(_, killed)| *killed).count(), 1);
         let mut handle = map.handle();
@@ -1177,12 +1182,15 @@ fn a_clearer_killed_inside_a_slice_leaves_it_to_the_next() {
 
 /// The handle whose insert elected a migration is dropped while the
 /// target waits for its slices; the writes of another handle clear them
-/// all, one each, and the last leads the migration.
+/// all, one each, and the last leads the migration.  That handle is
+/// registered before the election, so that the elector is not alone and
+/// its target comes uncleared (DESIGN.md §13).
 #[test]
 fn a_migration_whose_elector_is_gone_is_finished_by_a_later_write() {
     on_each_copy_mode("elector-gone", |mode| {
         count_elections();
         let map: GrowMap<u64, u64> = GrowMap::with_config(2048, GrowConfig::default(), 2);
+        let mut handle = map.handle();
         let mut elector = map.handle();
         let mut keys = insert_until_elected(&mut elector, 2);
         let elected = keys.len();
@@ -1192,7 +1200,6 @@ fn a_migration_whose_elector_is_gone_is_finished_by_a_later_write() {
             0,
             "led inside the electing insert"
         );
-        let mut handle = map.handle();
         let mut key = *keys.last().unwrap();
         while map.migrations_completed() == 0 {
             key += 1;
@@ -1217,12 +1224,14 @@ fn a_migration_whose_elector_is_gone_is_finished_by_a_later_write() {
 /// finds it full.  That insert, instead of spinning, clears what is left:
 /// once it has come back to the skipped slices in the one write, the
 /// failpoint is lifted, and it clears every slice itself, leads the
-/// migration and lands.
+/// migration and lands.  An idle second handle makes the target come
+/// uncleared (a lone handle's comes cleared, DESIGN.md §13).
 #[test]
 fn a_write_that_finds_the_source_full_clears_what_is_left() {
     on_each_copy_mode("full-while-clearing", |mode| {
         count_elections();
         let map: GrowMap<u64, u64> = GrowMap::with_config(2048, GrowConfig::default(), 1);
+        let _idle = map.handle();
         let mut handle = map.handle();
         let mut keys = insert_until_elected(&mut handle, 2);
         configure(PREPARE_SLICE, Action::FailAlloc, Trigger::Always);
@@ -1268,12 +1277,14 @@ fn a_write_that_finds_the_source_full_clears_what_is_left() {
 /// After the election only updates come, one handle's: each clears one
 /// slice before it updates, and the one that clears the last leads the
 /// migration and then updates in the new generation.  Every update is
-/// there, exactly once.
+/// there, exactly once.  An idle second handle makes the target come
+/// uncleared (a lone handle's comes cleared, DESIGN.md §13).
 #[test]
 fn updates_alone_finish_the_clearing_and_the_migration() {
     on_each_copy_mode("updates-clear", |mode| {
         count_elections();
         let map: GrowMap<u64, u64> = GrowMap::with_config(2048, GrowConfig::default(), 1);
+        let _idle = map.handle();
         let mut handle = map.handle();
         let keys = insert_until_elected(&mut handle, 2);
         let mut updates = 0;
@@ -1296,13 +1307,16 @@ fn updates_alone_finish_the_clearing_and_the_migration() {
 
 /// The insert whose prologue clears the last slice leads the migration
 /// before its own operation, so its key lands in the new generation: it is
-/// found there, and counted there — a lone handle's estimate and the
-/// quiescent size are both exact.
+/// found there, and counted there — the writing handle's estimate and the
+/// quiescent size are both exact.  An idle second handle makes the target
+/// come uncleared (a lone handle's comes cleared, DESIGN.md §13); it has
+/// nothing buffered, so the estimate stays exact.
 #[test]
 fn the_write_that_clears_the_last_slice_leads_and_then_lands() {
     on_each_copy_mode("last-clearer-lands", |mode| {
         count_elections();
         let map: GrowMap<u64, u64> = GrowMap::with_config(2048, GrowConfig::default(), 1);
+        let _idle = map.handle();
         let mut handle = map.handle();
         let mut keys = insert_until_elected(&mut handle, 2);
         let elected = keys.len();
@@ -1333,12 +1347,15 @@ fn the_write_that_clears_the_last_slice_leads_and_then_lands() {
 /// taken back from the pool, uncleared, where mappings are on.  A first
 /// round warms up, as in `exclusive_string_migrations_are_allocator_exact`:
 /// the process's and the watchdog's one-time allocations fall into it.
+/// An idle second handle makes the target come uncleared (a lone handle's
+/// comes cleared, DESIGN.md §13).
 #[test]
 fn writes_stopped_mid_clearing_leave_finds_exact_and_free_everything() {
     fn stop_mid_clearing() {
         let pooled = mem::pooled_bytes();
         let map: GrowMap<u64, u64> = GrowMap::with_config(20_000, GrowConfig::default(), 1);
         assert_eq!(map.current_capacity(), 1 << 16);
+        let _idle = map.handle();
         let mut handle = map.handle();
         let mut keys = insert_until_elected(&mut handle, 2);
         if pooled >= 2 << 20 {

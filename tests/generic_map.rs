@@ -398,7 +398,8 @@ fn check_chunks_of_one_copy(record: &MigrationRecord) {
 /// every migration is 8–16 leases of at most `migration_block` cells, the
 /// lone thread copied every block itself, with nobody to exclude but
 /// itself every migration excluded writers (where the kernel has the heavy
-/// barrier) and so froze nothing.
+/// barrier) and so froze nothing, and every target came cleared from the
+/// allocator: no slices for the lone handle to clear (DESIGN.md §13).
 #[test]
 fn migration_log_records_every_phase_of_the_last_migrations() {
     // The failpoint tests below would make these migrations mark.
@@ -431,6 +432,7 @@ fn migration_log_records_every_phase_of_the_last_migrations() {
         assert_eq!(record.blocks_by_leader, record.blocks, "{record:?}");
         assert_eq!(record.rescued, 0, "{record:?}");
         assert_eq!(record.mode, unhindered_mode(), "{record:?}");
+        assert_eq!((record.slices, record.clear_ns), (0, 0), "{record:?}");
         check_chunks_of_one_copy(record);
         assert_eq!(record.longest_wait_ns, 0, "nobody waited: {record:?}");
         assert!(record.live > 0 && record.live as usize <= record.from_capacity);
@@ -438,6 +440,35 @@ fn migration_log_records_every_phase_of_the_last_migrations() {
             record.prepare_ns > 0 && record.copy_ns > 0 && record.finalize_ns > 0,
             "{record:?}"
         );
+    }
+}
+
+/// The same fill beside an idle second handle: the writer is no longer
+/// alone, so every target comes as the allocator hands it out and the
+/// writes clear it in slices.  The last target, 2^17 cells, is a 2 MiB
+/// mapping, which comes zero when fresh; a few are dropped into the pool
+/// first, so that it is taken back from there, uncleared (DESIGN.md §11).
+#[test]
+fn an_idle_second_handle_keeps_the_targets_sliced() {
+    // The failpoint tests below would make these migrations mark.
+    let _serial = FAILPOINTS.lock().unwrap_or_else(|e| e.into_inner());
+    let pooled: Vec<GrowMap<u64, u64>> = (0..4)
+        .map(|_| GrowMap::with_config(40_000, GrowConfig::default(), 1))
+        .collect();
+    assert!(pooled.iter().all(|map| map.current_capacity() == 1 << 17));
+    drop(pooled);
+    let map: GrowMap<u64, u64> = GrowMap::new(1024);
+    let _idle = map.handle();
+    let mut handle = map.handle();
+    for key in 0..1u64 << 16 {
+        handle.insert(&(BASE + key), &key);
+    }
+    let log = map.migration_log();
+    assert_eq!(log.len(), 6, "{log:?}");
+    assert_eq!(log.last().unwrap().from_capacity, 1 << 16);
+    for record in &log {
+        assert!(record.slices > 0 && record.clear_ns > 0, "{record:?}");
+        assert_eq!(record.mode, unhindered_mode(), "{record:?}");
     }
 }
 
@@ -794,6 +825,77 @@ fn a_registration_waits_for_the_sole_write_it_revokes() {
     assert_eq!(map.size_exact_quiescent() as u64, KEYS + 1);
 }
 
+/// A lone handle's migration skips the heavy barrier (DESIGN.md §15).
+/// Held inside its copy, at its first block's claim, the lone leader lets
+/// a second handle register and insert: that handle's first write sees the
+/// growing flag, raised before it registered, and helps with or waits for
+/// the migration, the held block rescued; it goes on through the later
+/// migrations while the leader stays held.  Released, the leader's handle
+/// inserts on, and no key of either handle is lost.
+#[cfg(feature = "failpoints")]
+#[test]
+fn a_handle_registered_while_a_lone_leader_copies_loses_no_insert() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    use growt_failpoints::{configure, remove, Action, Trigger};
+
+    const KEYS: u64 = 20_000;
+    static HELD: AtomicBool = AtomicBool::new(false);
+    static RELEASED: AtomicBool = AtomicBool::new(false);
+    std::thread_local! {
+        static HOLDER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+    /// Holds the one thread that asked for it, until released.
+    fn hold() -> bool {
+        if !HOLDER.with(std::cell::Cell::get) {
+            return true;
+        }
+        HELD.store(true, Ordering::SeqCst);
+        RELEASED.load(Ordering::SeqCst)
+    }
+
+    let _serial = FAILPOINTS.lock().unwrap_or_else(|e| e.into_inner());
+    let map: GrowMap<u64, u64> = GrowMap::new(16);
+    configure(
+        "generic.block.claimed",
+        Action::WaitFor {
+            until: hold,
+            deadline_ms: 30_000,
+        },
+        Trigger::Always,
+    );
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut handle = map.handle();
+            HOLDER.with(|holder| holder.set(true));
+            for i in (0..KEYS).step_by(2) {
+                assert!(handle.insert(&(BASE + i), &i));
+            }
+        });
+        while !HELD.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        let mut handle = map.handle();
+        for i in (1..KEYS).step_by(2) {
+            assert!(handle.insert(&(BASE + i), &i));
+        }
+        assert!(map.migrations_completed() > 1);
+        assert!(!RELEASED.load(Ordering::SeqCst));
+        RELEASED.store(true, Ordering::SeqCst);
+    });
+    remove("generic.block.claimed");
+    let log = map.migration_log();
+    let first = &log[0];
+    assert_eq!(first.generation, 1, "{log:?}");
+    assert_eq!(first.mode, unhindered_mode(), "{first:?}");
+    assert_eq!(first.slices, 0, "elected alone: {first:?}");
+    let mut handle = map.handle();
+    for i in 0..KEYS {
+        assert_eq!(handle.find(&(BASE + i)), Some(i), "key {i}");
+    }
+    assert_eq!(map.size_exact_quiescent() as u64, KEYS);
+}
+
 // ---------------------------------------------------------------------
 // The marking copy, and its locked path, on any CPU and kernel
 // ---------------------------------------------------------------------
@@ -823,8 +925,7 @@ fn six_migrations(check: impl Fn(&MigrationRecord)) {
 
 /// With the `generic.membarrier` failpoint saying the heavy barrier is not
 /// there, every migration marks — one locked `fetch_or` freezes each
-/// source cell — and the checks that migrate hold; each record counts the
-/// freeze passes of one copy of every block.  (The registry is
+/// source cell — and the checks that migrate hold.  (The registry is
 /// process-global: tests running beside this one mark too, which none of
 /// them minds.)
 #[cfg(feature = "failpoints")]
@@ -837,8 +938,23 @@ fn conformance_holds_when_migrations_mark() {
     migrating_checks::<InlineInline>();
     migrating_checks::<BoxedKey>();
     migrating_checks::<BoxedValue>();
+    remove("generic.membarrier");
+}
+
+/// Without the heavy barrier a lone handle's migrations mark too: the
+/// skipped barrier of a lone leader (DESIGN.md §15) comes after the check
+/// for it, not in its place.  Each record counts the freeze passes of one
+/// copy of every block, and its target came cleared.
+#[cfg(feature = "failpoints")]
+#[test]
+fn a_lone_handles_migrations_mark_without_the_barrier() {
+    use growt_failpoints::{configure, remove, Action, Trigger};
+
+    let _serial = FAILPOINTS.lock().unwrap_or_else(|e| e.into_inner());
+    configure("generic.membarrier", Action::FailAlloc, Trigger::Always);
     six_migrations(|record| {
         assert_eq!(record.mode, MigrationMode::Marking, "{record:?}");
+        assert_eq!(record.slices, 0, "{record:?}");
         check_chunks_of_one_copy(record);
     });
     remove("generic.membarrier");

@@ -20,7 +20,11 @@
 //!   update with plain loads and a plain store, its closure run with the
 //!   busy flag lowered, against a second handle's registration, which
 //!   lowers the sole bit, runs the heavy barrier, waits for the busy flag,
-//!   updates the same cell with the locked CAS and drops again.
+//!   updates the same cell with the locked CAS and drops again;
+//! * **the lone leader** (DESIGN.md §15) — a leader that is its map's only
+//!   handle and skips the heavy barrier, against a second handle that
+//!   registers, before or after the leader has counted the handles, and
+//!   then writes.
 //!
 //! Each model is checked as the code does it, where every schedule must
 //! end well, and with seeded mutations — the leader's barrier dropped, the
@@ -29,8 +33,9 @@
 //! whose flip the update function computes, an updater or a find short of
 //! one of its loads, a clearing that counts claimed slices instead of
 //! cleared ones, a registration without its barrier, a sole writer that
-//! does not check its cell again after its closure — where some schedule
-//! must end badly.
+//! does not check its cell again after its closure, a lone leader that
+//! counts the handles before it raises the growing flag — where some
+//! schedule must end badly.
 //! A model that cannot fail proves nothing.
 //!
 //! The machine: each thread runs a small program over shared bytes.  A
@@ -1062,6 +1067,118 @@ fn sole_writes_lose_an_update_without_the_registrants_barrier() {
 fn sole_writes_lose_an_update_without_the_cell_recheck() {
     let trace = explore_revocation(true, false)
         .expect_err("an update made during the closure must be overwritten");
+    assert!(
+        trace.last().unwrap().starts_with("bad outcome"),
+        "{trace:?}"
+    );
+}
+
+// ---------------------------------------------------------------------
+// The lone leader
+// ---------------------------------------------------------------------
+
+/// The writers lock (`GenericInner::writers`' mutex): 1 while held.
+const WRITERS_LOCK: usize = 4;
+/// The length of the list of writers' busy flags.
+const WRITERS: usize = 5;
+
+/// A leader that is its map's only handle (`GrowProtocol::quiesce_writers`
+/// of `GrowMap`, then the copy): raise the growing flag, take the writers
+/// lock, read how many handles there are, unlock; with one, itself, copy
+/// the cell with a plain load into register 0 at once, else run the heavy
+/// barrier and wait for the other handle's busy flag first.  Register 3
+/// keeps the count.  `flag_first` false is the mutation that reads the
+/// count before it raises the flag.
+fn lone_leader(flag_first: bool) -> Vec<Ins> {
+    let mut program = vec![Ins::AddImm(6, 7, 1)];
+    if flag_first {
+        program.push(Ins::Add(GROWING, 1));
+    }
+    let lock = program.len();
+    program.extend([
+        Ins::CasReg {
+            at: WRITERS_LOCK,
+            expected: 7,
+            new: 6,
+            ok: 5,
+        },
+        Ins::JumpUnless(5, 1, lock),
+        Ins::Load(WRITERS, 3),
+        Ins::Cas(WRITERS_LOCK, 1, 0),
+    ]);
+    if !flag_first {
+        program.push(Ins::Add(GROWING, 1));
+    }
+    let copy = program.len() + 3;
+    program.extend([
+        Ins::JumpIf(3, u8::MAX, 1, copy),
+        Ins::HeavyBarrier,
+        Ins::Await(BUSY[1], 0),
+        Ins::Load(CELL, 0),
+    ]);
+    program
+}
+
+/// A second handle (`GenericInner::register`, then one write): under the
+/// writers lock, revoke the lone handle's sole mode — the heavy barrier;
+/// its wait for the lone handle's busy flag is over at once, since a
+/// leader's flag is down — and push its own flag; then write as
+/// [`writer`] does, with the locked instruction of a map of two handles.
+fn late_registrant() -> Vec<Ins> {
+    let mut program = vec![
+        Ins::AddImm(6, 7, 1),
+        Ins::CasReg {
+            at: WRITERS_LOCK,
+            expected: 7,
+            new: 6,
+            ok: 5,
+        },
+        Ins::JumpUnless(5, 1, 1),
+        Ins::HeavyBarrier,
+        Ins::Load(WRITERS, 1),
+        Ins::AddImm(1, 1, 1),
+        Ins::StoreReg(WRITERS, 1),
+        Ins::Cas(WRITERS_LOCK, 1, 0),
+    ];
+    let write = program.len();
+    program.extend([
+        Ins::Store(BUSY[1], 1),
+        Ins::Load(GROWING, 0),
+        Ins::JumpUnless(0, 0, write + 4),
+        Ins::Add(CELL, 1),
+        Ins::Store(BUSY[1], 0),
+    ]);
+    program
+}
+
+/// The leader and the registrant from a map of one handle, the leader's.
+fn explore_lone_leader(flag_first: bool) -> Result<HashSet<Outcome>, Vec<String>> {
+    let mut initial = [0; 6];
+    initial[WRITERS] = 1;
+    explore(
+        &[lone_leader(flag_first), late_registrant()],
+        &initial,
+        |(memory, regs)| memory[CELL] == regs[0][0],
+    )
+}
+
+#[test]
+fn a_lone_leader_loses_no_write_to_a_late_registration_in_any_schedule() {
+    let outcomes = explore_lone_leader(true).unwrap_or_else(|trace| panic!("{}", trace.join("\n")));
+    // Not vacuous: the leader went without the barrier in some schedules,
+    // and with it in others, where the write landed before the copy or
+    // turned away.
+    let seen: HashSet<(u8, u8)> = outcomes
+        .iter()
+        .map(|(memory, regs)| (regs[0][3], memory[CELL]))
+        .collect();
+    assert_eq!(seen, HashSet::from([(1, 0), (2, 0), (2, 1)]));
+}
+
+#[test]
+fn a_lone_leader_loses_a_write_when_it_counts_before_the_raise() {
+    let trace = explore_lone_leader(false)
+        .expect_err("a handle registered between the count and the raise must be missed");
     assert!(
         trace.last().unwrap().starts_with("bad outcome"),
         "{trace:?}"
