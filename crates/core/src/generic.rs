@@ -486,11 +486,11 @@ impl<'k, K: KeyRepr> Probe<'k, K> {
         self.mask != u64::MAX
     }
 
-    /// `true` when the published (unmarked, non-sentinel) key word `k`
-    /// stores this probe's key.  A sentinel never passes the compare (it
-    /// is below every `want`), and only a long key's passing word is
-    /// dereferenced: the one class branch an operation takes, on a compare
-    /// that has already matched.
+    /// `true` when the unmarked key word `k` stores this probe's key.  No
+    /// sentinel passes (an inline `want` is at least 2, a short word has its
+    /// tag, a long key's signature is at least 1, [`signature_of`]), and
+    /// only a long key's passing word is dereferenced: the one class branch
+    /// an operation takes, on a compare that has already matched.
     ///
     /// # Safety
     ///
@@ -731,12 +731,17 @@ impl<K: KeyRepr, V: ValueRepr> GenericArray<K, V> {
     /// the frozen contents are the linearizable state at freeze time.  An
     /// inline value is read key, value, key: the second key load says
     /// whether a flipping freeze came first ([`Cell::unflipped_value`]).
+    /// A tombstone is walked past: no sentinel passes `matches`.
     fn find(&self, probe: &Probe<'_, K>) -> Option<V> {
+        let (cells, mask) = (self.cells.as_ptr(), self.capacity() - 1);
         let mut index = self.home_cell(probe.hash);
         for _ in 0..self.probe_limit() {
+            // SAFETY: `index` is below the capacity: the home cell is the
+            // hash shifted down to the capacity's bits, each step masks it,
+            // and `with_cells` asserts a power-of-two capacity.
+            let cell = unsafe { &*cells.add(index) };
             // Key read before value (§4): the pair-CAS publication means
             // a torn read can only observe a newer value for this key.
-            let cell = &self.cells[index];
             let (k, v) = cell.read();
             let plain = unmark(k);
             if plain == EMPTY_KEY {
@@ -744,7 +749,7 @@ impl<K: KeyRepr, V: ValueRepr> GenericArray<K, V> {
             }
             // SAFETY: out-of-line words observed through a live array are
             // QSBR-protected until this handle's next quiescent state.
-            if plain != DEL_KEY && unsafe { probe.matches(plain) } {
+            if unsafe { probe.matches(plain) } {
                 let v = if V::INLINE {
                     cell.unflipped_value(v)
                 } else {
@@ -753,7 +758,7 @@ impl<K: KeyRepr, V: ValueRepr> GenericArray<K, V> {
                 // SAFETY: as above, for the value word read with the key.
                 return Some(unsafe { read_value::<V>(v) });
             }
-            index = (index + 1) & (self.capacity() - 1);
+            index = (index + 1) & mask;
         }
         None
     }
@@ -1435,12 +1440,16 @@ impl<K: KeyRepr, V: ValueRepr> GrowProtocol for GenericInner<K, V> {
         version: u64,
     ) -> Result<(GenericArray<K, V>, usize), crate::mem::AllocError> {
         // A lone handle would clear every slice itself, one a write: the
-        // allocator clears the target in one pass instead, and the elector
-        // leads at once (DESIGN.md §13).
-        if lock(&self.writers).len() <= 1 {
-            return GenericArray::try_new(new_capacity, version).map(|array| (array, 0));
+        // elector clears the target in one pass instead, and leads at once
+        // (DESIGN.md §13).  A write, not a zeroed allocation, whose fresh
+        // pages the copy would fault twice: by its load, then its store.
+        let (array, slices) = GenericArray::try_uncleared(new_capacity, version)?;
+        if slices > 0 && lock(&self.writers).len() <= 1 {
+            // SAFETY: nothing else reaches the target before it is returned.
+            unsafe { array.cells.clear(0..array.capacity()) };
+            return Ok((array, 0));
         }
-        GenericArray::try_uncleared(new_capacity, version)
+        Ok((array, slices))
     }
 
     fn clear_slice(target: &GenericArray<K, V>, slice: usize) {
@@ -2585,9 +2594,9 @@ mod tests {
 
     // -- the insert window --------------------------------------------------
 
-    /// A `GrowMap<u64, u64>` of exactly `capacity` cells that does not grow
+    /// A `GrowMap<K, u64>` of exactly `capacity` cells that does not grow
     /// below load 0.9.
-    fn presized(capacity: usize, threads: usize) -> GrowMap<u64, u64> {
+    fn presized<K: KeyRepr>(capacity: usize, threads: usize) -> GrowMap<K, u64> {
         let grow = GrowConfig {
             grow_threshold: 0.9,
             ..GrowConfig::default()
@@ -2599,8 +2608,20 @@ mod tests {
 
     /// The `n` smallest keys whose home is one of the cells `homes`.
     fn keys_homed_in(capacity: usize, homes: std::ops::Range<usize>, n: usize) -> Vec<u64> {
-        (2u64..)
-            .filter(|&k| homes.contains(&scale_to_capacity(hash_key(k), capacity)))
+        homed_keys(capacity, homes, n, |i| i + 2)
+    }
+
+    /// The first `n` of `key(0), key(1), …` whose home is one of the cells
+    /// `homes`.
+    fn homed_keys<K: KeyRepr>(
+        capacity: usize,
+        homes: std::ops::Range<usize>,
+        n: usize,
+        key: impl Fn(u64) -> K,
+    ) -> Vec<K> {
+        (0u64..)
+            .map(key)
+            .filter(|k| homes.contains(&scale_to_capacity(Probe::new(k).hash, capacity)))
             .take(n)
             .collect()
     }
@@ -2710,6 +2731,87 @@ mod tests {
             assert_probing_invariant(&map, &live);
             assert_reinserts_store_nothing(&map, &live);
             assert_eq!(map.migrations_completed(), 0, "{capacity} cells grew");
+        }
+    }
+
+    // -- the find walk ------------------------------------------------------
+
+    /// Fill presized maps of 8 to 2^12 cells to load 0.6, a crowd homed in
+    /// the last three cells first, so that the last cell is taken and a
+    /// probe from it wraps to cell 0, then erase every third key.  Every
+    /// live key is found with its value; every erased key, and every key
+    /// never inserted (four of them homed among the crowd), reads `None`.
+    fn find_walks_past_tombstones_and_across_the_wrap<K: KeyRepr + std::fmt::Debug>(
+        key: impl Fn(u64) -> K + Copy,
+    ) {
+        for capacity in (3..=12).map(|b| 1usize << b) {
+            let map = presized::<K>(capacity, 2);
+            let mut h = map.handle();
+            let homes = capacity - 3..capacity;
+            let mut keys = homed_keys(capacity, homes, (capacity / 8).clamp(3, 16) + 4, key);
+            let mut absent = keys.split_off(keys.len() - 4);
+            let mut others: Vec<K> = (0u64..)
+                .map(key)
+                .filter(|k| !keys.contains(k) && !absent.contains(k))
+                .take(capacity * 6 / 10 - keys.len() + 64)
+                .collect();
+            absent.extend(others.split_off(others.len() - 64));
+            keys.extend(others);
+            for (i, k) in keys.iter().enumerate() {
+                assert!(h.insert(k, &(i as u64 * 7)), "{k:?} was absent");
+            }
+            for k in keys.iter().step_by(3) {
+                assert!(h.erase(k), "{k:?} was present");
+            }
+            for (i, k) in keys.iter().enumerate() {
+                let value = (i % 3 != 0).then_some(i as u64 * 7);
+                assert_eq!(h.find(k), value, "{k:?} in {capacity} cells");
+            }
+            for k in &absent {
+                assert_eq!(h.find(k), None, "{k:?} in {capacity} cells");
+            }
+            assert_eq!(map.migrations_completed(), 0, "{capacity} cells grew");
+        }
+    }
+
+    #[test]
+    fn a_find_walks_past_tombstones_and_across_the_wrap() {
+        find_walks_past_tombstones_and_across_the_wrap(|i| i + 2);
+        find_walks_past_tombstones_and_across_the_wrap(mixed_string_key);
+
+        // A long key whose hash has no signature bits wants the smallest
+        // signature, 1: it too walks past a tombstone at its home.
+        let low = (0u64..)
+            .map(|i| format!("long-key-low-{i}"))
+            .find(|k| k.hash64() & ((1 << complex::SIGNATURE_BITS) - 1) == 0)
+            .expect("a hash with no signature bits");
+        let capacity = 64;
+        let home = scale_to_capacity(low.hash64(), capacity);
+        let map = presized::<String>(capacity, 2);
+        let mut h = map.handle();
+        let before = homed_keys(capacity, home..home + 1, 1, |i| format!("k{i}"));
+        assert!(h.insert(&before[0], &1) && h.erase(&before[0]));
+        assert_eq!(h.find(&low), None);
+        assert!(h.insert(&low, &2));
+        assert_eq!(h.find(&low), Some(2));
+    }
+
+    /// A generation whose every cell is a tombstone, plain or marked, has no
+    /// empty cell to end a miss: the probe limit ends it, with `None`.
+    #[test]
+    fn a_find_over_a_generation_of_tombstones_ends() {
+        for capacity in [8, 2 * PROBE_LIMIT] {
+            for tombstone in [DEL_KEY, DEL_KEY | MARK_BIT] {
+                let words = GenericArray::<u64, u64>::new(capacity, 1);
+                let strings = GenericArray::<String, u64>::new(capacity, 1);
+                for cell in words.cells.iter().chain(strings.cells.iter()) {
+                    cell.store_unsynchronized(tombstone, 0);
+                }
+                for i in 0..16 {
+                    assert_eq!(words.find(&Probe::new(&(i + 2))), None);
+                    assert_eq!(strings.find(&Probe::new(&mixed_string_key(i))), None);
+                }
+            }
         }
     }
 

@@ -10,9 +10,9 @@
 //! values the `cmpxchg16b` that marks the key and flips the value word
 //! (DESIGN.md §15).  Run it before trusting a before/after of the grow
 //! pause, and name the mode with the numbers.  A lone handle grows like a
-//! sequential table: each target comes cleared from the allocator, so
-//! this table's lines read `0 slices`, and its leader skips the heavy
-//! barrier (DESIGN.md §13, §15).
+//! sequential table: its elector clears each target in one pass, counted
+//! in `prepare`, so this table's lines read `0 slices`, and its leader
+//! skips the heavy barrier (DESIGN.md §13, §15).
 //!
 //! It then fills a second table the same way from one thread beside an
 //! idle second handle, which puts the migrations on the path of a map
